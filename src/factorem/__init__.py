@@ -11,14 +11,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularSystemError,
 )
-from .estep import (
-    ConditionalLaw,
-    JointBlocks,
-    PosteriorMoments,
-    build_joint_blocks,
-    conditional_law,
-    posterior_moments,
-)
+from .estep import ConditionalLaw, PosteriorMoments, conditional_law, posterior_moments
 from .evaluate import (
     ResampleSummary,
     StudySummary,
@@ -56,8 +49,7 @@ __all__ = [
     "relative_change",
     "FactorEMError", "DataError", "NotPositiveDefiniteError",
     "SingularSystemError", "DegeneratePosteriorError",
-    "JointBlocks", "ConditionalLaw", "PosteriorMoments",
-    "build_joint_blocks", "conditional_law", "posterior_moments",
+    "ConditionalLaw", "PosteriorMoments", "conditional_law", "posterior_moments",
     "StudySummary", "ResampleSummary", "abs_rel_deviation",
     "factor_sq_correlation", "replicate_study", "sensitivity_sweep",
     "kfold_resample",

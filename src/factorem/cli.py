@@ -33,12 +33,7 @@ def _square_dimensions(args) -> Dimensions:
 
 
 def _em_config(args) -> EMConfig:
-    return EMConfig(
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        jitter_enabled=getattr(args, "jitter", False),
-    )
+    return EMConfig(epsilon=args.epsilon, max_iter=args.max_iter)
 
 
 def _sim_config(args) -> SimConfig:
@@ -121,8 +116,6 @@ def _add_em_flags(parser):
     parser.add_argument("--epsilon", type=float, default=1e-2,
                         help="stopping threshold (default 1e-2)")
     parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--jitter", action="store_true",
-                        help="add 1e-8 diagonal jitter before factorizing")
 
 
 def _add_design_flags(parser):
@@ -151,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True,
                        help="dataset directory or manifest file")
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--seed", type=int, default=0)
     _add_em_flags(p_fit)
     p_fit.set_defaults(handler=_cmd_fit)
 

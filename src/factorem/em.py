@@ -9,21 +9,27 @@ notes): the dependent score is moved to the scale implied by the
 unit-variance structural disturbance, and each block's in-sample
 factor/covariate overlap is reclaimed from the other blocks.
 
+The loop carries the conditional law of the latents: one E-step at the
+starting point, then per iteration an M-step followed by the E-step at
+the updated parameters, whose by-product observed log-likelihood fills
+that iteration's trace row. That is one pass over the data per
+iteration, and the reported factor scores are those at the returned
+parameters.
+
 The stopping statistic is the sum over the canonical parameter vector of
 |new - old| / max(|new|, floor); iteration ends when it drops below
 epsilon or the iteration cap is hit (non-convergence is flagged, not
 raised).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DataError, FactorEMError, SingularSystemError
-from .estep import PosteriorMoments, conditional_law, posterior_moments
-from .likelihood import observed_loglik
+from .errors import DataError, FactorEMError
+from .estep import ConditionalLaw, PosteriorMoments, conditional_law, posterior_moments
 from .model import Dataset, Dimensions, Theta, flatten_theta
-from .mstep import sufficient_stats, update_theta
+from .mstep import _gram_solve, sufficient_stats, update_theta
 
 __all__ = [
     "EMConfig",
@@ -42,17 +48,11 @@ class EMConfig:
 
     epsilon : stopping threshold on the relative-change statistic
     max_iter : iteration cap
-    seed : reserved for randomized initialization fallbacks (the default
-        least-squares/PCA initialization is deterministic)
-    jitter_enabled : add 1e-8 to the observation-covariance diagonal
-        before factorizing (off by default; failures should be loud)
     denominator_floor : floor on |theta| in the stopping denominator
     """
 
     epsilon: float = 1e-2
     max_iter: int = 500
-    seed: int = 0
-    jitter_enabled: bool = False
     denominator_floor: float = 1e-8
 
     def __post_init__(self):
@@ -68,10 +68,11 @@ class EMConfig:
 class FitResult:
     """Converged parameters, factor scores and the iteration history.
 
-    moments holds the final E-step posterior moments; its g_tilde and
-    f_tilde rows are the reported factor scores. trace is an
-    (iterations, 2) array of (relative change, observed log-likelihood),
-    one row per EM iteration.
+    moments holds the posterior moments at the returned theta; its
+    g_tilde and f_tilde rows are the reported factor scores. trace is an
+    (iterations, 2) array of (relative change, observed log-likelihood
+    at that iteration's updated theta), one row per EM iteration. dims
+    are the dimensions of the fitted data.
     """
 
     theta: Theta
@@ -79,6 +80,7 @@ class FitResult:
     iterations: int
     converged: bool
     trace: np.ndarray
+    dims: Dimensions
 
 
 def _first_pc_scores(resid: np.ndarray, name: str) -> np.ndarray:
@@ -91,16 +93,6 @@ def _first_pc_scores(resid: np.ndarray, name: str) -> np.ndarray:
     return scores / scores.std()
 
 
-def _covariate_coefficients(t: np.ndarray, block: np.ndarray, name: str) -> np.ndarray:
-    gram = t.T @ t
-    try:
-        return np.linalg.solve(gram, t.T @ block)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"covariate block {name} is singular (collinear covariates)"
-        ) from exc
-
-
 def initialize(data: Dataset, dims: Dimensions, config: EMConfig) -> Theta:
     """Least-squares / principal-component starting point."""
     n = data.n
@@ -110,7 +102,7 @@ def initialize(data: Dataset, dims: Dimensions, config: EMConfig) -> Theta:
         )
 
     def block_start(t, block, name):
-        coef = _covariate_coefficients(t, block, name)
+        coef = _gram_solve(t.T @ t, t.T @ block, name)
         # center the residuals so the loading regression carries an
         # implicit intercept (residual means are not the factor's job)
         resid = block - t @ coef
@@ -154,13 +146,14 @@ def initialize(data: Dataset, dims: Dimensions, config: EMConfig) -> Theta:
     # explanatory block through the structural residual, shrunk by its
     # signal fraction c^2/(c^2+1).
     g_cross = c @ f_mat
-    kappa_g = _covariate_coefficients(data.t, g_cross, "T")
+    kappa_g = _gram_solve(data.t.T @ data.t, data.t.T @ g_cross, "T")
     d = d - np.outer(kappa_g, b)
     for m in range(dims.p):
         if abs(c[m]) < 1e-8:
             continue
         backed_out = (g_scores - g_cross + c[m] * f_mat[m]) / c[m]
-        kappa_m = _covariate_coefficients(data.t_m[m], backed_out, f"T{m + 1}")
+        tm = data.t_m[m]
+        kappa_m = _gram_solve(tm.T @ tm, tm.T @ backed_out, f"T{m + 1}")
         weight = c[m] ** 2 / (c[m] ** 2 + 1.0)
         d_m[m] = d_m[m] - weight * np.outer(kappa_m, a_m[m])
 
@@ -170,15 +163,13 @@ def initialize(data: Dataset, dims: Dimensions, config: EMConfig) -> Theta:
     )
 
 
-def em_step(
-    theta: Theta, data: Dataset, jitter: float = 0.0
-) -> tuple[Theta, PosteriorMoments]:
-    """One E-step followed by one closed-form M-step."""
-    law = conditional_law(theta, data, jitter=jitter)
+def em_step(law: ConditionalLaw, data: Dataset) -> tuple[Theta, ConditionalLaw]:
+    """One closed-form M-step from the law at the current parameters,
+    then the E-step at the updated parameters."""
     moments = posterior_moments(law)
     stats = sufficient_stats(data, moments, law)
     theta_new = update_theta(stats, moments, data, data.dimensions())
-    return theta_new, moments
+    return theta_new, conditional_law(theta_new, data)
 
 
 def relative_change(theta_old: Theta, theta_new: Theta, floor: float) -> float:
@@ -190,29 +181,43 @@ def relative_change(theta_old: Theta, theta_new: Theta, floor: float) -> float:
 
 def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     """Run EM from the deterministic initialization until the stopping
-    rule fires or max_iter is reached."""
-    jitter = 1e-8 if config.jitter_enabled else 0.0
+    rule fires or max_iter is reached.
+
+    ``dims`` must equal ``data.dimensions()``; a DataError names the
+    first field that differs.
+    """
+    actual = data.dimensions()
+    for field in fields(Dimensions):
+        given, found = getattr(dims, field.name), getattr(actual, field.name)
+        if given != found:
+            raise DataError(
+                f"dims.{field.name}={given} disagrees with the data ({found})"
+            )
     theta = initialize(data, dims, config)
+    try:
+        law = conditional_law(theta, data)
+    except FactorEMError as exc:
+        raise type(exc)(f"EM start: {exc}") from exc
     trace = []
-    moments = None
     converged = False
     for iteration in range(1, config.max_iter + 1):
         try:
-            theta_new, moments = em_step(theta, data, jitter=jitter)
+            theta_new, law = em_step(law, data)
         except FactorEMError as exc:
             raise type(exc)(f"EM iteration {iteration}: {exc}") from exc
         change = relative_change(theta, theta_new, config.denominator_floor)
-        trace.append((change, observed_loglik(theta_new, data).value))
+        trace.append((change, float(law.loglik.sum())))
         theta = theta_new
         if change < config.epsilon:
             converged = True
             break
     return FitResult(
         theta=theta,
-        moments=moments,
+        moments=posterior_moments(law),
         iterations=len(trace),
         converged=converged,
         trace=np.array(trace),
+        dims=actual,
     )
 
 

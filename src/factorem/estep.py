@@ -1,48 +1,44 @@
-"""E-step: joint Gaussian blocks and the conditional law of the latents.
+"""E-step: the conditional law of the latents and the observed log-likelihood.
 
-Stacking the latents h_i = (g_i, f_i^1, .., f_i^p) and the centered
-observations, the model implies a joint Gaussian whose covariance splits
-into three blocks:
+With latents h_i = (g_i, f_i^1, .., f_i^p) and covariate-centered
+observations r_i = Lambda h_i + noise, where column 0 of Lambda holds b
+on the Y rows, column m holds a^m on the X^m rows, and the noise
+covariance Psi is block-isotropic, two facts keep every computation
+(p+1)-dimensional (the factor-analysis EM identity of Rubin & Thayer,
+1982): Lambda' Psi^{-1} Lambda = diag(b'b/sigma2_y, a^m'a^m/sigma2_m),
+and S1 = Cov(h) has S1^{-1} = [[1, -c'], [-c, I + c c']] and det S1 = 1.
+With u_i = Lambda' Psi^{-1} r_i and P = S1^{-1} + Lambda' Psi^{-1} Lambda,
 
-    s1 : (p+1, p+1)       Cov(h)
-    s2 : (p+1, q_total)   Cov(h, z)
-    s3 : (q_total, q_total)  Cov(z)
+    h_i | r_i ~ N(M_i, Sigma),   Sigma = P^{-1},   M_i = Sigma u_i,
 
-Conditioning on the observations gives h_i | z_i ~ N(M_i, Sigma) with a
-per-unit mean and a covariance shared by all units:
+and the Woodbury identity and the determinant lemma give the observed
+log-density of unit i from the same pass:
 
-    M_i   = s2 s3^{-1} mu_i,   mu_i = z_i minus its covariate mean
-    Sigma = s1 - s2 s3^{-1} s2'
+    -1/2 [ r_i' Psi^{-1} r_i - u_i' Sigma u_i
+           + sum_k q_k log sigma2_k + log det P + q_total log 2 pi ].
 
-s3 is factorized once and the factorization reused across all n units.
+The quadratic form is evaluated as the equal sum of two nonnegative
+terms, ||r_i - Lambda M_i||^2_{Psi^{-1}} + M_i' S1^{-1} M_i, which does
+not cancel when a noise variance sits at its 1e-12 floor.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import spd_cholesky, spd_solve
-from .model import Dataset, Dimensions, Theta
-from .errors import DataError
+from .errors import DataError, NotPositiveDefiniteError
+from .model import Dataset, Theta
 
 __all__ = [
-    "JointBlocks",
     "ConditionalLaw",
     "PosteriorMoments",
-    "build_joint_blocks",
+    "block_residuals",
     "stacked_residuals",
     "conditional_law",
     "posterior_moments",
 ]
 
-
-@dataclass
-class JointBlocks:
-    """Covariance blocks of the joint (latent, observed) distribution."""
-
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -51,10 +47,13 @@ class ConditionalLaw:
 
     m : (n, p+1) conditional means, one row per unit
     sigma : (p+1, p+1) conditional covariance, identical for every unit
+    loglik : (n,) observed log-likelihood of each unit at the parameters
+        the law was computed at; None for a law assembled by hand
     """
 
     m: np.ndarray
     sigma: np.ndarray
+    loglik: np.ndarray | None = None
 
 
 @dataclass
@@ -77,76 +76,63 @@ class PosteriorMoments:
     cross_ff: np.ndarray
 
 
-def build_joint_blocks(theta: Theta, dims: Dimensions) -> JointBlocks:
-    """Assemble s1, s2, s3 from the model parameters.
-
-    Cross-covariances between distinct explanatory blocks are exactly
-    zero; the only couplings run through g.
-    """
-    if theta.sigma2_y <= 0 or any(s <= 0 for s in theta.sigma2_m):
-        raise DataError(
-            "joint covariance needs strictly positive noise variances, got "
-            f"sigma2_y={theta.sigma2_y}, sigma2_m={theta.sigma2_m}"
-        )
-    p, q_y = dims.p, dims.q_y
-    c, b = theta.c, theta.b
-    g_var = float(c @ c) + 1.0
-
-    s1 = np.eye(p + 1)
-    s1[0, 0] = g_var
-    s1[0, 1:] = c
-    s1[1:, 0] = c
-
-    offsets = np.cumsum([0, q_y, *dims.q_m])
-    q_total = offsets[-1]
-
-    s2 = np.zeros((p + 1, q_total))
-    s2[0, :q_y] = g_var * b
-    for m, am in enumerate(theta.a_m):
-        lo, hi = offsets[m + 1], offsets[m + 2]
-        s2[0, lo:hi] = c[m] * am
-        s2[m + 1, :q_y] = c[m] * b
-        s2[m + 1, lo:hi] = am
-
-    s3 = np.zeros((q_total, q_total))
-    s3[:q_y, :q_y] = g_var * np.outer(b, b) + theta.sigma2_y * np.eye(q_y)
-    for m, am in enumerate(theta.a_m):
-        lo, hi = offsets[m + 1], offsets[m + 2]
-        s3[lo:hi, lo:hi] = np.outer(am, am) + theta.sigma2_m[m] * np.eye(hi - lo)
-        cross = c[m] * np.outer(b, am)
-        s3[:q_y, lo:hi] = cross
-        s3[lo:hi, :q_y] = cross.T
-    return JointBlocks(s1=s1, s2=s2, s3=s3)
+def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
+    """Each observed block minus its covariate mean: Y, then X^1..X^p."""
+    return [data.y - data.t @ theta.d] + [
+        xm - tm @ dm for xm, tm, dm in zip(data.x, data.t_m, theta.d_m)
+    ]
 
 
 def stacked_residuals(theta: Theta, data: Dataset) -> np.ndarray:
     """(n, q_total) matrix of observations minus their covariate means."""
-    parts = [data.y - data.t @ theta.d]
-    parts += [xm - tm @ dm for xm, tm, dm in zip(data.x, data.t_m, theta.d_m)]
-    return np.concatenate(parts, axis=1)
+    return np.concatenate(block_residuals(theta, data), axis=1)
 
 
-def conditional_law(theta: Theta, data: Dataset, jitter: float = 0.0) -> ConditionalLaw:
-    """Exact conditional distribution of the latents for every unit.
+def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
+    """Exact conditional law of the latents for every unit, with each
+    unit's observed log-likelihood at the same parameters.
 
-    Raises NotPositiveDefiniteError (annotated with the parameter state)
-    if the observed-block covariance cannot be factorized; pass a small
-    ``jitter`` to add to its diagonal only when explicitly configured.
+    Raises DataError for a nonpositive noise variance and
+    NotPositiveDefiniteError (annotated with the parameter state) if the
+    (p+1, p+1) posterior precision cannot be factorized.
     """
-    dims = data.dimensions()
-    blocks = build_joint_blocks(theta, dims)
-    context = (
-        "observed-block covariance not positive definite "
-        f"(sigma2_y={theta.sigma2_y:.3e}, "
-        f"sigma2_m={tuple(float(f'{s:.3e}') for s in theta.sigma2_m)}, "
-        f"c={np.array2string(theta.c, precision=3)})"
-    )
-    chol = spd_cholesky(blocks.s3, jitter=jitter, context=context)
-    w = spd_solve(chol, blocks.s2.T)            # (q_total, p+1)
-    sigma = blocks.s1 - blocks.s2 @ w
+    variances = np.array([theta.sigma2_y, *theta.sigma2_m])
+    if variances.min() <= 0:
+        raise DataError(
+            "conditional law needs strictly positive noise variances, got "
+            f"sigma2_y={theta.sigma2_y}, sigma2_m={theta.sigma2_m}"
+        )
+    loadings = (theta.b, *theta.a_m)
+    resid = block_residuals(theta, data)
+    inv_var = 1.0 / variances
+    u = np.column_stack([r @ lam for r, lam in zip(resid, loadings)]) * inv_var
+
+    c = theta.c
+    prior_prec = np.eye(c.shape[0] + 1)
+    prior_prec[0, 1:] = prior_prec[1:, 0] = -c
+    prior_prec[1:, 1:] += np.outer(c, c)
+    prec = prior_prec + np.diag([lam @ lam for lam in loadings] * inv_var)
+    try:
+        chol = np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            "posterior precision of the latents not positive definite "
+            f"(sigma2_y={theta.sigma2_y:.3e}, "
+            f"sigma2_m={tuple(float(f'{s:.3e}') for s in theta.sigma2_m)}, "
+            f"c={np.array2string(c, precision=3)})"
+        ) from exc
+    chol_inv = np.linalg.inv(chol)
+    sigma = chol_inv.T @ chol_inv
     sigma = 0.5 * (sigma + sigma.T)
-    m = stacked_residuals(theta, data) @ w      # (n, p+1)
-    return ConditionalLaw(m=m, sigma=sigma)
+    m = u @ sigma                                # (n, p+1)
+
+    quad = np.sum((m @ prior_prec) * m, axis=1)
+    for k, (r, lam) in enumerate(zip(resid, loadings)):
+        quad += np.sum((r - np.outer(m[:, k], lam)) ** 2, axis=1) * inv_var[k]
+    widths = np.array([r.shape[1] for r in resid])
+    logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    loglik = -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
+    return ConditionalLaw(m=m, sigma=sigma, loglik=loglik)
 
 
 def posterior_moments(law: ConditionalLaw) -> PosteriorMoments:

@@ -13,7 +13,8 @@ A dataset on disk is a set of block CSVs tied together by a manifest
 
 Covariate blocks may contain non-numeric (categorical) columns; these
 are expanded into a leading intercept column plus one indicator per
-level beyond the first, in order of first appearance.
+level beyond the first, in order of first appearance. A column must be
+wholly numeric or wholly non-numeric.
 """
 
 import csv
@@ -138,19 +139,37 @@ def _numeric_block(path: Path) -> tuple[list[str], np.ndarray]:
     return header, values
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _covariate_block(path: Path) -> tuple[list[str], np.ndarray]:
     """Numeric covariates pass through; categorical columns expand to an
-    intercept plus level indicators (reference level = first seen)."""
+    intercept plus level indicators (reference level = first seen).
+
+    A column mixing numeric and non-numeric (or blank) cells is an
+    error, not a categorical with one level per distinct value.
+    """
     header, body = _read_table(path)
     n = len(body)
     raw_cols = list(zip(*body))
     numeric, categorical = {}, {}
     for j, col in enumerate(raw_cols):
-        try:
+        is_number = [_is_number(cell) for cell in col]
+        if all(is_number):
             numeric[j] = np.array([float(cell) for cell in col])
-        except ValueError:
-            levels = list(dict.fromkeys(col))  # order of first appearance
-            categorical[j] = levels
+        elif any(is_number):
+            i = is_number.index(False)
+            raise DataError(
+                f"{path}: row {i + 2}, column {header[j]!r}: cell {col[i]!r} is not "
+                "numeric but other cells of the column are"
+            )
+        else:
+            categorical[j] = list(dict.fromkeys(col))  # order of first appearance
     if not categorical:
         return header, np.column_stack([numeric[j] for j in range(len(raw_cols))])
 
@@ -265,18 +284,6 @@ def write_dataset(
     return manifest
 
 
-def _fit_dimensions(result: FitResult) -> Dimensions:
-    theta = result.theta
-    return Dimensions(
-        n=result.moments.g_tilde.shape[0],
-        p=theta.p,
-        q_y=theta.b.shape[0],
-        q_m=tuple(am.shape[0] for am in theta.a_m),
-        r_t=theta.d.shape[0],
-        r_m=tuple(dm.shape[0] for dm in theta.d_m),
-    )
-
-
 def write_fit(
     result: FitResult,
     out_dir,
@@ -292,7 +299,7 @@ def write_fit(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dims = _fit_dimensions(result)
+    dims = result.dims
     cols = columns or _default_columns(dims)
 
     _write_csv(
@@ -328,8 +335,6 @@ def write_fit(
         report["config"] = {
             "epsilon": config.epsilon,
             "max_iter": config.max_iter,
-            "seed": config.seed,
-            "jitter_enabled": config.jitter_enabled,
             "denominator_floor": config.denominator_floor,
         }
     _write_json(out / "report.json", report)

@@ -13,16 +13,12 @@ log p(z, h) = log p(z) + log p(h | z) holds numerically.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError
-from .estep import build_joint_blocks, stacked_residuals
-from .linalg import spd_cholesky, spd_logdet
+from .estep import LOG_2PI, conditional_law
 from .model import Dataset, Latents, Theta, flatten_parts
 
 __all__ = ["LogLik", "Score", "complete_loglik", "observed_loglik", "complete_score"]
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -94,17 +90,10 @@ def complete_loglik(theta: Theta, data: Dataset, latents: Latents) -> LogLik:
 def observed_loglik(theta: Theta, data: Dataset) -> LogLik:
     """Log-density of the observations with the latents marginalized out.
 
-    One factorization of the (q_total, q_total) observation covariance
-    serves all units.
+    The E-step computes it alongside the conditional law from
+    (p+1)-dimensional algebra; see ``estep``.
     """
-    _require_positive_variances(theta)
-    dims = data.dimensions()
-    blocks = build_joint_blocks(theta, dims)
-    chol = spd_cholesky(blocks.s3, context="marginal observation covariance")
-    resid = stacked_residuals(theta, data)
-    half = scipy.linalg.solve_triangular(chol, resid.T, lower=True)
-    quad = np.sum(half**2, axis=0)
-    per_unit = -0.5 * (quad + spd_logdet(chol) + dims.q_total * LOG_2PI)
+    per_unit = conditional_law(theta, data).loglik
     return LogLik(value=float(per_unit.sum()), per_unit=per_unit)
 
 

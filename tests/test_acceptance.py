@@ -25,7 +25,6 @@ from factorem import (
     update_theta,
 )
 from factorem.cli import main
-from factorem.estep import build_joint_blocks
 
 from conftest import reference_dims, random_instance, random_theta, scalar_toy_theta
 

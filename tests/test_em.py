@@ -33,7 +33,8 @@ class TestInitialize:
     def test_noise_free_single_factor_recovered_exactly(self):
         # a noise-free rank-1 residual block makes the starting factor
         # score an exact (up to sign) copy of the generating factor
-        from factorem.em import _covariate_coefficients, _first_pc_scores
+        from factorem.em import _first_pc_scores
+        from factorem.mstep import _gram_solve
 
         rng = np.random.default_rng(0)
         n, q = 40, 6
@@ -42,7 +43,7 @@ class TestInitialize:
         g = rng.normal(size=n)
         g -= g.mean()
         y = t @ d + np.outer(g, np.ones(q))
-        resid = y - t @ _covariate_coefficients(t, y, "Y")
+        resid = y - t @ _gram_solve(t.T @ t, t.T @ y, "Y")
         scores = _first_pc_scores(resid, "Y")
         corr = np.corrcoef(scores, g)[0, 1]
         assert abs(corr) > 1 - 1e-10
@@ -86,15 +87,16 @@ class TestEmStep:
         data, _, _, dims = random_instance(10, dims=Dimensions(
             n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
         result = fit(data, dims, EMConfig(epsilon=1e-10, max_iter=500))
-        theta_next, _ = em_step(result.theta, data)
+        theta_next, _ = em_step(conditional_law(result.theta, data), data)
         assert relative_change(result.theta, theta_next, 1e-8) < 1e-6
 
     def test_ascends_observed_loglik(self):
         data, _, _, dims = random_instance(11)
         theta = initialize(data, dims, EMConfig())
+        law = conditional_law(theta, data)
         previous = observed_loglik(theta, data).value
         for _ in range(8):
-            theta, _ = em_step(theta, data)
+            theta, law = em_step(law, data)
             current = observed_loglik(theta, data).value
             assert current >= previous - 1e-8 * abs(previous)
             previous = current
@@ -164,6 +166,26 @@ class TestFit:
         assert np.array_equal(flatten_theta(a.theta), flatten_theta(b.theta))
         assert np.array_equal(a.trace, b.trace)
         assert np.array_equal(a.moments.g_tilde, b.moments.g_tilde)
+
+    def test_factor_scores_are_at_the_returned_theta(self):
+        data, _, _ = reference_instance(seed=3, n=60, q=5)
+        result = fit(data, reference_dims(n=60, q=5), EMConfig(epsilon=1e-3))
+        at_theta = posterior_moments(conditional_law(result.theta, data))
+        for name in ("g_tilde", "f_tilde", "gamma_tilde", "cross_ff"):
+            np.testing.assert_allclose(
+                getattr(result.moments, name), getattr(at_theta, name),
+                rtol=0, atol=1e-12,
+            )
+        assert result.trace[-1, 1] == observed_loglik(result.theta, data).value
+
+    def test_dims_disagreeing_with_the_data_rejected(self):
+        data, _, _ = reference_instance(seed=3, n=60, q=5)
+        dims = reference_dims(n=60, q=5)
+        with pytest.raises(DataError, match=r"dims\.n=999 .*\(60\)"):
+            fit(data, replace(dims, n=999), EMConfig())
+        with pytest.raises(DataError, match=r"dims\.q_m="):
+            fit(data, replace(dims, q_m=(5, 6)), EMConfig())
+        assert fit(data, dims, EMConfig()).dims == data.dimensions()
 
     def test_config_validation(self):
         with pytest.raises(DataError):

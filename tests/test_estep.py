@@ -1,19 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorem import (
-    Dataset,
-    Theta,
-    build_joint_blocks,
-    conditional_law,
-    posterior_moments,
-)
+from factorem import Dataset, Theta, conditional_law, posterior_moments
 from factorem.errors import DataError, NotPositiveDefiniteError
-from factorem.linalg import spd_cholesky, spd_solve
+from factorem.estep import LOG_2PI, stacked_residuals
+from factorem.mstep import VARIANCE_FLOOR
 
 from conftest import reference_dims, random_instance, scalar_toy_theta
+from dense_oracle import build_joint_blocks, dense_conditioning
 
 # frozen by the direct 3x3 inverse oracle below (det(S3) = 12)
 TOY_S3 = np.array([[4.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 2.0]])
@@ -102,8 +101,6 @@ class TestConditionalLaw:
         solve = np.linalg.inv(blocks.s3)
         sigma_oracle = blocks.s1 - blocks.s2 @ solve @ blocks.s2.T
         np.testing.assert_allclose(law.sigma, sigma_oracle, atol=1e-8)
-        from factorem.estep import stacked_residuals
-
         resid = stacked_residuals(theta, data)
         for i in range(min(3, dims.n)):
             np.testing.assert_allclose(
@@ -123,29 +120,98 @@ class TestConditionalLaw:
         sigma_b = conditional_law(theta, data_b).sigma
         assert np.array_equal(sigma_a, sigma_b)
 
-    def test_solve_reconstructs_rhs(self):
-        data, _, theta, dims = random_instance(3)
-        blocks = build_joint_blocks(theta, dims)
-        chol = spd_cholesky(blocks.s3)
-        from factorem.estep import stacked_residuals
+    def test_zero_variance_rejected(self):
+        bad = replace(scalar_toy_theta(), sigma2_m=(1.0, 0.0))
+        with pytest.raises(DataError, match="positive"):
+            conditional_law(bad, scalar_toy_data())
 
-        rhs = stacked_residuals(theta, data).T
-        sol = spd_solve(chol, rhs)
+    def test_unfactorizable_precision_names_the_parameters(self):
+        # zero loadings leave the precision at S1^{-1}, whose f-block
+        # 1 + c^2 rounds to c^2 at |c| = 1e8: singular in floating point
+        theta = replace(
+            scalar_toy_theta(), b=np.zeros(1), a_m=(np.zeros(1), np.zeros(1)),
+            c=np.array([1e8, 0.5]),
+        )
+        with pytest.raises(NotPositiveDefiniteError, match=r"sigma2_y=1\.000e\+00.*c="):
+            conditional_law(theta, scalar_toy_data())
+
+
+def noise_free_copy(data, latents, theta):
+    """The same units with every noise draw removed."""
+    return Dataset(
+        y=data.t @ theta.d + np.outer(latents.g, theta.b),
+        x=tuple(
+            tm @ dm + np.outer(f, am)
+            for tm, dm, f, am in zip(data.t_m, theta.d_m, latents.f, theta.a_m)
+        ),
+        t=data.t, t_m=data.t_m,
+    )
+
+
+class TestLowRankAgainstDense:
+    """The (p+1)-dimensional E-step against the dense q_total x q_total
+    conditioning it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_dense_conditioning_and_mvn(self, seed):
+        data, _, theta, dims = random_instance(seed)
+        law = conditional_law(theta, data)
+        m, sigma, loglik = dense_conditioning(theta, data)
+        np.testing.assert_allclose(law.m, m, rtol=0, atol=1e-10 * np.abs(m).max())
+        np.testing.assert_allclose(law.sigma, sigma, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(law.loglik, loglik, rtol=1e-12)
+        mvn = scipy.stats.multivariate_normal.logpdf(
+            stacked_residuals(theta, data), np.zeros(dims.q_total),
+            build_joint_blocks(theta, dims).s3,
+        )
+        np.testing.assert_allclose(law.loglik, mvn, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_noise_free_data_at_the_variance_floor(self, seed):
+        data, latents, theta, dims = random_instance(seed)
+        clean = noise_free_copy(data, latents, theta)
+        floor = replace(
+            theta, sigma2_y=VARIANCE_FLOOR, sigma2_m=(VARIANCE_FLOOR,) * dims.p
+        )
+        law = conditional_law(floor, clean)
+        m, sigma, loglik = dense_conditioning(floor, clean)
+        blocks = build_joint_blocks(floor, dims)
+        eps = np.finfo(float).eps
+
+        np.testing.assert_allclose(law.m, m, rtol=0, atol=1e-10 * np.abs(m).max())
+        # the dense s1 - s2 s3^{-1} s2' cancels O(1) entries down to an
+        # O(1e-12) Sigma, so it is exact only to a few eps |s1|
         np.testing.assert_allclose(
-            blocks.s3 @ sol, rhs, rtol=1e-10, atol=1e-10 * np.abs(rhs).max()
+            law.sigma, sigma, rtol=0, atol=64 * eps * np.abs(blocks.s1).max()
+        )
+        # the quadratic forms agree unit by unit; the log det shared by all
+        # units is exact in the dense oracle only up to the rounding of the
+        # s3 entries relative to the floor variance
+        gap = law.loglik - loglik
+        assert np.ptp(gap) <= 1e-12 * np.abs(loglik).max()
+        assert np.abs(gap).max() <= (
+            dims.q_total**2 * eps * np.abs(blocks.s3).max() / VARIANCE_FLOOR
         )
 
-    def test_jitter_only_when_asked(self):
-        data, _, theta, _ = random_instance(4)
-        law = conditional_law(theta, data)
-        jittered = conditional_law(theta, data, jitter=1e-8)
-        assert not np.array_equal(law.sigma, jittered.sigma)
-        np.testing.assert_allclose(law.sigma, jittered.sigma, atol=1e-6)
-
-
-def test_not_positive_definite_error_message():
-    with pytest.raises(NotPositiveDefiniteError, match="demo"):
-        spd_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), context="demo")
+        # vanishing-noise limit: each block pins its factor to a line, so
+        # log p(z) = log N(h; 0, S1) - sum_k [(q_k - 1) log(2 pi sigma2_k)
+        # + log |lambda_k|^2] / 2, with h the generating latents
+        loadings = (theta.b, *theta.a_m)
+        widths = np.array([dims.q_y, *dims.q_m])
+        prior_quad = np.sum(latents.f**2, axis=0) + (latents.g - theta.c @ latents.f) ** 2
+        limit = -0.5 * (
+            prior_quad
+            + float((widths - 1).sum()) * np.log(VARIANCE_FLOOR)
+            + sum(np.log(lam @ lam) for lam in loadings)
+            + dims.q_total * LOG_2PI
+        )
+        np.testing.assert_allclose(law.loglik, limit, rtol=1e-7)
+        np.testing.assert_allclose(
+            np.diag(law.sigma), [VARIANCE_FLOOR / (lam @ lam) for lam in loadings],
+            rtol=1e-6,
+        )
 
 
 class TestPosteriorMoments:

@@ -134,6 +134,21 @@ class TestCategoricalCovariates:
         np.testing.assert_array_equal(data.t[0, 1:], np.zeros(4))
         assert data.t[1, 1] == 1.0
 
+    @pytest.mark.parametrize("cell", ["", "n/a"])
+    def test_partly_numeric_column_rejected(self, tmp_path, cell):
+        # a stray cell in a numeric column must not turn it into a
+        # categorical with one level per distinct value
+        data, *_ = small_dataset(n=60)
+        write_dataset(data, tmp_path)
+        path = tmp_path / "T1.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[0] = cell
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"T1\.csv: row 6, column 't1_1'"):
+            load_dataset(load_manifest(tmp_path / "manifest.json"))
+
     def test_mixed_numeric_and_categorical(self, tmp_path):
         rows = ["a,1.5", "b,2.5", "a,3.5", "c,4.5"]
         manifest = self.make_blocks(tmp_path, rows, t_header="kind,depth")
@@ -165,7 +180,9 @@ class TestWriteFit:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["converged"] is True
         assert report["iterations"] == result.iterations
-        assert report["config"]["epsilon"] == 1e-2
+        assert report["config"] == {
+            "epsilon": 1e-2, "max_iter": 500, "denominator_floor": 1e-8,
+        }
         assert len(report["parameter_names"]) == k
 
         trace = (tmp_path / "trace.csv").read_text().splitlines()
@@ -212,6 +229,11 @@ class TestCli:
         assert main([]) == 1
         assert main(["fit"]) == 1
         assert main(["bogus"]) == 1
+
+    @pytest.mark.parametrize("flag", [["--jitter"], ["--seed", "1"]])
+    def test_fit_has_no_jitter_or_seed_flag(self, tmp_path, flag):
+        assert main(["fit", "--data", str(tmp_path), "--out", str(tmp_path / "f")]
+                    + flag) == 1
 
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
