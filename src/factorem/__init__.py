@@ -11,7 +11,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularSystemError,
 )
-from .estep import ConditionalLaw, PosteriorMoments, conditional_law, posterior_moments
+from .estep import ConditionalLaw, conditional_law
 from .evaluate import (
     ResampleSummary,
     StudySummary,
@@ -49,7 +49,7 @@ __all__ = [
     "relative_change",
     "FactorEMError", "DataError", "NotPositiveDefiniteError",
     "SingularSystemError", "DegeneratePosteriorError",
-    "ConditionalLaw", "PosteriorMoments", "conditional_law", "posterior_moments",
+    "ConditionalLaw", "conditional_law",
     "StudySummary", "ResampleSummary", "abs_rel_deviation",
     "factor_sq_correlation", "replicate_study", "sensitivity_sweep",
     "kfold_resample",

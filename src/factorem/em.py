@@ -9,12 +9,13 @@ notes): the dependent score is moved to the scale implied by the
 unit-variance structural disturbance, and each block's in-sample
 factor/covariate overlap is reclaimed from the other blocks.
 
-The loop carries the conditional law of the latents: one E-step at the
-starting point, then per iteration an M-step followed by the E-step at
+The loop carries the conditional law of the latents, its only E-step
+state: one E-step at the starting point, then per iteration an M-step
+from the law's scores and second-moment sum followed by the E-step at
 the updated parameters, whose by-product observed log-likelihood fills
 that iteration's trace row. That is one pass over the data per
-iteration, and the reported factor scores are those at the returned
-parameters.
+iteration, and the reported law (factor scores included) is the one at
+the returned parameters.
 
 The stopping statistic is the sum over the canonical parameter vector of
 |new - old| / max(|new|, floor); iteration ends when it drops below
@@ -27,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import DataError, FactorEMError
-from .estep import ConditionalLaw, PosteriorMoments, conditional_law, posterior_moments
+from .estep import ConditionalLaw, conditional_law
 from .model import Dataset, Dimensions, Theta, flatten_theta
 from .mstep import _gram_solve, sufficient_stats, update_theta
 
@@ -68,15 +69,15 @@ class EMConfig:
 class FitResult:
     """Converged parameters, factor scores and the iteration history.
 
-    moments holds the posterior moments at the returned theta; its
-    g_tilde and f_tilde rows are the reported factor scores. trace is an
+    moments is the conditional law of the latents at the returned theta;
+    its g_tilde and f_tilde are the reported factor scores. trace is an
     (iterations, 2) array of (relative change, observed log-likelihood
     at that iteration's updated theta), one row per EM iteration. dims
     are the dimensions of the fitted data.
     """
 
     theta: Theta
-    moments: PosteriorMoments
+    moments: ConditionalLaw
     iterations: int
     converged: bool
     trace: np.ndarray
@@ -93,8 +94,9 @@ def _first_pc_scores(resid: np.ndarray, name: str) -> np.ndarray:
     return scores / scores.std()
 
 
-def initialize(data: Dataset, dims: Dimensions, config: EMConfig) -> Theta:
+def initialize(data: Dataset) -> Theta:
     """Least-squares / principal-component starting point."""
+    dims = data.dimensions()
     n = data.n
     if n < 2 or n <= max(dims.r_t, *dims.r_m):
         raise DataError(
@@ -166,9 +168,7 @@ def initialize(data: Dataset, dims: Dimensions, config: EMConfig) -> Theta:
 def em_step(law: ConditionalLaw, data: Dataset) -> tuple[Theta, ConditionalLaw]:
     """One closed-form M-step from the law at the current parameters,
     then the E-step at the updated parameters."""
-    moments = posterior_moments(law)
-    stats = sufficient_stats(data, moments, law)
-    theta_new = update_theta(stats, moments, data, data.dimensions())
+    theta_new = update_theta(sufficient_stats(data, law), law, data)
     return theta_new, conditional_law(theta_new, data)
 
 
@@ -193,7 +193,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
             raise DataError(
                 f"dims.{field.name}={given} disagrees with the data ({found})"
             )
-    theta = initialize(data, dims, config)
+    theta = initialize(data)
     try:
         law = conditional_law(theta, data)
     except FactorEMError as exc:
@@ -213,7 +213,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
             break
     return FitResult(
         theta=theta,
-        moments=posterior_moments(law),
+        moments=law,
         iterations=len(trace),
         converged=converged,
         trace=np.array(trace),
@@ -227,9 +227,11 @@ def canonicalize(result: FitResult) -> FitResult:
     Jointly flipping a factor with its loadings (and the structural
     coefficients tied to it) leaves the observed likelihood unchanged;
     the reported solution fixes the first coordinate of b and of every
-    a^m to be nonnegative. The iteration trace is left untouched.
+    a^m to be nonnegative. With s = (s_g, s_f) the signs applied, the
+    law becomes (m s, Sigma o s s'); its per-unit log-likelihood and the
+    iteration trace are left untouched.
     """
-    theta, moments = result.theta, result.moments
+    theta = result.theta
     s_g = -1.0 if theta.b[0] < 0 else 1.0
     s_f = np.array([-1.0 if am[0] < 0 else 1.0 for am in theta.a_m])
     if s_g == 1.0 and np.all(s_f == 1.0):
@@ -244,12 +246,7 @@ def canonicalize(result: FitResult) -> FitResult:
         sigma2_y=theta.sigma2_y,
         sigma2_m=theta.sigma2_m,
     )
-    new_moments = PosteriorMoments(
-        g_tilde=s_g * moments.g_tilde,
-        f_tilde=s_f[:, None] * moments.f_tilde,
-        gamma_tilde=moments.gamma_tilde,
-        phi_tilde=moments.phi_tilde,
-        cross_fg=s_g * s_f[:, None] * moments.cross_fg,
-        cross_ff=s_f[:, None, None] * s_f[None, :, None] * moments.cross_ff,
-    )
-    return replace(result, theta=new_theta, moments=new_moments)
+    s = np.concatenate([[s_g], s_f])
+    law = result.moments
+    new_law = replace(law, m=law.m * s, sigma=law.sigma * np.outer(s, s))
+    return replace(result, theta=new_theta, moments=new_law)

@@ -20,6 +20,14 @@ log-density of unit i from the same pass:
 The quadratic form is evaluated as the equal sum of two nonnegative
 terms, ||r_i - Lambda M_i||^2_{Psi^{-1}} + M_i' S1^{-1} M_i, which does
 not cancel when a noise variance sits at its 1e-12 floor.
+
+The law (M, Sigma) is the whole E-step state. The M-step reads the
+scores M and the (p+1, p+1) second-moment sum
+
+    S = sum_i E[h_i h_i' | r_i] = n Sigma + M'M,
+
+so no per-unit second moment is ever stored; ``mstep`` averages it as
+``mean_hh = S / n``.
 """
 
 from dataclasses import dataclass
@@ -31,11 +39,8 @@ from .model import Dataset, Theta
 
 __all__ = [
     "ConditionalLaw",
-    "PosteriorMoments",
     "block_residuals",
-    "stacked_residuals",
     "conditional_law",
-    "posterior_moments",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -55,37 +60,57 @@ class ConditionalLaw:
     sigma: np.ndarray
     loglik: np.ndarray | None = None
 
+    @property
+    def g_tilde(self) -> np.ndarray:
+        """(n,) E[g_i | z_i], the dependent factor scores."""
+        return self.m[:, 0]
 
-@dataclass
-class PosteriorMoments:
-    """First and second conditional moments of the latents.
+    @property
+    def f_tilde(self) -> np.ndarray:
+        """(p, n) E[f_i^m | z_i], one row of scores per explanatory block."""
+        return self.m[:, 1:].T
 
-    g_tilde : (n,)       E[g_i | z_i]
-    f_tilde : (p, n)     E[f_i^m | z_i]
-    gamma_tilde : (n,)   E[g_i^2 | z_i]
-    phi_tilde : (p, n)   E[(f_i^m)^2 | z_i]
-    cross_fg : (p, n)    E[f_i^m g_i | z_i]
-    cross_ff : (p, p, n) E[f_i^m f_i^l | z_i]
-    """
+    def second_moment_sum(self) -> np.ndarray:
+        """(p+1, p+1) sum over units of E[h_i h_i' | z_i] = n Sigma + M'M."""
+        return self.m.shape[0] * self.sigma + self.m.T @ self.m
 
-    g_tilde: np.ndarray
-    f_tilde: np.ndarray
-    gamma_tilde: np.ndarray
-    phi_tilde: np.ndarray
-    cross_fg: np.ndarray
-    cross_ff: np.ndarray
+
+def positive_variances(theta: Theta, needed_for: str) -> np.ndarray:
+    """(sigma2_y, sigma2_m...) as an array; DataError naming them all if
+    one is not strictly positive."""
+    variances = np.array([theta.sigma2_y, *theta.sigma2_m])
+    if variances.min() <= 0:
+        raise DataError(
+            f"{needed_for} needs strictly positive noise variances, got "
+            f"sigma2_y={theta.sigma2_y}, sigma2_m={theta.sigma2_m}"
+        )
+    return variances
 
 
 def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
-    """Each observed block minus its covariate mean: Y, then X^1..X^p."""
+    """Each observed block minus its covariate mean: Y, then X^1..X^p.
+
+    Raises DataError naming the block count, or the block and shape,
+    where ``theta`` disagrees with ``data.dimensions()``.
+    """
+    dims = data.dimensions()
+    if theta.p != dims.p:
+        raise DataError(
+            f"theta has {theta.p} explanatory blocks but the data has {dims.p}"
+        )
+    expected = [("D", theta.d, (dims.r_t, dims.q_y))] + [
+        (f"D{m + 1}", dm, (r, q))
+        for m, (dm, r, q) in enumerate(zip(theta.d_m, dims.r_m, dims.q_m))
+    ]
+    for name, coef, shape in expected:
+        if coef.shape != shape:
+            raise DataError(
+                f"theta block {name} has shape {coef.shape} but the data "
+                f"needs {shape}"
+            )
     return [data.y - data.t @ theta.d] + [
         xm - tm @ dm for xm, tm, dm in zip(data.x, data.t_m, theta.d_m)
     ]
-
-
-def stacked_residuals(theta: Theta, data: Dataset) -> np.ndarray:
-    """(n, q_total) matrix of observations minus their covariate means."""
-    return np.concatenate(block_residuals(theta, data), axis=1)
 
 
 def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
@@ -96,12 +121,7 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     NotPositiveDefiniteError (annotated with the parameter state) if the
     (p+1, p+1) posterior precision cannot be factorized.
     """
-    variances = np.array([theta.sigma2_y, *theta.sigma2_m])
-    if variances.min() <= 0:
-        raise DataError(
-            "conditional law needs strictly positive noise variances, got "
-            f"sigma2_y={theta.sigma2_y}, sigma2_m={theta.sigma2_m}"
-        )
+    variances = positive_variances(theta, "conditional law")
     loadings = (theta.b, *theta.a_m)
     resid = block_residuals(theta, data)
     inv_var = 1.0 / variances
@@ -134,21 +154,3 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     loglik = -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
     return ConditionalLaw(m=m, sigma=sigma, loglik=loglik)
 
-
-def posterior_moments(law: ConditionalLaw) -> PosteriorMoments:
-    """All conditional moments needed by the closed-form updates."""
-    m, sigma = law.m, law.sigma
-    g_tilde = m[:, 0]
-    f_tilde = m[:, 1:].T
-    gamma_tilde = g_tilde**2 + sigma[0, 0]
-    phi_tilde = f_tilde**2 + np.diag(sigma)[1:, None]
-    cross_fg = sigma[1:, 0][:, None] + f_tilde * g_tilde
-    cross_ff = sigma[1:, 1:][:, :, None] + f_tilde[:, None, :] * f_tilde[None, :, :]
-    return PosteriorMoments(
-        g_tilde=g_tilde,
-        f_tilde=f_tilde,
-        gamma_tilde=gamma_tilde,
-        phi_tilde=phi_tilde,
-        cross_fg=cross_fg,
-        cross_ff=cross_ff,
-    )

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em import EMConfig, FitResult, canonicalize, fit
+from .em import EMConfig, canonicalize, fit
 from .errors import DataError, FactorEMError
-from .estep import PosteriorMoments
+from .estep import ConditionalLaw
 from .model import (
     Dataset,
     Dimensions,
@@ -69,7 +69,7 @@ def _squared_corr(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def factor_sq_correlation(
-    latents_true: Latents, moments: PosteriorMoments
+    latents_true: Latents, moments: ConditionalLaw
 ) -> np.ndarray:
     """Squared Pearson correlation of each true factor with its score.
 
@@ -218,10 +218,6 @@ class ResampleSummary:
     failures: list[str] = field(default_factory=list)
 
 
-def _factor_scores(result: FitResult) -> np.ndarray:
-    return np.column_stack([result.moments.g_tilde, result.moments.f_tilde.T])
-
-
 def kfold_resample(
     data: Dataset,
     dims: Dimensions,
@@ -244,7 +240,7 @@ def kfold_resample(
         )
     full = canonicalize(fit(data, dims, em))
     full_params = flatten_theta(full.theta)
-    full_scores = _factor_scores(full)
+    full_scores = full.moments.m
 
     summary = ResampleSummary(
         k=k,
@@ -267,7 +263,7 @@ def kfold_resample(
         summary.param_mse[s] = float(np.mean((sub_params - full_params) ** 2))
         summary.param_corr[s] = float(np.corrcoef(sub_params, full_params)[0, 1])
 
-        sub_scores = _factor_scores(sub)
+        sub_scores = sub.moments.m
         ref_scores = full_scores[idx]
         summary.factor_mse[s] = float(np.mean((sub_scores - ref_scores) ** 2))
         summary.factor_corr[s] = float(

@@ -309,7 +309,7 @@ def write_fit(
     )
 
     header = ["g"] + [f"f{m + 1}" for m in range(dims.p)]
-    scores = np.column_stack([result.moments.g_tilde, result.moments.f_tilde.T])
+    scores = result.moments.m
     _write_csv(out / "factors.csv", header,
                ([_fmt(v) for v in row] for row in scores))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .estep import LOG_2PI, conditional_law
+from .estep import LOG_2PI, block_residuals, conditional_law, positive_variances
 from .model import Dataset, Latents, Theta, flatten_parts
 
 __all__ = ["LogLik", "Score", "complete_loglik", "observed_loglik", "complete_score"]
@@ -49,39 +49,31 @@ class Score:
         )
 
 
-def _require_positive_variances(theta: Theta):
-    if theta.sigma2_y <= 0 or any(s <= 0 for s in theta.sigma2_m):
-        raise DataError(
-            "log-likelihood needs strictly positive noise variances, got "
-            f"sigma2_y={theta.sigma2_y}, sigma2_m={theta.sigma2_m}"
-        )
-
-
 def _block_residuals(theta: Theta, data: Dataset, latents: Latents):
-    """Measurement residuals with the factor contribution removed."""
-    resid_y = data.y - data.t @ theta.d - np.outer(latents.g, theta.b)
-    resid_m = [
-        xm - tm @ dm - np.outer(latents.f[m], am)
-        for m, (xm, tm, dm, am) in enumerate(
-            zip(data.x, data.t_m, theta.d_m, theta.a_m)
+    """Measurement residuals with the factor contribution removed:
+    Y, then X^1..X^p, each with its noise variance."""
+    variances = positive_variances(theta, "log-likelihood")
+    if latents.f.shape[0] != data.p:
+        raise DataError(
+            f"latents carry {latents.f.shape[0]} explanatory factors but "
+            f"the data has {data.p} blocks"
         )
+    factors = (latents.g, *latents.f)
+    loadings = (theta.b, *theta.a_m)
+    resid = [
+        r - np.outer(h, lam)
+        for r, h, lam in zip(block_residuals(theta, data), factors, loadings)
     ]
-    return resid_y, resid_m
+    return zip(resid, factors, variances)
 
 
 def complete_loglik(theta: Theta, data: Dataset, latents: Latents) -> LogLik:
     """Joint log-density of the observations and the latent factors."""
-    _require_positive_variances(theta)
     dims = data.dimensions()
-
-    resid_y, resid_m = _block_residuals(theta, data, latents)
-    quad = np.sum(resid_y**2, axis=1) / theta.sigma2_y
-    quad += dims.q_y * np.log(theta.sigma2_y)
-    for m in range(dims.p):
-        quad += np.sum(resid_m[m] ** 2, axis=1) / theta.sigma2_m[m]
-        quad += dims.q_m[m] * np.log(theta.sigma2_m[m])
-    quad += (latents.g - theta.c @ latents.f) ** 2
-    quad += np.sum(latents.f**2, axis=0)
+    blocks = _block_residuals(theta, data, latents)
+    quad = (latents.g - theta.c @ latents.f) ** 2 + np.sum(latents.f**2, axis=0)
+    for resid, _, var in blocks:
+        quad += np.sum(resid**2, axis=1) / var + resid.shape[1] * np.log(var)
 
     per_unit = -0.5 * (quad + (dims.q_total + dims.p + 1) * LOG_2PI)
     return LogLik(value=float(per_unit.sum()), per_unit=per_unit)
@@ -104,34 +96,27 @@ def complete_score(theta: Theta, data: Dataset, latents: Latents) -> Score:
     the variance components include the -1/2 log-term contribution, so
     at zero residuals d/d(sigma2_y) equals -n q_y / (2 sigma2_y).
     """
-    _require_positive_variances(theta)
-    dims = data.dimensions()
-    n = data.n
-
-    resid_y, resid_m = _block_residuals(theta, data, latents)
-    inv_y = 1.0 / theta.sigma2_y
-    grad_d = inv_y * data.t.T @ resid_y            # layout of d: (r_t, q_y)
-    grad_b = inv_y * resid_y.T @ latents.g
-    grad_s2y = -0.5 * n * dims.q_y * inv_y + 0.5 * float(np.sum(resid_y**2)) * inv_y**2
-
-    grad_dm, grad_am, grad_s2m = [], [], []
-    for m in range(dims.p):
-        inv_m = 1.0 / theta.sigma2_m[m]
-        grad_dm.append(inv_m * data.t_m[m].T @ resid_m[m])
-        grad_am.append(inv_m * resid_m[m].T @ latents.f[m])
-        grad_s2m.append(
-            -0.5 * n * dims.q_m[m] * inv_m
-            + 0.5 * float(np.sum(resid_m[m] ** 2)) * inv_m**2
-        )
+    grads = []
+    for t, (resid, factor, var) in zip(
+        (data.t, *data.t_m), _block_residuals(theta, data, latents)
+    ):
+        inv = 1.0 / var
+        grads.append((
+            inv * t.T @ resid,                   # layout of d: (r, q)
+            inv * resid.T @ factor,
+            -0.5 * resid.size * inv + 0.5 * float(np.sum(resid**2)) * inv**2,
+        ))
+    (grad_d, grad_b, grad_s2y), *blocks = grads
+    grad_dm, grad_am, grad_s2m = zip(*blocks)
 
     disturbance = latents.g - theta.c @ latents.f
     grad_c = latents.f @ disturbance
 
     return Score(
         d=grad_d,
-        d_m=tuple(grad_dm),
+        d_m=grad_dm,
         b=grad_b,
-        a_m=tuple(grad_am),
+        a_m=grad_am,
         c=grad_c,
         sigma2_y=float(grad_s2y),
         sigma2_m=tuple(float(gs) for gs in grad_s2m),

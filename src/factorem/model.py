@@ -78,11 +78,6 @@ class Dimensions:
         """Total width of the stacked observation vector."""
         return self.q_y + sum(self.q_m)
 
-    @property
-    def latent_dim(self) -> int:
-        """Number of latent factors per unit (g plus the p explanatory)."""
-        return self.p + 1
-
 
 def _as_matrix(arr, name: str) -> np.ndarray:
     a = np.asarray(arr, dtype=float)
@@ -253,27 +248,15 @@ class Latents:
             )
 
 
-def count_parameters(dims: Dimensions, noise_mode: str = "isotropic") -> int:
-    """Number of scalar parameters K under the given noise model.
-
-    "isotropic" counts one variance per block (the model estimated here);
-    "diagonal" counts one variance per observed variable and exists for
-    reporting only.
-    """
-    if noise_mode == "isotropic":
-        return (
-            dims.p
-            + (dims.p + 1)
-            + dims.q_y * (dims.r_t + 1)
-            + sum(q * (r + 1) for q, r in zip(dims.q_m, dims.r_m))
-        )
-    if noise_mode == "diagonal":
-        return (
-            dims.p
-            + dims.q_y * (dims.r_t + 2)
-            + sum(q * (r + 2) for q, r in zip(dims.q_m, dims.r_m))
-        )
-    raise ValueError(f"unknown noise_mode {noise_mode!r}")
+def count_parameters(dims: Dimensions) -> int:
+    """Number of scalar parameters K: covariate coefficients, loadings,
+    structural coefficients and one noise variance per block."""
+    return (
+        dims.p
+        + (dims.p + 1)
+        + dims.q_y * (dims.r_t + 1)
+        + sum(q * (r + 1) for q, r in zip(dims.q_m, dims.r_m))
+    )
 
 
 def flatten_parts(d, d_m, b, a_m, c, scalar_y, scalar_m) -> np.ndarray:
@@ -303,7 +286,7 @@ def flatten_theta(theta: Theta) -> np.ndarray:
 def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:
     """Inverse of ``flatten_theta`` for the given dimensions."""
     v = np.asarray(vector, dtype=float)
-    expected = count_parameters(dims, "isotropic")
+    expected = count_parameters(dims)
     if v.ndim != 1 or v.shape[0] != expected:
         raise DataError(
             f"parameter vector has length {v.shape[0] if v.ndim == 1 else v.shape}, "

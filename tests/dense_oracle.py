@@ -1,6 +1,10 @@
-"""Dense reference for the E-step: the full joint covariance of the
-latents and the observations, conditioned by a q_total x q_total
-Cholesky factorization.
+"""Dense and per-unit references for the E-step.
+
+The dense route builds the full joint covariance of the latents and the
+observations and conditions it by a q_total x q_total Cholesky
+factorization. ``posterior_moments`` spells out every per-unit first
+and second conditional moment of a law, the quantities the package only
+ever uses summed over units.
 
 The package conditions with (p+1)-dimensional algebra; this module is
 the slow, direct route it is tested against. Stacking the latents
@@ -21,7 +25,47 @@ import numpy as np
 import scipy.linalg
 
 from factorem.errors import DataError
-from factorem.estep import stacked_residuals
+from factorem.estep import block_residuals
+
+
+def stacked_residuals(theta, data):
+    """(n, q_total) matrix of observations minus their covariate means."""
+    return np.concatenate(block_residuals(theta, data), axis=1)
+
+
+@dataclass
+class PosteriorMoments:
+    """First and second conditional moments of the latents, per unit.
+
+    g_tilde : (n,)       E[g_i | z_i]
+    f_tilde : (p, n)     E[f_i^m | z_i]
+    gamma_tilde : (n,)   E[g_i^2 | z_i]
+    phi_tilde : (p, n)   E[(f_i^m)^2 | z_i]
+    cross_fg : (p, n)    E[f_i^m g_i | z_i]
+    cross_ff : (p, p, n) E[f_i^m f_i^l | z_i]
+    """
+
+    g_tilde: np.ndarray
+    f_tilde: np.ndarray
+    gamma_tilde: np.ndarray
+    phi_tilde: np.ndarray
+    cross_fg: np.ndarray
+    cross_ff: np.ndarray
+
+
+def posterior_moments(law) -> PosteriorMoments:
+    """Every per-unit conditional moment of a ``ConditionalLaw``."""
+    m, sigma = law.m, law.sigma
+    g_tilde = m[:, 0]
+    f_tilde = m[:, 1:].T
+    return PosteriorMoments(
+        g_tilde=g_tilde,
+        f_tilde=f_tilde,
+        gamma_tilde=g_tilde**2 + sigma[0, 0],
+        phi_tilde=f_tilde**2 + np.diag(sigma)[1:, None],
+        cross_fg=sigma[1:, 0][:, None] + f_tilde * g_tilde,
+        cross_ff=sigma[1:, 1:][:, :, None] + f_tilde[:, None, :] * f_tilde[None, :, :],
+    )
 
 
 @dataclass

@@ -17,7 +17,6 @@ from factorem import (
     fit,
     flatten_theta,
     kfold_resample,
-    posterior_moments,
     replicate_study,
     simulate_dataset,
     sufficient_stats,
@@ -27,6 +26,7 @@ from factorem import (
 from factorem.cli import main
 
 from conftest import reference_dims, random_instance, random_theta, scalar_toy_theta
+from dense_oracle import posterior_moments
 
 
 def report(number, label, detail, passed):
@@ -199,10 +199,8 @@ def test_criterion_07_mstep_stationarity():
     for seed in range(100):
         data, _, theta, dims = random_instance(seed)
         law = conditional_law(theta, data)
-        moments = posterior_moments(law)
-        stats = sufficient_stats(data, moments, law)
-        updated = update_theta(stats, moments, data, dims)
-        residual = expected_score(updated, moments, data)
+        updated = update_theta(sufficient_stats(data, law), law, data)
+        residual = expected_score(updated, law, data)
         worst = max(worst, float(np.abs(residual).max()))
 
     ratio_gap = 0.0
@@ -213,12 +211,11 @@ def test_criterion_07_mstep_stationarity():
             continue
         checked += 1
         law = conditional_law(theta, data)
-        moments = posterior_moments(law)
-        stats = sufficient_stats(data, moments, law)
-        updated = update_theta(stats, moments, data, dims)
-        v1, v2 = stats.v
-        phi1, phi2 = stats.a_mat[0, 0], stats.a_mat[1, 1]
-        cross = stats.a_mat[0, 1]
+        stats = sufficient_stats(data, law)
+        updated = update_theta(stats, law, data)
+        v1, v2 = stats.mean_hh[1:, 0]
+        phi1, phi2 = stats.mean_hh[1, 1], stats.mean_hh[2, 2]
+        cross = stats.mean_hh[1, 2]
         det = phi1 * phi2 - cross**2
         ratios = np.array([(v1 * phi2 - v2 * cross) / det,
                            (v2 * phi1 - v1 * cross) / det])
@@ -233,7 +230,7 @@ def test_criterion_07_mstep_stationarity():
 
 
 def test_criterion_08_parameter_count():
-    k = count_parameters(reference_dims(), "isotropic")
+    k = count_parameters(reference_dims())
     report(8, "parameter count at reference design", f"K = {k} (== 365)", k == 365)
 
 

@@ -16,7 +16,6 @@ from factorem import (
     flatten_theta,
     initialize,
     observed_loglik,
-    posterior_moments,
     relative_change,
     simulate_dataset,
 )
@@ -51,22 +50,22 @@ class TestInitialize:
     def test_first_loading_nonnegative(self):
         for seed in range(5):
             data, _, _, dims = random_instance(seed)
-            theta0 = initialize(data, dims, EMConfig())
+            theta0 = initialize(data)
             assert theta0.b[0] >= 0
             assert all(am[0] >= 0 for am in theta0.a_m)
 
     def test_reference_design_starts_close(self):
         data, latents, _ = reference_instance(seed=5)
-        theta0 = initialize(data, reference_dims(), EMConfig())
-        moments = posterior_moments(conditional_law(theta0, data))
-        assert factor_sq_correlation(latents, moments).min() > 0.9
+        theta0 = initialize(data)
+        law = conditional_law(theta0, data)
+        assert factor_sq_correlation(latents, law).min() > 0.9
 
     def test_too_few_units_rejected(self):
         data, _, _, dims = random_instance(3)
         tiny = Dataset(y=data.y[:1], x=tuple(x[:1] for x in data.x),
                        t=data.t[:1], t_m=tuple(t[:1] for t in data.t_m))
         with pytest.raises(DataError):
-            initialize(tiny, replace(dims, n=1), EMConfig())
+            initialize(tiny)
 
     def test_zero_variance_block_rejected(self):
         rng = np.random.default_rng(4)
@@ -79,7 +78,7 @@ class TestInitialize:
             t=t, t_m=(rng.normal(size=(n, 1)),),
         )
         with pytest.raises(DataError, match="zero variance"):
-            initialize(data, data.dimensions(), EMConfig())
+            initialize(data)
 
 
 class TestEmStep:
@@ -92,7 +91,7 @@ class TestEmStep:
 
     def test_ascends_observed_loglik(self):
         data, _, _, dims = random_instance(11)
-        theta = initialize(data, dims, EMConfig())
+        theta = initialize(data)
         law = conditional_law(theta, data)
         previous = observed_loglik(theta, data).value
         for _ in range(8):
@@ -170,8 +169,8 @@ class TestFit:
     def test_factor_scores_are_at_the_returned_theta(self):
         data, _, _ = reference_instance(seed=3, n=60, q=5)
         result = fit(data, reference_dims(n=60, q=5), EMConfig(epsilon=1e-3))
-        at_theta = posterior_moments(conditional_law(result.theta, data))
-        for name in ("g_tilde", "f_tilde", "gamma_tilde", "cross_ff"):
+        at_theta = conditional_law(result.theta, data)
+        for name in ("m", "sigma", "loglik"):
             np.testing.assert_allclose(
                 getattr(result.moments, name), getattr(at_theta, name),
                 rtol=0, atol=1e-12,
@@ -209,22 +208,22 @@ def test_fit_generalizes_beyond_two_blocks(p):
 
 class TestCanonicalize:
     def flipped(self, result, s_g, s_f):
-        theta, moments = result.theta, result.moments
+        theta, law = result.theta, result.moments
         s_f = np.asarray(s_f, dtype=float)
+        s = np.concatenate([[s_g], s_f])
         theta2 = Theta(
             d=theta.d, d_m=theta.d_m, b=s_g * theta.b,
             a_m=tuple(s * am for s, am in zip(s_f, theta.a_m)),
             c=s_g * s_f * theta.c,
             sigma2_y=theta.sigma2_y, sigma2_m=theta.sigma2_m,
         )
-        moments2 = replace(
-            moments,
-            g_tilde=s_g * moments.g_tilde,
-            f_tilde=s_f[:, None] * moments.f_tilde,
-            cross_fg=s_g * s_f[:, None] * moments.cross_fg,
-            cross_ff=s_f[:, None, None] * s_f[None, :, None] * moments.cross_ff,
+        law2 = replace(
+            law,
+            m=np.column_stack([s_g * law.g_tilde, (s_f[:, None] * law.f_tilde).T]),
+            sigma=np.array([[s[i] * s[j] * law.sigma[i, j] for j in range(s.size)]
+                            for i in range(s.size)]),
         )
-        return replace(result, theta=theta2, moments=moments2)
+        return replace(result, theta=theta2, moments=law2)
 
     def test_sign_flip_preserves_observed_loglik(self):
         data, _, _, dims = random_instance(18)
@@ -248,11 +247,22 @@ class TestCanonicalize:
         assert canon.iterations == result.iterations
         # second moments are sign-invariant
         np.testing.assert_array_equal(
-            canon.moments.gamma_tilde, result.moments.gamma_tilde
+            np.diag(canon.moments.second_moment_sum()),
+            np.diag(result.moments.second_moment_sum()),
         )
-        np.testing.assert_array_equal(
-            canon.moments.phi_tilde, result.moments.phi_tilde
-        )
+
+    def test_flips_the_law_like_an_explicit_sign_flip(self):
+        data, _, _, dims = random_instance(19)
+        base = canonicalize(fit(data, dims, EMConfig(epsilon=1e-4)))
+        signs = [(-1.0) ** m for m in range(dims.p)]
+        scrambled = self.flipped(base, -1.0, signs)
+        canon = canonicalize(scrambled)
+        explicit = self.flipped(scrambled, -1.0, signs)
+        for name in ("m", "sigma", "loglik"):
+            np.testing.assert_array_equal(
+                getattr(canon.moments, name), getattr(explicit.moments, name)
+            )
+        np.testing.assert_array_equal(canon.moments.m, base.moments.m)
 
     def test_canonical_matches_original_basin(self):
         data, _, _, dims = random_instance(20)

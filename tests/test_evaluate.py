@@ -16,20 +16,16 @@ from factorem import (
     unflatten_theta,
 )
 from factorem.errors import DataError
-from factorem.estep import PosteriorMoments
+from factorem.estep import ConditionalLaw
 
 from conftest import reference_dims, random_instance, random_theta
 
 
 def moments_from_latents(latents):
+    """Point-mass law at the given latents."""
     p = latents.f.shape[0]
-    return PosteriorMoments(
-        g_tilde=latents.g.copy(),
-        f_tilde=latents.f.copy(),
-        gamma_tilde=latents.g**2,
-        phi_tilde=latents.f**2,
-        cross_fg=latents.f * latents.g,
-        cross_ff=latents.f[:, None, :] * latents.f[None, :, :],
+    return ConditionalLaw(
+        m=np.column_stack([latents.g, latents.f.T]), sigma=np.zeros((p + 1, p + 1))
     )
 
 

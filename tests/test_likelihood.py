@@ -13,7 +13,6 @@ from factorem import (
     fit,
     flatten_theta,
     observed_loglik,
-    posterior_moments,
     unflatten_theta,
     EMConfig,
 )

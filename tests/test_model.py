@@ -21,14 +21,11 @@ from conftest import reference_dims, random_dims, random_theta
 
 class TestCountParameters:
     def test_reference_design_isotropic(self):
-        assert count_parameters(reference_dims(), "isotropic") == 365
-
-    def test_reference_design_diagonal(self):
-        assert count_parameters(reference_dims(), "diagonal") == 482
+        assert count_parameters(reference_dims()) == 365
 
     def test_smallest_model(self):
         dims = Dimensions(n=1, p=1, q_y=1, q_m=(1,), r_t=1, r_m=(1,))
-        assert count_parameters(dims, "isotropic") == 7
+        assert count_parameters(dims) == 7
 
     def test_two_block_isotropic_reduction(self):
         # for p=2 the isotropic count collapses to 5 + sum q(r+1)
@@ -42,11 +39,7 @@ class TestCountParameters:
                 + dims.q_y * (dims.r_t + 1)
                 + sum(q * (r + 1) for q, r in zip(dims.q_m, dims.r_m))
             )
-            assert count_parameters(dims, "isotropic") == expected
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            count_parameters(reference_dims(), "full")
+            assert count_parameters(dims) == expected
 
 
 class TestFlatten:

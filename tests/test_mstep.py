@@ -8,7 +8,6 @@ from factorem import (
     expected_complete_loglik,
     expected_score,
     flatten_theta,
-    posterior_moments,
     sufficient_stats,
     unflatten_theta,
     update_theta,
@@ -17,14 +16,11 @@ from factorem.errors import DegeneratePosteriorError, SingularSystemError
 from factorem.estep import ConditionalLaw
 from factorem.likelihood import complete_loglik
 from factorem.model import Latents
+from factorem import mstep
 from factorem.mstep import VARIANCE_FLOOR
 
 from conftest import random_instance, random_theta
-
-
-def law_and_moments(theta, data):
-    law = conditional_law(theta, data)
-    return law, posterior_moments(law)
+from dense_oracle import posterior_moments
 
 
 class TestSufficientStats:
@@ -34,22 +30,22 @@ class TestSufficientStats:
             y=data.y[:1], x=tuple(xm[:1] for xm in data.x),
             t=data.t[:1], t_m=tuple(tm[:1] for tm in data.t_m),
         )
-        law, moments = law_and_moments(theta, single)
-        stats = sufficient_stats(single, moments, law)
+        law = conditional_law(theta, single)
+        moments = posterior_moments(law)
+        stats = sufficient_stats(single, law)
         np.testing.assert_allclose(
             stats.mean_tt, np.outer(single.t[0], single.t[0]), atol=1e-14
         )
         np.testing.assert_allclose(
             stats.mean_gy, moments.g_tilde[0] * single.y[0], atol=1e-14
         )
-        assert stats.mean_gamma == pytest.approx(moments.gamma_tilde[0])
+        assert stats.mean_hh[0, 0] == pytest.approx(moments.gamma_tilde[0])
 
     def test_zero_factor_zeroes_cross_stats(self):
         data, _, theta, dims = random_instance(1)
-        law, moments = law_and_moments(theta, data)
+        law = conditional_law(theta, data)
         law.m[:, 0] = 0.0
-        moments = posterior_moments(law)
-        stats = sufficient_stats(data, moments, law)
+        stats = sufficient_stats(data, law)
         np.testing.assert_array_equal(stats.mean_gy, np.zeros(dims.q_y))
         np.testing.assert_array_equal(stats.mean_gt, np.zeros(dims.r_t))
 
@@ -59,8 +55,9 @@ class TestSufficientStats:
             y=data.y[:5], x=tuple(xm[:5] for xm in data.x),
             t=data.t[:5], t_m=tuple(tm[:5] for tm in data.t_m),
         )
-        law, moments = law_and_moments(theta, data)
-        stats = sufficient_stats(data, moments, law)
+        law = conditional_law(theta, data)
+        moments = posterior_moments(law)
+        stats = sufficient_stats(data, law)
 
         n = 5
         tt = sum(np.outer(data.t[i], data.t[i]) for i in range(n)) / n
@@ -71,14 +68,14 @@ class TestSufficientStats:
             fx = sum(moments.f_tilde[m, i] * data.x[m][i] for i in range(n)) / n
             np.testing.assert_allclose(stats.mean_fmxm[m], fx, atol=1e-12)
             v = law.sigma[0, m + 1] + np.mean(moments.f_tilde[m] * moments.g_tilde)
-            assert stats.v[m] == pytest.approx(v, abs=1e-12)
+            assert stats.mean_hh[m + 1, 0] == pytest.approx(v, abs=1e-12)
 
 
 def two_block_c_ratios(stats):
     """Explicit two-ratio solution of the 2x2 structural system (oracle only)."""
-    v1, v2 = stats.v
-    phi1, phi2 = stats.a_mat[0, 0], stats.a_mat[1, 1]
-    cross = stats.a_mat[0, 1]
+    v1, v2 = stats.mean_hh[1:, 0]
+    phi1, phi2 = stats.mean_hh[1, 1], stats.mean_hh[2, 2]
+    cross = stats.mean_hh[1, 2]
     det = phi1 * phi2 - cross**2
     return np.array([(v1 * phi2 - v2 * cross) / det,
                      (v2 * phi1 - v1 * cross) / det])
@@ -96,9 +93,9 @@ class TestUpdateTheta:
             data, _, theta, dims = random_instance(seed)
             if dims.p != 2:
                 continue
-            law, moments = law_and_moments(theta, data)
-            stats = sufficient_stats(data, moments, law)
-            updated = update_theta(stats, moments, data, dims)
+            law = conditional_law(theta, data)
+            stats = sufficient_stats(data, law)
+            updated = update_theta(stats, law, data)
             np.testing.assert_allclose(
                 updated.c, two_block_c_ratios(stats), rtol=1e-12, atol=1e-12
             )
@@ -114,9 +111,8 @@ class TestUpdateTheta:
         )
         m = np.column_stack([np.zeros(n), rng.normal(size=(n, 2))])
         law = ConditionalLaw(m=m, sigma=np.eye(3))
-        moments = posterior_moments(law)
-        stats = sufficient_stats(data, moments, law)
-        updated = update_theta(stats, moments, data, data.dimensions())
+        stats = sufficient_stats(data, law)
+        updated = update_theta(stats, law, data)
         np.testing.assert_allclose(updated.b, np.zeros(q_y), atol=1e-12)
         np.testing.assert_allclose(updated.d[0], y.mean(axis=0), atol=1e-12)
 
@@ -139,14 +135,27 @@ class TestUpdateTheta:
         law = ConditionalLaw(
             m=np.column_stack([g, f.T]), sigma=np.zeros((p + 1, p + 1))
         )
-        moments = posterior_moments(law)
-        stats = sufficient_stats(data, moments, law)
+        stats = sufficient_stats(data, law)
         with pytest.warns(RuntimeWarning, match="floored"):
-            updated = update_theta(stats, moments, data, data.dimensions())
+            updated = update_theta(stats, law, data)
         assert updated.sigma2_y == VARIANCE_FLOOR
         np.testing.assert_allclose(updated.b, b, atol=1e-10)
         np.testing.assert_allclose(updated.d, d, atol=1e-10)
         np.testing.assert_allclose(updated.a_m[0], a_m[0], atol=1e-10)
+
+    def test_one_gram_solve_per_block(self, monkeypatch):
+        data, _, theta, dims = random_instance(3)
+        calls = []
+
+        def counting(gram, rhs, name):
+            calls.append(name)
+            return solve(gram, rhs, name)
+
+        solve = mstep._gram_solve
+        monkeypatch.setattr(mstep, "_gram_solve", counting)
+        law = conditional_law(theta, data)
+        update_theta(sufficient_stats(data, law), law, data)
+        assert calls == ["T"] + [f"T{m + 1}" for m in range(dims.p)]
 
     def test_collinear_covariates_rejected(self):
         data, _, theta, dims = random_instance(5)
@@ -155,10 +164,10 @@ class TestUpdateTheta:
             t=np.column_stack([data.t[:, 0], data.t[:, 0]]),
             t_m=data.t_m,
         )
-        law, moments = law_and_moments(theta, broken)
-        stats = sufficient_stats(broken, moments, law)
+        law = conditional_law(theta, broken)
+        stats = sufficient_stats(broken, law)
         with pytest.raises(SingularSystemError, match="collinear"):
-            update_theta(stats, moments, broken, broken.dimensions())
+            update_theta(stats, law, broken)
 
     def test_singular_structural_system_rejected(self):
         # identical explanatory scores with no posterior spread make the
@@ -174,10 +183,9 @@ class TestUpdateTheta:
         shared = rng.normal(size=n)
         m = np.column_stack([rng.normal(size=n), shared, shared])
         law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)))
-        moments = posterior_moments(law)
-        stats = sufficient_stats(data, moments, law)
+        stats = sufficient_stats(data, law)
         with pytest.raises(SingularSystemError, match="structural"):
-            update_theta(stats, moments, data, data.dimensions())
+            update_theta(stats, law, data)
 
     def test_degenerate_posterior_rejected(self):
         # factor score collinear with the covariate and no posterior
@@ -192,10 +200,9 @@ class TestUpdateTheta:
         )
         m = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)))
-        moments = posterior_moments(law)
-        stats = sufficient_stats(data, moments, law)
+        stats = sufficient_stats(data, law)
         with pytest.raises(DegeneratePosteriorError):
-            update_theta(stats, moments, data, data.dimensions())
+            update_theta(stats, law, data)
 
 
 class TestExpectedScore:
@@ -203,24 +210,22 @@ class TestExpectedScore:
         worst = 0.0
         for seed in range(100):
             data, _, theta, dims = random_instance(seed)
-            law, moments = law_and_moments(theta, data)
-            stats = sufficient_stats(data, moments, law)
-            updated = update_theta(stats, moments, data, dims)
-            residual = expected_score(updated, moments, data)
+            law = conditional_law(theta, data)
+            updated = update_theta(sufficient_stats(data, law), law, data)
+            residual = expected_score(updated, law, data)
             worst = max(worst, float(np.abs(residual).max()))
         assert worst < 1e-8
 
     def test_perturbation_breaks_stationarity(self):
         data, _, theta, dims = random_instance(8)
-        law, moments = law_and_moments(theta, data)
-        stats = sufficient_stats(data, moments, law)
-        updated = update_theta(stats, moments, data, dims)
+        law = conditional_law(theta, data)
+        updated = update_theta(sufficient_stats(data, law), law, data)
         bumped = Theta(
             d=updated.d, d_m=updated.d_m, b=updated.b + 0.1,
             a_m=updated.a_m, c=updated.c,
             sigma2_y=updated.sigma2_y, sigma2_m=updated.sigma2_m,
         )
-        residual = expected_score(bumped, moments, data)
+        residual = expected_score(bumped, law, data)
         lo = dims.r_t * dims.q_y + sum(r * q for q, r in zip(dims.q_m, dims.r_m))
         assert np.abs(residual[lo:lo + dims.q_y]).max() > 1e-3
 
@@ -229,8 +234,8 @@ class TestExpectedScore:
             data, _, theta_data, dims = random_instance(seed)
             rng = np.random.default_rng(100 + seed)
             theta = random_theta(dims, rng)
-            _, moments = law_and_moments(theta_data, data)
-            analytic = expected_score(theta, moments, data)
+            law = conditional_law(theta_data, data)
+            analytic = expected_score(theta, law, data)
             vec = flatten_theta(theta)
             step = 1e-5
             numeric = np.empty_like(vec)
@@ -239,8 +244,8 @@ class TestExpectedScore:
                 plus[k] += step
                 minus[k] -= step
                 numeric[k] = (
-                    expected_complete_loglik(unflatten_theta(plus, dims), data, moments)
-                    - expected_complete_loglik(unflatten_theta(minus, dims), data, moments)
+                    expected_complete_loglik(unflatten_theta(plus, dims), data, law)
+                    - expected_complete_loglik(unflatten_theta(minus, dims), data, law)
                 ) / (2 * step)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-5)
 
@@ -251,11 +256,10 @@ class TestSurrogateObjective:
             data, _, theta, dims = random_instance(seed)
             rng = np.random.default_rng(1000 + seed)
             start = random_theta(dims, rng)
-            _, moments = law_and_moments(theta, data)
-            stats = sufficient_stats(data, moments, conditional_law(theta, data))
-            updated = update_theta(stats, moments, data, dims)
-            q_start = expected_complete_loglik(start, data, moments)
-            q_updated = expected_complete_loglik(updated, data, moments)
+            law = conditional_law(theta, data)
+            updated = update_theta(sufficient_stats(data, law), law, data)
+            q_start = expected_complete_loglik(start, data, law)
+            q_updated = expected_complete_loglik(updated, data, law)
             assert q_updated >= q_start - 1e-8 * abs(q_start)
 
     def test_point_mass_moments_reduce_to_complete_loglik(self):
@@ -264,24 +268,21 @@ class TestSurrogateObjective:
             m=np.column_stack([latents.g, latents.f.T]),
             sigma=np.zeros((dims.p + 1, dims.p + 1)),
         )
-        moments = posterior_moments(law)
-        q = expected_complete_loglik(theta, data, moments)
+        q = expected_complete_loglik(theta, data, law)
         ll = complete_loglik(theta, data, latents).value
         assert q == pytest.approx(ll, rel=1e-12)
 
 
 def test_update_scale_consistency():
     data, _, theta, dims = random_instance(12)
-    law, moments = law_and_moments(theta, data)
-    stats = sufficient_stats(data, moments, law)
-    base = update_theta(stats, moments, data, dims)
+    law = conditional_law(theta, data)
+    base = update_theta(sufficient_stats(data, law), law, data)
 
     alpha = 3.0
     scaled_data = Dataset(
         y=alpha * data.y, x=data.x, t=data.t, t_m=data.t_m,
     )
-    scaled_stats = sufficient_stats(scaled_data, moments, law)
-    scaled = update_theta(scaled_stats, moments, scaled_data, dims)
+    scaled = update_theta(sufficient_stats(scaled_data, law), law, scaled_data)
     np.testing.assert_allclose(scaled.b, alpha * base.b, rtol=1e-10)
     np.testing.assert_allclose(scaled.d, alpha * base.d, rtol=1e-10)
     assert scaled.sigma2_y == pytest.approx(alpha**2 * base.sigma2_y, rel=1e-10)

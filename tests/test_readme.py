@@ -1,0 +1,27 @@
+"""The README's library quickstart runs as documented."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quickstart_source() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quickstart", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_quickstart_runs_at_small_n(capsys):
+    source = quickstart_source()
+    assert "n=400" in source
+    namespace = {}
+    exec(compile(source.replace("n=400", "n=60"), str(README), "exec"), namespace)
+    result = namespace["result"]
+    assert result.moments.g_tilde.shape == (60,)
+    np.testing.assert_array_equal(namespace["scores"], result.moments.g_tilde)
+    assert namespace["sq_corr"].shape == (result.dims.p + 1,)
+    assert np.isfinite(namespace["average"])
+    assert capsys.readouterr().out
