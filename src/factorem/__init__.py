@@ -8,6 +8,7 @@ from .errors import (
     DataError,
     DegeneratePosteriorError,
     FactorEMError,
+    NonFiniteParameterError,
     NotPositiveDefiniteError,
     SingularSystemError,
 )
@@ -33,13 +34,7 @@ from .model import (
     theta_names,
     unflatten_theta,
 )
-from .mstep import (
-    SufficientStats,
-    expected_complete_loglik,
-    expected_score,
-    sufficient_stats,
-    update_theta,
-)
+from .mstep import expected_complete_loglik, expected_score, project_covariates, update_theta
 from .simulate import SimConfig, reference_theta, simulate_dataset
 
 __version__ = "0.1.0"
@@ -48,7 +43,7 @@ __all__ = [
     "EMConfig", "FitResult", "canonicalize", "em_step", "fit", "initialize",
     "relative_change",
     "FactorEMError", "DataError", "NotPositiveDefiniteError",
-    "SingularSystemError", "DegeneratePosteriorError",
+    "SingularSystemError", "DegeneratePosteriorError", "NonFiniteParameterError",
     "ConditionalLaw", "conditional_law",
     "StudySummary", "ResampleSummary", "abs_rel_deviation",
     "factor_sq_correlation", "replicate_study", "sensitivity_sweep",
@@ -56,7 +51,7 @@ __all__ = [
     "LogLik", "Score", "complete_loglik", "observed_loglik", "complete_score",
     "Dimensions", "Dataset", "Theta", "Latents", "count_parameters",
     "flatten_theta", "unflatten_theta", "theta_names", "subset_units",
-    "SufficientStats", "sufficient_stats", "update_theta", "expected_score",
+    "project_covariates", "update_theta", "expected_score",
     "expected_complete_loglik",
     "SimConfig", "reference_theta", "simulate_dataset",
 ]

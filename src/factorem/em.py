@@ -1,13 +1,17 @@
 """EM driver: initialization, the E->M loop, stopping rule, reporting.
 
-Initialization regresses each block on its covariates, takes the first
-principal component of the residuals as a starting factor (sign fixed so
-the first variable loads nonnegatively), backs out starting loadings,
-variances and structural coefficients by least squares, then applies two
-corrections the likelihood itself cannot make later (see the inline
-notes): the dependent score is moved to the scale implied by the
-unit-variance structural disturbance, and each block's in-sample
-factor/covariate overlap is reclaimed from the other blocks.
+The covariates and observed blocks are fixed within a fit, so ``fit``
+partials each block's covariates out once (``mstep.project_covariates``)
+and hands that projection to the initialization and to every M-step.
+Initialization reads each block's covariate regression off the
+projection, takes the first principal component of the residuals as a
+starting factor (sign fixed so the first variable loads nonnegatively),
+backs out starting loadings, variances and structural coefficients by
+least squares, then applies two corrections the likelihood itself
+cannot make later (see the inline notes): the dependent score is moved
+to the scale implied by the unit-variance structural disturbance, and
+each block's in-sample factor/covariate overlap is reclaimed from the
+other blocks.
 
 The loop carries the conditional law of the latents, its only E-step
 state: one E-step at the starting point, then per iteration an M-step
@@ -27,10 +31,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DataError, FactorEMError
+from .errors import DataError, FactorEMError, NonFiniteParameterError
 from .estep import ConditionalLaw, conditional_law
-from .model import Dataset, Dimensions, Theta, flatten_theta
-from .mstep import _gram_solve, sufficient_stats, update_theta
+from .model import Dataset, Dimensions, Theta, flatten_theta, theta_names
+from .mstep import BlockProjection, project_covariates, update_theta
 
 __all__ = [
     "EMConfig",
@@ -94,36 +98,25 @@ def _first_pc_scores(resid: np.ndarray, name: str) -> np.ndarray:
     return scores / scores.std()
 
 
-def initialize(data: Dataset) -> Theta:
-    """Least-squares / principal-component starting point."""
-    dims = data.dimensions()
-    n = data.n
-    if n < 2 or n <= max(dims.r_t, *dims.r_m):
-        raise DataError(
-            f"initialization needs more units than covariates, got n={n}"
-        )
+def initialize(projection: tuple[BlockProjection, ...]) -> Theta:
+    """Least-squares / principal-component starting point, read off the
+    covariate projection of each block."""
 
-    def block_start(t, block, name):
-        coef = _gram_solve(t.T @ t, t.T @ block, name)
+    def block_start(block, name):
         # center the residuals so the loading regression carries an
         # implicit intercept (residual means are not the factor's job)
-        resid = block - t @ coef
-        resid = resid - resid.mean(axis=0)
+        resid = block.resid - block.resid.mean(axis=0)
         scores = _first_pc_scores(resid, name)
         loading = resid.T @ scores / (scores @ scores)
         if loading[0] < 0:
             loading, scores = -loading, -scores
         sigma2 = float(np.mean((resid - np.outer(scores, loading)) ** 2))
-        return coef, loading, scores, sigma2
+        return block.coef, loading, scores, sigma2
 
-    d, b, g_scores, sigma2_y = block_start(data.t, data.y, "Y")
-    d_m, a_m, sigma2_m, f_scores = [], [], [], []
-    for m in range(dims.p):
-        dm, am, fm, s2 = block_start(data.t_m[m], data.x[m], f"X{m + 1}")
-        d_m.append(dm)
-        a_m.append(am)
-        sigma2_m.append(s2)
-        f_scores.append(fm)
+    (d, b, g_scores, sigma2_y), *starts = [
+        block_start(block, f"X{k}" if k else "Y") for k, block in enumerate(projection)
+    ]
+    d_m, a_m, f_scores, sigma2_m = (list(part) for part in zip(*starts))
 
     f_mat = np.array(f_scores)                    # (p, n)
     c = np.linalg.lstsq(f_mat.T, g_scores, rcond=None)[0]
@@ -148,14 +141,12 @@ def initialize(data: Dataset) -> Theta:
     # explanatory block through the structural residual, shrunk by its
     # signal fraction c^2/(c^2+1).
     g_cross = c @ f_mat
-    kappa_g = _gram_solve(data.t.T @ data.t, data.t.T @ g_cross, "T")
-    d = d - np.outer(kappa_g, b)
-    for m in range(dims.p):
+    d = d - np.outer(projection[0].proj @ g_cross, b)
+    for m, block in enumerate(projection[1:]):
         if abs(c[m]) < 1e-8:
             continue
         backed_out = (g_scores - g_cross + c[m] * f_mat[m]) / c[m]
-        tm = data.t_m[m]
-        kappa_m = _gram_solve(tm.T @ tm, tm.T @ backed_out, f"T{m + 1}")
+        kappa_m = block.proj @ backed_out
         weight = c[m] ** 2 / (c[m] ** 2 + 1.0)
         d_m[m] = d_m[m] - weight * np.outer(kappa_m, a_m[m])
 
@@ -165,10 +156,22 @@ def initialize(data: Dataset) -> Theta:
     )
 
 
-def em_step(law: ConditionalLaw, data: Dataset) -> tuple[Theta, ConditionalLaw]:
+def em_step(
+    law: ConditionalLaw, data: Dataset, projection: tuple[BlockProjection, ...]
+) -> tuple[Theta, ConditionalLaw]:
     """One closed-form M-step from the law at the current parameters,
-    then the E-step at the updated parameters."""
-    theta_new = update_theta(sufficient_stats(data, law), law, data)
+    then the E-step at the updated parameters.
+
+    ``projection`` is ``project_covariates(data)``. Raises
+    NonFiniteParameterError naming the first non-finite coordinate of
+    the update, before the E-step can turn it into another error.
+    """
+    theta_new = update_theta(projection, law)
+    values = flatten_theta(theta_new)
+    if not np.isfinite(values).all():
+        k = int(np.flatnonzero(~np.isfinite(values))[0])
+        name = theta_names(data.dimensions())[k]
+        raise NonFiniteParameterError(f"M-step produced {name} = {values[k]}")
     return theta_new, conditional_law(theta_new, data)
 
 
@@ -193,7 +196,8 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
             raise DataError(
                 f"dims.{field.name}={given} disagrees with the data ({found})"
             )
-    theta = initialize(data)
+    projection = project_covariates(data)
+    theta = initialize(projection)
     try:
         law = conditional_law(theta, data)
     except FactorEMError as exc:
@@ -202,7 +206,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     converged = False
     for iteration in range(1, config.max_iter + 1):
         try:
-            theta_new, law = em_step(law, data)
+            theta_new, law = em_step(law, data, projection)
         except FactorEMError as exc:
             raise type(exc)(f"EM iteration {iteration}: {exc}") from exc
         change = relative_change(theta, theta_new, config.denominator_floor)

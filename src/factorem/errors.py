@@ -21,3 +21,7 @@ class SingularSystemError(FactorEMError):
 class DegeneratePosteriorError(FactorEMError):
     """Posterior moments leave a loading update ill-defined
     (non-positive denominator)."""
+
+
+class NonFiniteParameterError(FactorEMError):
+    """An EM update produced a non-finite parameter."""

@@ -26,8 +26,7 @@ scores M and the (p+1, p+1) second-moment sum
 
     S = sum_i E[h_i h_i' | r_i] = n Sigma + M'M,
 
-so no per-unit second moment is ever stored; ``mstep`` averages it as
-``mean_hh = S / n``.
+so no per-unit second moment is ever stored.
 """
 
 from dataclasses import dataclass

@@ -1,25 +1,33 @@
 """M-step: closed-form parameter updates from the conditional law.
 
-With the law of the latents h_i = (g_i, f_i^1, .., f_i^p) fixed, the
-expected complete log-likelihood is maximized exactly. It depends on the
-law only through the scores M and the second-moment average
+Each measurement block k (Y with covariates T, then X^m with T^m) is a
+regression of Z_k on its fixed covariates T_k and on its factor f, whose
+law is fixed by the E-step. The covariates and the observed blocks never
+change within a fit, so ``project_covariates`` partials T_k out once
+(Frisch-Waugh-Lovell):
 
-    mean_hh = S / n,   S = sum_i E[h_i h_i' | z_i] = n Sigma + M'M,
+    P_k = (T_k'T_k)^-1 T_k',   B_k = P_k Z_k,   Z~_k = Z_k - T_k B_k,
 
-with index 0 for g and m for f^m. Writing ``mean_*`` for averages over
-units, the updates are
+and keeps T_k, P_k, B_k, Z~_k and ||Z~_k||^2. The expected complete
+log-likelihood depends on the law only through the scores f (a column
+of M) and the second-moment sum
 
-    b   = (mean_gy - mean_yt tt^-1 mean_gt) / (mean_hh[0,0] - mean_gt' tt^-1 mean_gt)
-    a^m = analogous with block-m statistics and mean_hh[m,m]
-    c   : solution of the p x p system  mean_hh[1:,1:] c = mean_hh[1:,0]
-    D'  = tt^-1 mean_yt' - (tt^-1 mean_gt) b'   (D^m' analogous)
-    sigma2 : average expected squared residual of the block
+    S = sum_i E[h_i h_i' | z_i] = n Sigma + M'M,
 
-derived by substituting the covariate update into the loading equation
-of the stationarity system. (The b numerator above is the form that
-actually solves that system; ``expected_score`` vanishing at the update
-is what the tests pin down.) For p = 2 the linear solve for c reduces to
-two explicit ratios, kept as a test oracle only.
+with index 0 for g and m for f^m. With s = S_kk, each iteration then
+updates the block from three matrix-vector products with f (P_k f, T_k'f
+and Z~_k'f) and builds no n x q array:
+
+    denom   = s - (T_k'f) . (P_k f)
+    lambda  = Z~_k'f / denom                     (b, or a^m)
+    D_k     = B_k - (P_k f) lambda'
+    sigma2  = (||Z~_k||^2 - lambda . Z~_k'f) / (n q_k)
+    c       : solution of the p x p system  S[1:,1:] c = S[1:,0]
+
+(the loading equation of the stationarity system after substituting the
+covariate update; ``expected_score`` vanishing at the update is what the
+tests pin down). For p = 2 the linear solve for c reduces to two
+explicit ratios, kept as a test oracle only.
 """
 
 import warnings
@@ -28,13 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegeneratePosteriorError, SingularSystemError
+from .errors import DataError, DegeneratePosteriorError, SingularSystemError
 from .estep import ConditionalLaw, block_residuals, positive_variances
 from .model import Dataset, Theta, flatten_parts
 
 __all__ = [
-    "SufficientStats",
-    "sufficient_stats",
+    "BlockProjection",
+    "project_covariates",
     "update_theta",
     "expected_score",
     "expected_complete_loglik",
@@ -44,42 +52,22 @@ __all__ = [
 VARIANCE_FLOOR = 1e-12
 
 
-@dataclass
-class SufficientStats:
-    """Unit-averaged cross products entering the closed-form updates.
+@dataclass(frozen=True)
+class BlockProjection:
+    """One measurement block with its covariates partialled out.
 
-    Every field is the arithmetic mean over units of the per-unit
-    product named by it; ``mean_hh`` is the conditional second moment
-    E[h h' | z] of the latents (g first, then f^1..f^p).
+    t : (n, r) covariates T_k
+    proj : (r, n) P_k = (T_k'T_k)^-1 T_k'
+    coef : (r, q) B_k = P_k Z_k, the covariate-only coefficients
+    resid : (n, q) Z~_k = Z_k - T_k B_k
+    resid_sq : ||Z~_k||^2
     """
 
-    mean_tt: np.ndarray                  # (r_t, r_t)
-    mean_yt: np.ndarray                  # (q_y, r_t)
-    mean_gt: np.ndarray                  # (r_t,)
-    mean_gy: np.ndarray                  # (q_y,)
-    mean_tmtm: tuple[np.ndarray, ...]    # (r_m, r_m) per block
-    mean_xmtm: tuple[np.ndarray, ...]    # (q_m, r_m) per block
-    mean_fmtm: tuple[np.ndarray, ...]    # (r_m,) per block
-    mean_fmxm: tuple[np.ndarray, ...]    # (q_m,) per block
-    mean_hh: np.ndarray                  # (p+1, p+1)
-
-
-def sufficient_stats(data: Dataset, law: ConditionalLaw) -> SufficientStats:
-    """Average the per-unit products needed by ``update_theta``."""
-    n = data.n
-    g = law.g_tilde
-    f = law.f_tilde
-    return SufficientStats(
-        mean_tt=data.t.T @ data.t / n,
-        mean_yt=data.y.T @ data.t / n,
-        mean_gt=data.t.T @ g / n,
-        mean_gy=data.y.T @ g / n,
-        mean_tmtm=tuple(tm.T @ tm / n for tm in data.t_m),
-        mean_xmtm=tuple(xm.T @ tm / n for xm, tm in zip(data.x, data.t_m)),
-        mean_fmtm=tuple(tm.T @ f[m] / n for m, tm in enumerate(data.t_m)),
-        mean_fmxm=tuple(xm.T @ f[m] / n for m, xm in enumerate(data.x)),
-        mean_hh=law.second_moment_sum() / n,
-    )
+    t: np.ndarray
+    proj: np.ndarray
+    coef: np.ndarray
+    resid: np.ndarray
+    resid_sq: float
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
@@ -99,19 +87,28 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
     return scipy.linalg.cho_solve((chol, True), rhs)
 
 
-def _block_update(mean_xt, mean_tt, mean_ft, mean_fx, mean_sq, name):
-    """Loading and covariate coefficients for one measurement block,
-    from one solve with the covariate Gram."""
-    solved = _gram_solve(mean_tt, np.column_stack([mean_ft, mean_xt.T]), name)
-    tt_ft, tt_xt = solved[:, 0], solved[:, 1:]
-    denom = mean_sq - mean_ft @ tt_ft
-    if denom <= 0:
-        raise DegeneratePosteriorError(
-            f"loading denominator for block {name} is {denom:.3e}; "
-            "posterior second moment is degenerate given the covariates"
+def project_covariates(data: Dataset) -> tuple[BlockProjection, ...]:
+    """Partial each block's covariates out of it, once per fit: Y on T,
+    then X^m on T^m.
+
+    Raises DataError when a covariate block has at least as many columns
+    as there are units, and SingularSystemError for collinear covariates.
+    """
+    dims = data.dimensions()
+    if data.n <= max(dims.r_t, *dims.r_m):
+        raise DataError(
+            f"covariate projection needs more units than covariates, got n={data.n}"
         )
-    loading = (mean_fx - mean_xt @ tt_ft) / denom
-    return loading, tt_xt - np.outer(tt_ft, loading)  # coef_t: layout of D (r, q)
+    blocks = []
+    for k, (t, z) in enumerate(zip((data.t, *data.t_m), (data.y, *data.x))):
+        proj = _gram_solve(t.T @ t, t.T, f"T{k or ''}")
+        coef = proj @ z
+        resid = z - t @ coef
+        blocks.append(BlockProjection(
+            t=t, proj=proj, coef=coef, resid=resid,
+            resid_sq=float(np.sum(resid**2)),
+        ))
+    return tuple(blocks)
 
 
 def expected_sq_residual_sum(
@@ -131,56 +128,54 @@ def expected_sq_residual_sum(
     )
 
 
-def update_theta(stats: SufficientStats, law: ConditionalLaw, data: Dataset) -> Theta:
+def update_theta(
+    projection: tuple[BlockProjection, ...], law: ConditionalLaw
+) -> Theta:
     """Exact maximizer of the expected complete log-likelihood.
 
     Noise variances are floored at VARIANCE_FLOOR (with a warning) so a
     perfect fit cannot hand the next E-step a singular covariance.
     """
-    dims = data.dimensions()
-    hh = stats.mean_hh
-    updates = [_block_update(
-        stats.mean_yt, stats.mean_tt, stats.mean_gt, stats.mean_gy, hh[0, 0], "T",
-    )]
-    updates += [
-        _block_update(
-            stats.mean_xmtm[m], stats.mean_tmtm[m], stats.mean_fmtm[m],
-            stats.mean_fmxm[m], hh[m + 1, m + 1], f"T{m + 1}",
-        )
-        for m in range(dims.p)
-    ]
-
+    s = law.second_moment_sum()
     try:
-        c = scipy.linalg.solve(hh[1:, 1:], hh[1:, 0], assume_a="sym")
+        c = scipy.linalg.solve(s[1:, 1:], s[1:, 0], assume_a="sym")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SingularSystemError(
             "structural moment system is singular; explanatory factor "
             "posteriors are linearly dependent"
         ) from exc
 
-    variances = []
-    names = ["sigma2_Y"] + [f"sigma2_{m + 1}" for m in range(dims.p)]
-    blocks = zip(updates, (data.y, *data.x), (data.t, *data.t_m), names)
-    for k, ((loading, coef), obs, cov, name) in enumerate(blocks):
-        resid = obs - cov @ coef
-        value = expected_sq_residual_sum(
-            resid, loading, law.m[:, k], data.n * hh[k, k]
-        ) / resid.size
+    loadings, coefs, variances = [], [], []
+    for k, block in enumerate(projection):
+        f = law.m[:, k]
+        pf = block.proj @ f
+        zf = block.resid.T @ f
+        denom = s[k, k] - (block.t.T @ f) @ pf
+        # a factor inside the covariate span with no posterior spread
+        # leaves only rounding in denom, which can land on either side of 0
+        if denom <= 1e-12 * s[k, k]:
+            raise DegeneratePosteriorError(
+                f"loading denominator for block T{k or ''} is {denom:.3e}; "
+                "posterior second moment is degenerate given the covariates"
+            )
+        loading = zf / denom
+        value = (block.resid_sq - loading @ zf) / block.resid.size
         if value < VARIANCE_FLOOR:
             warnings.warn(
-                f"{name} update {value:.3e} floored at {VARIANCE_FLOOR:.0e}",
+                f"sigma2_{k or 'Y'} update {value:.3e} floored at {VARIANCE_FLOOR:.0e}",
                 RuntimeWarning,
                 stacklevel=2,
             )
             value = VARIANCE_FLOOR
+        loadings.append(loading)
+        coefs.append(block.coef - np.outer(pf, loading))
         variances.append(value)
 
-    (b, d), *explanatory = updates
     return Theta(
-        d=d,
-        d_m=tuple(dm for _, dm in explanatory),
-        b=b,
-        a_m=tuple(am for am, _ in explanatory),
+        d=coefs[0],
+        d_m=tuple(coefs[1:]),
+        b=loadings[0],
+        a_m=tuple(loadings[1:]),
         c=c,
         sigma2_y=variances[0],
         sigma2_m=tuple(variances[1:]),

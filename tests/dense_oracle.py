@@ -7,7 +7,10 @@ and second conditional moment of a law, the quantities the package only
 ever uses summed over units.
 
 The package conditions with (p+1)-dimensional algebra; this module is
-the slow, direct route it is tested against. Stacking the latents
+the slow, direct route it is tested against. ``update_theta`` here is
+the M-step as it reads before the covariate projection was hoisted out
+of the loop: it re-averages every cross product of the data and solves
+each covariate Gram on every call. Stacking the latents
 h_i = (g_i, f_i^1, .., f_i^p) and the centered observations, the joint
 covariance splits into three blocks:
 
@@ -19,13 +22,16 @@ so that h_i | z_i ~ N(s2 s3^{-1} mu_i, s1 - s2 s3^{-1} s2') and
 z_i ~ N(covariate mean, s3).
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from factorem.errors import DataError
+from factorem.errors import DataError, DegeneratePosteriorError, SingularSystemError
 from factorem.estep import block_residuals
+from factorem.model import Theta
+from factorem.mstep import VARIANCE_FLOOR, _gram_solve, expected_sq_residual_sum
 
 
 def stacked_residuals(theta, data):
@@ -131,3 +137,113 @@ def dense_conditioning(theta, data):
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     loglik = -0.5 * (np.sum(half**2, axis=0) + logdet + dims.q_total * np.log(2 * np.pi))
     return resid @ w, 0.5 * (sigma + sigma.T), loglik
+
+
+@dataclass
+class SufficientStats:
+    """Unit-averaged cross products entering the closed-form updates.
+
+    Every field is the arithmetic mean over units of the per-unit
+    product named by it; ``mean_hh`` is the conditional second moment
+    E[h h' | z] of the latents (g first, then f^1..f^p).
+    """
+
+    mean_tt: np.ndarray                  # (r_t, r_t)
+    mean_yt: np.ndarray                  # (q_y, r_t)
+    mean_gt: np.ndarray                  # (r_t,)
+    mean_gy: np.ndarray                  # (q_y,)
+    mean_tmtm: tuple[np.ndarray, ...]    # (r_m, r_m) per block
+    mean_xmtm: tuple[np.ndarray, ...]    # (q_m, r_m) per block
+    mean_fmtm: tuple[np.ndarray, ...]    # (r_m,) per block
+    mean_fmxm: tuple[np.ndarray, ...]    # (q_m,) per block
+    mean_hh: np.ndarray                  # (p+1, p+1)
+
+
+def sufficient_stats(data, law) -> SufficientStats:
+    """Average the per-unit products needed by ``update_theta``."""
+    n = data.n
+    g = law.g_tilde
+    f = law.f_tilde
+    return SufficientStats(
+        mean_tt=data.t.T @ data.t / n,
+        mean_yt=data.y.T @ data.t / n,
+        mean_gt=data.t.T @ g / n,
+        mean_gy=data.y.T @ g / n,
+        mean_tmtm=tuple(tm.T @ tm / n for tm in data.t_m),
+        mean_xmtm=tuple(xm.T @ tm / n for xm, tm in zip(data.x, data.t_m)),
+        mean_fmtm=tuple(tm.T @ f[m] / n for m, tm in enumerate(data.t_m)),
+        mean_fmxm=tuple(xm.T @ f[m] / n for m, xm in enumerate(data.x)),
+        mean_hh=law.second_moment_sum() / n,
+    )
+
+
+def _block_update(mean_xt, mean_tt, mean_ft, mean_fx, mean_sq, name):
+    """Loading and covariate coefficients for one measurement block,
+    from one solve with the covariate Gram."""
+    solved = _gram_solve(mean_tt, np.column_stack([mean_ft, mean_xt.T]), name)
+    tt_ft, tt_xt = solved[:, 0], solved[:, 1:]
+    denom = mean_sq - mean_ft @ tt_ft
+    if denom <= 0:
+        raise DegeneratePosteriorError(
+            f"loading denominator for block {name} is {denom:.3e}; "
+            "posterior second moment is degenerate given the covariates"
+        )
+    loading = (mean_fx - mean_xt @ tt_ft) / denom
+    return loading, tt_xt - np.outer(tt_ft, loading)  # coef_t: layout of D (r, q)
+
+
+def update_theta(stats: SufficientStats, law, data) -> Theta:
+    """Exact maximizer of the expected complete log-likelihood, from the
+    unit-averaged cross products.
+
+    Noise variances are floored at VARIANCE_FLOOR (with a warning) so a
+    perfect fit cannot hand the next E-step a singular covariance.
+    """
+    dims = data.dimensions()
+    hh = stats.mean_hh
+    updates = [_block_update(
+        stats.mean_yt, stats.mean_tt, stats.mean_gt, stats.mean_gy, hh[0, 0], "T",
+    )]
+    updates += [
+        _block_update(
+            stats.mean_xmtm[m], stats.mean_tmtm[m], stats.mean_fmtm[m],
+            stats.mean_fmxm[m], hh[m + 1, m + 1], f"T{m + 1}",
+        )
+        for m in range(dims.p)
+    ]
+
+    try:
+        c = scipy.linalg.solve(hh[1:, 1:], hh[1:, 0], assume_a="sym")
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SingularSystemError(
+            "structural moment system is singular; explanatory factor "
+            "posteriors are linearly dependent"
+        ) from exc
+
+    variances = []
+    names = ["sigma2_Y"] + [f"sigma2_{m + 1}" for m in range(dims.p)]
+    blocks = zip(updates, (data.y, *data.x), (data.t, *data.t_m), names)
+    for k, ((loading, coef), obs, cov, name) in enumerate(blocks):
+        resid = obs - cov @ coef
+        value = expected_sq_residual_sum(
+            resid, loading, law.m[:, k], data.n * hh[k, k]
+        ) / resid.size
+        if value < VARIANCE_FLOOR:
+            warnings.warn(
+                f"{name} update {value:.3e} floored at {VARIANCE_FLOOR:.0e}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            value = VARIANCE_FLOOR
+        variances.append(value)
+
+    (b, d), *explanatory = updates
+    return Theta(
+        d=d,
+        d_m=tuple(dm for _, dm in explanatory),
+        b=b,
+        a_m=tuple(am for am, _ in explanatory),
+        c=c,
+        sigma2_y=variances[0],
+        sigma2_m=tuple(variances[1:]),
+    )

@@ -16,10 +16,11 @@ from factorem import (
     flatten_theta,
     initialize,
     observed_loglik,
+    project_covariates,
     relative_change,
     simulate_dataset,
 )
-from factorem.errors import DataError
+from factorem.errors import DataError, NonFiniteParameterError
 
 from conftest import reference_dims, random_instance
 
@@ -50,13 +51,13 @@ class TestInitialize:
     def test_first_loading_nonnegative(self):
         for seed in range(5):
             data, _, _, dims = random_instance(seed)
-            theta0 = initialize(data)
+            theta0 = initialize(project_covariates(data))
             assert theta0.b[0] >= 0
             assert all(am[0] >= 0 for am in theta0.a_m)
 
     def test_reference_design_starts_close(self):
         data, latents, _ = reference_instance(seed=5)
-        theta0 = initialize(data)
+        theta0 = initialize(project_covariates(data))
         law = conditional_law(theta0, data)
         assert factor_sq_correlation(latents, law).min() > 0.9
 
@@ -64,8 +65,8 @@ class TestInitialize:
         data, _, _, dims = random_instance(3)
         tiny = Dataset(y=data.y[:1], x=tuple(x[:1] for x in data.x),
                        t=data.t[:1], t_m=tuple(t[:1] for t in data.t_m))
-        with pytest.raises(DataError):
-            initialize(tiny)
+        with pytest.raises(DataError, match="more units than covariates"):
+            fit(tiny, tiny.dimensions(), EMConfig())
 
     def test_zero_variance_block_rejected(self):
         rng = np.random.default_rng(4)
@@ -78,7 +79,7 @@ class TestInitialize:
             t=t, t_m=(rng.normal(size=(n, 1)),),
         )
         with pytest.raises(DataError, match="zero variance"):
-            initialize(data)
+            initialize(project_covariates(data))
 
 
 class TestEmStep:
@@ -86,16 +87,19 @@ class TestEmStep:
         data, _, _, dims = random_instance(10, dims=Dimensions(
             n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
         result = fit(data, dims, EMConfig(epsilon=1e-10, max_iter=500))
-        theta_next, _ = em_step(conditional_law(result.theta, data), data)
+        theta_next, _ = em_step(
+            conditional_law(result.theta, data), data, project_covariates(data)
+        )
         assert relative_change(result.theta, theta_next, 1e-8) < 1e-6
 
     def test_ascends_observed_loglik(self):
         data, _, _, dims = random_instance(11)
-        theta = initialize(data)
+        projection = project_covariates(data)
+        theta = initialize(projection)
         law = conditional_law(theta, data)
         previous = observed_loglik(theta, data).value
         for _ in range(8):
-            theta, law = em_step(law, data)
+            theta, law = em_step(law, data, projection)
             current = observed_loglik(theta, data).value
             assert current >= previous - 1e-8 * abs(previous)
             previous = current
@@ -185,6 +189,41 @@ class TestFit:
         with pytest.raises(DataError, match=r"dims\.q_m="):
             fit(data, replace(dims, q_m=(5, 6)), EMConfig())
         assert fit(data, dims, EMConfig()).dims == data.dimensions()
+
+    def test_one_gram_solve_per_block_per_fit(self, monkeypatch):
+        from factorem import mstep
+
+        calls = []
+
+        def counting(gram, rhs, name):
+            calls.append(name)
+            return solve(gram, rhs, name)
+
+        solve = mstep._gram_solve
+        monkeypatch.setattr(mstep, "_gram_solve", counting)
+        data, _, _ = reference_instance(seed=1, n=400, q=5)
+        result = fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
+        assert result.iterations > 50
+        assert calls == ["T", "T1", "T2"]
+
+    def test_non_finite_update_names_iteration_and_coordinate(self, monkeypatch):
+        import factorem.em
+
+        calls = []
+
+        def poisoned(projection, law):
+            theta = update(projection, law)
+            calls.append(None)
+            if len(calls) >= 3:
+                theta = replace(theta, b=np.full_like(theta.b, np.nan))
+            return theta
+
+        update = factorem.em.update_theta
+        monkeypatch.setattr(factorem.em, "update_theta", poisoned)
+        data, _, _, dims = random_instance(11)
+        with pytest.raises(NonFiniteParameterError,
+                           match=r"EM iteration 3: M-step produced b\[1\] = nan"):
+            fit(data, dims, EMConfig(epsilon=1e-12, max_iter=50))
 
     def test_config_validation(self):
         with pytest.raises(DataError):

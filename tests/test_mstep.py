@@ -8,74 +8,45 @@ from factorem import (
     expected_complete_loglik,
     expected_score,
     flatten_theta,
-    sufficient_stats,
+    project_covariates,
     unflatten_theta,
     update_theta,
 )
 from factorem.errors import DegeneratePosteriorError, SingularSystemError
 from factorem.estep import ConditionalLaw
 from factorem.likelihood import complete_loglik
-from factorem.model import Latents
-from factorem import mstep
 from factorem.mstep import VARIANCE_FLOOR
 
+import dense_oracle
 from conftest import random_instance, random_theta
-from dense_oracle import posterior_moments
 
 
-class TestSufficientStats:
-    def test_single_unit_means_are_products(self):
-        data, _, theta, dims = random_instance(0)
-        single = Dataset(
-            y=data.y[:1], x=tuple(xm[:1] for xm in data.x),
-            t=data.t[:1], t_m=tuple(tm[:1] for tm in data.t_m),
-        )
-        law = conditional_law(theta, single)
-        moments = posterior_moments(law)
-        stats = sufficient_stats(single, law)
-        np.testing.assert_allclose(
-            stats.mean_tt, np.outer(single.t[0], single.t[0]), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            stats.mean_gy, moments.g_tilde[0] * single.y[0], atol=1e-14
-        )
-        assert stats.mean_hh[0, 0] == pytest.approx(moments.gamma_tilde[0])
+class TestCovariateProjection:
+    def test_residual_orthogonal_to_covariates(self):
+        for seed in range(20):
+            data, _, _, _ = random_instance(seed)
+            blocks = project_covariates(data)
+            for block, z in zip(blocks, (data.y, *data.x)):
+                scale = np.linalg.norm(block.t) * np.linalg.norm(z)
+                assert np.abs(block.t.T @ block.resid).max() <= 1e-12 * scale
 
-    def test_zero_factor_zeroes_cross_stats(self):
-        data, _, theta, dims = random_instance(1)
-        law = conditional_law(theta, data)
-        law.m[:, 0] = 0.0
-        stats = sufficient_stats(data, law)
-        np.testing.assert_array_equal(stats.mean_gy, np.zeros(dims.q_y))
-        np.testing.assert_array_equal(stats.mean_gt, np.zeros(dims.r_t))
-
-    def test_matches_naive_loop(self):
-        data, _, theta, dims = random_instance(2)
-        data = Dataset(
-            y=data.y[:5], x=tuple(xm[:5] for xm in data.x),
-            t=data.t[:5], t_m=tuple(tm[:5] for tm in data.t_m),
-        )
-        law = conditional_law(theta, data)
-        moments = posterior_moments(law)
-        stats = sufficient_stats(data, law)
-
-        n = 5
-        tt = sum(np.outer(data.t[i], data.t[i]) for i in range(n)) / n
-        np.testing.assert_allclose(stats.mean_tt, tt, atol=1e-12)
-        gy = sum(moments.g_tilde[i] * data.y[i] for i in range(n)) / n
-        np.testing.assert_allclose(stats.mean_gy, gy, atol=1e-12)
-        for m in range(dims.p):
-            fx = sum(moments.f_tilde[m, i] * data.x[m][i] for i in range(n)) / n
-            np.testing.assert_allclose(stats.mean_fmxm[m], fx, atol=1e-12)
-            v = law.sigma[0, m + 1] + np.mean(moments.f_tilde[m] * moments.g_tilde)
-            assert stats.mean_hh[m + 1, 0] == pytest.approx(v, abs=1e-12)
+    def test_coefficients_and_residual_sum_match_lstsq(self):
+        for seed in range(20):
+            data, _, _, _ = random_instance(seed)
+            blocks = project_covariates(data)
+            for block, t, z in zip(blocks, (data.t, *data.t_m), (data.y, *data.x)):
+                expected, rss, _, _ = np.linalg.lstsq(t, z, rcond=None)
+                np.testing.assert_allclose(block.coef, expected, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(block.proj @ t, np.eye(t.shape[1]), atol=1e-12)
+                assert block.resid_sq == pytest.approx(float(np.sum(rss)), rel=1e-10)
 
 
-def two_block_c_ratios(stats):
-    """Explicit two-ratio solution of the 2x2 structural system (oracle only)."""
-    v1, v2 = stats.mean_hh[1:, 0]
-    phi1, phi2 = stats.mean_hh[1, 1], stats.mean_hh[2, 2]
-    cross = stats.mean_hh[1, 2]
+def two_block_c_ratios(s):
+    """Explicit two-ratio solution of the 2x2 structural system (oracle only),
+    from the second-moment sum ``s``."""
+    v1, v2 = s[1:, 0]
+    phi1, phi2 = s[1, 1], s[2, 2]
+    cross = s[1, 2]
     det = phi1 * phi2 - cross**2
     return np.array([(v1 * phi2 - v2 * cross) / det,
                      (v2 * phi1 - v1 * cross) / det])
@@ -94,10 +65,10 @@ class TestUpdateTheta:
             if dims.p != 2:
                 continue
             law = conditional_law(theta, data)
-            stats = sufficient_stats(data, law)
-            updated = update_theta(stats, law, data)
+            updated = update_theta(project_covariates(data), law)
             np.testing.assert_allclose(
-                updated.c, two_block_c_ratios(stats), rtol=1e-12, atol=1e-12
+                updated.c, two_block_c_ratios(law.second_moment_sum()),
+                rtol=1e-12, atol=1e-12,
             )
 
     def test_decoupled_case(self):
@@ -111,8 +82,7 @@ class TestUpdateTheta:
         )
         m = np.column_stack([np.zeros(n), rng.normal(size=(n, 2))])
         law = ConditionalLaw(m=m, sigma=np.eye(3))
-        stats = sufficient_stats(data, law)
-        updated = update_theta(stats, law, data)
+        updated = update_theta(project_covariates(data), law)
         np.testing.assert_allclose(updated.b, np.zeros(q_y), atol=1e-12)
         np.testing.assert_allclose(updated.d[0], y.mean(axis=0), atol=1e-12)
 
@@ -135,27 +105,23 @@ class TestUpdateTheta:
         law = ConditionalLaw(
             m=np.column_stack([g, f.T]), sigma=np.zeros((p + 1, p + 1))
         )
-        stats = sufficient_stats(data, law)
         with pytest.warns(RuntimeWarning, match="floored"):
-            updated = update_theta(stats, law, data)
+            updated = update_theta(project_covariates(data), law)
         assert updated.sigma2_y == VARIANCE_FLOOR
         np.testing.assert_allclose(updated.b, b, atol=1e-10)
         np.testing.assert_allclose(updated.d, d, atol=1e-10)
         np.testing.assert_allclose(updated.a_m[0], a_m[0], atol=1e-10)
 
-    def test_one_gram_solve_per_block(self, monkeypatch):
-        data, _, theta, dims = random_instance(3)
-        calls = []
-
-        def counting(gram, rhs, name):
-            calls.append(name)
-            return solve(gram, rhs, name)
-
-        solve = mstep._gram_solve
-        monkeypatch.setattr(mstep, "_gram_solve", counting)
-        law = conditional_law(theta, data)
-        update_theta(sufficient_stats(data, law), law, data)
-        assert calls == ["T"] + [f"T{m + 1}" for m in range(dims.p)]
+    def test_matches_the_stats_based_oracle(self):
+        worst = 0.0
+        for seed in range(100):
+            data, _, theta, dims = random_instance(seed)
+            law = conditional_law(theta, data)
+            updated = flatten_theta(update_theta(project_covariates(data), law))
+            stats = dense_oracle.sufficient_stats(data, law)
+            expected = flatten_theta(dense_oracle.update_theta(stats, law, data))
+            worst = max(worst, float(np.max(np.abs(updated - expected) / np.abs(expected))))
+        assert worst < 1e-10
 
     def test_collinear_covariates_rejected(self):
         data, _, theta, dims = random_instance(5)
@@ -164,10 +130,8 @@ class TestUpdateTheta:
             t=np.column_stack([data.t[:, 0], data.t[:, 0]]),
             t_m=data.t_m,
         )
-        law = conditional_law(theta, broken)
-        stats = sufficient_stats(broken, law)
         with pytest.raises(SingularSystemError, match="collinear"):
-            update_theta(stats, law, broken)
+            project_covariates(broken)
 
     def test_singular_structural_system_rejected(self):
         # identical explanatory scores with no posterior spread make the
@@ -183,9 +147,8 @@ class TestUpdateTheta:
         shared = rng.normal(size=n)
         m = np.column_stack([rng.normal(size=n), shared, shared])
         law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)))
-        stats = sufficient_stats(data, law)
         with pytest.raises(SingularSystemError, match="structural"):
-            update_theta(stats, law, data)
+            update_theta(project_covariates(data), law)
 
     def test_degenerate_posterior_rejected(self):
         # factor score collinear with the covariate and no posterior
@@ -200,9 +163,8 @@ class TestUpdateTheta:
         )
         m = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)))
-        stats = sufficient_stats(data, law)
         with pytest.raises(DegeneratePosteriorError):
-            update_theta(stats, law, data)
+            update_theta(project_covariates(data), law)
 
 
 class TestExpectedScore:
@@ -211,7 +173,7 @@ class TestExpectedScore:
         for seed in range(100):
             data, _, theta, dims = random_instance(seed)
             law = conditional_law(theta, data)
-            updated = update_theta(sufficient_stats(data, law), law, data)
+            updated = update_theta(project_covariates(data), law)
             residual = expected_score(updated, law, data)
             worst = max(worst, float(np.abs(residual).max()))
         assert worst < 1e-8
@@ -219,7 +181,7 @@ class TestExpectedScore:
     def test_perturbation_breaks_stationarity(self):
         data, _, theta, dims = random_instance(8)
         law = conditional_law(theta, data)
-        updated = update_theta(sufficient_stats(data, law), law, data)
+        updated = update_theta(project_covariates(data), law)
         bumped = Theta(
             d=updated.d, d_m=updated.d_m, b=updated.b + 0.1,
             a_m=updated.a_m, c=updated.c,
@@ -257,7 +219,7 @@ class TestSurrogateObjective:
             rng = np.random.default_rng(1000 + seed)
             start = random_theta(dims, rng)
             law = conditional_law(theta, data)
-            updated = update_theta(sufficient_stats(data, law), law, data)
+            updated = update_theta(project_covariates(data), law)
             q_start = expected_complete_loglik(start, data, law)
             q_updated = expected_complete_loglik(updated, data, law)
             assert q_updated >= q_start - 1e-8 * abs(q_start)
@@ -276,13 +238,13 @@ class TestSurrogateObjective:
 def test_update_scale_consistency():
     data, _, theta, dims = random_instance(12)
     law = conditional_law(theta, data)
-    base = update_theta(sufficient_stats(data, law), law, data)
+    base = update_theta(project_covariates(data), law)
 
     alpha = 3.0
     scaled_data = Dataset(
         y=alpha * data.y, x=data.x, t=data.t, t_m=data.t_m,
     )
-    scaled = update_theta(sufficient_stats(scaled_data, law), law, scaled_data)
+    scaled = update_theta(project_covariates(scaled_data), law)
     np.testing.assert_allclose(scaled.b, alpha * base.b, rtol=1e-10)
     np.testing.assert_allclose(scaled.d, alpha * base.d, rtol=1e-10)
     assert scaled.sigma2_y == pytest.approx(alpha**2 * base.sigma2_y, rel=1e-10)
