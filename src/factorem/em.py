@@ -4,14 +4,14 @@ The covariates and observed blocks are fixed within a fit, so ``fit``
 partials each block's covariates out once (``mstep.project_covariates``)
 and hands that projection to the initialization and to every M-step.
 Initialization reads each block's covariate regression off the
-projection, takes the first principal component of the residuals as a
-starting factor (sign fixed so the first variable loads nonnegatively),
-backs out starting loadings, variances and structural coefficients by
-least squares, then applies two corrections the likelihood itself
-cannot make later (see the inline notes): the dependent score is moved
-to the scale implied by the unit-variance structural disturbance, and
-each block's in-sample factor/covariate overlap is reclaimed from the
-other blocks.
+projection, takes the first principal component of the residuals (top
+eigenvector of their q x q Gram) as a starting factor (sign fixed so the
+first variable loads nonnegatively), backs out starting loadings,
+variances and structural coefficients by least squares, then applies two
+corrections the likelihood itself cannot make later (see the inline
+notes): the dependent score is moved to the scale implied by the
+unit-variance structural disturbance, and each block's in-sample
+factor/covariate overlap is reclaimed from the other blocks.
 
 The loop carries the conditional law of the latents, its only E-step
 state: one E-step at the starting point, then per iteration an M-step
@@ -89,12 +89,12 @@ class FitResult:
 
 
 def _first_pc_scores(resid: np.ndarray, name: str) -> np.ndarray:
-    """First principal component scores of a residual block, unit variance."""
+    """First principal component scores (q x q Gram eigh), unit variance."""
     centered = resid - resid.mean(axis=0)
-    u, s, _ = np.linalg.svd(centered, full_matrices=False)
-    if s[0] <= 1e-12 * max(1.0, float(np.abs(resid).max())):
+    eigval, eigvec = np.linalg.eigh(centered.T @ centered)
+    if eigval[-1] <= (1e-12 * max(1.0, float(np.abs(resid).max()))) ** 2:
         raise DataError(f"residual block {name} has zero variance; PCA undefined")
-    scores = u[:, 0] * s[0]
+    scores = centered @ eigvec[:, -1]
     return scores / scores.std()
 
 

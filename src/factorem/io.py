@@ -1,9 +1,10 @@
 """CSV/JSON ingestion and serialization.
 
 All tabular output is CSV with a header row, UTF-8, '.' decimal
-separator. Floats are serialized with shortest round-trip precision, so
-write -> load reproduces arrays exactly and identical runs produce
-byte-identical files.
+separator. Floats are written as ``repr`` (shortest round trip), one
+streamed line per matrix row, so write -> load reproduces arrays exactly
+and identical runs produce byte-identical files. Numeric blocks are
+parsed by numpy's C reader, with the strict csv reader as fallback.
 
 A dataset on disk is a set of block CSVs tied together by a manifest
 (JSON) naming the role of each file:
@@ -19,6 +20,7 @@ wholly numeric or wholly non-numeric.
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +51,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_matrix(path: Path, header: list[str], matrix) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        # repr(float) is _fmt and never needs quoting; one row of floats at a time
+        handle.writelines(",".join(map(repr, row.tolist())) + "\n"
+                          for row in np.asarray(matrix, dtype=float))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -116,7 +126,7 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read block file {path}: {exc}") from exc
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
@@ -131,12 +141,31 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _numeric_block(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header and values of a numeric block, parsed by numpy's C reader. Its
+    array is kept only with one row per line (it skips blank lines and joins
+    quoted line breaks) and one column per header cell; else the strict csv
+    reader loads the same array or names the first bad cell."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            lines = sum(1 for _ in handle) - 1  # split as the csv module splits
+            handle.seek(0)
+            header = next(csv.reader(handle), [])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "Empty input file"
+                values = np.loadtxt(handle, delimiter=",", comments=None,
+                                    quotechar='"', ndmin=2)
+        if lines > 0 and values.shape == (lines, len(header)):
+            return header, values
+    except (OSError, ValueError, csv.Error):
+        pass
     header, body = _read_table(path)
     try:
-        values = np.array([[float(cell) for cell in row] for row in body])
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell in a numeric block ({exc})") from exc
-    return header, values
+        return header, np.array([[float(cell) for cell in row] for row in body])
+    except ValueError:
+        i, j = next((i, j) for i, row in enumerate(body)
+                    for j, cell in enumerate(row) if not _is_number(cell))
+        raise DataError(f"{path}: row {i + 2}, column {header[j]!r}: cell "
+                        f"{body[i][j]!r} is non-numeric") from None
 
 
 def _is_number(cell: str) -> bool:
@@ -194,17 +223,10 @@ def load_dataset(manifest: BlockManifest) -> tuple[Dataset, Dimensions]:
             raise DataError(f"declared block file {manifest.path(name)} does not exist")
 
     y_cols, y = _numeric_block(manifest.path(manifest.y))
-    x_cols, x = [], []
-    for name in manifest.x:
-        cols, block = _numeric_block(manifest.path(name))
-        x_cols.append(cols)
-        x.append(block)
+    x_parts = [_numeric_block(manifest.path(name)) for name in manifest.x]
     t_cols, t = _covariate_block(manifest.path(manifest.t))
-    tm_cols, t_m = [], []
-    for name in manifest.t_m:
-        cols, block = _covariate_block(manifest.path(name))
-        tm_cols.append(cols)
-        t_m.append(block)
+    tm_parts = [_covariate_block(manifest.path(name)) for name in manifest.t_m]
+    x, t_m = [block for _, block in x_parts], [block for _, block in tm_parts]
 
     rows = {manifest.y: y.shape[0], manifest.t: t.shape[0]}
     rows.update({name: block.shape[0] for name, block in zip(manifest.x, x)})
@@ -216,10 +238,8 @@ def load_dataset(manifest: BlockManifest) -> tuple[Dataset, Dimensions]:
 
     data = Dataset(y=y, x=tuple(x), t=t, t_m=tuple(t_m), intercept=manifest.intercept)
     manifest.columns = {
-        "y": y_cols,
-        "x": x_cols,
-        "t": t_cols,
-        "t_m": tm_cols,
+        "y": y_cols, "x": [cols for cols, _ in x_parts],
+        "t": t_cols, "t_m": [cols for cols, _ in tm_parts],
     }
     return data, data.dimensions()
 
@@ -248,14 +268,11 @@ def write_dataset(
     dims = data.dimensions()
     cols = _default_columns(dims)
 
-    def dump(name, header, matrix):
-        _write_csv(out / name, header, ([_fmt(v) for v in row] for row in matrix))
-
-    dump("Y.csv", cols["y"], data.y)
-    dump("T.csv", cols["t"], data.t)
+    _write_matrix(out / "Y.csv", cols["y"], data.y)
+    _write_matrix(out / "T.csv", cols["t"], data.t)
     for m in range(dims.p):
-        dump(f"X{m + 1}.csv", cols["x"][m], data.x[m])
-        dump(f"T{m + 1}.csv", cols["t_m"][m], data.t_m[m])
+        _write_matrix(out / f"X{m + 1}.csv", cols["x"][m], data.x[m])
+        _write_matrix(out / f"T{m + 1}.csv", cols["t_m"][m], data.t_m[m])
 
     manifest = BlockManifest(
         y="Y.csv",
@@ -274,7 +291,7 @@ def write_dataset(
     if latents is not None:
         header = ["g"] + [f"f{m + 1}" for m in range(dims.p)]
         scores = np.column_stack([latents.g, latents.f.T])
-        dump("factors_true.csv", header, scores)
+        _write_matrix(out / "factors_true.csv", header, scores)
     if theta is not None:
         _write_csv(
             out / "theta_true.csv",
@@ -309,9 +326,7 @@ def write_fit(
     )
 
     header = ["g"] + [f"f{m + 1}" for m in range(dims.p)]
-    scores = result.moments.m
-    _write_csv(out / "factors.csv", header,
-               ([_fmt(v) for v in row] for row in scores))
+    _write_matrix(out / "factors.csv", header, result.moments.m)
 
     _write_csv(
         out / "trace.csv",

@@ -138,8 +138,8 @@ def update_theta(
     """
     s = law.second_moment_sum()
     try:
-        c = scipy.linalg.solve(s[1:, 1:], s[1:, 0], assume_a="sym")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        c = np.linalg.solve(s[1:, 1:], s[1:, 0])
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "structural moment system is singular; explanatory factor "
             "posteriors are linearly dependent"

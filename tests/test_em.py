@@ -48,6 +48,23 @@ class TestInitialize:
         corr = np.corrcoef(scores, g)[0, 1]
         assert abs(corr) > 1 - 1e-10
 
+    @pytest.mark.parametrize("q", [1, 2, 5, 40])
+    def test_gram_eigh_start_matches_the_svd_first_pc(self, q):
+        # the start takes the first PC from the q x q Gram; the thin SVD of
+        # the n x q block it replaced is the reference
+        from factorem.em import _first_pc_scores
+
+        rng = np.random.default_rng(q)
+        for n in (q + 3, 60, 400):
+            resid = rng.normal(size=(n, q)) * rng.uniform(0.1, 10.0, size=q)
+            resid += np.outer(rng.normal(size=n), rng.normal(size=q))
+            centered = resid - resid.mean(axis=0)
+            u, s, _ = np.linalg.svd(centered, full_matrices=False)
+            reference = u[:, 0] * s[0]
+            scores = _first_pc_scores(resid, "Y")
+            assert abs(np.corrcoef(scores, reference)[0, 1]) >= 1 - 1e-10
+            np.testing.assert_allclose(scores.std(), 1.0, rtol=1e-12)
+
     def test_first_loading_nonnegative(self):
         for seed in range(5):
             data, _, _, dims = random_instance(seed)
@@ -224,6 +241,18 @@ class TestFit:
         with pytest.raises(NonFiniteParameterError,
                            match=r"EM iteration 3: M-step produced b\[1\] = nan"):
             fit(data, dims, EMConfig(epsilon=1e-12, max_iter=50))
+
+    def test_non_finite_structural_solve_names_c(self):
+        # a NaN in the structural block of the second-moment sum leaves the
+        # loadings finite; the solve for c passes the NaN on to the guard
+        data, _, _, _ = random_instance(10, dims=Dimensions(
+            n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
+        projection = project_covariates(data)
+        law = conditional_law(initialize(projection), data)
+        sigma = law.sigma.copy()
+        sigma[1, 2] = sigma[2, 1] = np.nan
+        with pytest.raises(NonFiniteParameterError, match=r"M-step produced c1 = nan"):
+            em_step(replace(law, sigma=sigma), data, projection)
 
     def test_config_validation(self):
         with pytest.raises(DataError):

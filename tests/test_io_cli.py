@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from factorem import EMConfig, SimConfig, canonicalize, fit, simulate_dataset
 from factorem.cli import main
+from factorem import io as io_module
 from factorem.errors import DataError
 from factorem.io import (
     BlockManifest,
@@ -106,6 +108,140 @@ class TestDatasetRoundTrip:
         lines[1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="non-numeric"):
+            load_dataset(load_manifest(tmp_path / "manifest.json"))
+
+
+def strict_numeric(path):
+    """The csv-module reader the C-parsed numeric block must agree with."""
+    header, body = io_module._read_table(path)
+    return header, np.array([[float(cell) for cell in row] for row in body])
+
+
+class TestFastCsvPaths:
+    """The row-streaming writer and the C-parsed reader against the
+    csv-module code they replace."""
+
+    def reference_bytes(self, tmp_path, header, matrix):
+        path = tmp_path / "reference.csv"
+        io_module._write_csv(path, header, ([io_module._fmt(v) for v in row]
+                                            for row in matrix))
+        return path.read_bytes()
+
+    def test_writer_bytes_match_the_csv_writer(self, tmp_path):
+        values = [-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308,
+                  np.inf, -np.inf, np.nan, 0.1, -2.5, 123456789.0]
+        matrix = np.array([values, values[::-1]])
+        header = [f"c{j}" for j in range(len(values))]
+        io_module._write_matrix(tmp_path / "fast.csv", header, matrix)
+        written = (tmp_path / "fast.csv").read_bytes()
+        assert written == self.reference_bytes(tmp_path, header, matrix)
+        assert written.splitlines()[1].split(b",")[:8] == [
+            b"-0.0", b"1e-05", b"1e+16", b"5e-324", b"1.7976931348623157e+308",
+            b"inf", b"-inf", b"nan",
+        ]
+
+    def test_written_dataset_matches_the_csv_writer(self, tmp_path):
+        data, latents, theta, dims = small_dataset(seed=3, n=50, q=6)
+        write_dataset(data, tmp_path / "data", latents=latents, theta=theta)
+        cols = io_module._default_columns(dims)
+        blocks = [("Y.csv", cols["y"], data.y), ("T.csv", cols["t"], data.t)]
+        for m in range(dims.p):
+            blocks += [(f"X{m + 1}.csv", cols["x"][m], data.x[m]),
+                       (f"T{m + 1}.csv", cols["t_m"][m], data.t_m[m])]
+        blocks.append(("factors_true.csv", ["g", "f1", "f2"],
+                       np.column_stack([latents.g, latents.f.T])))
+        for name, header, matrix in blocks:
+            assert (tmp_path / "data" / name).read_bytes() == \
+                self.reference_bytes(tmp_path, header, matrix), name
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1.5,-2\n3e-3,4\n",
+        'a,b\n"1.5","-2"\n3e-3,"4"\n',
+        '"a","b"\n1.5,-2\n3e-3,4\n',
+        "a,b\n 1.5 ,\t-2\n3e-3 , 4\n",
+        "a,b\r\n1.5,-2\r\n3e-3,4\r\n",
+        "a,b\n1.5,-2\n3e-3,4",
+        "a\n1.5\n-2\n",
+        "a,b,c\n1.5,-2,nan\n",
+        "a,b\ninf,-inf\n1e400,5e-324\n",
+    ])
+    def test_reader_fast_path_agrees_with_the_csv_reader(
+            self, tmp_path, monkeypatch, text):
+        path = tmp_path / "block.csv"
+        path.write_bytes(text.encode())
+        header, expected = strict_numeric(path)
+
+        def no_fallback(path):
+            raise AssertionError("fell back to the csv reader")
+
+        monkeypatch.setattr(io_module, "_read_table", no_fallback)
+        got_header, values = io_module._numeric_block(path)
+        assert got_header == header
+        assert values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a,b\n1_5,2\n", [[15.0, 2.0]]),       # np.loadtxt rejects underscores
+        ("a,b\n1,2\r3,4\n", [[1.0, 2.0], [3.0, 4.0]]),   # bare carriage return
+        ('a,b\n"1\n",2\n', [[1.0, 2.0]]),      # quoted line break in a cell
+        ('a,b\n"1\r",2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
+        ('"a\nx",b\n1,2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),   # ... in the header
+    ])
+    def test_reader_fallback_loads_what_the_csv_reader_accepts(
+            self, tmp_path, text, expected):
+        path = tmp_path / "block.csv"
+        path.write_bytes(text.encode())
+        header, values = io_module._numeric_block(path)
+        strict_header, strict_values = strict_numeric(path)
+        assert header == strict_header
+        np.testing.assert_array_equal(values, expected)
+        assert values.tobytes() == strict_values.tobytes()
+
+    @pytest.mark.parametrize("text, match", [
+        ("a,b\n1,2\n\n3,4\n", "ragged row 3 has 0 cells"),
+        ("a,b\n1,2\n3,4\n\n", "ragged row 4 has 0 cells"),
+        ("a,b\n1,2\n\n", "ragged row 3 has 0 cells"),
+        ("a,b\n1,2,3\n4,5,6\n", "ragged row 2 has 3 cells"),
+        ("a,b\n1,2\n3\n", "ragged row 3 has 1 cells"),
+        ("a,b\n1,2\n3,4\r", None),
+        ("a,b\n", "need a header row and at least one data row"),
+        ("a,b", "need a header row and at least one data row"),
+        ("", "need a header row and at least one data row"),
+        ("a,b\n1,2\n3,\n", r"row 3, column 'b': cell '' is non-numeric"),
+        ("a,b\n1,2\noops,4\n", r"row 3, column 'a': cell 'oops' is non-numeric"),
+        ("a,b\n1,2\n\"1,5\",4\n", r"row 3, column 'a': cell '1,5' is non-numeric"),
+    ])
+    def test_reader_rejections_unchanged_and_silent(self, tmp_path, text, match):
+        path = tmp_path / "block.csv"
+        path.write_bytes(text.encode())
+        if match is None:     # a trailing bare carriage return is one more line
+            header, values = io_module._numeric_block(path)
+            np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=match):
+                io_module._numeric_block(path)
+
+    @pytest.mark.parametrize("name", ["Y.csv", "T1.csv"])
+    def test_undecodable_block_is_a_data_error(self, tmp_path, name):
+        data, *_ = small_dataset()
+        write_dataset(data, tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xe9", 1))
+        with pytest.raises(DataError,
+                           match=rf"cannot read block file .*{name}: 'utf-8'"):
+            load_dataset(load_manifest(tmp_path / "manifest.json"))
+
+    def test_non_numeric_cell_named_through_load_dataset(self, tmp_path):
+        data, *_ = small_dataset()
+        write_dataset(data, tmp_path)
+        path = tmp_path / "X1.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(["oops"] + lines[1].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=(
+                r"X1\.csv: row 2, column 'x1_1': cell 'oops' is non-numeric")):
             load_dataset(load_manifest(tmp_path / "manifest.json"))
 
 
