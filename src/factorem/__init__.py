@@ -12,7 +12,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularSystemError,
 )
-from .estep import ConditionalLaw, conditional_law
+from .estep import ConditionalLaw, LogLik, conditional_law, observed_loglik
 from .evaluate import (
     ResampleSummary,
     StudySummary,
@@ -22,7 +22,6 @@ from .evaluate import (
     replicate_study,
     sensitivity_sweep,
 )
-from .likelihood import LogLik, Score, complete_loglik, complete_score, observed_loglik
 from .model import (
     Dataset,
     Dimensions,
@@ -34,7 +33,7 @@ from .model import (
     theta_names,
     unflatten_theta,
 )
-from .mstep import expected_complete_loglik, expected_score, project_covariates, update_theta
+from .mstep import expected_score, project_covariates, update_theta
 from .simulate import SimConfig, reference_theta, simulate_dataset
 
 __version__ = "0.1.0"
@@ -48,10 +47,9 @@ __all__ = [
     "StudySummary", "ResampleSummary", "abs_rel_deviation",
     "factor_sq_correlation", "replicate_study", "sensitivity_sweep",
     "kfold_resample",
-    "LogLik", "Score", "complete_loglik", "observed_loglik", "complete_score",
+    "LogLik", "observed_loglik",
     "Dimensions", "Dataset", "Theta", "Latents", "count_parameters",
     "flatten_theta", "unflatten_theta", "theta_names", "subset_units",
     "project_covariates", "update_theta", "expected_score",
-    "expected_complete_loglik",
     "SimConfig", "reference_theta", "simulate_dataset",
 ]

@@ -1,4 +1,5 @@
-"""EM driver: initialization, the E->M loop, stopping rule, reporting.
+"""EM fitting: initialization, the accelerated E->M loop, stopping rule,
+reporting.
 
 The covariates and observed blocks are fixed within a fit, so ``fit``
 partials each block's covariates out once (``mstep.project_covariates``)
@@ -14,17 +15,31 @@ unit-variance structural disturbance, and each block's in-sample
 factor/covariate overlap is reclaimed from the other blocks.
 
 The loop carries the conditional law of the latents, its only E-step
-state: one E-step at the starting point, then per iteration an M-step
-from the law's scores and second-moment sum followed by the E-step at
-the updated parameters, whose by-product observed log-likelihood fills
-that iteration's trace row. That is one pass over the data per
-iteration, and the reported law (factor scores included) is the one at
-the returned parameters.
+state. One EM-map evaluation (``em_step``) is an M-step from the law's
+scores and second-moment sum followed by the E-step at the updated
+parameters, whose by-product observed log-likelihood fills that
+evaluation's trace row: one pass over the data, and the reported law
+(factor scores included) is the one at the returned parameters.
 
-The stopping statistic is the sum over the canonical parameter vector of
-|new - old| / max(|new|, floor); iteration ends when it drops below
-epsilon or the iteration cap is hit (non-convergence is flagged, not
-raised).
+The map is accelerated by SqS3 (Varadhan & Roland, 2008, "Simple and
+globally convergent methods for accelerating the convergence of any EM
+algorithm"). With x = ``flatten_theta`` and the p+1 noise variances on
+the log scale, each cycle takes two map steps x0 -> x1 -> x2, sets
+r = x1 - x0, v = x2 - 2 x1 + x0 and alpha = min(-||r|| / ||v||, -1), and
+extrapolates to x' = x0 - 2 alpha r + alpha^2 v, with every variance
+clamped at the M-step's floor. x' is kept only when the E-step at x'
+succeeds and its observed log-likelihood is at least that of x2; one
+more map step from x' then starts the next cycle. Otherwise (and when
+alpha = -1, where x' is x2) the next cycle starts from x2. Every
+accepted iterate is thus a map output or a point at least as likely as
+the last one, so the trace never decreases.
+
+The stopping statistic is read on every map step, as the sum over the
+canonical parameter vector of |F(x) - x| / max(|F(x)|, floor); iteration
+ends at the first step where it drops below epsilon, or when max_iter
+map evaluations are spent (non-convergence is flagged, not raised).
+Epsilon therefore means what it means for plain EM, and a fit that
+plain EM finishes within two map steps is the plain EM fit.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -33,8 +48,8 @@ import numpy as np
 
 from .errors import DataError, FactorEMError, NonFiniteParameterError
 from .estep import ConditionalLaw, conditional_law
-from .model import Dataset, Dimensions, Theta, flatten_theta, theta_names
-from .mstep import BlockProjection, project_covariates, update_theta
+from .model import Dataset, Dimensions, Theta, flatten_theta, theta_names, unflatten_theta
+from .mstep import VARIANCE_FLOOR, BlockProjection, project_covariates, update_theta
 
 __all__ = [
     "EMConfig",
@@ -74,10 +89,15 @@ class FitResult:
     """Converged parameters, factor scores and the iteration history.
 
     moments is the conditional law of the latents at the returned theta;
-    its g_tilde and f_tilde are the reported factor scores. trace is an
-    (iterations, 2) array of (relative change, observed log-likelihood
-    at that iteration's updated theta), one row per EM iteration. dims
-    are the dimensions of the fitted data.
+    its g_tilde and f_tilde are the reported factor scores. iterations
+    counts EM-map evaluations (``em_step`` calls), and trace is an
+    (iterations, 2) array with one row per evaluation: the relative
+    change from its input to its output, which the stopping rule reads,
+    and the observed log-likelihood at its output. The rows are in the
+    order of the accepted iterates, so the log-likelihood column never
+    decreases. accepted and rejected count the SqS3 extrapolations kept
+    and discarded by the log-likelihood test (a cycle whose steplength
+    is -1 attempts none). dims are the dimensions of the fitted data.
     """
 
     theta: Theta
@@ -86,6 +106,8 @@ class FitResult:
     converged: bool
     trace: np.ndarray
     dims: Dimensions
+    accepted: int = 0
+    rejected: int = 0
 
 
 def _first_pc_scores(resid: np.ndarray, name: str) -> np.ndarray:
@@ -182,9 +204,32 @@ def relative_change(theta_old: Theta, theta_new: Theta, floor: float) -> float:
     return float(np.sum(np.abs(new - old) / np.maximum(np.abs(new), floor)))
 
 
+def _extrapolate(theta0: Theta, theta1: Theta, theta2: Theta, dims: Dimensions):
+    """SqS3 point from two map steps theta0 -> theta1 -> theta2, with the
+    p+1 noise variances on the log scale, or None when the steplength is
+    -1 (the point is theta2) or the point is not finite."""
+    k = dims.p + 1
+    x0, x1, x2 = (flatten_theta(theta) for theta in (theta0, theta1, theta2))
+    for x in (x0, x1, x2):
+        x[-k:] = np.log(x[-k:])
+    r = x1 - x0
+    v = x2 - 2.0 * x1 + x0
+    norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+    if not norm_r > norm_v > 0:
+        return None
+    alpha = -norm_r / norm_v
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0 - 2.0 * alpha * r + alpha**2 * v
+        x[-k:] = np.maximum(np.exp(x[-k:]), VARIANCE_FLOOR)
+    if not np.isfinite(x).all():
+        return None
+    return unflatten_theta(x, dims)
+
+
 def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
-    """Run EM from the deterministic initialization until the stopping
-    rule fires or max_iter is reached.
+    """Run SqS3-accelerated EM from the deterministic initialization
+    until the stopping rule fires on a map step or max_iter map
+    evaluations are spent.
 
     ``dims`` must equal ``data.dimensions()``; a DataError names the
     first field that differs.
@@ -204,17 +249,37 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         raise type(exc)(f"EM start: {exc}") from exc
     trace = []
     converged = False
-    for iteration in range(1, config.max_iter + 1):
+    accepted = rejected = 0
+    cycle = [theta]                 # map iterates since the cycle began
+    while len(trace) < config.max_iter:
         try:
             theta_new, law = em_step(law, data, projection)
         except FactorEMError as exc:
-            raise type(exc)(f"EM iteration {iteration}: {exc}") from exc
+            raise type(exc)(f"EM iteration {len(trace) + 1}: {exc}") from exc
         change = relative_change(theta, theta_new, config.denominator_floor)
         trace.append((change, float(law.loglik.sum())))
         theta = theta_new
         if change < config.epsilon:
             converged = True
             break
+        cycle.append(theta)
+        if len(cycle) < 3 or len(trace) == config.max_iter:
+            continue
+        extrapolated = _extrapolate(*cycle, actual)
+        cycle = [theta]
+        if extrapolated is None:
+            continue
+        try:
+            law_x = conditional_law(extrapolated, data)
+        except FactorEMError:
+            law_x = None
+        # NaN compares False: a non-finite log-likelihood is rejected too
+        if law_x is not None and float(law_x.loglik.sum()) >= trace[-1][1]:
+            theta, law = extrapolated, law_x
+            cycle = []              # the stabilizing step's output begins the next
+            accepted += 1
+        else:
+            rejected += 1
     return FitResult(
         theta=theta,
         moments=law,
@@ -222,6 +287,8 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         converged=converged,
         trace=np.array(trace),
         dims=actual,
+        accepted=accepted,
+        rejected=rejected,
     )
 
 

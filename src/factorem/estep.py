@@ -38,8 +38,10 @@ from .model import Dataset, Theta
 
 __all__ = [
     "ConditionalLaw",
+    "LogLik",
     "block_residuals",
     "conditional_law",
+    "observed_loglik",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -72,6 +74,14 @@ class ConditionalLaw:
     def second_moment_sum(self) -> np.ndarray:
         """(p+1, p+1) sum over units of E[h_i h_i' | z_i] = n Sigma + M'M."""
         return self.m.shape[0] * self.sigma + self.m.T @ self.m
+
+
+@dataclass
+class LogLik:
+    """Total log-likelihood and the per-unit contributions summing to it."""
+
+    value: float
+    per_unit: np.ndarray
 
 
 def positive_variances(theta: Theta, needed_for: str) -> np.ndarray:
@@ -153,3 +163,9 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     loglik = -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
     return ConditionalLaw(m=m, sigma=sigma, loglik=loglik)
 
+
+def observed_loglik(theta: Theta, data: Dataset) -> LogLik:
+    """Log-density of the observations with the latents marginalized
+    out: the by-product of ``conditional_law``, summed."""
+    per_unit = conditional_law(theta, data).loglik
+    return LogLik(value=float(per_unit.sum()), per_unit=per_unit)

@@ -30,6 +30,7 @@ from .em import EMConfig, FitResult
 from .errors import DataError
 from .evaluate import ResampleSummary, StudySummary
 from .model import Dataset, Dimensions, Latents, Theta, flatten_theta, theta_names
+from .mstep import expected_score
 
 __all__ = [
     "BlockManifest",
@@ -311,8 +312,10 @@ def write_fit(
     """Serialize a fit: parameter table, factor scores, trace, report.
 
     ``data`` enables correlations.csv (each observed variable against
-    its block's factor score); ``config`` and ``columns`` enrich
-    report.json and the variable names.
+    its block's factor score) and the convergence certificate in
+    report.json, the largest absolute observed-loglik gradient at the
+    returned theta and the parameter it belongs to; ``config`` and
+    ``columns`` enrich report.json and the variable names.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,8 +347,15 @@ def write_fit(
         },
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
+        "extrapolations": {"accepted": result.accepted, "rejected": result.rejected},
         "parameter_names": theta_names(dims),
     }
+    if data is not None:
+        # Fisher's identity: the observed-loglik gradient at theta-hat
+        score = np.abs(expected_score(result.theta, result.moments, data))
+        k = int(np.argmax(score))
+        report["max_abs_score"] = float(score[k])
+        report["max_abs_score_parameter"] = theta_names(dims)[k]
     if config is not None:
         report["config"] = {
             "epsilon": config.epsilon,

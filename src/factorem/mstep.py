@@ -37,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
-from .estep import ConditionalLaw, block_residuals, positive_variances
+from .estep import ConditionalLaw, block_residuals
 from .model import Dataset, Theta, flatten_parts
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "project_covariates",
     "update_theta",
     "expected_score",
-    "expected_complete_loglik",
     "VARIANCE_FLOOR",
 ]
 
@@ -192,37 +191,15 @@ def _block_terms(theta: Theta, data: Dataset, law: ConditionalLaw):
     )
 
 
-def expected_complete_loglik(
-    theta: Theta, data: Dataset, law: ConditionalLaw
-) -> float:
-    """Expected complete log-likelihood Q(theta) under a fixed law.
-
-    This is the surrogate the M-step maximizes; ``expected_score`` is
-    its exact gradient. Includes the full Gaussian normalizing constant
-    so that a point-mass law reproduces the complete log-likelihood.
-    """
-    positive_variances(theta, "expected log-likelihood")
-    dims = data.dimensions()
-    total = 0.0
-    for _, resid, loading, score, sq, var in _block_terms(theta, data, law):
-        total += resid.size * np.log(var)
-        total += expected_sq_residual_sum(resid, loading, score, sq) / var
-
-    # E(g - c'f)^2 + E f'f, summed over units
-    s = law.second_moment_sum()
-    w = np.concatenate([[1.0], -theta.c])
-    total += float(w @ s @ w) + float(np.trace(s[1:, 1:]))
-
-    norm_const = -0.5 * data.n * (dims.q_total + dims.p + 1) * np.log(2.0 * np.pi)
-    return -0.5 * total + norm_const
-
-
 def expected_score(
     theta: Theta, law: ConditionalLaw, data: Dataset
 ) -> np.ndarray:
-    """Gradient of Q(theta) as a K-vector in the canonical ordering.
+    """Gradient of the expected complete log-likelihood Q(theta) under
+    ``law``, as a K-vector in the canonical ordering.
 
-    Vanishes (to machine precision) at the ``update_theta`` output.
+    Vanishes (to machine precision) at the ``update_theta`` output. At
+    the parameters ``law`` was computed at it is, by Fisher's identity,
+    the gradient of the observed log-likelihood.
     """
     grads = []
     for t, resid, loading, score, sq, var in _block_terms(theta, data, law):

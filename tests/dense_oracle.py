@@ -20,6 +20,10 @@ covariance splits into three blocks:
 
 so that h_i | z_i ~ N(s2 s3^{-1} mu_i, s1 - s2 s3^{-1} s2') and
 z_i ~ N(covariate mean, s3).
+
+``plain_fit`` is the unaccelerated EM loop, one ``em_step`` after
+another from the package's start, that the SqS3-accelerated ``fit`` is
+tested against.
 """
 
 import warnings
@@ -28,10 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from factorem.em import FitResult, em_step, initialize, relative_change
 from factorem.errors import DataError, DegeneratePosteriorError, SingularSystemError
-from factorem.estep import block_residuals
+from factorem.estep import block_residuals, conditional_law
 from factorem.model import Theta
-from factorem.mstep import VARIANCE_FLOOR, _gram_solve, expected_sq_residual_sum
+from factorem.mstep import (
+    VARIANCE_FLOOR, _gram_solve, expected_sq_residual_sum, project_covariates,
+)
 
 
 def stacked_residuals(theta, data):
@@ -246,4 +253,26 @@ def update_theta(stats: SufficientStats, law, data) -> Theta:
         c=c,
         sigma2_y=variances[0],
         sigma2_m=tuple(variances[1:]),
+    )
+
+
+def plain_fit(data, dims, config) -> FitResult:
+    """EM without extrapolation: map steps until the relative change of
+    one drops below epsilon or max_iter steps are spent."""
+    projection = project_covariates(data)
+    theta = initialize(projection)
+    law = conditional_law(theta, data)
+    trace = []
+    converged = False
+    for _ in range(config.max_iter):
+        theta_new, law = em_step(law, data, projection)
+        change = relative_change(theta, theta_new, config.denominator_floor)
+        trace.append((change, float(law.loglik.sum())))
+        theta = theta_new
+        if change < config.epsilon:
+            converged = True
+            break
+    return FitResult(
+        theta=theta, moments=law, iterations=len(trace), converged=converged,
+        trace=np.array(trace), dims=dims,
     )

@@ -1,9 +1,10 @@
-"""Complete and observed log-likelihoods and the analytic score.
+"""Complete-data log-likelihood, its analytic score and the EM surrogate.
 
-These are the numerical ground truth for the EM tests: the observed
-log-likelihood must never decrease along the iteration, the complete
-log-likelihood factorizes over the model's conditional densities, and
-the analytic score must match finite differences.
+These are numerical ground truth for the tests, never used by the
+package: the complete log-likelihood factorizes over the model's
+conditional densities, its analytic score must match finite differences,
+and the expected complete log-likelihood Q is the surrogate whose exact
+gradient is the package's ``mstep.expected_score``.
 
 Sign convention: everything here is a log-likelihood (to maximize),
 never a deviance, and includes the exact Gaussian normalizers so that
@@ -14,19 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .estep import LOG_2PI, block_residuals, conditional_law, positive_variances
-from .model import Dataset, Latents, Theta, flatten_parts
-
-__all__ = ["LogLik", "Score", "complete_loglik", "observed_loglik", "complete_score"]
-
-
-@dataclass
-class LogLik:
-    """Total log-likelihood and the per-unit contributions summing to it."""
-
-    value: float
-    per_unit: np.ndarray
+from factorem.errors import DataError
+from factorem.estep import LOG_2PI, LogLik, block_residuals, positive_variances
+from factorem.model import Dataset, Latents, Theta, flatten_parts
+from factorem.mstep import _block_terms, expected_sq_residual_sum
 
 
 @dataclass
@@ -79,21 +71,10 @@ def complete_loglik(theta: Theta, data: Dataset, latents: Latents) -> LogLik:
     return LogLik(value=float(per_unit.sum()), per_unit=per_unit)
 
 
-def observed_loglik(theta: Theta, data: Dataset) -> LogLik:
-    """Log-density of the observations with the latents marginalized out.
-
-    The E-step computes it alongside the conditional law from
-    (p+1)-dimensional algebra; see ``estep``.
-    """
-    per_unit = conditional_law(theta, data).loglik
-    return LogLik(value=float(per_unit.sum()), per_unit=per_unit)
-
-
 def complete_score(theta: Theta, data: Dataset, latents: Latents) -> Score:
     """Analytic gradient of ``complete_loglik`` with respect to theta.
 
-    Matches central finite differences of the complete log-likelihood;
-    the variance components include the -1/2 log-term contribution, so
+    The variance components include the -1/2 log-term contribution, so
     at zero residuals d/d(sigma2_y) equals -n q_y / (2 sigma2_y).
     """
     grads = []
@@ -121,3 +102,26 @@ def complete_score(theta: Theta, data: Dataset, latents: Latents) -> Score:
         sigma2_y=float(grad_s2y),
         sigma2_m=tuple(float(gs) for gs in grad_s2m),
     )
+
+
+def expected_complete_loglik(theta: Theta, data: Dataset, law) -> float:
+    """Expected complete log-likelihood Q(theta) under a fixed law.
+
+    This is the surrogate the M-step maximizes; ``expected_score`` is
+    its exact gradient. Includes the full Gaussian normalizing constant
+    so that a point-mass law reproduces the complete log-likelihood.
+    """
+    positive_variances(theta, "expected log-likelihood")
+    dims = data.dimensions()
+    total = 0.0
+    for _, resid, loading, score, sq, var in _block_terms(theta, data, law):
+        total += resid.size * np.log(var)
+        total += expected_sq_residual_sum(resid, loading, score, sq) / var
+
+    # E(g - c'f)^2 + E f'f, summed over units
+    s = law.second_moment_sum()
+    w = np.concatenate([[1.0], -theta.c])
+    total += float(w @ s @ w) + float(np.trace(s[1:, 1:]))
+
+    norm_const = -0.5 * data.n * (dims.q_total + dims.p + 1) * np.log(2.0 * np.pi)
+    return -0.5 * total + norm_const

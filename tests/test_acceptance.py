@@ -9,8 +9,6 @@ from factorem import (
     Dimensions,
     EMConfig,
     SimConfig,
-    complete_loglik,
-    complete_score,
     conditional_law,
     count_parameters,
     expected_score,
@@ -27,6 +25,7 @@ from factorem.cli import main
 
 from conftest import reference_dims, random_instance, random_theta, scalar_toy_theta
 from dense_oracle import posterior_moments
+from likelihood_oracle import complete_loglik, complete_score
 
 
 def report(number, label, detail, passed):

@@ -21,8 +21,10 @@ from factorem import (
     simulate_dataset,
 )
 from factorem.errors import DataError, NonFiniteParameterError
+from factorem.mstep import VARIANCE_FLOOR
 
 from conftest import reference_dims, random_instance
+from dense_oracle import plain_fit
 
 
 def reference_instance(seed=0, n=400, q=40):
@@ -219,7 +221,8 @@ class TestFit:
         solve = mstep._gram_solve
         monkeypatch.setattr(mstep, "_gram_solve", counting)
         data, _, _ = reference_instance(seed=1, n=400, q=5)
-        result = fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
+        # the accelerated fit needs a tight epsilon to make 50 M-steps here
+        result = fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-10))
         assert result.iterations > 50
         assert calls == ["T", "T1", "T2"]
 
@@ -259,6 +262,79 @@ class TestFit:
             EMConfig(epsilon=0.0)
         with pytest.raises(DataError):
             EMConfig(max_iter=0)
+
+
+class TestAcceleration:
+    """The SqS3-accelerated fit against plain EM (``dense_oracle.plain_fit``)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_fixed_point_as_plain_em(self, seed):
+        data, _, _ = reference_instance(seed=seed, n=400, q=5)
+        dims = reference_dims(n=400, q=5)
+        config = EMConfig(epsilon=1e-9, max_iter=5000)
+        fast = canonicalize(fit(data, dims, config))
+        plain = canonicalize(plain_fit(data, dims, config))
+        assert fast.converged and plain.converged
+        assert fast.iterations < plain.iterations
+        assert fast.accepted > 0
+        assert fast.trace[-1, 1] == pytest.approx(plain.trace[-1, 1], rel=1e-10, abs=0)
+        np.testing.assert_allclose(
+            flatten_theta(fast.theta), flatten_theta(plain.theta), rtol=1e-5, atol=0
+        )
+
+    @pytest.mark.parametrize("seed, epsilon", [(1, 1e-2), (2, 1e-2), (3, 1e-2), (4, 1e12)])
+    def test_fits_within_two_map_steps_are_plain_em(self, seed, epsilon):
+        data, _, _ = reference_instance(seed=seed)
+        config = EMConfig(epsilon=epsilon)
+        fast = fit(data, reference_dims(), config)
+        plain = plain_fit(data, reference_dims(), config)
+        assert plain.iterations <= 2
+        assert fast.iterations == plain.iterations
+        assert (fast.accepted, fast.rejected) == (0, 0)
+        np.testing.assert_array_equal(flatten_theta(fast.theta), flatten_theta(plain.theta))
+        np.testing.assert_array_equal(fast.trace, plain.trace)
+        for name in ("m", "sigma", "loglik"):
+            np.testing.assert_array_equal(
+                getattr(fast.moments, name), getattr(plain.moments, name)
+            )
+
+    def test_extrapolation_clamps_variances_and_skips_unit_steplength(self):
+        from factorem.em import _extrapolate
+
+        _, _, theta, dims = random_instance(0)
+        # log sigma2_y moves by -6.9, -4.6: alpha = -3 lands at about 1e-15
+        falling = [replace(theta, sigma2_y=s) for s in (1e-6, 1e-9, 1e-11)]
+        point = _extrapolate(*falling, dims)
+        assert point.sigma2_y == VARIANCE_FLOOR
+        np.testing.assert_allclose(point.sigma2_m, theta.sigma2_m, rtol=1e-14)
+        np.testing.assert_allclose(point.b, theta.b, rtol=0, atol=0)
+        # |r| <= |v| gives alpha = -1, whose point is the second step
+        turning = [replace(theta, sigma2_y=s) for s in (1.0, 2.0, 1.0)]
+        assert _extrapolate(*turning, dims) is None
+
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+    def test_trace_monotone_and_stopping_rule_on_every_map_step(self):
+        # floored fits (a variance at VARIANCE_FLOOR) included; max_iter as
+        # in criterion 04 keeps the crawling ones short
+        worst, floored, extrapolated = np.inf, 0, 0
+        for seed in range(200):
+            data, _, _, dims = random_instance(seed)
+            traces = {}
+            for epsilon in (1e-3, 1e-8):
+                result = fit(data, dims, EMConfig(epsilon=epsilon, max_iter=200))
+                ll, change = result.trace[:, 1], result.trace[:, 0]
+                if ll.size > 1:
+                    worst = min(worst, float(np.min(np.diff(ll) / np.abs(ll[:-1]))))
+                assert np.all(change[:-1] >= epsilon)
+                assert result.converged == (change[-1] < epsilon)
+                traces[epsilon] = result.trace
+                extrapolated += result.accepted
+            floored += min(result.theta.sigma2_y, *result.theta.sigma2_m) <= VARIANCE_FLOOR
+            # a looser epsilon stops the same trajectory earlier
+            loose = traces[1e-3]
+            np.testing.assert_array_equal(loose, traces[1e-8][:loose.shape[0]])
+        assert floored > 0 and extrapolated > 0
+        assert worst >= -1e-8, worst
 
 
 @pytest.mark.parametrize("p", [1, 3])

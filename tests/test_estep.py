@@ -317,7 +317,8 @@ class TestLawState:
 
 
 def test_theta_and_data_block_mismatch_named():
-    from factorem import complete_loglik, expected_score, observed_loglik
+    from factorem import expected_score, observed_loglik
+    from likelihood_oracle import complete_loglik
 
     data, latents, theta, dims = random_instance(0)
     assert dims.p == 3

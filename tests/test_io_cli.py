@@ -4,7 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from factorem import EMConfig, SimConfig, canonicalize, fit, simulate_dataset
+from factorem import (
+    EMConfig, SimConfig, canonicalize, fit, flatten_theta, observed_loglik,
+    simulate_dataset, theta_names, unflatten_theta,
+)
 from factorem.cli import main
 from factorem import io as io_module
 from factorem.errors import DataError
@@ -320,6 +323,10 @@ class TestWriteFit:
             "epsilon": 1e-2, "max_iter": 500, "denominator_floor": 1e-8,
         }
         assert len(report["parameter_names"]) == k
+        assert report["extrapolations"] == {
+            "accepted": result.accepted, "rejected": result.rejected,
+        }
+        assert report["max_abs_score_parameter"] in report["parameter_names"]
 
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(trace) == 1 + result.iterations
@@ -333,12 +340,36 @@ class TestWriteFit:
         config = EMConfig(epsilon=1e-2)
         result = canonicalize(fit(data, dims, config))
         write_fit(result, tmp_path, config=config)
+        assert "max_abs_score" not in json.loads((tmp_path / "report.json").read_text())
         rows = (tmp_path / "factors.csv").read_text().splitlines()[1:]
         values = np.array([[float(v) for v in row.split(",")] for row in rows])
         expected = np.column_stack(
             [result.moments.g_tilde, result.moments.f_tilde.T]
         )
         np.testing.assert_array_equal(values, expected)
+
+    def test_certificate_is_the_observed_loglik_gradient(self, tmp_path):
+        # Fisher's identity: the expected score at theta-hat under the law
+        # at theta-hat is the gradient of the observed log-likelihood
+        data, _, _, dims = small_dataset(seed=3)
+        names = theta_names(dims)
+        certificates = []
+        for epsilon in (1e-2, 1e-8):
+            result = canonicalize(fit(data, dims, EMConfig(epsilon=epsilon)))
+            write_fit(result, tmp_path, data=data)
+            report = json.loads((tmp_path / "report.json").read_text())
+            k = names.index(report["max_abs_score_parameter"])
+            vec, step = flatten_theta(result.theta), 1e-6
+            plus, minus = vec.copy(), vec.copy()
+            plus[k] += step
+            minus[k] -= step
+            numeric = (
+                observed_loglik(unflatten_theta(plus, dims), data).value
+                - observed_loglik(unflatten_theta(minus, dims), data).value
+            ) / (2 * step)
+            assert report["max_abs_score"] == pytest.approx(abs(numeric), rel=1e-4, abs=1e-4)
+            certificates.append(report["max_abs_score"])
+        assert certificates[1] < 1e-3 * certificates[0]
 
 
 class TestCli:

@@ -6,8 +6,6 @@ from factorem import (
     Dataset,
     Latents,
     Theta,
-    complete_loglik,
-    complete_score,
     conditional_law,
     expected_score,
     fit,
@@ -19,6 +17,7 @@ from factorem import (
 from factorem.errors import DataError
 
 from conftest import random_instance, random_theta
+from likelihood_oracle import complete_loglik, complete_score
 
 
 def structural_covariance(theta, dims):

@@ -5,7 +5,6 @@ from factorem import (
     Dataset,
     Theta,
     conditional_law,
-    expected_complete_loglik,
     expected_score,
     flatten_theta,
     project_covariates,
@@ -14,11 +13,11 @@ from factorem import (
 )
 from factorem.errors import DegeneratePosteriorError, SingularSystemError
 from factorem.estep import ConditionalLaw
-from factorem.likelihood import complete_loglik
 from factorem.mstep import VARIANCE_FLOOR
 
 import dense_oracle
 from conftest import random_instance, random_theta
+from likelihood_oracle import complete_loglik, expected_complete_loglik
 
 
 class TestCovariateProjection:
