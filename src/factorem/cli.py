@@ -90,7 +90,7 @@ def _cmd_sensitivity(args) -> int:
 def _cmd_resample(args) -> int:
     manifest = load_manifest(_resolve_manifest(args.data))
     data, dims = load_dataset(manifest)
-    sample_size = args.sample_size or dims.n // 2
+    sample_size = dims.n // 2 if args.sample_size is None else args.sample_size
     summary = kfold_resample(
         data, dims, _em_config(args), k=args.k,
         sample_size=sample_size, seed=args.seed,
@@ -113,9 +113,9 @@ def _int_list(text: str) -> list[int]:
 
 
 def _add_em_flags(parser):
-    parser.add_argument("--epsilon", type=float, default=1e-2,
-                        help="stopping threshold (default 1e-2)")
-    parser.add_argument("--max-iter", type=int, default=500)
+    parser.add_argument("--epsilon", type=float, default=EMConfig.epsilon,
+                        help="stopping threshold (default %(default)s)")
+    parser.add_argument("--max-iter", type=int, default=EMConfig.max_iter)
 
 
 def _add_design_flags(parser):

@@ -62,26 +62,26 @@ __all__ = [
 ]
 
 
+# floor on |theta| in the stopping statistic's denominator
+DENOMINATOR_FLOOR = 1e-8
+
+
 @dataclass(frozen=True)
 class EMConfig:
     """Knobs of the EM iteration.
 
     epsilon : stopping threshold on the relative-change statistic
     max_iter : iteration cap
-    denominator_floor : floor on |theta| in the stopping denominator
     """
 
     epsilon: float = 1e-2
     max_iter: int = 500
-    denominator_floor: float = 1e-8
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise DataError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.denominator_floor <= 0:
-            raise DataError("denominator_floor must be positive")
 
 
 @dataclass
@@ -122,7 +122,7 @@ def _first_pc_scores(resid: np.ndarray, name: str) -> np.ndarray:
 
 def initialize(projection: tuple[BlockProjection, ...]) -> Theta:
     """Least-squares / principal-component starting point, read off the
-    covariate projection of each block."""
+    covariate projection of each block (Y first, as in ``Theta``)."""
 
     def block_start(block, name):
         # center the residuals so the loading regression carries an
@@ -135,12 +135,11 @@ def initialize(projection: tuple[BlockProjection, ...]) -> Theta:
         sigma2 = float(np.mean((resid - np.outer(scores, loading)) ** 2))
         return block.coef, loading, scores, sigma2
 
-    (d, b, g_scores, sigma2_y), *starts = [
+    starts = [
         block_start(block, f"X{k}" if k else "Y") for k, block in enumerate(projection)
     ]
-    d_m, a_m, f_scores, sigma2_m = (list(part) for part in zip(*starts))
-
-    f_mat = np.array(f_scores)                    # (p, n)
+    coef, loading, scores, sigma2 = (list(part) for part in zip(*starts))
+    g_scores, f_mat = scores[0], np.array(scores[1:])   # (n,), (p, n)
     c = np.linalg.lstsq(f_mat.T, g_scores, rcond=None)[0]
 
     # The structural disturbance has unit variance by identification, so
@@ -150,7 +149,7 @@ def initialize(projection: tuple[BlockProjection, ...]) -> Theta:
     # valley that takes thousands of iterations to cross.
     resid_var = float(np.mean((g_scores - c @ f_mat) ** 2))
     scale = 1.0 / np.sqrt(max(resid_var, 1e-12))
-    b = b / scale
+    loading[0] = loading[0] / scale
     c = c * scale
     g_scores = g_scores * scale
 
@@ -163,19 +162,16 @@ def initialize(projection: tuple[BlockProjection, ...]) -> Theta:
     # explanatory block through the structural residual, shrunk by its
     # signal fraction c^2/(c^2+1).
     g_cross = c @ f_mat
-    d = d - np.outer(projection[0].proj @ g_cross, b)
-    for m, block in enumerate(projection[1:]):
-        if abs(c[m]) < 1e-8:
+    coef[0] = coef[0] - np.outer(projection[0].proj @ g_cross, loading[0])
+    for m, (c_m, f_m) in enumerate(zip(c, f_mat), start=1):
+        if abs(c_m) < 1e-8:
             continue
-        backed_out = (g_scores - g_cross + c[m] * f_mat[m]) / c[m]
-        kappa_m = block.proj @ backed_out
-        weight = c[m] ** 2 / (c[m] ** 2 + 1.0)
-        d_m[m] = d_m[m] - weight * np.outer(kappa_m, a_m[m])
+        backed_out = (g_scores - g_cross + c_m * f_m) / c_m
+        kappa_m = projection[m].proj @ backed_out
+        weight = c_m ** 2 / (c_m ** 2 + 1.0)
+        coef[m] = coef[m] - weight * np.outer(kappa_m, loading[m])
 
-    return Theta(
-        d=d, d_m=tuple(d_m), b=b, a_m=tuple(a_m), c=c,
-        sigma2_y=sigma2_y, sigma2_m=tuple(sigma2_m),
-    )
+    return Theta(coef=coef, loading=loading, c=c, sigma2=sigma2)
 
 
 def em_step(
@@ -256,7 +252,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
             theta_new, law = em_step(law, data, projection)
         except FactorEMError as exc:
             raise type(exc)(f"EM iteration {len(trace) + 1}: {exc}") from exc
-        change = relative_change(theta, theta_new, config.denominator_floor)
+        change = relative_change(theta, theta_new, DENOMINATOR_FLOOR)
         trace.append((change, float(law.loglik.sum())))
         theta = theta_new
         if change < config.epsilon:
@@ -297,27 +293,21 @@ def canonicalize(result: FitResult) -> FitResult:
 
     Jointly flipping a factor with its loadings (and the structural
     coefficients tied to it) leaves the observed likelihood unchanged;
-    the reported solution fixes the first coordinate of b and of every
-    a^m to be nonnegative. With s = (s_g, s_f) the signs applied, the
-    law becomes (m s, Sigma o s s'); its per-unit log-likelihood and the
-    iteration trace are left untouched.
+    the reported solution fixes the first coordinate of every loading
+    vector (b and each a^m) to be nonnegative. With s = (s_g, s_f) the
+    signs applied, one per block, the law becomes (m s, Sigma o s s');
+    its per-unit log-likelihood and the iteration trace are left
+    untouched.
     """
     theta = result.theta
-    s_g = -1.0 if theta.b[0] < 0 else 1.0
-    s_f = np.array([-1.0 if am[0] < 0 else 1.0 for am in theta.a_m])
-    if s_g == 1.0 and np.all(s_f == 1.0):
+    s = np.array([-1.0 if lam[0] < 0 else 1.0 for lam in theta.loading])
+    if np.all(s == 1.0):
         return result
 
-    new_theta = Theta(
-        d=theta.d,
-        d_m=theta.d_m,
-        b=s_g * theta.b,
-        a_m=tuple(s * am for s, am in zip(s_f, theta.a_m)),
-        c=s_g * s_f * theta.c,
-        sigma2_y=theta.sigma2_y,
-        sigma2_m=theta.sigma2_m,
+    new_theta = replace(
+        theta, loading=[sk * lam for sk, lam in zip(s, theta.loading)],
+        c=s[0] * s[1:] * theta.c,
     )
-    s = np.concatenate([[s_g], s_f])
     law = result.moments
     new_law = replace(law, m=law.m * s, sigma=law.sigma * np.outer(s, s))
     return replace(result, theta=new_theta, moments=new_law)

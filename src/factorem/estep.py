@@ -1,9 +1,9 @@
 """E-step: the conditional law of the latents and the observed log-likelihood.
 
 With latents h_i = (g_i, f_i^1, .., f_i^p) and covariate-centered
-observations r_i = Lambda h_i + noise, where column 0 of Lambda holds b
-on the Y rows, column m holds a^m on the X^m rows, and the noise
-covariance Psi is block-isotropic, two facts keep every computation
+observations r_i = Lambda h_i + noise, where column k of Lambda holds
+``theta.loading[k]`` on the rows of block k (b on Y, a^m on X^m), and
+the noise covariance Psi is block-isotropic, two facts keep every computation
 (p+1)-dimensional (the factor-analysis EM identity of Rubin & Thayer,
 1982): Lambda' Psi^{-1} Lambda = diag(b'b/sigma2_y, a^m'a^m/sigma2_m),
 and S1 = Cov(h) has S1^{-1} = [[1, -c'], [-c, I + c c']] and det S1 = 1.
@@ -85,13 +85,13 @@ class LogLik:
 
 
 def positive_variances(theta: Theta, needed_for: str) -> np.ndarray:
-    """(sigma2_y, sigma2_m...) as an array; DataError naming them all if
-    one is not strictly positive."""
-    variances = np.array([theta.sigma2_y, *theta.sigma2_m])
+    """``theta.sigma2`` as an array; DataError naming them all if one is
+    not strictly positive."""
+    variances = np.array(theta.sigma2)
     if variances.min() <= 0:
         raise DataError(
             f"{needed_for} needs strictly positive noise variances, got "
-            f"sigma2_y={theta.sigma2_y}, sigma2_m={theta.sigma2_m}"
+            f"sigma2_y={theta.sigma2[0]}, sigma2_m={theta.sigma2[1:]}"
         )
     return variances
 
@@ -100,26 +100,22 @@ def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
     """Each observed block minus its covariate mean: Y, then X^1..X^p.
 
     Raises DataError naming the block count, or the block and shape,
-    where ``theta`` disagrees with ``data.dimensions()``.
+    where ``theta`` disagrees with the data.
     """
-    dims = data.dimensions()
-    if theta.p != dims.p:
+    if theta.p != data.p:
         raise DataError(
-            f"theta has {theta.p} explanatory blocks but the data has {dims.p}"
+            f"theta has {theta.p} explanatory blocks but the data has {data.p}"
         )
-    expected = [("D", theta.d, (dims.r_t, dims.q_y))] + [
-        (f"D{m + 1}", dm, (r, q))
-        for m, (dm, r, q) in enumerate(zip(theta.d_m, dims.r_m, dims.q_m))
-    ]
-    for name, coef, shape in expected:
-        if coef.shape != shape:
+    resid = []
+    blocks = zip((data.y, *data.x), (data.t, *data.t_m), theta.coef)
+    for k, (z, t, coef) in enumerate(blocks):
+        if coef.shape != (t.shape[1], z.shape[1]):
             raise DataError(
-                f"theta block {name} has shape {coef.shape} but the data "
-                f"needs {shape}"
+                f"theta block D{k or ''} has shape {coef.shape} but the data "
+                f"needs {(t.shape[1], z.shape[1])}"
             )
-    return [data.y - data.t @ theta.d] + [
-        xm - tm @ dm for xm, tm, dm in zip(data.x, data.t_m, theta.d_m)
-    ]
+        resid.append(z - t @ coef)
+    return resid
 
 
 def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
@@ -131,23 +127,22 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     (p+1, p+1) posterior precision cannot be factorized.
     """
     variances = positive_variances(theta, "conditional law")
-    loadings = (theta.b, *theta.a_m)
     resid = block_residuals(theta, data)
     inv_var = 1.0 / variances
-    u = np.column_stack([r @ lam for r, lam in zip(resid, loadings)]) * inv_var
+    u = np.column_stack([r @ lam for r, lam in zip(resid, theta.loading)]) * inv_var
 
     c = theta.c
     prior_prec = np.eye(c.shape[0] + 1)
     prior_prec[0, 1:] = prior_prec[1:, 0] = -c
     prior_prec[1:, 1:] += np.outer(c, c)
-    prec = prior_prec + np.diag([lam @ lam for lam in loadings] * inv_var)
+    prec = prior_prec + np.diag([lam @ lam for lam in theta.loading] * inv_var)
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "posterior precision of the latents not positive definite "
-            f"(sigma2_y={theta.sigma2_y:.3e}, "
-            f"sigma2_m={tuple(float(f'{s:.3e}') for s in theta.sigma2_m)}, "
+            f"(sigma2_y={theta.sigma2[0]:.3e}, "
+            f"sigma2_m={tuple(float(f'{s:.3e}') for s in theta.sigma2[1:])}, "
             f"c={np.array2string(c, precision=3)})"
         ) from exc
     chol_inv = np.linalg.inv(chol)
@@ -156,7 +151,7 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     m = u @ sigma                                # (n, p+1)
 
     quad = np.sum((m @ prior_prec) * m, axis=1)
-    for k, (r, lam) in enumerate(zip(resid, loadings)):
+    for k, (r, lam) in enumerate(zip(resid, theta.loading)):
         quad += np.sum((r - np.outer(m[:, k], lam)) ** 2, axis=1) * inv_var[k]
     widths = np.array([r.shape[1] for r in resid])
     logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))

@@ -77,12 +77,10 @@ def factor_sq_correlation(
     Returns p+1 values: the dependent factor first, then each
     explanatory factor.
     """
-    out = [_squared_corr(latents_true.g, moments.g_tilde)]
-    out += [
-        _squared_corr(latents_true.f[m], moments.f_tilde[m])
-        for m in range(latents_true.f.shape[0])
-    ]
-    return np.array(out)
+    factors = (latents_true.g, *latents_true.f)
+    return np.array([
+        _squared_corr(factor, score) for factor, score in zip(factors, moments.m.T)
+    ])
 
 
 @dataclass
@@ -162,17 +160,10 @@ def replicate_study(sim: SimConfig, em: EMConfig, replicates: int) -> StudySumma
         summary.deviation_avg[rep] = avg_dev
         summary.sq_corr[rep] = factor_sq_correlation(latents, result.moments)
         summary.c_hat[rep] = result.theta.c
-        summary.sigma2_y_hat[rep] = result.theta.sigma2_y
+        summary.sigma2_y_hat[rep] = result.theta.sigma2[0]
         summary.iterations[rep] = result.iterations
         summary.converged[rep] = result.converged
     return summary
-
-
-def _square_dims(n: int, q: int, base: Dimensions) -> Dimensions:
-    return Dimensions(
-        n=n, p=base.p, q_y=q, q_m=(q,) * base.p,
-        r_t=base.r_t, r_m=base.r_m,
-    )
 
 
 def sensitivity_sweep(
@@ -198,7 +189,8 @@ def sensitivity_sweep(
 
     summaries = []
     for seed, (kind, n, q) in zip(_derived_seeds(base.seed, len(cells)), cells):
-        cell_sim = replace(base, dims=_square_dims(n, q, base_dims), seed=seed)
+        cell_dims = replace(base_dims, n=n, q_y=q, q_m=(q,) * base_dims.p)
+        cell_sim = replace(base, dims=cell_dims, seed=seed)
         summary = replicate_study(cell_sim, em, replicates)
         summary.cell = f"{kind}:n={n},q={q}"
         summaries.append(summary)

@@ -21,7 +21,7 @@ wholly numeric or wholly non-numeric.
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +108,17 @@ def load_manifest(path) -> BlockManifest:
     for key in ("y", "x", "t", "t_m"):
         if key not in raw:
             raise DataError(f"manifest {path} is missing block role {key!r}")
+    for key in ("y", "t"):
+        if not isinstance(raw[key], str):
+            raise DataError(f"manifest {path}: role {key!r} must be one file name")
+    for key in ("x", "t_m"):
+        names = raw[key]
+        if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+            raise DataError(
+                f"manifest {path}: role {key!r} must be a list of file names"
+            )
+    if not isinstance(raw.get("intercept", False), bool):
+        raise DataError(f"manifest {path}: role 'intercept' must be true or false")
     if len(raw["x"]) != len(raw["t_m"]):
         raise DataError(
             f"manifest lists {len(raw['x'])} X blocks but {len(raw['t_m'])} "
@@ -115,10 +126,10 @@ def load_manifest(path) -> BlockManifest:
         )
     return BlockManifest(
         y=raw["y"],
-        x=list(raw["x"]),
+        x=raw["x"],
         t=raw["t"],
-        t_m=list(raw["t_m"]),
-        intercept=bool(raw.get("intercept", False)),
+        t_m=raw["t_m"],
+        intercept=raw.get("intercept", False),
         base_dir=path.parent,
     )
 
@@ -357,24 +368,16 @@ def write_fit(
         report["max_abs_score"] = float(score[k])
         report["max_abs_score_parameter"] = theta_names(dims)[k]
     if config is not None:
-        report["config"] = {
-            "epsilon": config.epsilon,
-            "max_iter": config.max_iter,
-            "denominator_floor": config.denominator_floor,
-        }
+        report["config"] = asdict(config)
     _write_json(out / "report.json", report)
 
     if data is not None:
         rows = []
-        for j in range(dims.q_y):
-            r = float(np.corrcoef(data.y[:, j], result.moments.g_tilde)[0, 1])
-            rows.append(["Y", cols["y"][j], _fmt(r)])
-        for m in range(dims.p):
-            for j in range(dims.q_m[m]):
-                r = float(
-                    np.corrcoef(data.x[m][:, j], result.moments.f_tilde[m])[0, 1]
-                )
-                rows.append([f"X{m + 1}", cols["x"][m][j], _fmt(r)])
+        blocks = zip((data.y, *data.x), (cols["y"], *cols["x"]), result.moments.m.T)
+        for k, (z, names, score) in enumerate(blocks):
+            for j, name in enumerate(names):
+                r = float(np.corrcoef(z[:, j], score)[0, 1])
+                rows.append([f"X{k}" if k else "Y", name, _fmt(r)])
         _write_csv(out / "correlations.csv", ["block", "variable", "correlation"], rows)
 
 

@@ -10,15 +10,18 @@ explanatory blocks X^1..X^p through latent factors:
 All factors f^m are standard normal across units; block noise is isotropic
 (variance sigma2_y for Y, sigma2_m[m] for X^m).
 
-The canonical parameter vector (``flatten_theta``) is frozen as:
+``Theta`` stores the coefficient matrices, loadings and noise variances
+block by block, Y first, so the canonical parameter vector
+(``flatten_theta``) is its fields in order:
 
     D (row-major), D^1..D^p (row-major), b, a^1..a^p, c, sigma2_y,
     sigma2_m[0..p-1]
 
-and is the ordering used by the stopping rule, serialized parameter
-tables, and every cross-fit comparison.
+``_layout`` declares it once; it is the ordering used by the stopping
+rule, serialized parameter tables, and every cross-fit comparison.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,52 +177,44 @@ def subset_units(data: Dataset, indices: np.ndarray) -> Dataset:
 
 @dataclass
 class Theta:
-    """Full parameter set of the model.
+    """Full parameter set of the model, stored per measurement block:
+    block 0 is Y, block m is X^m.
 
-    d : (r_t, q_y) covariate coefficients for Y
-    d_m : p matrices, d_m[m] of shape (r_m[m], q_m[m])
-    b : (q_y,) loadings of Y on the dependent factor g
-    a_m : p loading vectors, a_m[m] of shape (q_m[m],)
+    coef : p+1 covariate coefficient matrices, D of shape (r_t, q_y)
+        first, then D^m of shape (r_m[m], q_m[m])
+    loading : p+1 loading vectors, b of shape (q_y,) first, then a^m
+        of shape (q_m[m],)
     c : (p,) structural coefficients of g on f^1..f^p
-    sigma2_y : noise variance of the Y block
-    sigma2_m : p noise variances of the X blocks
+    sigma2 : p+1 noise variances, sigma2_Y first, then sigma2_m
 
     Variances must be nonnegative; operations that need a nonsingular
     observation covariance reject zero variances themselves.
     """
 
-    d: np.ndarray
-    d_m: tuple[np.ndarray, ...]
-    b: np.ndarray
-    a_m: tuple[np.ndarray, ...]
+    coef: tuple[np.ndarray, ...]
+    loading: tuple[np.ndarray, ...]
     c: np.ndarray
-    sigma2_y: float
-    sigma2_m: tuple[float, ...]
+    sigma2: tuple[float, ...]
 
     def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
+        self.coef = tuple(np.asarray(d, dtype=float) for d in self.coef)
+        self.loading = tuple(np.asarray(lam, dtype=float) for lam in self.loading)
         self.c = np.asarray(self.c, dtype=float)
-        self.d_m = tuple(np.asarray(dm, dtype=float) for dm in self.d_m)
-        self.a_m = tuple(np.asarray(am, dtype=float) for am in self.a_m)
-        self.sigma2_y = float(self.sigma2_y)
-        self.sigma2_m = tuple(float(s) for s in self.sigma2_m)
-        p = len(self.c)
-        if not (len(self.d_m) == len(self.a_m) == len(self.sigma2_m) == p):
+        self.sigma2 = tuple(float(s) for s in self.sigma2)
+        blocks = len(self.c) + 1
+        if not (len(self.coef) == len(self.loading) == len(self.sigma2) == blocks):
             raise DataError(
-                "inconsistent block count across d_m, a_m, c, sigma2_m: "
-                f"{len(self.d_m)}, {len(self.a_m)}, {p}, {len(self.sigma2_m)}"
+                "inconsistent block count across coef, loading, c, sigma2: "
+                f"{len(self.coef)}, {len(self.loading)}, {blocks} (p+1), "
+                f"{len(self.sigma2)}"
             )
-        if self.d.ndim != 2 or self.b.ndim != 1 or self.d.shape[1] != self.b.shape[0]:
-            raise DataError(
-                f"d {self.d.shape} and b {self.b.shape} disagree on the Y width"
-            )
-        for m, (dm, am) in enumerate(zip(self.d_m, self.a_m)):
-            if dm.ndim != 2 or am.ndim != 1 or dm.shape[1] != am.shape[0]:
+        for k, (d, lam) in enumerate(zip(self.coef, self.loading)):
+            if d.ndim != 2 or lam.ndim != 1 or d.shape[1] != lam.shape[0]:
                 raise DataError(
-                    f"d_m[{m}] {dm.shape} and a_m[{m}] {am.shape} disagree on width"
+                    f"coef[{k}] {d.shape} and loading[{k}] {lam.shape} "
+                    "disagree on width"
                 )
-        if self.sigma2_y < 0 or any(s < 0 for s in self.sigma2_m):
+        if min(self.sigma2) < 0:
             raise DataError("noise variances must be nonnegative")
 
     @property
@@ -248,69 +243,57 @@ class Latents:
             )
 
 
-def count_parameters(dims: Dimensions) -> int:
-    """Number of scalar parameters K: covariate coefficients, loadings,
-    structural coefficients and one noise variance per block."""
+def _layout(dims: Dimensions) -> list[tuple[str, tuple[int, ...]]]:
+    """The canonical vector as (name, shape) parts, in order: the fields
+    of ``Theta``, each block by block (Y first)."""
+    ids = ["", *(str(m) for m in range(1, dims.p + 1))]
+    shapes = list(zip((dims.r_t, *dims.r_m), (dims.q_y, *dims.q_m)))
     return (
-        dims.p
-        + (dims.p + 1)
-        + dims.q_y * (dims.r_t + 1)
-        + sum(q * (r + 1) for q, r in zip(dims.q_m, dims.r_m))
+        [(f"D{k}", shape) for k, shape in zip(ids, shapes)]
+        + [(f"a{k}" if k else "b", (q,)) for k, (_, q) in zip(ids, shapes)]
+        + [(f"c{k}", ()) for k in ids[1:]]
+        + [(f"sigma2_{k or 'Y'}", ()) for k in ids]
     )
 
 
-def flatten_parts(d, d_m, b, a_m, c, scalar_y, scalar_m) -> np.ndarray:
+def count_parameters(dims: Dimensions) -> int:
+    """Number of scalar parameters K: covariate coefficients, loadings,
+    structural coefficients and one noise variance per block."""
+    return sum(math.prod(shape) for _, shape in _layout(dims))
+
+
+def flatten_parts(coef, loading, c, sigma2) -> np.ndarray:
     """Concatenate parameter-shaped components in the canonical order.
 
     Shared by ``flatten_theta`` and gradient flattening so that every
     K-vector in the package uses the same coordinate layout.
     """
-    parts = [np.asarray(d, dtype=float).ravel()]
-    parts += [np.asarray(dm, dtype=float).ravel() for dm in d_m]
-    parts.append(np.asarray(b, dtype=float))
-    parts += [np.asarray(am, dtype=float) for am in a_m]
-    parts.append(np.asarray(c, dtype=float))
-    parts.append(np.asarray([scalar_y], dtype=float))
-    parts.append(np.asarray(scalar_m, dtype=float))
-    return np.concatenate(parts)
+    parts = [*coef, *loading, c, sigma2]
+    return np.concatenate([np.asarray(part, dtype=float).ravel() for part in parts])
 
 
 def flatten_theta(theta: Theta) -> np.ndarray:
     """Canonical K-vector of all scalar parameters (ordering in module doc)."""
-    return flatten_parts(
-        theta.d, theta.d_m, theta.b, theta.a_m, theta.c,
-        theta.sigma2_y, theta.sigma2_m,
-    )
+    return flatten_parts(theta.coef, theta.loading, theta.c, theta.sigma2)
 
 
 def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:
     """Inverse of ``flatten_theta`` for the given dimensions."""
     v = np.asarray(vector, dtype=float)
-    expected = count_parameters(dims)
-    if v.ndim != 1 or v.shape[0] != expected:
+    layout = _layout(dims)
+    sizes = [math.prod(shape) for _, shape in layout]
+    if v.ndim != 1 or v.shape[0] != sum(sizes):
         raise DataError(
             f"parameter vector has length {v.shape[0] if v.ndim == 1 else v.shape}, "
-            f"expected {expected} for these dimensions"
+            f"expected {sum(sizes)} for these dimensions"
         )
-    pos = 0
-
-    def take(k):
-        nonlocal pos
-        out = v[pos:pos + k]
-        pos += k
-        return out
-
-    d = take(dims.r_t * dims.q_y).reshape(dims.r_t, dims.q_y)
-    d_m = tuple(
-        take(r * q).reshape(r, q) for q, r in zip(dims.q_m, dims.r_m)
-    )
-    b = take(dims.q_y)
-    a_m = tuple(take(q) for q in dims.q_m)
-    c = take(dims.p)
-    sigma2_y = take(1)[0]
-    sigma2_m = tuple(take(dims.p))
-    return Theta(d=d, d_m=d_m, b=b, a_m=a_m, c=c,
-                 sigma2_y=sigma2_y, sigma2_m=sigma2_m)
+    parts, pos = [], 0
+    for (_, shape), size in zip(layout, sizes):
+        parts.append(v[pos:pos + size].reshape(shape))
+        pos += size
+    k = dims.p + 1
+    return Theta(coef=parts[:k], loading=parts[k:2 * k], c=parts[2 * k:-k],
+                 sigma2=parts[-k:])
 
 
 def theta_names(dims: Dimensions) -> list[str]:
@@ -318,19 +301,8 @@ def theta_names(dims: Dimensions) -> list[str]:
 
     Indices are 1-based to match conventional parameter tables.
     """
-    names = [
-        f"D[{r + 1},{j + 1}]"
-        for r in range(dims.r_t)
-        for j in range(dims.q_y)
+    return [
+        name + (f"[{','.join(str(i + 1) for i in index)}]" if index else "")
+        for name, shape in _layout(dims)
+        for index in np.ndindex(*shape)
     ]
-    for m, (q, r_w) in enumerate(zip(dims.q_m, dims.r_m), start=1):
-        names += [
-            f"D{m}[{r + 1},{j + 1}]" for r in range(r_w) for j in range(q)
-        ]
-    names += [f"b[{j + 1}]" for j in range(dims.q_y)]
-    for m, q in enumerate(dims.q_m, start=1):
-        names += [f"a{m}[{j + 1}]" for j in range(q)]
-    names += [f"c{m}" for m in range(1, dims.p + 1)]
-    names.append("sigma2_Y")
-    names += [f"sigma2_{m}" for m in range(1, dims.p + 1)]
-    return names

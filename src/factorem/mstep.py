@@ -19,9 +19,9 @@ updates the block from three matrix-vector products with f (P_k f, T_k'f
 and Z~_k'f) and builds no n x q array:
 
     denom   = s - (T_k'f) . (P_k f)
-    lambda  = Z~_k'f / denom                     (b, or a^m)
-    D_k     = B_k - (P_k f) lambda'
-    sigma2  = (||Z~_k||^2 - lambda . Z~_k'f) / (n q_k)
+    lambda  = Z~_k'f / denom                     (loading[k]: b, or a^m)
+    D_k     = B_k - (P_k f) lambda'              (coef[k])
+    sigma2  = (||Z~_k||^2 - lambda . Z~_k'f) / (n q_k)   (sigma2[k])
     c       : solution of the p x p system  S[1:,1:] c = S[1:,0]
 
 (the loading equation of the stationarity system after substituting the
@@ -170,15 +170,7 @@ def update_theta(
         coefs.append(block.coef - np.outer(pf, loading))
         variances.append(value)
 
-    return Theta(
-        d=coefs[0],
-        d_m=tuple(coefs[1:]),
-        b=loadings[0],
-        a_m=tuple(loadings[1:]),
-        c=c,
-        sigma2_y=variances[0],
-        sigma2_m=tuple(variances[1:]),
-    )
+    return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
 
 
 def _block_terms(theta: Theta, data: Dataset, law: ConditionalLaw):
@@ -186,8 +178,7 @@ def _block_terms(theta: Theta, data: Dataset, law: ConditionalLaw):
     residuals, loading, scores, summed E[factor^2] and noise variance."""
     return zip(
         (data.t, *data.t_m), block_residuals(theta, data),
-        (theta.b, *theta.a_m), law.m.T, np.diag(law.second_moment_sum()),
-        (theta.sigma2_y, *theta.sigma2_m),
+        theta.loading, law.m.T, np.diag(law.second_moment_sum()), theta.sigma2,
     )
 
 
@@ -210,10 +201,7 @@ def expected_score(
             inv * (resid.T @ score - sq * loading),
             -0.5 * resid.size * inv + 0.5 * sq_resid * inv**2,
         ))
-    (grad_d, grad_b, grad_s2y), *blocks = grads
-    grad_dm, grad_am, grad_s2m = zip(*blocks)
+    grad_coef, grad_loading, grad_sigma2 = zip(*grads)
     s = law.second_moment_sum()
     grad_c = s[1:, 0] - s[1:, 1:] @ theta.c
-    return flatten_parts(
-        grad_d, grad_dm, grad_b, grad_am, grad_c, grad_s2y, grad_s2m
-    )
+    return flatten_parts(grad_coef, grad_loading, grad_c, grad_sigma2)

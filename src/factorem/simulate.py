@@ -42,18 +42,12 @@ class SimConfig:
 def reference_theta(dims: Dimensions) -> Theta:
     """Integer-sequence parameters: D row-wise 1..r*q, loadings 1..q,
     unit structural coefficients and unit noise variances."""
-
-    def integer_matrix(r, q):
-        return np.arange(1.0, r * q + 1.0).reshape(r, q)
-
+    shapes = list(zip((dims.r_t, *dims.r_m), (dims.q_y, *dims.q_m)))
     return Theta(
-        d=integer_matrix(dims.r_t, dims.q_y),
-        d_m=tuple(integer_matrix(r, q) for q, r in zip(dims.q_m, dims.r_m)),
-        b=np.arange(1.0, dims.q_y + 1.0),
-        a_m=tuple(np.arange(1.0, q + 1.0) for q in dims.q_m),
+        coef=[np.arange(1.0, r * q + 1.0).reshape(r, q) for r, q in shapes],
+        loading=[np.arange(1.0, q + 1.0) for _, q in shapes],
         c=np.ones(dims.p),
-        sigma2_y=1.0,
-        sigma2_m=tuple(1.0 for _ in range(dims.p)),
+        sigma2=[1.0] * (dims.p + 1),
     )
 
 
@@ -78,19 +72,15 @@ def simulate_dataset(config: SimConfig) -> tuple[Dataset, Latents, Theta]:
             t[:, 0] = 1.0
         return t
 
-    t = covariates(dims.r_t)
-    t_m = tuple(covariates(r) for r in dims.r_m)
-
-    y = t @ theta.d + np.outer(g, theta.b)
-    y += np.sqrt(theta.sigma2_y) * rng_noise.standard_normal((n, dims.q_y))
-    x = []
-    for m in range(p):
-        xm = t_m[m] @ theta.d_m[m] + np.outer(f[m], theta.a_m[m])
-        xm += np.sqrt(theta.sigma2_m[m]) * rng_noise.standard_normal((n, dims.q_m[m]))
-        x.append(xm)
+    t = [covariates(r) for r in (dims.r_t, *dims.r_m)]
+    z = []
+    for k, (q, factor) in enumerate(zip((dims.q_y, *dims.q_m), (g, *f))):
+        zk = t[k] @ theta.coef[k] + np.outer(factor, theta.loading[k])
+        zk += np.sqrt(theta.sigma2[k]) * rng_noise.standard_normal((n, q))
+        z.append(zk)
 
     data = Dataset(
-        y=y, x=tuple(x), t=t, t_m=t_m,
+        y=z[0], x=tuple(z[1:]), t=t[0], t_m=tuple(t[1:]),
         intercept=config.t_mode == "intercept_plus_gaussian",
     )
     return data, Latents(g=g, f=f), theta

@@ -20,13 +20,19 @@ def random_dims(rng, n_range=(8, 40), max_p=3, max_q=4, max_r=3) -> Dimensions:
 
 def random_theta(dims: Dimensions, rng) -> Theta:
     return Theta(
-        d=rng.normal(size=(dims.r_t, dims.q_y)),
-        d_m=tuple(rng.normal(size=(r, q)) for q, r in zip(dims.q_m, dims.r_m)),
-        b=rng.normal(size=dims.q_y) + 0.5,
-        a_m=tuple(rng.normal(size=q) + 0.5 for q in dims.q_m),
+        coef=(
+            rng.normal(size=(dims.r_t, dims.q_y)),
+            *(rng.normal(size=(r, q)) for q, r in zip(dims.q_m, dims.r_m)),
+        ),
+        loading=(
+            rng.normal(size=dims.q_y) + 0.5,
+            *(rng.normal(size=q) + 0.5 for q in dims.q_m),
+        ),
         c=rng.normal(size=dims.p),
-        sigma2_y=float(rng.uniform(0.5, 2.0)),
-        sigma2_m=tuple(float(s) for s in rng.uniform(0.5, 2.0, size=dims.p)),
+        sigma2=(
+            float(rng.uniform(0.5, 2.0)),
+            *(float(s) for s in rng.uniform(0.5, 2.0, size=dims.p)),
+        ),
     )
 
 
@@ -45,13 +51,10 @@ def random_instance(seed, dims=None):
 def scalar_toy_theta() -> Theta:
     """p=2 with one variable per block: every loading 1, c=(1,1), unit noise."""
     return Theta(
-        d=np.zeros((1, 1)),
-        d_m=(np.zeros((1, 1)), np.zeros((1, 1))),
-        b=np.ones(1),
-        a_m=(np.ones(1), np.ones(1)),
+        coef=(np.zeros((1, 1)),) * 3,
+        loading=(np.ones(1),) * 3,
         c=np.array([1.0, 1.0]),
-        sigma2_y=1.0,
-        sigma2_m=(1.0, 1.0),
+        sigma2=(1.0, 1.0, 1.0),
     )
 
 

@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from factorem.em import FitResult, em_step, initialize, relative_change
+from factorem.em import (
+    DENOMINATOR_FLOOR, FitResult, em_step, initialize, relative_change,
+)
 from factorem.errors import DataError, DegeneratePosteriorError, SingularSystemError
 from factorem.estep import block_residuals, conditional_law
 from factorem.model import Theta
@@ -96,13 +98,13 @@ def build_joint_blocks(theta, dims) -> JointBlocks:
     Cross-covariances between distinct explanatory blocks are exactly
     zero; the only couplings run through g.
     """
-    if theta.sigma2_y <= 0 or any(s <= 0 for s in theta.sigma2_m):
+    if min(theta.sigma2) <= 0:
         raise DataError(
             "joint covariance needs strictly positive noise variances, got "
-            f"sigma2_y={theta.sigma2_y}, sigma2_m={theta.sigma2_m}"
+            f"sigma2_y={theta.sigma2[0]}, sigma2_m={theta.sigma2[1:]}"
         )
     p, q_y = dims.p, dims.q_y
-    c, b = theta.c, theta.b
+    c, b = theta.c, theta.loading[0]
     g_var = float(c @ c) + 1.0
 
     s1 = np.eye(p + 1)
@@ -115,17 +117,17 @@ def build_joint_blocks(theta, dims) -> JointBlocks:
 
     s2 = np.zeros((p + 1, q_total))
     s2[0, :q_y] = g_var * b
-    for m, am in enumerate(theta.a_m):
+    for m, am in enumerate(theta.loading[1:]):
         lo, hi = offsets[m + 1], offsets[m + 2]
         s2[0, lo:hi] = c[m] * am
         s2[m + 1, :q_y] = c[m] * b
         s2[m + 1, lo:hi] = am
 
     s3 = np.zeros((q_total, q_total))
-    s3[:q_y, :q_y] = g_var * np.outer(b, b) + theta.sigma2_y * np.eye(q_y)
-    for m, am in enumerate(theta.a_m):
+    s3[:q_y, :q_y] = g_var * np.outer(b, b) + theta.sigma2[0] * np.eye(q_y)
+    for m, am in enumerate(theta.loading[1:]):
         lo, hi = offsets[m + 1], offsets[m + 2]
-        s3[lo:hi, lo:hi] = np.outer(am, am) + theta.sigma2_m[m] * np.eye(hi - lo)
+        s3[lo:hi, lo:hi] = np.outer(am, am) + theta.sigma2[m + 1] * np.eye(hi - lo)
         cross = c[m] * np.outer(b, am)
         s3[:q_y, lo:hi] = cross
         s3[lo:hi, :q_y] = cross.T
@@ -244,16 +246,8 @@ def update_theta(stats: SufficientStats, law, data) -> Theta:
             value = VARIANCE_FLOOR
         variances.append(value)
 
-    (b, d), *explanatory = updates
-    return Theta(
-        d=d,
-        d_m=tuple(dm for _, dm in explanatory),
-        b=b,
-        a_m=tuple(am for am, _ in explanatory),
-        c=c,
-        sigma2_y=variances[0],
-        sigma2_m=tuple(variances[1:]),
-    )
+    loadings, coefs = zip(*updates)
+    return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
 
 
 def plain_fit(data, dims, config) -> FitResult:
@@ -266,7 +260,7 @@ def plain_fit(data, dims, config) -> FitResult:
     converged = False
     for _ in range(config.max_iter):
         theta_new, law = em_step(law, data, projection)
-        change = relative_change(theta, theta_new, config.denominator_floor)
+        change = relative_change(theta, theta_new, DENOMINATOR_FLOOR)
         trace.append((change, float(law.loglik.sum())))
         theta = theta_new
         if change < config.epsilon:

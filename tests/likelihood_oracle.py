@@ -25,20 +25,14 @@ from factorem.mstep import _block_terms, expected_sq_residual_sum
 class Score:
     """Gradient of the complete log-likelihood, one field per parameter."""
 
-    d: np.ndarray
-    d_m: tuple[np.ndarray, ...]
-    b: np.ndarray
-    a_m: tuple[np.ndarray, ...]
+    coef: tuple[np.ndarray, ...]
+    loading: tuple[np.ndarray, ...]
     c: np.ndarray
-    sigma2_y: float
-    sigma2_m: tuple[float, ...]
+    sigma2: tuple[float, ...]
 
     def flatten(self) -> np.ndarray:
         """K-vector in the canonical parameter ordering."""
-        return flatten_parts(
-            self.d, self.d_m, self.b, self.a_m, self.c,
-            self.sigma2_y, self.sigma2_m,
-        )
+        return flatten_parts(self.coef, self.loading, self.c, self.sigma2)
 
 
 def _block_residuals(theta: Theta, data: Dataset, latents: Latents):
@@ -51,10 +45,9 @@ def _block_residuals(theta: Theta, data: Dataset, latents: Latents):
             f"the data has {data.p} blocks"
         )
     factors = (latents.g, *latents.f)
-    loadings = (theta.b, *theta.a_m)
     resid = [
         r - np.outer(h, lam)
-        for r, h, lam in zip(block_residuals(theta, data), factors, loadings)
+        for r, h, lam in zip(block_residuals(theta, data), factors, theta.loading)
     ]
     return zip(resid, factors, variances)
 
@@ -87,20 +80,16 @@ def complete_score(theta: Theta, data: Dataset, latents: Latents) -> Score:
             inv * resid.T @ factor,
             -0.5 * resid.size * inv + 0.5 * float(np.sum(resid**2)) * inv**2,
         ))
-    (grad_d, grad_b, grad_s2y), *blocks = grads
-    grad_dm, grad_am, grad_s2m = zip(*blocks)
+    grad_coef, grad_loading, grad_sigma2 = zip(*grads)
 
     disturbance = latents.g - theta.c @ latents.f
     grad_c = latents.f @ disturbance
 
     return Score(
-        d=grad_d,
-        d_m=grad_dm,
-        b=grad_b,
-        a_m=grad_am,
+        coef=grad_coef,
+        loading=grad_loading,
         c=grad_c,
-        sigma2_y=float(grad_s2y),
-        sigma2_m=tuple(float(gs) for gs in grad_s2m),
+        sigma2=tuple(float(gs) for gs in grad_sigma2),
     )
 
 

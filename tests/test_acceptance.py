@@ -107,9 +107,8 @@ def toy_joint_covariance(theta):
     """(latent, observed) covariance assembled from the generative
     equations, independent of the package's block formulas."""
     c1, c2 = theta.c
-    b = theta.b[0]
-    a1, a2 = theta.a_m[0][0], theta.a_m[1][0]
-    sy, s1, s2 = np.sqrt([theta.sigma2_y, *theta.sigma2_m])
+    b, a1, a2 = (lam[0] for lam in theta.loading)
+    sy, s1, s2 = np.sqrt(theta.sigma2)
     # sources: f1, f2, e_g, e_y, e_1, e_2; rows: g, f1, f2, y, x1, x2
     load = np.array([
         [c1,      c2,      1.0, 0.0, 0.0, 0.0],

@@ -71,8 +71,8 @@ class TestInitialize:
         for seed in range(5):
             data, _, _, dims = random_instance(seed)
             theta0 = initialize(project_covariates(data))
-            assert theta0.b[0] >= 0
-            assert all(am[0] >= 0 for am in theta0.a_m)
+            assert theta0.loading[0][0] >= 0
+            assert all(am[0] >= 0 for am in theta0.loading[1:])
 
     def test_reference_design_starts_close(self):
         data, latents, _ = reference_instance(seed=5)
@@ -235,7 +235,8 @@ class TestFit:
             theta = update(projection, law)
             calls.append(None)
             if len(calls) >= 3:
-                theta = replace(theta, b=np.full_like(theta.b, np.nan))
+                b = np.full_like(theta.loading[0], np.nan)
+                theta = replace(theta, loading=(b, *theta.loading[1:]))
             return theta
 
         update = factorem.em.update_theta
@@ -303,13 +304,16 @@ class TestAcceleration:
 
         _, _, theta, dims = random_instance(0)
         # log sigma2_y moves by -6.9, -4.6: alpha = -3 lands at about 1e-15
-        falling = [replace(theta, sigma2_y=s) for s in (1e-6, 1e-9, 1e-11)]
+        def with_sigma2_y(s):
+            return replace(theta, sigma2=(s, *theta.sigma2[1:]))
+
+        falling = [with_sigma2_y(s) for s in (1e-6, 1e-9, 1e-11)]
         point = _extrapolate(*falling, dims)
-        assert point.sigma2_y == VARIANCE_FLOOR
-        np.testing.assert_allclose(point.sigma2_m, theta.sigma2_m, rtol=1e-14)
-        np.testing.assert_allclose(point.b, theta.b, rtol=0, atol=0)
+        assert point.sigma2[0] == VARIANCE_FLOOR
+        np.testing.assert_allclose(point.sigma2[1:], theta.sigma2[1:], rtol=1e-14)
+        np.testing.assert_allclose(point.loading[0], theta.loading[0], rtol=0, atol=0)
         # |r| <= |v| gives alpha = -1, whose point is the second step
-        turning = [replace(theta, sigma2_y=s) for s in (1.0, 2.0, 1.0)]
+        turning = [with_sigma2_y(s) for s in (1.0, 2.0, 1.0)]
         assert _extrapolate(*turning, dims) is None
 
     @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
@@ -329,7 +333,7 @@ class TestAcceleration:
                 assert result.converged == (change[-1] < epsilon)
                 traces[epsilon] = result.trace
                 extrapolated += result.accepted
-            floored += min(result.theta.sigma2_y, *result.theta.sigma2_m) <= VARIANCE_FLOOR
+            floored += min(result.theta.sigma2) <= VARIANCE_FLOOR
             # a looser epsilon stops the same trajectory earlier
             loose = traces[1e-3]
             np.testing.assert_array_equal(loose, traces[1e-8][:loose.shape[0]])
@@ -356,10 +360,11 @@ class TestCanonicalize:
         s_f = np.asarray(s_f, dtype=float)
         s = np.concatenate([[s_g], s_f])
         theta2 = Theta(
-            d=theta.d, d_m=theta.d_m, b=s_g * theta.b,
-            a_m=tuple(s * am for s, am in zip(s_f, theta.a_m)),
+            coef=theta.coef,
+            loading=(s_g * theta.loading[0],
+                     *(s * am for s, am in zip(s_f, theta.loading[1:]))),
             c=s_g * s_f * theta.c,
-            sigma2_y=theta.sigma2_y, sigma2_m=theta.sigma2_m,
+            sigma2=theta.sigma2,
         )
         law2 = replace(
             law,
@@ -382,8 +387,8 @@ class TestCanonicalize:
         result = fit(data, dims, EMConfig(epsilon=1e-4))
         scrambled = self.flipped(result, -1.0, [(-1.0) ** m for m in range(dims.p)])
         canon = canonicalize(scrambled)
-        assert canon.theta.b[0] >= 0
-        assert all(am[0] >= 0 for am in canon.theta.a_m)
+        assert canon.theta.loading[0][0] >= 0
+        assert all(am[0] >= 0 for am in canon.theta.loading[1:])
         again = canonicalize(canon)
         assert np.array_equal(flatten_theta(again.theta), flatten_theta(canon.theta))
         # trace and convergence metadata untouched

@@ -34,9 +34,8 @@ class TestJointBlocks:
     def test_zero_loadings_decouple(self):
         theta = scalar_toy_theta()
         theta = Theta(
-            d=theta.d, d_m=theta.d_m, b=np.zeros(1),
-            a_m=(np.zeros(1), np.zeros(1)), c=theta.c,
-            sigma2_y=2.0, sigma2_m=(3.0, 4.0),
+            coef=theta.coef, loading=(np.zeros(1),) * 3, c=theta.c,
+            sigma2=(2.0, 3.0, 4.0),
         )
         dims = scalar_toy_data().dimensions()
         blocks = build_joint_blocks(theta, dims)
@@ -63,8 +62,8 @@ class TestJointBlocks:
 
     def test_zero_variance_rejected(self):
         theta = scalar_toy_theta()
-        bad = Theta(d=theta.d, d_m=theta.d_m, b=theta.b, a_m=theta.a_m,
-                    c=theta.c, sigma2_y=0.0, sigma2_m=theta.sigma2_m)
+        bad = Theta(coef=theta.coef, loading=theta.loading,
+                    c=theta.c, sigma2=(0.0, *theta.sigma2[1:]))
         with pytest.raises(DataError, match="positive"):
             build_joint_blocks(bad, scalar_toy_data().dimensions())
 
@@ -72,9 +71,8 @@ class TestJointBlocks:
 class TestConditionalLaw:
     def test_zero_loadings_give_prior(self):
         theta = scalar_toy_theta()
-        theta = Theta(d=theta.d, d_m=theta.d_m, b=np.zeros(1),
-                      a_m=(np.zeros(1), np.zeros(1)), c=theta.c,
-                      sigma2_y=1.0, sigma2_m=(1.0, 1.0))
+        theta = Theta(coef=theta.coef, loading=(np.zeros(1),) * 3, c=theta.c,
+                      sigma2=(1.0, 1.0, 1.0))
         law = conditional_law(theta, scalar_toy_data())
         np.testing.assert_allclose(law.m, np.zeros((1, 3)), atol=1e-14)
         np.testing.assert_allclose(law.sigma, TOY_S1, atol=1e-14)
@@ -123,7 +121,7 @@ class TestConditionalLaw:
         assert np.array_equal(sigma_a, sigma_b)
 
     def test_zero_variance_rejected(self):
-        bad = replace(scalar_toy_theta(), sigma2_m=(1.0, 0.0))
+        bad = replace(scalar_toy_theta(), sigma2=(1.0, 1.0, 0.0))
         with pytest.raises(DataError, match="positive"):
             conditional_law(bad, scalar_toy_data())
 
@@ -131,7 +129,7 @@ class TestConditionalLaw:
         # zero loadings leave the precision at S1^{-1}, whose f-block
         # 1 + c^2 rounds to c^2 at |c| = 1e8: singular in floating point
         theta = replace(
-            scalar_toy_theta(), b=np.zeros(1), a_m=(np.zeros(1), np.zeros(1)),
+            scalar_toy_theta(), loading=(np.zeros(1),) * 3,
             c=np.array([1e8, 0.5]),
         )
         with pytest.raises(NotPositiveDefiniteError, match=r"sigma2_y=1\.000e\+00.*c="):
@@ -141,10 +139,12 @@ class TestConditionalLaw:
 def noise_free_copy(data, latents, theta):
     """The same units with every noise draw removed."""
     return Dataset(
-        y=data.t @ theta.d + np.outer(latents.g, theta.b),
+        y=data.t @ theta.coef[0] + np.outer(latents.g, theta.loading[0]),
         x=tuple(
             tm @ dm + np.outer(f, am)
-            for tm, dm, f, am in zip(data.t_m, theta.d_m, latents.f, theta.a_m)
+            for tm, dm, f, am in zip(
+                data.t_m, theta.coef[1:], latents.f, theta.loading[1:]
+            )
         ),
         t=data.t, t_m=data.t_m,
     )
@@ -179,9 +179,7 @@ class TestLowRankAgainstDense:
     def test_noise_free_data_at_the_variance_floor(self, seed):
         data, latents, theta, dims = random_instance(seed)
         clean = noise_free_copy(data, latents, theta)
-        floor = replace(
-            theta, sigma2_y=VARIANCE_FLOOR, sigma2_m=(VARIANCE_FLOOR,) * dims.p
-        )
+        floor = replace(theta, sigma2=(VARIANCE_FLOOR,) * (dims.p + 1))
         law = conditional_law(floor, clean)
         m, sigma, loglik = dense_conditioning(floor, clean)
         blocks = build_joint_blocks(floor, dims)
@@ -218,7 +216,7 @@ class TestLowRankAgainstDense:
         # sigma2_k / |lambda_k|^2: about 1e-12 for a unit loading, but 3e-6
         # when a drawn loading has |lambda_k|^2 = 3.6e-7. The slack on top
         # covers rounding only.
-        loadings = (theta.b, *theta.a_m)
+        loadings = theta.loading
         widths = np.array([dims.q_y, *dims.q_m])
         prior_quad = np.sum(latents.f**2, axis=0) + (latents.g - theta.c @ latents.f) ** 2
         limit = -0.5 * (
@@ -323,8 +321,8 @@ def test_theta_and_data_block_mismatch_named():
     data, latents, theta, dims = random_instance(0)
     assert dims.p == 3
     one_block = Theta(
-        d=theta.d, d_m=theta.d_m[:1], b=theta.b, a_m=theta.a_m[:1],
-        c=theta.c[:1], sigma2_y=theta.sigma2_y, sigma2_m=theta.sigma2_m[:1],
+        coef=theta.coef[:2], loading=theta.loading[:2],
+        c=theta.c[:1], sigma2=theta.sigma2[:2],
     )
     law = conditional_law(theta, data)
     calls = {
@@ -333,7 +331,8 @@ def test_theta_and_data_block_mismatch_named():
         "complete_loglik": lambda th: complete_loglik(th, data, latents),
         "expected_score": lambda th: expected_score(th, law, data),
     }
-    wide = replace(theta, d=np.vstack([theta.d, theta.d[:1]]))
+    d = theta.coef[0]
+    wide = replace(theta, coef=(np.vstack([d, d[:1]]), *theta.coef[1:]))
     for name, call in calls.items():
         with pytest.raises(DataError, match="1 explanatory blocks but the data has 3"):
             call(one_block)

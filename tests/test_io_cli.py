@@ -320,7 +320,7 @@ class TestWriteFit:
         assert report["converged"] is True
         assert report["iterations"] == result.iterations
         assert report["config"] == {
-            "epsilon": 1e-2, "max_iter": 500, "denominator_floor": 1e-8,
+            "epsilon": 1e-2, "max_iter": 500,
         }
         assert len(report["parameter_names"]) == k
         assert report["extrapolations"] == {
@@ -433,6 +433,34 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["k"] == 3
         assert 0.0 <= summary["param_corr_median"] <= 1.0
+
+    @pytest.mark.parametrize("role, value", [
+        ("y", ["Y.csv"]),
+        ("t", 3),
+        ("x", "X1.csv"),
+        ("t_m", ["T1.csv", 2]),
+        ("intercept", "no"),
+    ])
+    def test_manifest_role_of_the_wrong_type_exits_two(
+        self, tmp_path, capsys, role, value
+    ):
+        data_dir = tmp_path / "data"
+        main(["simulate", "--n", "30", "--q", "3", "--seed", "0",
+              "--out", str(data_dir)])
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest[role] = value
+        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and f"role {role!r}" in err
+
+    def test_resample_sample_size_zero_exits_two(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        main(["simulate", "--n", "30", "--q", "3", "--seed", "0",
+              "--out", str(data_dir)])
+        assert main(["resample", "--data", str(data_dir), "--sample-size", "0",
+                     "--out", str(tmp_path / "res")]) == 2
+        assert "sample_size must be in [2, 30], got 0" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -28,28 +28,28 @@ def structural_covariance(theta, dims):
     load = np.zeros((q_total, width))
     offsets = np.cumsum([0, q_y, *dims.q_m])
     for j in range(q_y):
-        load[j, :p] = theta.b[j] * theta.c
-        load[j, p] = theta.b[j]
-        load[j, p + 1 + j] = np.sqrt(theta.sigma2_y)
+        load[j, :p] = theta.loading[0][j] * theta.c
+        load[j, p] = theta.loading[0][j]
+        load[j, p + 1 + j] = np.sqrt(theta.sigma2[0])
     for m in range(p):
         lo = offsets[m + 1]
         for j in range(dims.q_m[m]):
-            load[lo + j, m] = theta.a_m[m][j]
-            load[lo + j, p + 1 + lo + j] = np.sqrt(theta.sigma2_m[m])
+            load[lo + j, m] = theta.loading[m + 1][j]
+            load[lo + j, p + 1 + lo + j] = np.sqrt(theta.sigma2[m + 1])
     return load @ load.T
 
 
 def block_means(theta, data):
-    parts = [data.t @ theta.d]
-    parts += [tm @ dm for tm, dm in zip(data.t_m, theta.d_m)]
+    parts = [data.t @ theta.coef[0]]
+    parts += [tm @ dm for tm, dm in zip(data.t_m, theta.coef[1:])]
     return np.concatenate(parts, axis=1)
 
 
 class TestCompleteLoglik:
     def test_zero_residuals_give_normalizer_only(self):
         theta = Theta(
-            d=np.zeros((1, 2)), d_m=(np.zeros((1, 1)),), b=np.ones(2),
-            a_m=(np.ones(1),), c=np.ones(1), sigma2_y=1.0, sigma2_m=(1.0,),
+            coef=(np.zeros((1, 2)), np.zeros((1, 1))), loading=(np.ones(2), np.ones(1)),
+            c=np.ones(1), sigma2=(1.0, 1.0),
         )
         data = Dataset(y=np.zeros((1, 2)), x=(np.zeros((1, 1)),),
                        t=np.zeros((1, 1)), t_m=(np.zeros((1, 1)),))
@@ -63,11 +63,10 @@ class TestCompleteLoglik:
     def test_doubling_variance_with_zero_residual(self):
         rng = np.random.default_rng(0)
         data, latents, theta, dims = random_instance(0)
-        exact_y = data.t @ theta.d + np.outer(latents.g, theta.b)
+        exact_y = data.t @ theta.coef[0] + np.outer(latents.g, theta.loading[0])
         data = Dataset(y=exact_y, x=data.x, t=data.t, t_m=data.t_m)
-        doubled = Theta(d=theta.d, d_m=theta.d_m, b=theta.b, a_m=theta.a_m,
-                        c=theta.c, sigma2_y=2 * theta.sigma2_y,
-                        sigma2_m=theta.sigma2_m)
+        doubled = Theta(coef=theta.coef, loading=theta.loading,
+                        c=theta.c, sigma2=(2 * theta.sigma2[0], *theta.sigma2[1:]))
         base = complete_loglik(theta, data, latents).value
         after = complete_loglik(doubled, data, latents).value
         assert after - base == pytest.approx(
@@ -78,14 +77,15 @@ class TestCompleteLoglik:
         data, latents, theta, dims = random_instance(1)
         expected = 0.0
         for i in range(dims.n):
-            mean_y = data.t[i] @ theta.d + latents.g[i] * theta.b
+            mean_y = data.t[i] @ theta.coef[0] + latents.g[i] * theta.loading[0]
             expected += scipy.stats.norm.logpdf(
-                data.y[i], mean_y, np.sqrt(theta.sigma2_y)
+                data.y[i], mean_y, np.sqrt(theta.sigma2[0])
             ).sum()
             for m in range(dims.p):
-                mean_x = data.t_m[m][i] @ theta.d_m[m] + latents.f[m, i] * theta.a_m[m]
+                mean_x = (data.t_m[m][i] @ theta.coef[m + 1]
+                          + latents.f[m, i] * theta.loading[m + 1])
                 expected += scipy.stats.norm.logpdf(
-                    data.x[m][i], mean_x, np.sqrt(theta.sigma2_m[m])
+                    data.x[m][i], mean_x, np.sqrt(theta.sigma2[m + 1])
                 ).sum()
             expected += scipy.stats.norm.logpdf(
                 latents.g[i], theta.c @ latents.f[:, i], 1.0
@@ -97,8 +97,8 @@ class TestCompleteLoglik:
 
     def test_nonpositive_variance_rejected(self):
         data, latents, theta, _ = random_instance(2)
-        bad = Theta(d=theta.d, d_m=theta.d_m, b=theta.b, a_m=theta.a_m,
-                    c=theta.c, sigma2_y=0.0, sigma2_m=theta.sigma2_m)
+        bad = Theta(coef=theta.coef, loading=theta.loading,
+                    c=theta.c, sigma2=(0.0, *theta.sigma2[1:]))
         with pytest.raises(DataError):
             complete_loglik(bad, data, latents)
 
@@ -107,18 +107,17 @@ class TestObservedLoglik:
     def test_block_diagonal_decomposition(self):
         data, _, theta, dims = random_instance(3)
         decoupled = Theta(
-            d=theta.d, d_m=theta.d_m,
-            b=np.zeros(dims.q_y),
-            a_m=tuple(np.zeros(q) for q in dims.q_m),
-            c=theta.c, sigma2_y=theta.sigma2_y, sigma2_m=theta.sigma2_m,
+            coef=theta.coef,
+            loading=[np.zeros(q) for q in (dims.q_y, *dims.q_m)],
+            c=theta.c, sigma2=theta.sigma2,
         )
         expected = scipy.stats.norm.logpdf(
-            data.y, data.t @ theta.d, np.sqrt(theta.sigma2_y)
+            data.y, data.t @ theta.coef[0], np.sqrt(theta.sigma2[0])
         ).sum()
         for m in range(dims.p):
             expected += scipy.stats.norm.logpdf(
-                data.x[m], data.t_m[m] @ theta.d_m[m],
-                np.sqrt(theta.sigma2_m[m]),
+                data.x[m], data.t_m[m] @ theta.coef[m + 1],
+                np.sqrt(theta.sigma2[m + 1]),
             ).sum()
         assert observed_loglik(decoupled, data).value == pytest.approx(
             expected, rel=1e-12
@@ -160,17 +159,17 @@ class TestCompleteScore:
         a = rng.normal(size=2)
         t1 = rng.normal(size=(n, 1))
         d1 = rng.normal(size=(1, 2))
-        theta = Theta(d=d, d_m=(d1,), b=b, a_m=(a,), c=np.ones(1),
-                      sigma2_y=1.5, sigma2_m=(1.0,))
+        theta = Theta(coef=(d, d1), loading=(b, a), c=np.ones(1),
+                      sigma2=(1.5, 1.0))
         data = Dataset(
             y=t @ d + np.outer(g, b),
             x=(t1 @ d1 + np.outer(f[0], a),),
             t=t, t_m=(t1,),
         )
         score = complete_score(theta, data, Latents(g=g, f=f))
-        np.testing.assert_allclose(score.b, np.zeros(q_y), atol=1e-10)
-        assert score.sigma2_y == pytest.approx(
-            -n * q_y / (2 * theta.sigma2_y), rel=1e-12
+        np.testing.assert_allclose(score.loading[0], np.zeros(q_y), atol=1e-10)
+        assert score.sigma2[0] == pytest.approx(
+            -n * q_y / (2 * theta.sigma2[0]), rel=1e-12
         )
 
     def test_matches_finite_differences(self):

@@ -61,13 +61,10 @@ class TestFlatten:
     def test_zero_theta_has_unit_variances_only(self):
         dims = Dimensions(n=1, p=2, q_y=3, q_m=(2, 2), r_t=2, r_m=(1, 1))
         theta = Theta(
-            d=np.zeros((2, 3)),
-            d_m=(np.zeros((1, 2)), np.zeros((1, 2))),
-            b=np.zeros(3),
-            a_m=(np.zeros(2), np.zeros(2)),
+            coef=(np.zeros((2, 3)), np.zeros((1, 2)), np.zeros((1, 2))),
+            loading=(np.zeros(3), np.zeros(2), np.zeros(2)),
             c=np.zeros(2),
-            sigma2_y=1.0,
-            sigma2_m=(1.0, 1.0),
+            sigma2=(1.0, 1.0, 1.0),
         )
         vector = flatten_theta(theta)
         assert int(np.sum(vector == 1.0)) == dims.p + 1
@@ -81,8 +78,8 @@ class TestFlatten:
     def test_documented_ordering(self):
         dims = Dimensions(n=1, p=1, q_y=2, q_m=(1,), r_t=1, r_m=(1,))
         theta = Theta(
-            d=[[1.0, 2.0]], d_m=([[3.0]],), b=[4.0, 5.0], a_m=([6.0],),
-            c=[7.0], sigma2_y=8.0, sigma2_m=(9.0,),
+            coef=([[1.0, 2.0]], [[3.0]]), loading=([4.0, 5.0], [6.0]),
+            c=[7.0], sigma2=(8.0, 9.0),
         )
         np.testing.assert_array_equal(
             flatten_theta(theta), [1, 2, 3, 4, 5, 6, 7, 8, 9]
@@ -98,6 +95,33 @@ class TestFlatten:
         assert names[-4] == "c2"
         assert names[-3] == "sigma2_Y"
         assert names[-1] == "sigma2_2"
+
+    def test_names_follow_the_documented_ordering_on_random_designs(self):
+        rng = np.random.default_rng(7)
+        seen_p = set()
+        for _ in range(100):
+            dims = random_dims(rng)
+            seen_p.add(dims.p)
+            expected = [
+                f"D[{r + 1},{j + 1}]" for r in range(dims.r_t) for j in range(dims.q_y)
+            ]
+            for m, (q, r_w) in enumerate(zip(dims.q_m, dims.r_m), start=1):
+                expected += [
+                    f"D{m}[{r + 1},{j + 1}]" for r in range(r_w) for j in range(q)
+                ]
+            expected += [f"b[{j + 1}]" for j in range(dims.q_y)]
+            for m, q in enumerate(dims.q_m, start=1):
+                expected += [f"a{m}[{j + 1}]" for j in range(q)]
+            expected += [f"c{m}" for m in range(1, dims.p + 1)]
+            expected.append("sigma2_Y")
+            expected += [f"sigma2_{m}" for m in range(1, dims.p + 1)]
+
+            names = theta_names(dims)
+            assert names == expected
+            assert len(set(names)) == len(names)
+            size = flatten_theta(random_theta(dims, rng)).size
+            assert len(names) == count_parameters(dims) == size
+        assert seen_p == {1, 2, 3}
 
 
 class TestValidation:
@@ -139,9 +163,8 @@ class TestValidation:
 
     def test_negative_variance_rejected(self):
         with pytest.raises(DataError):
-            Theta(d=np.zeros((1, 1)), d_m=(np.zeros((1, 1)),), b=np.zeros(1),
-                  a_m=(np.zeros(1),), c=np.zeros(1), sigma2_y=-1.0,
-                  sigma2_m=(1.0,))
+            Theta(coef=(np.zeros((1, 1)),) * 2, loading=(np.zeros(1),) * 2,
+                  c=np.zeros(1), sigma2=(-1.0, 1.0))
 
     def test_latent_length_mismatch(self):
         with pytest.raises(DataError):

@@ -82,8 +82,8 @@ class TestUpdateTheta:
         m = np.column_stack([np.zeros(n), rng.normal(size=(n, 2))])
         law = ConditionalLaw(m=m, sigma=np.eye(3))
         updated = update_theta(project_covariates(data), law)
-        np.testing.assert_allclose(updated.b, np.zeros(q_y), atol=1e-12)
-        np.testing.assert_allclose(updated.d[0], y.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(updated.loading[0], np.zeros(q_y), atol=1e-12)
+        np.testing.assert_allclose(updated.coef[0][0], y.mean(axis=0), atol=1e-12)
 
     def test_exact_fit_recovers_generator(self):
         rng = np.random.default_rng(4)
@@ -106,10 +106,10 @@ class TestUpdateTheta:
         )
         with pytest.warns(RuntimeWarning, match="floored"):
             updated = update_theta(project_covariates(data), law)
-        assert updated.sigma2_y == VARIANCE_FLOOR
-        np.testing.assert_allclose(updated.b, b, atol=1e-10)
-        np.testing.assert_allclose(updated.d, d, atol=1e-10)
-        np.testing.assert_allclose(updated.a_m[0], a_m[0], atol=1e-10)
+        assert updated.sigma2[0] == VARIANCE_FLOOR
+        np.testing.assert_allclose(updated.loading[0], b, atol=1e-10)
+        np.testing.assert_allclose(updated.coef[0], d, atol=1e-10)
+        np.testing.assert_allclose(updated.loading[1], a_m[0], atol=1e-10)
 
     def test_matches_the_stats_based_oracle(self):
         worst = 0.0
@@ -182,9 +182,8 @@ class TestExpectedScore:
         law = conditional_law(theta, data)
         updated = update_theta(project_covariates(data), law)
         bumped = Theta(
-            d=updated.d, d_m=updated.d_m, b=updated.b + 0.1,
-            a_m=updated.a_m, c=updated.c,
-            sigma2_y=updated.sigma2_y, sigma2_m=updated.sigma2_m,
+            coef=updated.coef, loading=(updated.loading[0] + 0.1, *updated.loading[1:]),
+            c=updated.c, sigma2=updated.sigma2,
         )
         residual = expected_score(bumped, law, data)
         lo = dims.r_t * dims.q_y + sum(r * q for q, r in zip(dims.q_m, dims.r_m))
@@ -244,8 +243,8 @@ def test_update_scale_consistency():
         y=alpha * data.y, x=data.x, t=data.t, t_m=data.t_m,
     )
     scaled = update_theta(project_covariates(scaled_data), law)
-    np.testing.assert_allclose(scaled.b, alpha * base.b, rtol=1e-10)
-    np.testing.assert_allclose(scaled.d, alpha * base.d, rtol=1e-10)
-    assert scaled.sigma2_y == pytest.approx(alpha**2 * base.sigma2_y, rel=1e-10)
+    np.testing.assert_allclose(scaled.loading[0], alpha * base.loading[0], rtol=1e-10)
+    np.testing.assert_allclose(scaled.coef[0], alpha * base.coef[0], rtol=1e-10)
+    assert scaled.sigma2[0] == pytest.approx(alpha**2 * base.sigma2[0], rel=1e-10)
     np.testing.assert_allclose(scaled.c, base.c, rtol=1e-12)
-    np.testing.assert_allclose(scaled.a_m[0], base.a_m[0], rtol=1e-12)
+    np.testing.assert_allclose(scaled.loading[1], base.loading[1], rtol=1e-12)

@@ -9,35 +9,35 @@ from conftest import reference_dims
 class TestReferenceTheta:
     def test_reference_design_rows(self):
         theta = reference_theta(reference_dims())
-        np.testing.assert_array_equal(theta.d[0], np.arange(1.0, 41.0))
-        np.testing.assert_array_equal(theta.d[1], np.arange(41.0, 81.0))
-        assert theta.b[0] == 1.0 and theta.b[39] == 40.0
-        np.testing.assert_array_equal(theta.a_m[0], np.arange(1.0, 41.0))
+        np.testing.assert_array_equal(theta.coef[0][0], np.arange(1.0, 41.0))
+        np.testing.assert_array_equal(theta.coef[0][1], np.arange(41.0, 81.0))
+        assert theta.loading[0][0] == 1.0 and theta.loading[0][39] == 40.0
+        np.testing.assert_array_equal(theta.loading[1], np.arange(1.0, 41.0))
         np.testing.assert_array_equal(theta.c, [1.0, 1.0])
-        assert theta.sigma2_y == 1.0 and theta.sigma2_m == (1.0, 1.0)
+        assert theta.sigma2[0] == 1.0 and theta.sigma2[1:] == (1.0, 1.0)
 
     def test_smallest_case(self):
         dims = Dimensions(n=1, p=1, q_y=1, q_m=(1,), r_t=1, r_m=(1,))
         theta = reference_theta(dims)
-        assert theta.d[0, 0] == 1.0
-        assert theta.b[0] == 1.0
+        assert theta.coef[0][0, 0] == 1.0
+        assert theta.loading[0][0] == 1.0
         assert theta.c[0] == 1.0
-        assert theta.sigma2_y == 1.0
+        assert theta.sigma2[0] == 1.0
 
 
 class TestSimulateDataset:
     def test_noiseless_degenerate_case(self):
         dims = Dimensions(n=25, p=1, q_y=2, q_m=(2,), r_t=2, r_m=(1,))
         theta = Theta(
-            d=[[1.0, 2.0], [3.0, 4.0]], d_m=([[1.0, -1.0]],),
-            b=np.zeros(2), a_m=(np.zeros(2),), c=np.zeros(1),
-            sigma2_y=0.0, sigma2_m=(0.0,),
+            coef=([[1.0, 2.0], [3.0, 4.0]], [[1.0, -1.0]]),
+            loading=(np.zeros(2), np.zeros(2)), c=np.zeros(1),
+            sigma2=(0.0, 0.0),
         )
         data, latents, _ = simulate_dataset(
             SimConfig(dims=dims, seed=0, theta=theta)
         )
-        np.testing.assert_array_equal(data.y, data.t @ theta.d)
-        np.testing.assert_array_equal(data.x[0], data.t_m[0] @ theta.d_m[0])
+        np.testing.assert_array_equal(data.y, data.t @ theta.coef[0])
+        np.testing.assert_array_equal(data.x[0], data.t_m[0] @ theta.coef[1])
         # with c = 0 the dependent factor is the pure disturbance
         assert latents.g.std() > 0.5
 
@@ -70,9 +70,9 @@ class TestSimulateDataset:
         j = 1
         design = np.column_stack([data.t, latents.g])
         coef, *_ = np.linalg.lstsq(design, data.y[:, j], rcond=None)
-        truth = np.array([theta.d[0, j], theta.d[1, j], theta.b[j]])
+        truth = np.array([theta.coef[0][0, j], theta.coef[0][1, j], theta.loading[0][j]])
         gram_inv = np.linalg.inv(design.T @ design)
-        se = np.sqrt(np.diag(gram_inv) * theta.sigma2_y)
+        se = np.sqrt(np.diag(gram_inv) * theta.sigma2[0])
         assert np.all(np.abs(coef - truth) < 3 * se)
 
     def test_intercept_mode(self):
