@@ -37,8 +37,8 @@ def _em_config(args) -> EMConfig:
 
 
 def _sim_config(args) -> SimConfig:
-    mode = "intercept_plus_gaussian" if args.intercept else "all_gaussian"
-    return SimConfig(dims=_square_dimensions(args), seed=args.seed, t_mode=mode)
+    return SimConfig(dims=_square_dimensions(args), seed=args.seed,
+                     intercept=args.intercept)
 
 
 def _resolve_manifest(data_arg: str) -> Path:

@@ -48,7 +48,9 @@ import numpy as np
 
 from .errors import DataError, FactorEMError, NonFiniteParameterError
 from .estep import ConditionalLaw, conditional_law
-from .model import Dataset, Dimensions, Theta, flatten_theta, theta_names, unflatten_theta
+from .model import (
+    Dataset, Dimensions, Theta, block_label, flatten_theta, theta_names, unflatten_theta,
+)
 from .mstep import VARIANCE_FLOOR, BlockProjection, project_covariates, update_theta
 
 __all__ = [
@@ -135,9 +137,7 @@ def initialize(projection: tuple[BlockProjection, ...]) -> Theta:
         sigma2 = float(np.mean((resid - np.outer(scores, loading)) ** 2))
         return block.coef, loading, scores, sigma2
 
-    starts = [
-        block_start(block, f"X{k}" if k else "Y") for k, block in enumerate(projection)
-    ]
+    starts = [block_start(b, block_label("Z", k)) for k, b in enumerate(projection)]
     coef, loading, scores, sigma2 = (list(part) for part in zip(*starts))
     g_scores, f_mat = scores[0], np.array(scores[1:])   # (n,), (p, n)
     c = np.linalg.lstsq(f_mat.T, g_scores, rcond=None)[0]

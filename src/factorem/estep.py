@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NotPositiveDefiniteError
-from .model import Dataset, Theta
+from .model import Dataset, Theta, check_theta_shapes
 
 __all__ = [
     "ConditionalLaw",
@@ -102,20 +102,10 @@ def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
     Raises DataError naming the block count, or the block and shape,
     where ``theta`` disagrees with the data.
     """
-    if theta.p != data.p:
-        raise DataError(
-            f"theta has {theta.p} explanatory blocks but the data has {data.p}"
-        )
-    resid = []
-    blocks = zip((data.y, *data.x), (data.t, *data.t_m), theta.coef)
-    for k, (z, t, coef) in enumerate(blocks):
-        if coef.shape != (t.shape[1], z.shape[1]):
-            raise DataError(
-                f"theta block D{k or ''} has shape {coef.shape} but the data "
-                f"needs {(t.shape[1], z.shape[1])}"
-            )
-        resid.append(z - t @ coef)
-    return resid
+    check_theta_shapes(
+        theta, [(t.shape[1], z.shape[1]) for z, t in zip(data.z, data.t)], "the data"
+    )
+    return [z - t @ coef for z, t, coef in zip(data.z, data.t, theta.coef)]
 
 
 def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:

@@ -175,21 +175,23 @@ def sensitivity_sweep(
 ) -> list[StudySummary]:
     """One replicate study per design cell.
 
-    Cells vary the unit count at the base block width, then the common
+    Cells vary the unit count at the base block widths, then the common
     block width at the base unit count; a cell appearing in both sweeps
-    is run in both (the design counts it twice).
+    is run in both (the design counts it twice). A vary_n cell is
+    labelled with the width of Y.
     """
     n_values = list(n_values)
     q_values = list(q_values)
     if not n_values and not q_values:
         raise DataError("at least one of n_values, q_values must be nonempty")
     base_dims = base.dims
-    cells = [("vary_n", n, base_dims.q_y) for n in n_values]
-    cells += [("vary_q", base_dims.n, q) for q in q_values]
+    cells = [("vary_n", n, base_dims.q_y, replace(base_dims, n=n)) for n in n_values]
+    cells += [("vary_q", base_dims.n, q,
+               replace(base_dims, q_y=q, q_m=(q,) * base_dims.p)) for q in q_values]
 
     summaries = []
-    for seed, (kind, n, q) in zip(_derived_seeds(base.seed, len(cells)), cells):
-        cell_dims = replace(base_dims, n=n, q_y=q, q_m=(q,) * base_dims.p)
+    seeds = _derived_seeds(base.seed, len(cells))
+    for seed, (kind, n, q, cell_dims) in zip(seeds, cells):
         cell_sim = replace(base, dims=cell_dims, seed=seed)
         summary = replicate_study(cell_sim, em, replicates)
         summary.cell = f"{kind}:n={n},q={q}"

@@ -29,7 +29,9 @@ import numpy as np
 from .em import EMConfig, FitResult
 from .errors import DataError
 from .evaluate import ResampleSummary, StudySummary
-from .model import Dataset, Dimensions, Latents, Theta, flatten_theta, theta_names
+from .model import (
+    Dataset, Dimensions, Latents, Theta, block_label, flatten_theta, theta_names,
+)
 from .mstep import expected_score
 
 __all__ = [
@@ -73,7 +75,8 @@ class BlockManifest:
     """Roles and file paths of the blocks making up one dataset.
 
     ``columns`` is filled in by ``load_dataset`` with the (possibly
-    expanded) column names of every block.
+    expanded) column names of every block, per block as in ``Dataset``:
+    {"z": [Y names, X1 names, ...], "t": [T names, T1 names, ...]}.
     """
 
     y: str
@@ -142,6 +145,8 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"cannot read block file {path}: {exc}") from exc
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
+    if not rows[0]:
+        raise DataError(f"{path}: header row is blank")
     header, body = rows[0], rows[1:]
     width = len(header)
     for i, row in enumerate(body):
@@ -229,40 +234,32 @@ def _covariate_block(path: Path) -> tuple[list[str], np.ndarray]:
 
 def load_dataset(manifest: BlockManifest) -> tuple[Dataset, Dimensions]:
     """Load and validate all blocks named by the manifest."""
+    z_names, t_names = [manifest.y, *manifest.x], [manifest.t, *manifest.t_m]
     declared = [manifest.y, manifest.t, *manifest.x, *manifest.t_m]
     for name in declared:
         if not manifest.path(name).is_file():
             raise DataError(f"declared block file {manifest.path(name)} does not exist")
 
-    y_cols, y = _numeric_block(manifest.path(manifest.y))
-    x_parts = [_numeric_block(manifest.path(name)) for name in manifest.x]
-    t_cols, t = _covariate_block(manifest.path(manifest.t))
-    tm_parts = [_covariate_block(manifest.path(name)) for name in manifest.t_m]
-    x, t_m = [block for _, block in x_parts], [block for _, block in tm_parts]
-
-    rows = {manifest.y: y.shape[0], manifest.t: t.shape[0]}
-    rows.update({name: block.shape[0] for name, block in zip(manifest.x, x)})
-    rows.update({name: block.shape[0] for name, block in zip(manifest.t_m, t_m)})
-    counts = set(rows.values())
-    if len(counts) > 1:
+    z_cols, z = zip(*(_numeric_block(manifest.path(name)) for name in z_names))
+    t_cols, t = zip(*(_covariate_block(manifest.path(name)) for name in t_names))
+    blocks = dict(zip(z_names + t_names, z + t))
+    rows = {name: blocks[name].shape[0] for name in declared}
+    if len(set(rows.values())) > 1:
         detail = ", ".join(f"{name}: {count} rows" for name, count in rows.items())
         raise DataError(f"blocks disagree on the number of units ({detail})")
 
-    data = Dataset(y=y, x=tuple(x), t=t, t_m=tuple(t_m), intercept=manifest.intercept)
-    manifest.columns = {
-        "y": y_cols, "x": [cols for cols, _ in x_parts],
-        "t": t_cols, "t_m": [cols for cols, _ in tm_parts],
-    }
+    data = Dataset(z=z, t=t, intercept=manifest.intercept)
+    manifest.columns = {"z": list(z_cols), "t": list(t_cols)}
     return data, data.dimensions()
 
 
 def _default_columns(dims: Dimensions) -> dict:
-    return {
-        "y": [f"y{j + 1}" for j in range(dims.q_y)],
-        "x": [[f"x{m + 1}_{j + 1}" for j in range(q)] for m, q in enumerate(dims.q_m)],
-        "t": [f"t{j + 1}" for j in range(dims.r_t)],
-        "t_m": [[f"t{m + 1}_{j + 1}" for j in range(r)] for m, r in enumerate(dims.r_m)],
-    }
+    """Column names per block: y1.., x1_1.., ... and t1.., t1_1.., ..."""
+    def names(family, k, width):
+        stem = block_label(family, k).lower() + ("_" if k else "")
+        return [f"{stem}{j + 1}" for j in range(width)]
+    return {"z": [names("Z", k, q) for k, q in enumerate(dims.q)],
+            "t": [names("T", k, r) for k, r in enumerate(dims.r)]}
 
 
 def write_dataset(
@@ -280,19 +277,15 @@ def write_dataset(
     dims = data.dimensions()
     cols = _default_columns(dims)
 
-    _write_matrix(out / "Y.csv", cols["y"], data.y)
-    _write_matrix(out / "T.csv", cols["t"], data.t)
-    for m in range(dims.p):
-        _write_matrix(out / f"X{m + 1}.csv", cols["x"][m], data.x[m])
-        _write_matrix(out / f"T{m + 1}.csv", cols["t_m"][m], data.t_m[m])
+    z_files = [f"{block_label('Z', k)}.csv" for k in range(dims.p + 1)]
+    t_files = [f"{block_label('T', k)}.csv" for k in range(dims.p + 1)]
+    for k in range(dims.p + 1):
+        _write_matrix(out / z_files[k], cols["z"][k], data.z[k])
+        _write_matrix(out / t_files[k], cols["t"][k], data.t[k])
 
     manifest = BlockManifest(
-        y="Y.csv",
-        x=[f"X{m + 1}.csv" for m in range(dims.p)],
-        t="T.csv",
-        t_m=[f"T{m + 1}.csv" for m in range(dims.p)],
-        intercept=data.intercept,
-        base_dir=out,
+        y=z_files[0], x=z_files[1:], t=t_files[0], t_m=t_files[1:],
+        intercept=data.intercept, base_dir=out,
     )
     _write_json(out / "manifest.json", {
         "y": manifest.y, "x": manifest.x,
@@ -373,11 +366,11 @@ def write_fit(
 
     if data is not None:
         rows = []
-        blocks = zip((data.y, *data.x), (cols["y"], *cols["x"]), result.moments.m.T)
+        blocks = zip(data.z, cols["z"], result.moments.m.T)
         for k, (z, names, score) in enumerate(blocks):
             for j, name in enumerate(names):
                 r = float(np.corrcoef(z[:, j], score)[0, 1])
-                rows.append([f"X{k}" if k else "Y", name, _fmt(r)])
+                rows.append([block_label("Z", k), name, _fmt(r)])
         _write_csv(out / "correlations.csv", ["block", "variable", "correlation"], rows)
 
 

@@ -10,9 +10,10 @@ explanatory blocks X^1..X^p through latent factors:
 All factors f^m are standard normal across units; block noise is isotropic
 (variance sigma2_y for Y, sigma2_m[m] for X^m).
 
-``Theta`` stores the coefficient matrices, loadings and noise variances
-block by block, Y first, so the canonical parameter vector
-(``flatten_theta``) is its fields in order:
+``Dataset`` stores the observed and covariate blocks, and ``Theta`` the
+coefficient matrices, loadings and noise variances, block by block with
+Y first; ``block_label`` names the blocks. The canonical parameter
+vector (``flatten_theta``) is the fields of ``Theta`` in order:
 
     D (row-major), D^1..D^p (row-major), b, a^1..a^p, c, sigma2_y,
     sigma2_m[0..p-1]
@@ -33,6 +34,7 @@ __all__ = [
     "Dataset",
     "Theta",
     "Latents",
+    "block_label",
     "count_parameters",
     "flatten_theta",
     "unflatten_theta",
@@ -51,6 +53,8 @@ class Dimensions:
     q_m : widths of the explanatory blocks X^1..X^p
     r_t : width of the covariate block T attached to Y
     r_m : widths of the covariate blocks T^1..T^p
+
+    ``q`` and ``r`` list the same widths per block, Y (and T) first.
     """
 
     n: int
@@ -77,9 +81,19 @@ class Dimensions:
             raise DataError(f"all block widths must be >= 1, got {widths}")
 
     @property
+    def q(self) -> tuple[int, ...]:
+        """Widths of the p+1 measurement blocks: Y, then X^1..X^p."""
+        return (self.q_y, *self.q_m)
+
+    @property
+    def r(self) -> tuple[int, ...]:
+        """Widths of the p+1 covariate blocks: T, then T^1..T^p."""
+        return (self.r_t, *self.r_m)
+
+    @property
     def q_total(self) -> int:
         """Total width of the stacked observation vector."""
-        return self.q_y + sum(self.q_m)
+        return sum(self.q)
 
 
 def _as_matrix(arr, name: str) -> np.ndarray:
@@ -93,84 +107,63 @@ def _as_matrix(arr, name: str) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Observed blocks and their covariates, one row per unit.
+    """Observed blocks and their covariates, one row per unit, stored per
+    measurement block like ``Theta``: block 0 is Y, block m is X^m.
 
-    y : (n, q_y) dependent block
-    x : p explanatory blocks, x[m] of shape (n, q_m[m])
-    t : (n, r_t) covariates for y
-    t_m : p covariate blocks, t_m[m] of shape (n, r_m[m])
-    intercept : when True, column 0 of t and of every t_m must be the
+    z : p+1 observed blocks, Y of shape (n, q_y) first, then X^m of
+        shape (n, q_m[m])
+    t : p+1 covariate blocks, T of shape (n, r_t) first, then T^m of
+        shape (n, r_m[m])
+    intercept : when True, column 0 of every covariate block must be the
         constant 1 (validated at construction)
 
     Treated as immutable after construction; safe to share across workers.
     """
 
-    y: np.ndarray
-    x: tuple[np.ndarray, ...]
-    t: np.ndarray
-    t_m: tuple[np.ndarray, ...]
+    z: tuple[np.ndarray, ...]
+    t: tuple[np.ndarray, ...]
     intercept: bool = False
 
     def __post_init__(self):
-        self.y = _as_matrix(self.y, "Y")
-        self.t = _as_matrix(self.t, "T")
-        self.x = tuple(_as_matrix(xm, f"X{m + 1}") for m, xm in enumerate(self.x))
-        self.t_m = tuple(_as_matrix(tm, f"T{m + 1}") for m, tm in enumerate(self.t_m))
-        if len(self.x) != len(self.t_m):
+        self.z = tuple(_as_matrix(b, block_label("Z", k)) for k, b in enumerate(self.z))
+        self.t = tuple(_as_matrix(b, block_label("T", k)) for k, b in enumerate(self.t))
+        if len(self.z) != len(self.t):
             raise DataError(
-                f"{len(self.x)} explanatory blocks but {len(self.t_m)} covariate blocks"
+                f"{len(self.z) - 1} explanatory blocks but {len(self.t) - 1} "
+                "covariate blocks"
             )
-        if not self.x:
+        if len(self.z) < 2:
             raise DataError("need at least one explanatory block")
-        n = self.y.shape[0]
-        for name, block in self._named_blocks():
-            if block.shape[0] != n:
-                raise DataError(
-                    f"row count mismatch: Y has {n} rows but {name} has {block.shape[0]}"
-                )
-        if self.intercept:
-            for name, block in [("T", self.t)] + [
-                (f"T{m + 1}", tm) for m, tm in enumerate(self.t_m)
-            ]:
-                if not np.array_equal(block[:, 0], np.ones(n)):
-                    raise DataError(
-                        f"intercept flag set but column 1 of {name} is not constant 1"
-                    )
-
-    def _named_blocks(self):
-        yield "T", self.t
-        for m, xm in enumerate(self.x):
-            yield f"X{m + 1}", xm
-        for m, tm in enumerate(self.t_m):
-            yield f"T{m + 1}", tm
+        n = self.n
+        for k, (z, t) in enumerate(zip(self.z, self.t)):
+            for name, block in ((block_label("Z", k), z), (block_label("T", k), t)):
+                if block.shape[0] != n:
+                    raise DataError(f"row count mismatch: Y has {n} rows but {name} "
+                                    f"has {block.shape[0]}")
+            if self.intercept and not np.array_equal(t[:, 0], np.ones(n)):
+                raise DataError(f"intercept flag set but column 1 of "
+                                f"{block_label('T', k)} is not constant 1")
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.z[0].shape[0]
 
     @property
     def p(self) -> int:
-        return len(self.x)
+        return len(self.z) - 1
 
     def dimensions(self) -> Dimensions:
-        return Dimensions(
-            n=self.n,
-            p=self.p,
-            q_y=self.y.shape[1],
-            q_m=tuple(xm.shape[1] for xm in self.x),
-            r_t=self.t.shape[1],
-            r_m=tuple(tm.shape[1] for tm in self.t_m),
-        )
+        q = [z.shape[1] for z in self.z]
+        r = [t.shape[1] for t in self.t]
+        return Dimensions(n=self.n, p=self.p, q_y=q[0], q_m=q[1:], r_t=r[0], r_m=r[1:])
 
 
 def subset_units(data: Dataset, indices: np.ndarray) -> Dataset:
     """Dataset restricted to the given unit rows (in the given order)."""
     idx = np.asarray(indices)
     return Dataset(
-        y=data.y[idx],
-        x=tuple(xm[idx] for xm in data.x),
-        t=data.t[idx],
-        t_m=tuple(tm[idx] for tm in data.t_m),
+        z=tuple(z[idx] for z in data.z),
+        t=tuple(t[idx] for t in data.t),
         intercept=data.intercept,
     )
 
@@ -222,6 +215,19 @@ class Theta:
         return len(self.c)
 
 
+def check_theta_shapes(theta: Theta, shapes, against: str) -> None:
+    """DataError naming the block count, or the first block and shape,
+    where ``theta`` disagrees with the per-block (r_k, q_k) ``shapes``
+    of ``against``."""
+    if theta.p != len(shapes) - 1:
+        raise DataError(f"theta has {theta.p} explanatory blocks but {against} has "
+                        f"{len(shapes) - 1}")
+    for k, (coef, shape) in enumerate(zip(theta.coef, shapes)):
+        if coef.shape != shape:
+            raise DataError(f"theta block {block_label('D', k)} has shape {coef.shape} "
+                            f"but {against} needs {shape}")
+
+
 @dataclass
 class Latents:
     """Per-unit latent factor values.
@@ -243,16 +249,28 @@ class Latents:
             )
 
 
+# (block 0, stem of block k >= 1) of each per-block family; block 0 is Y
+_LABELS = {"Z": ("Y", "X"), "T": ("T", "T"), "D": ("D", "D"), "loading": ("b", "a"),
+           "sigma2": ("sigma2_Y", "sigma2_")}
+
+
+def block_label(family: str, k: int) -> str:
+    """Name of block k's member of ``family``: "Z" (Y, X1..), "T" (T,
+    T1..), "D" (D, D1..), "loading" (b, a1..) or "sigma2" (sigma2_Y,
+    sigma2_1..)."""
+    first, stem = _LABELS[family]
+    return f"{stem}{k}" if k else first
+
+
 def _layout(dims: Dimensions) -> list[tuple[str, tuple[int, ...]]]:
     """The canonical vector as (name, shape) parts, in order: the fields
     of ``Theta``, each block by block (Y first)."""
-    ids = ["", *(str(m) for m in range(1, dims.p + 1))]
-    shapes = list(zip((dims.r_t, *dims.r_m), (dims.q_y, *dims.q_m)))
+    shapes = list(zip(dims.r, dims.q))
     return (
-        [(f"D{k}", shape) for k, shape in zip(ids, shapes)]
-        + [(f"a{k}" if k else "b", (q,)) for k, (_, q) in zip(ids, shapes)]
-        + [(f"c{k}", ()) for k in ids[1:]]
-        + [(f"sigma2_{k or 'Y'}", ()) for k in ids]
+        [(block_label("D", k), shape) for k, shape in enumerate(shapes)]
+        + [(block_label("loading", k), (q,)) for k, (_, q) in enumerate(shapes)]
+        + [(f"c{k}", ()) for k in range(1, len(shapes))]
+        + [(block_label("sigma2", k), ()) for k in range(len(shapes))]
     )
 
 

@@ -38,7 +38,7 @@ import scipy.linalg
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
 from .estep import ConditionalLaw, block_residuals
-from .model import Dataset, Theta, flatten_parts
+from .model import Dataset, Theta, block_label, flatten_parts
 
 __all__ = [
     "BlockProjection",
@@ -93,14 +93,13 @@ def project_covariates(data: Dataset) -> tuple[BlockProjection, ...]:
     Raises DataError when a covariate block has at least as many columns
     as there are units, and SingularSystemError for collinear covariates.
     """
-    dims = data.dimensions()
-    if data.n <= max(dims.r_t, *dims.r_m):
+    if data.n <= max(t.shape[1] for t in data.t):
         raise DataError(
             f"covariate projection needs more units than covariates, got n={data.n}"
         )
     blocks = []
-    for k, (t, z) in enumerate(zip((data.t, *data.t_m), (data.y, *data.x))):
-        proj = _gram_solve(t.T @ t, t.T, f"T{k or ''}")
+    for k, (t, z) in enumerate(zip(data.t, data.z)):
+        proj = _gram_solve(t.T @ t, t.T, block_label("T", k))
         coef = proj @ z
         resid = z - t @ coef
         blocks.append(BlockProjection(
@@ -154,14 +153,15 @@ def update_theta(
         # leaves only rounding in denom, which can land on either side of 0
         if denom <= 1e-12 * s[k, k]:
             raise DegeneratePosteriorError(
-                f"loading denominator for block T{k or ''} is {denom:.3e}; "
+                f"loading denominator for block {block_label('T', k)} is {denom:.3e}; "
                 "posterior second moment is degenerate given the covariates"
             )
         loading = zf / denom
         value = (block.resid_sq - loading @ zf) / block.resid.size
         if value < VARIANCE_FLOOR:
             warnings.warn(
-                f"sigma2_{k or 'Y'} update {value:.3e} floored at {VARIANCE_FLOOR:.0e}",
+                f"{block_label('sigma2', k)} update {value:.3e} floored at "
+                f"{VARIANCE_FLOOR:.0e}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -177,7 +177,7 @@ def _block_terms(theta: Theta, data: Dataset, law: ConditionalLaw):
     """Per measurement block (Y, then X^1..X^p): covariates, centered
     residuals, loading, scores, summed E[factor^2] and noise variance."""
     return zip(
-        (data.t, *data.t_m), block_residuals(theta, data),
+        data.t, block_residuals(theta, data),
         theta.loading, law.m.T, np.diag(law.second_moment_sum()), theta.sigma2,
     )
 

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Dimensions, Latents, Theta
+from .model import Dataset, Dimensions, Latents, Theta, check_theta_shapes
 
 __all__ = ["SimConfig", "reference_theta", "simulate_dataset"]
-
-T_MODES = ("all_gaussian", "intercept_plus_gaussian")
 
 
 @dataclass(frozen=True)
@@ -23,29 +21,29 @@ class SimConfig:
     """Design of one synthetic dataset.
 
     theta : generating parameters; None selects the integer-sequence
-        scheme of ``reference_theta``
-    t_mode : "all_gaussian" draws every covariate entry standard normal
-        (the replication default); "intercept_plus_gaussian" fixes the
-        first covariate column to the constant 1
+        scheme of ``reference_theta``. Raises DataError naming the block
+        where a given theta does not fit ``dims``.
+    intercept : False draws every covariate entry standard normal (the
+        replication default); True fixes the first covariate column of
+        every block to the constant 1
     """
 
     dims: Dimensions
     seed: int = 0
     theta: Theta | None = None
-    t_mode: str = "all_gaussian"
+    intercept: bool = False
 
     def __post_init__(self):
-        if self.t_mode not in T_MODES:
-            raise ValueError(f"t_mode must be one of {T_MODES}, got {self.t_mode!r}")
+        if self.theta is not None:
+            check_theta_shapes(self.theta, list(zip(self.dims.r, self.dims.q)), "dims")
 
 
 def reference_theta(dims: Dimensions) -> Theta:
     """Integer-sequence parameters: D row-wise 1..r*q, loadings 1..q,
     unit structural coefficients and unit noise variances."""
-    shapes = list(zip((dims.r_t, *dims.r_m), (dims.q_y, *dims.q_m)))
     return Theta(
-        coef=[np.arange(1.0, r * q + 1.0).reshape(r, q) for r, q in shapes],
-        loading=[np.arange(1.0, q + 1.0) for _, q in shapes],
+        coef=[np.arange(1.0, r * q + 1.0).reshape(r, q) for r, q in zip(dims.r, dims.q)],
+        loading=[np.arange(1.0, q + 1.0) for q in dims.q],
         c=np.ones(dims.p),
         sigma2=[1.0] * (dims.p + 1),
     )
@@ -68,19 +66,16 @@ def simulate_dataset(config: SimConfig) -> tuple[Dataset, Latents, Theta]:
 
     def covariates(r):
         t = rng_cov.standard_normal((n, r))
-        if config.t_mode == "intercept_plus_gaussian":
+        if config.intercept:
             t[:, 0] = 1.0
         return t
 
-    t = [covariates(r) for r in (dims.r_t, *dims.r_m)]
+    t = [covariates(r) for r in dims.r]
     z = []
-    for k, (q, factor) in enumerate(zip((dims.q_y, *dims.q_m), (g, *f))):
+    for k, (q, factor) in enumerate(zip(dims.q, (g, *f))):
         zk = t[k] @ theta.coef[k] + np.outer(factor, theta.loading[k])
         zk += np.sqrt(theta.sigma2[k]) * rng_noise.standard_normal((n, q))
         z.append(zk)
 
-    data = Dataset(
-        y=z[0], x=tuple(z[1:]), t=t[0], t_m=tuple(t[1:]),
-        intercept=config.t_mode == "intercept_plus_gaussian",
-    )
+    data = Dataset(z=tuple(z), t=tuple(t), intercept=config.intercept)
     return data, Latents(g=g, f=f), theta

@@ -20,14 +20,8 @@ def random_dims(rng, n_range=(8, 40), max_p=3, max_q=4, max_r=3) -> Dimensions:
 
 def random_theta(dims: Dimensions, rng) -> Theta:
     return Theta(
-        coef=(
-            rng.normal(size=(dims.r_t, dims.q_y)),
-            *(rng.normal(size=(r, q)) for q, r in zip(dims.q_m, dims.r_m)),
-        ),
-        loading=(
-            rng.normal(size=dims.q_y) + 0.5,
-            *(rng.normal(size=q) + 0.5 for q in dims.q_m),
-        ),
+        coef=tuple(rng.normal(size=shape) for shape in zip(dims.r, dims.q)),
+        loading=tuple(rng.normal(size=q) + 0.5 for q in dims.q),
         c=rng.normal(size=dims.p),
         sigma2=(
             float(rng.uniform(0.5, 2.0)),

@@ -112,7 +112,7 @@ def build_joint_blocks(theta, dims) -> JointBlocks:
     s1[0, 1:] = c
     s1[1:, 0] = c
 
-    offsets = np.cumsum([0, q_y, *dims.q_m])
+    offsets = np.cumsum([0, *dims.q])
     q_total = offsets[-1]
 
     s2 = np.zeros((p + 1, q_total))
@@ -174,14 +174,14 @@ def sufficient_stats(data, law) -> SufficientStats:
     g = law.g_tilde
     f = law.f_tilde
     return SufficientStats(
-        mean_tt=data.t.T @ data.t / n,
-        mean_yt=data.y.T @ data.t / n,
-        mean_gt=data.t.T @ g / n,
-        mean_gy=data.y.T @ g / n,
-        mean_tmtm=tuple(tm.T @ tm / n for tm in data.t_m),
-        mean_xmtm=tuple(xm.T @ tm / n for xm, tm in zip(data.x, data.t_m)),
-        mean_fmtm=tuple(tm.T @ f[m] / n for m, tm in enumerate(data.t_m)),
-        mean_fmxm=tuple(xm.T @ f[m] / n for m, xm in enumerate(data.x)),
+        mean_tt=data.t[0].T @ data.t[0] / n,
+        mean_yt=data.z[0].T @ data.t[0] / n,
+        mean_gt=data.t[0].T @ g / n,
+        mean_gy=data.z[0].T @ g / n,
+        mean_tmtm=tuple(tm.T @ tm / n for tm in data.t[1:]),
+        mean_xmtm=tuple(xm.T @ tm / n for xm, tm in zip(data.z[1:], data.t[1:])),
+        mean_fmtm=tuple(tm.T @ f[m] / n for m, tm in enumerate(data.t[1:])),
+        mean_fmxm=tuple(xm.T @ f[m] / n for m, xm in enumerate(data.z[1:])),
         mean_hh=law.second_moment_sum() / n,
     )
 
@@ -231,7 +231,7 @@ def update_theta(stats: SufficientStats, law, data) -> Theta:
 
     variances = []
     names = ["sigma2_Y"] + [f"sigma2_{m + 1}" for m in range(dims.p)]
-    blocks = zip(updates, (data.y, *data.x), (data.t, *data.t_m), names)
+    blocks = zip(updates, data.z, data.t, names)
     for k, ((loading, coef), obs, cov, name) in enumerate(blocks):
         resid = obs - cov @ coef
         value = expected_sq_residual_sum(

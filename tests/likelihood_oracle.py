@@ -72,7 +72,7 @@ def complete_score(theta: Theta, data: Dataset, latents: Latents) -> Score:
     """
     grads = []
     for t, (resid, factor, var) in zip(
-        (data.t, *data.t_m), _block_residuals(theta, data, latents)
+        data.t, _block_residuals(theta, data, latents)
     ):
         inv = 1.0 / var
         grads.append((

@@ -98,8 +98,7 @@ def toy_setup():
     from factorem import Dataset
 
     theta = scalar_toy_theta()
-    data = Dataset(y=[[1.0]], x=([[1.0]], [[1.0]]),
-                   t=[[0.0]], t_m=([[0.0]], [[0.0]]))
+    data = Dataset(z=([[1.0]],) * 3, t=([[0.0]],) * 3)
     return theta, data
 
 

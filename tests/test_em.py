@@ -82,8 +82,7 @@ class TestInitialize:
 
     def test_too_few_units_rejected(self):
         data, _, _, dims = random_instance(3)
-        tiny = Dataset(y=data.y[:1], x=tuple(x[:1] for x in data.x),
-                       t=data.t[:1], t_m=tuple(t[:1] for t in data.t_m))
+        tiny = Dataset(z=tuple(z[:1] for z in data.z), t=tuple(t[:1] for t in data.t))
         with pytest.raises(DataError, match="more units than covariates"):
             fit(tiny, tiny.dimensions(), EMConfig())
 
@@ -93,9 +92,8 @@ class TestInitialize:
         t = rng.normal(size=(n, 1))
         d = rng.normal(size=(1, 3))
         data = Dataset(
-            y=t @ d,                       # no factor, no noise
-            x=(rng.normal(size=(n, 3)),),
-            t=t, t_m=(rng.normal(size=(n, 1)),),
+            z=(t @ d, rng.normal(size=(n, 3))),     # Y: no factor, no noise
+            t=(t, rng.normal(size=(n, 1))),
         )
         with pytest.raises(DataError, match="zero variance"):
             initialize(project_covariates(data))

@@ -25,9 +25,7 @@ TOY_SIGMA = np.array([[8.0, 2.0, 2.0], [2.0, 5.0, -1.0], [2.0, -1.0, 5.0]]) / 12
 
 def scalar_toy_data():
     # covariates zero, so the centered observation is the raw (1, 1, 1)
-    return Dataset(
-        y=[[1.0]], x=([[1.0]], [[1.0]]), t=[[0.0]], t_m=([[0.0]], [[0.0]]),
-    )
+    return Dataset(z=([[1.0]],) * 3, t=([[0.0]],) * 3)
 
 
 class TestJointBlocks:
@@ -139,14 +137,13 @@ class TestConditionalLaw:
 def noise_free_copy(data, latents, theta):
     """The same units with every noise draw removed."""
     return Dataset(
-        y=data.t @ theta.coef[0] + np.outer(latents.g, theta.loading[0]),
-        x=tuple(
-            tm @ dm + np.outer(f, am)
-            for tm, dm, f, am in zip(
-                data.t_m, theta.coef[1:], latents.f, theta.loading[1:]
+        z=tuple(
+            t @ d + np.outer(h, lam)
+            for t, d, h, lam in zip(
+                data.t, theta.coef, (latents.g, *latents.f), theta.loading
             )
         ),
-        t=data.t, t_m=data.t_m,
+        t=data.t,
     )
 
 
@@ -217,7 +214,7 @@ class TestLowRankAgainstDense:
         # when a drawn loading has |lambda_k|^2 = 3.6e-7. The slack on top
         # covers rounding only.
         loadings = theta.loading
-        widths = np.array([dims.q_y, *dims.q_m])
+        widths = np.array(dims.q)
         prior_quad = np.sum(latents.f**2, axis=0) + (latents.g - theta.c @ latents.f) ** 2
         limit = -0.5 * (
             prior_quad

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,17 @@ class TestSensitivitySweep:
             mean, lo, hi = summary.c_band(0)
             halfwidth.append(hi - lo)
         assert halfwidth[0] > halfwidth[1]
+
+    def test_vary_n_cells_keep_a_non_square_base(self):
+        dims = Dimensions(n=60, p=2, q_y=2, q_m=(3, 6), r_t=1, r_m=(2, 1))
+        summaries = sensitivity_sweep((40, 60), (5,), SimConfig(dims=dims, seed=4),
+                                      EMConfig(), replicates=1)
+        assert [s.dims for s in summaries] == [
+            replace(dims, n=40), dims, replace(dims, q_y=5, q_m=(5, 5)),
+        ]
+        assert [s.cell for s in summaries] == [
+            "vary_n:n=40,q=2", "vary_n:n=60,q=2", "vary_q:n=60,q=5",
+        ]
 
     def test_empty_grids_rejected(self):
         with pytest.raises(DataError):

@@ -35,13 +35,9 @@ class TestDatasetRoundTrip:
         manifest = load_manifest(tmp_path / "manifest.json")
         loaded, loaded_dims = load_dataset(manifest)
         assert loaded_dims == dims
-        np.testing.assert_array_equal(loaded.y, data.y)
-        np.testing.assert_array_equal(loaded.t, data.t)
-        for a, b in zip(loaded.x, data.x):
+        for a, b in zip(loaded.z + loaded.t, data.z + data.t):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(loaded.t_m, data.t_m):
-            np.testing.assert_array_equal(a, b)
-        assert manifest.columns["y"] == [f"y{j+1}" for j in range(4)]
+        assert manifest.columns["z"][0] == [f"y{j+1}" for j in range(4)]
 
     def test_hand_written_blocks_smoke_load(self, tmp_path):
         def write(name, header, rows):
@@ -147,10 +143,10 @@ class TestFastCsvPaths:
         data, latents, theta, dims = small_dataset(seed=3, n=50, q=6)
         write_dataset(data, tmp_path / "data", latents=latents, theta=theta)
         cols = io_module._default_columns(dims)
-        blocks = [("Y.csv", cols["y"], data.y), ("T.csv", cols["t"], data.t)]
+        blocks = [("Y.csv", cols["z"][0], data.z[0]), ("T.csv", cols["t"][0], data.t[0])]
         for m in range(dims.p):
-            blocks += [(f"X{m + 1}.csv", cols["x"][m], data.x[m]),
-                       (f"T{m + 1}.csv", cols["t_m"][m], data.t_m[m])]
+            blocks += [(f"X{m + 1}.csv", cols["z"][m + 1], data.z[m + 1]),
+                       (f"T{m + 1}.csv", cols["t"][m + 1], data.t[m + 1])]
         blocks.append(("factors_true.csv", ["g", "f1", "f2"],
                        np.column_stack([latents.g, latents.f.T])))
         for name, header, matrix in blocks:
@@ -263,15 +259,15 @@ class TestCategoricalCovariates:
         manifest = self.make_blocks(tmp_path, rows)
         data, dims = load_dataset(manifest)
         assert dims.r_t == 5
-        np.testing.assert_array_equal(data.t[:, 0], np.ones(len(rows)))
-        names = manifest.columns["t"]
+        np.testing.assert_array_equal(data.t[0][:, 0], np.ones(len(rows)))
+        names = manifest.columns["t"][0]
         assert names[0] == "intercept"
         assert names[1:] == [
             "geo=alluvium", "geo=granite", "geo=sand", "geo=quartzite"
         ]
         # reference level rows have all indicators zero
-        np.testing.assert_array_equal(data.t[0, 1:], np.zeros(4))
-        assert data.t[1, 1] == 1.0
+        np.testing.assert_array_equal(data.t[0][0, 1:], np.zeros(4))
+        assert data.t[0][1, 1] == 1.0
 
     @pytest.mark.parametrize("cell", ["", "n/a"])
     def test_partly_numeric_column_rejected(self, tmp_path, cell):
@@ -293,11 +289,11 @@ class TestCategoricalCovariates:
         manifest = self.make_blocks(tmp_path, rows, t_header="kind,depth")
         data, dims = load_dataset(manifest)
         assert dims.r_t == 4  # intercept + 2 indicators + depth
-        assert manifest.columns["t"] == [
+        assert manifest.columns["t"][0] == [
             "intercept", "kind=b", "kind=c", "depth"
         ]
-        np.testing.assert_array_equal(data.t[:, 3], [1.5, 2.5, 3.5, 4.5])
-        np.testing.assert_array_equal(data.t[:, 1], [0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(data.t[0][:, 3], [1.5, 2.5, 3.5, 4.5])
+        np.testing.assert_array_equal(data.t[0][:, 1], [0.0, 1.0, 0.0, 0.0])
 
 
 class TestWriteFit:
@@ -411,6 +407,14 @@ class TestCli:
         code = main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "f")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_blank_covariate_header_exits_two(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        main(["simulate", "--n", "30", "--q", "3", "--seed", "0",
+              "--out", str(data_dir)])
+        (data_dir / "T.csv").write_text("\n" * 31)
+        assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "f")]) == 2
+        assert f"{data_dir / 'T.csv'}: header row is blank" in capsys.readouterr().err
 
     def test_sensitivity_command(self, tmp_path):
         out = tmp_path / "sens"

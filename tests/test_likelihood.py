@@ -26,7 +26,7 @@ def structural_covariance(theta, dims):
     p, q_y, q_total = dims.p, dims.q_y, dims.q_total
     width = p + 1 + q_total          # sources: f_1..f_p, e_g, block noise
     load = np.zeros((q_total, width))
-    offsets = np.cumsum([0, q_y, *dims.q_m])
+    offsets = np.cumsum([0, *dims.q])
     for j in range(q_y):
         load[j, :p] = theta.loading[0][j] * theta.c
         load[j, p] = theta.loading[0][j]
@@ -40,9 +40,7 @@ def structural_covariance(theta, dims):
 
 
 def block_means(theta, data):
-    parts = [data.t @ theta.coef[0]]
-    parts += [tm @ dm for tm, dm in zip(data.t_m, theta.coef[1:])]
-    return np.concatenate(parts, axis=1)
+    return np.concatenate([t @ d for t, d in zip(data.t, theta.coef)], axis=1)
 
 
 class TestCompleteLoglik:
@@ -51,8 +49,8 @@ class TestCompleteLoglik:
             coef=(np.zeros((1, 2)), np.zeros((1, 1))), loading=(np.ones(2), np.ones(1)),
             c=np.ones(1), sigma2=(1.0, 1.0),
         )
-        data = Dataset(y=np.zeros((1, 2)), x=(np.zeros((1, 1)),),
-                       t=np.zeros((1, 1)), t_m=(np.zeros((1, 1)),))
+        data = Dataset(z=(np.zeros((1, 2)), np.zeros((1, 1))),
+                       t=(np.zeros((1, 1)), np.zeros((1, 1))))
         latents = Latents(g=np.zeros(1), f=np.zeros((1, 1)))
         result = complete_loglik(theta, data, latents)
         q_total, p = 3, 1
@@ -63,8 +61,8 @@ class TestCompleteLoglik:
     def test_doubling_variance_with_zero_residual(self):
         rng = np.random.default_rng(0)
         data, latents, theta, dims = random_instance(0)
-        exact_y = data.t @ theta.coef[0] + np.outer(latents.g, theta.loading[0])
-        data = Dataset(y=exact_y, x=data.x, t=data.t, t_m=data.t_m)
+        exact_y = data.t[0] @ theta.coef[0] + np.outer(latents.g, theta.loading[0])
+        data = Dataset(z=(exact_y, *data.z[1:]), t=data.t)
         doubled = Theta(coef=theta.coef, loading=theta.loading,
                         c=theta.c, sigma2=(2 * theta.sigma2[0], *theta.sigma2[1:]))
         base = complete_loglik(theta, data, latents).value
@@ -77,15 +75,15 @@ class TestCompleteLoglik:
         data, latents, theta, dims = random_instance(1)
         expected = 0.0
         for i in range(dims.n):
-            mean_y = data.t[i] @ theta.coef[0] + latents.g[i] * theta.loading[0]
+            mean_y = data.t[0][i] @ theta.coef[0] + latents.g[i] * theta.loading[0]
             expected += scipy.stats.norm.logpdf(
-                data.y[i], mean_y, np.sqrt(theta.sigma2[0])
+                data.z[0][i], mean_y, np.sqrt(theta.sigma2[0])
             ).sum()
             for m in range(dims.p):
-                mean_x = (data.t_m[m][i] @ theta.coef[m + 1]
+                mean_x = (data.t[m + 1][i] @ theta.coef[m + 1]
                           + latents.f[m, i] * theta.loading[m + 1])
                 expected += scipy.stats.norm.logpdf(
-                    data.x[m][i], mean_x, np.sqrt(theta.sigma2[m + 1])
+                    data.z[m + 1][i], mean_x, np.sqrt(theta.sigma2[m + 1])
                 ).sum()
             expected += scipy.stats.norm.logpdf(
                 latents.g[i], theta.c @ latents.f[:, i], 1.0
@@ -108,15 +106,15 @@ class TestObservedLoglik:
         data, _, theta, dims = random_instance(3)
         decoupled = Theta(
             coef=theta.coef,
-            loading=[np.zeros(q) for q in (dims.q_y, *dims.q_m)],
+            loading=[np.zeros(q) for q in dims.q],
             c=theta.c, sigma2=theta.sigma2,
         )
         expected = scipy.stats.norm.logpdf(
-            data.y, data.t @ theta.coef[0], np.sqrt(theta.sigma2[0])
+            data.z[0], data.t[0] @ theta.coef[0], np.sqrt(theta.sigma2[0])
         ).sum()
         for m in range(dims.p):
             expected += scipy.stats.norm.logpdf(
-                data.x[m], data.t_m[m] @ theta.coef[m + 1],
+                data.z[m + 1], data.t[m + 1] @ theta.coef[m + 1],
                 np.sqrt(theta.sigma2[m + 1]),
             ).sum()
         assert observed_loglik(decoupled, data).value == pytest.approx(
@@ -127,7 +125,7 @@ class TestObservedLoglik:
         data, _, theta, dims = random_instance(4)
         cov = structural_covariance(theta, dims)
         means = block_means(theta, data)
-        z = np.concatenate([data.y] + list(data.x), axis=1)
+        z = np.concatenate(data.z, axis=1)
         result = observed_loglik(theta, data)
         for i in range(min(5, dims.n)):
             oracle = scipy.stats.multivariate_normal.logpdf(
@@ -139,8 +137,7 @@ class TestObservedLoglik:
         data, _, theta, _ = random_instance(5)
         perm = np.random.default_rng(0).permutation(data.n)
         shuffled = Dataset(
-            y=data.y[perm], x=tuple(xm[perm] for xm in data.x),
-            t=data.t[perm], t_m=tuple(tm[perm] for tm in data.t_m),
+            z=tuple(z[perm] for z in data.z), t=tuple(t[perm] for t in data.t),
         )
         assert observed_loglik(theta, data).value == pytest.approx(
             observed_loglik(theta, shuffled).value, rel=1e-12
@@ -162,9 +159,8 @@ class TestCompleteScore:
         theta = Theta(coef=(d, d1), loading=(b, a), c=np.ones(1),
                       sigma2=(1.5, 1.0))
         data = Dataset(
-            y=t @ d + np.outer(g, b),
-            x=(t1 @ d1 + np.outer(f[0], a),),
-            t=t, t_m=(t1,),
+            z=(t @ d + np.outer(g, b), t1 @ d1 + np.outer(f[0], a)),
+            t=(t, t1),
         )
         score = complete_score(theta, data, Latents(g=g, f=f))
         np.testing.assert_allclose(score.loading[0], np.zeros(q_y), atol=1e-10)

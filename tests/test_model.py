@@ -136,30 +136,21 @@ class TestValidation:
     def test_row_count_mismatch_names_blocks(self):
         with pytest.raises(DataError, match="X1"):
             Dataset(
-                y=np.zeros((4, 2)),
-                x=(np.zeros((5, 2)),),
-                t=np.zeros((4, 1)),
-                t_m=(np.zeros((4, 1)),),
+                z=(np.zeros((4, 2)), np.zeros((5, 2))),
+                t=(np.zeros((4, 1)), np.zeros((4, 1))),
             )
 
     def test_non_finite_rejected(self):
         y = np.zeros((3, 2))
         y[0, 0] = np.nan
         with pytest.raises(DataError, match="non-finite"):
-            Dataset(y=y, x=(np.zeros((3, 2)),), t=np.zeros((3, 1)),
-                    t_m=(np.zeros((3, 1)),))
+            Dataset(z=(y, np.zeros((3, 2))), t=(np.zeros((3, 1)), np.zeros((3, 1))))
 
     def test_intercept_flag_enforced(self):
-        blocks = dict(
-            y=np.ones((3, 2)),
-            x=(np.ones((3, 2)),),
-            t=np.ones((3, 2)),
-            t_m=(np.zeros((3, 1)),),
-        )
+        z = (np.ones((3, 2)), np.ones((3, 2)))
         with pytest.raises(DataError, match="T1"):
-            Dataset(**blocks, intercept=True)
-        blocks["t_m"] = (np.ones((3, 1)),)
-        Dataset(**blocks, intercept=True)
+            Dataset(z=z, t=(np.ones((3, 2)), np.zeros((3, 1))), intercept=True)
+        Dataset(z=z, t=(np.ones((3, 2)), np.ones((3, 1))), intercept=True)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(DataError):
@@ -174,12 +165,10 @@ class TestValidation:
 def test_subset_units_keeps_order():
     rng = np.random.default_rng(5)
     data = Dataset(
-        y=rng.normal(size=(6, 2)),
-        x=(rng.normal(size=(6, 3)),),
-        t=rng.normal(size=(6, 1)),
-        t_m=(rng.normal(size=(6, 2)),),
+        z=(rng.normal(size=(6, 2)), rng.normal(size=(6, 3))),
+        t=(rng.normal(size=(6, 1)), rng.normal(size=(6, 2))),
     )
     sub = subset_units(data, np.array([4, 1]))
-    np.testing.assert_array_equal(sub.y, data.y[[4, 1]])
-    np.testing.assert_array_equal(sub.x[0], data.x[0][[4, 1]])
+    np.testing.assert_array_equal(sub.z[0], data.z[0][[4, 1]])
+    np.testing.assert_array_equal(sub.z[1], data.z[1][[4, 1]])
     assert sub.n == 2

@@ -25,7 +25,7 @@ class TestCovariateProjection:
         for seed in range(20):
             data, _, _, _ = random_instance(seed)
             blocks = project_covariates(data)
-            for block, z in zip(blocks, (data.y, *data.x)):
+            for block, z in zip(blocks, data.z):
                 scale = np.linalg.norm(block.t) * np.linalg.norm(z)
                 assert np.abs(block.t.T @ block.resid).max() <= 1e-12 * scale
 
@@ -33,7 +33,7 @@ class TestCovariateProjection:
         for seed in range(20):
             data, _, _, _ = random_instance(seed)
             blocks = project_covariates(data)
-            for block, t, z in zip(blocks, (data.t, *data.t_m), (data.y, *data.x)):
+            for block, t, z in zip(blocks, data.t, data.z):
                 expected, rss, _, _ = np.linalg.lstsq(t, z, rcond=None)
                 np.testing.assert_allclose(block.coef, expected, rtol=1e-10, atol=1e-12)
                 np.testing.assert_allclose(block.proj @ t, np.eye(t.shape[1]), atol=1e-12)
@@ -75,8 +75,8 @@ class TestUpdateTheta:
         n, q_y = 30, 4
         y = rng.normal(size=(n, q_y))
         data = Dataset(
-            y=y, x=(rng.normal(size=(n, 2)), rng.normal(size=(n, 2))),
-            t=np.ones((n, 1)), t_m=(np.ones((n, 1)), np.ones((n, 1))),
+            z=(y, rng.normal(size=(n, 2)), rng.normal(size=(n, 2))),
+            t=(np.ones((n, 1)),) * 3,
             intercept=True,
         )
         m = np.column_stack([np.zeros(n), rng.normal(size=(n, 2))])
@@ -97,9 +97,9 @@ class TestUpdateTheta:
         g = rng.normal(size=n)
         f = rng.normal(size=(p, n))
         data = Dataset(
-            y=t @ d + np.outer(g, b),
-            x=tuple(t_m[m] @ d_m[m] + np.outer(f[m], a_m[m]) for m in range(p)),
-            t=t, t_m=t_m,
+            z=(t @ d + np.outer(g, b),
+               *(t_m[m] @ d_m[m] + np.outer(f[m], a_m[m]) for m in range(p))),
+            t=(t, *t_m),
         )
         law = ConditionalLaw(
             m=np.column_stack([g, f.T]), sigma=np.zeros((p + 1, p + 1))
@@ -125,9 +125,8 @@ class TestUpdateTheta:
     def test_collinear_covariates_rejected(self):
         data, _, theta, dims = random_instance(5)
         broken = Dataset(
-            y=data.y, x=data.x,
-            t=np.column_stack([data.t[:, 0], data.t[:, 0]]),
-            t_m=data.t_m,
+            z=data.z,
+            t=(np.column_stack([data.t[0][:, 0], data.t[0][:, 0]]), *data.t[1:]),
         )
         with pytest.raises(SingularSystemError, match="collinear"):
             project_covariates(broken)
@@ -138,10 +137,8 @@ class TestUpdateTheta:
         rng = np.random.default_rng(7)
         n = 15
         data = Dataset(
-            y=rng.normal(size=(n, 2)),
-            x=(rng.normal(size=(n, 2)), rng.normal(size=(n, 2))),
-            t=rng.normal(size=(n, 1)),
-            t_m=(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))),
+            z=(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), rng.normal(size=(n, 2))),
+            t=(rng.normal(size=(n, 1)), rng.normal(size=(n, 1)), rng.normal(size=(n, 1))),
         )
         shared = rng.normal(size=n)
         m = np.column_stack([rng.normal(size=n), shared, shared])
@@ -156,9 +153,8 @@ class TestUpdateTheta:
         n = 20
         t = np.ones((n, 1))
         data = Dataset(
-            y=rng.normal(size=(n, 2)),
-            x=(rng.normal(size=(n, 2)), rng.normal(size=(n, 2))),
-            t=t, t_m=(t.copy(), t.copy()),
+            z=(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), rng.normal(size=(n, 2))),
+            t=(t, t.copy(), t.copy()),
         )
         m = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)))
@@ -239,9 +235,7 @@ def test_update_scale_consistency():
     base = update_theta(project_covariates(data), law)
 
     alpha = 3.0
-    scaled_data = Dataset(
-        y=alpha * data.y, x=data.x, t=data.t, t_m=data.t_m,
-    )
+    scaled_data = Dataset(z=(alpha * data.z[0], *data.z[1:]), t=data.t)
     scaled = update_theta(project_covariates(scaled_data), law)
     np.testing.assert_allclose(scaled.loading[0], alpha * base.loading[0], rtol=1e-10)
     np.testing.assert_allclose(scaled.coef[0], alpha * base.coef[0], rtol=1e-10)

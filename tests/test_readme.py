@@ -1,4 +1,4 @@
-"""The README's library quickstart runs as documented."""
+"""The README's library snippets run as documented."""
 
 import re
 from pathlib import Path
@@ -25,3 +25,15 @@ def test_library_quickstart_runs_at_small_n(capsys):
     assert namespace["sq_corr"].shape == (result.dims.p + 1,)
     assert np.isfinite(namespace["average"])
     assert capsys.readouterr().out
+
+
+def test_dataset_from_arrays_runs(capsys):
+    section = README.read_text(encoding="utf-8").split(
+        "### Build a `Dataset` from arrays", 1)[1]
+    source = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(source, str(README), "exec"), namespace)
+    data, result = namespace["data"], namespace["result"]
+    assert data.p == 2 and data.dimensions().q == (5, 4, 6)
+    assert result.converged and result.theta.c.shape == (2,)
+    assert capsys.readouterr().out.startswith("(5, 4, 6) (2, 2, 2)\n")

@@ -1,7 +1,13 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from factorem import Dimensions, SimConfig, Theta, reference_theta, simulate_dataset
+from factorem import (
+    DataError, Dimensions, EMConfig, SimConfig, Theta, reference_theta, replicate_study,
+    simulate_dataset,
+)
 
 from conftest import reference_dims
 
@@ -36,8 +42,8 @@ class TestSimulateDataset:
         data, latents, _ = simulate_dataset(
             SimConfig(dims=dims, seed=0, theta=theta)
         )
-        np.testing.assert_array_equal(data.y, data.t @ theta.coef[0])
-        np.testing.assert_array_equal(data.x[0], data.t_m[0] @ theta.coef[1])
+        np.testing.assert_array_equal(data.z[0], data.t[0] @ theta.coef[0])
+        np.testing.assert_array_equal(data.z[1], data.t[1] @ theta.coef[1])
         # with c = 0 the dependent factor is the pure disturbance
         assert latents.g.std() > 0.5
 
@@ -45,14 +51,12 @@ class TestSimulateDataset:
         config = SimConfig(dims=reference_dims(n=30, q=4), seed=9)
         a, la, _ = simulate_dataset(config)
         b, lb, _ = simulate_dataset(config)
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.t, b.t)
-        assert all(np.array_equal(x1, x2) for x1, x2 in zip(a.x, b.x))
+        assert all(np.array_equal(x1, x2) for x1, x2 in zip(a.z + a.t, b.z + b.t))
         assert np.array_equal(la.g, lb.g)
 
     def test_reference_design_size(self):
         data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(), seed=0))
-        total = data.y.size + sum(x.size for x in data.x)
+        total = sum(z.size for z in data.z)
         assert total == 48000
         assert data.dimensions().q_total == 120
 
@@ -68,21 +72,49 @@ class TestSimulateDataset:
         dims = Dimensions(n=2000, p=1, q_y=3, q_m=(3,), r_t=2, r_m=(2,))
         data, latents, theta = simulate_dataset(SimConfig(dims=dims, seed=13))
         j = 1
-        design = np.column_stack([data.t, latents.g])
-        coef, *_ = np.linalg.lstsq(design, data.y[:, j], rcond=None)
+        design = np.column_stack([data.t[0], latents.g])
+        coef, *_ = np.linalg.lstsq(design, data.z[0][:, j], rcond=None)
         truth = np.array([theta.coef[0][0, j], theta.coef[0][1, j], theta.loading[0][j]])
         gram_inv = np.linalg.inv(design.T @ design)
         se = np.sqrt(np.diag(gram_inv) * theta.sigma2[0])
         assert np.all(np.abs(coef - truth) < 3 * se)
 
     def test_intercept_mode(self):
-        config = SimConfig(dims=reference_dims(n=20, q=3), seed=5,
-                           t_mode="intercept_plus_gaussian")
+        config = SimConfig(dims=reference_dims(n=20, q=3), seed=5, intercept=True)
         data, _, _ = simulate_dataset(config)
         assert data.intercept
-        np.testing.assert_array_equal(data.t[:, 0], np.ones(20))
-        np.testing.assert_array_equal(data.t_m[1][:, 0], np.ones(20))
+        np.testing.assert_array_equal(data.t[0][:, 0], np.ones(20))
+        np.testing.assert_array_equal(data.t[2][:, 0], np.ones(20))
 
-    def test_unknown_t_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(dims=reference_dims(), seed=0, t_mode="bogus")
+
+class TestSimConfigTheta:
+    """A generating theta that does not fit the design is rejected when
+    the configuration is built, naming the block, instead of failing
+    inside the simulation."""
+
+    def test_block_count_mismatch_rejected(self):
+        theta = reference_theta(Dimensions(n=5, p=3, q_y=2, q_m=(2, 2, 2),
+                                           r_t=1, r_m=(1, 1, 1)))
+        message = "theta has 3 explanatory blocks but dims has 2"
+        with pytest.raises(DataError, match=message):
+            SimConfig(dims=reference_dims(n=5, q=2), theta=theta)
+
+    @pytest.mark.parametrize("k, shape, label", [(0, (3, 2), "D"), (2, (2, 3), "D2")])
+    def test_width_mismatch_names_the_block(self, k, shape, label):
+        dims = reference_dims(n=5, q=2)
+        theta = reference_theta(dims)
+        theta = replace(
+            theta,
+            coef=[np.zeros(shape) if j == k else d for j, d in enumerate(theta.coef)],
+            loading=[np.zeros(shape[1]) if j == k else b for j, b in enumerate(theta.loading)],
+        )
+        message = f"theta block {label} has shape {shape} but dims needs (2, 2)"
+        with pytest.raises(DataError, match=re.escape(message)):
+            SimConfig(dims=dims, theta=theta)
+
+    def test_replicate_study_runs_a_fitting_theta(self):
+        dims = Dimensions(n=60, p=2, q_y=3, q_m=(4, 2), r_t=2, r_m=(1, 2))
+        theta = reference_theta(dims)
+        summary = replicate_study(SimConfig(dims=dims, seed=1, theta=theta),
+                                  EMConfig(), replicates=2)
+        assert summary.failures == [] and np.isfinite(summary.deviation_avg).all()
