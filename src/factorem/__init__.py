@@ -25,7 +25,6 @@ from .evaluate import (
 from .model import (
     Dataset,
     Dimensions,
-    Latents,
     Theta,
     count_parameters,
     flatten_theta,
@@ -48,7 +47,7 @@ __all__ = [
     "factor_sq_correlation", "replicate_study", "sensitivity_sweep",
     "kfold_resample",
     "LogLik", "observed_loglik",
-    "Dimensions", "Dataset", "Theta", "Latents", "count_parameters",
+    "Dimensions", "Dataset", "Theta", "count_parameters",
     "flatten_theta", "unflatten_theta", "theta_names", "subset_units",
     "project_covariates", "update_theta", "expected_score",
     "SimConfig", "reference_theta", "simulate_dataset",

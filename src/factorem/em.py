@@ -49,7 +49,8 @@ import numpy as np
 from .errors import DataError, FactorEMError, NonFiniteParameterError
 from .estep import ConditionalLaw, conditional_law
 from .model import (
-    Dataset, Dimensions, Theta, block_label, flatten_theta, theta_names, unflatten_theta,
+    Dataset, Dimensions, Theta, block_label, flatten_parts, flatten_theta, theta_names,
+    unflatten_parts,
 )
 from .mstep import VARIANCE_FLOOR, BlockProjection, project_covariates, update_theta
 
@@ -80,8 +81,8 @@ class EMConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DataError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise DataError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -91,15 +92,17 @@ class FitResult:
     """Converged parameters, factor scores and the iteration history.
 
     moments is the conditional law of the latents at the returned theta;
-    its g_tilde and f_tilde are the reported factor scores. iterations
-    counts EM-map evaluations (``em_step`` calls), and trace is an
-    (iterations, 2) array with one row per evaluation: the relative
-    change from its input to its output, which the stopping rule reads,
-    and the observed log-likelihood at its output. The rows are in the
-    order of the accepted iterates, so the log-likelihood column never
-    decreases. accepted and rejected count the SqS3 extrapolations kept
-    and discarded by the log-likelihood test (a cycle whose steplength
-    is -1 attempts none). dims are the dimensions of the fitted data.
+    its (n, p+1) mean m holds the reported factor scores, g in column 0
+    and f^m in column m, the layout of ``simulate_dataset``'s true
+    latents. iterations counts EM-map evaluations (``em_step`` calls),
+    and trace is an (iterations, 2) array with one row per evaluation:
+    the relative change from its input to its output, which the stopping
+    rule reads, and the observed log-likelihood at its output. The rows
+    are in the order of the accepted iterates, so the log-likelihood
+    column never decreases. accepted and rejected count the SqS3
+    extrapolations kept and discarded by the log-likelihood test (a
+    cycle whose steplength is -1 attempts none). dims are the dimensions
+    of the fitted data.
     """
 
     theta: Theta
@@ -193,21 +196,20 @@ def em_step(
     return theta_new, conditional_law(theta_new, data)
 
 
-def relative_change(theta_old: Theta, theta_new: Theta, floor: float) -> float:
-    """Sum over coordinates of |new - old| / max(|new|, floor)."""
+def relative_change(theta_old: Theta, theta_new: Theta) -> float:
+    """Sum over coordinates of |new - old| / max(|new|, DENOMINATOR_FLOOR)."""
     old = flatten_theta(theta_old)
     new = flatten_theta(theta_new)
-    return float(np.sum(np.abs(new - old) / np.maximum(np.abs(new), floor)))
+    return float(np.sum(np.abs(new - old)
+                        / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
 
 
 def _extrapolate(theta0: Theta, theta1: Theta, theta2: Theta, dims: Dimensions):
     """SqS3 point from two map steps theta0 -> theta1 -> theta2, with the
     p+1 noise variances on the log scale, or None when the steplength is
     -1 (the point is theta2) or the point is not finite."""
-    k = dims.p + 1
-    x0, x1, x2 = (flatten_theta(theta) for theta in (theta0, theta1, theta2))
-    for x in (x0, x1, x2):
-        x[-k:] = np.log(x[-k:])
+    x0, x1, x2 = (flatten_parts(t.coef, t.loading, t.c, np.log(t.sigma2))
+                  for t in (theta0, theta1, theta2))
     r = x1 - x0
     v = x2 - 2.0 * x1 + x0
     norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
@@ -216,10 +218,11 @@ def _extrapolate(theta0: Theta, theta1: Theta, theta2: Theta, dims: Dimensions):
     alpha = -norm_r / norm_v
     with np.errstate(over="ignore", invalid="ignore"):
         x = x0 - 2.0 * alpha * r + alpha**2 * v
-        x[-k:] = np.maximum(np.exp(x[-k:]), VARIANCE_FLOOR)
-    if not np.isfinite(x).all():
+        coef, loading, c, log_sigma2 = unflatten_parts(x, dims)
+        sigma2 = np.maximum(np.exp(log_sigma2), VARIANCE_FLOOR)
+    if not (np.isfinite(x).all() and np.isfinite(sigma2).all()):
         return None
-    return unflatten_theta(x, dims)
+    return Theta(coef, loading, c, sigma2)
 
 
 def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
@@ -252,7 +255,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
             theta_new, law = em_step(law, data, projection)
         except FactorEMError as exc:
             raise type(exc)(f"EM iteration {len(trace) + 1}: {exc}") from exc
-        change = relative_change(theta, theta_new, DENOMINATOR_FLOOR)
+        change = relative_change(theta, theta_new)
         trace.append((change, float(law.loglik.sum())))
         theta = theta_new
         if change < config.epsilon:

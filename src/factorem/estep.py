@@ -51,7 +51,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class ConditionalLaw:
     """Gaussian law of the latents given the observations.
 
-    m : (n, p+1) conditional means, one row per unit
+    m : (n, p+1) conditional means, one row per unit, E[g_i | z_i] in
+        column 0 and E[f_i^m | z_i] in column m (the factor scores)
     sigma : (p+1, p+1) conditional covariance, identical for every unit
     loglik : (n,) observed log-likelihood of each unit at the parameters
         the law was computed at; None for a law assembled by hand
@@ -60,16 +61,6 @@ class ConditionalLaw:
     m: np.ndarray
     sigma: np.ndarray
     loglik: np.ndarray | None = None
-
-    @property
-    def g_tilde(self) -> np.ndarray:
-        """(n,) E[g_i | z_i], the dependent factor scores."""
-        return self.m[:, 0]
-
-    @property
-    def f_tilde(self) -> np.ndarray:
-        """(p, n) E[f_i^m | z_i], one row of scores per explanatory block."""
-        return self.m[:, 1:].T
 
     def second_moment_sum(self) -> np.ndarray:
         """(p+1, p+1) sum over units of E[h_i h_i' | z_i] = n Sigma + M'M."""

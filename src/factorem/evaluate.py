@@ -14,14 +14,7 @@ import numpy as np
 from .em import EMConfig, canonicalize, fit
 from .errors import DataError, FactorEMError
 from .estep import ConditionalLaw
-from .model import (
-    Dataset,
-    Dimensions,
-    Latents,
-    Theta,
-    flatten_theta,
-    subset_units,
-)
+from .model import Dataset, Dimensions, Theta, flatten_theta, subset_units
 from .simulate import SimConfig, simulate_dataset
 
 __all__ = [
@@ -68,18 +61,20 @@ def _squared_corr(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(a, b)[0, 1] ** 2)
 
 
-def factor_sq_correlation(
-    latents_true: Latents, moments: ConditionalLaw
-) -> np.ndarray:
+def factor_sq_correlation(h_true: np.ndarray, moments: ConditionalLaw) -> np.ndarray:
     """Squared Pearson correlation of each true factor with its score.
 
-    Squaring makes the metric invariant to the factor sign symmetry.
-    Returns p+1 values: the dependent factor first, then each
-    explanatory factor.
+    ``h_true`` is laid out like ``moments.m``, (n, p+1) with g in column
+    0; a DataError names both shapes when they differ. Squaring makes
+    the metric invariant to the factor sign symmetry. Returns p+1
+    values: the dependent factor first, then each explanatory factor.
     """
-    factors = (latents_true.g, *latents_true.f)
+    h_true = np.asarray(h_true, dtype=float)
+    if h_true.shape != moments.m.shape:
+        raise DataError(f"true latents have shape {h_true.shape} but the factor "
+                        f"scores have shape {moments.m.shape}")
     return np.array([
-        _squared_corr(factor, score) for factor, score in zip(factors, moments.m.T)
+        _squared_corr(factor, score) for factor, score in zip(h_true.T, moments.m.T)
     ])
 
 
@@ -150,7 +145,7 @@ def replicate_study(sim: SimConfig, em: EMConfig, replicates: int) -> StudySumma
         converged=np.zeros(replicates, dtype=bool),
     )
     for rep, seed in enumerate(_derived_seeds(sim.seed, replicates)):
-        data, latents, theta_true = simulate_dataset(replace(sim, seed=seed))
+        data, h, theta_true = simulate_dataset(replace(sim, seed=seed))
         try:
             result = canonicalize(fit(data, dims, em))
         except FactorEMError as exc:
@@ -158,7 +153,7 @@ def replicate_study(sim: SimConfig, em: EMConfig, replicates: int) -> StudySumma
             continue
         _, avg_dev = abs_rel_deviation(theta_true, result.theta)
         summary.deviation_avg[rep] = avg_dev
-        summary.sq_corr[rep] = factor_sq_correlation(latents, result.moments)
+        summary.sq_corr[rep] = factor_sq_correlation(h, result.moments)
         summary.c_hat[rep] = result.theta.c
         summary.sigma2_y_hat[rep] = result.theta.sigma2[0]
         summary.iterations[rep] = result.iterations
@@ -224,8 +219,11 @@ def kfold_resample(
 
     Parameters are compared coordinate-wise on the canonical vector
     (after sign canonicalization on both sides); factor scores are
-    compared only on the units present in the subsample.
+    compared only on the units present in the subsample. ``seed`` draws
+    the subsamples and must be >= 0.
     """
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if k < 2:
         raise DataError(f"k must be >= 2, got {k}")
     if sample_size > dims.n or sample_size < 2:

@@ -29,9 +29,7 @@ import numpy as np
 from .em import EMConfig, FitResult
 from .errors import DataError
 from .evaluate import ResampleSummary, StudySummary
-from .model import (
-    Dataset, Dimensions, Latents, Theta, block_label, flatten_theta, theta_names,
-)
+from .model import Dataset, Dimensions, Theta, block_label, flatten_theta, theta_names
 from .mstep import expected_score
 
 __all__ = [
@@ -262,19 +260,31 @@ def _default_columns(dims: Dimensions) -> dict:
             "t": [names("T", k, r) for k, r in enumerate(dims.r)]}
 
 
+def _factor_header(p: int) -> list[str]:
+    """Column names of an (n, p+1) latent array: g, f1..fp."""
+    return [block_label("h", k) for k in range(p + 1)]
+
+
 def write_dataset(
     data: Dataset,
     out_dir,
-    latents: Latents | None = None,
+    latents: np.ndarray | None = None,
     theta: Theta | None = None,
 ) -> BlockManifest:
     """Write block CSVs plus a manifest (and truth files when given).
 
-    Values round-trip exactly through ``load_dataset``.
+    ``latents`` is the (n, p+1) array of true factors, written unchanged
+    to factors_true.csv; a DataError names both shapes when it does not
+    fit the data. Values round-trip exactly through ``load_dataset``.
     """
+    dims = data.dimensions()
+    if latents is not None:
+        latents = np.asarray(latents, dtype=float)
+        if latents.shape != (dims.n, dims.p + 1):
+            raise DataError(f"true latents have shape {latents.shape} but the data "
+                            f"needs {(dims.n, dims.p + 1)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dims = data.dimensions()
     cols = _default_columns(dims)
 
     z_files = [f"{block_label('Z', k)}.csv" for k in range(dims.p + 1)]
@@ -294,9 +304,7 @@ def write_dataset(
     })
 
     if latents is not None:
-        header = ["g"] + [f"f{m + 1}" for m in range(dims.p)]
-        scores = np.column_stack([latents.g, latents.f.T])
-        _write_matrix(out / "factors_true.csv", header, scores)
+        _write_matrix(out / "factors_true.csv", _factor_header(dims.p), latents)
     if theta is not None:
         _write_csv(
             out / "theta_true.csv",
@@ -332,8 +340,7 @@ def write_fit(
         zip(theta_names(dims), map(_fmt, flatten_theta(result.theta))),
     )
 
-    header = ["g"] + [f"f{m + 1}" for m in range(dims.p)]
-    _write_matrix(out / "factors.csv", header, result.moments.m)
+    _write_matrix(out / "factors.csv", _factor_header(dims.p), result.moments.m)
 
     _write_csv(
         out / "trace.csv",
@@ -407,10 +414,9 @@ def write_study(summaries: list[StudySummary], out_dir) -> None:
         for rep in range(summary.replicates):
             metrics = {
                 "avg_abs_rel_deviation": summary.deviation_avg[rep],
-                "sq_corr_g": summary.sq_corr[rep, 0],
                 **{
-                    f"sq_corr_f{m + 1}": summary.sq_corr[rep, m + 1]
-                    for m in range(p)
+                    f"sq_corr_{name}": summary.sq_corr[rep, k]
+                    for k, name in enumerate(_factor_header(p))
                 },
                 **{
                     f"c{m + 1}_hat": summary.c_hat[rep, m] for m in range(p)

@@ -1,4 +1,4 @@
-"""Core model types: dimensions, data blocks, parameters, latent factors.
+"""Core model types: dimensions, data blocks, parameters.
 
 The model links one dependent block of observed variables Y to p
 explanatory blocks X^1..X^p through latent factors:
@@ -18,8 +18,13 @@ vector (``flatten_theta``) is the fields of ``Theta`` in order:
     D (row-major), D^1..D^p (row-major), b, a^1..a^p, c, sigma2_y,
     sigma2_m[0..p-1]
 
-``_layout`` declares it once; it is the ordering used by the stopping
-rule, serialized parameter tables, and every cross-fit comparison.
+``_layout`` declares it once, and ``flatten_parts``/``unflatten_parts``
+are the only code that packs or splits it; it is the ordering used by
+the stopping rule, serialized parameter tables, and every cross-fit
+comparison.
+
+Per-unit latents, simulated or estimated, are one (n, p+1) array h with
+g in column 0 and f^m in column m, named by ``block_label("h", k)``.
 """
 
 import math
@@ -33,11 +38,11 @@ __all__ = [
     "Dimensions",
     "Dataset",
     "Theta",
-    "Latents",
     "block_label",
     "count_parameters",
     "flatten_theta",
     "unflatten_theta",
+    "unflatten_parts",
     "theta_names",
     "subset_units",
 ]
@@ -228,36 +233,15 @@ def check_theta_shapes(theta: Theta, shapes, against: str) -> None:
                             f"but {against} needs {shape}")
 
 
-@dataclass
-class Latents:
-    """Per-unit latent factor values.
-
-    g : (n,) dependent factor
-    f : (p, n) explanatory factors, one row per block
-    """
-
-    g: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        self.f = np.atleast_2d(np.asarray(self.f, dtype=float))
-        if self.f.shape[1] != self.g.shape[0]:
-            raise DataError(
-                f"factor length mismatch: g has {self.g.shape[0]} units, "
-                f"f has {self.f.shape[1]}"
-            )
-
-
 # (block 0, stem of block k >= 1) of each per-block family; block 0 is Y
 _LABELS = {"Z": ("Y", "X"), "T": ("T", "T"), "D": ("D", "D"), "loading": ("b", "a"),
-           "sigma2": ("sigma2_Y", "sigma2_")}
+           "sigma2": ("sigma2_Y", "sigma2_"), "h": ("g", "f")}
 
 
 def block_label(family: str, k: int) -> str:
     """Name of block k's member of ``family``: "Z" (Y, X1..), "T" (T,
-    T1..), "D" (D, D1..), "loading" (b, a1..) or "sigma2" (sigma2_Y,
-    sigma2_1..)."""
+    T1..), "D" (D, D1..), "loading" (b, a1..), "sigma2" (sigma2_Y,
+    sigma2_1..) or "h" (the factors g, f1..)."""
     first, stem = _LABELS[family]
     return f"{stem}{k}" if k else first
 
@@ -295,8 +279,10 @@ def flatten_theta(theta: Theta) -> np.ndarray:
     return flatten_parts(theta.coef, theta.loading, theta.c, theta.sigma2)
 
 
-def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:
-    """Inverse of ``flatten_theta`` for the given dimensions."""
+def unflatten_parts(vector: np.ndarray, dims: Dimensions):
+    """Inverse of ``flatten_parts`` for the given dimensions: the
+    (coef, loading, c, sigma2) parts, coef and loading as per-block
+    tuples, c and sigma2 as arrays."""
     v = np.asarray(vector, dtype=float)
     layout = _layout(dims)
     sizes = [math.prod(shape) for _, shape in layout]
@@ -310,8 +296,13 @@ def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:
         parts.append(v[pos:pos + size].reshape(shape))
         pos += size
     k = dims.p + 1
-    return Theta(coef=parts[:k], loading=parts[k:2 * k], c=parts[2 * k:-k],
-                 sigma2=parts[-k:])
+    return (tuple(parts[:k]), tuple(parts[k:2 * k]), np.array(parts[2 * k:-k]),
+            np.array(parts[-k:]))
+
+
+def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:
+    """Inverse of ``flatten_theta`` for the given dimensions."""
+    return Theta(*unflatten_parts(vector, dims))
 
 
 def theta_names(dims: Dimensions) -> list[str]:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Dimensions, Latents, Theta, check_theta_shapes
+from .errors import DataError
+from .model import Dataset, Dimensions, Theta, check_theta_shapes
 
 __all__ = ["SimConfig", "reference_theta", "simulate_dataset"]
 
@@ -20,6 +21,7 @@ __all__ = ["SimConfig", "reference_theta", "simulate_dataset"]
 class SimConfig:
     """Design of one synthetic dataset.
 
+    seed : root of the three random sub-streams; DataError if negative
     theta : generating parameters; None selects the integer-sequence
         scheme of ``reference_theta``. Raises DataError naming the block
         where a given theta does not fit ``dims``.
@@ -34,6 +36,8 @@ class SimConfig:
     intercept: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.theta is not None:
             check_theta_shapes(self.theta, list(zip(self.dims.r, self.dims.q)), "dims")
 
@@ -49,8 +53,12 @@ def reference_theta(dims: Dimensions) -> Theta:
     )
 
 
-def simulate_dataset(config: SimConfig) -> tuple[Dataset, Latents, Theta]:
-    """Draw one dataset plus the latent factors and parameters behind it."""
+def simulate_dataset(config: SimConfig) -> tuple[Dataset, np.ndarray, Theta]:
+    """Draw one dataset plus the latent factors and parameters behind it.
+
+    Returns (data, h, theta): h is the (n, p+1) array of true latents,
+    g in column 0 and f^m in column m, the layout of ``ConditionalLaw.m``.
+    """
     dims = config.dims
     theta = config.theta if config.theta is not None else reference_theta(dims)
     n, p = dims.n, dims.p
@@ -62,7 +70,7 @@ def simulate_dataset(config: SimConfig) -> tuple[Dataset, Latents, Theta]:
 
     f = rng_factors.standard_normal((p, n))
     disturbance = rng_factors.standard_normal(n)
-    g = theta.c @ f + disturbance
+    h = np.column_stack([theta.c @ f + disturbance, f.T])
 
     def covariates(r):
         t = rng_cov.standard_normal((n, r))
@@ -72,10 +80,10 @@ def simulate_dataset(config: SimConfig) -> tuple[Dataset, Latents, Theta]:
 
     t = [covariates(r) for r in dims.r]
     z = []
-    for k, (q, factor) in enumerate(zip(dims.q, (g, *f))):
+    for k, (q, factor) in enumerate(zip(dims.q, h.T)):
         zk = t[k] @ theta.coef[k] + np.outer(factor, theta.loading[k])
         zk += np.sqrt(theta.sigma2[k]) * rng_noise.standard_normal((n, q))
         z.append(zk)
 
     data = Dataset(z=tuple(z), t=tuple(t), intercept=config.intercept)
-    return data, Latents(g=g, f=f), theta
+    return data, h, theta

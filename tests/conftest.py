@@ -31,15 +31,14 @@ def random_theta(dims: Dimensions, rng) -> Theta:
 
 
 def random_instance(seed, dims=None):
-    """Simulated dataset from a random parameter draw."""
+    """Simulated dataset, its (n, p+1) true latents h, and the random
+    parameter draw behind it."""
     rng = np.random.default_rng(seed)
     if dims is None:
         dims = random_dims(rng)
     theta = random_theta(dims, rng)
-    data, latents, _ = simulate_dataset(
-        SimConfig(dims=dims, seed=seed + 1, theta=theta)
-    )
-    return data, latents, theta, dims
+    data, h, _ = simulate_dataset(SimConfig(dims=dims, seed=seed + 1, theta=theta))
+    return data, h, theta, dims
 
 
 def scalar_toy_theta() -> Theta:

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from factorem.em import (
-    DENOMINATOR_FLOOR, FitResult, em_step, initialize, relative_change,
+    FitResult, em_step, initialize, relative_change,
 )
 from factorem.errors import DataError, DegeneratePosteriorError, SingularSystemError
 from factorem.estep import block_residuals, conditional_law
@@ -52,16 +52,14 @@ def stacked_residuals(theta, data):
 class PosteriorMoments:
     """First and second conditional moments of the latents, per unit.
 
-    g_tilde : (n,)       E[g_i | z_i]
-    f_tilde : (p, n)     E[f_i^m | z_i]
+    m : (n, p+1)         E[h_i | z_i], g first, as in ``ConditionalLaw``
     gamma_tilde : (n,)   E[g_i^2 | z_i]
     phi_tilde : (p, n)   E[(f_i^m)^2 | z_i]
     cross_fg : (p, n)    E[f_i^m g_i | z_i]
     cross_ff : (p, p, n) E[f_i^m f_i^l | z_i]
     """
 
-    g_tilde: np.ndarray
-    f_tilde: np.ndarray
+    m: np.ndarray
     gamma_tilde: np.ndarray
     phi_tilde: np.ndarray
     cross_fg: np.ndarray
@@ -71,15 +69,13 @@ class PosteriorMoments:
 def posterior_moments(law) -> PosteriorMoments:
     """Every per-unit conditional moment of a ``ConditionalLaw``."""
     m, sigma = law.m, law.sigma
-    g_tilde = m[:, 0]
-    f_tilde = m[:, 1:].T
+    g, f = m[:, 0], m[:, 1:].T      # (n,), (p, n): the per-unit layout below
     return PosteriorMoments(
-        g_tilde=g_tilde,
-        f_tilde=f_tilde,
-        gamma_tilde=g_tilde**2 + sigma[0, 0],
-        phi_tilde=f_tilde**2 + np.diag(sigma)[1:, None],
-        cross_fg=sigma[1:, 0][:, None] + f_tilde * g_tilde,
-        cross_ff=sigma[1:, 1:][:, :, None] + f_tilde[:, None, :] * f_tilde[None, :, :],
+        m=m,
+        gamma_tilde=g**2 + sigma[0, 0],
+        phi_tilde=f**2 + np.diag(sigma)[1:, None],
+        cross_fg=sigma[1:, 0][:, None] + f * g,
+        cross_ff=sigma[1:, 1:][:, :, None] + f[:, None, :] * f[None, :, :],
     )
 
 
@@ -170,18 +166,16 @@ class SufficientStats:
 
 def sufficient_stats(data, law) -> SufficientStats:
     """Average the per-unit products needed by ``update_theta``."""
-    n = data.n
-    g = law.g_tilde
-    f = law.f_tilde
+    n, h = data.n, law.m
     return SufficientStats(
         mean_tt=data.t[0].T @ data.t[0] / n,
         mean_yt=data.z[0].T @ data.t[0] / n,
-        mean_gt=data.t[0].T @ g / n,
-        mean_gy=data.z[0].T @ g / n,
+        mean_gt=data.t[0].T @ h[:, 0] / n,
+        mean_gy=data.z[0].T @ h[:, 0] / n,
         mean_tmtm=tuple(tm.T @ tm / n for tm in data.t[1:]),
         mean_xmtm=tuple(xm.T @ tm / n for xm, tm in zip(data.z[1:], data.t[1:])),
-        mean_fmtm=tuple(tm.T @ f[m] / n for m, tm in enumerate(data.t[1:])),
-        mean_fmxm=tuple(xm.T @ f[m] / n for m, xm in enumerate(data.z[1:])),
+        mean_fmtm=tuple(tm.T @ h[:, m] / n for m, tm in enumerate(data.t[1:], start=1)),
+        mean_fmxm=tuple(xm.T @ h[:, m] / n for m, xm in enumerate(data.z[1:], start=1)),
         mean_hh=law.second_moment_sum() / n,
     )
 
@@ -260,7 +254,7 @@ def plain_fit(data, dims, config) -> FitResult:
     converged = False
     for _ in range(config.max_iter):
         theta_new, law = em_step(law, data, projection)
-        change = relative_change(theta, theta_new, DENOMINATOR_FLOOR)
+        change = relative_change(theta, theta_new)
         trace.append((change, float(law.loglik.sum())))
         theta = theta_new
         if change < config.epsilon:

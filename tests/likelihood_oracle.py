@@ -17,7 +17,7 @@ import numpy as np
 
 from factorem.errors import DataError
 from factorem.estep import LOG_2PI, LogLik, block_residuals, positive_variances
-from factorem.model import Dataset, Latents, Theta, flatten_parts
+from factorem.model import Dataset, Theta, flatten_parts
 from factorem.mstep import _block_terms, expected_sq_residual_sum
 
 
@@ -35,28 +35,32 @@ class Score:
         return flatten_parts(self.coef, self.loading, self.c, self.sigma2)
 
 
-def _block_residuals(theta: Theta, data: Dataset, latents: Latents):
+def _block_residuals(theta: Theta, data: Dataset, h: np.ndarray):
     """Measurement residuals with the factor contribution removed:
-    Y, then X^1..X^p, each with its noise variance."""
+    Y, then X^1..X^p, each with its factor column of the (n, p+1)
+    latents ``h`` and its noise variance."""
     variances = positive_variances(theta, "log-likelihood")
-    if latents.f.shape[0] != data.p:
+    if h.shape != (data.n, data.p + 1):
         raise DataError(
-            f"latents carry {latents.f.shape[0]} explanatory factors but "
-            f"the data has {data.p} blocks"
+            f"latents have shape {h.shape} but the data needs {(data.n, data.p + 1)}"
         )
-    factors = (latents.g, *latents.f)
     resid = [
-        r - np.outer(h, lam)
-        for r, h, lam in zip(block_residuals(theta, data), factors, theta.loading)
+        r - np.outer(factor, lam)
+        for r, factor, lam in zip(block_residuals(theta, data), h.T, theta.loading)
     ]
-    return zip(resid, factors, variances)
+    return zip(resid, h.T, variances)
 
 
-def complete_loglik(theta: Theta, data: Dataset, latents: Latents) -> LogLik:
-    """Joint log-density of the observations and the latent factors."""
+def _disturbance(theta: Theta, h: np.ndarray) -> np.ndarray:
+    """Structural disturbance g - c'f of every unit."""
+    return h[:, 0] - h[:, 1:] @ theta.c
+
+
+def complete_loglik(theta: Theta, data: Dataset, h: np.ndarray) -> LogLik:
+    """Joint log-density of the observations and the (n, p+1) latents h."""
     dims = data.dimensions()
-    blocks = _block_residuals(theta, data, latents)
-    quad = (latents.g - theta.c @ latents.f) ** 2 + np.sum(latents.f**2, axis=0)
+    blocks = _block_residuals(theta, data, h)
+    quad = _disturbance(theta, h) ** 2 + np.sum(h[:, 1:] ** 2, axis=1)
     for resid, _, var in blocks:
         quad += np.sum(resid**2, axis=1) / var + resid.shape[1] * np.log(var)
 
@@ -64,7 +68,7 @@ def complete_loglik(theta: Theta, data: Dataset, latents: Latents) -> LogLik:
     return LogLik(value=float(per_unit.sum()), per_unit=per_unit)
 
 
-def complete_score(theta: Theta, data: Dataset, latents: Latents) -> Score:
+def complete_score(theta: Theta, data: Dataset, h: np.ndarray) -> Score:
     """Analytic gradient of ``complete_loglik`` with respect to theta.
 
     The variance components include the -1/2 log-term contribution, so
@@ -72,7 +76,7 @@ def complete_score(theta: Theta, data: Dataset, latents: Latents) -> Score:
     """
     grads = []
     for t, (resid, factor, var) in zip(
-        data.t, _block_residuals(theta, data, latents)
+        data.t, _block_residuals(theta, data, h)
     ):
         inv = 1.0 / var
         grads.append((
@@ -82,8 +86,7 @@ def complete_score(theta: Theta, data: Dataset, latents: Latents) -> Score:
         ))
     grad_coef, grad_loading, grad_sigma2 = zip(*grads)
 
-    disturbance = latents.g - theta.c @ latents.f
-    grad_c = latents.f @ disturbance
+    grad_c = h[:, 1:].T @ _disturbance(theta, h)
 
     return Score(
         coef=grad_coef,

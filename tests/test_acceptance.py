@@ -143,9 +143,9 @@ def test_criterion_05_estep_oracles():
         se = sample.std(ddof=1) / np.sqrt(sample.shape[0])
         checks.append(abs(sample.mean() - target) <= 3 * se)
 
-    within(draws[:, 0], moments.g_tilde[0])
-    within(draws[:, 1], moments.f_tilde[0, 0])
-    within(draws[:, 2], moments.f_tilde[1, 0])
+    within(draws[:, 0], moments.m[0, 0])
+    within(draws[:, 1], moments.m[0, 1])
+    within(draws[:, 2], moments.m[0, 2])
     within(draws[:, 0] ** 2, moments.gamma_tilde[0])
     within(draws[:, 1] ** 2, moments.phi_tilde[0, 0])
     within(draws[:, 2] ** 2, moments.phi_tilde[1, 0])
@@ -164,12 +164,12 @@ def test_criterion_05_estep_oracles():
 
 def test_criterion_06_gradient_oracle():
     dims = Dimensions(n=15, p=2, q_y=3, q_m=(3, 2), r_t=2, r_m=(2, 1))
-    data, latents, _, dims = random_instance(500, dims=dims)
+    data, h, _, dims = random_instance(500, dims=dims)
     rng = np.random.default_rng(501)
     worst = 0.0
     for _ in range(20):
         theta = random_theta(dims, rng)
-        analytic = complete_score(theta, data, latents).flatten()
+        analytic = complete_score(theta, data, h).flatten()
         vec = flatten_theta(theta)
         numeric = np.empty_like(vec)
         step = 1e-5
@@ -178,8 +178,8 @@ def test_criterion_06_gradient_oracle():
             plus[k] += step
             minus[k] -= step
             numeric[k] = (
-                complete_loglik(unflatten_theta(plus, dims), data, latents).value
-                - complete_loglik(unflatten_theta(minus, dims), data, latents).value
+                complete_loglik(unflatten_theta(plus, dims), data, h).value
+                - complete_loglik(unflatten_theta(minus, dims), data, h).value
             ) / (2 * step)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         worst = max(worst, float(rel.max()))

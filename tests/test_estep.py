@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -134,14 +135,12 @@ class TestConditionalLaw:
             conditional_law(theta, scalar_toy_data())
 
 
-def noise_free_copy(data, latents, theta):
+def noise_free_copy(data, h, theta):
     """The same units with every noise draw removed."""
     return Dataset(
         z=tuple(
-            t @ d + np.outer(h, lam)
-            for t, d, h, lam in zip(
-                data.t, theta.coef, (latents.g, *latents.f), theta.loading
-            )
+            t @ d + np.outer(factor, lam)
+            for t, d, factor, lam in zip(data.t, theta.coef, h.T, theta.loading)
         ),
         t=data.t,
     )
@@ -174,8 +173,8 @@ class TestLowRankAgainstDense:
     @example(seed=3097)
     @example(seed=100461)
     def test_noise_free_data_at_the_variance_floor(self, seed):
-        data, latents, theta, dims = random_instance(seed)
-        clean = noise_free_copy(data, latents, theta)
+        data, h, theta, dims = random_instance(seed)
+        clean = noise_free_copy(data, h, theta)
         floor = replace(theta, sigma2=(VARIANCE_FLOOR,) * (dims.p + 1))
         law = conditional_law(floor, clean)
         m, sigma, loglik = dense_conditioning(floor, clean)
@@ -215,7 +214,7 @@ class TestLowRankAgainstDense:
         # covers rounding only.
         loadings = theta.loading
         widths = np.array(dims.q)
-        prior_quad = np.sum(latents.f**2, axis=0) + (latents.g - theta.c @ latents.f) ** 2
+        prior_quad = np.sum(h[:, 1:] ** 2, axis=1) + (h[:, 0] - h[:, 1:] @ theta.c) ** 2
         limit = -0.5 * (
             prior_quad
             + float((widths - 1).sum()) * np.log(VARIANCE_FLOOR)
@@ -224,12 +223,11 @@ class TestLowRankAgainstDense:
         )
         e = np.array([VARIANCE_FLOOR / (lam @ lam) for lam in loadings])
         s1_inv = np.linalg.inv(blocks.s1)
-        h = np.vstack([latents.g, latents.f])
         slack = 1e-12
         gap = law.loglik - limit
         assert np.all(gap >= -0.5 * e @ np.diag(s1_inv) - slack * np.abs(limit))
         assert np.all(
-            gap <= 0.5 * e @ (s1_inv @ h) ** 2 + slack * np.abs(limit)
+            gap <= 0.5 * e @ (s1_inv @ h.T) ** 2 + slack * np.abs(limit)
         )
         diag = np.diag(law.sigma)
         assert np.all(diag >= (e - e**2 * np.diag(s1_inv)) * (1 - slack))
@@ -240,9 +238,9 @@ class TestPosteriorMoments:
     def test_scalar_toy_frozen_moments(self):
         law = conditional_law(scalar_toy_theta(), scalar_toy_data())
         moments = posterior_moments(law)
-        np.testing.assert_allclose(moments.g_tilde, [1.0], atol=1e-12)
+        np.testing.assert_allclose(moments.m[:, 0], [1.0], atol=1e-12)
         np.testing.assert_allclose(moments.gamma_tilde, [5.0 / 3.0], atol=1e-12)
-        np.testing.assert_allclose(moments.f_tilde[:, 0], [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(moments.m[0, 1:], [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(moments.phi_tilde[:, 0], [2.0 / 3.0] * 2, atol=1e-12)
         np.testing.assert_allclose(moments.cross_fg[:, 0], [2.0 / 3.0] * 2, atol=1e-12)
         np.testing.assert_allclose(moments.cross_ff[0, 1, 0], 1.0 / 6.0, atol=1e-12)
@@ -252,7 +250,7 @@ class TestPosteriorMoments:
         law = conditional_law(theta, data)
         law.m[:] = 0.0
         moments = posterior_moments(law)
-        np.testing.assert_array_equal(moments.g_tilde, np.zeros(dims.n))
+        np.testing.assert_array_equal(moments.m[:, 0], np.zeros(dims.n))
         np.testing.assert_allclose(moments.gamma_tilde, law.sigma[0, 0])
         for m in range(dims.p):
             np.testing.assert_allclose(moments.cross_fg[m], law.sigma[0, m + 1])
@@ -262,8 +260,8 @@ class TestPosteriorMoments:
         law = conditional_law(theta, data)
         moments = posterior_moments(law)
         np.testing.assert_allclose(
-            moments.gamma_tilde - moments.g_tilde**2,
-            np.full(moments.g_tilde.shape, law.sigma[0, 0]),
+            moments.gamma_tilde - moments.m[:, 0] ** 2,
+            np.full(moments.gamma_tilde.shape, law.sigma[0, 0]),
             rtol=0.0, atol=1e-12,
         )
 
@@ -272,8 +270,8 @@ class TestPosteriorMoments:
     def test_moment_inequalities(self, seed):
         data, _, theta, _ = random_instance(seed)
         moments = posterior_moments(conditional_law(theta, data))
-        assert np.all(moments.gamma_tilde - moments.g_tilde**2 >= -1e-10)
-        assert np.all(moments.phi_tilde - moments.f_tilde**2 >= -1e-10)
+        assert np.all(moments.gamma_tilde - moments.m[:, 0] ** 2 >= -1e-10)
+        assert np.all(moments.phi_tilde - moments.m[:, 1:].T ** 2 >= -1e-10)
 
     def test_second_moment_matrix_psd(self):
         data, _, theta, dims = random_instance(9)
@@ -288,7 +286,7 @@ class TestPosteriorMoments:
 
 
 class TestLawState:
-    """The law's views and second-moment sum against the per-unit oracle."""
+    """The law's second-moment sum against the per-unit oracle."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -307,15 +305,13 @@ class TestLawState:
             np.diag(law.second_moment_sum())[1:], moments.phi_tilde.sum(axis=1),
             rtol=1e-12,
         )
-        np.testing.assert_array_equal(law.g_tilde, moments.g_tilde)
-        np.testing.assert_array_equal(law.f_tilde, moments.f_tilde)
 
 
 def test_theta_and_data_block_mismatch_named():
     from factorem import expected_score, observed_loglik
     from likelihood_oracle import complete_loglik
 
-    data, latents, theta, dims = random_instance(0)
+    data, h, theta, dims = random_instance(0)
     assert dims.p == 3
     one_block = Theta(
         coef=theta.coef[:2], loading=theta.loading[:2],
@@ -325,7 +321,7 @@ def test_theta_and_data_block_mismatch_named():
     calls = {
         "conditional_law": lambda th: conditional_law(th, data),
         "observed_loglik": lambda th: observed_loglik(th, data),
-        "complete_loglik": lambda th: complete_loglik(th, data, latents),
+        "complete_loglik": lambda th: complete_loglik(th, data, h),
         "expected_score": lambda th: expected_score(th, law, data),
     }
     d = theta.coef[0]
@@ -335,5 +331,5 @@ def test_theta_and_data_block_mismatch_named():
             call(one_block)
         with pytest.raises(DataError, match=r"block D has shape \((\d+), (\d+)\)"):
             call(wide)
-    with pytest.raises(DataError, match="latents carry 1 explanatory factors"):
-        complete_loglik(theta, data, replace(latents, f=latents.f[:1]))
+    with pytest.raises(DataError, match=re.escape(f"latents have shape {(dims.n, 2)}")):
+        complete_loglik(theta, data, h[:, :2])

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from factorem import (
     Dimensions,
     EMConfig,
-    Latents,
     SimConfig,
     abs_rel_deviation,
     factor_sq_correlation,
@@ -23,12 +23,9 @@ from factorem.estep import ConditionalLaw
 from conftest import reference_dims, random_instance, random_theta
 
 
-def moments_from_latents(latents):
-    """Point-mass law at the given latents."""
-    p = latents.f.shape[0]
-    return ConditionalLaw(
-        m=np.column_stack([latents.g, latents.f.T]), sigma=np.zeros((p + 1, p + 1))
-    )
+def moments_from_latents(h):
+    """Point-mass law at the given (n, p+1) latents."""
+    return ConditionalLaw(m=h, sigma=np.zeros((h.shape[1],) * 2))
 
 
 class TestAbsRelDeviation:
@@ -76,41 +73,45 @@ class TestAbsRelDeviation:
 
 class TestFactorSqCorrelation:
     def test_self_correlation_is_one(self):
-        _, latents, _, _ = random_instance(4)
-        values = factor_sq_correlation(latents, moments_from_latents(latents))
+        _, h, _, _ = random_instance(4)
+        values = factor_sq_correlation(h, moments_from_latents(h))
         np.testing.assert_allclose(values, np.ones(values.size), atol=1e-12)
 
     def test_sign_invariance(self):
-        _, latents, _, _ = random_instance(5)
-        flipped = Latents(g=-latents.g, f=-latents.f)
-        values = factor_sq_correlation(latents, moments_from_latents(flipped))
+        _, h, _, _ = random_instance(5)
+        values = factor_sq_correlation(h, moments_from_latents(-h))
         np.testing.assert_allclose(values, np.ones(values.size), atol=1e-12)
 
     def test_matches_manual_pearson(self):
-        _, latents, theta, dims = random_instance(6)
+        _, h, theta, dims = random_instance(6)
         rng = np.random.default_rng(7)
-        noisy = Latents(
-            g=latents.g + 0.3 * rng.normal(size=dims.n),
-            f=latents.f + 0.3 * rng.normal(size=(dims.p, dims.n)),
-        )
-        values = factor_sq_correlation(latents, moments_from_latents(noisy))
+        noisy = h + 0.3 * rng.normal(size=h.shape)
+        values = factor_sq_correlation(h, moments_from_latents(noisy))
 
         def pearson2(a, b):
             am, bm = a - a.mean(), b - b.mean()
             return float((am @ bm) ** 2 / ((am @ am) * (bm @ bm)))
 
-        assert values[0] == pytest.approx(pearson2(latents.g, noisy.g), abs=1e-12)
-        assert values[1] == pytest.approx(
-            pearson2(latents.f[0], noisy.f[0]), abs=1e-12
-        )
+        for k in range(dims.p + 1):
+            assert values[k] == pytest.approx(pearson2(h[:, k], noisy[:, k]), abs=1e-12)
+
+    @pytest.mark.parametrize("rows, cols", [(slice(None), slice(0, -1)),
+                                            (slice(1, None), slice(None))])
+    def test_shape_mismatch_names_both_shapes(self, rows, cols):
+        _, h, _, _ = random_instance(4)
+        law = moments_from_latents(h)
+        truth = h[rows, cols]
+        message = (f"true latents have shape {truth.shape} but the factor scores "
+                   f"have shape {h.shape}")
+        with pytest.raises(DataError, match=re.escape(message)):
+            factor_sq_correlation(truth, law)
 
     def test_zero_variance_rejected(self):
-        _, latents, _, dims = random_instance(8)
-        frozen = moments_from_latents(
-            Latents(g=np.zeros(dims.n), f=latents.f)
-        )
+        _, h, _, dims = random_instance(8)
+        frozen = h.copy()
+        frozen[:, 0] = 0.0
         with pytest.raises(DataError, match="zero-variance"):
-            factor_sq_correlation(latents, frozen)
+            factor_sq_correlation(h, moments_from_latents(frozen))
 
 
 class TestReplicateStudy:
@@ -213,3 +214,7 @@ class TestKfoldResample:
             kfold_resample(data, dims, EMConfig(), k=1, sample_size=10)
         with pytest.raises(DataError):
             kfold_resample(data, dims, EMConfig(), k=3, sample_size=21)
+        # dims that disagree with the data would fail the full fit first
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            kfold_resample(data, replace(dims, q_y=4), EMConfig(), k=3, sample_size=10,
+                           seed=-1)

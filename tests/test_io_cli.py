@@ -1,5 +1,7 @@
 import json
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,19 +21,19 @@ from factorem.io import (
     write_fit,
 )
 
-from conftest import reference_dims
+from conftest import random_dims, random_theta, reference_dims
 
 
 def small_dataset(seed=0, n=40, q=4):
     dims = reference_dims(n=n, q=q)
-    data, latents, theta = simulate_dataset(SimConfig(dims=dims, seed=seed))
-    return data, latents, theta, dims
+    data, h, theta = simulate_dataset(SimConfig(dims=dims, seed=seed))
+    return data, h, theta, dims
 
 
 class TestDatasetRoundTrip:
     def test_values_reproduced_exactly(self, tmp_path):
-        data, latents, theta, dims = small_dataset()
-        write_dataset(data, tmp_path, latents=latents, theta=theta)
+        data, h, theta, dims = small_dataset()
+        write_dataset(data, tmp_path, latents=h, theta=theta)
         manifest = load_manifest(tmp_path / "manifest.json")
         loaded, loaded_dims = load_dataset(manifest)
         assert loaded_dims == dims
@@ -78,6 +80,14 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match="Y.csv"):
             load_dataset(load_manifest(tmp_path / "manifest.json"))
 
+    @pytest.mark.parametrize("shape", [(40, 2), (39, 3)])
+    def test_latents_that_do_not_fit_the_data_rejected(self, tmp_path, shape):
+        data, h, _, _ = small_dataset()
+        message = f"true latents have shape {shape} but the data needs (40, 3)"
+        with pytest.raises(DataError, match=re.escape(message)):
+            write_dataset(data, tmp_path, latents=h[:shape[0], :shape[1]])
+        assert not (tmp_path / "factors_true.csv").exists()
+
     def test_duplicate_role_rejected(self, tmp_path):
         data, *_ = small_dataset()
         write_dataset(data, tmp_path)
@@ -116,6 +126,39 @@ def strict_numeric(path):
     return header, np.array([[float(cell) for cell in row] for row in body])
 
 
+@pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+def test_every_latent_array_is_n_by_p_plus_1_with_g_first(tmp_path):
+    # h, the fitted scores and both factor files share one layout:
+    # column 0 is g, column m is f^m
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        dims = random_dims(rng)
+        theta = random_theta(dims, rng)
+        data, h, _ = simulate_dataset(SimConfig(dims=dims, seed=seed, theta=theta))
+        shape = (dims.n, dims.p + 1)
+        header = ["g"] + [f"f{m}" for m in range(1, dims.p + 1)]
+        assert h.shape == shape
+        # without noise, block k is its covariate mean plus column k of h
+        silent = replace(theta, sigma2=(0.0,) * (dims.p + 1))
+        clean, h_clean, _ = simulate_dataset(SimConfig(dims=dims, seed=seed, theta=silent))
+        np.testing.assert_array_equal(h_clean, h)
+        for k in range(dims.p + 1):
+            np.testing.assert_array_equal(
+                clean.z[k], data.t[k] @ theta.coef[k] + np.outer(h[:, k], theta.loading[k])
+            )
+
+        result = fit(data, dims, EMConfig(epsilon=1e-2))
+        assert result.moments.m.shape == shape
+        out = tmp_path / str(seed)
+        write_dataset(data, out / "data", latents=h)
+        write_fit(result, out / "fit")
+        for path, expected in ((out / "data" / "factors_true.csv", h),
+                               (out / "fit" / "factors.csv", result.moments.m)):
+            assert path.read_text().splitlines()[0].split(",") == header
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            np.testing.assert_array_equal(values, expected)
+
+
 class TestFastCsvPaths:
     """The row-streaming writer and the C-parsed reader against the
     csv-module code they replace."""
@@ -140,15 +183,14 @@ class TestFastCsvPaths:
         ]
 
     def test_written_dataset_matches_the_csv_writer(self, tmp_path):
-        data, latents, theta, dims = small_dataset(seed=3, n=50, q=6)
-        write_dataset(data, tmp_path / "data", latents=latents, theta=theta)
+        data, h, theta, dims = small_dataset(seed=3, n=50, q=6)
+        write_dataset(data, tmp_path / "data", latents=h, theta=theta)
         cols = io_module._default_columns(dims)
         blocks = [("Y.csv", cols["z"][0], data.z[0]), ("T.csv", cols["t"][0], data.t[0])]
         for m in range(dims.p):
             blocks += [(f"X{m + 1}.csv", cols["z"][m + 1], data.z[m + 1]),
                        (f"T{m + 1}.csv", cols["t"][m + 1], data.t[m + 1])]
-        blocks.append(("factors_true.csv", ["g", "f1", "f2"],
-                       np.column_stack([latents.g, latents.f.T])))
+        blocks.append(("factors_true.csv", ["g", "f1", "f2"], h))
         for name, header, matrix in blocks:
             assert (tmp_path / "data" / name).read_bytes() == \
                 self.reference_bytes(tmp_path, header, matrix), name
@@ -339,10 +381,7 @@ class TestWriteFit:
         assert "max_abs_score" not in json.loads((tmp_path / "report.json").read_text())
         rows = (tmp_path / "factors.csv").read_text().splitlines()[1:]
         values = np.array([[float(v) for v in row.split(",")] for row in rows])
-        expected = np.column_stack(
-            [result.moments.g_tilde, result.moments.f_tilde.T]
-        )
-        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(values, result.moments.m)
 
     def test_certificate_is_the_observed_loglik_gradient(self, tmp_path):
         # Fisher's identity: the expected score at theta-hat under the law
@@ -415,6 +454,19 @@ class TestCli:
         (data_dir / "T.csv").write_text("\n" * 31)
         assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "f")]) == 2
         assert f"{data_dir / 'T.csv'}: header row is blank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "replicate", "sensitivity", "resample"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "data"
+        main(["simulate", "--n", "30", "--q", "3", "--seed", "0", "--out", str(data_dir)])
+        capsys.readouterr()
+        design = (["--data", str(data_dir)] if command == "resample"
+                  else ["--n", "30", "--q", "3"])
+        argv = [command, *design, "--seed", "-1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0, got -1")
+        assert "Traceback" not in err
 
     def test_sensitivity_command(self, tmp_path):
         out = tmp_path / "sens"

@@ -4,7 +4,6 @@ import scipy.stats
 
 from factorem import (
     Dataset,
-    Latents,
     Theta,
     conditional_law,
     expected_score,
@@ -51,8 +50,7 @@ class TestCompleteLoglik:
         )
         data = Dataset(z=(np.zeros((1, 2)), np.zeros((1, 1))),
                        t=(np.zeros((1, 1)), np.zeros((1, 1))))
-        latents = Latents(g=np.zeros(1), f=np.zeros((1, 1)))
-        result = complete_loglik(theta, data, latents)
+        result = complete_loglik(theta, data, np.zeros((1, 2)))
         q_total, p = 3, 1
         assert result.value == pytest.approx(
             -0.5 * (q_total + p + 1) * np.log(2 * np.pi), rel=1e-14
@@ -60,45 +58,45 @@ class TestCompleteLoglik:
 
     def test_doubling_variance_with_zero_residual(self):
         rng = np.random.default_rng(0)
-        data, latents, theta, dims = random_instance(0)
-        exact_y = data.t[0] @ theta.coef[0] + np.outer(latents.g, theta.loading[0])
+        data, h, theta, dims = random_instance(0)
+        exact_y = data.t[0] @ theta.coef[0] + np.outer(h[:, 0], theta.loading[0])
         data = Dataset(z=(exact_y, *data.z[1:]), t=data.t)
         doubled = Theta(coef=theta.coef, loading=theta.loading,
                         c=theta.c, sigma2=(2 * theta.sigma2[0], *theta.sigma2[1:]))
-        base = complete_loglik(theta, data, latents).value
-        after = complete_loglik(doubled, data, latents).value
+        base = complete_loglik(theta, data, h).value
+        after = complete_loglik(doubled, data, h).value
         assert after - base == pytest.approx(
             -0.5 * dims.n * dims.q_y * np.log(2.0), rel=1e-10
         )
 
     def test_matches_density_factorization(self):
-        data, latents, theta, dims = random_instance(1)
+        data, h, theta, dims = random_instance(1)
         expected = 0.0
         for i in range(dims.n):
-            mean_y = data.t[0][i] @ theta.coef[0] + latents.g[i] * theta.loading[0]
+            mean_y = data.t[0][i] @ theta.coef[0] + h[i, 0] * theta.loading[0]
             expected += scipy.stats.norm.logpdf(
                 data.z[0][i], mean_y, np.sqrt(theta.sigma2[0])
             ).sum()
             for m in range(dims.p):
                 mean_x = (data.t[m + 1][i] @ theta.coef[m + 1]
-                          + latents.f[m, i] * theta.loading[m + 1])
+                          + h[i, m + 1] * theta.loading[m + 1])
                 expected += scipy.stats.norm.logpdf(
                     data.z[m + 1][i], mean_x, np.sqrt(theta.sigma2[m + 1])
                 ).sum()
             expected += scipy.stats.norm.logpdf(
-                latents.g[i], theta.c @ latents.f[:, i], 1.0
+                h[i, 0], theta.c @ h[i, 1:], 1.0
             )
-            expected += scipy.stats.norm.logpdf(latents.f[:, i], 0.0, 1.0).sum()
-        result = complete_loglik(theta, data, latents)
+            expected += scipy.stats.norm.logpdf(h[i, 1:], 0.0, 1.0).sum()
+        result = complete_loglik(theta, data, h)
         assert result.value == pytest.approx(expected, rel=1e-10)
         assert result.value == pytest.approx(result.per_unit.sum(), rel=1e-12)
 
     def test_nonpositive_variance_rejected(self):
-        data, latents, theta, _ = random_instance(2)
+        data, h, theta, _ = random_instance(2)
         bad = Theta(coef=theta.coef, loading=theta.loading,
                     c=theta.c, sigma2=(0.0, *theta.sigma2[1:]))
         with pytest.raises(DataError):
-            complete_loglik(bad, data, latents)
+            complete_loglik(bad, data, h)
 
 
 class TestObservedLoglik:
@@ -151,7 +149,7 @@ class TestCompleteScore:
         t = rng.normal(size=(n, 2))
         d = rng.normal(size=(2, q_y))
         g = rng.normal(size=n)
-        f = rng.normal(size=(1, n))
+        f1 = rng.normal(size=n)
         b = rng.normal(size=q_y)
         a = rng.normal(size=2)
         t1 = rng.normal(size=(n, 1))
@@ -159,21 +157,21 @@ class TestCompleteScore:
         theta = Theta(coef=(d, d1), loading=(b, a), c=np.ones(1),
                       sigma2=(1.5, 1.0))
         data = Dataset(
-            z=(t @ d + np.outer(g, b), t1 @ d1 + np.outer(f[0], a)),
+            z=(t @ d + np.outer(g, b), t1 @ d1 + np.outer(f1, a)),
             t=(t, t1),
         )
-        score = complete_score(theta, data, Latents(g=g, f=f))
+        score = complete_score(theta, data, np.column_stack([g, f1]))
         np.testing.assert_allclose(score.loading[0], np.zeros(q_y), atol=1e-10)
         assert score.sigma2[0] == pytest.approx(
             -n * q_y / (2 * theta.sigma2[0]), rel=1e-12
         )
 
     def test_matches_finite_differences(self):
-        data, latents, _, dims = random_instance(7)
+        data, h, _, dims = random_instance(7)
         rng = np.random.default_rng(70)
         for _ in range(3):
             theta = random_theta(dims, rng)
-            analytic = complete_score(theta, data, latents).flatten()
+            analytic = complete_score(theta, data, h).flatten()
             vec = flatten_theta(theta)
             numeric = np.empty_like(vec)
             step = 1e-5
@@ -182,8 +180,8 @@ class TestCompleteScore:
                 plus[k] += step
                 minus[k] -= step
                 numeric[k] = (
-                    complete_loglik(unflatten_theta(plus, dims), data, latents).value
-                    - complete_loglik(unflatten_theta(minus, dims), data, latents).value
+                    complete_loglik(unflatten_theta(plus, dims), data, h).value
+                    - complete_loglik(unflatten_theta(minus, dims), data, h).value
                 ) / (2 * step)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-5)
 
@@ -193,23 +191,17 @@ class TestCompleteScore:
         dims = Dimensions(n=40, p=2, q_y=4, q_m=(4, 3), r_t=2, r_m=(2, 1))
         data, _, _, dims = random_instance(8, dims=dims)
         result = fit(data, dims, EMConfig(epsilon=1e-6, max_iter=300))
-        latents = Latents(g=result.moments.g_tilde, f=result.moments.f_tilde)
-        plug_in = complete_score(result.theta, data, latents).flatten()
-        lo = flatten_theta(result.theta).size - (2 * dims.p + 1)
-        c_block = plug_in[lo:lo + dims.p]
-        assert np.abs(c_block).max() > 1e-8
+        plug_in = complete_score(result.theta, data, result.moments.m)
+        assert np.abs(plug_in.c).max() > 1e-8
 
 
 def test_complete_equals_observed_plus_conditional():
-    data, latents, theta, dims = random_instance(9)
+    data, h, theta, dims = random_instance(9)
     law = conditional_law(theta, data)
     cond = sum(
-        scipy.stats.multivariate_normal.logpdf(
-            np.concatenate([[latents.g[i]], latents.f[:, i]]),
-            law.m[i], law.sigma, allow_singular=True,
-        )
+        scipy.stats.multivariate_normal.logpdf(h[i], law.m[i], law.sigma, allow_singular=True)
         for i in range(dims.n)
     )
-    complete = complete_loglik(theta, data, latents).value
+    complete = complete_loglik(theta, data, h).value
     observed = observed_loglik(theta, data).value
     assert complete == pytest.approx(observed + cond, rel=1e-8)

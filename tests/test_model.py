@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from factorem import (
     Dataset,
     Dimensions,
-    Latents,
     Theta,
     count_parameters,
     flatten_theta,
@@ -156,10 +155,6 @@ class TestValidation:
         with pytest.raises(DataError):
             Theta(coef=(np.zeros((1, 1)),) * 2, loading=(np.zeros(1),) * 2,
                   c=np.zeros(1), sigma2=(-1.0, 1.0))
-
-    def test_latent_length_mismatch(self):
-        with pytest.raises(DataError):
-            Latents(g=np.zeros(4), f=np.zeros((2, 5)))
 
 
 def test_subset_units_keeps_order():

@@ -219,13 +219,10 @@ class TestSurrogateObjective:
             assert q_updated >= q_start - 1e-8 * abs(q_start)
 
     def test_point_mass_moments_reduce_to_complete_loglik(self):
-        data, latents, theta, dims = random_instance(42)
-        law = ConditionalLaw(
-            m=np.column_stack([latents.g, latents.f.T]),
-            sigma=np.zeros((dims.p + 1, dims.p + 1)),
-        )
+        data, h, theta, dims = random_instance(42)
+        law = ConditionalLaw(m=h, sigma=np.zeros((dims.p + 1, dims.p + 1)))
         q = expected_complete_loglik(theta, data, law)
-        ll = complete_loglik(theta, data, latents).value
+        ll = complete_loglik(theta, data, h).value
         assert q == pytest.approx(ll, rel=1e-12)
 
 

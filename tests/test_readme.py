@@ -20,8 +20,8 @@ def test_library_quickstart_runs_at_small_n(capsys):
     namespace = {}
     exec(compile(source.replace("n=400", "n=60"), str(README), "exec"), namespace)
     result = namespace["result"]
-    assert result.moments.g_tilde.shape == (60,)
-    np.testing.assert_array_equal(namespace["scores"], result.moments.g_tilde)
+    assert result.moments.m.shape == (60, result.dims.p + 1)
+    np.testing.assert_array_equal(namespace["scores"], result.moments.m[:, 0])
     assert namespace["sq_corr"].shape == (result.dims.p + 1,)
     assert np.isfinite(namespace["average"])
     assert capsys.readouterr().out

@@ -39,20 +39,18 @@ class TestSimulateDataset:
             loading=(np.zeros(2), np.zeros(2)), c=np.zeros(1),
             sigma2=(0.0, 0.0),
         )
-        data, latents, _ = simulate_dataset(
-            SimConfig(dims=dims, seed=0, theta=theta)
-        )
+        data, h, _ = simulate_dataset(SimConfig(dims=dims, seed=0, theta=theta))
         np.testing.assert_array_equal(data.z[0], data.t[0] @ theta.coef[0])
         np.testing.assert_array_equal(data.z[1], data.t[1] @ theta.coef[1])
         # with c = 0 the dependent factor is the pure disturbance
-        assert latents.g.std() > 0.5
+        assert h[:, 0].std() > 0.5
 
     def test_seed_determinism(self):
         config = SimConfig(dims=reference_dims(n=30, q=4), seed=9)
-        a, la, _ = simulate_dataset(config)
-        b, lb, _ = simulate_dataset(config)
+        a, ha, _ = simulate_dataset(config)
+        b, hb, _ = simulate_dataset(config)
         assert all(np.array_equal(x1, x2) for x1, x2 in zip(a.z + a.t, b.z + b.t))
-        assert np.array_equal(la.g, lb.g)
+        assert np.array_equal(ha, hb)
 
     def test_reference_design_size(self):
         data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(), seed=0))
@@ -62,17 +60,17 @@ class TestSimulateDataset:
 
     def test_factor_sample_moments(self):
         dims = Dimensions(n=100_000, p=2, q_y=2, q_m=(2, 2), r_t=1, r_m=(1, 1))
-        _, latents, _ = simulate_dataset(SimConfig(dims=dims, seed=11))
-        var = latents.f.var(axis=1)
+        _, h, _ = simulate_dataset(SimConfig(dims=dims, seed=11))
+        var = h[:, 1:].var(axis=0)
         assert np.all(var > 0.98) and np.all(var < 1.02)
-        cov = float(np.mean(latents.f[0] * latents.f[1]))
+        cov = float(np.mean(h[:, 1] * h[:, 2]))
         assert -0.02 < cov < 0.02
 
     def test_observed_column_regression_recovers_coefficients(self):
         dims = Dimensions(n=2000, p=1, q_y=3, q_m=(3,), r_t=2, r_m=(2,))
-        data, latents, theta = simulate_dataset(SimConfig(dims=dims, seed=13))
+        data, h, theta = simulate_dataset(SimConfig(dims=dims, seed=13))
         j = 1
-        design = np.column_stack([data.t[0], latents.g])
+        design = np.column_stack([data.t[0], h[:, 0]])
         coef, *_ = np.linalg.lstsq(design, data.z[0][:, j], rcond=None)
         truth = np.array([theta.coef[0][0, j], theta.coef[0][1, j], theta.loading[0][j]])
         gram_inv = np.linalg.inv(design.T @ design)
