@@ -55,10 +55,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     manifest = load_manifest(_resolve_manifest(args.data))
-    data, dims = load_dataset(manifest)
+    data, columns = load_dataset(manifest)
     config = _em_config(args)
-    result = canonicalize(fit(data, dims, config))
-    write_fit(result, args.out, data=data, config=config, columns=manifest.columns)
+    result = canonicalize(fit(data, data.dimensions(), config))
+    write_fit(result, args.out, data=data, config=config, columns=columns)
     status = "converged" if result.converged else "did not converge"
     print(f"{status} after {result.iterations} iterations; wrote {args.out}")
     return 0
@@ -88,12 +88,10 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    manifest = load_manifest(_resolve_manifest(args.data))
-    data, dims = load_dataset(manifest)
-    sample_size = dims.n // 2 if args.sample_size is None else args.sample_size
+    data, _ = load_dataset(load_manifest(_resolve_manifest(args.data)))
+    sample_size = data.n // 2 if args.sample_size is None else args.sample_size
     summary = kfold_resample(
-        data, dims, _em_config(args), k=args.k,
-        sample_size=sample_size, seed=args.seed,
+        data, _em_config(args), k=args.k, sample_size=sample_size, seed=args.seed,
     )
     write_resample(summary, args.out)
     print(

@@ -42,15 +42,15 @@ Epsilon therefore means what it means for plain EM, and a fit that
 plain EM finishes within two map steps is the plain EM fit.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError, FactorEMError, NonFiniteParameterError
 from .estep import ConditionalLaw, conditional_law
 from .model import (
-    Dataset, Dimensions, Theta, block_label, flatten_parts, flatten_theta, theta_names,
-    unflatten_parts,
+    Dataset, Dimensions, Theta, block_label, check_dimensions, flatten_parts, flatten_theta,
+    theta_names, unflatten_parts,
 )
 from .mstep import VARIANCE_FLOOR, BlockProjection, project_covariates, update_theta
 
@@ -233,13 +233,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     ``dims`` must equal ``data.dimensions()``; a DataError names the
     first field that differs.
     """
-    actual = data.dimensions()
-    for field in fields(Dimensions):
-        given, found = getattr(dims, field.name), getattr(actual, field.name)
-        if given != found:
-            raise DataError(
-                f"dims.{field.name}={given} disagrees with the data ({found})"
-            )
+    actual = check_dimensions(dims, data)
     projection = project_covariates(data)
     theta = initialize(projection)
     try:

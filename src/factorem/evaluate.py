@@ -209,7 +209,6 @@ class ResampleSummary:
 
 def kfold_resample(
     data: Dataset,
-    dims: Dimensions,
     em: EMConfig,
     k: int,
     sample_size: int,
@@ -222,6 +221,7 @@ def kfold_resample(
     compared only on the units present in the subsample. ``seed`` draws
     the subsamples and must be >= 0.
     """
+    dims = data.dimensions()
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     if k < 2:

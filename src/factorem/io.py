@@ -29,7 +29,10 @@ import numpy as np
 from .em import EMConfig, FitResult
 from .errors import DataError
 from .evaluate import ResampleSummary, StudySummary
-from .model import Dataset, Dimensions, Theta, block_label, flatten_theta, theta_names
+from .model import (
+    Dataset, Dimensions, Theta, block_label, check_dimensions, check_theta_shapes,
+    flatten_theta, theta_names,
+)
 from .mstep import expected_score
 
 __all__ = [
@@ -70,20 +73,14 @@ def _write_json(path: Path, payload) -> None:
 
 @dataclass
 class BlockManifest:
-    """Roles and file paths of the blocks making up one dataset.
+    """File names of the blocks making up one dataset, per block as in
+    ``Dataset``: ``z`` lists Y, X1, ..; ``t`` lists T, T1, .. (the
+    on-disk roles y, x and t, t_m)."""
 
-    ``columns`` is filled in by ``load_dataset`` with the (possibly
-    expanded) column names of every block, per block as in ``Dataset``:
-    {"z": [Y names, X1 names, ...], "t": [T names, T1 names, ...]}.
-    """
-
-    y: str
-    x: list[str]
-    t: str
-    t_m: list[str]
+    z: list[str]
+    t: list[str]
     intercept: bool = False
     base_dir: Path = field(default_factory=Path)
-    columns: dict = field(default_factory=dict)
 
     def path(self, name: str) -> Path:
         return self.base_dir / name
@@ -126,10 +123,8 @@ def load_manifest(path) -> BlockManifest:
             "covariate blocks"
         )
     return BlockManifest(
-        y=raw["y"],
-        x=raw["x"],
-        t=raw["t"],
-        t_m=raw["t_m"],
+        z=[raw["y"], *raw["x"]],
+        t=[raw["t"], *raw["t_m"]],
         intercept=raw.get("intercept", False),
         base_dir=path.parent,
     )
@@ -230,25 +225,24 @@ def _covariate_block(path: Path) -> tuple[list[str], np.ndarray]:
     return names, np.column_stack(columns)
 
 
-def load_dataset(manifest: BlockManifest) -> tuple[Dataset, Dimensions]:
-    """Load and validate all blocks named by the manifest."""
-    z_names, t_names = [manifest.y, *manifest.x], [manifest.t, *manifest.t_m]
-    declared = [manifest.y, manifest.t, *manifest.x, *manifest.t_m]
+def load_dataset(manifest: BlockManifest) -> tuple[Dataset, dict]:
+    """Load and validate all blocks named by the manifest. Returns the
+    dataset and the (possibly expanded) column names of every block, per
+    block as in ``Dataset``: {"z": [Y names, X1 names, ..], "t": [T names, ..]}."""
+    declared = [*manifest.z, *manifest.t]
     for name in declared:
         if not manifest.path(name).is_file():
             raise DataError(f"declared block file {manifest.path(name)} does not exist")
 
-    z_cols, z = zip(*(_numeric_block(manifest.path(name)) for name in z_names))
-    t_cols, t = zip(*(_covariate_block(manifest.path(name)) for name in t_names))
-    blocks = dict(zip(z_names + t_names, z + t))
-    rows = {name: blocks[name].shape[0] for name in declared}
+    z_cols, z = zip(*(_numeric_block(manifest.path(name)) for name in manifest.z))
+    t_cols, t = zip(*(_covariate_block(manifest.path(name)) for name in manifest.t))
+    rows = {name: block.shape[0] for name, block in zip(declared, z + t)}
     if len(set(rows.values())) > 1:
         detail = ", ".join(f"{name}: {count} rows" for name, count in rows.items())
         raise DataError(f"blocks disagree on the number of units ({detail})")
 
     data = Dataset(z=z, t=t, intercept=manifest.intercept)
-    manifest.columns = {"z": list(z_cols), "t": list(t_cols)}
-    return data, data.dimensions()
+    return data, {"z": list(z_cols), "t": list(t_cols)}
 
 
 def _default_columns(dims: Dimensions) -> dict:
@@ -270,14 +264,17 @@ def write_dataset(
     out_dir,
     latents: np.ndarray | None = None,
     theta: Theta | None = None,
-) -> BlockManifest:
+) -> None:
     """Write block CSVs plus a manifest (and truth files when given).
 
     ``latents`` is the (n, p+1) array of true factors, written unchanged
     to factors_true.csv; a DataError names both shapes when it does not
-    fit the data. Values round-trip exactly through ``load_dataset``.
+    fit the data, and the block when ``theta`` does not. Values
+    round-trip exactly through ``load_dataset``.
     """
     dims = data.dimensions()
+    if theta is not None:
+        check_theta_shapes(theta, list(zip(dims.r, dims.q)), "the data")
     if latents is not None:
         latents = np.asarray(latents, dtype=float)
         if latents.shape != (dims.n, dims.p + 1):
@@ -292,15 +289,9 @@ def write_dataset(
     for k in range(dims.p + 1):
         _write_matrix(out / z_files[k], cols["z"][k], data.z[k])
         _write_matrix(out / t_files[k], cols["t"][k], data.t[k])
-
-    manifest = BlockManifest(
-        y=z_files[0], x=z_files[1:], t=t_files[0], t_m=t_files[1:],
-        intercept=data.intercept, base_dir=out,
-    )
     _write_json(out / "manifest.json", {
-        "y": manifest.y, "x": manifest.x,
-        "t": manifest.t, "t_m": manifest.t_m,
-        "intercept": manifest.intercept,
+        "y": z_files[0], "x": z_files[1:], "t": t_files[0], "t_m": t_files[1:],
+        "intercept": data.intercept,
     })
 
     if latents is not None:
@@ -311,7 +302,6 @@ def write_dataset(
             ["name", "value"],
             zip(theta_names(dims), map(_fmt, flatten_theta(theta))),
         )
-    return manifest
 
 
 def write_fit(
@@ -327,12 +317,19 @@ def write_fit(
     its block's factor score) and the convergence certificate in
     report.json, the largest absolute observed-loglik gradient at the
     returned theta and the parameter it belongs to; ``config`` and
-    ``columns`` enrich report.json and the variable names.
+    ``columns`` enrich report.json and the variable names. A DataError
+    says where ``data`` or ``columns["z"]`` disagrees with the fit.
     """
+    dims = result.dims
+    if data is not None:
+        check_dimensions(dims, data)
+    cols = columns or _default_columns(dims)
+    widths = [len(names) for names in cols["z"]]
+    if widths != list(dims.q):
+        raise DataError(f"columns['z'] lists {widths} names per block but the "
+                        f"blocks have {list(dims.q)} variables")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dims = result.dims
-    cols = columns or _default_columns(dims)
 
     _write_csv(
         out / "parameters.csv",

@@ -28,7 +28,7 @@ g in column 0 and f^m in column m, named by ``block_label("h", k)``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -161,6 +161,17 @@ class Dataset:
         q = [z.shape[1] for z in self.z]
         r = [t.shape[1] for t in self.t]
         return Dimensions(n=self.n, p=self.p, q_y=q[0], q_m=q[1:], r_t=r[0], r_m=r[1:])
+
+
+def check_dimensions(dims: Dimensions, data: Dataset) -> Dimensions:
+    """``data.dimensions()``, or a DataError naming the first field of
+    ``dims`` that differs from it."""
+    actual = data.dimensions()
+    for field in fields(Dimensions):
+        given, found = getattr(dims, field.name), getattr(actual, field.name)
+        if given != found:
+            raise DataError(f"dims.{field.name}={given} disagrees with the data ({found})")
+    return actual
 
 
 def subset_units(data: Dataset, indices: np.ndarray) -> Dataset:

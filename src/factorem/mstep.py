@@ -109,23 +109,6 @@ def project_covariates(data: Dataset) -> tuple[BlockProjection, ...]:
     return tuple(blocks)
 
 
-def expected_sq_residual_sum(
-    resid: np.ndarray, loading: np.ndarray,
-    first_moment: np.ndarray, second_moment_sum: float,
-) -> float:
-    """Sum over units of E||resid_i - factor_i * loading||^2.
-
-    ``resid`` is the (n, q) covariate-centered block, ``first_moment``
-    the (n,) conditional E[factor] and ``second_moment_sum`` the sum
-    over units of E[factor^2].
-    """
-    return float(
-        np.sum(resid**2)
-        - 2.0 * np.sum((resid @ loading) * first_moment)
-        + float(loading @ loading) * second_moment_sum
-    )
-
-
 def update_theta(
     projection: tuple[BlockProjection, ...], law: ConditionalLaw
 ) -> Theta:
@@ -173,15 +156,6 @@ def update_theta(
     return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
 
 
-def _block_terms(theta: Theta, data: Dataset, law: ConditionalLaw):
-    """Per measurement block (Y, then X^1..X^p): covariates, centered
-    residuals, loading, scores, summed E[factor^2] and noise variance."""
-    return zip(
-        data.t, block_residuals(theta, data),
-        theta.loading, law.m.T, np.diag(law.second_moment_sum()), theta.sigma2,
-    )
-
-
 def expected_score(
     theta: Theta, law: ConditionalLaw, data: Dataset
 ) -> np.ndarray:
@@ -192,16 +166,20 @@ def expected_score(
     the parameters ``law`` was computed at it is, by Fisher's identity,
     the gradient of the observed log-likelihood.
     """
+    s = law.second_moment_sum()
     grads = []
-    for t, resid, loading, score, sq, var in _block_terms(theta, data, law):
+    blocks = zip(data.t, block_residuals(theta, data), theta.loading, law.m.T,
+                 np.diag(s), theta.sigma2)
+    for t, resid, loading, score, sq, var in blocks:
         inv = 1.0 / var
-        sq_resid = expected_sq_residual_sum(resid, loading, score, sq)
+        # sum over units of E||resid_i - factor_i loading||^2
+        sq_resid = float(np.sum(resid**2) - 2.0 * np.sum((resid @ loading) * score)
+                         + float(loading @ loading) * sq)
         grads.append((
             inv * t.T @ (resid - np.outer(score, loading)),
             inv * (resid.T @ score - sq * loading),
             -0.5 * resid.size * inv + 0.5 * sq_resid * inv**2,
         ))
     grad_coef, grad_loading, grad_sigma2 = zip(*grads)
-    s = law.second_moment_sum()
     grad_c = s[1:, 0] - s[1:, 1:] @ theta.c
     return flatten_parts(grad_coef, grad_loading, grad_c, grad_sigma2)

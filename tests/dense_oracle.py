@@ -38,9 +38,8 @@ from factorem.em import (
 from factorem.errors import DataError, DegeneratePosteriorError, SingularSystemError
 from factorem.estep import block_residuals, conditional_law
 from factorem.model import Theta
-from factorem.mstep import (
-    VARIANCE_FLOOR, _gram_solve, expected_sq_residual_sum, project_covariates,
-)
+from factorem.mstep import VARIANCE_FLOOR, _gram_solve, project_covariates
+from likelihood_oracle import expected_sq_residual
 
 
 def stacked_residuals(theta, data):
@@ -228,7 +227,7 @@ def update_theta(stats: SufficientStats, law, data) -> Theta:
     blocks = zip(updates, data.z, data.t, names)
     for k, ((loading, coef), obs, cov, name) in enumerate(blocks):
         resid = obs - cov @ coef
-        value = expected_sq_residual_sum(
+        value = expected_sq_residual(
             resid, loading, law.m[:, k], data.n * hh[k, k]
         ) / resid.size
         if value < VARIANCE_FLOOR:

@@ -18,7 +18,6 @@ import numpy as np
 from factorem.errors import DataError
 from factorem.estep import LOG_2PI, LogLik, block_residuals, positive_variances
 from factorem.model import Dataset, Theta, flatten_parts
-from factorem.mstep import _block_terms, expected_sq_residual_sum
 
 
 @dataclass
@@ -49,6 +48,16 @@ def _block_residuals(theta: Theta, data: Dataset, h: np.ndarray):
         for r, factor, lam in zip(block_residuals(theta, data), h.T, theta.loading)
     ]
     return zip(resid, h.T, variances)
+
+
+def expected_sq_residual(resid, loading, factor, second_moment_sum) -> float:
+    """Sum over units of E||resid_i - factor_i loading||^2, where
+    ``factor`` holds E[factor_i] and ``second_moment_sum`` the sum of
+    E[factor_i^2]: the squared residual at the conditional mean plus the
+    conditional variance of the factor times ||loading||^2."""
+    at_mean = resid - np.outer(factor, loading)
+    spread = second_moment_sum - float(factor @ factor)
+    return float(np.sum(at_mean**2) + spread * float(loading @ loading))
 
 
 def _disturbance(theta: Theta, h: np.ndarray) -> np.ndarray:
@@ -105,13 +114,15 @@ def expected_complete_loglik(theta: Theta, data: Dataset, law) -> float:
     """
     positive_variances(theta, "expected log-likelihood")
     dims = data.dimensions()
+    s = law.second_moment_sum()
     total = 0.0
-    for _, resid, loading, score, sq, var in _block_terms(theta, data, law):
+    blocks = zip(block_residuals(theta, data), theta.loading, law.m.T, np.diag(s),
+                 theta.sigma2)
+    for resid, loading, factor, sq, var in blocks:
         total += resid.size * np.log(var)
-        total += expected_sq_residual_sum(resid, loading, score, sq) / var
+        total += expected_sq_residual(resid, loading, factor, sq) / var
 
     # E(g - c'f)^2 + E f'f, summed over units
-    s = law.second_moment_sum()
     w = np.concatenate([[1.0], -theta.c])
     total += float(w @ s @ w) + float(np.trace(s[1:, 1:]))
 

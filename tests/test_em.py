@@ -9,19 +9,16 @@ from factorem import (
     SimConfig,
     Theta,
     canonicalize,
-    conditional_law,
-    em_step,
     factor_sq_correlation,
     fit,
     flatten_theta,
-    initialize,
     observed_loglik,
-    project_covariates,
-    relative_change,
     simulate_dataset,
 )
+from factorem.em import em_step, initialize, relative_change
 from factorem.errors import DataError, NonFiniteParameterError
-from factorem.mstep import VARIANCE_FLOOR
+from factorem.estep import conditional_law
+from factorem.mstep import VARIANCE_FLOOR, project_covariates
 
 from conftest import reference_dims, random_instance
 from dense_oracle import plain_fit
@@ -139,7 +136,7 @@ class TestRelativeChange:
         bumped = vec.copy()
         bumped[0] = 2.0
         vec[0] = 1.0
-        from factorem import unflatten_theta
+        from factorem.model import unflatten_theta
 
         old = unflatten_theta(vec, dims)
         new = unflatten_theta(bumped, dims)
@@ -150,7 +147,7 @@ class TestRelativeChange:
         vec = flatten_theta(theta)
         zeroed = vec.copy()
         zeroed[0] = 0.0
-        from factorem import unflatten_theta
+        from factorem.model import unflatten_theta
 
         value = relative_change(theta, unflatten_theta(zeroed, dims))
         assert np.isfinite(value)
@@ -244,6 +241,19 @@ class TestFit:
                            match=r"EM iteration 3: M-step produced b\[1\] = nan"):
             fit(data, dims, EMConfig(epsilon=1e-12, max_iter=50))
 
+    def test_failure_at_the_start_is_prefixed(self, monkeypatch):
+        import factorem.em
+
+        def zero_variance_start(projection):
+            theta = start(projection)
+            return replace(theta, sigma2=(0.0, *theta.sigma2[1:]))
+
+        start = factorem.em.initialize
+        monkeypatch.setattr(factorem.em, "initialize", zero_variance_start)
+        data, _, _, dims = random_instance(11)
+        with pytest.raises(DataError, match=r"^EM start: .*strictly positive"):
+            fit(data, dims, EMConfig())
+
     def test_non_finite_structural_solve_names_c(self):
         # a NaN in the structural block of the second-moment sum leaves the
         # loadings finite; the solve for c passes the NaN on to the guard
@@ -314,6 +324,40 @@ class TestAcceleration:
         # |r| <= |v| gives alpha = -1, whose point is the second step
         turning = [with_sigma2_y(s) for s in (1.0, 2.0, 1.0)]
         assert _extrapolate(*turning, dims) is None
+        # log sigma2_y at 100, 200, 290: alpha = -10 lands at exp(1100) = inf
+        overflowing = [with_sigma2_y(np.exp(s)) for s in (100.0, 200.0, 290.0)]
+        assert _extrapolate(*overflowing, dims) is None
+
+    def test_extrapolation_whose_estep_fails_is_rejected(self, monkeypatch):
+        # with every extrapolation rejected, each cycle goes on from its
+        # second map step: the fit is plain EM, step for step
+        import factorem.em
+        from factorem.errors import NotPositiveDefiniteError
+
+        points = []
+
+        def recording(*args):
+            points.append(extrapolate(*args))
+            return points[-1]
+
+        def failing_at_points(theta, data):
+            if any(theta is point for point in points):
+                raise NotPositiveDefiniteError("forced failure")
+            return law(theta, data)
+
+        extrapolate, law = factorem.em._extrapolate, factorem.em.conditional_law
+        monkeypatch.setattr(factorem.em, "_extrapolate", recording)
+        monkeypatch.setattr(factorem.em, "conditional_law", failing_at_points)
+        data, _, _ = reference_instance(seed=1, n=400, q=5)
+        config = EMConfig(epsilon=1e-3)
+        result = fit(data, reference_dims(n=400, q=5), config)
+        monkeypatch.undo()
+        plain = plain_fit(data, reference_dims(n=400, q=5), config)
+        tried = sum(point is not None for point in points)
+        assert tried > 0 and (result.accepted, result.rejected) == (0, tried)
+        assert np.all(np.diff(result.trace[:, 1]) >= 0)
+        np.testing.assert_array_equal(result.trace, plain.trace)
+        np.testing.assert_array_equal(flatten_theta(result.theta), flatten_theta(plain.theta))
 
     @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     def test_trace_monotone_and_stopping_rule_on_every_map_step(self):

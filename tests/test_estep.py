@@ -7,9 +7,9 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorem import Dataset, Theta, conditional_law
+from factorem import Dataset, Theta
 from factorem.errors import DataError, NotPositiveDefiniteError
-from factorem.estep import LOG_2PI
+from factorem.estep import LOG_2PI, conditional_law
 from factorem.mstep import VARIANCE_FLOOR
 
 from conftest import reference_dims, random_instance, scalar_toy_theta
@@ -308,7 +308,8 @@ class TestLawState:
 
 
 def test_theta_and_data_block_mismatch_named():
-    from factorem import expected_score, observed_loglik
+    from factorem import observed_loglik
+    from factorem.mstep import expected_score
     from likelihood_oracle import complete_loglik
 
     data, h, theta, dims = random_instance(0)

@@ -11,12 +11,10 @@ from factorem import (
     abs_rel_deviation,
     factor_sq_correlation,
     flatten_theta,
-    kfold_resample,
-    replicate_study,
-    sensitivity_sweep,
     simulate_dataset,
-    unflatten_theta,
 )
+from factorem.evaluate import kfold_resample, replicate_study, sensitivity_sweep
+from factorem.model import subset_units, unflatten_theta
 from factorem.errors import DataError
 from factorem.estep import ConditionalLaw
 
@@ -137,6 +135,15 @@ class TestReplicateStudy:
             summary.deviation_quartiles(), shuffled_quartiles
         )
 
+    def test_failed_fits_are_recorded_with_nan_metrics(self):
+        # two units cannot carry two covariates: every fit fails
+        summary = replicate_study(SimConfig(dims=reference_dims(n=2, q=3), seed=0),
+                                  EMConfig(), 2)
+        assert [f.split(":")[0] for f in summary.failures] == ["replicate 0", "replicate 1"]
+        assert "more units than covariates" in summary.failures[0]
+        assert np.isnan(summary.deviation_avg).all() and np.isnan(summary.sq_corr).all()
+        assert not summary.converged.any()
+
     def test_replicate_count_validated(self):
         with pytest.raises(DataError):
             replicate_study(SimConfig(dims=reference_dims(), seed=0), EMConfig(), 0)
@@ -191,7 +198,7 @@ class TestKfoldResample:
     def test_full_size_samples_are_exact(self):
         dims = reference_dims(n=60, q=5)
         data, _, _ = simulate_dataset(SimConfig(dims=dims, seed=5))
-        summary = kfold_resample(data, dims, EMConfig(epsilon=1e-3),
+        summary = kfold_resample(data, EMConfig(epsilon=1e-3),
                                  k=3, sample_size=60, seed=2)
         np.testing.assert_array_equal(summary.param_mse, np.zeros(3))
         np.testing.assert_array_equal(summary.factor_mse, np.zeros(3))
@@ -201,20 +208,30 @@ class TestKfoldResample:
     def test_half_size_samples_track_full_fit(self):
         dims = reference_dims(n=120, q=6)
         data, _, _ = simulate_dataset(SimConfig(dims=dims, seed=6))
-        summary = kfold_resample(data, dims, EMConfig(epsilon=1e-2),
+        summary = kfold_resample(data, EMConfig(epsilon=1e-2),
                                  k=4, sample_size=60, seed=3)
         assert not summary.failures
         assert np.nanmedian(summary.param_corr) > 0.9
         assert np.all(summary.param_mse >= 0)
 
+    def test_failed_subsample_fits_are_recorded_with_nan_metrics(self):
+        # two-unit subsamples cannot carry two covariates
+        data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=20, q=3), seed=7))
+        summary = kfold_resample(data, EMConfig(), k=2, sample_size=2)
+        assert [f.split(":")[0] for f in summary.failures] == ["sample 0", "sample 1"]
+        assert "more units than covariates" in summary.failures[0]
+        for metric in (summary.param_mse, summary.param_corr, summary.factor_mse,
+                       summary.factor_corr):
+            assert np.isnan(metric).all()
+
     def test_validation(self):
         dims = reference_dims(n=20, q=3)
         data, _, _ = simulate_dataset(SimConfig(dims=dims, seed=7))
         with pytest.raises(DataError):
-            kfold_resample(data, dims, EMConfig(), k=1, sample_size=10)
+            kfold_resample(data, EMConfig(), k=1, sample_size=10)
         with pytest.raises(DataError):
-            kfold_resample(data, dims, EMConfig(), k=3, sample_size=21)
-        # dims that disagree with the data would fail the full fit first
+            kfold_resample(data, EMConfig(), k=3, sample_size=21)
+        # two units would fail the full fit first (n <= r)
         with pytest.raises(DataError, match="seed must be >= 0, got -1"):
-            kfold_resample(data, replace(dims, q_y=4), EMConfig(), k=3, sample_size=10,
+            kfold_resample(subset_units(data, [0, 1]), EMConfig(), k=3, sample_size=2,
                            seed=-1)

@@ -8,8 +8,9 @@ import pytest
 
 from factorem import (
     EMConfig, SimConfig, canonicalize, fit, flatten_theta, observed_loglik,
-    simulate_dataset, theta_names, unflatten_theta,
+    simulate_dataset,
 )
+from factorem.model import subset_units, theta_names, unflatten_theta
 from factorem.cli import main
 from factorem import io as io_module
 from factorem.errors import DataError
@@ -35,11 +36,11 @@ class TestDatasetRoundTrip:
         data, h, theta, dims = small_dataset()
         write_dataset(data, tmp_path, latents=h, theta=theta)
         manifest = load_manifest(tmp_path / "manifest.json")
-        loaded, loaded_dims = load_dataset(manifest)
-        assert loaded_dims == dims
+        loaded, columns = load_dataset(manifest)
+        assert loaded.dimensions() == dims
         for a, b in zip(loaded.z + loaded.t, data.z + data.t):
             np.testing.assert_array_equal(a, b)
-        assert manifest.columns["z"][0] == [f"y{j+1}" for j in range(4)]
+        assert columns["z"][0] == [f"y{j+1}" for j in range(4)]
 
     def test_hand_written_blocks_smoke_load(self, tmp_path):
         def write(name, header, rows):
@@ -60,7 +61,8 @@ class TestDatasetRoundTrip:
             "t": "T.csv", "t_m": ["T1.csv", "T2.csv"],
             "intercept": True,
         }))
-        data, dims = load_dataset(load_manifest(tmp_path / "manifest.json"))
+        data, _ = load_dataset(load_manifest(tmp_path / "manifest.json"))
+        dims = data.dimensions()
         assert dims.n == 4 and dims.q_y == 2 and dims.q_m == (2, 2)
         assert dims.r_t == 1 and dims.r_m == (1, 1)
         assert data.intercept
@@ -299,10 +301,10 @@ class TestCategoricalCovariates:
         levels = ["schist", "alluvium", "schist", "granite", "sand", "quartzite"]
         rows = levels + levels[:2]
         manifest = self.make_blocks(tmp_path, rows)
-        data, dims = load_dataset(manifest)
-        assert dims.r_t == 5
+        data, columns = load_dataset(manifest)
+        assert data.dimensions().r_t == 5
         np.testing.assert_array_equal(data.t[0][:, 0], np.ones(len(rows)))
-        names = manifest.columns["t"][0]
+        names = columns["t"][0]
         assert names[0] == "intercept"
         assert names[1:] == [
             "geo=alluvium", "geo=granite", "geo=sand", "geo=quartzite"
@@ -329,9 +331,9 @@ class TestCategoricalCovariates:
     def test_mixed_numeric_and_categorical(self, tmp_path):
         rows = ["a,1.5", "b,2.5", "a,3.5", "c,4.5"]
         manifest = self.make_blocks(tmp_path, rows, t_header="kind,depth")
-        data, dims = load_dataset(manifest)
-        assert dims.r_t == 4  # intercept + 2 indicators + depth
-        assert manifest.columns["t"][0] == [
+        data, columns = load_dataset(manifest)
+        assert data.dimensions().r_t == 4  # intercept + 2 indicators + depth
+        assert columns["t"][0] == [
             "intercept", "kind=b", "kind=c", "depth"
         ]
         np.testing.assert_array_equal(data.t[0][:, 3], [1.5, 2.5, 3.5, 4.5])
@@ -345,7 +347,7 @@ class TestWriteFit:
         result = canonicalize(fit(data, dims, config))
         write_fit(result, tmp_path, data=data, config=config)
 
-        from factorem import count_parameters
+        from factorem.model import count_parameters
 
         k = count_parameters(dims)
         parameters = (tmp_path / "parameters.csv").read_text().splitlines()
@@ -407,6 +409,32 @@ class TestWriteFit:
         assert certificates[1] < 1e-3 * certificates[0]
 
 
+@pytest.mark.parametrize("case, message", [
+    ("theta_blocks", "theta has 1 explanatory blocks but the data has 2"),
+    ("theta_width", "theta block D has shape (2, 4) but the data needs (2, 3)"),
+    ("fit_data", "dims.n=30 disagrees with the data (40)"),
+    ("fit_columns", "columns['z'] lists [1, 1, 1] names per block but the blocks "
+                    "have [3, 3, 3] variables"),
+], ids=["theta_blocks", "theta_width", "fit_data", "fit_columns"])
+def test_writers_check_their_inputs_against_the_data(tmp_path, case, message):
+    # each case used to write a truncated table or end in a numpy error
+    data, _, _, dims = small_dataset(q=3)
+    out = tmp_path / "out"
+    if case.startswith("theta"):
+        other = (replace(dims, p=1, q_m=(3,), r_m=(2,)) if case == "theta_blocks"
+                 else replace(dims, q_y=4))
+        theta = simulate_dataset(SimConfig(dims=other, seed=0))[2]
+        with pytest.raises(DataError, match=re.escape(message)):
+            write_dataset(data, out, theta=theta)
+    else:
+        fitted = subset_units(data, np.arange(30)) if case == "fit_data" else data
+        result = fit(fitted, fitted.dimensions(), EMConfig())
+        columns = {"z": [["v"]] * 3, "t": [["w"]] * 3} if case == "fit_columns" else None
+        with pytest.raises(DataError, match=re.escape(message)):
+            write_fit(result, out, data=data, columns=columns)
+    assert not out.exists()
+
+
 class TestCli:
     def test_simulate_fit_pipeline(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -431,6 +459,7 @@ class TestCli:
         assert main([]) == 1
         assert main(["fit"]) == 1
         assert main(["bogus"]) == 1
+        assert main(["sensitivity", "--n-values", "abc", "--out", "unused"]) == 1
 
     @pytest.mark.parametrize("flag", [["--jitter"], ["--seed", "1"]])
     def test_fit_has_no_jitter_or_seed_flag(self, tmp_path, flag):
@@ -509,6 +538,20 @@ class TestCli:
         assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "f")]) == 2
         err = capsys.readouterr().err
         assert "manifest.json" in err and f"role {role!r}" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"y": "Y.csv", ', "cannot read manifest"),
+        ('{"y": "Y.csv", "t": "T.csv", "t_m": ["T1.csv"]}', "is missing block role 'x'"),
+        ('{"y": "Y.csv", "x": ["X1.csv", "X2.csv"], "t": "T.csv", "t_m": ["T1.csv"]}',
+         "manifest lists 2 X blocks but 1 covariate blocks"),
+    ])
+    def test_malformed_manifest_exits_two(self, tmp_path, capsys, text, message):
+        data_dir = tmp_path / "data"
+        main(["simulate", "--n", "30", "--q", "3", "--seed", "0",
+              "--out", str(data_dir)])
+        (data_dir / "manifest.json").write_text(text)
+        assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "f")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_resample_sample_size_zero_exits_two(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorem import (
-    Dataset,
-    Dimensions,
-    Theta,
-    count_parameters,
-    flatten_theta,
-    subset_units,
-    theta_names,
-    unflatten_theta,
-)
+from factorem import Dataset, Dimensions, Theta, flatten_theta
+from factorem.model import count_parameters, subset_units, theta_names, unflatten_theta
 from factorem.errors import DataError
 
 from conftest import reference_dims, random_dims, random_theta
@@ -131,6 +123,27 @@ class TestValidation:
             Dimensions(n=1, p=0, q_y=1, q_m=(), r_t=1, r_m=())
         with pytest.raises(DataError):
             Dimensions(n=1, p=2, q_y=1, q_m=(1,), r_t=1, r_m=(1, 1))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Dimensions(n=3, p=1, q_y=0, q_m=(1,), r_t=1, r_m=(1,)),
+         "all block widths must be >= 1"),
+        (lambda: Dataset(z=(np.zeros(3), np.zeros((3, 1))), t=(np.zeros((3, 1)),) * 2),
+         "block Y must be a 2-D matrix, got ndim=1"),
+        (lambda: Dataset(z=(np.zeros((3, 1)),) * 3, t=(np.zeros((3, 1)),) * 2),
+         "2 explanatory blocks but 1 covariate blocks"),
+        (lambda: Dataset(z=(np.zeros((3, 1)),), t=(np.zeros((3, 1)),)),
+         "need at least one explanatory block"),
+        (lambda: Theta(coef=(np.zeros((1, 1)),) * 2, loading=(np.zeros(1),) * 2,
+                       c=np.zeros(2), sigma2=(1.0, 1.0)),
+         "inconsistent block count"),
+        (lambda: Theta(coef=(np.zeros((1, 2)), np.zeros((1, 1))),
+                       loading=(np.zeros(1),) * 2, c=np.zeros(1), sigma2=(1.0, 1.0)),
+         r"coef\[0\] \(1, 2\) and loading\[0\] \(1,\) disagree on width"),
+    ], ids=["zero-width", "1-d-block", "z-t-count", "no-x-block", "theta-blocks",
+            "theta-width"])
+    def test_malformed_blocks_rejected(self, build, message):
+        with pytest.raises(DataError, match=message):
+            build()
 
     def test_row_count_mismatch_names_blocks(self):
         with pytest.raises(DataError, match="X1"):

@@ -1,19 +1,11 @@
 import numpy as np
 import pytest
 
-from factorem import (
-    Dataset,
-    Theta,
-    conditional_law,
-    expected_score,
-    flatten_theta,
-    project_covariates,
-    unflatten_theta,
-    update_theta,
-)
+from factorem import Dataset, Theta, flatten_theta
 from factorem.errors import DegeneratePosteriorError, SingularSystemError
-from factorem.estep import ConditionalLaw
-from factorem.mstep import VARIANCE_FLOOR
+from factorem.estep import ConditionalLaw, conditional_law
+from factorem.model import unflatten_theta
+from factorem.mstep import VARIANCE_FLOOR, expected_score, project_covariates, update_theta
 
 import dense_oracle
 from conftest import random_instance, random_theta

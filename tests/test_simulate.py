@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from factorem import (
-    DataError, Dimensions, EMConfig, SimConfig, Theta, reference_theta, replicate_study,
-    simulate_dataset,
-)
+from factorem import DataError, Dimensions, EMConfig, SimConfig, Theta, simulate_dataset
+from factorem.evaluate import replicate_study
+from factorem.simulate import reference_theta
 
 from conftest import reference_dims
 
