@@ -46,6 +46,12 @@ def _resolve_manifest(data_arg: str) -> Path:
     return path / "manifest.json" if path.is_dir() else path
 
 
+def _some_fit_succeeded(failures: list[str], fits: int) -> None:
+    """Raise FactorEMError, naming the first failure, if all ``fits`` failed."""
+    if len(failures) == fits:
+        raise FactorEMError(f"all {fits} fits failed; the first: {failures[0]}")
+
+
 def _cmd_simulate(args) -> int:
     data, latents, theta = simulate_dataset(_sim_config(args))
     write_dataset(data, args.out, latents=latents, theta=theta)
@@ -68,6 +74,7 @@ def _cmd_replicate(args) -> int:
     summary = replicate_study(_sim_config(args), _em_config(args), args.replicates)
     summary.cell = f"n={args.n},q={args.q}"
     write_study([summary], args.out)
+    _some_fit_succeeded(summary.failures, summary.replicates)
     q1, med, q3 = summary.deviation_quartiles()
     print(f"avg |rel deviation| quartiles: {q1:.4f} {med:.4f} {q3:.4f}")
     q1, med, q3 = summary.sq_corr_quartiles()
@@ -81,6 +88,8 @@ def _cmd_sensitivity(args) -> int:
         args.replicates,
     )
     write_study(summaries, args.out)
+    _some_fit_succeeded([f for s in summaries for f in s.failures],
+                        sum(s.replicates for s in summaries))
     for summary in summaries:
         _, med, _ = summary.sq_corr_quartiles()
         print(f"{summary.cell}: median squared factor correlation {med:.4f}")
@@ -94,6 +103,7 @@ def _cmd_resample(args) -> int:
         data, _em_config(args), k=args.k, sample_size=sample_size, seed=args.seed,
     )
     write_resample(summary, args.out)
+    _some_fit_succeeded(summary.failures, summary.k)
     print(
         f"parameter estimate correlation median: "
         f"{float(np.nanmedian(summary.param_corr)):.4f}"

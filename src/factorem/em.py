@@ -1,25 +1,28 @@
 """EM fitting: initialization, the accelerated E->M loop, stopping rule,
 reporting.
 
-The covariates and observed blocks are fixed within a fit, so ``fit``
-partials each block's covariates out once (``mstep.project_covariates``)
-and hands that projection to the initialization and to every M-step.
-Initialization reads each block's covariate regression off the
-projection, takes the first principal component of the residuals (top
-eigenvector of their q x q Gram) as a starting factor (sign fixed so the
-first variable loads nonnegatively), backs out starting loadings,
-variances and structural coefficients by least squares, then applies two
+A fit passes over the data twice: ``project_covariates`` builds the
+stacked Gram G of the centered data (``estep.stacked_gram``) and partials
+each block's covariates out of it, and ``conditional_law`` gives the
+reported law (factor scores, per-unit log-likelihood) at the estimate. In
+between everything is algebra on blocks of G.
+
+Initialization takes the first principal component of each block's
+centered covariate residuals (top eigenpair of their q x q Gram) as a
+starting factor (sign fixed so the first variable loads nonnegatively),
+and backs out starting loadings, variances and, by least squares on the
+scores, structural coefficients; each centered score is W_c v_k for a
+fixed v_k, so the scores' Grams are v'Gv. It then applies two
 corrections the likelihood itself cannot make later (see the inline
 notes): the dependent score is moved to the scale implied by the
 unit-variance structural disturbance, and each block's in-sample
 factor/covariate overlap is reclaimed from the other blocks.
 
-The loop carries the conditional law of the latents, its only E-step
-state. One EM-map evaluation (``em_step``) is an M-step from the law's
-scores and second-moment sum followed by the E-step at the updated
-parameters, whose by-product observed log-likelihood fills that
-evaluation's trace row: one pass over the data, and the reported law
-(factor scores included) is the one at the returned parameters.
+The loop carries the summed law (``estep.EStepSummary``), its only
+E-step state. One EM-map evaluation (``em_step``) is an M-step from it
+followed by the Gram-form E-step at the updated parameters
+(``gram_estep``), whose summed observed log-likelihood fills that
+evaluation's trace row.
 
 The map is accelerated by SqS3 (Varadhan & Roland, 2008, "Simple and
 globally convergent methods for accelerating the convergence of any EM
@@ -47,12 +50,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, FactorEMError, NonFiniteParameterError
-from .estep import ConditionalLaw, conditional_law
+from .estep import ConditionalLaw, EStepSummary, conditional_law, gram_estep
 from .model import (
     Dataset, Dimensions, Theta, block_label, check_dimensions, flatten_parts, flatten_theta,
     theta_names, unflatten_parts,
 )
-from .mstep import VARIANCE_FLOOR, BlockProjection, project_covariates, update_theta
+from .mstep import VARIANCE_FLOOR, Projection, floored, project_covariates, update_theta
 
 __all__ = [
     "EMConfig",
@@ -115,46 +118,44 @@ class FitResult:
     rejected: int = 0
 
 
-def _first_pc_scores(resid: np.ndarray, name: str) -> np.ndarray:
-    """First principal component scores (q x q Gram eigh), unit variance."""
-    centered = resid - resid.mean(axis=0)
-    eigval, eigvec = np.linalg.eigh(centered.T @ centered)
-    if eigval[-1] <= (1e-12 * max(1.0, float(np.abs(resid).max()))) ** 2:
-        raise DataError(f"residual block {name} has zero variance; PCA undefined")
-    scores = centered @ eigvec[:, -1]
-    return scores / scores.std()
-
-
-def initialize(projection: tuple[BlockProjection, ...]) -> Theta:
+def initialize(projection: Projection) -> Theta:
     """Least-squares / principal-component starting point, read off the
-    covariate projection of each block (Y first, as in ``Theta``)."""
-
-    def block_start(block, name):
-        # center the residuals so the loading regression carries an
-        # implicit intercept (residual means are not the factor's job)
-        resid = block.resid - block.resid.mean(axis=0)
-        scores = _first_pc_scores(resid, name)
-        loading = resid.T @ scores / (scores @ scores)
-        if loading[0] < 0:
-            loading, scores = -loading, -scores
-        sigma2 = float(np.mean((resid - np.outer(scores, loading)) ** 2))
-        return block.coef, loading, scores, sigma2
-
-    starts = [block_start(b, block_label("Z", k)) for k, b in enumerate(projection)]
-    coef, loading, scores, sigma2 = (list(part) for part in zip(*starts))
-    g_scores, f_mat = scores[0], np.array(scores[1:])   # (n,), (p, n)
-    c = np.linalg.lstsq(f_mat.T, g_scores, rcond=None)[0]
+    stacked Gram and the covariate projection of each block (Y first, as
+    in ``Theta``)."""
+    gram = projection.gram
+    g, n = gram.g, gram.n
+    # column k: block k's centered first-PC score as a combination of W_c's columns
+    v = np.zeros((g.shape[0], len(gram.z)))
+    loading, sigma2 = [], []
+    blocks = zip(gram.z, gram.t, projection.coef, projection.resid_gram)
+    for k, (z, t, coef, resid_gram) in enumerate(blocks):
+        # the PC of the centered residuals, so the loading regression carries
+        # an implicit intercept (residual means are not the factor's job);
+        # zero variance is judged against the centered block they come from
+        eigval, eigvec = np.linalg.eigh(resid_gram)
+        if eigval[-1] <= 1e-12 * np.trace(g[z, z]):
+            raise DataError(f"residual block {block_label('Z', k)} has zero variance; "
+                            "PCA undefined")
+        std = np.sqrt(eigval[-1] / n)
+        e = eigvec[:, -1] if eigvec[0, -1] >= 0 else -eigvec[:, -1]
+        v[z, k], v[t, k] = e / std, -(coef @ e) / std
+        loading.append(e * std)
+        # the residual left by the PC: the other eigenvalues, exactly 0 for q = 1
+        sigma2.append(floored(eigval[:-1].sum() / (n * e.size), k, "start"))
+    cross = g @ v                                 # rows T_j: T_j' (centered score k)
+    scores = v.T @ cross                          # centered score Gram, g first
+    c = np.linalg.lstsq(scores[1:, 1:], scores[1:, 0], rcond=None)[0]
 
     # The structural disturbance has unit variance by identification, so
     # the dependent score is not free to have unit variance itself.
     # Rescale (g-score, b, c) jointly to put the starting point on the
     # identified scale; starting off-scale drops EM into a nearly flat
     # valley that takes thousands of iterations to cross.
-    resid_var = float(np.mean((g_scores - c @ f_mat) ** 2))
+    resid_var = float(scores[0, 0] - c @ scores[1:, 0]) / n
     scale = 1.0 / np.sqrt(max(resid_var, 1e-12))
     loading[0] = loading[0] / scale
     c = c * scale
-    g_scores = g_scores * scale
+    cross[:, 0] *= scale
 
     # Plain least squares hands each covariate block the in-sample
     # projection of its factor (the likelihood is exactly flat in that
@@ -164,13 +165,15 @@ def initialize(projection: tuple[BlockProjection, ...]) -> Theta:
     # dependent block through the structural prediction, for each
     # explanatory block through the structural residual, shrunk by its
     # signal fraction c^2/(c^2+1).
-    g_cross = c @ f_mat
-    coef[0] = coef[0] - np.outer(projection[0].proj @ g_cross, loading[0])
-    for m, (c_m, f_m) in enumerate(zip(c, f_mat), start=1):
+    coef = list(projection.coef)
+    g_cross = cross[:, 1:] @ c                    # rows T_j: T_j' (c . f-scores)
+    coef[0] = coef[0] - np.outer(projection.tt_inv[0] @ g_cross[gram.t[0]], loading[0])
+    for m, c_m in enumerate(c, start=1):
         if abs(c_m) < 1e-8:
             continue
-        backed_out = (g_scores - g_cross + c_m * f_m) / c_m
-        kappa_m = projection[m].proj @ backed_out
+        t = gram.t[m]
+        backed_out = (cross[t, 0] - g_cross[t] + c_m * cross[t, m]) / c_m
+        kappa_m = projection.tt_inv[m] @ backed_out
         weight = c_m ** 2 / (c_m ** 2 + 1.0)
         coef[m] = coef[m] - weight * np.outer(kappa_m, loading[m])
 
@@ -178,22 +181,22 @@ def initialize(projection: tuple[BlockProjection, ...]) -> Theta:
 
 
 def em_step(
-    law: ConditionalLaw, data: Dataset, projection: tuple[BlockProjection, ...]
-) -> tuple[Theta, ConditionalLaw]:
-    """One closed-form M-step from the law at the current parameters,
-    then the E-step at the updated parameters.
+    summary: EStepSummary, data: Dataset, projection: Projection
+) -> tuple[Theta, EStepSummary]:
+    """One closed-form M-step from the summed law at the current
+    parameters, then the Gram-form E-step at the updated parameters.
 
     ``projection`` is ``project_covariates(data)``. Raises
     NonFiniteParameterError naming the first non-finite coordinate of
     the update, before the E-step can turn it into another error.
     """
-    theta_new = update_theta(projection, law)
+    theta_new = update_theta(projection, summary)
     values = flatten_theta(theta_new)
     if not np.isfinite(values).all():
         k = int(np.flatnonzero(~np.isfinite(values))[0])
         name = theta_names(data.dimensions())[k]
         raise NonFiniteParameterError(f"M-step produced {name} = {values[k]}")
-    return theta_new, conditional_law(theta_new, data)
+    return theta_new, gram_estep(theta_new, projection.gram, data)
 
 
 def relative_change(theta_old: Theta, theta_new: Theta) -> float:
@@ -237,7 +240,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     projection = project_covariates(data)
     theta = initialize(projection)
     try:
-        law = conditional_law(theta, data)
+        summary = gram_estep(theta, projection.gram, data)
     except FactorEMError as exc:
         raise type(exc)(f"EM start: {exc}") from exc
     trace = []
@@ -246,11 +249,11 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     cycle = [theta]                 # map iterates since the cycle began
     while len(trace) < config.max_iter:
         try:
-            theta_new, law = em_step(law, data, projection)
+            theta_new, summary = em_step(summary, data, projection)
         except FactorEMError as exc:
             raise type(exc)(f"EM iteration {len(trace) + 1}: {exc}") from exc
         change = relative_change(theta, theta_new)
-        trace.append((change, float(law.loglik.sum())))
+        trace.append((change, summary.loglik))
         theta = theta_new
         if change < config.epsilon:
             converged = True
@@ -263,19 +266,19 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         if extrapolated is None:
             continue
         try:
-            law_x = conditional_law(extrapolated, data)
+            summary_x = gram_estep(extrapolated, projection.gram, data)
         except FactorEMError:
-            law_x = None
+            summary_x = None
         # NaN compares False: a non-finite log-likelihood is rejected too
-        if law_x is not None and float(law_x.loglik.sum()) >= trace[-1][1]:
-            theta, law = extrapolated, law_x
+        if summary_x is not None and summary_x.loglik >= trace[-1][1]:
+            theta, summary = extrapolated, summary_x
             cycle = []              # the stabilizing step's output begins the next
             accepted += 1
         else:
             rejected += 1
     return FitResult(
         theta=theta,
-        moments=law,
+        moments=conditional_law(theta, data),
         iterations=len(trace),
         converged=converged,
         trace=np.array(trace),

@@ -21,12 +21,16 @@ The quadratic form is evaluated as the equal sum of two nonnegative
 terms, ||r_i - Lambda M_i||^2_{Psi^{-1}} + M_i' S1^{-1} M_i, which does
 not cancel when a noise variance sits at its 1e-12 floor.
 
-The law (M, Sigma) is the whole E-step state. The M-step reads the
-scores M and the (p+1, p+1) second-moment sum
-
-    S = sum_i E[h_i h_i' | r_i] = n Sigma + M'M,
-
-so no per-unit second moment is ever stored.
+An M-step needs only S = sum_i E[h_i h_i' | r_i] = n Sigma + M'M and the
+data against M. ``stacked_gram`` centers the stacked data [Z_0..Z_p,
+T_0..T_p] and appends the constant: W = W_c + 1 mean' with W_c'1 = n on
+the constant and 0 elsewhere, so large column means do not cancel in G =
+W_c'W_c. As U = W_c A, with lambda_k / sigma2_k on the Z_k rows of column
+k of A, -D_k lambda_k / sigma2_k on its T_k rows and mean'A on the
+constant row, ``gram_estep`` takes S = n Sigma + Sigma A'GA Sigma, W_c'M
+= G A Sigma and the summed log-density from G alone. Its summed quadratic
+form sum_k ||r_k||^2 / sigma2_k - tr(Sigma A'GA) cancels when a noise
+variance is small against its block's data (``GRAM_LIMIT``).
 """
 
 from dataclasses import dataclass
@@ -39,12 +43,20 @@ from .model import Dataset, Theta, check_theta_shapes
 __all__ = [
     "ConditionalLaw",
     "LogLik",
+    "EStepSummary",
     "block_residuals",
     "conditional_law",
+    "gram_estep",
     "observed_loglik",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# Block k's Gram-form quadratic is a difference of terms of size ``size``
+# / sigma2_k (see ``gram_estep``) against an exact value of about n q_k;
+# past a ratio of 1e-10 / eps (4.5e5) its rounding can pass 1e-10 of the
+# value. Benchmark designs sit below 1e5, a variance at its floor near 1e12.
+GRAM_LIMIT = 1e-10 / np.finfo(float).eps
 
 
 @dataclass
@@ -68,8 +80,40 @@ class ConditionalLaw:
 
 
 @dataclass
+class StackedGram:
+    """G = W_c'W_c and the column means of W = W_c + 1 mean' (the
+    constant last, mean 0), the rows of G that belong to each Z_k and T_k,
+    and the unit count n."""
+
+    g: np.ndarray
+    mean: np.ndarray
+    z: tuple[slice, ...]
+    t: tuple[slice, ...]
+    n: int
+
+
+@dataclass
+class EStepSummary:
+    """The law at one theta summed over units: s = n Sigma + M'M, wm =
+    W_c'M (rows as in ``StackedGram.g``, 1'M last) and the summed observed
+    loglik."""
+
+    s: np.ndarray
+    wm: np.ndarray
+    loglik: float
+
+    @classmethod
+    def from_law(cls, law: ConditionalLaw, data: Dataset) -> "EStepSummary":
+        """The summary of an n-row law, by one pass over the data."""
+        centered = law.m - law.m.mean(axis=0)      # W_c'M = W'(M - 1 mean(M)')
+        wm = np.vstack([*(b.T @ centered for b in (*data.z, *data.t)), law.m.sum(axis=0)])
+        return cls(s=law.second_moment_sum(), wm=wm, loglik=float(law.loglik.sum()))
+
+
+@dataclass
 class LogLik:
-    """Total log-likelihood and the per-unit contributions summing to it."""
+    """Total log-likelihood and the per-unit contributions summing to it
+    (up to the rounding of the Gram form, see ``observed_loglik``)."""
 
     value: float
     per_unit: np.ndarray
@@ -99,19 +143,8 @@ def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
     return [z - t @ coef for z, t, coef in zip(data.z, data.t, theta.coef)]
 
 
-def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
-    """Exact conditional law of the latents for every unit, with each
-    unit's observed log-likelihood at the same parameters.
-
-    Raises DataError for a nonpositive noise variance and
-    NotPositiveDefiniteError (annotated with the parameter state) if the
-    (p+1, p+1) posterior precision cannot be factorized.
-    """
-    variances = positive_variances(theta, "conditional law")
-    resid = block_residuals(theta, data)
-    inv_var = 1.0 / variances
-    u = np.column_stack([r @ lam for r, lam in zip(resid, theta.loading)]) * inv_var
-
+def _posterior(theta: Theta, inv_var: np.ndarray):
+    """(S1^{-1}, Cholesky factor of P, Sigma = P^{-1}) at ``theta``."""
     c = theta.c
     prior_prec = np.eye(c.shape[0] + 1)
     prior_prec[0, 1:] = prior_prec[1:, 0] = -c
@@ -128,7 +161,22 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
         ) from exc
     chol_inv = np.linalg.inv(chol)
     sigma = chol_inv.T @ chol_inv
-    sigma = 0.5 * (sigma + sigma.T)
+    return prior_prec, chol, 0.5 * (sigma + sigma.T)
+
+
+def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
+    """Exact conditional law of the latents for every unit, with each
+    unit's observed log-likelihood at the same parameters.
+
+    Raises DataError for a nonpositive noise variance and
+    NotPositiveDefiniteError (annotated with the parameter state) if the
+    (p+1, p+1) posterior precision cannot be factorized.
+    """
+    variances = positive_variances(theta, "conditional law")
+    resid = block_residuals(theta, data)
+    inv_var = 1.0 / variances
+    u = np.column_stack([r @ lam for r, lam in zip(resid, theta.loading)]) * inv_var
+    prior_prec, chol, sigma = _posterior(theta, inv_var)
     m = u @ sigma                                # (n, p+1)
 
     quad = np.sum((m @ prior_prec) * m, axis=1)
@@ -140,8 +188,72 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     return ConditionalLaw(m=m, sigma=sigma, loglik=loglik)
 
 
+def stacked_gram(data: Dataset) -> StackedGram:
+    """G = W_c'W_c: the one pass over the units before a fit's estimate."""
+    edges = np.cumsum([0, *(b.shape[1] for b in (*data.z, *data.t))]).tolist()
+    rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    w = np.hstack([*data.z, *data.t])
+    mean = w.mean(axis=0)
+    w -= mean
+    g = np.zeros((w.shape[1] + 1,) * 2)
+    g[:-1, :-1] = w.T @ w
+    g[-1, -1] = data.n
+    k = data.p + 1
+    return StackedGram(g=g, mean=np.append(mean, 0.0), z=tuple(rows[:k]),
+                       t=tuple(rows[k:]), n=data.n)
+
+
+def gram_estep(theta: Theta, gram: StackedGram, data: Dataset) -> EStepSummary:
+    """The law at ``theta`` summed over units, from ``gram`` =
+    ``stacked_gram(data)`` alone, or from ``conditional_law`` when a block
+    is past ``GRAM_LIMIT``. Raises as ``conditional_law`` does."""
+    variances = positive_variances(theta, "conditional law")
+    check_theta_shapes(theta, [(t.stop - t.start, z.stop - z.start)
+                               for z, t in zip(gram.z, gram.t)], "the data")
+    g, mean, n = gram.g, gram.mean, gram.n
+    zs, ts = slice(0, gram.t[0].start), slice(gram.t[0].start, -1)
+    starts = [z.start for z in gram.z]
+    widths = np.diff([*starts, zs.stop])
+    inv_var = 1.0 / variances
+    # ||r_k||^2 = ||Z_k,c - T_k,c D_k||^2 + n ||rbar_k||^2 (,c: centered)
+    # is size - 2 cross; ||Z_k,c||^2, the first part of size, settles a
+    # variance near its floor before any work on D
+    size = np.add.reduceat(np.diagonal(g)[zs], starts)
+    if not np.max(size * inv_var / (n * widths)) <= GRAM_LIMIT:
+        return EStepSummary.from_law(conditional_law(theta, data), data)
+    d = np.zeros((g.shape[0], zs.stop))         # D_k on the T_k rows, Z_k columns
+    lam = np.zeros((zs.stop, widths.size))      # lambda_k / sigma2_k on Z_k, column k
+    blocks = zip(gram.z, gram.t, theta.coef, theta.loading)
+    for k, (z, t, coef, loading) in enumerate(blocks):
+        d[t, z] = coef
+        lam[z, k] = loading * inv_var[k]
+    d = d[ts]
+    rbar = mean[zs] - mean[ts] @ d              # column means of r = Z - T D
+    dd, cross = np.add.reduceat(np.stack([
+        np.sum(d * (g[ts, ts] @ d), axis=0) + n * rbar**2,
+        np.sum(d * g[ts, zs], axis=0)]), starts, axis=1)
+    size += dd
+    if not np.max(size * inv_var / (n * widths)) <= GRAM_LIMIT:
+        return EStepSummary.from_law(conditional_law(theta, data), data)
+    resid_sq = size - 2.0 * cross
+    a = np.vstack([lam, -d @ lam, rbar @ lam])  # U = W_c A
+    _, chol, sigma = _posterior(theta, inv_var)
+    ga = g @ a
+    uu = a.T @ ga                                # U'U
+    quad = float(resid_sq @ inv_var - np.sum(sigma * uu))
+    logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return EStepSummary(
+        s=n * sigma + sigma @ uu @ sigma,
+        wm=ga @ sigma,
+        loglik=-0.5 * (quad + n * (logdet + widths.sum() * LOG_2PI)),
+    )
+
+
 def observed_loglik(theta: Theta, data: Dataset) -> LogLik:
     """Log-density of the observations with the latents marginalized
-    out: the by-product of ``conditional_law``, summed."""
+    out. ``value`` is ``gram_estep``'s sum, the number a fit's trace
+    records; ``per_unit`` is ``conditional_law``'s and sums to it up to
+    the Gram form's rounding."""
     per_unit = conditional_law(theta, data).loglik
-    return LogLik(value=float(per_unit.sum()), per_unit=per_unit)
+    return LogLik(value=gram_estep(theta, stacked_gram(data), data).loglik,
+                  per_unit=per_unit)

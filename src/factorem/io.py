@@ -66,8 +66,10 @@ def _write_matrix(path: Path, header: list[str], matrix) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
+    # JSON has no NaN: every non-finite number is written as null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 

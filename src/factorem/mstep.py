@@ -1,22 +1,27 @@
-"""M-step: closed-form parameter updates from the conditional law.
+"""M-step: closed-form parameter updates from the summed conditional law.
 
 Each measurement block k (Y with covariates T, then X^m with T^m) is a
 regression of Z_k on its fixed covariates T_k and on its factor f, whose
 law is fixed by the E-step. The covariates and the observed blocks never
 change within a fit, so ``project_covariates`` partials T_k out once
-(Frisch-Waugh-Lovell):
+(Frisch-Waugh-Lovell), from blocks of the stacked Gram G = W_c'W_c of the
+centered data W_c (``estep.stacked_gram``, the fit's one pass over the
+data), with W'W = G + n mean mean' off the constant:
 
-    P_k = (T_k'T_k)^-1 T_k',   B_k = P_k Z_k,   Z~_k = Z_k - T_k B_k,
+    B_k = (T_k'T_k)^-1 T_k'Z_k,   Z~_k = Z_k - T_k B_k,
 
-and keeps T_k, P_k, B_k, Z~_k and ||Z~_k||^2. The expected complete
-log-likelihood depends on the law only through the scores f (a column
-of M) and the second-moment sum
+and keeps B_k, (T_k'T_k)^-1, the centered Gram of Z~_k, its column means
+and ||Z~_k||^2; no n x q array is kept. The expected complete log-likelihood
+depends on the law only through the scores f (a column of M) and the
+second-moment sum
 
     S = sum_i E[h_i h_i' | z_i] = n Sigma + M'M,
 
-with index 0 for g and m for f^m. With s = S_kk, each iteration then
-updates the block from three matrix-vector products with f (P_k f, T_k'f
-and Z~_k'f) and builds no n x q array:
+with index 0 for g and m for f^m, and the scores enter only through
+W_c'M and 1'f (``estep.EStepSummary``): T_k'f = T_k,c'f + mean_T (1'f),
+Z~_k'f = Z_k,c'f - B_k'T_k,c'f + mean(Z~_k) (1'f) and P_k f =
+(T_k'T_k)^-1 T_k'f. With s = S_kk, each iteration then updates the
+block with no pass over the data:
 
     denom   = s - (T_k'f) . (P_k f)
     lambda  = Z~_k'f / denom                     (loading[k]: b, or a^m)
@@ -37,11 +42,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
-from .estep import ConditionalLaw, block_residuals
+from .estep import ConditionalLaw, EStepSummary, StackedGram, block_residuals, stacked_gram
 from .model import Dataset, Theta, block_label, flatten_parts
 
 __all__ = [
-    "BlockProjection",
+    "Projection",
     "project_covariates",
     "update_theta",
     "expected_score",
@@ -52,21 +57,18 @@ VARIANCE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class BlockProjection:
-    """One measurement block with its covariates partialled out.
+class Projection:
+    """The stacked Gram of the data (``estep.stacked_gram``); per block
+    as in ``Theta``, B_k, (T_k'T_k)^-1, Z~_k's centered Gram and
+    ||Z~_k||^2; and the column means of [Z~_0..Z~_p, T_0..T_p] (rows as
+    in the Gram)."""
 
-    t : (n, r) covariates T_k
-    proj : (r, n) P_k = (T_k'T_k)^-1 T_k'
-    coef : (r, q) B_k = P_k Z_k, the covariate-only coefficients
-    resid : (n, q) Z~_k = Z_k - T_k B_k
-    resid_sq : ||Z~_k||^2
-    """
-
-    t: np.ndarray
-    proj: np.ndarray
-    coef: np.ndarray
-    resid: np.ndarray
-    resid_sq: float
+    gram: StackedGram
+    coef: tuple[np.ndarray, ...]
+    tt_inv: tuple[np.ndarray, ...]
+    resid_gram: tuple[np.ndarray, ...]
+    resid_sq: tuple[float, ...]
+    mean: np.ndarray
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
@@ -86,9 +88,9 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
     return scipy.linalg.cho_solve((chol, True), rhs)
 
 
-def project_covariates(data: Dataset) -> tuple[BlockProjection, ...]:
+def project_covariates(data: Dataset) -> Projection:
     """Partial each block's covariates out of it, once per fit: Y on T,
-    then X^m on T^m.
+    then X^m on T^m, from the stacked Gram.
 
     Raises DataError when a covariate block has at least as many columns
     as there are units, and SingularSystemError for collinear covariates.
@@ -97,27 +99,30 @@ def project_covariates(data: Dataset) -> tuple[BlockProjection, ...]:
         raise DataError(
             f"covariate projection needs more units than covariates, got n={data.n}"
         )
-    blocks = []
-    for k, (t, z) in enumerate(zip(data.t, data.z)):
-        proj = _gram_solve(t.T @ t, t.T, block_label("T", k))
-        coef = proj @ z
-        resid = z - t @ coef
-        blocks.append(BlockProjection(
-            t=t, proj=proj, coef=coef, resid=resid,
-            resid_sq=float(np.sum(resid**2)),
-        ))
-    return tuple(blocks)
+    gram = stacked_gram(data)
+    g, mean, n = gram.g, gram.mean, gram.n
+    means = mean[:-1].copy()    # to become those of [Z~_0..Z~_p, T_0..T_p]
+    parts = []
+    for k, (z, t) in enumerate(zip(gram.z, gram.t)):
+        r = t.stop - t.start
+        tt, tz = (g[t, b] + n * np.outer(mean[t], mean[b]) for b in (t, z))
+        solved = _gram_solve(tt, np.hstack([np.eye(r), tz]), block_label("T", k))
+        coef = solved[:, r:]
+        cross = coef.T @ g[t, z]
+        resid_gram = g[z, z] - cross - cross.T + coef.T @ g[t, t] @ coef
+        means[z] -= mean[t] @ coef     # mean(Z~_k) = mean(Z_k) - B_k' mean(T_k)
+        parts.append((coef, solved[:, :r], resid_gram,
+                      float(np.trace(resid_gram) + n * means[z] @ means[z])))
+    return Projection(gram, *zip(*parts), mean=means)
 
 
-def update_theta(
-    projection: tuple[BlockProjection, ...], law: ConditionalLaw
-) -> Theta:
+def update_theta(projection: Projection, summary: EStepSummary) -> Theta:
     """Exact maximizer of the expected complete log-likelihood.
 
     Noise variances are floored at VARIANCE_FLOOR (with a warning) so a
     perfect fit cannot hand the next E-step a singular covariance.
     """
-    s = law.second_moment_sum()
+    s = summary.s
     try:
         c = np.linalg.solve(s[1:, 1:], s[1:, 0])
     except np.linalg.LinAlgError as exc:
@@ -127,11 +132,15 @@ def update_theta(
         ) from exc
 
     loadings, coefs, variances = [], [], []
-    for k, block in enumerate(projection):
-        f = law.m[:, k]
-        pf = block.proj @ f
-        zf = block.resid.T @ f
-        denom = s[k, k] - (block.t.T @ f) @ pf
+    gram, wm = projection.gram, summary.wm
+    # rows Z_k: Z_k,c'f + mean(Z~_k) 1'f; rows T_k: T_k'f
+    shifted = wm[:-1] + np.outer(projection.mean, wm[-1])
+    blocks = zip(gram.z, gram.t, projection.coef, projection.tt_inv, projection.resid_sq)
+    for k, (z, t, coef, tt_inv, resid_sq) in enumerate(blocks):
+        tf = shifted[t, k]                      # T_k'f
+        pf = tt_inv @ tf                        # P_k f
+        zf = shifted[z, k] - coef.T @ wm[t, k]  # Z~_k'f
+        denom = s[k, k] - tf @ pf
         # a factor inside the covariate span with no posterior spread
         # leaves only rounding in denom, which can land on either side of 0
         if denom <= 1e-12 * s[k, k]:
@@ -140,20 +149,23 @@ def update_theta(
                 "posterior second moment is degenerate given the covariates"
             )
         loading = zf / denom
-        value = (block.resid_sq - loading @ zf) / block.resid.size
-        if value < VARIANCE_FLOOR:
-            warnings.warn(
-                f"{block_label('sigma2', k)} update {value:.3e} floored at "
-                f"{VARIANCE_FLOOR:.0e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            value = VARIANCE_FLOOR
+        value = (resid_sq - loading @ zf) / (gram.n * zf.size)
         loadings.append(loading)
-        coefs.append(block.coef - np.outer(pf, loading))
-        variances.append(value)
+        coefs.append(coef - np.outer(pf, loading))
+        variances.append(floored(value, k, "update"))
 
     return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
+
+
+def floored(value: float, k: int, what: str) -> float:
+    """``value``, or VARIANCE_FLOOR with a RuntimeWarning naming block k's
+    variance below it."""
+    if value < VARIANCE_FLOOR:
+        warnings.warn(f"{block_label('sigma2', k)} {what} {value:.3e} floored at "
+                      f"{VARIANCE_FLOOR:.0e}",
+                      RuntimeWarning, stacklevel=3)
+        return VARIANCE_FLOOR
+    return value
 
 
 def expected_score(

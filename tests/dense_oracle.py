@@ -24,6 +24,13 @@ z_i ~ N(covariate mean, s3).
 ``plain_fit`` is the unaccelerated EM loop, one ``em_step`` after
 another from the package's start, that the SqS3-accelerated ``fit`` is
 tested against.
+
+The ``npass_*`` functions are the fit as it read before it ran on the
+stacked Gram of the centered data: a covariate projection that keeps
+each block's n x q residual, a start from the per-unit
+principal-component scores, and a map evaluation that conditions every
+unit afresh (``conditional_law``) and updates from the n-row scores. The
+package's Gram path is tested against them.
 """
 
 import warnings
@@ -36,8 +43,8 @@ from factorem.em import (
     FitResult, em_step, initialize, relative_change,
 )
 from factorem.errors import DataError, DegeneratePosteriorError, SingularSystemError
-from factorem.estep import block_residuals, conditional_law
-from factorem.model import Theta
+from factorem.estep import block_residuals, conditional_law, gram_estep
+from factorem.model import Theta, block_label
 from factorem.mstep import VARIANCE_FLOOR, _gram_solve, project_covariates
 from likelihood_oracle import expected_sq_residual
 
@@ -248,18 +255,122 @@ def plain_fit(data, dims, config) -> FitResult:
     one drops below epsilon or max_iter steps are spent."""
     projection = project_covariates(data)
     theta = initialize(projection)
-    law = conditional_law(theta, data)
+    summary = gram_estep(theta, projection.gram, data)
     trace = []
     converged = False
     for _ in range(config.max_iter):
-        theta_new, law = em_step(law, data, projection)
+        theta_new, summary = em_step(summary, data, projection)
         change = relative_change(theta, theta_new)
-        trace.append((change, float(law.loglik.sum())))
+        trace.append((change, summary.loglik))
         theta = theta_new
         if change < config.epsilon:
             converged = True
             break
     return FitResult(
-        theta=theta, moments=law, iterations=len(trace), converged=converged,
-        trace=np.array(trace), dims=dims,
+        theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
+        converged=converged, trace=np.array(trace), dims=dims,
     )
+
+
+@dataclass(frozen=True)
+class NpassBlock:
+    """One measurement block with its covariates partialled out.
+
+    t : (n, r) covariates T_k
+    proj : (r, n) P_k = (T_k'T_k)^-1 T_k'
+    coef : (r, q) B_k = P_k Z_k
+    resid : (n, q) Z~_k = Z_k - T_k B_k
+    resid_sq : ||Z~_k||^2
+    """
+
+    t: np.ndarray
+    proj: np.ndarray
+    coef: np.ndarray
+    resid: np.ndarray
+    resid_sq: float
+
+
+def npass_projection(data) -> tuple[NpassBlock, ...]:
+    """Each block's covariates partialled out by passes over its rows."""
+    blocks = []
+    for k, (t, z) in enumerate(zip(data.t, data.z)):
+        proj = _gram_solve(t.T @ t, t.T, block_label("T", k))
+        coef = proj @ z
+        resid = z - t @ coef
+        blocks.append(NpassBlock(t=t, proj=proj, coef=coef, resid=resid,
+                                 resid_sq=float(np.sum(resid**2))))
+    return tuple(blocks)
+
+
+def first_pc_scores(resid, name):
+    """First principal component scores (q x q Gram eigh), unit variance."""
+    centered = resid - resid.mean(axis=0)
+    eigval, eigvec = np.linalg.eigh(centered.T @ centered)
+    if eigval[-1] <= (1e-12 * max(1.0, float(np.abs(resid).max()))) ** 2:
+        raise DataError(f"residual block {name} has zero variance; PCA undefined")
+    scores = centered @ eigvec[:, -1]
+    return scores / scores.std()
+
+
+def npass_initialize(projection) -> Theta:
+    """The package's starting point, from per-unit PC scores of each
+    block's residual (the start variances are not floored)."""
+
+    def block_start(block, name):
+        resid = block.resid - block.resid.mean(axis=0)
+        scores = first_pc_scores(resid, name)
+        loading = resid.T @ scores / (scores @ scores)
+        if loading[0] < 0:
+            loading, scores = -loading, -scores
+        sigma2 = float(np.mean((resid - np.outer(scores, loading)) ** 2))
+        return block.coef, loading, scores, sigma2
+
+    starts = [block_start(b, block_label("Z", k)) for k, b in enumerate(projection)]
+    coef, loading, scores, sigma2 = (list(part) for part in zip(*starts))
+    g_scores, f_mat = scores[0], np.array(scores[1:])   # (n,), (p, n)
+    c = np.linalg.lstsq(f_mat.T, g_scores, rcond=None)[0]
+
+    resid_var = float(np.mean((g_scores - c @ f_mat) ** 2))
+    scale = 1.0 / np.sqrt(max(resid_var, 1e-12))
+    loading[0] = loading[0] / scale
+    c = c * scale
+    g_scores = g_scores * scale
+
+    g_cross = c @ f_mat
+    coef[0] = coef[0] - np.outer(projection[0].proj @ g_cross, loading[0])
+    for m, (c_m, f_m) in enumerate(zip(c, f_mat), start=1):
+        if abs(c_m) < 1e-8:
+            continue
+        backed_out = (g_scores - g_cross + c_m * f_m) / c_m
+        kappa_m = projection[m].proj @ backed_out
+        weight = c_m ** 2 / (c_m ** 2 + 1.0)
+        coef[m] = coef[m] - weight * np.outer(kappa_m, loading[m])
+
+    return Theta(coef=coef, loading=loading, c=c, sigma2=sigma2)
+
+
+def npass_update(projection, law) -> Theta:
+    """``update_theta`` from the n-row scores of ``law``."""
+    s = law.second_moment_sum()
+    c = np.linalg.solve(s[1:, 1:], s[1:, 0])
+    loadings, coefs, variances = [], [], []
+    for k, block in enumerate(projection):
+        f = law.m[:, k]
+        pf = block.proj @ f
+        zf = block.resid.T @ f
+        denom = s[k, k] - (block.t.T @ f) @ pf
+        if denom <= 1e-12 * s[k, k]:
+            raise DegeneratePosteriorError(f"loading denominator for block {k} is {denom}")
+        loading = zf / denom
+        value = (block.resid_sq - loading @ zf) / block.resid.size
+        loadings.append(loading)
+        coefs.append(block.coef - np.outer(pf, loading))
+        variances.append(max(value, VARIANCE_FLOOR))
+    return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
+
+
+def npass_em_step(law, data, projection):
+    """One map evaluation by passes over the data: the update from the
+    n-row law, then the exact law at the update."""
+    theta = npass_update(projection, law)
+    return theta, conditional_law(theta, data)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from factorem import Dimensions, EMConfig, SimConfig, fit, flatten_theta, simulate_dataset
-from factorem.estep import conditional_law
+from factorem.estep import EStepSummary, conditional_law
 from factorem.evaluate import kfold_resample, replicate_study
 from factorem.model import count_parameters, unflatten_theta
 from factorem.mstep import expected_score, project_covariates, update_theta
@@ -185,7 +185,7 @@ def test_criterion_07_mstep_stationarity():
     for seed in range(100):
         data, _, theta, dims = random_instance(seed)
         law = conditional_law(theta, data)
-        updated = update_theta(project_covariates(data), law)
+        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
         residual = expected_score(updated, law, data)
         worst = max(worst, float(np.abs(residual).max()))
 
@@ -197,7 +197,7 @@ def test_criterion_07_mstep_stationarity():
             continue
         checked += 1
         law = conditional_law(theta, data)
-        updated = update_theta(project_covariates(data), law)
+        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
         s = law.second_moment_sum()
         v1, v2 = s[1:, 0]
         phi1, phi2 = s[1, 1], s[2, 2]

@@ -17,7 +17,7 @@ from factorem import (
 )
 from factorem.em import em_step, initialize, relative_change
 from factorem.errors import DataError, NonFiniteParameterError
-from factorem.estep import conditional_law
+from factorem.estep import conditional_law, gram_estep
 from factorem.mstep import VARIANCE_FLOOR, project_covariates
 
 from conftest import reference_dims, random_instance
@@ -28,13 +28,17 @@ def reference_instance(seed=0, n=400, q=40):
     return simulate_dataset(SimConfig(dims=reference_dims(n=n, q=q), seed=seed))
 
 
+def start_scores(block, loading):
+    """The factor scores a start implies for a block on an intercept alone:
+    the least-squares scores of its centered columns on the loading."""
+    return (block - block.mean(axis=0)) @ loading / (loading @ loading)
+
+
 class TestInitialize:
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     def test_noise_free_single_factor_recovered_exactly(self):
         # a noise-free rank-1 residual block makes the starting factor
         # score an exact (up to sign) copy of the generating factor
-        from factorem.em import _first_pc_scores
-        from factorem.mstep import _gram_solve
-
         rng = np.random.default_rng(0)
         n, q = 40, 6
         t = np.ones((n, 1))
@@ -42,17 +46,17 @@ class TestInitialize:
         g = rng.normal(size=n)
         g -= g.mean()
         y = t @ d + np.outer(g, np.ones(q))
-        resid = y - t @ _gram_solve(t.T @ t, t.T @ y, "Y")
-        scores = _first_pc_scores(resid, "Y")
+        data = Dataset(z=(y, rng.normal(size=(n, 3))), t=(t, t), intercept=True)
+        start = initialize(project_covariates(data))
+        scores = start_scores(y, start.loading[0])
         corr = np.corrcoef(scores, g)[0, 1]
         assert abs(corr) > 1 - 1e-10
 
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     @pytest.mark.parametrize("q", [1, 2, 5, 40])
     def test_gram_eigh_start_matches_the_svd_first_pc(self, q):
-        # the start takes the first PC from the q x q Gram; the thin SVD of
-        # the n x q block it replaced is the reference
-        from factorem.em import _first_pc_scores
-
+        # the start takes the first PC from the q x q Gram of the centered
+        # residuals; the thin SVD of the n x q block is the reference
         rng = np.random.default_rng(q)
         for n in (q + 3, 60, 400):
             resid = rng.normal(size=(n, q)) * rng.uniform(0.1, 10.0, size=q)
@@ -60,7 +64,10 @@ class TestInitialize:
             centered = resid - resid.mean(axis=0)
             u, s, _ = np.linalg.svd(centered, full_matrices=False)
             reference = u[:, 0] * s[0]
-            scores = _first_pc_scores(resid, "Y")
+            # X^1 on an intercept alone, so its covariate residual is centered
+            t = np.ones((n, 1))
+            data = Dataset(z=(rng.normal(size=(n, 2)), resid), t=(t, t), intercept=True)
+            scores = start_scores(resid, initialize(project_covariates(data)).loading[1])
             assert abs(np.corrcoef(scores, reference)[0, 1]) >= 1 - 1e-10
             np.testing.assert_allclose(scores.std(), 1.0, rtol=1e-12)
 
@@ -101,8 +108,9 @@ class TestEmStep:
         data, _, _, dims = random_instance(10, dims=Dimensions(
             n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
         result = fit(data, dims, EMConfig(epsilon=1e-10, max_iter=500))
+        projection = project_covariates(data)
         theta_next, _ = em_step(
-            conditional_law(result.theta, data), data, project_covariates(data)
+            gram_estep(result.theta, projection.gram, data), data, projection
         )
         assert relative_change(result.theta, theta_next) < 1e-6
 
@@ -110,10 +118,10 @@ class TestEmStep:
         data, _, _, dims = random_instance(11)
         projection = project_covariates(data)
         theta = initialize(projection)
-        law = conditional_law(theta, data)
+        summary = gram_estep(theta, projection.gram, data)
         previous = observed_loglik(theta, data).value
         for _ in range(8):
-            theta, law = em_step(law, data, projection)
+            theta, summary = em_step(summary, data, projection)
             current = observed_loglik(theta, data).value
             assert current >= previous - 1e-8 * abs(previous)
             previous = current
@@ -260,11 +268,11 @@ class TestFit:
         data, _, _, _ = random_instance(10, dims=Dimensions(
             n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
         projection = project_covariates(data)
-        law = conditional_law(initialize(projection), data)
-        sigma = law.sigma.copy()
-        sigma[1, 2] = sigma[2, 1] = np.nan
+        summary = gram_estep(initialize(projection), projection.gram, data)
+        s = summary.s.copy()
+        s[1, 2] = s[2, 1] = np.nan
         with pytest.raises(NonFiniteParameterError, match=r"M-step produced c1 = nan"):
-            em_step(replace(law, sigma=sigma), data, projection)
+            em_step(replace(summary, s=s), data, projection)
 
     def test_config_validation(self):
         for epsilon in (0.0, np.nan, np.inf):
@@ -340,14 +348,14 @@ class TestAcceleration:
             points.append(extrapolate(*args))
             return points[-1]
 
-        def failing_at_points(theta, data):
+        def failing_at_points(theta, gram, data):
             if any(theta is point for point in points):
                 raise NotPositiveDefiniteError("forced failure")
-            return law(theta, data)
+            return estep(theta, gram, data)
 
-        extrapolate, law = factorem.em._extrapolate, factorem.em.conditional_law
+        extrapolate, estep = factorem.em._extrapolate, factorem.em.gram_estep
         monkeypatch.setattr(factorem.em, "_extrapolate", recording)
-        monkeypatch.setattr(factorem.em, "conditional_law", failing_at_points)
+        monkeypatch.setattr(factorem.em, "gram_estep", failing_at_points)
         data, _, _ = reference_instance(seed=1, n=400, q=5)
         config = EMConfig(epsilon=1e-3)
         result = fit(data, reference_dims(n=400, q=5), config)

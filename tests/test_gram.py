@@ -1,0 +1,193 @@
+"""The fit's Gram path (one pass over the data, then algebra on the Gram
+of the centered data) against the n-pass routes it replaced
+(``dense_oracle.npass_*``) and against ``conditional_law``."""
+
+import numpy as np
+import pytest
+from dataclasses import replace
+
+from factorem import Dataset, EMConfig, SimConfig, fit, flatten_theta, simulate_dataset
+from factorem import em, estep, mstep
+from factorem.em import em_step, initialize
+from factorem.estep import GRAM_LIMIT, EStepSummary, conditional_law, gram_estep, stacked_gram
+from factorem.mstep import VARIANCE_FLOOR, project_covariates, update_theta
+
+import dense_oracle
+from conftest import random_instance, reference_dims
+
+RTOL = 1e-10
+
+
+def instances():
+    """``random_instance`` seeds 0-99 and the reference design, each with
+    the parameters its data were drawn from."""
+    for seed in range(100):
+        data, _, theta, _ = random_instance(seed)
+        yield f"random {seed}", data, theta
+    for seed in (1, 2):
+        data, _, theta = simulate_dataset(SimConfig(dims=reference_dims(), seed=seed))
+        yield f"reference {seed}", data, theta
+
+
+def gram_only(monkeypatch):
+    """Make ``gram_estep`` fail if it takes the exact pass."""
+    def forbidden(theta, data):
+        raise AssertionError("gram_estep took the exact pass")
+
+    monkeypatch.setattr(estep, "conditional_law", forbidden)
+
+
+def assert_summaries_close(gram, exact, label, rtol=RTOL):
+    for name in ("s", "wm"):
+        a, b = getattr(gram, name), getattr(exact, name)
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max(), (label, name)
+    assert gram.loglik == pytest.approx(exact.loglik, rel=rtol, abs=0), label
+
+
+def test_gram_estep_matches_conditional_law(monkeypatch):
+    cases = [(label, data, theta, stacked_gram(data),
+              EStepSummary.from_law(conditional_law(theta, data), data))
+             for label, data, theta in instances()]
+    gram_only(monkeypatch)
+    for label, data, theta, gram, exact in cases:
+        assert_summaries_close(gram_estep(theta, gram, data), exact, label)
+
+
+def test_gram_update_matches_the_npass_update():
+    worst = 0.0
+    for label, data, theta in instances():
+        law = conditional_law(theta, data)
+        updated = flatten_theta(update_theta(project_covariates(data),
+                                             EStepSummary.from_law(law, data)))
+        expected = flatten_theta(dense_oracle.npass_update(
+            dense_oracle.npass_projection(data), law))
+        worst = max(worst, float(np.max(np.abs(updated - expected) / np.abs(expected))))
+    assert worst <= RTOL
+
+
+@pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+def test_gram_initialize_matches_the_npass_initializer():
+    worst = 0.0
+    for label, data, _ in instances():
+        start = flatten_theta(initialize(project_covariates(data)))
+        oracle = dense_oracle.npass_initialize(dense_oracle.npass_projection(data))
+        # the n-pass start leaves a PC that reproduces its column at rounding
+        # residue; the package floors it
+        oracle = replace(oracle, sigma2=np.maximum(oracle.sigma2, VARIANCE_FLOOR))
+        expected = flatten_theta(oracle)
+        worst = max(worst, float(np.max(np.abs(start - expected) / np.abs(expected))))
+    assert worst <= RTOL
+
+
+def test_gram_map_steps_match_the_npass_map_steps(monkeypatch):
+    # ten plain EM steps on the narrow design, both routes from one start
+    data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=400, q=5), seed=3))
+    projection = project_covariates(data)
+    start = initialize(projection)
+    npass = dense_oracle.npass_projection(data)
+    law = conditional_law(start, data)
+    summary = gram_estep(start, projection.gram, data)
+    gram_only(monkeypatch)
+    for step in range(10):
+        theta, summary = em_step(summary, data, projection)
+        theta_oracle, law = dense_oracle.npass_em_step(law, data, npass)
+        np.testing.assert_allclose(flatten_theta(theta), flatten_theta(theta_oracle),
+                                   rtol=RTOL, atol=0, err_msg=f"step {step + 1}")
+        assert summary.loglik == pytest.approx(float(law.loglik.sum()), rel=RTOL, abs=0)
+
+
+def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
+    data, _, theta, _ = random_instance(0)
+    floored = replace(theta, sigma2=(theta.sigma2[0], VARIANCE_FLOOR, *theta.sigma2[2:]))
+    exact = EStepSummary.from_law(conditional_law(floored, data), data)
+    calls = []
+
+    def counting(theta, data):
+        calls.append(theta)
+        return law(theta, data)
+
+    law = estep.conditional_law
+    monkeypatch.setattr(estep, "conditional_law", counting)
+    summary = gram_estep(floored, stacked_gram(data), data)
+    assert calls == [floored]
+    for name in ("s", "wm", "loglik"):
+        np.testing.assert_array_equal(getattr(summary, name), getattr(exact, name))
+
+
+def test_the_gram_limit_splits_the_two_routes(monkeypatch):
+    # sigma2_Y set so that block Y's term ratio sits at half and at twice
+    # the limit: just inside it the Gram form still holds 1e-10
+    data, _, theta, _ = random_instance(3)
+    gram = stacked_gram(data)
+    z, t, coef = gram.z[0], gram.t[0], theta.coef[0]
+    rbar = gram.mean[z] - gram.mean[t] @ coef
+    size = np.trace(gram.g[z, z]) + np.sum(coef * (gram.g[t, t] @ coef)) + data.n * rbar @ rbar
+    at_limit = size / (GRAM_LIMIT * data.n * data.z[0].shape[1])
+    inside, outside = (replace(theta, sigma2=(s, *theta.sigma2[1:]))
+                       for s in (2.0 * at_limit, 0.5 * at_limit))
+    exact_inside = EStepSummary.from_law(conditional_law(inside, data), data)
+    exact_outside = EStepSummary.from_law(conditional_law(outside, data), data)
+    assert gram_estep(outside, gram, data).loglik == exact_outside.loglik
+    gram_only(monkeypatch)
+    assert_summaries_close(gram_estep(inside, gram, data), exact_inside, "inside")
+
+
+def test_a_constant_added_to_the_data_moves_only_the_intercepts():
+    # G is formed from centered columns, so a large common mean costs no
+    # digits: the fit matches the unshifted one but for the intercepts
+    rng = np.random.default_rng(0)
+    n, q = 200, 4
+    t = [np.column_stack([np.ones(n), rng.normal(size=n)]) for _ in range(3)]
+    f = rng.normal(size=(2, n))
+    h = (f.sum(axis=0) + rng.normal(size=n), *f)
+    z = [np.outer(h_k, np.ones(q)) + rng.normal(size=(n, q)) for h_k in h]
+    fits = []
+    for offset in (0.0, 1e7):
+        data = Dataset(z=tuple(b + offset for b in z), t=tuple(t), intercept=True)
+        fits.append(fit(data, data.dimensions(), EMConfig(epsilon=1e-9, max_iter=3000)))
+    base, shifted = fits
+    assert shifted.trace[-1, 1] == pytest.approx(base.trace[-1, 1], rel=1e-10)
+    np.testing.assert_allclose(shifted.theta.c, base.theta.c, rtol=1e-8)
+    np.testing.assert_allclose(shifted.theta.sigma2, base.theta.sigma2, rtol=1e-8)
+    for k in range(3):
+        np.testing.assert_allclose(shifted.theta.loading[k], base.theta.loading[k], rtol=1e-8)
+        np.testing.assert_allclose(shifted.theta.coef[k][1:], base.theta.coef[k][1:],
+                                   rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(shifted.theta.coef[k][0] - 1e7, base.theta.coef[k][0],
+                                   atol=1e-6)
+
+
+def test_a_single_variable_block_starts_at_the_variance_floor():
+    # the first PC of a one-column block reproduces it exactly, which
+    # leaves no residual variance to start from
+    data, _, _, dims = random_instance(0)
+    single = [k for k, q in enumerate(dims.q) if q == 1]
+    assert single
+    with pytest.warns(RuntimeWarning, match=r"sigma2_\w+ start .* floored at 1e-12"):
+        start = initialize(project_covariates(data))
+    for k in single:
+        assert start.sigma2[k] == VARIANCE_FLOOR
+
+
+def test_one_pass_over_the_data_per_fit(monkeypatch):
+    # a narrow fit of more than 20 map evaluations builds G once, solves
+    # each covariate Gram once, and conditions every unit once, at the
+    # returned theta
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name if name != "_gram_solve" else args[2])
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((em, "conditional_law"), (estep, "conditional_law"),
+                         (mstep, "stacked_gram"), (mstep, "_gram_solve")):
+        counting(module, name)
+    data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=400, q=5), seed=1))
+    result = fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
+    assert result.iterations > 20
+    assert sorted(calls) == sorted(["stacked_gram", "T", "T1", "T2", "conditional_law"])

@@ -553,6 +553,33 @@ class TestCli:
         assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "f")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["replicate", "sensitivity", "resample"])
+    def test_study_whose_every_fit_fails_writes_strict_json_and_exits_two(
+        self, tmp_path, capsys, command
+    ):
+        # n = 2 units cannot carry r = 2 covariates: every fit fails
+        def reject(token):
+            raise ValueError(f"summary.json holds the non-JSON token {token}")
+
+        data_dir = tmp_path / "data"
+        main(["simulate", "--n", "20", "--q", "3", "--seed", "0", "--out", str(data_dir)])
+        argv = {
+            "replicate": ["replicate", "--n", "2", "--q", "3", "--replicates", "2"],
+            "sensitivity": ["sensitivity", "--n", "2", "--q", "3", "--n-values", "2",
+                            "--q-values", "", "--replicates", "2"],
+            "resample": ["resample", "--data", str(data_dir), "--k", "2",
+                         "--sample-size", "2"],
+        }[command]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)     # all-NaN medians
+            assert main(argv + ["--out", str(out)]) == 2
+        assert "error: all 2 fits failed; the first: " in capsys.readouterr().err
+        text = (out / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert "null" in text and (summary["failures"] if command == "resample"
+                                   else summary[0]["failures"])
+
     def test_resample_sample_size_zero_exits_two(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         main(["simulate", "--n", "30", "--q", "3", "--seed", "0",

@@ -3,7 +3,7 @@ import pytest
 
 from factorem import Dataset, Theta, flatten_theta
 from factorem.errors import DegeneratePosteriorError, SingularSystemError
-from factorem.estep import ConditionalLaw, conditional_law
+from factorem.estep import ConditionalLaw, EStepSummary, conditional_law
 from factorem.model import unflatten_theta
 from factorem.mstep import VARIANCE_FLOOR, expected_score, project_covariates, update_theta
 
@@ -16,20 +16,28 @@ class TestCovariateProjection:
     def test_residual_orthogonal_to_covariates(self):
         for seed in range(20):
             data, _, _, _ = random_instance(seed)
-            blocks = project_covariates(data)
-            for block, z in zip(blocks, data.z):
-                scale = np.linalg.norm(block.t) * np.linalg.norm(z)
-                assert np.abs(block.t.T @ block.resid).max() <= 1e-12 * scale
+            projection = project_covariates(data)
+            for coef, t, z in zip(projection.coef, data.t, data.z):
+                scale = np.linalg.norm(t) * np.linalg.norm(z)
+                assert np.abs(t.T @ (z - t @ coef)).max() <= 1e-12 * scale
 
     def test_coefficients_and_residual_sum_match_lstsq(self):
         for seed in range(20):
             data, _, _, _ = random_instance(seed)
-            blocks = project_covariates(data)
-            for block, t, z in zip(blocks, data.t, data.z):
+            projection = project_covariates(data)
+            blocks = zip(projection.coef, projection.tt_inv, projection.resid_gram,
+                         projection.resid_sq, projection.gram.z, data.t, data.z)
+            for coef, tt_inv, resid_gram, resid_sq, rows, t, z in blocks:
                 expected, rss, _, _ = np.linalg.lstsq(t, z, rcond=None)
-                np.testing.assert_allclose(block.coef, expected, rtol=1e-10, atol=1e-12)
-                np.testing.assert_allclose(block.proj @ t, np.eye(t.shape[1]), atol=1e-12)
-                assert block.resid_sq == pytest.approx(float(np.sum(rss)), rel=1e-10)
+                np.testing.assert_allclose(coef, expected, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(tt_inv @ (t.T @ t), np.eye(t.shape[1]), atol=1e-12)
+                resid = z - t @ expected
+                centered = resid - resid.mean(axis=0)
+                scale = np.abs(centered.T @ centered).max()
+                assert np.abs(resid_gram - centered.T @ centered).max() <= 1e-10 * scale
+                np.testing.assert_allclose(projection.mean[rows], resid.mean(axis=0),
+                                           rtol=1e-10, atol=1e-12 * np.abs(z).max())
+                assert resid_sq == pytest.approx(float(np.sum(rss)), rel=1e-10)
 
 
 def two_block_c_ratios(s):
@@ -56,7 +64,7 @@ class TestUpdateTheta:
             if dims.p != 2:
                 continue
             law = conditional_law(theta, data)
-            updated = update_theta(project_covariates(data), law)
+            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
             np.testing.assert_allclose(
                 updated.c, two_block_c_ratios(law.second_moment_sum()),
                 rtol=1e-12, atol=1e-12,
@@ -72,8 +80,8 @@ class TestUpdateTheta:
             intercept=True,
         )
         m = np.column_stack([np.zeros(n), rng.normal(size=(n, 2))])
-        law = ConditionalLaw(m=m, sigma=np.eye(3))
-        updated = update_theta(project_covariates(data), law)
+        law = ConditionalLaw(m=m, sigma=np.eye(3), loglik=np.zeros(n))
+        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
         np.testing.assert_allclose(updated.loading[0], np.zeros(q_y), atol=1e-12)
         np.testing.assert_allclose(updated.coef[0][0], y.mean(axis=0), atol=1e-12)
 
@@ -94,10 +102,10 @@ class TestUpdateTheta:
             t=(t, *t_m),
         )
         law = ConditionalLaw(
-            m=np.column_stack([g, f.T]), sigma=np.zeros((p + 1, p + 1))
+            m=np.column_stack([g, f.T]), sigma=np.zeros((p + 1, p + 1)), loglik=np.zeros(n)
         )
         with pytest.warns(RuntimeWarning, match="floored"):
-            updated = update_theta(project_covariates(data), law)
+            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
         assert updated.sigma2[0] == VARIANCE_FLOOR
         np.testing.assert_allclose(updated.loading[0], b, atol=1e-10)
         np.testing.assert_allclose(updated.coef[0], d, atol=1e-10)
@@ -108,7 +116,8 @@ class TestUpdateTheta:
         for seed in range(100):
             data, _, theta, dims = random_instance(seed)
             law = conditional_law(theta, data)
-            updated = flatten_theta(update_theta(project_covariates(data), law))
+            updated = flatten_theta(update_theta(project_covariates(data),
+                                                 EStepSummary.from_law(law, data)))
             stats = dense_oracle.sufficient_stats(data, law)
             expected = flatten_theta(dense_oracle.update_theta(stats, law, data))
             worst = max(worst, float(np.max(np.abs(updated - expected) / np.abs(expected))))
@@ -134,9 +143,9 @@ class TestUpdateTheta:
         )
         shared = rng.normal(size=n)
         m = np.column_stack([rng.normal(size=n), shared, shared])
-        law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)))
+        law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)), loglik=np.zeros(n))
         with pytest.raises(SingularSystemError, match="structural"):
-            update_theta(project_covariates(data), law)
+            update_theta(project_covariates(data), EStepSummary.from_law(law, data))
 
     def test_degenerate_posterior_rejected(self):
         # factor score collinear with the covariate and no posterior
@@ -149,9 +158,9 @@ class TestUpdateTheta:
             t=(t, t.copy(), t.copy()),
         )
         m = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
-        law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)))
+        law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)), loglik=np.zeros(n))
         with pytest.raises(DegeneratePosteriorError):
-            update_theta(project_covariates(data), law)
+            update_theta(project_covariates(data), EStepSummary.from_law(law, data))
 
 
 class TestExpectedScore:
@@ -160,7 +169,7 @@ class TestExpectedScore:
         for seed in range(100):
             data, _, theta, dims = random_instance(seed)
             law = conditional_law(theta, data)
-            updated = update_theta(project_covariates(data), law)
+            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
             residual = expected_score(updated, law, data)
             worst = max(worst, float(np.abs(residual).max()))
         assert worst < 1e-8
@@ -168,7 +177,7 @@ class TestExpectedScore:
     def test_perturbation_breaks_stationarity(self):
         data, _, theta, dims = random_instance(8)
         law = conditional_law(theta, data)
-        updated = update_theta(project_covariates(data), law)
+        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
         bumped = Theta(
             coef=updated.coef, loading=(updated.loading[0] + 0.1, *updated.loading[1:]),
             c=updated.c, sigma2=updated.sigma2,
@@ -205,7 +214,7 @@ class TestSurrogateObjective:
             rng = np.random.default_rng(1000 + seed)
             start = random_theta(dims, rng)
             law = conditional_law(theta, data)
-            updated = update_theta(project_covariates(data), law)
+            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
             q_start = expected_complete_loglik(start, data, law)
             q_updated = expected_complete_loglik(updated, data, law)
             assert q_updated >= q_start - 1e-8 * abs(q_start)
@@ -221,11 +230,11 @@ class TestSurrogateObjective:
 def test_update_scale_consistency():
     data, _, theta, dims = random_instance(12)
     law = conditional_law(theta, data)
-    base = update_theta(project_covariates(data), law)
+    base = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
 
     alpha = 3.0
     scaled_data = Dataset(z=(alpha * data.z[0], *data.z[1:]), t=data.t)
-    scaled = update_theta(project_covariates(scaled_data), law)
+    scaled = update_theta(project_covariates(scaled_data), EStepSummary.from_law(law, scaled_data))
     np.testing.assert_allclose(scaled.loading[0], alpha * base.loading[0], rtol=1e-10)
     np.testing.assert_allclose(scaled.coef[0], alpha * base.coef[0], rtol=1e-10)
     assert scaled.sigma2[0] == pytest.approx(alpha**2 * base.sigma2[0], rel=1e-10)
