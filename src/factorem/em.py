@@ -18,15 +18,19 @@ notes): the dependent score is moved to the scale implied by the
 unit-variance structural disturbance, and each block's in-sample
 factor/covariate overlap is reclaimed from the other blocks.
 
-The loop carries the summed law (``estep.EStepSummary``), its only
-E-step state. One EM-map evaluation (``em_step``) is an M-step from it
-followed by the Gram-form E-step at the updated parameters
-(``gram_estep``), whose summed observed log-likelihood fills that
-evaluation's trace row.
+The loop carries the canonical parameter vector x (``flatten_theta``
+order) and the summed law (``estep.EStepSummary``), its only E-step
+state; a ``Theta`` is built only from the start, at the estimate and
+for an E-step that takes the exact pass (``estep.GRAM_LIMIT``). One
+EM-map evaluation (``em_step``) is the M-step from the summed law
+(``mstep.update_vector``, known here as ``update_theta``) followed by the
+Gram-form E-step at the updated x (``estep.gram_summary``), whose summed
+observed log-likelihood fills that evaluation's trace row; both are
+vectorized over the blocks.
 
 The map is accelerated by SqS3 (Varadhan & Roland, 2008, "Simple and
 globally convergent methods for accelerating the convergence of any EM
-algorithm"). With x = ``flatten_theta`` and the p+1 noise variances on
+algorithm"). With the p+1 noise variances, the last coordinates of x, on
 the log scale, each cycle takes two map steps x0 -> x1 -> x2, sets
 r = x1 - x0, v = x2 - 2 x1 + x0 and alpha = min(-||r|| / ||v||, -1), and
 extrapolates to x' = x0 - 2 alpha r + alpha^2 v, with every variance
@@ -45,17 +49,19 @@ Epsilon therefore means what it means for plain EM, and a fit that
 plain EM finishes within two map steps is the plain EM fit.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError, FactorEMError, NonFiniteParameterError
-from .estep import ConditionalLaw, EStepSummary, conditional_law, gram_estep
+from .estep import ConditionalLaw, EStepSummary, conditional_law, gram_summary
 from .model import (
-    Dataset, Dimensions, Theta, block_label, check_dimensions, flatten_parts, flatten_theta,
-    theta_names, unflatten_parts,
+    Dataset, Dimensions, Theta, as_count, block_label, check_dimensions, flatten_theta,
+    theta_names, unflatten_theta,
 )
-from .mstep import VARIANCE_FLOOR, Projection, floored, project_covariates, update_theta
+from .mstep import VARIANCE_FLOOR, Projection, floored, project_covariates
+from .mstep import update_vector as update_theta  # the M-step's name in the traced spans
 
 __all__ = [
     "EMConfig",
@@ -84,9 +90,10 @@ class EMConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise DataError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iter < 1:
+        real = isinstance(self.epsilon, numbers.Real) and not isinstance(self.epsilon, bool)
+        if not (real and 0 < self.epsilon < np.inf):
+            raise DataError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if as_count(self.max_iter, "max_iter") < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
@@ -141,7 +148,7 @@ def initialize(projection: Projection) -> Theta:
         v[z, k], v[t, k] = e / std, -(coef @ e) / std
         loading.append(e * std)
         # the residual left by the PC: the other eigenvalues, exactly 0 for q = 1
-        sigma2.append(floored(eigval[:-1].sum() / (n * e.size), k, "start"))
+        sigma2.append(eigval[:-1].sum() / (n * e.size))
     cross = g @ v                                 # rows T_j: T_j' (centered score k)
     scores = v.T @ cross                          # centered score Gram, g first
     c = np.linalg.lstsq(scores[1:, 1:], scores[1:, 0], rcond=None)[0]
@@ -177,55 +184,51 @@ def initialize(projection: Projection) -> Theta:
         weight = c_m ** 2 / (c_m ** 2 + 1.0)
         coef[m] = coef[m] - weight * np.outer(kappa_m, loading[m])
 
-    return Theta(coef=coef, loading=loading, c=c, sigma2=sigma2)
+    return Theta(coef=coef, loading=loading, c=c, sigma2=floored(np.array(sigma2), "start"))
 
 
 def em_step(
     summary: EStepSummary, data: Dataset, projection: Projection
-) -> tuple[Theta, EStepSummary]:
+) -> tuple[np.ndarray, EStepSummary]:
     """One closed-form M-step from the summed law at the current
-    parameters, then the Gram-form E-step at the updated parameters.
+    parameters, then the Gram-form E-step at the updated canonical
+    vector, which is returned with it.
 
     ``projection`` is ``project_covariates(data)``. Raises
     NonFiniteParameterError naming the first non-finite coordinate of
     the update, before the E-step can turn it into another error.
     """
-    theta_new = update_theta(projection, summary)
-    values = flatten_theta(theta_new)
-    if not np.isfinite(values).all():
-        k = int(np.flatnonzero(~np.isfinite(values))[0])
-        name = theta_names(data.dimensions())[k]
-        raise NonFiniteParameterError(f"M-step produced {name} = {values[k]}")
-    return theta_new, gram_estep(theta_new, projection.gram, data)
+    x = update_theta(projection, summary)
+    if not np.isfinite(x).all():
+        k = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise NonFiniteParameterError(
+            f"M-step produced {theta_names(projection.gram.dims)[k]} = {x[k]}")
+    return x, gram_summary(x, projection.gram, data)
 
 
-def relative_change(theta_old: Theta, theta_new: Theta) -> float:
-    """Sum over coordinates of |new - old| / max(|new|, DENOMINATOR_FLOOR)."""
-    old = flatten_theta(theta_old)
-    new = flatten_theta(theta_new)
-    return float(np.sum(np.abs(new - old)
-                        / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
+def relative_change(old: np.ndarray, new: np.ndarray) -> float:
+    """Sum over the coordinates of two canonical vectors of
+    |new - old| / max(|new|, DENOMINATOR_FLOOR)."""
+    return float(np.sum(np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
 
 
-def _extrapolate(theta0: Theta, theta1: Theta, theta2: Theta, dims: Dimensions):
-    """SqS3 point from two map steps theta0 -> theta1 -> theta2, with the
-    p+1 noise variances on the log scale, or None when the steplength is
-    -1 (the point is theta2) or the point is not finite."""
-    x0, x1, x2 = (flatten_parts(t.coef, t.loading, t.c, np.log(t.sigma2))
-                  for t in (theta0, theta1, theta2))
-    r = x1 - x0
-    v = x2 - 2.0 * x1 + x0
+def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, blocks: int):
+    """SqS3 point from two map steps x0 -> x1 -> x2 of the canonical
+    vector, with its last ``blocks`` coordinates (the noise variances) on
+    the log scale, or None when the steplength is -1 (the point is x2) or
+    the point is not finite."""
+    y0, y1, y2 = (np.concatenate([x[:-blocks], np.log(x[-blocks:])]) for x in (x0, x1, x2))
+    r = y1 - y0
+    v = y2 - 2.0 * y1 + y0
     norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
     if not norm_r > norm_v > 0:
         return None
     alpha = -norm_r / norm_v
     with np.errstate(over="ignore", invalid="ignore"):
-        x = x0 - 2.0 * alpha * r + alpha**2 * v
-        coef, loading, c, log_sigma2 = unflatten_parts(x, dims)
-        sigma2 = np.maximum(np.exp(log_sigma2), VARIANCE_FLOOR)
-    if not (np.isfinite(x).all() and np.isfinite(sigma2).all()):
-        return None
-    return Theta(coef, loading, c, sigma2)
+        x = y0 - 2.0 * alpha * r + alpha**2 * v
+        finite = np.isfinite(x).all()
+        x[-blocks:] = np.maximum(np.exp(x[-blocks:]), VARIANCE_FLOOR)
+    return x if finite and np.isfinite(x[-blocks:]).all() else None
 
 
 def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
@@ -238,44 +241,45 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     """
     actual = check_dimensions(dims, data)
     projection = project_covariates(data)
-    theta = initialize(projection)
+    x = flatten_theta(initialize(projection))
     try:
-        summary = gram_estep(theta, projection.gram, data)
+        summary = gram_summary(x, projection.gram, data)
     except FactorEMError as exc:
         raise type(exc)(f"EM start: {exc}") from exc
     trace = []
     converged = False
     accepted = rejected = 0
-    cycle = [theta]                 # map iterates since the cycle began
+    cycle = [x]                     # map iterates since the cycle began
     while len(trace) < config.max_iter:
         try:
-            theta_new, summary = em_step(summary, data, projection)
+            x_new, summary = em_step(summary, data, projection)
         except FactorEMError as exc:
             raise type(exc)(f"EM iteration {len(trace) + 1}: {exc}") from exc
-        change = relative_change(theta, theta_new)
+        change = relative_change(x, x_new)
         trace.append((change, summary.loglik))
-        theta = theta_new
+        x = x_new
         if change < config.epsilon:
             converged = True
             break
-        cycle.append(theta)
+        cycle.append(x)
         if len(cycle) < 3 or len(trace) == config.max_iter:
             continue
-        extrapolated = _extrapolate(*cycle, actual)
-        cycle = [theta]
+        extrapolated = _extrapolate(*cycle, actual.p + 1)
+        cycle = [x]
         if extrapolated is None:
             continue
         try:
-            summary_x = gram_estep(extrapolated, projection.gram, data)
+            summary_x = gram_summary(extrapolated, projection.gram, data)
         except FactorEMError:
             summary_x = None
         # NaN compares False: a non-finite log-likelihood is rejected too
         if summary_x is not None and summary_x.loglik >= trace[-1][1]:
-            theta, summary = extrapolated, summary_x
+            x, summary = extrapolated, summary_x
             cycle = []              # the stabilizing step's output begins the next
             accepted += 1
         else:
             rejected += 1
+    theta = unflatten_theta(x, actual)
     return FitResult(
         theta=theta,
         moments=conditional_law(theta, data),

@@ -31,14 +31,21 @@ constant row, ``gram_estep`` takes S = n Sigma + Sigma A'GA Sigma, W_c'M
 = G A Sigma and the summed log-density from G alone. Its summed quadratic
 form sum_k ||r_k||^2 / sigma2_k - tr(Sigma A'GA) cancels when a noise
 variance is small against its block's data (``GRAM_LIMIT``).
+
+``gram_summary`` is that E-step on the canonical vector x
+(``model.flatten_theta`` order) with no loop over blocks: x scatters into
+the stacked D and into A by the index maps ``stacked_gram`` builds once
+per fit, and the per-block sums are ``reduceat`` over the Z rows.
+``gram_estep`` is its ``Theta`` form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DataError, NotPositiveDefiniteError
-from .model import Dataset, Theta, check_theta_shapes
+from .model import Dataset, Dimensions, Theta, check_theta_shapes, flatten_theta, unflatten_theta
 
 __all__ = [
     "ConditionalLaw",
@@ -47,6 +54,7 @@ __all__ = [
     "block_residuals",
     "conditional_law",
     "gram_estep",
+    "gram_summary",
     "observed_loglik",
 ]
 
@@ -83,13 +91,27 @@ class ConditionalLaw:
 class StackedGram:
     """G = W_c'W_c and the column means of W = W_c + 1 mean' (the
     constant last, mean 0), the rows of G that belong to each Z_k and T_k,
-    and the unit count n."""
+    the unit count n and the data's dimensions; and, for the canonical
+    vector, maps onto G's rows built once per fit: ``z_own``/``t_own``
+    pair each Z row/T row of G with its block (the column of A or of
+    W_c'M it fills); ``starts`` hold the first Z row and the first T row
+    of each block; coordinate i of the stacked D sits at T row
+    ``d_at[0][i]`` and Z column ``d_at[1][i]`` (T rows counted from the
+    first, here and in ``starts``); ``widths`` are the q_k; and ``z_sq``
+    is ||Z_k,c||^2 per block."""
 
     g: np.ndarray
     mean: np.ndarray
     z: tuple[slice, ...]
     t: tuple[slice, ...]
     n: int
+    dims: Dimensions
+    z_own: tuple[np.ndarray, np.ndarray]
+    t_own: tuple[np.ndarray, np.ndarray]
+    starts: tuple[np.ndarray, np.ndarray]
+    d_at: tuple[np.ndarray, np.ndarray]
+    widths: np.ndarray
+    z_sq: np.ndarray
 
 
 @dataclass
@@ -119,14 +141,14 @@ class LogLik:
     per_unit: np.ndarray
 
 
-def positive_variances(theta: Theta, needed_for: str) -> np.ndarray:
-    """``theta.sigma2`` as an array; DataError naming them all if one is
-    not strictly positive."""
-    variances = np.array(theta.sigma2)
+def positive_variances(sigma2, needed_for: str) -> np.ndarray:
+    """The noise variances ``sigma2`` (Y first) as an array; DataError
+    naming them all if one is not strictly positive."""
+    variances = np.array(sigma2, dtype=float)
     if variances.min() <= 0:
         raise DataError(
             f"{needed_for} needs strictly positive noise variances, got "
-            f"sigma2_y={theta.sigma2[0]}, sigma2_m={theta.sigma2[1:]}"
+            f"sigma2_y={variances[0]}, sigma2_m={tuple(variances[1:].tolist())}"
         )
     return variances
 
@@ -143,22 +165,20 @@ def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
     return [z - t @ coef for z, t, coef in zip(data.z, data.t, theta.coef)]
 
 
-def _posterior(theta: Theta, inv_var: np.ndarray):
-    """(S1^{-1}, Cholesky factor of P, Sigma = P^{-1}) at ``theta``."""
-    c = theta.c
-    prior_prec = np.eye(c.shape[0] + 1)
-    prior_prec[0, 1:] = prior_prec[1:, 0] = -c
-    prior_prec[1:, 1:] += np.outer(c, c)
-    prec = prior_prec + np.diag([lam @ lam for lam in theta.loading] * inv_var)
-    try:
-        chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError as exc:
+def _posterior(c: np.ndarray, fisher: np.ndarray, variances: np.ndarray):
+    """(S1^{-1}, Cholesky factor of P, Sigma = P^{-1}) for structural
+    coefficients c and Lambda' Psi^{-1} Lambda = diag(``fisher``)."""
+    w = np.concatenate([[1.0], -c])
+    prior_prec = np.outer(w, w)                  # S1^{-1} = w w' + diag(0, 1, .., 1)
+    prior_prec.flat[w.size + 1::w.size + 1] += 1.0
+    chol, info = lapack.dpotrf(prior_prec + np.diag(fisher), lower=1, clean=1)
+    if info:
         raise NotPositiveDefiniteError(
             "posterior precision of the latents not positive definite "
-            f"(sigma2_y={theta.sigma2[0]:.3e}, "
-            f"sigma2_m={tuple(float(f'{s:.3e}') for s in theta.sigma2[1:])}, "
+            f"(sigma2_y={variances[0]:.3e}, "
+            f"sigma2_m={tuple(float(f'{s:.3e}') for s in variances[1:])}, "
             f"c={np.array2string(c, precision=3)})"
-        ) from exc
+        )
     chol_inv = np.linalg.inv(chol)
     sigma = chol_inv.T @ chol_inv
     return prior_prec, chol, 0.5 * (sigma + sigma.T)
@@ -172,16 +192,18 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     NotPositiveDefiniteError (annotated with the parameter state) if the
     (p+1, p+1) posterior precision cannot be factorized.
     """
-    variances = positive_variances(theta, "conditional law")
+    variances = positive_variances(theta.sigma2, "conditional law")
     resid = block_residuals(theta, data)
     inv_var = 1.0 / variances
     u = np.column_stack([r @ lam for r, lam in zip(resid, theta.loading)]) * inv_var
-    prior_prec, chol, sigma = _posterior(theta, inv_var)
+    fisher = np.array([lam @ lam for lam in theta.loading]) * inv_var
+    prior_prec, chol, sigma = _posterior(theta.c, fisher, variances)
     m = u @ sigma                                # (n, p+1)
 
     quad = np.sum((m @ prior_prec) * m, axis=1)
     for k, (r, lam) in enumerate(zip(resid, theta.loading)):
-        quad += np.sum((r - np.outer(m[:, k], lam)) ** 2, axis=1) * inv_var[k]
+        r -= np.outer(m[:, k], lam)              # r is this call's own copy
+        quad += np.einsum("ij,ij->i", r, r) * inv_var[k]
     widths = np.array([r.shape[1] for r in resid])
     logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     loglik = -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
@@ -189,8 +211,11 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
 
 
 def stacked_gram(data: Dataset) -> StackedGram:
-    """G = W_c'W_c: the one pass over the units before a fit's estimate."""
-    edges = np.cumsum([0, *(b.shape[1] for b in (*data.z, *data.t))]).tolist()
+    """G = W_c'W_c: the one pass over the units before a fit's estimate,
+    with the maps of the canonical vector onto G's rows."""
+    dims = data.dimensions()
+    q, r = np.array(dims.q), np.array(dims.r)
+    edges = np.cumsum([0, *q, *r]).tolist()
     rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
     w = np.hstack([*data.z, *data.t])
     mean = w.mean(axis=0)
@@ -198,54 +223,63 @@ def stacked_gram(data: Dataset) -> StackedGram:
     g = np.zeros((w.shape[1] + 1,) * 2)
     g[:-1, :-1] = w.T @ w
     g[-1, -1] = data.n
-    k = data.p + 1
+    k, nz = q.size, int(q.sum())
+    z_block, t_block = np.repeat(np.arange(k), q), np.repeat(np.arange(k), r)
+    starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
     return StackedGram(g=g, mean=np.append(mean, 0.0), z=tuple(rows[:k]),
-                       t=tuple(rows[k:]), n=data.n)
+                       t=tuple(rows[k:]), n=data.n, dims=dims,
+                       z_own=(np.arange(nz), z_block),
+                       t_own=(np.arange(nz, nz + r.sum()), t_block), starts=starts,
+                       # row-major over the block-diagonal: D_0, then D_1, ..
+                       d_at=np.nonzero(t_block[:, None] == z_block), widths=q,
+                       z_sq=np.add.reduceat(np.diagonal(g)[:nz], starts[0]))
 
 
 def gram_estep(theta: Theta, gram: StackedGram, data: Dataset) -> EStepSummary:
-    """The law at ``theta`` summed over units, from ``gram`` =
-    ``stacked_gram(data)`` alone, or from ``conditional_law`` when a block
-    is past ``GRAM_LIMIT``. Raises as ``conditional_law`` does."""
-    variances = positive_variances(theta, "conditional law")
-    check_theta_shapes(theta, [(t.stop - t.start, z.stop - z.start)
-                               for z, t in zip(gram.z, gram.t)], "the data")
-    g, mean, n = gram.g, gram.mean, gram.n
-    zs, ts = slice(0, gram.t[0].start), slice(gram.t[0].start, -1)
-    starts = [z.start for z in gram.z]
-    widths = np.diff([*starts, zs.stop])
+    """``gram_summary`` at ``theta``; DataError naming the block count,
+    or the block and shape, where ``theta`` disagrees with the data."""
+    check_theta_shapes(theta, list(zip(gram.dims.r, gram.dims.q)), "the data")
+    return gram_summary(flatten_theta(theta), gram, data)
+
+
+def gram_summary(x: np.ndarray, gram: StackedGram, data: Dataset) -> EStepSummary:
+    """The law at the canonical vector ``x`` summed over units, from
+    ``gram`` = ``stacked_gram(data)`` alone, or from ``conditional_law``
+    when a block is past ``GRAM_LIMIT``. Raises as ``conditional_law``
+    does."""
+    g, mean, n, starts = gram.g, gram.mean, gram.n, gram.starts[0]
+    z_block = gram.z_own[1]
+    nz, nd, k = z_block.size, gram.d_at[0].size, starts.size
+    variances = positive_variances(x[-k:], "conditional law")
     inv_var = 1.0 / variances
     # ||r_k||^2 = ||Z_k,c - T_k,c D_k||^2 + n ||rbar_k||^2 (,c: centered)
     # is size - 2 cross; ||Z_k,c||^2, the first part of size, settles a
     # variance near its floor before any work on D
-    size = np.add.reduceat(np.diagonal(g)[zs], starts)
-    if not np.max(size * inv_var / (n * widths)) <= GRAM_LIMIT:
-        return EStepSummary.from_law(conditional_law(theta, data), data)
-    d = np.zeros((g.shape[0], zs.stop))         # D_k on the T_k rows, Z_k columns
-    lam = np.zeros((zs.stop, widths.size))      # lambda_k / sigma2_k on Z_k, column k
-    blocks = zip(gram.z, gram.t, theta.coef, theta.loading)
-    for k, (z, t, coef, loading) in enumerate(blocks):
-        d[t, z] = coef
-        lam[z, k] = loading * inv_var[k]
-    d = d[ts]
-    rbar = mean[zs] - mean[ts] @ d              # column means of r = Z - T D
-    dd, cross = np.add.reduceat(np.stack([
-        np.sum(d * (g[ts, ts] @ d), axis=0) + n * rbar**2,
-        np.sum(d * g[ts, zs], axis=0)]), starts, axis=1)
-    size += dd
-    if not np.max(size * inv_var / (n * widths)) <= GRAM_LIMIT:
-        return EStepSummary.from_law(conditional_law(theta, data), data)
-    resid_sq = size - 2.0 * cross
-    a = np.vstack([lam, -d @ lam, rbar @ lam])  # U = W_c A
-    _, chol, sigma = _posterior(theta, inv_var)
+    limit = GRAM_LIMIT * n * gram.widths * variances
+    size = gram.z_sq
+    if (size <= limit).all():
+        d = np.zeros((g.shape[0] - nz - 1, nz))  # D_k on the T_k rows, Z_k columns
+        d[gram.d_at] = x[:nd]
+        rbar = mean[:nz] - mean[nz:-1] @ d       # column means of r = Z - T D
+        size = size + np.add.reduceat((d * (g[nz:-1, nz:-1] @ d)).sum(0) + n * rbar**2, starts)
+    if not (size <= limit).all():
+        return EStepSummary.from_law(conditional_law(unflatten_theta(x, gram.dims), data), data)
+    cross = np.add.reduceat((d * g[nz:-1, :nz]).sum(0), starts)
+    loading = x[nd:nd + nz]
+    a = np.zeros((g.shape[0], k))               # U = W_c A
+    a[gram.z_own] = loading * inv_var[z_block]  # lambda_k / sigma2_k on Z_k, column k
+    a[nz:-1] = -d @ a[:nz]                      # -D_k lambda_k / sigma2_k on T_k
+    a[-1] = rbar @ a[:nz]                       # rbar' lambda_k / sigma2_k on the constant
+    fisher = np.add.reduceat(loading * loading, starts) * inv_var
+    _, chol, sigma = _posterior(x[nd + nz:-k], fisher, variances)
     ga = g @ a
     uu = a.T @ ga                                # U'U
-    quad = float(resid_sq @ inv_var - np.sum(sigma * uu))
-    logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    quad = float((size - 2.0 * cross) @ inv_var - (sigma * uu).sum())
+    logdet = float(np.log(variances) @ gram.widths + 2.0 * np.log(np.diagonal(chol)).sum())
     return EStepSummary(
         s=n * sigma + sigma @ uu @ sigma,
         wm=ga @ sigma,
-        loglik=-0.5 * (quad + n * (logdet + widths.sum() * LOG_2PI)),
+        loglik=-0.5 * (quad + n * (logdet + nz * LOG_2PI)),
     )
 
 

@@ -18,9 +18,10 @@ vector (``flatten_theta``) is the fields of ``Theta`` in order:
     D (row-major), D^1..D^p (row-major), b, a^1..a^p, c, sigma2_y,
     sigma2_m[0..p-1]
 
-``_layout`` declares it once, and ``flatten_parts``/``unflatten_parts``
-are the only code that packs or splits it; it is the ordering used by
-the stopping rule, serialized parameter tables, and every cross-fit
+``_layout`` declares it once, ``flatten_parts``/``unflatten_theta`` pack
+and split it, and the fit's E- and M-steps read it in place through the
+maps of ``estep.StackedGram``; it is the ordering used by the EM loop
+and its stopping rule, serialized parameter tables, and every cross-fit
 comparison.
 
 Per-unit latents, simulated or estimated, are one (n, p+1) array h with
@@ -28,6 +29,7 @@ g in column 0 and f^m in column m, named by ``block_label("h", k)``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,7 +44,6 @@ __all__ = [
     "count_parameters",
     "flatten_theta",
     "unflatten_theta",
-    "unflatten_parts",
     "theta_names",
     "subset_units",
 ]
@@ -70,8 +71,10 @@ class Dimensions:
     r_m: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q_m", tuple(int(q) for q in self.q_m))
-        object.__setattr__(self, "r_m", tuple(int(r) for r in self.r_m))
+        for name in ("n", "p", "q_y", "r_t"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
+        for name in ("q_m", "r_m"):
+            object.__setattr__(self, name, tuple(as_count(w, name) for w in getattr(self, name)))
         if self.n < 1:
             raise DataError(f"need at least one unit, got n={self.n}")
         if self.p < 1:
@@ -99,6 +102,14 @@ class Dimensions:
     def q_total(self) -> int:
         """Total width of the stacked observation vector."""
         return sum(self.q)
+
+
+def as_count(value, name: str) -> int:
+    """``value`` as an int; DataError naming ``name`` unless it is an
+    integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_matrix(arr, name: str) -> np.ndarray:
@@ -290,10 +301,8 @@ def flatten_theta(theta: Theta) -> np.ndarray:
     return flatten_parts(theta.coef, theta.loading, theta.c, theta.sigma2)
 
 
-def unflatten_parts(vector: np.ndarray, dims: Dimensions):
-    """Inverse of ``flatten_parts`` for the given dimensions: the
-    (coef, loading, c, sigma2) parts, coef and loading as per-block
-    tuples, c and sigma2 as arrays."""
+def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:
+    """Inverse of ``flatten_theta`` for the given dimensions."""
     v = np.asarray(vector, dtype=float)
     layout = _layout(dims)
     sizes = [math.prod(shape) for _, shape in layout]
@@ -307,13 +316,7 @@ def unflatten_parts(vector: np.ndarray, dims: Dimensions):
         parts.append(v[pos:pos + size].reshape(shape))
         pos += size
     k = dims.p + 1
-    return (tuple(parts[:k]), tuple(parts[k:2 * k]), np.array(parts[2 * k:-k]),
-            np.array(parts[-k:]))
-
-
-def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:
-    """Inverse of ``flatten_theta`` for the given dimensions."""
-    return Theta(*unflatten_parts(vector, dims))
+    return Theta(parts[:k], parts[k:2 * k], np.array(parts[2 * k:-k]), parts[-k:])
 
 
 def theta_names(dims: Dimensions) -> list[str]:

@@ -33,6 +33,12 @@ block with no pass over the data:
 covariate update; ``expected_score`` vanishing at the update is what the
 tests pin down). For p = 2 the linear solve for c reduces to two
 explicit ratios, kept as a test oracle only.
+
+``update_vector`` makes this update for every block at once and returns
+the canonical vector (``model.flatten_theta`` order): T_k'f, P_k f and
+Z~_k'f come from W_c'M by the index maps of ``estep.StackedGram`` and one
+product each with the block-diagonal (T'T)^-1 and B, and the per-block
+sums by ``reduceat``. ``update_theta`` is its ``Theta`` form.
 """
 
 import warnings
@@ -40,15 +46,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
 from .estep import ConditionalLaw, EStepSummary, StackedGram, block_residuals, stacked_gram
-from .model import Dataset, Theta, block_label, flatten_parts
+from .model import Dataset, Theta, block_label, flatten_parts, unflatten_theta
 
 __all__ = [
     "Projection",
     "project_covariates",
     "update_theta",
+    "update_vector",
     "expected_score",
     "VARIANCE_FLOOR",
 ]
@@ -60,15 +68,18 @@ VARIANCE_FLOOR = 1e-12
 class Projection:
     """The stacked Gram of the data (``estep.stacked_gram``); per block
     as in ``Theta``, B_k, (T_k'T_k)^-1, Z~_k's centered Gram and
-    ||Z~_k||^2; and the column means of [Z~_0..Z~_p, T_0..T_p] (rows as
-    in the Gram)."""
+    ||Z~_k||^2; the column means of [Z~_0..Z~_p, T_0..T_p] (rows as in
+    the Gram); and the block-diagonal B (T rows x Z columns) and
+    (T'T)^-1 (T rows x T rows) of the stacked data."""
 
     gram: StackedGram
     coef: tuple[np.ndarray, ...]
     tt_inv: tuple[np.ndarray, ...]
     resid_gram: tuple[np.ndarray, ...]
-    resid_sq: tuple[float, ...]
+    resid_sq: np.ndarray
     mean: np.ndarray
+    stacked_coef: np.ndarray
+    stacked_tt_inv: np.ndarray
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
@@ -113,59 +124,67 @@ def project_covariates(data: Dataset) -> Projection:
         means[z] -= mean[t] @ coef     # mean(Z~_k) = mean(Z_k) - B_k' mean(T_k)
         parts.append((coef, solved[:, :r], resid_gram,
                       float(np.trace(resid_gram) + n * means[z] @ means[z])))
-    return Projection(gram, *zip(*parts), mean=means)
+    coef, tt_inv, resid_gram, resid_sq = zip(*parts)
+    return Projection(gram, coef, tt_inv, resid_gram, np.array(resid_sq), means,
+                      scipy.linalg.block_diag(*coef), scipy.linalg.block_diag(*tt_inv))
 
 
 def update_theta(projection: Projection, summary: EStepSummary) -> Theta:
-    """Exact maximizer of the expected complete log-likelihood.
+    """``update_vector`` as a ``Theta``."""
+    return unflatten_theta(update_vector(projection, summary), projection.gram.dims)
+
+
+def update_vector(projection: Projection, summary: EStepSummary) -> np.ndarray:
+    """Exact maximizer of the expected complete log-likelihood, as the
+    canonical vector.
 
     Noise variances are floored at VARIANCE_FLOOR (with a warning) so a
     perfect fit cannot hand the next E-step a singular covariance.
     """
-    s = summary.s
-    try:
-        c = np.linalg.solve(s[1:, 1:], s[1:, 0])
-    except np.linalg.LinAlgError as exc:
+    s, wm, gram = summary.s, summary.wm, projection.gram
+    c, info = lapack.dgesv(s[1:, 1:], s[1:, 0])[2:]
+    if info:
         raise SingularSystemError(
             "structural moment system is singular; explanatory factor "
             "posteriors are linearly dependent"
-        ) from exc
+        )
+    z_block, t_block = gram.z_own[1], gram.t_own[1]
+    z_starts, t_starts = gram.starts
+    nz, ones = z_block.size, wm[-1]                  # ones: 1'f per block
+    own_t = wm[gram.t_own]                           # T_k,c'f
+    tf = own_t + projection.mean[nz:] * ones[t_block]                 # T_k'f
+    pf = projection.stacked_tt_inv @ tf                               # P_k f
+    zf = (wm[gram.z_own] + projection.mean[:nz] * ones[z_block]
+          - projection.stacked_coef.T @ own_t)                        # Z~_k'f
+    sq = np.diagonal(s)
+    denom = sq - np.add.reduceat(tf * pf, t_starts)
+    # a factor inside the covariate span with no posterior spread
+    # leaves only rounding in denom, which can land on either side of 0
+    degenerate = denom <= 1e-12 * sq
+    if degenerate.any():
+        k = int(np.argmax(degenerate))
+        raise DegeneratePosteriorError(
+            f"loading denominator for block {block_label('T', k)} is {denom[k]:.3e}; "
+            "posterior second moment is degenerate given the covariates"
+        )
+    loading = zf / denom[z_block]
+    sigma2 = (projection.resid_sq - np.add.reduceat(loading * zf, z_starts)) / (gram.n * gram.widths)
+    rows, cols = gram.d_at
+    coef = projection.stacked_coef[gram.d_at] - pf[rows] * loading[cols]
+    return np.concatenate([coef, loading, c, floored(sigma2, "update")])
 
-    loadings, coefs, variances = [], [], []
-    gram, wm = projection.gram, summary.wm
-    # rows Z_k: Z_k,c'f + mean(Z~_k) 1'f; rows T_k: T_k'f
-    shifted = wm[:-1] + np.outer(projection.mean, wm[-1])
-    blocks = zip(gram.z, gram.t, projection.coef, projection.tt_inv, projection.resid_sq)
-    for k, (z, t, coef, tt_inv, resid_sq) in enumerate(blocks):
-        tf = shifted[t, k]                      # T_k'f
-        pf = tt_inv @ tf                        # P_k f
-        zf = shifted[z, k] - coef.T @ wm[t, k]  # Z~_k'f
-        denom = s[k, k] - tf @ pf
-        # a factor inside the covariate span with no posterior spread
-        # leaves only rounding in denom, which can land on either side of 0
-        if denom <= 1e-12 * s[k, k]:
-            raise DegeneratePosteriorError(
-                f"loading denominator for block {block_label('T', k)} is {denom:.3e}; "
-                "posterior second moment is degenerate given the covariates"
-            )
-        loading = zf / denom
-        value = (resid_sq - loading @ zf) / (gram.n * zf.size)
-        loadings.append(loading)
-        coefs.append(coef - np.outer(pf, loading))
-        variances.append(floored(value, k, "update"))
 
-    return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
-
-
-def floored(value: float, k: int, what: str) -> float:
-    """``value``, or VARIANCE_FLOOR with a RuntimeWarning naming block k's
-    variance below it."""
-    if value < VARIANCE_FLOOR:
-        warnings.warn(f"{block_label('sigma2', k)} {what} {value:.3e} floored at "
+def floored(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` (one noise variance per block, Y first) raised to
+    VARIANCE_FLOOR where below it, each with a RuntimeWarning naming it."""
+    low = values < VARIANCE_FLOOR
+    if not low.any():
+        return values
+    for k in np.flatnonzero(low):
+        warnings.warn(f"{block_label('sigma2', k)} {what} {values[k]:.3e} floored at "
                       f"{VARIANCE_FLOOR:.0e}",
                       RuntimeWarning, stacklevel=3)
-        return VARIANCE_FLOOR
-    return value
+    return np.maximum(values, VARIANCE_FLOOR)
 
 
 def expected_score(
@@ -187,11 +206,10 @@ def expected_score(
         # sum over units of E||resid_i - factor_i loading||^2
         sq_resid = float(np.sum(resid**2) - 2.0 * np.sum((resid @ loading) * score)
                          + float(loading @ loading) * sq)
-        grads.append((
-            inv * t.T @ (resid - np.outer(score, loading)),
-            inv * (resid.T @ score - sq * loading),
-            -0.5 * resid.size * inv + 0.5 * sq_resid * inv**2,
-        ))
+        grad_loading = inv * (resid.T @ score - sq * loading)
+        resid -= np.outer(score, loading)        # resid is this call's own copy
+        grads.append((inv * t.T @ resid, grad_loading,
+                      -0.5 * resid.size * inv + 0.5 * sq_resid * inv**2))
     grad_coef, grad_loading, grad_sigma2 = zip(*grads)
     grad_c = s[1:, 0] - s[1:, 1:] @ theta.c
     return flatten_parts(grad_coef, grad_loading, grad_c, grad_sigma2)

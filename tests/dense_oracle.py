@@ -21,9 +21,13 @@ covariance splits into three blocks:
 so that h_i | z_i ~ N(s2 s3^{-1} mu_i, s1 - s2 s3^{-1} s2') and
 z_i ~ N(covariate mean, s3).
 
-``plain_fit`` is the unaccelerated EM loop, one ``em_step`` after
-another from the package's start, that the SqS3-accelerated ``fit`` is
-tested against.
+``loop_fit`` is the SqS3-accelerated fit as it read before the EM loop
+carried the canonical vector: a ``Theta`` per evaluation, and Gram-form
+E- and M-steps (``loop_gram_estep``, ``loop_update_theta``) that loop
+over the blocks in Python. ``plain_fit`` is the unaccelerated EM loop,
+one map step after another from the package's start, on those per-block
+steps by default. The package's ``fit`` and its block-vectorized steps
+are tested against both.
 
 The ``npass_*`` functions are the fit as it read before it ran on the
 stacked Gram of the centered data: a covariate projection that keeps
@@ -39,12 +43,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from factorem.em import (
-    FitResult, em_step, initialize, relative_change,
+from factorem.em import DENOMINATOR_FLOOR, FitResult, initialize
+from factorem.errors import (
+    DataError, DegeneratePosteriorError, FactorEMError, NonFiniteParameterError,
+    NotPositiveDefiniteError, SingularSystemError,
 )
-from factorem.errors import DataError, DegeneratePosteriorError, SingularSystemError
-from factorem.estep import block_residuals, conditional_law, gram_estep
-from factorem.model import Theta, block_label
+from factorem.estep import LOG_2PI, GRAM_LIMIT, EStepSummary, block_residuals, conditional_law
+from factorem.model import (
+    Theta, block_label, check_dimensions, flatten_parts, flatten_theta, theta_names,
+    unflatten_theta,
+)
 from factorem.mstep import VARIANCE_FLOOR, _gram_solve, project_covariates
 from likelihood_oracle import expected_sq_residual
 
@@ -250,17 +258,196 @@ def update_theta(stats: SufficientStats, law, data) -> Theta:
     return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
 
 
-def plain_fit(data, dims, config) -> FitResult:
-    """EM without extrapolation: map steps until the relative change of
-    one drops below epsilon or max_iter steps are spent."""
+def loop_floored(value, k, what):
+    if value < VARIANCE_FLOOR:
+        warnings.warn(f"{block_label('sigma2', k)} {what} {value:.3e} floored at "
+                      f"{VARIANCE_FLOOR:.0e}", RuntimeWarning, stacklevel=3)
+        return VARIANCE_FLOOR
+    return value
+
+
+def loop_posterior(theta, inv_var):
+    """(S1^{-1}, Cholesky factor of P, Sigma = P^{-1}) at ``theta``."""
+    c = theta.c
+    prior_prec = np.eye(c.shape[0] + 1)
+    prior_prec[0, 1:] = prior_prec[1:, 0] = -c
+    prior_prec[1:, 1:] += np.outer(c, c)
+    prec = prior_prec + np.diag([lam @ lam for lam in theta.loading] * inv_var)
+    try:
+        chol = np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("posterior precision not positive definite") from exc
+    chol_inv = np.linalg.inv(chol)
+    sigma = chol_inv.T @ chol_inv
+    return prior_prec, chol, 0.5 * (sigma + sigma.T)
+
+
+def loop_gram_estep(theta, gram, data):
+    """The Gram-form E-step at ``theta``, one block at a time."""
+    variances = np.array(theta.sigma2)
+    if variances.min() <= 0:
+        raise DataError("conditional law needs strictly positive noise variances")
+    g, mean, n = gram.g, gram.mean, gram.n
+    zs, ts = slice(0, gram.t[0].start), slice(gram.t[0].start, -1)
+    starts = [z.start for z in gram.z]
+    widths = np.diff([*starts, zs.stop])
+    inv_var = 1.0 / variances
+    size = np.add.reduceat(np.diagonal(g)[zs], starts)
+    if not np.max(size * inv_var / (n * widths)) <= GRAM_LIMIT:
+        return EStepSummary.from_law(conditional_law(theta, data), data)
+    d = np.zeros((g.shape[0], zs.stop))
+    lam = np.zeros((zs.stop, widths.size))
+    blocks = zip(gram.z, gram.t, theta.coef, theta.loading)
+    for k, (z, t, coef, loading) in enumerate(blocks):
+        d[t, z] = coef
+        lam[z, k] = loading * inv_var[k]
+    d = d[ts]
+    rbar = mean[zs] - mean[ts] @ d
+    dd, cross = np.add.reduceat(np.stack([
+        np.sum(d * (g[ts, ts] @ d), axis=0) + n * rbar**2,
+        np.sum(d * g[ts, zs], axis=0)]), starts, axis=1)
+    size += dd
+    if not np.max(size * inv_var / (n * widths)) <= GRAM_LIMIT:
+        return EStepSummary.from_law(conditional_law(theta, data), data)
+    resid_sq = size - 2.0 * cross
+    a = np.vstack([lam, -d @ lam, rbar @ lam])
+    _, chol, sigma = loop_posterior(theta, inv_var)
+    ga = g @ a
+    uu = a.T @ ga
+    quad = float(resid_sq @ inv_var - np.sum(sigma * uu))
+    logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return EStepSummary(
+        s=n * sigma + sigma @ uu @ sigma,
+        wm=ga @ sigma,
+        loglik=-0.5 * (quad + n * (logdet + widths.sum() * LOG_2PI)),
+    )
+
+
+def loop_update_theta(projection, summary) -> Theta:
+    """The M-step from the summed law, one block at a time."""
+    s = summary.s
+    try:
+        c = np.linalg.solve(s[1:, 1:], s[1:, 0])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("structural moment system is singular") from exc
+    loadings, coefs, variances = [], [], []
+    gram, wm = projection.gram, summary.wm
+    shifted = wm[:-1] + np.outer(projection.mean, wm[-1])
+    blocks = zip(gram.z, gram.t, projection.coef, projection.tt_inv, projection.resid_sq)
+    for k, (z, t, coef, tt_inv, resid_sq) in enumerate(blocks):
+        tf = shifted[t, k]
+        pf = tt_inv @ tf
+        zf = shifted[z, k] - coef.T @ wm[t, k]
+        denom = s[k, k] - tf @ pf
+        if denom <= 1e-12 * s[k, k]:
+            raise DegeneratePosteriorError(f"loading denominator for block {k} is {denom}")
+        loading = zf / denom
+        value = (resid_sq - loading @ zf) / (gram.n * zf.size)
+        loadings.append(loading)
+        coefs.append(coef - np.outer(pf, loading))
+        variances.append(loop_floored(value, k, "update"))
+    return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
+
+
+def loop_em_step(summary, data, projection):
+    theta_new = loop_update_theta(projection, summary)
+    values = flatten_theta(theta_new)
+    if not np.isfinite(values).all():
+        k = int(np.flatnonzero(~np.isfinite(values))[0])
+        name = theta_names(data.dimensions())[k]
+        raise NonFiniteParameterError(f"M-step produced {name} = {values[k]}")
+    return theta_new, loop_gram_estep(theta_new, projection.gram, data)
+
+
+def loop_relative_change(theta_old, theta_new):
+    old = flatten_theta(theta_old)
+    new = flatten_theta(theta_new)
+    return float(np.sum(np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
+
+
+def loop_extrapolate(theta0, theta1, theta2, dims):
+    x0, x1, x2 = (flatten_parts(t.coef, t.loading, t.c, np.log(t.sigma2))
+                  for t in (theta0, theta1, theta2))
+    r = x1 - x0
+    v = x2 - 2.0 * x1 + x0
+    norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+    if not norm_r > norm_v > 0:
+        return None
+    alpha = -norm_r / norm_v
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0 - 2.0 * alpha * r + alpha**2 * v
+        k = dims.p + 1
+        sigma2 = np.maximum(np.exp(x[-k:]), VARIANCE_FLOOR)
+    if not (np.isfinite(x).all() and np.isfinite(sigma2).all()):
+        return None
+    return unflatten_theta(np.concatenate([x[:-k], sigma2]), dims)
+
+
+def loop_fit(data, dims, config) -> FitResult:
+    """The SqS3-accelerated fit on ``Theta``s and the per-block steps."""
+    actual = check_dimensions(dims, data)
+    projection = project_covariates(data)
+    theta = initialize(projection)
+    try:
+        summary = loop_gram_estep(theta, projection.gram, data)
+    except FactorEMError as exc:
+        raise type(exc)(f"EM start: {exc}") from exc
+    trace = []
+    converged = False
+    accepted = rejected = 0
+    cycle = [theta]
+    while len(trace) < config.max_iter:
+        try:
+            theta_new, summary = loop_em_step(summary, data, projection)
+        except FactorEMError as exc:
+            raise type(exc)(f"EM iteration {len(trace) + 1}: {exc}") from exc
+        change = loop_relative_change(theta, theta_new)
+        trace.append((change, summary.loglik))
+        theta = theta_new
+        if change < config.epsilon:
+            converged = True
+            break
+        cycle.append(theta)
+        if len(cycle) < 3 or len(trace) == config.max_iter:
+            continue
+        extrapolated = loop_extrapolate(*cycle, actual)
+        cycle = [theta]
+        if extrapolated is None:
+            continue
+        try:
+            summary_x = loop_gram_estep(extrapolated, projection.gram, data)
+        except FactorEMError:
+            summary_x = None
+        if summary_x is not None and summary_x.loglik >= trace[-1][1]:
+            theta, summary = extrapolated, summary_x
+            cycle = []
+            accepted += 1
+        else:
+            rejected += 1
+    return FitResult(
+        theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
+        converged=converged, trace=np.array(trace), dims=actual,
+        accepted=accepted, rejected=rejected,
+    )
+
+
+def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
+              update_theta=loop_update_theta) -> FitResult:
+    """EM without extrapolation: map steps (``update_theta``, then
+    ``gram_estep``) until the relative change of one drops below epsilon
+    or max_iter steps are spent. The default steps are the per-block
+    loops, which share no arithmetic with the package's kernels; passing
+    ``factorem.estep.gram_estep`` and ``factorem.mstep.update_theta``
+    makes it the package's own map, step for step."""
     projection = project_covariates(data)
     theta = initialize(projection)
     summary = gram_estep(theta, projection.gram, data)
     trace = []
     converged = False
     for _ in range(config.max_iter):
-        theta_new, summary = em_step(summary, data, projection)
-        change = relative_change(theta, theta_new)
+        theta_new = update_theta(projection, summary)
+        summary = gram_estep(theta_new, projection.gram, data)
+        change = loop_relative_change(theta, theta_new)
         trace.append((change, summary.loglik))
         theta = theta_new
         if change < config.epsilon:

@@ -38,7 +38,7 @@ def _block_residuals(theta: Theta, data: Dataset, h: np.ndarray):
     """Measurement residuals with the factor contribution removed:
     Y, then X^1..X^p, each with its factor column of the (n, p+1)
     latents ``h`` and its noise variance."""
-    variances = positive_variances(theta, "log-likelihood")
+    variances = positive_variances(theta.sigma2, "log-likelihood")
     if h.shape != (data.n, data.p + 1):
         raise DataError(
             f"latents have shape {h.shape} but the data needs {(data.n, data.p + 1)}"
@@ -112,7 +112,7 @@ def expected_complete_loglik(theta: Theta, data: Dataset, law) -> float:
     its exact gradient. Includes the full Gaussian normalizing constant
     so that a point-mass law reproduces the complete log-likelihood.
     """
-    positive_variances(theta, "expected log-likelihood")
+    positive_variances(theta.sigma2, "expected log-likelihood")
     dims = data.dimensions()
     s = law.second_moment_sum()
     total = 0.0

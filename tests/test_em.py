@@ -15,9 +15,11 @@ from factorem import (
     observed_loglik,
     simulate_dataset,
 )
+from factorem import estep, mstep
 from factorem.em import em_step, initialize, relative_change
 from factorem.errors import DataError, NonFiniteParameterError
 from factorem.estep import conditional_law, gram_estep
+from factorem.model import theta_names, unflatten_theta
 from factorem.mstep import VARIANCE_FLOOR, project_covariates
 
 from conftest import reference_dims, random_instance
@@ -109,10 +111,10 @@ class TestEmStep:
             n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
         result = fit(data, dims, EMConfig(epsilon=1e-10, max_iter=500))
         projection = project_covariates(data)
-        theta_next, _ = em_step(
+        x_next, _ = em_step(
             gram_estep(result.theta, projection.gram, data), data, projection
         )
-        assert relative_change(result.theta, theta_next) < 1e-6
+        assert relative_change(flatten_theta(result.theta), x_next) < 1e-6
 
     def test_ascends_observed_loglik(self):
         data, _, _, dims = random_instance(11)
@@ -121,8 +123,8 @@ class TestEmStep:
         summary = gram_estep(theta, projection.gram, data)
         previous = observed_loglik(theta, data).value
         for _ in range(8):
-            theta, summary = em_step(summary, data, projection)
-            current = observed_loglik(theta, data).value
+            x, summary = em_step(summary, data, projection)
+            current = observed_loglik(unflatten_theta(x, dims), data).value
             assert current >= previous - 1e-8 * abs(previous)
             previous = current
 
@@ -136,7 +138,8 @@ class TestEmStep:
 class TestRelativeChange:
     def test_identical_is_zero(self):
         _, _, theta, _ = random_instance(12)
-        assert relative_change(theta, theta) == 0.0
+        vec = flatten_theta(theta)
+        assert relative_change(vec, vec) == 0.0
 
     def test_single_coordinate_ratio(self):
         _, _, theta, dims = random_instance(13)
@@ -144,20 +147,14 @@ class TestRelativeChange:
         bumped = vec.copy()
         bumped[0] = 2.0
         vec[0] = 1.0
-        from factorem.model import unflatten_theta
-
-        old = unflatten_theta(vec, dims)
-        new = unflatten_theta(bumped, dims)
-        assert relative_change(old, new) == pytest.approx(0.5)
+        assert relative_change(vec, bumped) == pytest.approx(0.5)
 
     def test_zero_new_value_floored(self):
         _, _, theta, dims = random_instance(14)
         vec = flatten_theta(theta)
         zeroed = vec.copy()
         zeroed[0] = 0.0
-        from factorem.model import unflatten_theta
-
-        value = relative_change(theta, unflatten_theta(zeroed, dims))
+        value = relative_change(vec, zeroed)
         assert np.isfinite(value)
 
 
@@ -235,12 +232,11 @@ class TestFit:
         calls = []
 
         def poisoned(projection, law):
-            theta = update(projection, law)
+            x = update(projection, law)
             calls.append(None)
             if len(calls) >= 3:
-                b = np.full_like(theta.loading[0], np.nan)
-                theta = replace(theta, loading=(b, *theta.loading[1:]))
-            return theta
+                x[theta_names(dims).index("b[1]"):][:dims.q_y] = np.nan
+            return x
 
         update = factorem.em.update_theta
         monkeypatch.setattr(factorem.em, "update_theta", poisoned)
@@ -281,6 +277,21 @@ class TestFit:
         with pytest.raises(DataError):
             EMConfig(max_iter=0)
 
+    def test_fractional_max_iter_rejected(self):
+        # it used to run two map evaluations
+        with pytest.raises(DataError, match=r"max_iter must be an integer, got 1\.5"):
+            EMConfig(max_iter=1.5)
+
+    def test_boolean_max_iter_rejected(self):
+        # it used to be taken as 1
+        with pytest.raises(DataError, match="max_iter must be an integer, got True"):
+            EMConfig(max_iter=True)
+
+    def test_string_epsilon_rejected(self):
+        # it used to escape as a bare TypeError
+        with pytest.raises(DataError, match="epsilon must be positive and finite, got '0.1'"):
+            EMConfig(epsilon="0.1")
+
 
 class TestAcceleration:
     """The SqS3-accelerated fit against plain EM (``dense_oracle.plain_fit``)."""
@@ -305,7 +316,7 @@ class TestAcceleration:
         data, _, _ = reference_instance(seed=seed)
         config = EMConfig(epsilon=epsilon)
         fast = fit(data, reference_dims(), config)
-        plain = plain_fit(data, reference_dims(), config)
+        plain = plain_fit(data, reference_dims(), config, estep.gram_estep, mstep.update_theta)
         assert plain.iterations <= 2
         assert fast.iterations == plain.iterations
         assert (fast.accepted, fast.rejected) == (0, 0)
@@ -320,21 +331,22 @@ class TestAcceleration:
         from factorem.em import _extrapolate
 
         _, _, theta, dims = random_instance(0)
+        blocks = dims.p + 1
         # log sigma2_y moves by -6.9, -4.6: alpha = -3 lands at about 1e-15
         def with_sigma2_y(s):
-            return replace(theta, sigma2=(s, *theta.sigma2[1:]))
+            return flatten_theta(replace(theta, sigma2=(s, *theta.sigma2[1:])))
 
         falling = [with_sigma2_y(s) for s in (1e-6, 1e-9, 1e-11)]
-        point = _extrapolate(*falling, dims)
+        point = unflatten_theta(_extrapolate(*falling, blocks), dims)
         assert point.sigma2[0] == VARIANCE_FLOOR
         np.testing.assert_allclose(point.sigma2[1:], theta.sigma2[1:], rtol=1e-14)
         np.testing.assert_allclose(point.loading[0], theta.loading[0], rtol=0, atol=0)
         # |r| <= |v| gives alpha = -1, whose point is the second step
         turning = [with_sigma2_y(s) for s in (1.0, 2.0, 1.0)]
-        assert _extrapolate(*turning, dims) is None
+        assert _extrapolate(*turning, blocks) is None
         # log sigma2_y at 100, 200, 290: alpha = -10 lands at exp(1100) = inf
         overflowing = [with_sigma2_y(np.exp(s)) for s in (100.0, 200.0, 290.0)]
-        assert _extrapolate(*overflowing, dims) is None
+        assert _extrapolate(*overflowing, blocks) is None
 
     def test_extrapolation_whose_estep_fails_is_rejected(self, monkeypatch):
         # with every extrapolation rejected, each cycle goes on from its
@@ -348,19 +360,20 @@ class TestAcceleration:
             points.append(extrapolate(*args))
             return points[-1]
 
-        def failing_at_points(theta, gram, data):
-            if any(theta is point for point in points):
+        def failing_at_points(x, gram, data):
+            if any(x is point for point in points):
                 raise NotPositiveDefiniteError("forced failure")
-            return estep(theta, gram, data)
+            return summarize(x, gram, data)
 
-        extrapolate, estep = factorem.em._extrapolate, factorem.em.gram_estep
+        extrapolate, summarize = factorem.em._extrapolate, factorem.em.gram_summary
         monkeypatch.setattr(factorem.em, "_extrapolate", recording)
-        monkeypatch.setattr(factorem.em, "gram_estep", failing_at_points)
+        monkeypatch.setattr(factorem.em, "gram_summary", failing_at_points)
         data, _, _ = reference_instance(seed=1, n=400, q=5)
         config = EMConfig(epsilon=1e-3)
         result = fit(data, reference_dims(n=400, q=5), config)
         monkeypatch.undo()
-        plain = plain_fit(data, reference_dims(n=400, q=5), config)
+        plain = plain_fit(data, reference_dims(n=400, q=5), config,
+                          estep.gram_estep, mstep.update_theta)
         tried = sum(point is not None for point in points)
         assert tried > 0 and (result.accepted, result.rejected) == (0, tried)
         assert np.all(np.diff(result.trace[:, 1]) >= 0)

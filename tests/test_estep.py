@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from factorem import Dataset, Theta
 from factorem.errors import DataError, NotPositiveDefiniteError
 from factorem.estep import LOG_2PI, conditional_law
-from factorem.mstep import VARIANCE_FLOOR
+from factorem.model import flatten_parts
+from factorem.mstep import VARIANCE_FLOOR, expected_score
 
 from conftest import reference_dims, random_instance, scalar_toy_theta
 from dense_oracle import (
@@ -334,3 +335,56 @@ def test_theta_and_data_block_mismatch_named():
             call(wide)
     with pytest.raises(DataError, match=re.escape(f"latents have shape {(dims.n, 2)}")):
         complete_loglik(theta, data, h[:, :2])
+
+
+def allocating_law(theta, data):
+    """``conditional_law`` with the n x q temporaries it used to allocate:
+    a fresh residual, its square and its row sums per block."""
+    variances = np.array(theta.sigma2)
+    resid = [z - t @ d for z, t, d in zip(data.z, data.t, theta.coef)]
+    inv_var = 1.0 / variances
+    u = np.column_stack([r @ lam for r, lam in zip(resid, theta.loading)]) * inv_var
+    c = theta.c
+    prior_prec = np.eye(c.size + 1)
+    prior_prec[0, 1:] = prior_prec[1:, 0] = -c
+    prior_prec[1:, 1:] += np.outer(c, c)
+    chol = np.linalg.cholesky(
+        prior_prec + np.diag([lam @ lam for lam in theta.loading] * inv_var))
+    chol_inv = np.linalg.inv(chol)
+    sigma = chol_inv.T @ chol_inv
+    m = u @ (0.5 * (sigma + sigma.T))
+    quad = np.sum((m @ prior_prec) * m, axis=1)
+    for k, (r, lam) in enumerate(zip(resid, theta.loading)):
+        quad += np.sum((r - np.outer(m[:, k], lam)) ** 2, axis=1) * inv_var[k]
+    widths = np.array([r.shape[1] for r in resid])
+    logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return m, -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
+
+
+def allocating_score(theta, law, data):
+    """``expected_score`` with the residual-minus-score block allocated."""
+    s = law.second_moment_sum()
+    grads = []
+    blocks = zip(data.t, data.z, theta.coef, theta.loading, law.m.T, np.diag(s), theta.sigma2)
+    for t, z, d, loading, score, sq, var in blocks:
+        resid, inv = z - t @ d, 1.0 / var
+        sq_resid = float(np.sum(resid**2) - 2.0 * np.sum((resid @ loading) * score)
+                         + float(loading @ loading) * sq)
+        grads.append((inv * t.T @ (resid - np.outer(score, loading)),
+                      inv * (resid.T @ score - sq * loading),
+                      -0.5 * resid.size * inv + 0.5 * sq_resid * inv**2))
+    grad_coef, grad_loading, grad_sigma2 = zip(*grads)
+    return flatten_parts(grad_coef, grad_loading, s[1:, 0] - s[1:, 1:] @ theta.c, grad_sigma2)
+
+
+def test_residual_sums_in_place_match_the_allocating_expressions():
+    for seed in range(100):
+        data, _, theta, _ = random_instance(seed)
+        law = conditional_law(theta, data)
+        m, loglik = allocating_law(theta, data)
+        np.testing.assert_array_equal(law.m, m, err_msg=f"seed {seed}")
+        np.testing.assert_allclose(law.loglik, loglik, rtol=1e-15, atol=0,
+                                   err_msg=f"seed {seed}")
+        np.testing.assert_array_equal(expected_score(theta, law, data),
+                                      allocating_score(theta, law, data),
+                                      err_msg=f"seed {seed}")

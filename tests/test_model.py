@@ -116,6 +116,11 @@ class TestFlatten:
 
 
 class TestValidation:
+    def test_fractional_width_rejected(self):
+        # it used to be truncated to (5, 5)
+        with pytest.raises(DataError, match=r"q_m must be an integer, got 5\.7"):
+            Dimensions(n=10, p=2, q_y=5, q_m=(5.7, 5), r_t=1, r_m=(1, 1))
+
     def test_dimension_invariants(self):
         with pytest.raises(DataError):
             Dimensions(n=0, p=1, q_y=1, q_m=(1,), r_t=1, r_m=(1,))
