@@ -18,15 +18,14 @@ notes): the dependent score is moved to the scale implied by the
 unit-variance structural disturbance, and each block's in-sample
 factor/covariate overlap is reclaimed from the other blocks.
 
-The loop carries the canonical parameter vector x (``flatten_theta``
-order) and the summed law (``estep.EStepSummary``), its only E-step
-state; a ``Theta`` is built only from the start, at the estimate and
-for an E-step that takes the exact pass (``estep.GRAM_LIMIT``). One
+The start and the loop are the canonical parameter vector x
+(``flatten_theta`` order) and the summed law (``estep.EStepSummary``),
+the loop's only E-step state; a ``Theta`` is built only at the estimate
+and for an E-step that takes the exact pass (``estep.GRAM_LIMIT``). One
 EM-map evaluation (``em_step``) is the M-step from the summed law
-(``mstep.update_vector``, known here as ``update_theta``) followed by the
-Gram-form E-step at the updated x (``estep.gram_summary``), whose summed
-observed log-likelihood fills that evaluation's trace row; both are
-vectorized over the blocks.
+(``mstep.update_theta``) followed by the Gram-form E-step at the updated
+x (``estep.gram_summary``), whose summed observed log-likelihood fills
+that evaluation's trace row; both are vectorized over the blocks.
 
 The map is accelerated by SqS3 (Varadhan & Roland, 2008, "Simple and
 globally convergent methods for accelerating the convergence of any EM
@@ -57,11 +56,10 @@ import numpy as np
 from .errors import DataError, FactorEMError, NonFiniteParameterError
 from .estep import ConditionalLaw, EStepSummary, conditional_law, gram_summary
 from .model import (
-    Dataset, Dimensions, Theta, as_count, block_label, check_dimensions, flatten_theta,
-    theta_names, unflatten_theta,
+    Dataset, Dimensions, Theta, as_count, block_label, check_dimensions, theta_names,
+    unflatten_theta,
 )
-from .mstep import VARIANCE_FLOOR, Projection, floored, project_covariates
-from .mstep import update_vector as update_theta  # the M-step's name in the traced spans
+from .mstep import VARIANCE_FLOOR, Projection, floored, project_covariates, update_theta
 
 __all__ = [
     "EMConfig",
@@ -125,17 +123,17 @@ class FitResult:
     rejected: int = 0
 
 
-def initialize(projection: Projection) -> Theta:
-    """Least-squares / principal-component starting point, read off the
-    stacked Gram and the covariate projection of each block (Y first, as
-    in ``Theta``)."""
+def initialize(projection: Projection) -> np.ndarray:
+    """Least-squares / principal-component starting point, as the
+    canonical vector, read off the stacked Gram and the covariate
+    projection of each block."""
     gram = projection.gram
-    g, n = gram.g, gram.n
+    g, n, blocks = gram.g, gram.data.n, len(gram.z)
+    nz = gram.z_own[0].size
     # column k: block k's centered first-PC score as a combination of W_c's columns
-    v = np.zeros((g.shape[0], len(gram.z)))
-    loading, sigma2 = [], []
-    blocks = zip(gram.z, gram.t, projection.coef, projection.resid_gram)
-    for k, (z, t, coef, resid_gram) in enumerate(blocks):
+    v = np.zeros((g.shape[0], blocks))
+    loading, std, sigma2 = np.zeros(nz), np.zeros(blocks), np.zeros(blocks)
+    for k, (z, resid_gram) in enumerate(zip(gram.z, projection.resid_gram)):
         # the PC of the centered residuals, so the loading regression carries
         # an implicit intercept (residual means are not the factor's job);
         # zero variance is judged against the centered block they come from
@@ -143,12 +141,14 @@ def initialize(projection: Projection) -> Theta:
         if eigval[-1] <= 1e-12 * np.trace(g[z, z]):
             raise DataError(f"residual block {block_label('Z', k)} has zero variance; "
                             "PCA undefined")
-        std = np.sqrt(eigval[-1] / n)
+        std[k] = np.sqrt(eigval[-1] / n)
         e = eigvec[:, -1] if eigvec[0, -1] >= 0 else -eigvec[:, -1]
-        v[z, k], v[t, k] = e / std, -(coef @ e) / std
-        loading.append(e * std)
+        v[z, k] = e
+        loading[z] = e * std[k]
         # the residual left by the PC: the other eigenvalues, exactly 0 for q = 1
-        sigma2.append(eigval[:-1].sum() / (n * e.size))
+        sigma2[k] = eigval[:-1].sum() / (n * e.size)
+    v[nz:-1] = -projection.stacked_coef @ v[:nz]  # the score of Z~_k = Z_k - T_k B_k
+    v /= std
     cross = g @ v                                 # rows T_j: T_j' (centered score k)
     scores = v.T @ cross                          # centered score Gram, g first
     c = np.linalg.lstsq(scores[1:, 1:], scores[1:, 0], rcond=None)[0]
@@ -160,7 +160,7 @@ def initialize(projection: Projection) -> Theta:
     # valley that takes thousands of iterations to cross.
     resid_var = float(scores[0, 0] - c @ scores[1:, 0]) / n
     scale = 1.0 / np.sqrt(max(resid_var, 1e-12))
-    loading[0] = loading[0] / scale
+    loading[gram.z[0]] /= scale
     c = c * scale
     cross[:, 0] *= scale
 
@@ -172,38 +172,35 @@ def initialize(projection: Projection) -> Theta:
     # dependent block through the structural prediction, for each
     # explanatory block through the structural residual, shrunk by its
     # signal fraction c^2/(c^2+1).
-    coef = list(projection.coef)
-    g_cross = cross[:, 1:] @ c                    # rows T_j: T_j' (c . f-scores)
-    coef[0] = coef[0] - np.outer(projection.tt_inv[0] @ g_cross[gram.t[0]], loading[0])
-    for m, c_m in enumerate(c, start=1):
-        if abs(c_m) < 1e-8:
-            continue
-        t = gram.t[m]
-        backed_out = (cross[t, 0] - g_cross[t] + c_m * cross[t, m]) / c_m
-        kappa_m = projection.tt_inv[m] @ backed_out
-        weight = c_m ** 2 / (c_m ** 2 + 1.0)
-        coef[m] = coef[m] - weight * np.outer(kappa_m, loading[m])
+    t_rows, t_block = gram.t_own
+    g_cross = cross[t_rows, 1:] @ c               # rows T_j: T_j' (c . f-scores)
+    c_t = np.append(1.0, c)[t_block]              # c_m on the rows of T_m
+    skip = np.abs(c_t) < 1e-8                     # such a block reclaims nothing
+    c_t[skip] = 1.0
+    backed_out = (cross[t_rows, 0] - g_cross + c_t * cross[gram.t_own]) / c_t
+    weight = np.where(skip, 0.0, c_t**2 / (c_t**2 + 1.0))
+    dependent = t_block == 0
+    backed_out[dependent], weight[dependent] = g_cross[dependent], 1.0
+    kappa = projection.stacked_tt_inv @ backed_out
+    rows, cols = gram.d_at
+    coef = projection.stacked_coef[gram.d_at] - weight[rows] * (kappa[rows] * loading[cols])
+    return np.concatenate([coef, loading, c, floored(sigma2, "start")])
 
-    return Theta(coef=coef, loading=loading, c=c, sigma2=floored(np.array(sigma2), "start"))
 
-
-def em_step(
-    summary: EStepSummary, data: Dataset, projection: Projection
-) -> tuple[np.ndarray, EStepSummary]:
+def em_step(summary: EStepSummary, projection: Projection) -> tuple[np.ndarray, EStepSummary]:
     """One closed-form M-step from the summed law at the current
     parameters, then the Gram-form E-step at the updated canonical
     vector, which is returned with it.
 
-    ``projection`` is ``project_covariates(data)``. Raises
-    NonFiniteParameterError naming the first non-finite coordinate of
-    the update, before the E-step can turn it into another error.
+    Raises NonFiniteParameterError naming the first non-finite coordinate
+    of the update, before the E-step can turn it into another error.
     """
     x = update_theta(projection, summary)
     if not np.isfinite(x).all():
         k = int(np.flatnonzero(~np.isfinite(x))[0])
         raise NonFiniteParameterError(
             f"M-step produced {theta_names(projection.gram.dims)[k]} = {x[k]}")
-    return x, gram_summary(x, projection.gram, data)
+    return x, gram_summary(x, projection.gram)
 
 
 def relative_change(old: np.ndarray, new: np.ndarray) -> float:
@@ -241,9 +238,9 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     """
     actual = check_dimensions(dims, data)
     projection = project_covariates(data)
-    x = flatten_theta(initialize(projection))
+    x = initialize(projection)
     try:
-        summary = gram_summary(x, projection.gram, data)
+        summary = gram_summary(x, projection.gram)
     except FactorEMError as exc:
         raise type(exc)(f"EM start: {exc}") from exc
     trace = []
@@ -252,7 +249,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     cycle = [x]                     # map iterates since the cycle began
     while len(trace) < config.max_iter:
         try:
-            x_new, summary = em_step(summary, data, projection)
+            x_new, summary = em_step(summary, projection)
         except FactorEMError as exc:
             raise type(exc)(f"EM iteration {len(trace) + 1}: {exc}") from exc
         change = relative_change(x, x_new)
@@ -269,7 +266,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         if extrapolated is None:
             continue
         try:
-            summary_x = gram_summary(extrapolated, projection.gram, data)
+            summary_x = gram_summary(extrapolated, projection.gram)
         except FactorEMError:
             summary_x = None
         # NaN compares False: a non-finite log-likelihood is rejected too

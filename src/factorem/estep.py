@@ -27,16 +27,15 @@ T_0..T_p] and appends the constant: W = W_c + 1 mean' with W_c'1 = n on
 the constant and 0 elsewhere, so large column means do not cancel in G =
 W_c'W_c. As U = W_c A, with lambda_k / sigma2_k on the Z_k rows of column
 k of A, -D_k lambda_k / sigma2_k on its T_k rows and mean'A on the
-constant row, ``gram_estep`` takes S = n Sigma + Sigma A'GA Sigma, W_c'M
+constant row, ``gram_summary`` takes S = n Sigma + Sigma A'GA Sigma, W_c'M
 = G A Sigma and the summed log-density from G alone. Its summed quadratic
 form sum_k ||r_k||^2 / sigma2_k - tr(Sigma A'GA) cancels when a noise
 variance is small against its block's data (``GRAM_LIMIT``).
 
-``gram_summary`` is that E-step on the canonical vector x
+``gram_summary`` reads the parameters as the canonical vector x
 (``model.flatten_theta`` order) with no loop over blocks: x scatters into
 the stacked D and into A by the index maps ``stacked_gram`` builds once
 per fit, and the per-block sums are ``reduceat`` over the Z rows.
-``gram_estep`` is its ``Theta`` form.
 """
 
 from dataclasses import dataclass
@@ -53,7 +52,6 @@ __all__ = [
     "EStepSummary",
     "block_residuals",
     "conditional_law",
-    "gram_estep",
     "gram_summary",
     "observed_loglik",
 ]
@@ -61,7 +59,7 @@ __all__ = [
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Block k's Gram-form quadratic is a difference of terms of size ``size``
-# / sigma2_k (see ``gram_estep``) against an exact value of about n q_k;
+# / sigma2_k (see ``gram_summary``) against an exact value of about n q_k;
 # past a ratio of 1e-10 / eps (4.5e5) its rounding can pass 1e-10 of the
 # value. Benchmark designs sit below 1e5, a variance at its floor near 1e12.
 GRAM_LIMIT = 1e-10 / np.finfo(float).eps
@@ -91,7 +89,7 @@ class ConditionalLaw:
 class StackedGram:
     """G = W_c'W_c and the column means of W = W_c + 1 mean' (the
     constant last, mean 0), the rows of G that belong to each Z_k and T_k,
-    the unit count n and the data's dimensions; and, for the canonical
+    the data it summarizes and their dimensions; and, for the canonical
     vector, maps onto G's rows built once per fit: ``z_own``/``t_own``
     pair each Z row/T row of G with its block (the column of A or of
     W_c'M it fills); ``starts`` hold the first Z row and the first T row
@@ -104,7 +102,7 @@ class StackedGram:
     mean: np.ndarray
     z: tuple[slice, ...]
     t: tuple[slice, ...]
-    n: int
+    data: Dataset
     dims: Dimensions
     z_own: tuple[np.ndarray, np.ndarray]
     t_own: tuple[np.ndarray, np.ndarray]
@@ -227,7 +225,7 @@ def stacked_gram(data: Dataset) -> StackedGram:
     z_block, t_block = np.repeat(np.arange(k), q), np.repeat(np.arange(k), r)
     starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
     return StackedGram(g=g, mean=np.append(mean, 0.0), z=tuple(rows[:k]),
-                       t=tuple(rows[k:]), n=data.n, dims=dims,
+                       t=tuple(rows[k:]), data=data, dims=dims,
                        z_own=(np.arange(nz), z_block),
                        t_own=(np.arange(nz, nz + r.sum()), t_block), starts=starts,
                        # row-major over the block-diagonal: D_0, then D_1, ..
@@ -235,19 +233,11 @@ def stacked_gram(data: Dataset) -> StackedGram:
                        z_sq=np.add.reduceat(np.diagonal(g)[:nz], starts[0]))
 
 
-def gram_estep(theta: Theta, gram: StackedGram, data: Dataset) -> EStepSummary:
-    """``gram_summary`` at ``theta``; DataError naming the block count,
-    or the block and shape, where ``theta`` disagrees with the data."""
-    check_theta_shapes(theta, list(zip(gram.dims.r, gram.dims.q)), "the data")
-    return gram_summary(flatten_theta(theta), gram, data)
-
-
-def gram_summary(x: np.ndarray, gram: StackedGram, data: Dataset) -> EStepSummary:
+def gram_summary(x: np.ndarray, gram: StackedGram) -> EStepSummary:
     """The law at the canonical vector ``x`` summed over units, from
-    ``gram`` = ``stacked_gram(data)`` alone, or from ``conditional_law``
-    when a block is past ``GRAM_LIMIT``. Raises as ``conditional_law``
-    does."""
-    g, mean, n, starts = gram.g, gram.mean, gram.n, gram.starts[0]
+    ``gram`` alone, or from ``conditional_law`` on ``gram.data`` when a
+    block is past ``GRAM_LIMIT``. Raises as ``conditional_law`` does."""
+    g, mean, n, starts = gram.g, gram.mean, gram.data.n, gram.starts[0]
     z_block = gram.z_own[1]
     nz, nd, k = z_block.size, gram.d_at[0].size, starts.size
     variances = positive_variances(x[-k:], "conditional law")
@@ -263,7 +253,8 @@ def gram_summary(x: np.ndarray, gram: StackedGram, data: Dataset) -> EStepSummar
         rbar = mean[:nz] - mean[nz:-1] @ d       # column means of r = Z - T D
         size = size + np.add.reduceat((d * (g[nz:-1, nz:-1] @ d)).sum(0) + n * rbar**2, starts)
     if not (size <= limit).all():
-        return EStepSummary.from_law(conditional_law(unflatten_theta(x, gram.dims), data), data)
+        law = conditional_law(unflatten_theta(x, gram.dims), gram.data)
+        return EStepSummary.from_law(law, gram.data)
     cross = np.add.reduceat((d * g[nz:-1, :nz]).sum(0), starts)
     loading = x[nd:nd + nz]
     a = np.zeros((g.shape[0], k))               # U = W_c A
@@ -285,9 +276,9 @@ def gram_summary(x: np.ndarray, gram: StackedGram, data: Dataset) -> EStepSummar
 
 def observed_loglik(theta: Theta, data: Dataset) -> LogLik:
     """Log-density of the observations with the latents marginalized
-    out. ``value`` is ``gram_estep``'s sum, the number a fit's trace
-    records; ``per_unit`` is ``conditional_law``'s and sums to it up to
-    the Gram form's rounding."""
+    out. ``value`` is ``gram_summary``'s sum, the number a fit's trace
+    records; ``per_unit`` is ``conditional_law``'s (which checks ``theta``
+    against the data) and sums to it up to the Gram form's rounding."""
     per_unit = conditional_law(theta, data).loglik
-    return LogLik(value=gram_estep(theta, stacked_gram(data), data).loglik,
+    return LogLik(value=gram_summary(flatten_theta(theta), stacked_gram(data)).loglik,
                   per_unit=per_unit)

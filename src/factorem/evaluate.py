@@ -116,12 +116,6 @@ class StudySummary:
         half = 1.96 * float(values.std(ddof=1)) / np.sqrt(values.size)
         return mean, mean - half, mean + half
 
-    def c_band(self, m: int) -> tuple[float, float, float]:
-        return self.mean_and_band(self.c_hat[:, m])
-
-    def sigma2_y_band(self) -> tuple[float, float, float]:
-        return self.mean_and_band(self.sigma2_y_hat)
-
 
 def _derived_seeds(seed: int, count: int) -> list[int]:
     # uint32 child seeds, reproducible and order-stable

@@ -105,6 +105,12 @@ def load_manifest(path) -> BlockManifest:
                          object_pairs_hook=_reject_duplicate_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"manifest {path} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {"y", "x", "t", "t_m", "intercept"})
+    if unknown:
+        raise DataError(f"manifest {path} has unknown keys {unknown}; the roles are "
+                        "y, x, t, t_m and intercept")
     for key in ("y", "x", "t", "t_m"):
         if key not in raw:
             raise DataError(f"manifest {path} is missing block role {key!r}")
@@ -394,11 +400,11 @@ def _summary_payload(summary: StudySummary) -> dict:
         "deviation_quartiles": [float(v) for v in dev_q],
         "sq_corr_quartiles": [float(v) for v in corr_q],
         "c_estimates": [
-            dict(zip(("mean", "lo95", "hi95"), summary.c_band(m)))
-            for m in range(summary.c_hat.shape[1])
+            dict(zip(("mean", "lo95", "hi95"), summary.mean_and_band(c_m)))
+            for c_m in summary.c_hat.T
         ],
         "sigma2_y_estimate": dict(
-            zip(("mean", "lo95", "hi95"), summary.sigma2_y_band())
+            zip(("mean", "lo95", "hi95"), summary.mean_and_band(summary.sigma2_y_hat))
         ),
     }
 

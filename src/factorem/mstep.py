@@ -34,11 +34,11 @@ covariate update; ``expected_score`` vanishing at the update is what the
 tests pin down). For p = 2 the linear solve for c reduces to two
 explicit ratios, kept as a test oracle only.
 
-``update_vector`` makes this update for every block at once and returns
+``update_theta`` makes this update for every block at once and returns
 the canonical vector (``model.flatten_theta`` order): T_k'f, P_k f and
 Z~_k'f come from W_c'M by the index maps of ``estep.StackedGram`` and one
 product each with the block-diagonal (T'T)^-1 and B, and the per-block
-sums by ``reduceat``. ``update_theta`` is its ``Theta`` form.
+sums by ``reduceat``.
 """
 
 import warnings
@@ -50,13 +50,12 @@ from scipy.linalg import lapack
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
 from .estep import ConditionalLaw, EStepSummary, StackedGram, block_residuals, stacked_gram
-from .model import Dataset, Theta, block_label, flatten_parts, unflatten_theta
+from .model import Dataset, Theta, block_label, flatten_parts
 
 __all__ = [
     "Projection",
     "project_covariates",
     "update_theta",
-    "update_vector",
     "expected_score",
     "VARIANCE_FLOOR",
 ]
@@ -67,14 +66,12 @@ VARIANCE_FLOOR = 1e-12
 @dataclass(frozen=True)
 class Projection:
     """The stacked Gram of the data (``estep.stacked_gram``); per block
-    as in ``Theta``, B_k, (T_k'T_k)^-1, Z~_k's centered Gram and
-    ||Z~_k||^2; the column means of [Z~_0..Z~_p, T_0..T_p] (rows as in
-    the Gram); and the block-diagonal B (T rows x Z columns) and
-    (T'T)^-1 (T rows x T rows) of the stacked data."""
+    as in ``Theta``, Z~_k's centered Gram and ||Z~_k||^2; the column means
+    of [Z~_0..Z~_p, T_0..T_p] (rows as in the Gram); and the
+    block-diagonal B (T rows x Z columns, B_k on block k's) and (T'T)^-1
+    (T rows x T rows) of the stacked data."""
 
     gram: StackedGram
-    coef: tuple[np.ndarray, ...]
-    tt_inv: tuple[np.ndarray, ...]
     resid_gram: tuple[np.ndarray, ...]
     resid_sq: np.ndarray
     mean: np.ndarray
@@ -111,7 +108,7 @@ def project_covariates(data: Dataset) -> Projection:
             f"covariate projection needs more units than covariates, got n={data.n}"
         )
     gram = stacked_gram(data)
-    g, mean, n = gram.g, gram.mean, gram.n
+    g, mean, n = gram.g, gram.mean, data.n
     means = mean[:-1].copy()    # to become those of [Z~_0..Z~_p, T_0..T_p]
     parts = []
     for k, (z, t) in enumerate(zip(gram.z, gram.t)):
@@ -125,16 +122,11 @@ def project_covariates(data: Dataset) -> Projection:
         parts.append((coef, solved[:, :r], resid_gram,
                       float(np.trace(resid_gram) + n * means[z] @ means[z])))
     coef, tt_inv, resid_gram, resid_sq = zip(*parts)
-    return Projection(gram, coef, tt_inv, resid_gram, np.array(resid_sq), means,
+    return Projection(gram, resid_gram, np.array(resid_sq), means,
                       scipy.linalg.block_diag(*coef), scipy.linalg.block_diag(*tt_inv))
 
 
-def update_theta(projection: Projection, summary: EStepSummary) -> Theta:
-    """``update_vector`` as a ``Theta``."""
-    return unflatten_theta(update_vector(projection, summary), projection.gram.dims)
-
-
-def update_vector(projection: Projection, summary: EStepSummary) -> np.ndarray:
+def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
     """Exact maximizer of the expected complete log-likelihood, as the
     canonical vector.
 
@@ -168,7 +160,8 @@ def update_vector(projection: Projection, summary: EStepSummary) -> np.ndarray:
             "posterior second moment is degenerate given the covariates"
         )
     loading = zf / denom[z_block]
-    sigma2 = (projection.resid_sq - np.add.reduceat(loading * zf, z_starts)) / (gram.n * gram.widths)
+    sigma2 = ((projection.resid_sq - np.add.reduceat(loading * zf, z_starts))
+              / (gram.data.n * gram.widths))
     rows, cols = gram.d_at
     coef = projection.stacked_coef[gram.d_at] - pf[rows] * loading[cols]
     return np.concatenate([coef, loading, c, floored(sigma2, "update")])

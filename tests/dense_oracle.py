@@ -24,10 +24,12 @@ z_i ~ N(covariate mean, s3).
 ``loop_fit`` is the SqS3-accelerated fit as it read before the EM loop
 carried the canonical vector: a ``Theta`` per evaluation, and Gram-form
 E- and M-steps (``loop_gram_estep``, ``loop_update_theta``) that loop
-over the blocks in Python. ``plain_fit`` is the unaccelerated EM loop,
-one map step after another from the package's start, on those per-block
-steps by default. The package's ``fit`` and its block-vectorized steps
-are tested against both.
+over the blocks in Python, reading each block's B_k and (T_k'T_k)^-1 off
+the projection's block-diagonal copies (``block_projection``).
+``plain_fit`` is the unaccelerated EM loop, one map step after another
+from the package's start, on those per-block steps by default. The
+package's ``fit`` and its block-vectorized steps are tested against
+both.
 
 The ``npass_*`` functions are the fit as it read before it ran on the
 stacked Gram of the centered data: a covariate projection that keeps
@@ -48,11 +50,14 @@ from factorem.errors import (
     DataError, DegeneratePosteriorError, FactorEMError, NonFiniteParameterError,
     NotPositiveDefiniteError, SingularSystemError,
 )
-from factorem.estep import LOG_2PI, GRAM_LIMIT, EStepSummary, block_residuals, conditional_law
+from factorem.estep import (
+    LOG_2PI, GRAM_LIMIT, EStepSummary, block_residuals, conditional_law, gram_summary,
+)
 from factorem.model import (
     Theta, block_label, check_dimensions, flatten_parts, flatten_theta, theta_names,
     unflatten_theta,
 )
+from factorem import mstep
 from factorem.mstep import VARIANCE_FLOOR, _gram_solve, project_covariates
 from likelihood_oracle import expected_sq_residual
 
@@ -282,12 +287,26 @@ def loop_posterior(theta, inv_var):
     return prior_prec, chol, 0.5 * (sigma + sigma.T)
 
 
+def block_projection(projection):
+    """Per block, B_k and (T_k'T_k)^-1: the diagonal blocks of the
+    projection's block-diagonal B and (T'T)^-1, copied in the column-major
+    order of the per-block solves they came from, so that the loops'
+    products round as they did on those arrays."""
+    first = projection.gram.t[0].start          # the block-diagonal rows count T rows only
+    blocks = []
+    for z, t in zip(projection.gram.z, projection.gram.t):
+        rows = slice(t.start - first, t.stop - first)
+        blocks.append((np.asfortranarray(projection.stacked_coef[rows, z]),
+                       np.asfortranarray(projection.stacked_tt_inv[rows, rows])))
+    return blocks
+
+
 def loop_gram_estep(theta, gram, data):
     """The Gram-form E-step at ``theta``, one block at a time."""
     variances = np.array(theta.sigma2)
     if variances.min() <= 0:
         raise DataError("conditional law needs strictly positive noise variances")
-    g, mean, n = gram.g, gram.mean, gram.n
+    g, mean, n = gram.g, gram.mean, data.n
     zs, ts = slice(0, gram.t[0].start), slice(gram.t[0].start, -1)
     starts = [z.start for z in gram.z]
     widths = np.diff([*starts, zs.stop])
@@ -333,8 +352,8 @@ def loop_update_theta(projection, summary) -> Theta:
     loadings, coefs, variances = [], [], []
     gram, wm = projection.gram, summary.wm
     shifted = wm[:-1] + np.outer(projection.mean, wm[-1])
-    blocks = zip(gram.z, gram.t, projection.coef, projection.tt_inv, projection.resid_sq)
-    for k, (z, t, coef, tt_inv, resid_sq) in enumerate(blocks):
+    blocks = zip(gram.z, gram.t, block_projection(projection), projection.resid_sq)
+    for k, (z, t, (coef, tt_inv), resid_sq) in enumerate(blocks):
         tf = shifted[t, k]
         pf = tt_inv @ tf
         zf = shifted[z, k] - coef.T @ wm[t, k]
@@ -342,7 +361,7 @@ def loop_update_theta(projection, summary) -> Theta:
         if denom <= 1e-12 * s[k, k]:
             raise DegeneratePosteriorError(f"loading denominator for block {k} is {denom}")
         loading = zf / denom
-        value = (resid_sq - loading @ zf) / (gram.n * zf.size)
+        value = (resid_sq - loading @ zf) / (gram.data.n * zf.size)
         loadings.append(loading)
         coefs.append(coef - np.outer(pf, loading))
         variances.append(loop_floored(value, k, "update"))
@@ -387,7 +406,7 @@ def loop_fit(data, dims, config) -> FitResult:
     """The SqS3-accelerated fit on ``Theta``s and the per-block steps."""
     actual = check_dimensions(dims, data)
     projection = project_covariates(data)
-    theta = initialize(projection)
+    theta = unflatten_theta(initialize(projection), actual)
     try:
         summary = loop_gram_estep(theta, projection.gram, data)
     except FactorEMError as exc:
@@ -431,16 +450,26 @@ def loop_fit(data, dims, config) -> FitResult:
     )
 
 
+def package_gram_estep(theta, gram, data):
+    """``factorem.estep.gram_summary`` at ``theta``."""
+    return gram_summary(flatten_theta(theta), gram)
+
+
+def package_update_theta(projection, summary) -> Theta:
+    """``factorem.mstep.update_theta`` as a ``Theta``."""
+    return unflatten_theta(mstep.update_theta(projection, summary), projection.gram.dims)
+
+
 def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
               update_theta=loop_update_theta) -> FitResult:
     """EM without extrapolation: map steps (``update_theta``, then
     ``gram_estep``) until the relative change of one drops below epsilon
     or max_iter steps are spent. The default steps are the per-block
     loops, which share no arithmetic with the package's kernels; passing
-    ``factorem.estep.gram_estep`` and ``factorem.mstep.update_theta``
-    makes it the package's own map, step for step."""
+    ``package_gram_estep`` and ``package_update_theta`` makes it the
+    package's own map, step for step."""
     projection = project_covariates(data)
-    theta = initialize(projection)
+    theta = unflatten_theta(initialize(projection), dims)
     summary = gram_estep(theta, projection.gram, data)
     trace = []
     converged = False

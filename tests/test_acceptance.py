@@ -185,7 +185,8 @@ def test_criterion_07_mstep_stationarity():
     for seed in range(100):
         data, _, theta, dims = random_instance(seed)
         law = conditional_law(theta, data)
-        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+        updated = unflatten_theta(
+            update_theta(project_covariates(data), EStepSummary.from_law(law, data)), dims)
         residual = expected_score(updated, law, data)
         worst = max(worst, float(np.abs(residual).max()))
 
@@ -197,7 +198,8 @@ def test_criterion_07_mstep_stationarity():
             continue
         checked += 1
         law = conditional_law(theta, data)
-        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+        updated = unflatten_theta(
+            update_theta(project_covariates(data), EStepSummary.from_law(law, data)), dims)
         s = law.second_moment_sum()
         v1, v2 = s[1:, 0]
         phi1, phi2 = s[1, 1], s[2, 2]

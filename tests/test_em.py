@@ -15,15 +15,14 @@ from factorem import (
     observed_loglik,
     simulate_dataset,
 )
-from factorem import estep, mstep
 from factorem.em import em_step, initialize, relative_change
 from factorem.errors import DataError, NonFiniteParameterError
-from factorem.estep import conditional_law, gram_estep
+from factorem.estep import conditional_law, gram_summary
 from factorem.model import theta_names, unflatten_theta
 from factorem.mstep import VARIANCE_FLOOR, project_covariates
 
 from conftest import reference_dims, random_instance
-from dense_oracle import plain_fit
+from dense_oracle import package_gram_estep, package_update_theta, plain_fit
 
 
 def reference_instance(seed=0, n=400, q=40):
@@ -49,7 +48,7 @@ class TestInitialize:
         g -= g.mean()
         y = t @ d + np.outer(g, np.ones(q))
         data = Dataset(z=(y, rng.normal(size=(n, 3))), t=(t, t), intercept=True)
-        start = initialize(project_covariates(data))
+        start = unflatten_theta(initialize(project_covariates(data)), data.dimensions())
         scores = start_scores(y, start.loading[0])
         corr = np.corrcoef(scores, g)[0, 1]
         assert abs(corr) > 1 - 1e-10
@@ -69,20 +68,21 @@ class TestInitialize:
             # X^1 on an intercept alone, so its covariate residual is centered
             t = np.ones((n, 1))
             data = Dataset(z=(rng.normal(size=(n, 2)), resid), t=(t, t), intercept=True)
-            scores = start_scores(resid, initialize(project_covariates(data)).loading[1])
+            start = unflatten_theta(initialize(project_covariates(data)), data.dimensions())
+            scores = start_scores(resid, start.loading[1])
             assert abs(np.corrcoef(scores, reference)[0, 1]) >= 1 - 1e-10
             np.testing.assert_allclose(scores.std(), 1.0, rtol=1e-12)
 
     def test_first_loading_nonnegative(self):
         for seed in range(5):
             data, _, _, dims = random_instance(seed)
-            theta0 = initialize(project_covariates(data))
+            theta0 = unflatten_theta(initialize(project_covariates(data)), dims)
             assert theta0.loading[0][0] >= 0
             assert all(am[0] >= 0 for am in theta0.loading[1:])
 
     def test_reference_design_starts_close(self):
         data, h, _ = reference_instance(seed=5)
-        theta0 = initialize(project_covariates(data))
+        theta0 = unflatten_theta(initialize(project_covariates(data)), reference_dims())
         law = conditional_law(theta0, data)
         assert factor_sq_correlation(h, law).min() > 0.9
 
@@ -111,19 +111,18 @@ class TestEmStep:
             n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
         result = fit(data, dims, EMConfig(epsilon=1e-10, max_iter=500))
         projection = project_covariates(data)
-        x_next, _ = em_step(
-            gram_estep(result.theta, projection.gram, data), data, projection
-        )
+        x_next, _ = em_step(gram_summary(flatten_theta(result.theta), projection.gram),
+                            projection)
         assert relative_change(flatten_theta(result.theta), x_next) < 1e-6
 
     def test_ascends_observed_loglik(self):
         data, _, _, dims = random_instance(11)
         projection = project_covariates(data)
-        theta = initialize(projection)
-        summary = gram_estep(theta, projection.gram, data)
-        previous = observed_loglik(theta, data).value
+        x = initialize(projection)
+        summary = gram_summary(x, projection.gram)
+        previous = observed_loglik(unflatten_theta(x, dims), data).value
         for _ in range(8):
-            x, summary = em_step(summary, data, projection)
+            x, summary = em_step(summary, projection)
             current = observed_loglik(unflatten_theta(x, dims), data).value
             assert current >= previous - 1e-8 * abs(previous)
             previous = current
@@ -249,8 +248,9 @@ class TestFit:
         import factorem.em
 
         def zero_variance_start(projection):
-            theta = start(projection)
-            return replace(theta, sigma2=(0.0, *theta.sigma2[1:]))
+            x = start(projection)
+            x[-(dims.p + 1)] = 0.0          # sigma2_Y
+            return x
 
         start = factorem.em.initialize
         monkeypatch.setattr(factorem.em, "initialize", zero_variance_start)
@@ -264,11 +264,11 @@ class TestFit:
         data, _, _, _ = random_instance(10, dims=Dimensions(
             n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
         projection = project_covariates(data)
-        summary = gram_estep(initialize(projection), projection.gram, data)
+        summary = gram_summary(initialize(projection), projection.gram)
         s = summary.s.copy()
         s[1, 2] = s[2, 1] = np.nan
         with pytest.raises(NonFiniteParameterError, match=r"M-step produced c1 = nan"):
-            em_step(replace(summary, s=s), data, projection)
+            em_step(replace(summary, s=s), projection)
 
     def test_config_validation(self):
         for epsilon in (0.0, np.nan, np.inf):
@@ -316,7 +316,8 @@ class TestAcceleration:
         data, _, _ = reference_instance(seed=seed)
         config = EMConfig(epsilon=epsilon)
         fast = fit(data, reference_dims(), config)
-        plain = plain_fit(data, reference_dims(), config, estep.gram_estep, mstep.update_theta)
+        plain = plain_fit(data, reference_dims(), config, package_gram_estep,
+                          package_update_theta)
         assert plain.iterations <= 2
         assert fast.iterations == plain.iterations
         assert (fast.accepted, fast.rejected) == (0, 0)
@@ -360,10 +361,10 @@ class TestAcceleration:
             points.append(extrapolate(*args))
             return points[-1]
 
-        def failing_at_points(x, gram, data):
+        def failing_at_points(x, gram):
             if any(x is point for point in points):
                 raise NotPositiveDefiniteError("forced failure")
-            return summarize(x, gram, data)
+            return summarize(x, gram)
 
         extrapolate, summarize = factorem.em._extrapolate, factorem.em.gram_summary
         monkeypatch.setattr(factorem.em, "_extrapolate", recording)
@@ -373,7 +374,7 @@ class TestAcceleration:
         result = fit(data, reference_dims(n=400, q=5), config)
         monkeypatch.undo()
         plain = plain_fit(data, reference_dims(n=400, q=5), config,
-                          estep.gram_estep, mstep.update_theta)
+                          package_gram_estep, package_update_theta)
         tried = sum(point is not None for point in points)
         assert tried > 0 and (result.accepted, result.rejected) == (0, tried)
         assert np.all(np.diff(result.trace[:, 1]) >= 0)

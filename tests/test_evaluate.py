@@ -173,7 +173,7 @@ class TestSensitivitySweep:
         summaries = sensitivity_sweep((50, 400), (), base, EMConfig(), replicates=8)
         halfwidth = []
         for summary in summaries:
-            mean, lo, hi = summary.c_band(0)
+            mean, lo, hi = summary.mean_and_band(summary.c_hat[:, 0])
             halfwidth.append(hi - lo)
         assert halfwidth[0] > halfwidth[1]
 

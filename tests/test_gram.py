@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from factorem import Dataset, EMConfig, SimConfig, fit, flatten_theta, simulate_dataset
+from factorem import Dataset, EMConfig, SimConfig, Theta, fit, flatten_theta, simulate_dataset
 from factorem import em, estep, mstep
 from factorem.model import unflatten_theta
 from factorem.em import em_step, initialize
-from factorem.estep import GRAM_LIMIT, EStepSummary, conditional_law, gram_estep, stacked_gram
+from factorem.estep import GRAM_LIMIT, EStepSummary, conditional_law, gram_summary, stacked_gram
 from factorem.mstep import VARIANCE_FLOOR, project_covariates, update_theta
 
 import dense_oracle
@@ -33,9 +33,9 @@ def instances():
 
 
 def gram_only(monkeypatch):
-    """Make ``gram_estep`` fail if it takes the exact pass."""
+    """Make ``gram_summary`` fail if it takes the exact pass."""
     def forbidden(theta, data):
-        raise AssertionError("gram_estep took the exact pass")
+        raise AssertionError("gram_summary took the exact pass")
 
     monkeypatch.setattr(estep, "conditional_law", forbidden)
 
@@ -53,15 +53,14 @@ def test_gram_estep_matches_conditional_law(monkeypatch):
              for label, data, theta in instances()]
     gram_only(monkeypatch)
     for label, data, theta, gram, exact in cases:
-        assert_summaries_close(gram_estep(theta, gram, data), exact, label)
+        assert_summaries_close(gram_summary(flatten_theta(theta), gram), exact, label)
 
 
 def test_gram_update_matches_the_npass_update():
     worst = 0.0
     for label, data, theta in instances():
         law = conditional_law(theta, data)
-        updated = flatten_theta(update_theta(project_covariates(data),
-                                             EStepSummary.from_law(law, data)))
+        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
         expected = flatten_theta(dense_oracle.npass_update(
             dense_oracle.npass_projection(data), law))
         worst = max(worst, float(np.max(np.abs(updated - expected) / np.abs(expected))))
@@ -72,7 +71,7 @@ def test_gram_update_matches_the_npass_update():
 def test_gram_initialize_matches_the_npass_initializer():
     worst = 0.0
     for label, data, _ in instances():
-        start = flatten_theta(initialize(project_covariates(data)))
+        start = initialize(project_covariates(data))
         oracle = dense_oracle.npass_initialize(dense_oracle.npass_projection(data))
         # the n-pass start leaves a PC that reproduces its column at rounding
         # residue; the package floors it
@@ -88,11 +87,11 @@ def test_gram_map_steps_match_the_npass_map_steps(monkeypatch):
     projection = project_covariates(data)
     start = initialize(projection)
     npass = dense_oracle.npass_projection(data)
-    law = conditional_law(start, data)
-    summary = gram_estep(start, projection.gram, data)
+    law = conditional_law(unflatten_theta(start, data.dimensions()), data)
+    summary = gram_summary(start, projection.gram)
     gram_only(monkeypatch)
     for step in range(10):
-        x, summary = em_step(summary, data, projection)
+        x, summary = em_step(summary, projection)
         theta_oracle, law = dense_oracle.npass_em_step(law, data, npass)
         np.testing.assert_allclose(x, flatten_theta(theta_oracle),
                                    rtol=RTOL, atol=0, err_msg=f"step {step + 1}")
@@ -111,7 +110,7 @@ def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
 
     law = estep.conditional_law
     monkeypatch.setattr(estep, "conditional_law", counting)
-    summary = gram_estep(floored, stacked_gram(data), data)
+    summary = gram_summary(flatten_theta(floored), stacked_gram(data))
     assert len(calls) == 1
     np.testing.assert_array_equal(flatten_theta(calls[0]), flatten_theta(floored))
     for name in ("s", "wm", "loglik"):
@@ -131,9 +130,9 @@ def test_the_gram_limit_splits_the_two_routes(monkeypatch):
                        for s in (2.0 * at_limit, 0.5 * at_limit))
     exact_inside = EStepSummary.from_law(conditional_law(inside, data), data)
     exact_outside = EStepSummary.from_law(conditional_law(outside, data), data)
-    assert gram_estep(outside, gram, data).loglik == exact_outside.loglik
+    assert gram_summary(flatten_theta(outside), gram).loglik == exact_outside.loglik
     gram_only(monkeypatch)
-    assert_summaries_close(gram_estep(inside, gram, data), exact_inside, "inside")
+    assert_summaries_close(gram_summary(flatten_theta(inside), gram), exact_inside, "inside")
 
 
 def test_a_constant_added_to_the_data_moves_only_the_intercepts():
@@ -168,7 +167,7 @@ def test_a_single_variable_block_starts_at_the_variance_floor():
     single = [k for k, q in enumerate(dims.q) if q == 1]
     assert single
     with pytest.warns(RuntimeWarning, match=r"sigma2_\w+ start .* floored at 1e-12"):
-        start = initialize(project_covariates(data))
+        start = unflatten_theta(initialize(project_covariates(data)), dims)
     for k in single:
         assert start.sigma2[k] == VARIANCE_FLOOR
 
@@ -195,6 +194,33 @@ def test_one_pass_over_the_data_per_fit(monkeypatch):
     result = fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
     assert result.iterations > 20
     assert sorted(calls) == sorted(["stacked_gram", "T", "T1", "T2", "conditional_law"])
+
+
+@pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+def test_a_fit_builds_a_theta_only_at_the_estimate_and_on_exact_passes(monkeypatch):
+    # the start and the loop carry the canonical vector: a Theta is built
+    # at the returned theta and for each E-step that takes the exact pass
+    narrow, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=400, q=5), seed=1))
+    floored, _, _, dims = random_instance(3)
+    built, exact = [], []
+
+    def counting(theta):
+        built.append(None)
+        post_init(theta)
+
+    def exact_pass(theta, data):
+        exact.append(None)
+        return law(theta, data)
+
+    post_init, law = Theta.__post_init__, estep.conditional_law
+    monkeypatch.setattr(Theta, "__post_init__", counting)
+    monkeypatch.setattr(estep, "conditional_law", exact_pass)
+    fit(narrow, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
+    assert (len(built), len(exact)) == (1, 0)
+    built.clear()
+    result = fit(floored, dims, EMConfig(epsilon=1e-3))
+    assert min(result.theta.sigma2) == VARIANCE_FLOOR and len(exact) > 0
+    assert len(built) == 1 + len(exact)
 
 
 def loop_grid():
@@ -235,7 +261,7 @@ def test_every_step_of_a_fit_matches_the_per_block_loops(monkeypatch):
                 expected = flatten_theta(dense_oracle.loop_update_theta(*args))
                 assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max(), label
             else:
-                x, gram, _ = args
+                x, gram = args
                 expected = dense_oracle.loop_gram_estep(unflatten_theta(x, dims), gram, data)
                 assert_summaries_close(out, expected, label, rtol=1e-12)
 

@@ -544,6 +544,10 @@ class TestCli:
         ('{"y": "Y.csv", "t": "T.csv", "t_m": ["T1.csv"]}', "is missing block role 'x'"),
         ('{"y": "Y.csv", "x": ["X1.csv", "X2.csv"], "t": "T.csv", "t_m": ["T1.csv"]}',
          "manifest lists 2 X blocks but 1 covariate blocks"),
+        ('"y x t t_m"', "must be a JSON object, got str"),
+        ("[1, 2]", "must be a JSON object, got list"),
+        ('{"y": "Y.csv", "x": ["X1.csv"], "t": "T.csv", "t_m": ["T1.csv"], "intercpt": true}',
+         "has unknown keys ['intercpt']"),
     ])
     def test_malformed_manifest_exits_two(self, tmp_path, capsys, text, message):
         data_dir = tmp_path / "data"

@@ -12,12 +12,18 @@ from conftest import random_instance, random_theta
 from likelihood_oracle import complete_loglik, expected_complete_loglik
 
 
+def updated_theta(data, law):
+    """The M-step from ``law`` as a ``Theta``."""
+    x = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+    return unflatten_theta(x, data.dimensions())
+
+
 class TestCovariateProjection:
     def test_residual_orthogonal_to_covariates(self):
         for seed in range(20):
             data, _, _, _ = random_instance(seed)
             projection = project_covariates(data)
-            for coef, t, z in zip(projection.coef, data.t, data.z):
+            for (coef, _), t, z in zip(dense_oracle.block_projection(projection), data.t, data.z):
                 scale = np.linalg.norm(t) * np.linalg.norm(z)
                 assert np.abs(t.T @ (z - t @ coef)).max() <= 1e-12 * scale
 
@@ -25,9 +31,9 @@ class TestCovariateProjection:
         for seed in range(20):
             data, _, _, _ = random_instance(seed)
             projection = project_covariates(data)
-            blocks = zip(projection.coef, projection.tt_inv, projection.resid_gram,
+            blocks = zip(dense_oracle.block_projection(projection), projection.resid_gram,
                          projection.resid_sq, projection.gram.z, data.t, data.z)
-            for coef, tt_inv, resid_gram, resid_sq, rows, t, z in blocks:
+            for (coef, tt_inv), resid_gram, resid_sq, rows, t, z in blocks:
                 expected, rss, _, _ = np.linalg.lstsq(t, z, rcond=None)
                 np.testing.assert_allclose(coef, expected, rtol=1e-10, atol=1e-12)
                 np.testing.assert_allclose(tt_inv @ (t.T @ t), np.eye(t.shape[1]), atol=1e-12)
@@ -64,7 +70,7 @@ class TestUpdateTheta:
             if dims.p != 2:
                 continue
             law = conditional_law(theta, data)
-            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+            updated = updated_theta(data, law)
             np.testing.assert_allclose(
                 updated.c, two_block_c_ratios(law.second_moment_sum()),
                 rtol=1e-12, atol=1e-12,
@@ -81,7 +87,7 @@ class TestUpdateTheta:
         )
         m = np.column_stack([np.zeros(n), rng.normal(size=(n, 2))])
         law = ConditionalLaw(m=m, sigma=np.eye(3), loglik=np.zeros(n))
-        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+        updated = updated_theta(data, law)
         np.testing.assert_allclose(updated.loading[0], np.zeros(q_y), atol=1e-12)
         np.testing.assert_allclose(updated.coef[0][0], y.mean(axis=0), atol=1e-12)
 
@@ -105,7 +111,7 @@ class TestUpdateTheta:
             m=np.column_stack([g, f.T]), sigma=np.zeros((p + 1, p + 1)), loglik=np.zeros(n)
         )
         with pytest.warns(RuntimeWarning, match="floored"):
-            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+            updated = updated_theta(data, law)
         assert updated.sigma2[0] == VARIANCE_FLOOR
         np.testing.assert_allclose(updated.loading[0], b, atol=1e-10)
         np.testing.assert_allclose(updated.coef[0], d, atol=1e-10)
@@ -116,8 +122,7 @@ class TestUpdateTheta:
         for seed in range(100):
             data, _, theta, dims = random_instance(seed)
             law = conditional_law(theta, data)
-            updated = flatten_theta(update_theta(project_covariates(data),
-                                                 EStepSummary.from_law(law, data)))
+            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
             stats = dense_oracle.sufficient_stats(data, law)
             expected = flatten_theta(dense_oracle.update_theta(stats, law, data))
             worst = max(worst, float(np.max(np.abs(updated - expected) / np.abs(expected))))
@@ -169,7 +174,7 @@ class TestExpectedScore:
         for seed in range(100):
             data, _, theta, dims = random_instance(seed)
             law = conditional_law(theta, data)
-            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+            updated = updated_theta(data, law)
             residual = expected_score(updated, law, data)
             worst = max(worst, float(np.abs(residual).max()))
         assert worst < 1e-8
@@ -177,7 +182,7 @@ class TestExpectedScore:
     def test_perturbation_breaks_stationarity(self):
         data, _, theta, dims = random_instance(8)
         law = conditional_law(theta, data)
-        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+        updated = updated_theta(data, law)
         bumped = Theta(
             coef=updated.coef, loading=(updated.loading[0] + 0.1, *updated.loading[1:]),
             c=updated.c, sigma2=updated.sigma2,
@@ -214,7 +219,7 @@ class TestSurrogateObjective:
             rng = np.random.default_rng(1000 + seed)
             start = random_theta(dims, rng)
             law = conditional_law(theta, data)
-            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+            updated = updated_theta(data, law)
             q_start = expected_complete_loglik(start, data, law)
             q_updated = expected_complete_loglik(updated, data, law)
             assert q_updated >= q_start - 1e-8 * abs(q_start)
@@ -230,11 +235,11 @@ class TestSurrogateObjective:
 def test_update_scale_consistency():
     data, _, theta, dims = random_instance(12)
     law = conditional_law(theta, data)
-    base = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+    base = updated_theta(data, law)
 
     alpha = 3.0
     scaled_data = Dataset(z=(alpha * data.z[0], *data.z[1:]), t=data.t)
-    scaled = update_theta(project_covariates(scaled_data), EStepSummary.from_law(law, scaled_data))
+    scaled = updated_theta(scaled_data, law)
     np.testing.assert_allclose(scaled.loading[0], alpha * base.loading[0], rtol=1e-10)
     np.testing.assert_allclose(scaled.coef[0], alpha * base.coef[0], rtol=1e-10)
     assert scaled.sigma2[0] == pytest.approx(alpha**2 * base.sigma2[0], rel=1e-10)

@@ -9,6 +9,8 @@ README snippets.
 """
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -47,3 +49,18 @@ def test_readme_and_benchmark_use_only_top_level_names():
 def test_top_level_is_exactly_the_documented_surface():
     assert sorted(factorem.__all__) == sorted(PUBLIC)
     assert all(hasattr(factorem, name) for name in factorem.__all__)
+
+
+def test_every_submodule_all_resolves():
+    # a name left in __all__ after its definition is gone breaks
+    # ``from factorem.<module> import *``
+    names = [info.name for info in pkgutil.iter_modules(factorem.__path__)]
+    assert {"em", "estep", "mstep"} <= set(names)
+    missing = [
+        f"{name}.{attr}"
+        for name in names
+        for module in [importlib.import_module(f"factorem.{name}")]
+        for attr in getattr(module, "__all__", ())
+        if not hasattr(module, attr)
+    ]
+    assert not missing, missing
