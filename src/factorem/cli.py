@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from .errors import FactorEMError
 from .evaluate import kfold_resample, replicate_study, sensitivity_sweep
 from .io import (
     load_dataset,
-    load_manifest,
     write_dataset,
     write_fit,
     write_resample,
@@ -41,11 +39,6 @@ def _sim_config(args) -> SimConfig:
                      intercept=args.intercept)
 
 
-def _resolve_manifest(data_arg: str) -> Path:
-    path = Path(data_arg)
-    return path / "manifest.json" if path.is_dir() else path
-
-
 def _some_fit_succeeded(failures: list[str], fits: int) -> None:
     """Raise FactorEMError, naming the first failure, if all ``fits`` failed."""
     if len(failures) == fits:
@@ -60,8 +53,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    manifest = load_manifest(_resolve_manifest(args.data))
-    data, columns = load_dataset(manifest)
+    data, columns = load_dataset(args.data)
     config = _em_config(args)
     result = canonicalize(fit(data, data.dimensions(), config))
     write_fit(result, args.out, data=data, config=config, columns=columns)
@@ -97,7 +89,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    data, _ = load_dataset(load_manifest(_resolve_manifest(args.data)))
+    data, _ = load_dataset(args.data)
     sample_size = data.n // 2 if args.sample_size is None else args.sample_size
     summary = kfold_resample(
         data, _em_config(args), k=args.k, sample_size=sample_size, seed=args.seed,

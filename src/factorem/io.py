@@ -3,25 +3,27 @@
 All tabular output is CSV with a header row, UTF-8, '.' decimal
 separator. Floats are written as ``repr`` (shortest round trip), one
 streamed line per matrix row, so write -> load reproduces arrays exactly
-and identical runs produce byte-identical files. Numeric blocks are
-parsed by numpy's C reader, with the strict csv reader as fallback.
+and identical runs produce byte-identical files.
 
 A dataset on disk is a set of block CSVs tied together by a manifest
-(JSON) naming the role of each file:
+(JSON) naming the role of each file; ``load_dataset`` takes the manifest
+or the directory holding it as manifest.json:
 
     {"y": "Y.csv", "x": ["X1.csv", "X2.csv"],
      "t": "T.csv", "t_m": ["T1.csv", "T2.csv"], "intercept": false}
 
-Covariate blocks may contain non-numeric (categorical) columns; these
-are expanded into a leading intercept column plus one indicator per
-level beyond the first, in order of first appearance. A column must be
-wholly numeric or wholly non-numeric.
+One file may not fill two roles. Every block is parsed by numpy's C
+reader, with the strict csv reader as fallback. In that fallback a
+covariate block may contain non-numeric (categorical) columns; these are
+expanded into a leading intercept column plus one indicator per level
+beyond the first, in order of first appearance. A column must be wholly
+numeric or wholly non-numeric.
 """
 
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +38,6 @@ from .model import (
 from .mstep import expected_score
 
 __all__ = [
-    "BlockManifest",
-    "load_manifest",
     "load_dataset",
     "write_dataset",
     "write_fit",
@@ -65,27 +65,18 @@ def _write_matrix(path: Path, header: list[str], matrix) -> None:
                           for row in np.asarray(matrix, dtype=float))
 
 
+def _write_parameters(path: Path, dims: Dimensions, theta: Theta) -> None:
+    """One named row per coordinate of the parameter vector."""
+    _write_csv(path, ["name", "value"],
+               zip(theta_names(dims), map(_fmt, flatten_theta(theta))))
+
+
 def _write_json(path: Path, payload) -> None:
     # JSON has no NaN: every non-finite number is written as null
     payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
-
-
-@dataclass
-class BlockManifest:
-    """File names of the blocks making up one dataset, per block as in
-    ``Dataset``: ``z`` lists Y, X1, ..; ``t`` lists T, T1, .. (the
-    on-disk roles y, x and t, t_m)."""
-
-    z: list[str]
-    t: list[str]
-    intercept: bool = False
-    base_dir: Path = field(default_factory=Path)
-
-    def path(self, name: str) -> Path:
-        return self.base_dir / name
 
 
 def _reject_duplicate_keys(pairs):
@@ -97,9 +88,8 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def load_manifest(path) -> BlockManifest:
-    """Read a manifest file; block paths resolve relative to it."""
-    path = Path(path)
+def _read_manifest(path: Path) -> dict:
+    """The manifest's JSON object, once every role has the right type."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"),
                          object_pairs_hook=_reject_duplicate_keys)
@@ -130,12 +120,7 @@ def load_manifest(path) -> BlockManifest:
             f"manifest lists {len(raw['x'])} X blocks but {len(raw['t_m'])} "
             "covariate blocks"
         )
-    return BlockManifest(
-        z=[raw["y"], *raw["x"]],
-        t=[raw["t"], *raw["t_m"]],
-        intercept=raw.get("intercept", False),
-        base_dir=path.parent,
-    )
+    return raw
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -158,11 +143,25 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, body
 
 
-def _numeric_block(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header and values of a numeric block, parsed by numpy's C reader. Its
-    array is kept only with one row per line (it skips blank lines and joins
-    quoted line breaks) and one column per header cell; else the strict csv
-    reader loads the same array or names the first bad cell."""
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_block(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
+    """Header and values of one block, parsed by numpy's C reader. Its array
+    is kept only with one row per line (it skips blank lines and joins quoted
+    line breaks) and one column per header cell; else the strict csv reader
+    loads the same array or names the first bad cell.
+
+    With ``categorical`` (covariate blocks) a wholly non-numeric column
+    expands to an intercept plus level indicators (reference level = first
+    seen). A column mixing numeric and non-numeric (or blank) cells is an
+    error, not a categorical with one level per distinct value.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             lines = sum(1 for _ in handle) - 1  # split as the csv module splits
@@ -177,79 +176,62 @@ def _numeric_block(path: Path) -> tuple[list[str], np.ndarray]:
     except (OSError, ValueError, csv.Error):
         pass
     header, body = _read_table(path)
-    try:
-        return header, np.array([[float(cell) for cell in row] for row in body])
-    except ValueError:
-        i, j = next((i, j) for i, row in enumerate(body)
-                    for j, cell in enumerate(row) if not _is_number(cell))
+    is_number = np.array([[_is_number(cell) for cell in row] for row in body])
+    bad = ~is_number & is_number.any(axis=0) if categorical else ~is_number
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        what = ("is not numeric but other cells of the column are" if categorical
+                else "is non-numeric")
         raise DataError(f"{path}: row {i + 2}, column {header[j]!r}: cell "
-                        f"{body[i][j]!r} is non-numeric") from None
+                        f"{body[i][j]!r} {what}")
+    if is_number.all():
+        return header, np.array([[float(cell) for cell in row] for row in body])
 
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _covariate_block(path: Path) -> tuple[list[str], np.ndarray]:
-    """Numeric covariates pass through; categorical columns expand to an
-    intercept plus level indicators (reference level = first seen).
-
-    A column mixing numeric and non-numeric (or blank) cells is an
-    error, not a categorical with one level per distinct value.
-    """
-    header, body = _read_table(path)
-    n = len(body)
-    raw_cols = list(zip(*body))
-    numeric, categorical = {}, {}
-    for j, col in enumerate(raw_cols):
-        is_number = [_is_number(cell) for cell in col]
-        if all(is_number):
-            numeric[j] = np.array([float(cell) for cell in col])
-        elif any(is_number):
-            i = is_number.index(False)
-            raise DataError(
-                f"{path}: row {i + 2}, column {header[j]!r}: cell {col[i]!r} is not "
-                "numeric but other cells of the column are"
-            )
+    names, columns = ["intercept"], [np.ones(len(body))]
+    for name, col, numeric in zip(header, zip(*body), is_number.all(axis=0)):
+        if numeric:
+            names.append(name)
+            columns.append(np.array([float(cell) for cell in col]))
         else:
-            categorical[j] = list(dict.fromkeys(col))  # order of first appearance
-    if not categorical:
-        return header, np.column_stack([numeric[j] for j in range(len(raw_cols))])
-
-    names = ["intercept"]
-    columns = [np.ones(n)]
-    for j, col in enumerate(raw_cols):
-        if j in numeric:
-            names.append(header[j])
-            columns.append(numeric[j])
-        else:
-            for level in categorical[j][1:]:
-                names.append(f"{header[j]}={level}")
+            for level in list(dict.fromkeys(col))[1:]:  # order of first appearance
+                names.append(f"{name}={level}")
                 columns.append(np.array([1.0 if cell == level else 0.0 for cell in col]))
     return names, np.column_stack(columns)
 
 
-def load_dataset(manifest: BlockManifest) -> tuple[Dataset, dict]:
-    """Load and validate all blocks named by the manifest. Returns the
-    dataset and the (possibly expanded) column names of every block, per
-    block as in ``Dataset``: {"z": [Y names, X1 names, ..], "t": [T names, ..]}."""
-    declared = [*manifest.z, *manifest.t]
-    for name in declared:
-        if not manifest.path(name).is_file():
-            raise DataError(f"declared block file {manifest.path(name)} does not exist")
+def load_dataset(path) -> tuple[Dataset, dict]:
+    """Load and validate the dataset at ``path``, a directory holding
+    manifest.json or the manifest file itself; block files resolve relative
+    to the manifest. Returns the dataset and the (possibly expanded) column
+    names of every block, per block as in ``Dataset``:
+    {"z": [Y names, X1 names, ..], "t": [T names, ..]}."""
+    path = Path(path)
+    if path.is_dir():
+        path = path / "manifest.json"
+    raw = _read_manifest(path)
+    z_names, t_names = [raw["y"], *raw["x"]], [raw["t"], *raw["t_m"]]
+    roles = ["y", *(f"x[{i}]" for i in range(len(raw["x"]))),
+             "t", *(f"t_m[{i}]" for i in range(len(raw["t_m"])))]
+    owner = {}
+    for role, name in zip(roles, z_names + t_names):
+        block = path.parent / name
+        same = owner.setdefault(block.resolve(), role)
+        if same != role:
+            raise DataError(f"manifest {path}: block file {block} fills two roles, "
+                            f"{same!r} and {role!r}")
+        if not block.is_file():
+            raise DataError(f"declared block file {block} does not exist")
 
-    z_cols, z = zip(*(_numeric_block(manifest.path(name)) for name in manifest.z))
-    t_cols, t = zip(*(_covariate_block(manifest.path(name)) for name in manifest.t))
-    rows = {name: block.shape[0] for name, block in zip(declared, z + t)}
+    z_cols, z = zip(*(_read_block(path.parent / name, categorical=False)
+                      for name in z_names))
+    t_cols, t = zip(*(_read_block(path.parent / name, categorical=True)
+                      for name in t_names))
+    rows = {name: block.shape[0] for name, block in zip(z_names + t_names, z + t)}
     if len(set(rows.values())) > 1:
         detail = ", ".join(f"{name}: {count} rows" for name, count in rows.items())
         raise DataError(f"blocks disagree on the number of units ({detail})")
 
-    data = Dataset(z=z, t=t, intercept=manifest.intercept)
+    data = Dataset(z=z, t=t, intercept=raw.get("intercept", False))
     return data, {"z": list(z_cols), "t": list(t_cols)}
 
 
@@ -305,11 +287,7 @@ def write_dataset(
     if latents is not None:
         _write_matrix(out / "factors_true.csv", _factor_header(dims.p), latents)
     if theta is not None:
-        _write_csv(
-            out / "theta_true.csv",
-            ["name", "value"],
-            zip(theta_names(dims), map(_fmt, flatten_theta(theta))),
-        )
+        _write_parameters(out / "theta_true.csv", dims, theta)
 
 
 def write_fit(
@@ -339,11 +317,7 @@ def write_fit(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_csv(
-        out / "parameters.csv",
-        ["name", "value"],
-        zip(theta_names(dims), map(_fmt, flatten_theta(result.theta))),
-    )
+    _write_parameters(out / "parameters.csv", dims, result.theta)
 
     _write_matrix(out / "factors.csv", _factor_header(dims.p), result.moments.m)
 

@@ -14,13 +14,7 @@ from factorem.model import subset_units, theta_names, unflatten_theta
 from factorem.cli import main
 from factorem import io as io_module
 from factorem.errors import DataError
-from factorem.io import (
-    BlockManifest,
-    load_dataset,
-    load_manifest,
-    write_dataset,
-    write_fit,
-)
+from factorem.io import load_dataset, write_dataset, write_fit
 
 from conftest import random_dims, random_theta, reference_dims
 
@@ -35,8 +29,7 @@ class TestDatasetRoundTrip:
     def test_values_reproduced_exactly(self, tmp_path):
         data, h, theta, dims = small_dataset()
         write_dataset(data, tmp_path, latents=h, theta=theta)
-        manifest = load_manifest(tmp_path / "manifest.json")
-        loaded, columns = load_dataset(manifest)
+        loaded, columns = load_dataset(tmp_path / "manifest.json")
         assert loaded.dimensions() == dims
         for a, b in zip(loaded.z + loaded.t, data.z + data.t):
             np.testing.assert_array_equal(a, b)
@@ -61,7 +54,7 @@ class TestDatasetRoundTrip:
             "t": "T.csv", "t_m": ["T1.csv", "T2.csv"],
             "intercept": True,
         }))
-        data, _ = load_dataset(load_manifest(tmp_path / "manifest.json"))
+        data, _ = load_dataset(tmp_path / "manifest.json")
         dims = data.dimensions()
         assert dims.n == 4 and dims.q_y == 2 and dims.q_m == (2, 2)
         assert dims.r_t == 1 and dims.r_m == (1, 1)
@@ -72,7 +65,7 @@ class TestDatasetRoundTrip:
         write_dataset(data, tmp_path)
         (tmp_path / "X1.csv").unlink()
         with pytest.raises(DataError, match="X1.csv"):
-            load_dataset(load_manifest(tmp_path / "manifest.json"))
+            load_dataset(tmp_path / "manifest.json")
 
     def test_row_count_mismatch_names_blocks(self, tmp_path):
         data, *_ = small_dataset()
@@ -80,7 +73,7 @@ class TestDatasetRoundTrip:
         lines = (tmp_path / "Y.csv").read_text().splitlines()
         (tmp_path / "Y.csv").write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(DataError, match="Y.csv"):
-            load_dataset(load_manifest(tmp_path / "manifest.json"))
+            load_dataset(tmp_path / "manifest.json")
 
     @pytest.mark.parametrize("shape", [(40, 2), (39, 3)])
     def test_latents_that_do_not_fit_the_data_rejected(self, tmp_path, shape):
@@ -98,7 +91,7 @@ class TestDatasetRoundTrip:
             ' "t": "T.csv", "t_m": ["T1.csv", "T2.csv"]}'
         )
         with pytest.raises(DataError, match="twice"):
-            load_manifest(tmp_path / "manifest.json")
+            load_dataset(tmp_path / "manifest.json")
 
     def test_ragged_row_rejected(self, tmp_path):
         data, *_ = small_dataset()
@@ -106,7 +99,7 @@ class TestDatasetRoundTrip:
         with open(tmp_path / "Y.csv", "a") as handle:
             handle.write("1.0,2.0\n")
         with pytest.raises(DataError, match="ragged"):
-            load_dataset(load_manifest(tmp_path / "manifest.json"))
+            load_dataset(tmp_path / "manifest.json")
 
     def test_non_numeric_observation_rejected(self, tmp_path):
         data, *_ = small_dataset()
@@ -119,7 +112,7 @@ class TestDatasetRoundTrip:
         lines[1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="non-numeric"):
-            load_dataset(load_manifest(tmp_path / "manifest.json"))
+            load_dataset(tmp_path / "manifest.json")
 
 
 def strict_numeric(path):
@@ -218,10 +211,11 @@ class TestFastCsvPaths:
             raise AssertionError("fell back to the csv reader")
 
         monkeypatch.setattr(io_module, "_read_table", no_fallback)
-        got_header, values = io_module._numeric_block(path)
-        assert got_header == header
-        assert values.shape == expected.shape
-        assert values.tobytes() == expected.tobytes()
+        for categorical in (False, True):   # observation and covariate blocks
+            got_header, values = io_module._read_block(path, categorical)
+            assert got_header == header
+            assert values.shape == expected.shape
+            assert values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("text, expected", [
         ("a,b\n1_5,2\n", [[15.0, 2.0]]),       # np.loadtxt rejects underscores
@@ -234,11 +228,12 @@ class TestFastCsvPaths:
             self, tmp_path, text, expected):
         path = tmp_path / "block.csv"
         path.write_bytes(text.encode())
-        header, values = io_module._numeric_block(path)
         strict_header, strict_values = strict_numeric(path)
-        assert header == strict_header
-        np.testing.assert_array_equal(values, expected)
-        assert values.tobytes() == strict_values.tobytes()
+        for categorical in (False, True):   # observation and covariate blocks
+            header, values = io_module._read_block(path, categorical)
+            assert header == strict_header
+            np.testing.assert_array_equal(values, expected)
+            assert values.tobytes() == strict_values.tobytes()
 
     @pytest.mark.parametrize("text, match", [
         ("a,b\n1,2\n\n3,4\n", "ragged row 3 has 0 cells"),
@@ -258,13 +253,13 @@ class TestFastCsvPaths:
         path = tmp_path / "block.csv"
         path.write_bytes(text.encode())
         if match is None:     # a trailing bare carriage return is one more line
-            header, values = io_module._numeric_block(path)
+            header, values = io_module._read_block(path, categorical=False)
             np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
             return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=match):
-                io_module._numeric_block(path)
+                io_module._read_block(path, categorical=False)
 
     @pytest.mark.parametrize("name", ["Y.csv", "T1.csv"])
     def test_undecodable_block_is_a_data_error(self, tmp_path, name):
@@ -274,7 +269,7 @@ class TestFastCsvPaths:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xe9", 1))
         with pytest.raises(DataError,
                            match=rf"cannot read block file .*{name}: 'utf-8'"):
-            load_dataset(load_manifest(tmp_path / "manifest.json"))
+            load_dataset(tmp_path / "manifest.json")
 
     def test_non_numeric_cell_named_through_load_dataset(self, tmp_path):
         data, *_ = small_dataset()
@@ -285,7 +280,7 @@ class TestFastCsvPaths:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=(
                 r"X1\.csv: row 2, column 'x1_1': cell 'oops' is non-numeric")):
-            load_dataset(load_manifest(tmp_path / "manifest.json"))
+            load_dataset(tmp_path / "manifest.json")
 
 
 class TestCategoricalCovariates:
@@ -295,7 +290,7 @@ class TestCategoricalCovariates:
         (tmp_path / "T.csv").write_text(
             t_header + "\n" + "\n".join(t_rows) + "\n"
         )
-        return load_manifest(tmp_path / "manifest.json")
+        return tmp_path / "manifest.json"
 
     def test_five_level_factor_expands_to_five_columns(self, tmp_path):
         levels = ["schist", "alluvium", "schist", "granite", "sand", "quartzite"]
@@ -326,7 +321,7 @@ class TestCategoricalCovariates:
         lines[5] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"T1\.csv: row 6, column 't1_1'"):
-            load_dataset(load_manifest(tmp_path / "manifest.json"))
+            load_dataset(tmp_path / "manifest.json")
 
     def test_mixed_numeric_and_categorical(self, tmp_path):
         rows = ["a,1.5", "b,2.5", "a,3.5", "c,4.5"]
@@ -519,6 +514,19 @@ class TestCli:
         assert summary["k"] == 3
         assert 0.0 <= summary["param_corr_median"] <= 1.0
 
+    @pytest.mark.parametrize("command", ["fit", "resample"])
+    def test_data_takes_the_manifest_file_or_its_directory(self, tmp_path, command):
+        data_dir = tmp_path / "data"
+        main(["simulate", "--n", "60", "--q", "4", "--seed", "2", "--out", str(data_dir)])
+        flags = (["--epsilon", "1e-2"] if command == "fit"
+                 else ["--k", "3", "--sample-size", "30", "--seed", "5"])
+        outputs = []
+        for data in (data_dir, data_dir / "manifest.json"):
+            out = tmp_path / f"out_{data.name}"
+            assert main([command, "--data", str(data), *flags, "--out", str(out)]) == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] and outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("role, value", [
         ("y", ["Y.csv"]),
         ("t", 3),
@@ -548,6 +556,12 @@ class TestCli:
         ("[1, 2]", "must be a JSON object, got list"),
         ('{"y": "Y.csv", "x": ["X1.csv"], "t": "T.csv", "t_m": ["T1.csv"], "intercpt": true}',
          "has unknown keys ['intercpt']"),
+        ('{"y": "Y.csv", "x": ["Y.csv", "X2.csv"], "t": "T.csv", "t_m": ["T1.csv", "T2.csv"]}',
+         "Y.csv fills two roles, 'y' and 'x[0]'"),
+        ('{"y": "Y.csv", "x": ["X1.csv", "X2.csv"], "t": "Y.csv", "t_m": ["T1.csv", "T2.csv"]}',
+         "Y.csv fills two roles, 'y' and 't'"),
+        ('{"y": "Y.csv", "x": ["X1.csv", "X2.csv"], "t": "T.csv", "t_m": ["T1.csv", "./T1.csv"]}',
+         "T1.csv fills two roles, 't_m[0]' and 't_m[1]'"),
     ])
     def test_malformed_manifest_exits_two(self, tmp_path, capsys, text, message):
         data_dir = tmp_path / "data"
