@@ -2,10 +2,11 @@
 reporting.
 
 A fit passes over the data twice: ``project_covariates`` builds the
-stacked Gram G of the centered data (``estep.stacked_gram``) and partials
-each block's covariates out of it, and ``conditional_law`` gives the
-reported law (factor scores, per-unit log-likelihood) at the estimate. In
-between everything is algebra on blocks of G.
+stacked Gram G of the centered data and partials each block's covariates
+out of it (``mstep.Projection``, the fit's one per-fit object), and
+``conditional_law`` gives the reported law (factor scores, per-unit
+log-likelihood) at the estimate. In between everything is algebra on
+blocks of G.
 
 Initialization takes the first principal component of each block's
 centered covariate residuals (top eigenpair of their q x q Gram) as a
@@ -127,13 +128,12 @@ def initialize(projection: Projection) -> np.ndarray:
     """Least-squares / principal-component starting point, as the
     canonical vector, read off the stacked Gram and the covariate
     projection of each block."""
-    gram = projection.gram
-    g, n, blocks = gram.g, gram.data.n, len(gram.z)
-    nz = gram.z_own[0].size
+    g, n, blocks = projection.g, projection.data.n, len(projection.z)
+    nz = projection.z_own[0].size
     # column k: block k's centered first-PC score as a combination of W_c's columns
     v = np.zeros((g.shape[0], blocks))
     loading, std, sigma2 = np.zeros(nz), np.zeros(blocks), np.zeros(blocks)
-    for k, (z, resid_gram) in enumerate(zip(gram.z, projection.resid_gram)):
+    for k, (z, resid_gram) in enumerate(zip(projection.z, projection.resid_gram)):
         # the PC of the centered residuals, so the loading regression carries
         # an implicit intercept (residual means are not the factor's job);
         # zero variance is judged against the centered block they come from
@@ -160,7 +160,7 @@ def initialize(projection: Projection) -> np.ndarray:
     # valley that takes thousands of iterations to cross.
     resid_var = float(scores[0, 0] - c @ scores[1:, 0]) / n
     scale = 1.0 / np.sqrt(max(resid_var, 1e-12))
-    loading[gram.z[0]] /= scale
+    loading[projection.z[0]] /= scale
     c = c * scale
     cross[:, 0] *= scale
 
@@ -172,18 +172,18 @@ def initialize(projection: Projection) -> np.ndarray:
     # dependent block through the structural prediction, for each
     # explanatory block through the structural residual, shrunk by its
     # signal fraction c^2/(c^2+1).
-    t_rows, t_block = gram.t_own
+    t_rows, t_block = projection.t_own
     g_cross = cross[t_rows, 1:] @ c               # rows T_j: T_j' (c . f-scores)
     c_t = np.append(1.0, c)[t_block]              # c_m on the rows of T_m
     skip = np.abs(c_t) < 1e-8                     # such a block reclaims nothing
     c_t[skip] = 1.0
-    backed_out = (cross[t_rows, 0] - g_cross + c_t * cross[gram.t_own]) / c_t
+    backed_out = (cross[t_rows, 0] - g_cross + c_t * cross[projection.t_own]) / c_t
     weight = np.where(skip, 0.0, c_t**2 / (c_t**2 + 1.0))
     dependent = t_block == 0
     backed_out[dependent], weight[dependent] = g_cross[dependent], 1.0
     kappa = projection.stacked_tt_inv @ backed_out
-    rows, cols = gram.d_at
-    coef = projection.stacked_coef[gram.d_at] - weight[rows] * (kappa[rows] * loading[cols])
+    rows, cols = projection.d_at
+    coef = projection.stacked_coef[projection.d_at] - weight[rows] * (kappa[rows] * loading[cols])
     return np.concatenate([coef, loading, c, floored(sigma2, "start")])
 
 
@@ -199,8 +199,8 @@ def em_step(summary: EStepSummary, projection: Projection) -> tuple[np.ndarray, 
     if not np.isfinite(x).all():
         k = int(np.flatnonzero(~np.isfinite(x))[0])
         raise NonFiniteParameterError(
-            f"M-step produced {theta_names(projection.gram.dims)[k]} = {x[k]}")
-    return x, gram_summary(x, projection.gram)
+            f"M-step produced {theta_names(projection.data.dimensions())[k]} = {x[k]}")
+    return x, gram_summary(x, projection)
 
 
 def relative_change(old: np.ndarray, new: np.ndarray) -> float:
@@ -240,7 +240,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     projection = project_covariates(data)
     x = initialize(projection)
     try:
-        summary = gram_summary(x, projection.gram)
+        summary = gram_summary(x, projection)
     except FactorEMError as exc:
         raise type(exc)(f"EM start: {exc}") from exc
     trace = []
@@ -266,7 +266,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         if extrapolated is None:
             continue
         try:
-            summary_x = gram_summary(extrapolated, projection.gram)
+            summary_x = gram_summary(extrapolated, projection)
         except FactorEMError:
             summary_x = None
         # NaN compares False: a non-finite log-likelihood is rejected too

@@ -22,20 +22,22 @@ terms, ||r_i - Lambda M_i||^2_{Psi^{-1}} + M_i' S1^{-1} M_i, which does
 not cancel when a noise variance sits at its 1e-12 floor.
 
 An M-step needs only S = sum_i E[h_i h_i' | r_i] = n Sigma + M'M and the
-data against M. ``stacked_gram`` centers the stacked data [Z_0..Z_p,
-T_0..T_p] and appends the constant: W = W_c + 1 mean' with W_c'1 = n on
-the constant and 0 elsewhere, so large column means do not cancel in G =
-W_c'W_c. As U = W_c A, with lambda_k / sigma2_k on the Z_k rows of column
-k of A, -D_k lambda_k / sigma2_k on its T_k rows and mean'A on the
-constant row, ``gram_summary`` takes S = n Sigma + Sigma A'GA Sigma, W_c'M
-= G A Sigma and the summed log-density from G alone. Its summed quadratic
-form sum_k ||r_k||^2 / sigma2_k - tr(Sigma A'GA) cancels when a noise
-variance is small against its block's data (``GRAM_LIMIT``).
+data against M. ``mstep.project_covariates`` centers the stacked data
+[Z_0..Z_p, T_0..T_p] and appends the constant: W = W_c + 1 mean' with
+W_c'1 = n on the constant and 0 elsewhere, so large column means do not
+cancel in G = W_c'W_c. As U = W_c A, with lambda_k / sigma2_k on the Z_k
+rows of column k of A, -D_k lambda_k / sigma2_k on its T_k rows and
+mean'A on the constant row, ``gram_summary`` takes S = n Sigma + Sigma
+A'GA Sigma, W_c'M = G A Sigma and the summed log-density from G alone.
+Its summed quadratic form sum_k ||r_k||^2 / sigma2_k - tr(Sigma A'GA)
+cancels when a noise variance is small against its block's data
+(``GRAM_LIMIT``).
 
 ``gram_summary`` reads the parameters as the canonical vector x
 (``model.flatten_theta`` order) with no loop over blocks: x scatters into
-the stacked D and into A by the index maps ``stacked_gram`` builds once
-per fit, and the per-block sums are ``reduceat`` over the Z rows.
+the stacked D and into A by the index maps ``mstep.project_covariates``
+builds once per fit, and the per-block sums are ``reduceat`` over the Z
+rows.
 """
 
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DataError, NotPositiveDefiniteError
-from .model import Dataset, Dimensions, Theta, check_theta_shapes, flatten_theta, unflatten_theta
+from .model import Dataset, Theta, check_theta_shapes, unflatten_theta
 
 __all__ = [
     "ConditionalLaw",
@@ -86,36 +88,9 @@ class ConditionalLaw:
 
 
 @dataclass
-class StackedGram:
-    """G = W_c'W_c and the column means of W = W_c + 1 mean' (the
-    constant last, mean 0), the rows of G that belong to each Z_k and T_k,
-    the data it summarizes and their dimensions; and, for the canonical
-    vector, maps onto G's rows built once per fit: ``z_own``/``t_own``
-    pair each Z row/T row of G with its block (the column of A or of
-    W_c'M it fills); ``starts`` hold the first Z row and the first T row
-    of each block; coordinate i of the stacked D sits at T row
-    ``d_at[0][i]`` and Z column ``d_at[1][i]`` (T rows counted from the
-    first, here and in ``starts``); ``widths`` are the q_k; and ``z_sq``
-    is ||Z_k,c||^2 per block."""
-
-    g: np.ndarray
-    mean: np.ndarray
-    z: tuple[slice, ...]
-    t: tuple[slice, ...]
-    data: Dataset
-    dims: Dimensions
-    z_own: tuple[np.ndarray, np.ndarray]
-    t_own: tuple[np.ndarray, np.ndarray]
-    starts: tuple[np.ndarray, np.ndarray]
-    d_at: tuple[np.ndarray, np.ndarray]
-    widths: np.ndarray
-    z_sq: np.ndarray
-
-
-@dataclass
 class EStepSummary:
     """The law at one theta summed over units: s = n Sigma + M'M, wm =
-    W_c'M (rows as in ``StackedGram.g``, 1'M last) and the summed observed
+    W_c'M (rows as in ``mstep.Projection.g``, 1'M last) and the summed observed
     loglik."""
 
     s: np.ndarray
@@ -132,8 +107,7 @@ class EStepSummary:
 
 @dataclass
 class LogLik:
-    """Total log-likelihood and the per-unit contributions summing to it
-    (up to the rounding of the Gram form, see ``observed_loglik``)."""
+    """Total log-likelihood and the per-unit contributions summing to it."""
 
     value: float
     per_unit: np.ndarray
@@ -208,57 +182,30 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     return ConditionalLaw(m=m, sigma=sigma, loglik=loglik)
 
 
-def stacked_gram(data: Dataset) -> StackedGram:
-    """G = W_c'W_c: the one pass over the units before a fit's estimate,
-    with the maps of the canonical vector onto G's rows."""
-    dims = data.dimensions()
-    q, r = np.array(dims.q), np.array(dims.r)
-    edges = np.cumsum([0, *q, *r]).tolist()
-    rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    w = np.hstack([*data.z, *data.t])
-    mean = w.mean(axis=0)
-    w -= mean
-    g = np.zeros((w.shape[1] + 1,) * 2)
-    g[:-1, :-1] = w.T @ w
-    g[-1, -1] = data.n
-    k, nz = q.size, int(q.sum())
-    z_block, t_block = np.repeat(np.arange(k), q), np.repeat(np.arange(k), r)
-    starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
-    return StackedGram(g=g, mean=np.append(mean, 0.0), z=tuple(rows[:k]),
-                       t=tuple(rows[k:]), data=data, dims=dims,
-                       z_own=(np.arange(nz), z_block),
-                       t_own=(np.arange(nz, nz + r.sum()), t_block), starts=starts,
-                       # row-major over the block-diagonal: D_0, then D_1, ..
-                       d_at=np.nonzero(t_block[:, None] == z_block), widths=q,
-                       z_sq=np.add.reduceat(np.diagonal(g)[:nz], starts[0]))
-
-
-def gram_summary(x: np.ndarray, gram: StackedGram) -> EStepSummary:
-    """The law at the canonical vector ``x`` summed over units, from
-    ``gram`` alone, or from ``conditional_law`` on ``gram.data`` when a
-    block is past ``GRAM_LIMIT``. Raises as ``conditional_law`` does."""
-    g, mean, n, starts = gram.g, gram.mean, gram.data.n, gram.starts[0]
-    z_block = gram.z_own[1]
-    nz, nd, k = z_block.size, gram.d_at[0].size, starts.size
+def gram_summary(x: np.ndarray, projection) -> EStepSummary:
+    """The law at the canonical vector ``x`` summed over units, from the
+    Gram of ``projection`` (the fit's ``mstep.Projection``) alone, or from
+    ``conditional_law`` on ``projection.data`` when a block is past
+    ``GRAM_LIMIT``. Raises as ``conditional_law`` does."""
+    g, mean, n, starts = projection.g, projection.mean, projection.data.n, projection.starts[0]
+    z_block = projection.z_own[1]
+    nz, nd, k = z_block.size, projection.d_at[0].size, starts.size
     variances = positive_variances(x[-k:], "conditional law")
     inv_var = 1.0 / variances
-    # ||r_k||^2 = ||Z_k,c - T_k,c D_k||^2 + n ||rbar_k||^2 (,c: centered)
-    # is size - 2 cross; ||Z_k,c||^2, the first part of size, settles a
-    # variance near its floor before any work on D
-    limit = GRAM_LIMIT * n * gram.widths * variances
-    size = gram.z_sq
-    if (size <= limit).all():
-        d = np.zeros((g.shape[0] - nz - 1, nz))  # D_k on the T_k rows, Z_k columns
-        d[gram.d_at] = x[:nd]
-        rbar = mean[:nz] - mean[nz:-1] @ d       # column means of r = Z - T D
-        size = size + np.add.reduceat((d * (g[nz:-1, nz:-1] @ d)).sum(0) + n * rbar**2, starts)
-    if not (size <= limit).all():
-        law = conditional_law(unflatten_theta(x, gram.dims), gram.data)
-        return EStepSummary.from_law(law, gram.data)
+    d = np.zeros((g.shape[0] - nz - 1, nz))      # D_k on the T_k rows, Z_k columns
+    d[projection.d_at] = x[:nd]
+    rbar = mean[:nz] - mean[nz:-1] @ d           # column means of r = Z - T D
+    # ||r_k||^2 = ||Z_k,c - T_k,c D_k||^2 + n ||rbar_k||^2 = size - 2 cross
+    # (,c: centered)
+    size = projection.z_sq + np.add.reduceat((d * (g[nz:-1, nz:-1] @ d)).sum(0) + n * rbar**2,
+                                             starts)
+    if not (size <= GRAM_LIMIT * n * projection.widths * variances).all():
+        law = conditional_law(unflatten_theta(x, projection.data.dimensions()), projection.data)
+        return EStepSummary.from_law(law, projection.data)
     cross = np.add.reduceat((d * g[nz:-1, :nz]).sum(0), starts)
     loading = x[nd:nd + nz]
     a = np.zeros((g.shape[0], k))               # U = W_c A
-    a[gram.z_own] = loading * inv_var[z_block]  # lambda_k / sigma2_k on Z_k, column k
+    a[projection.z_own] = loading * inv_var[z_block]  # lambda_k / sigma2_k on Z_k, column k
     a[nz:-1] = -d @ a[:nz]                      # -D_k lambda_k / sigma2_k on T_k
     a[-1] = rbar @ a[:nz]                       # rbar' lambda_k / sigma2_k on the constant
     fisher = np.add.reduceat(loading * loading, starts) * inv_var
@@ -266,7 +213,7 @@ def gram_summary(x: np.ndarray, gram: StackedGram) -> EStepSummary:
     ga = g @ a
     uu = a.T @ ga                                # U'U
     quad = float((size - 2.0 * cross) @ inv_var - (sigma * uu).sum())
-    logdet = float(np.log(variances) @ gram.widths + 2.0 * np.log(np.diagonal(chol)).sum())
+    logdet = float(np.log(variances) @ projection.widths + 2.0 * np.log(np.diagonal(chol)).sum())
     return EStepSummary(
         s=n * sigma + sigma @ uu @ sigma,
         wm=ga @ sigma,
@@ -276,9 +223,9 @@ def gram_summary(x: np.ndarray, gram: StackedGram) -> EStepSummary:
 
 def observed_loglik(theta: Theta, data: Dataset) -> LogLik:
     """Log-density of the observations with the latents marginalized
-    out. ``value`` is ``gram_summary``'s sum, the number a fit's trace
-    records; ``per_unit`` is ``conditional_law``'s (which checks ``theta``
-    against the data) and sums to it up to the Gram form's rounding."""
+    out, by the exact pass: ``per_unit`` is ``conditional_law``'s (which
+    checks ``theta`` against the data) and ``value`` its sum. A fit's trace
+    records ``gram_summary``'s sum, equal to ``value`` within the Gram
+    form's rounding (``GRAM_LIMIT``)."""
     per_unit = conditional_law(theta, data).loglik
-    return LogLik(value=gram_summary(flatten_theta(theta), stacked_gram(data)).loglik,
-                  per_unit=per_unit)
+    return LogLik(value=float(per_unit.sum()), per_unit=per_unit)

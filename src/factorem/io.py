@@ -17,7 +17,8 @@ reader, with the strict csv reader as fallback. In that fallback a
 covariate block may contain non-numeric (categorical) columns; these are
 expanded into a leading intercept column plus one indicator per level
 beyond the first, in order of first appearance. A column must be wholly
-numeric or wholly non-numeric.
+numeric or wholly non-numeric, and a non-numeric column may hold no blank
+cell.
 """
 
 import csv
@@ -160,7 +161,8 @@ def _read_block(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
     With ``categorical`` (covariate blocks) a wholly non-numeric column
     expands to an intercept plus level indicators (reference level = first
     seen). A column mixing numeric and non-numeric (or blank) cells is an
-    error, not a categorical with one level per distinct value.
+    error, not a categorical with one level per distinct value, and so is
+    a blank cell in a non-numeric column, not a level.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -177,11 +179,12 @@ def _read_block(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
         pass
     header, body = _read_table(path)
     is_number = np.array([[_is_number(cell) for cell in row] for row in body])
-    bad = ~is_number & is_number.any(axis=0) if categorical else ~is_number
+    blank = np.array([[not cell.strip() for cell in row] for row in body])
+    bad = ~is_number & (is_number.any(axis=0) | blank) if categorical else ~is_number
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        what = ("is not numeric but other cells of the column are" if categorical
-                else "is non-numeric")
+        what = ("is non-numeric" if not categorical else "is blank" if not is_number[:, j].any()
+                else "is not numeric but other cells of the column are")
         raise DataError(f"{path}: row {i + 2}, column {header[j]!r}: cell "
                         f"{body[i][j]!r} {what}")
     if is_number.all():
@@ -331,10 +334,7 @@ def write_fit(
     )
 
     report = {
-        "dims": {
-            "n": dims.n, "p": dims.p, "q_y": dims.q_y,
-            "q_m": list(dims.q_m), "r_t": dims.r_t, "r_m": list(dims.r_m),
-        },
+        "dims": asdict(dims),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "extrapolations": {"accepted": result.accepted, "rejected": result.rejected},

@@ -20,7 +20,7 @@ vector (``flatten_theta``) is the fields of ``Theta`` in order:
 
 ``_layout`` declares it once, ``flatten_parts``/``unflatten_theta`` pack
 and split it, and the fit's E- and M-steps read it in place through the
-maps of ``estep.StackedGram``; it is the ordering used by the EM loop
+maps of ``mstep.Projection``; it is the ordering used by the EM loop
 and its stopping rule, serialized parameter tables, and every cross-fit
 comparison.
 

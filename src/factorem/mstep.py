@@ -5,8 +5,8 @@ regression of Z_k on its fixed covariates T_k and on its factor f, whose
 law is fixed by the E-step. The covariates and the observed blocks never
 change within a fit, so ``project_covariates`` partials T_k out once
 (Frisch-Waugh-Lovell), from blocks of the stacked Gram G = W_c'W_c of the
-centered data W_c (``estep.stacked_gram``, the fit's one pass over the
-data), with W'W = G + n mean mean' off the constant:
+centered data W_c (the fit's one pass over the data, see ``estep``), with
+W'W = G + n mean mean' off the constant:
 
     B_k = (T_k'T_k)^-1 T_k'Z_k,   Z~_k = Z_k - T_k B_k,
 
@@ -36,7 +36,7 @@ explicit ratios, kept as a test oracle only.
 
 ``update_theta`` makes this update for every block at once and returns
 the canonical vector (``model.flatten_theta`` order): T_k'f, P_k f and
-Z~_k'f come from W_c'M by the index maps of ``estep.StackedGram`` and one
+Z~_k'f come from W_c'M by the index maps of ``Projection`` and one
 product each with the block-diagonal (T'T)^-1 and B, and the per-block
 sums by ``reduceat``.
 """
@@ -49,7 +49,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
-from .estep import ConditionalLaw, EStepSummary, StackedGram, block_residuals, stacked_gram
+from .estep import ConditionalLaw, EStepSummary, block_residuals
 from .model import Dataset, Theta, block_label, flatten_parts
 
 __all__ = [
@@ -65,16 +65,34 @@ VARIANCE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Projection:
-    """The stacked Gram of the data (``estep.stacked_gram``); per block
-    as in ``Theta``, Z~_k's centered Gram and ||Z~_k||^2; the column means
-    of [Z~_0..Z~_p, T_0..T_p] (rows as in the Gram); and the
-    block-diagonal B (T rows x Z columns, B_k on block k's) and (T'T)^-1
-    (T rows x T rows) of the stacked data."""
+    """A fit's one pass over ``data``: G = W_c'W_c and the column means
+    ``mean`` of W = W_c + 1 mean' (W the stacked [Z_0..Z_p, T_0..T_p], the
+    constant last with mean 0), and the rows ``z``/``t`` of G that belong
+    to each Z_k and T_k. For the canonical vector, maps onto G's rows:
+    ``z_own``/``t_own`` pair each Z row/T row of G with its block (the
+    column of A or of W_c'M it fills); ``starts`` hold the first Z row and
+    the first T row of each block; coordinate i of the stacked D sits at T
+    row ``d_at[0][i]`` and Z column ``d_at[1][i]`` (T rows counted from the
+    first, here and in ``starts``); ``widths`` are the q_k; and ``z_sq`` is
+    ||Z_k,c||^2 per block. Per block as in ``Theta``, Z~_k's centered Gram
+    and ||Z~_k||^2; the column means ``projected_mean`` of [Z~_0..Z~_p,
+    T_0..T_p] (rows as in G); and the block-diagonal B (T rows x Z
+    columns, B_k on block k's) and (T'T)^-1 (T rows x T rows)."""
 
-    gram: StackedGram
+    data: Dataset
+    g: np.ndarray
+    mean: np.ndarray
+    z: tuple[slice, ...]
+    t: tuple[slice, ...]
+    z_own: tuple[np.ndarray, np.ndarray]
+    t_own: tuple[np.ndarray, np.ndarray]
+    starts: tuple[np.ndarray, np.ndarray]
+    d_at: tuple[np.ndarray, np.ndarray]
+    widths: np.ndarray
+    z_sq: np.ndarray
     resid_gram: tuple[np.ndarray, ...]
     resid_sq: np.ndarray
-    mean: np.ndarray
+    projected_mean: np.ndarray
     stacked_coef: np.ndarray
     stacked_tt_inv: np.ndarray
 
@@ -97,33 +115,52 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
 
 
 def project_covariates(data: Dataset) -> Projection:
-    """Partial each block's covariates out of it, once per fit: Y on T,
-    then X^m on T^m, from the stacked Gram.
+    """Build G, then partial each block's covariates out of it, once per
+    fit: Y on T, then X^m on T^m.
 
     Raises DataError when a covariate block has at least as many columns
     as there are units, and SingularSystemError for collinear covariates.
     """
-    if data.n <= max(t.shape[1] for t in data.t):
+    n = data.n
+    if n <= max(t.shape[1] for t in data.t):
         raise DataError(
-            f"covariate projection needs more units than covariates, got n={data.n}"
+            f"covariate projection needs more units than covariates, got n={n}"
         )
-    gram = stacked_gram(data)
-    g, mean, n = gram.g, gram.mean, data.n
-    means = mean[:-1].copy()    # to become those of [Z~_0..Z~_p, T_0..T_p]
+    dims = data.dimensions()
+    q, r = np.array(dims.q), np.array(dims.r)
+    k, nz = q.size, int(q.sum())
+    edges = np.cumsum([0, *q, *r]).tolist()
+    rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    w = np.hstack([*data.z, *data.t])
+    means = w.mean(axis=0)      # to become those of [Z~_0..Z~_p, T_0..T_p]
+    w -= means
+    g = np.zeros((w.shape[1] + 1,) * 2)
+    g[:-1, :-1] = w.T @ w
+    g[-1, -1] = n
+    mean = np.append(means, 0.0)
     parts = []
-    for k, (z, t) in enumerate(zip(gram.z, gram.t)):
-        r = t.stop - t.start
+    for j, (z, t) in enumerate(zip(rows[:k], rows[k:])):
         tt, tz = (g[t, b] + n * np.outer(mean[t], mean[b]) for b in (t, z))
-        solved = _gram_solve(tt, np.hstack([np.eye(r), tz]), block_label("T", k))
-        coef = solved[:, r:]
+        solved = _gram_solve(tt, np.hstack([np.eye(r[j]), tz]), block_label("T", j))
+        coef = solved[:, r[j]:]
         cross = coef.T @ g[t, z]
         resid_gram = g[z, z] - cross - cross.T + coef.T @ g[t, t] @ coef
         means[z] -= mean[t] @ coef     # mean(Z~_k) = mean(Z_k) - B_k' mean(T_k)
-        parts.append((coef, solved[:, :r], resid_gram,
+        parts.append((coef, solved[:, :r[j]], resid_gram,
                       float(np.trace(resid_gram) + n * means[z] @ means[z])))
     coef, tt_inv, resid_gram, resid_sq = zip(*parts)
-    return Projection(gram, resid_gram, np.array(resid_sq), means,
-                      scipy.linalg.block_diag(*coef), scipy.linalg.block_diag(*tt_inv))
+    z_block, t_block = np.repeat(np.arange(k), q), np.repeat(np.arange(k), r)
+    starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
+    return Projection(
+        data=data, g=g, mean=mean, z=tuple(rows[:k]), t=tuple(rows[k:]),
+        z_own=(np.arange(nz), z_block), t_own=(np.arange(nz, nz + r.sum()), t_block),
+        starts=starts,
+        # row-major over the block-diagonal: D_0, then D_1, ..
+        d_at=np.nonzero(t_block[:, None] == z_block), widths=q,
+        z_sq=np.add.reduceat(np.diagonal(g)[:nz], starts[0]),
+        resid_gram=resid_gram, resid_sq=np.array(resid_sq), projected_mean=means,
+        stacked_coef=scipy.linalg.block_diag(*coef),
+        stacked_tt_inv=scipy.linalg.block_diag(*tt_inv))
 
 
 def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
@@ -133,21 +170,22 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
     Noise variances are floored at VARIANCE_FLOOR (with a warning) so a
     perfect fit cannot hand the next E-step a singular covariance.
     """
-    s, wm, gram = summary.s, summary.wm, projection.gram
+    s, wm = summary.s, summary.wm
     c, info = lapack.dgesv(s[1:, 1:], s[1:, 0])[2:]
     if info:
         raise SingularSystemError(
             "structural moment system is singular; explanatory factor "
             "posteriors are linearly dependent"
         )
-    z_block, t_block = gram.z_own[1], gram.t_own[1]
-    z_starts, t_starts = gram.starts
+    z_block, t_block = projection.z_own[1], projection.t_own[1]
+    z_starts, t_starts = projection.starts
     nz, ones = z_block.size, wm[-1]                  # ones: 1'f per block
-    own_t = wm[gram.t_own]                           # T_k,c'f
-    tf = own_t + projection.mean[nz:] * ones[t_block]                 # T_k'f
-    pf = projection.stacked_tt_inv @ tf                               # P_k f
-    zf = (wm[gram.z_own] + projection.mean[:nz] * ones[z_block]
-          - projection.stacked_coef.T @ own_t)                        # Z~_k'f
+    mean = projection.projected_mean
+    own_t = wm[projection.t_own]                     # T_k,c'f
+    tf = own_t + mean[nz:] * ones[t_block]           # T_k'f
+    pf = projection.stacked_tt_inv @ tf              # P_k f
+    zf = (wm[projection.z_own] + mean[:nz] * ones[z_block]
+          - projection.stacked_coef.T @ own_t)       # Z~_k'f
     sq = np.diagonal(s)
     denom = sq - np.add.reduceat(tf * pf, t_starts)
     # a factor inside the covariate span with no posterior spread
@@ -161,9 +199,9 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
         )
     loading = zf / denom[z_block]
     sigma2 = ((projection.resid_sq - np.add.reduceat(loading * zf, z_starts))
-              / (gram.data.n * gram.widths))
-    rows, cols = gram.d_at
-    coef = projection.stacked_coef[gram.d_at] - pf[rows] * loading[cols]
+              / (projection.data.n * projection.widths))
+    rows, cols = projection.d_at
+    coef = projection.stacked_coef[projection.d_at] - pf[rows] * loading[cols]
     return np.concatenate([coef, loading, c, floored(sigma2, "update")])
 
 

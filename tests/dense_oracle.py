@@ -292,9 +292,9 @@ def block_projection(projection):
     projection's block-diagonal B and (T'T)^-1, copied in the column-major
     order of the per-block solves they came from, so that the loops'
     products round as they did on those arrays."""
-    first = projection.gram.t[0].start          # the block-diagonal rows count T rows only
+    first = projection.t[0].start          # the block-diagonal rows count T rows only
     blocks = []
-    for z, t in zip(projection.gram.z, projection.gram.t):
+    for z, t in zip(projection.z, projection.t):
         rows = slice(t.start - first, t.stop - first)
         blocks.append((np.asfortranarray(projection.stacked_coef[rows, z]),
                        np.asfortranarray(projection.stacked_tt_inv[rows, rows])))
@@ -350,9 +350,9 @@ def loop_update_theta(projection, summary) -> Theta:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("structural moment system is singular") from exc
     loadings, coefs, variances = [], [], []
-    gram, wm = projection.gram, summary.wm
-    shifted = wm[:-1] + np.outer(projection.mean, wm[-1])
-    blocks = zip(gram.z, gram.t, block_projection(projection), projection.resid_sq)
+    wm = summary.wm
+    shifted = wm[:-1] + np.outer(projection.projected_mean, wm[-1])
+    blocks = zip(projection.z, projection.t, block_projection(projection), projection.resid_sq)
     for k, (z, t, (coef, tt_inv), resid_sq) in enumerate(blocks):
         tf = shifted[t, k]
         pf = tt_inv @ tf
@@ -361,7 +361,7 @@ def loop_update_theta(projection, summary) -> Theta:
         if denom <= 1e-12 * s[k, k]:
             raise DegeneratePosteriorError(f"loading denominator for block {k} is {denom}")
         loading = zf / denom
-        value = (resid_sq - loading @ zf) / (gram.data.n * zf.size)
+        value = (resid_sq - loading @ zf) / (projection.data.n * zf.size)
         loadings.append(loading)
         coefs.append(coef - np.outer(pf, loading))
         variances.append(loop_floored(value, k, "update"))
@@ -375,7 +375,7 @@ def loop_em_step(summary, data, projection):
         k = int(np.flatnonzero(~np.isfinite(values))[0])
         name = theta_names(data.dimensions())[k]
         raise NonFiniteParameterError(f"M-step produced {name} = {values[k]}")
-    return theta_new, loop_gram_estep(theta_new, projection.gram, data)
+    return theta_new, loop_gram_estep(theta_new, projection, data)
 
 
 def loop_relative_change(theta_old, theta_new):
@@ -408,7 +408,7 @@ def loop_fit(data, dims, config) -> FitResult:
     projection = project_covariates(data)
     theta = unflatten_theta(initialize(projection), actual)
     try:
-        summary = loop_gram_estep(theta, projection.gram, data)
+        summary = loop_gram_estep(theta, projection, data)
     except FactorEMError as exc:
         raise type(exc)(f"EM start: {exc}") from exc
     trace = []
@@ -434,7 +434,7 @@ def loop_fit(data, dims, config) -> FitResult:
         if extrapolated is None:
             continue
         try:
-            summary_x = loop_gram_estep(extrapolated, projection.gram, data)
+            summary_x = loop_gram_estep(extrapolated, projection, data)
         except FactorEMError:
             summary_x = None
         if summary_x is not None and summary_x.loglik >= trace[-1][1]:
@@ -457,7 +457,7 @@ def package_gram_estep(theta, gram, data):
 
 def package_update_theta(projection, summary) -> Theta:
     """``factorem.mstep.update_theta`` as a ``Theta``."""
-    return unflatten_theta(mstep.update_theta(projection, summary), projection.gram.dims)
+    return unflatten_theta(mstep.update_theta(projection, summary), projection.data.dimensions())
 
 
 def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
@@ -470,12 +470,12 @@ def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
     package's own map, step for step."""
     projection = project_covariates(data)
     theta = unflatten_theta(initialize(projection), dims)
-    summary = gram_estep(theta, projection.gram, data)
+    summary = gram_estep(theta, projection, data)
     trace = []
     converged = False
     for _ in range(config.max_iter):
         theta_new = update_theta(projection, summary)
-        summary = gram_estep(theta_new, projection.gram, data)
+        summary = gram_estep(theta_new, projection, data)
         change = loop_relative_change(theta, theta_new)
         trace.append((change, summary.loglik))
         theta = theta_new

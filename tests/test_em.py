@@ -111,7 +111,7 @@ class TestEmStep:
             n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
         result = fit(data, dims, EMConfig(epsilon=1e-10, max_iter=500))
         projection = project_covariates(data)
-        x_next, _ = em_step(gram_summary(flatten_theta(result.theta), projection.gram),
+        x_next, _ = em_step(gram_summary(flatten_theta(result.theta), projection),
                             projection)
         assert relative_change(flatten_theta(result.theta), x_next) < 1e-6
 
@@ -119,7 +119,7 @@ class TestEmStep:
         data, _, _, dims = random_instance(11)
         projection = project_covariates(data)
         x = initialize(projection)
-        summary = gram_summary(x, projection.gram)
+        summary = gram_summary(x, projection)
         previous = observed_loglik(unflatten_theta(x, dims), data).value
         for _ in range(8):
             x, summary = em_step(summary, projection)
@@ -197,7 +197,9 @@ class TestFit:
                 getattr(result.moments, name), getattr(at_theta, name),
                 rtol=0, atol=1e-12,
             )
-        assert result.trace[-1, 1] == observed_loglik(result.theta, data).value
+        assert result.trace[-1, 1] == gram_summary(flatten_theta(result.theta),
+                                                   project_covariates(data)).loglik
+        assert observed_loglik(result.theta, data).value == result.moments.loglik.sum()
 
     def test_dims_disagreeing_with_the_data_rejected(self):
         data, _, _ = reference_instance(seed=3, n=60, q=5)
@@ -264,7 +266,7 @@ class TestFit:
         data, _, _, _ = random_instance(10, dims=Dimensions(
             n=50, p=2, q_y=4, q_m=(4, 4), r_t=2, r_m=(2, 2)))
         projection = project_covariates(data)
-        summary = gram_summary(initialize(projection), projection.gram)
+        summary = gram_summary(initialize(projection), projection)
         s = summary.s.copy()
         s[1, 2] = s[2, 1] = np.nan
         with pytest.raises(NonFiniteParameterError, match=r"M-step produced c1 = nan"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from factorem import Dataset, Theta
 from factorem.errors import DataError, NotPositiveDefiniteError
-from factorem.estep import LOG_2PI, conditional_law
+from factorem.estep import LOG_2PI, conditional_law, observed_loglik
 from factorem.model import flatten_parts
 from factorem.mstep import VARIANCE_FLOOR, expected_score
 
@@ -306,6 +306,14 @@ class TestLawState:
             np.diag(law.second_moment_sum())[1:], moments.phi_tilde.sum(axis=1),
             rtol=1e-12,
         )
+
+
+def test_observed_loglik_value_is_the_sum_of_its_per_unit_terms():
+    cases = [(scalar_toy_theta(), scalar_toy_data())]
+    cases += [(theta, data) for data, _, theta, _ in map(random_instance, range(20))]
+    for theta, data in cases:
+        result = observed_loglik(theta, data)
+        assert result.value == result.per_unit.sum()
 
 
 def test_theta_and_data_block_mismatch_named():

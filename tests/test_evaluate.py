@@ -18,7 +18,7 @@ from factorem.model import subset_units, unflatten_theta
 from factorem.errors import DataError
 from factorem.estep import ConditionalLaw
 
-from conftest import reference_dims, random_instance, random_theta
+from conftest import reference_dims, random_instance, random_theta, scalar_toy_theta
 
 
 def moments_from_latents(h):
@@ -68,6 +68,12 @@ class TestAbsRelDeviation:
         np.testing.assert_allclose(per_k, manual, atol=1e-12)
         assert average == pytest.approx(manual.mean(), abs=1e-12)
 
+    def test_parameter_vectors_of_different_lengths_rejected(self):
+        _, _, theta, _ = random_instance(0)
+        size = flatten_theta(theta).size
+        with pytest.raises(DataError, match=rf"disagree: \({size},\) vs \(11,\)"):
+            abs_rel_deviation(theta, scalar_toy_theta())
+
 
 class TestFactorSqCorrelation:
     def test_self_correlation_is_one(self):
@@ -103,6 +109,11 @@ class TestFactorSqCorrelation:
                    f"have shape {h.shape}")
         with pytest.raises(DataError, match=re.escape(message)):
             factor_sq_correlation(truth, law)
+
+    def test_fewer_than_three_units_rejected(self):
+        _, h, _, _ = random_instance(8)
+        with pytest.raises(DataError, match="at least 3 units"):
+            factor_sq_correlation(h[:2], moments_from_latents(h[:2]))
 
     def test_zero_variance_rejected(self):
         _, h, _, dims = random_instance(8)

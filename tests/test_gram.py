@@ -12,7 +12,7 @@ from factorem import Dataset, EMConfig, SimConfig, Theta, fit, flatten_theta, si
 from factorem import em, estep, mstep
 from factorem.model import unflatten_theta
 from factorem.em import em_step, initialize
-from factorem.estep import GRAM_LIMIT, EStepSummary, conditional_law, gram_summary, stacked_gram
+from factorem.estep import GRAM_LIMIT, EStepSummary, conditional_law, gram_summary
 from factorem.mstep import VARIANCE_FLOOR, project_covariates, update_theta
 
 import dense_oracle
@@ -48,7 +48,7 @@ def assert_summaries_close(gram, exact, label, rtol=RTOL):
 
 
 def test_gram_estep_matches_conditional_law(monkeypatch):
-    cases = [(label, data, theta, stacked_gram(data),
+    cases = [(label, data, theta, project_covariates(data),
               EStepSummary.from_law(conditional_law(theta, data), data))
              for label, data, theta in instances()]
     gram_only(monkeypatch)
@@ -88,7 +88,7 @@ def test_gram_map_steps_match_the_npass_map_steps(monkeypatch):
     start = initialize(projection)
     npass = dense_oracle.npass_projection(data)
     law = conditional_law(unflatten_theta(start, data.dimensions()), data)
-    summary = gram_summary(start, projection.gram)
+    summary = gram_summary(start, projection)
     gram_only(monkeypatch)
     for step in range(10):
         x, summary = em_step(summary, projection)
@@ -110,7 +110,7 @@ def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
 
     law = estep.conditional_law
     monkeypatch.setattr(estep, "conditional_law", counting)
-    summary = gram_summary(flatten_theta(floored), stacked_gram(data))
+    summary = gram_summary(flatten_theta(floored), project_covariates(data))
     assert len(calls) == 1
     np.testing.assert_array_equal(flatten_theta(calls[0]), flatten_theta(floored))
     for name in ("s", "wm", "loglik"):
@@ -121,7 +121,7 @@ def test_the_gram_limit_splits_the_two_routes(monkeypatch):
     # sigma2_Y set so that block Y's term ratio sits at half and at twice
     # the limit: just inside it the Gram form still holds 1e-10
     data, _, theta, _ = random_instance(3)
-    gram = stacked_gram(data)
+    gram = project_covariates(data)
     z, t, coef = gram.z[0], gram.t[0], theta.coef[0]
     rbar = gram.mean[z] - gram.mean[t] @ coef
     size = np.trace(gram.g[z, z]) + np.sum(coef * (gram.g[t, t] @ coef)) + data.n * rbar @ rbar
@@ -188,12 +188,12 @@ def test_one_pass_over_the_data_per_fit(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((em, "conditional_law"), (estep, "conditional_law"),
-                         (mstep, "stacked_gram"), (mstep, "_gram_solve")):
+                         (em, "project_covariates"), (mstep, "_gram_solve")):
         counting(module, name)
     data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=400, q=5), seed=1))
     result = fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
     assert result.iterations > 20
-    assert sorted(calls) == sorted(["stacked_gram", "T", "T1", "T2", "conditional_law"])
+    assert sorted(calls) == sorted(["project_covariates", "T", "T1", "T2", "conditional_law"])
 
 
 @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")

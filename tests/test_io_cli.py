@@ -323,6 +323,24 @@ class TestCategoricalCovariates:
         with pytest.raises(DataError, match=r"T1\.csv: row 6, column 't1_1'"):
             load_dataset(tmp_path / "manifest.json")
 
+    @pytest.mark.parametrize("case", ["wholly blank column", "blank among levels"])
+    def test_blank_cell_of_a_non_numeric_column_rejected(self, tmp_path, case):
+        # a blank cell is a missing value, not a level: a blank column must
+        # not vanish into an intercept, nor '' become a reference level
+        if case == "wholly blank column":
+            data, *_ = small_dataset(n=60)
+            write_dataset(data, tmp_path)
+            path = tmp_path / "T1.csv"
+            header, *lines = path.read_text().splitlines()
+            path.write_text("\n".join([header, *(line.rsplit(",", 1)[0] + "," for line in lines)])
+                            + "\n")
+            where = r"T1\.csv: row 2, column 't1_2'"
+        else:
+            self.make_blocks(tmp_path, ["a,1.5", "b,2.5", ",3.5", "a,4.5"], t_header="kind,depth")
+            where = r"T\.csv: row 4, column 'kind'"
+        with pytest.raises(DataError, match=where + ": cell '' is blank$"):
+            load_dataset(tmp_path / "manifest.json")
+
     def test_mixed_numeric_and_categorical(self, tmp_path):
         rows = ["a,1.5", "b,2.5", "a,3.5", "c,4.5"]
         manifest = self.make_blocks(tmp_path, rows, t_header="kind,depth")

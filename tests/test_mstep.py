@@ -32,7 +32,7 @@ class TestCovariateProjection:
             data, _, _, _ = random_instance(seed)
             projection = project_covariates(data)
             blocks = zip(dense_oracle.block_projection(projection), projection.resid_gram,
-                         projection.resid_sq, projection.gram.z, data.t, data.z)
+                         projection.resid_sq, projection.z, data.t, data.z)
             for (coef, tt_inv), resid_gram, resid_sq, rows, t, z in blocks:
                 expected, rss, _, _ = np.linalg.lstsq(t, z, rcond=None)
                 np.testing.assert_allclose(coef, expected, rtol=1e-10, atol=1e-12)
@@ -41,7 +41,7 @@ class TestCovariateProjection:
                 centered = resid - resid.mean(axis=0)
                 scale = np.abs(centered.T @ centered).max()
                 assert np.abs(resid_gram - centered.T @ centered).max() <= 1e-10 * scale
-                np.testing.assert_allclose(projection.mean[rows], resid.mean(axis=0),
+                np.testing.assert_allclose(projection.projected_mean[rows], resid.mean(axis=0),
                                            rtol=1e-10, atol=1e-12 * np.abs(z).max())
                 assert resid_sq == pytest.approx(float(np.sum(rss)), rel=1e-10)
 
@@ -129,13 +129,16 @@ class TestUpdateTheta:
         assert worst < 1e-10
 
     def test_collinear_covariates_rejected(self):
+        # an exact copy of a column fails the Cholesky factorization; a copy
+        # 5e-8 off passes it and is caught by the pivot ratio
         data, _, theta, dims = random_instance(5)
-        broken = Dataset(
-            z=data.z,
-            t=(np.column_stack([data.t[0][:, 0], data.t[0][:, 0]]), *data.t[1:]),
-        )
-        with pytest.raises(SingularSystemError, match="collinear"):
-            project_covariates(broken)
+        x = data.t[0][:, 0]
+        noise = np.random.default_rng(0).normal(size=x.size)
+        for offset in (0.0, 5e-8):
+            broken = Dataset(z=data.z, t=(np.column_stack([x, x + offset * noise]), *data.t[1:]))
+            with pytest.raises(SingularSystemError, match="collinear") as raised:
+                project_covariates(broken)
+            assert (raised.value.__cause__ is None) == (offset > 0), offset
 
     def test_singular_structural_system_rejected(self):
         # identical explanatory scores with no posterior spread make the
