@@ -183,7 +183,7 @@ def initialize(projection: Projection) -> np.ndarray:
     backed_out[dependent], weight[dependent] = g_cross[dependent], 1.0
     kappa = projection.stacked_tt_inv @ backed_out
     rows, cols = projection.d_at
-    coef = projection.stacked_coef[projection.d_at] - weight[rows] * (kappa[rows] * loading[cols])
+    coef = projection.coef_at_d - weight[rows] * (kappa[rows] * loading[cols])
     return np.concatenate([coef, loading, c, floored(sigma2, "start")])
 
 
@@ -206,7 +206,7 @@ def em_step(summary: EStepSummary, projection: Projection) -> tuple[np.ndarray, 
 def relative_change(old: np.ndarray, new: np.ndarray) -> float:
     """Sum over the coordinates of two canonical vectors of
     |new - old| / max(|new|, DENOMINATOR_FLOOR)."""
-    return float(np.sum(np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
+    return float((np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)).sum())
 
 
 def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, blocks: int):
@@ -214,15 +214,16 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, blocks: int):
     vector, with its last ``blocks`` coordinates (the noise variances) on
     the log scale, or None when the steplength is -1 (the point is x2) or
     the point is not finite."""
-    y0, y1, y2 = (np.concatenate([x[:-blocks], np.log(x[-blocks:])]) for x in (x0, x1, x2))
-    r = y1 - y0
-    v = y2 - 2.0 * y1 + y0
+    y = np.array([x0, x1, x2])
+    y[:, -blocks:] = np.log(y[:, -blocks:])
+    r = y[1] - y[0]
+    v = y[2] - 2.0 * y[1] + y[0]
     norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
     if not norm_r > norm_v > 0:
         return None
     alpha = -norm_r / norm_v
     with np.errstate(over="ignore", invalid="ignore"):
-        x = y0 - 2.0 * alpha * r + alpha**2 * v
+        x = y[0] - 2.0 * alpha * r + alpha**2 * v
         finite = np.isfinite(x).all()
         x[-blocks:] = np.maximum(np.exp(x[-blocks:]), VARIANCE_FLOOR)
     return x if finite and np.isfinite(x[-blocks:]).all() else None

@@ -40,6 +40,7 @@ builds once per fit, and the per-block sums are ``reduceat`` over the Z
 rows.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+_identity = functools.cache(np.eye)     # one array per size, never written: dgesv copies b
 
 # Block k's Gram-form quadratic is a difference of terms of size ``size``
 # / sigma2_k (see ``gram_summary``) against an exact value of about n q_k;
@@ -139,11 +141,15 @@ def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
 
 def _posterior(c: np.ndarray, fisher: np.ndarray, variances: np.ndarray):
     """(S1^{-1}, Cholesky factor of P, Sigma = P^{-1}) for structural
-    coefficients c and Lambda' Psi^{-1} Lambda = diag(``fisher``)."""
-    w = np.concatenate([[1.0], -c])
-    prior_prec = np.outer(w, w)                  # S1^{-1} = w w' + diag(0, 1, .., 1)
-    prior_prec.flat[w.size + 1::w.size + 1] += 1.0
-    chol, info = lapack.dpotrf(prior_prec + np.diag(fisher), lower=1, clean=1)
+    coefficients c and Lambda' Psi^{-1} Lambda = diag(``fisher``), by LAPACK
+    directly (``dgesv`` against I is the solve ``np.linalg.inv`` makes)."""
+    w = np.empty(c.size + 1)
+    w[0], w[1:] = 1.0, -c
+    prior_prec = w[:, None] * w                  # S1^{-1} = w w' + diag(0, 1, .., 1)
+    prior_prec.reshape(-1)[w.size + 1::w.size + 1] += 1.0
+    prec = prior_prec.copy()                     # P = S1^{-1} + diag(fisher)
+    prec.reshape(-1)[::w.size + 1] += fisher
+    chol, info = lapack.dpotrf(prec, lower=1, clean=1)
     if info:
         raise NotPositiveDefiniteError(
             "posterior precision of the latents not positive definite "
@@ -151,7 +157,7 @@ def _posterior(c: np.ndarray, fisher: np.ndarray, variances: np.ndarray):
             f"sigma2_m={tuple(float(f'{s:.3e}') for s in variances[1:])}, "
             f"c={np.array2string(c, precision=3)})"
         )
-    chol_inv = np.linalg.inv(chol)
+    chol_inv = lapack.dgesv(chol, _identity(w.size))[2]
     sigma = chol_inv.T @ chol_inv
     return prior_prec, chol, 0.5 * (sigma + sigma.T)
 
@@ -190,7 +196,9 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     g, mean, n, starts = projection.g, projection.mean, projection.data.n, projection.starts[0]
     z_block = projection.z_own[1]
     nz, nd, k = z_block.size, projection.d_at[0].size, starts.size
-    variances = positive_variances(x[-k:], "conditional law")
+    variances = x[-k:]
+    if variances.min() <= 0:
+        positive_variances(variances, "conditional law")
     inv_var = 1.0 / variances
     d = np.zeros((g.shape[0] - nz - 1, nz))      # D_k on the T_k rows, Z_k columns
     d[projection.d_at] = x[:nd]
@@ -199,7 +207,7 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     # (,c: centered)
     size = projection.z_sq + np.add.reduceat((d * (g[nz:-1, nz:-1] @ d)).sum(0) + n * rbar**2,
                                              starts)
-    if not (size <= GRAM_LIMIT * n * projection.widths * variances).all():
+    if not (size <= projection.gram_bound * variances).all():
         law = conditional_law(unflatten_theta(x, projection.data.dimensions()), projection.data)
         return EStepSummary.from_law(law, projection.data)
     cross = np.add.reduceat((d * g[nz:-1, :nz]).sum(0), starts)
@@ -213,7 +221,7 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     ga = g @ a
     uu = a.T @ ga                                # U'U
     quad = float((size - 2.0 * cross) @ inv_var - (sigma * uu).sum())
-    logdet = float(np.log(variances) @ projection.widths + 2.0 * np.log(np.diagonal(chol)).sum())
+    logdet = float(np.log(variances) @ projection.widths + 2.0 * np.log(chol.diagonal()).sum())
     return EStepSummary(
         s=n * sigma + sigma @ uu @ sigma,
         wm=ga @ sigma,

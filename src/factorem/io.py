@@ -66,10 +66,9 @@ def _write_matrix(path: Path, header: list[str], matrix) -> None:
                           for row in np.asarray(matrix, dtype=float))
 
 
-def _write_parameters(path: Path, dims: Dimensions, theta: Theta) -> None:
-    """One named row per coordinate of the parameter vector."""
-    _write_csv(path, ["name", "value"],
-               zip(theta_names(dims), map(_fmt, flatten_theta(theta))))
+def _write_parameters(path: Path, names: list[str], theta: Theta) -> None:
+    """One row per coordinate of the parameter vector, named by ``names``."""
+    _write_csv(path, ["name", "value"], zip(names, map(_fmt, flatten_theta(theta))))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -161,8 +160,8 @@ def _read_block(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
     With ``categorical`` (covariate blocks) a wholly non-numeric column
     expands to an intercept plus level indicators (reference level = first
     seen). A column mixing numeric and non-numeric (or blank) cells is an
-    error, not a categorical with one level per distinct value, and so is
-    a blank cell in a non-numeric column, not a level.
+    error, not a categorical with one level per distinct value, and so are a
+    blank cell in a non-numeric column and a one-level column, which would vanish.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -196,7 +195,11 @@ def _read_block(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
             names.append(name)
             columns.append(np.array([float(cell) for cell in col]))
         else:
-            for level in list(dict.fromkeys(col))[1:]:  # order of first appearance
+            levels = list(dict.fromkeys(col))  # order of first appearance
+            if len(levels) == 1:
+                raise DataError(f"{path}: column {name!r} has the one level {levels[0]!r}, "
+                                "which leaves no indicator")
+            for level in levels[1:]:
                 names.append(f"{name}={level}")
                 columns.append(np.array([1.0 if cell == level else 0.0 for cell in col]))
     return names, np.column_stack(columns)
@@ -290,7 +293,7 @@ def write_dataset(
     if latents is not None:
         _write_matrix(out / "factors_true.csv", _factor_header(dims.p), latents)
     if theta is not None:
-        _write_parameters(out / "theta_true.csv", dims, theta)
+        _write_parameters(out / "theta_true.csv", theta_names(dims), theta)
 
 
 def write_fit(
@@ -320,7 +323,8 @@ def write_fit(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_parameters(out / "parameters.csv", dims, result.theta)
+    names = theta_names(dims)
+    _write_parameters(out / "parameters.csv", names, result.theta)
 
     _write_matrix(out / "factors.csv", _factor_header(dims.p), result.moments.m)
 
@@ -338,14 +342,14 @@ def write_fit(
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "extrapolations": {"accepted": result.accepted, "rejected": result.rejected},
-        "parameter_names": theta_names(dims),
+        "parameter_names": names,
     }
     if data is not None:
         # Fisher's identity: the observed-loglik gradient at theta-hat
         score = np.abs(expected_score(result.theta, result.moments, data))
         k = int(np.argmax(score))
         report["max_abs_score"] = float(score[k])
-        report["max_abs_score_parameter"] = theta_names(dims)[k]
+        report["max_abs_score_parameter"] = names[k]
     if config is not None:
         report["config"] = asdict(config)
     _write_json(out / "report.json", report)

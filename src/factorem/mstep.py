@@ -45,11 +45,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
-from .estep import ConditionalLaw, EStepSummary, block_residuals
+from .estep import GRAM_LIMIT, ConditionalLaw, EStepSummary, block_residuals
 from .model import Dataset, Theta, block_label, flatten_parts
 
 __all__ = [
@@ -73,11 +72,13 @@ class Projection:
     column of A or of W_c'M it fills); ``starts`` hold the first Z row and
     the first T row of each block; coordinate i of the stacked D sits at T
     row ``d_at[0][i]`` and Z column ``d_at[1][i]`` (T rows counted from the
-    first, here and in ``starts``); ``widths`` are the q_k; and ``z_sq`` is
-    ||Z_k,c||^2 per block. Per block as in ``Theta``, Z~_k's centered Gram
-    and ||Z~_k||^2; the column means ``projected_mean`` of [Z~_0..Z~_p,
-    T_0..T_p] (rows as in G); and the block-diagonal B (T rows x Z
-    columns, B_k on block k's) and (T'T)^-1 (T rows x T rows)."""
+    first, here and in ``starts``); ``widths`` are the q_k, ``gram_bound``
+    ``estep.GRAM_LIMIT`` n q_k; and ``z_sq`` is ||Z_k,c||^2 per block. Per
+    block as in ``Theta``, Z~_k's centered Gram and ||Z~_k||^2; the column
+    means ``projected_mean`` of [Z~_0..Z~_p, T_0..T_p] (rows as in G); and
+    the block-diagonal B (T rows x Z columns, B_k on block k's), its
+    entries ``coef_at_d`` at the coordinates of D, and (T'T)^-1 (T rows x
+    T rows)."""
 
     data: Dataset
     g: np.ndarray
@@ -89,29 +90,29 @@ class Projection:
     starts: tuple[np.ndarray, np.ndarray]
     d_at: tuple[np.ndarray, np.ndarray]
     widths: np.ndarray
+    gram_bound: np.ndarray
     z_sq: np.ndarray
     resid_gram: tuple[np.ndarray, ...]
     resid_sq: np.ndarray
     projected_mean: np.ndarray
     stacked_coef: np.ndarray
+    coef_at_d: np.ndarray
     stacked_tt_inv: np.ndarray
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
-    try:
-        chol = scipy.linalg.cholesky(gram, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"covariate block {name} is singular (collinear covariates)"
-        ) from exc
+    """gram^-1 rhs by LAPACK's ``dpotrf``/``dpotrs``, or SingularSystemError."""
+    singular = f"covariate block {name} is singular (collinear covariates)"
+    chol, info = lapack.dpotrf(gram, lower=1, clean=1)
+    if info:
+        raise SingularSystemError(f"{singular}: the factorization fails at column {info}")
     pivots = np.diag(chol)
     # an exactly collinear column can slip past the factorization with a
     # pivot at sqrt(eps) relative scale; treat that as rank-deficient
     if pivots.min() <= 1e-7 * pivots.max():
         raise SingularSystemError(
-            f"covariate block {name} is singular (collinear covariates)"
-        )
-    return scipy.linalg.cho_solve((chol, True), rhs)
+            f"{singular}: pivot ratio {pivots.min() / pivots.max():.1e} <= 1e-07")
+    return lapack.dpotrs(chol, rhs, lower=1)[0]
 
 
 def project_covariates(data: Dataset) -> Projection:
@@ -122,12 +123,12 @@ def project_covariates(data: Dataset) -> Projection:
     as there are units, and SingularSystemError for collinear covariates.
     """
     n = data.n
-    if n <= max(t.shape[1] for t in data.t):
+    q = np.array([z.shape[1] for z in data.z])
+    r = np.array([t.shape[1] for t in data.t])
+    if n <= r.max():
         raise DataError(
             f"covariate projection needs more units than covariates, got n={n}"
         )
-    dims = data.dimensions()
-    q, r = np.array(dims.q), np.array(dims.r)
     k, nz = q.size, int(q.sum())
     edges = np.cumsum([0, *q, *r]).tolist()
     rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
@@ -138,29 +139,28 @@ def project_covariates(data: Dataset) -> Projection:
     g[:-1, :-1] = w.T @ w
     g[-1, -1] = n
     mean = np.append(means, 0.0)
-    parts = []
+    stacked_coef, stacked_tt_inv = np.zeros((r.sum(), nz)), np.zeros((r.sum(),) * 2)  # B, (T'T)^-1
+    resid_gram, resid_sq = [], np.empty(k)
     for j, (z, t) in enumerate(zip(rows[:k], rows[k:])):
-        tt, tz = (g[t, b] + n * np.outer(mean[t], mean[b]) for b in (t, z))
+        tt, tz = (g[t, b] + n * (mean[t, None] * mean[b]) for b in (t, z))
         solved = _gram_solve(tt, np.hstack([np.eye(r[j]), tz]), block_label("T", j))
         coef = solved[:, r[j]:]
+        own = slice(t.start - nz, t.stop - nz)
+        stacked_coef[own, z], stacked_tt_inv[own, own] = coef, solved[:, :r[j]]
         cross = coef.T @ g[t, z]
-        resid_gram = g[z, z] - cross - cross.T + coef.T @ g[t, t] @ coef
+        resid_gram.append(g[z, z] - cross - cross.T + coef.T @ g[t, t] @ coef)
         means[z] -= mean[t] @ coef     # mean(Z~_k) = mean(Z_k) - B_k' mean(T_k)
-        parts.append((coef, solved[:, :r[j]], resid_gram,
-                      float(np.trace(resid_gram) + n * means[z] @ means[z])))
-    coef, tt_inv, resid_gram, resid_sq = zip(*parts)
+        resid_sq[j] = np.trace(resid_gram[j]) + n * means[z] @ means[z]
     z_block, t_block = np.repeat(np.arange(k), q), np.repeat(np.arange(k), r)
     starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
+    d_at = np.nonzero(t_block[:, None] == z_block)  # row-major over the block-diagonal
     return Projection(
         data=data, g=g, mean=mean, z=tuple(rows[:k]), t=tuple(rows[k:]),
         z_own=(np.arange(nz), z_block), t_own=(np.arange(nz, nz + r.sum()), t_block),
-        starts=starts,
-        # row-major over the block-diagonal: D_0, then D_1, ..
-        d_at=np.nonzero(t_block[:, None] == z_block), widths=q,
+        starts=starts, d_at=d_at, widths=q, gram_bound=GRAM_LIMIT * n * q,
         z_sq=np.add.reduceat(np.diagonal(g)[:nz], starts[0]),
-        resid_gram=resid_gram, resid_sq=np.array(resid_sq), projected_mean=means,
-        stacked_coef=scipy.linalg.block_diag(*coef),
-        stacked_tt_inv=scipy.linalg.block_diag(*tt_inv))
+        resid_gram=tuple(resid_gram), resid_sq=resid_sq, projected_mean=means,
+        stacked_coef=stacked_coef, coef_at_d=stacked_coef[d_at], stacked_tt_inv=stacked_tt_inv)
 
 
 def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
@@ -186,7 +186,7 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
     pf = projection.stacked_tt_inv @ tf              # P_k f
     zf = (wm[projection.z_own] + mean[:nz] * ones[z_block]
           - projection.stacked_coef.T @ own_t)       # Z~_k'f
-    sq = np.diagonal(s)
+    sq = s.diagonal()
     denom = sq - np.add.reduceat(tf * pf, t_starts)
     # a factor inside the covariate span with no posterior spread
     # leaves only rounding in denom, which can land on either side of 0
@@ -201,7 +201,7 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
     sigma2 = ((projection.resid_sq - np.add.reduceat(loading * zf, z_starts))
               / (projection.data.n * projection.widths))
     rows, cols = projection.d_at
-    coef = projection.stacked_coef[projection.d_at] - pf[rows] * loading[cols]
+    coef = projection.coef_at_d - pf[rows] * loading[cols]
     return np.concatenate([coef, loading, c, floored(sigma2, "update")])
 
 

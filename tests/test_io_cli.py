@@ -341,6 +341,20 @@ class TestCategoricalCovariates:
         with pytest.raises(DataError, match=where + ": cell '' is blank$"):
             load_dataset(tmp_path / "manifest.json")
 
+    def test_single_level_column_rejected(self, tmp_path, capsys):
+        # a one-level categorical has no indicator: it must not vanish
+        # into an intercept the manifest never asked for
+        data, *_ = small_dataset(n=60)
+        write_dataset(data, tmp_path)
+        path = tmp_path / "T1.csv"
+        header, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([header + ",soil", *(line + ",sand" for line in lines)]) + "\n")
+        message = r"T1\.csv: column 'soil' has the one level 'sand', which leaves no indicator$"
+        with pytest.raises(DataError, match=message):
+            load_dataset(tmp_path)
+        assert main(["fit", "--data", str(tmp_path), "--out", str(tmp_path / "fit")]) == 2
+        assert "column 'soil' has the one level 'sand'" in capsys.readouterr().err
+
     def test_mixed_numeric_and_categorical(self, tmp_path):
         rows = ["a,1.5", "b,2.5", "a,3.5", "c,4.5"]
         manifest = self.make_blocks(tmp_path, rows, t_header="kind,depth")

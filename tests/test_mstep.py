@@ -134,11 +134,12 @@ class TestUpdateTheta:
         data, _, theta, dims = random_instance(5)
         x = data.t[0][:, 0]
         noise = np.random.default_rng(0).normal(size=x.size)
-        for offset in (0.0, 5e-8):
+        branches = {0.0: "the factorization fails at column 2", 5e-8: "pivot ratio .* <= 1e-07"}
+        for offset, branch in branches.items():
             broken = Dataset(z=data.z, t=(np.column_stack([x, x + offset * noise]), *data.t[1:]))
-            with pytest.raises(SingularSystemError, match="collinear") as raised:
+            with pytest.raises(SingularSystemError,
+                               match=rf"block T is singular \(collinear covariates\): {branch}"):
                 project_covariates(broken)
-            assert (raised.value.__cause__ is None) == (offset > 0), offset
 
     def test_singular_structural_system_rejected(self):
         # identical explanatory scores with no posterior spread make the
