@@ -57,7 +57,7 @@ import numpy as np
 from .errors import DataError, FactorEMError, NonFiniteParameterError
 from .estep import ConditionalLaw, EStepSummary, conditional_law, gram_summary
 from .model import (
-    Dataset, Dimensions, Theta, as_count, block_label, check_dimensions, theta_names,
+    Dataset, Dimensions, Theta, as_count, check_dimensions, theta_names,
     unflatten_theta,
 )
 from .mstep import VARIANCE_FLOOR, Projection, floored, project_covariates, update_theta
@@ -135,12 +135,8 @@ def initialize(projection: Projection) -> np.ndarray:
     loading, std, sigma2 = np.zeros(nz), np.zeros(blocks), np.zeros(blocks)
     for k, (z, resid_gram) in enumerate(zip(projection.z, projection.resid_gram)):
         # the PC of the centered residuals, so the loading regression carries
-        # an implicit intercept (residual means are not the factor's job);
-        # zero variance is judged against the centered block they come from
+        # an implicit intercept (residual means are not the factor's job)
         eigval, eigvec = np.linalg.eigh(resid_gram)
-        if eigval[-1] <= 1e-12 * np.trace(g[z, z]):
-            raise DataError(f"residual block {block_label('Z', k)} has zero variance; "
-                            "PCA undefined")
         std[k] = np.sqrt(eigval[-1] / n)
         e = eigvec[:, -1] if eigvec[0, -1] >= 0 else -eigvec[:, -1]
         v[z, k] = e

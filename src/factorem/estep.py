@@ -158,8 +158,7 @@ def _posterior(c: np.ndarray, fisher: np.ndarray, variances: np.ndarray):
             f"c={np.array2string(c, precision=3)})"
         )
     chol_inv = lapack.dgesv(chol, _identity(w.size))[2]
-    sigma = chol_inv.T @ chol_inv
-    return prior_prec, chol, 0.5 * (sigma + sigma.T)
+    return prior_prec, chol, chol_inv.T @ chol_inv   # dsyrk: exactly symmetric
 
 
 def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:

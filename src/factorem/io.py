@@ -31,12 +31,13 @@ import numpy as np
 
 from .em import EMConfig, FitResult
 from .errors import DataError
+from .estep import gram_summary
 from .evaluate import ResampleSummary, StudySummary
 from .model import (
     Dataset, Dimensions, Theta, block_label, check_dimensions, check_theta_shapes,
     flatten_theta, theta_names,
 )
-from .mstep import expected_score
+from .mstep import expected_score, project_covariates
 
 __all__ = [
     "load_dataset",
@@ -308,7 +309,8 @@ def write_fit(
     ``data`` enables correlations.csv (each observed variable against
     its block's factor score) and the convergence certificate in
     report.json, the largest absolute observed-loglik gradient at the
-    returned theta and the parameter it belongs to; ``config`` and
+    returned theta and the parameter it belongs to, both read off one
+    ``project_covariates`` and ``gram_summary``; ``config`` and
     ``columns`` enrich report.json and the variable names. A DataError
     says where ``data`` or ``columns["z"]`` disagrees with the fit.
     """
@@ -346,22 +348,22 @@ def write_fit(
     }
     if data is not None:
         # Fisher's identity: the observed-loglik gradient at theta-hat
-        score = np.abs(expected_score(result.theta, result.moments, data))
+        projection = project_covariates(data)
+        x = flatten_theta(result.theta)
+        summary = gram_summary(x, projection)
+        score = np.abs(expected_score(x, summary, projection))
         k = int(np.argmax(score))
-        report["max_abs_score"] = float(score[k])
-        report["max_abs_score_parameter"] = names[k]
+        report.update(max_abs_score=float(score[k]), max_abs_score_parameter=names[k])
+        # corr(Z_j, f_k) = (W_c'M)_jk / sqrt(G_jj ||f_k,c||^2), f_k block k's score
+        rows, block = projection.z_own
+        f_sq = ((result.moments.m - result.moments.m.mean(axis=0))**2).sum(axis=0)
+        corr = summary.wm[rows, block] / np.sqrt(np.diagonal(projection.g)[rows] * f_sq[block])
+        variables = zip(block, (name for header in cols["z"] for name in header), corr)
+        _write_csv(out / "correlations.csv", ["block", "variable", "correlation"],
+                   ([block_label("Z", k), name, _fmt(r)] for k, name, r in variables))
     if config is not None:
         report["config"] = asdict(config)
     _write_json(out / "report.json", report)
-
-    if data is not None:
-        rows = []
-        blocks = zip(data.z, cols["z"], result.moments.m.T)
-        for k, (z, names, score) in enumerate(blocks):
-            for j, name in enumerate(names):
-                r = float(np.corrcoef(z[:, j], score)[0, 1])
-                rows.append([block_label("Z", k), name, _fmt(r)])
-        _write_csv(out / "correlations.csv", ["block", "variable", "correlation"], rows)
 
 
 def _summary_payload(summary: StudySummary) -> dict:

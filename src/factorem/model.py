@@ -289,8 +289,8 @@ def count_parameters(dims: Dimensions) -> int:
 def flatten_parts(coef, loading, c, sigma2) -> np.ndarray:
     """Concatenate parameter-shaped components in the canonical order.
 
-    Shared by ``flatten_theta`` and gradient flattening so that every
-    K-vector in the package uses the same coordinate layout.
+    Shared by ``flatten_theta`` and the tests' per-block gradients; the
+    fit's K-vectors are concatenated in this order from stacked blocks.
     """
     parts = [*coef, *loading, c, sigma2]
     return np.concatenate([np.asarray(part, dtype=float).ravel() for part in parts])

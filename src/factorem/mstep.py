@@ -30,15 +30,15 @@ block with no pass over the data:
     c       : solution of the p x p system  S[1:,1:] c = S[1:,0]
 
 (the loading equation of the stationarity system after substituting the
-covariate update; ``expected_score`` vanishing at the update is what the
-tests pin down). For p = 2 the linear solve for c reduces to two
+covariate update). For p = 2 the linear solve for c reduces to two
 explicit ratios, kept as a test oracle only.
 
 ``update_theta`` makes this update for every block at once and returns
 the canonical vector (``model.flatten_theta`` order): T_k'f, P_k f and
 Z~_k'f come from W_c'M by the index maps of ``Projection`` and one
 product each with the block-diagonal (T'T)^-1 and B, and the per-block
-sums by ``reduceat``.
+sums by ``reduceat``. ``expected_score``, ``io.write_fit``'s certificate,
+reads the gradient off the same maps; it vanishes at the update.
 """
 
 import warnings
@@ -48,8 +48,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
-from .estep import GRAM_LIMIT, ConditionalLaw, EStepSummary, block_residuals
-from .model import Dataset, Theta, block_label, flatten_parts
+from .estep import GRAM_LIMIT, EStepSummary
+from .model import Dataset, block_label
 
 __all__ = [
     "Projection",
@@ -120,7 +120,8 @@ def project_covariates(data: Dataset) -> Projection:
     fit: Y on T, then X^m on T^m.
 
     Raises DataError when a covariate block has at least as many columns
-    as there are units, and SingularSystemError for collinear covariates.
+    as there are units or an observed column is constant or explained by
+    its covariates, and SingularSystemError for collinear covariates.
     """
     n = data.n
     q = np.array([z.shape[1] for z in data.z])
@@ -149,6 +150,10 @@ def project_covariates(data: Dataset) -> Projection:
         stacked_coef[own, z], stacked_tt_inv[own, own] = coef, solved[:, :r[j]]
         cross = coef.T @ g[t, z]
         resid_gram.append(g[z, z] - cross - cross.T + coef.T @ g[t, t] @ coef)
+        spread = np.minimum(np.diagonal(g[z, z]), np.diagonal(resid_gram[j]))  # alone, given T_k
+        if spread.min() <= 1e-12 * np.trace(g[z, z]):
+            raise DataError(f"column {np.argmin(spread) + 1} of {block_label('Z', j)} has zero "
+                            "variance, alone or given its covariates")
         means[z] -= mean[t] @ coef     # mean(Z~_k) = mean(Z_k) - B_k' mean(T_k)
         resid_sq[j] = np.trace(resid_gram[j]) + n * means[z] @ means[z]
     z_block, t_block = np.repeat(np.arange(k), q), np.repeat(np.arange(k), r)
@@ -163,6 +168,15 @@ def project_covariates(data: Dataset) -> Projection:
         stacked_coef=stacked_coef, coef_at_d=stacked_coef[d_at], stacked_tt_inv=stacked_tt_inv)
 
 
+def _factor_cross(projection: Projection, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T_k'f on the T rows, Z~_k'f on the Z rows) from W_c'M."""
+    (z_rows, z_block), (t_rows, t_block) = projection.z_own, projection.t_own
+    ones, mean, own_t = wm[-1], projection.projected_mean, wm[t_rows, t_block]  # 1'f, T_k,c'f
+    nz, coef = z_rows.size, projection.stacked_coef
+    return (own_t + mean[nz:] * ones[t_block],
+            wm[z_rows, z_block] + mean[:nz] * ones[z_block] - coef.T @ own_t)
+
+
 def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
     """Exact maximizer of the expected complete log-likelihood, as the
     canonical vector.
@@ -170,22 +184,16 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
     Noise variances are floored at VARIANCE_FLOOR (with a warning) so a
     perfect fit cannot hand the next E-step a singular covariance.
     """
-    s, wm = summary.s, summary.wm
+    s = summary.s
     c, info = lapack.dgesv(s[1:, 1:], s[1:, 0])[2:]
     if info:
         raise SingularSystemError(
             "structural moment system is singular; explanatory factor "
             "posteriors are linearly dependent"
         )
-    z_block, t_block = projection.z_own[1], projection.t_own[1]
     z_starts, t_starts = projection.starts
-    nz, ones = z_block.size, wm[-1]                  # ones: 1'f per block
-    mean = projection.projected_mean
-    own_t = wm[projection.t_own]                     # T_k,c'f
-    tf = own_t + mean[nz:] * ones[t_block]           # T_k'f
+    tf, zf = _factor_cross(projection, summary.wm)
     pf = projection.stacked_tt_inv @ tf              # P_k f
-    zf = (wm[projection.z_own] + mean[:nz] * ones[z_block]
-          - projection.stacked_coef.T @ own_t)       # Z~_k'f
     sq = s.diagonal()
     denom = sq - np.add.reduceat(tf * pf, t_starts)
     # a factor inside the covariate span with no posterior spread
@@ -197,7 +205,7 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
             f"loading denominator for block {block_label('T', k)} is {denom[k]:.3e}; "
             "posterior second moment is degenerate given the covariates"
         )
-    loading = zf / denom[z_block]
+    loading = zf / denom[projection.z_own[1]]
     sigma2 = ((projection.resid_sq - np.add.reduceat(loading * zf, z_starts))
               / (projection.data.n * projection.widths))
     rows, cols = projection.d_at
@@ -218,29 +226,28 @@ def floored(values: np.ndarray, what: str) -> np.ndarray:
     return np.maximum(values, VARIANCE_FLOOR)
 
 
-def expected_score(
-    theta: Theta, law: ConditionalLaw, data: Dataset
-) -> np.ndarray:
-    """Gradient of the expected complete log-likelihood Q(theta) under
-    ``law``, as a K-vector in the canonical ordering.
-
-    Vanishes (to machine precision) at the ``update_theta`` output. At
-    the parameters ``law`` was computed at it is, by Fisher's identity,
-    the gradient of the observed log-likelihood.
+def expected_score(x: np.ndarray, summary: EStepSummary, projection: Projection) -> np.ndarray:
+    """Gradient of the expected complete log-likelihood at the canonical
+    vector ``x`` under the law ``summary`` sums, read off ``projection``:
+    with E_k = D_k - B_k, r_k = Z_k - T_k D_k = Z~_k - T_k E_k has
+    T_k'r_k = -T_k'T_k E_k and ||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2.
+    Vanishes (to rounding) at the ``update_theta`` output; at the ``x``
+    the law was computed at it is the observed-loglik gradient (Fisher).
     """
-    s = law.second_moment_sum()
-    grads = []
-    blocks = zip(data.t, block_residuals(theta, data), theta.loading, law.m.T,
-                 np.diag(s), theta.sigma2)
-    for t, resid, loading, score, sq, var in blocks:
-        inv = 1.0 / var
-        # sum over units of E||resid_i - factor_i loading||^2
-        sq_resid = float(np.sum(resid**2) - 2.0 * np.sum((resid @ loading) * score)
-                         + float(loading @ loading) * sq)
-        grad_loading = inv * (resid.T @ score - sq * loading)
-        resid -= np.outer(score, loading)        # resid is this call's own copy
-        grads.append((inv * t.T @ resid, grad_loading,
-                      -0.5 * resid.size * inv + 0.5 * sq_resid * inv**2))
-    grad_coef, grad_loading, grad_sigma2 = zip(*grads)
-    grad_c = s[1:, 0] - s[1:, 1:] @ theta.c
-    return flatten_parts(grad_coef, grad_loading, grad_c, grad_sigma2)
+    g, mean, n = projection.g, projection.mean[:-1], projection.data.n
+    z_block, starts, (rows, cols) = projection.z_own[1], projection.starts[0], projection.d_at
+    nz, nd, k = z_block.size, rows.size, starts.size
+    loading, inv_var, sq = x[nd:nd + nz], 1.0 / x[-k:], summary.s.diagonal()[z_block]
+    tf, zf = _factor_cross(projection, summary.wm)
+    e = np.zeros_like(projection.stacked_coef)
+    e[rows, cols] = x[:nd] - projection.coef_at_d
+    tte = g[nz:-1, nz:-1] @ e + n * np.outer(mean[nz:], mean[nz:] @ e)   # T_k'T_k E_k
+    rf = zf - e.T @ tf                                                  # r_k'f
+    # sum over units of E||r_k,i - f_i lambda_k||^2
+    sq_resid = projection.resid_sq + np.add.reduceat(
+        (e * tte).sum(0) - 2.0 * loading * rf + loading**2 * sq, starts)
+    return np.concatenate([
+        -(tte[rows, cols] + tf[rows] * loading[cols]) * inv_var[z_block[cols]],
+        (rf - sq * loading) * inv_var[z_block],
+        summary.s[1:, 0] - summary.s[1:, 1:] @ x[nd + nz:-k],
+        0.5 * inv_var * (sq_resid * inv_var - n * projection.widths)])

@@ -3,8 +3,11 @@
 These are numerical ground truth for the tests, never used by the
 package: the complete log-likelihood factorizes over the model's
 conditional densities, its analytic score must match finite differences,
-and the expected complete log-likelihood Q is the surrogate whose exact
-gradient is the package's ``mstep.expected_score``.
+and the expected complete log-likelihood Q is the surrogate the M-step
+maximizes. ``expected_score`` is Q's exact gradient by one pass over the
+n rows of every block, the reference for the package's
+``mstep.expected_score``, which reads the same gradient off the fit's
+Gram.
 
 Sign convention: everything here is a log-likelihood (to maximize),
 never a deviance, and includes the exact Gaussian normalizers so that
@@ -103,6 +106,27 @@ def complete_score(theta: Theta, data: Dataset, h: np.ndarray) -> Score:
         c=grad_c,
         sigma2=tuple(float(gs) for gs in grad_sigma2),
     )
+
+
+def expected_score(theta: Theta, law, data: Dataset) -> np.ndarray:
+    """Exact gradient of ``expected_complete_loglik`` under ``law``, as a
+    K-vector in the canonical ordering, by one pass over the n rows of
+    every block: the n-row reference for ``mstep.expected_score``, which
+    reads the same gradient off the fit's Gram. Raises as
+    ``block_residuals`` does where ``theta`` disagrees with the data."""
+    s = law.second_moment_sum()
+    grads = []
+    blocks = zip(data.t, block_residuals(theta, data), theta.loading, law.m.T, np.diag(s),
+                 theta.sigma2)
+    for t, resid, loading, score, sq, var in blocks:
+        inv = 1.0 / var
+        sq_resid = float(np.sum(resid**2) - 2.0 * np.sum((resid @ loading) * score)
+                         + float(loading @ loading) * sq)
+        grads.append((inv * t.T @ (resid - np.outer(score, loading)),
+                      inv * (resid.T @ score - sq * loading),
+                      -0.5 * resid.size * inv + 0.5 * sq_resid * inv**2))
+    grad_coef, grad_loading, grad_sigma2 = zip(*grads)
+    return flatten_parts(grad_coef, grad_loading, s[1:, 0] - s[1:, 1:] @ theta.c, grad_sigma2)
 
 
 def expected_complete_loglik(theta: Theta, data: Dataset, law) -> float:

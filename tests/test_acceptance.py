@@ -9,12 +9,12 @@ from factorem import Dimensions, EMConfig, SimConfig, fit, flatten_theta, simula
 from factorem.estep import EStepSummary, conditional_law
 from factorem.evaluate import kfold_resample, replicate_study
 from factorem.model import count_parameters, unflatten_theta
-from factorem.mstep import expected_score, project_covariates, update_theta
+from factorem.mstep import project_covariates, update_theta
 from factorem.cli import main
 
 from conftest import reference_dims, random_instance, random_theta, scalar_toy_theta
 from dense_oracle import posterior_moments
-from likelihood_oracle import complete_loglik, complete_score
+from likelihood_oracle import complete_loglik, complete_score, expected_score
 
 
 def report(number, label, detail, passed):

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from factorem import Dataset, Theta
 from factorem.errors import DataError, NotPositiveDefiniteError
 from factorem.estep import LOG_2PI, conditional_law, observed_loglik
-from factorem.model import flatten_parts
-from factorem.mstep import VARIANCE_FLOOR, expected_score
+from factorem.mstep import VARIANCE_FLOOR
 
 from conftest import reference_dims, random_instance, scalar_toy_theta
 from dense_oracle import (
@@ -318,8 +317,7 @@ def test_observed_loglik_value_is_the_sum_of_its_per_unit_terms():
 
 def test_theta_and_data_block_mismatch_named():
     from factorem import observed_loglik
-    from factorem.mstep import expected_score
-    from likelihood_oracle import complete_loglik
+    from likelihood_oracle import complete_loglik, expected_score
 
     data, h, theta, dims = random_instance(0)
     assert dims.p == 3
@@ -369,22 +367,6 @@ def allocating_law(theta, data):
     return m, -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
 
 
-def allocating_score(theta, law, data):
-    """``expected_score`` with the residual-minus-score block allocated."""
-    s = law.second_moment_sum()
-    grads = []
-    blocks = zip(data.t, data.z, theta.coef, theta.loading, law.m.T, np.diag(s), theta.sigma2)
-    for t, z, d, loading, score, sq, var in blocks:
-        resid, inv = z - t @ d, 1.0 / var
-        sq_resid = float(np.sum(resid**2) - 2.0 * np.sum((resid @ loading) * score)
-                         + float(loading @ loading) * sq)
-        grads.append((inv * t.T @ (resid - np.outer(score, loading)),
-                      inv * (resid.T @ score - sq * loading),
-                      -0.5 * resid.size * inv + 0.5 * sq_resid * inv**2))
-    grad_coef, grad_loading, grad_sigma2 = zip(*grads)
-    return flatten_parts(grad_coef, grad_loading, s[1:, 0] - s[1:, 1:] @ theta.c, grad_sigma2)
-
-
 def test_residual_sums_in_place_match_the_allocating_expressions():
     for seed in range(100):
         data, _, theta, _ = random_instance(seed)
@@ -393,6 +375,3 @@ def test_residual_sums_in_place_match_the_allocating_expressions():
         np.testing.assert_array_equal(law.m, m, err_msg=f"seed {seed}")
         np.testing.assert_allclose(law.loglik, loglik, rtol=1e-15, atol=0,
                                    err_msg=f"seed {seed}")
-        np.testing.assert_array_equal(expected_score(theta, law, data),
-                                      allocating_score(theta, law, data),
-                                      err_msg=f"seed {seed}")

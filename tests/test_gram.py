@@ -4,18 +4,23 @@ of the centered data) against the n-pass routes it replaced
 block-vectorized steps on the canonical vector against the per-block
 loops they replaced (``dense_oracle.loop_*``)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from factorem import Dataset, EMConfig, SimConfig, Theta, fit, flatten_theta, simulate_dataset
-from factorem import em, estep, mstep
+from factorem import (
+    Dataset, EMConfig, SimConfig, Theta, canonicalize, fit, flatten_theta, simulate_dataset,
+)
+from factorem import em, estep, io, mstep
 from factorem.model import unflatten_theta
 from factorem.em import em_step, initialize
 from factorem.estep import GRAM_LIMIT, EStepSummary, conditional_law, gram_summary
-from factorem.mstep import VARIANCE_FLOOR, project_covariates, update_theta
+from factorem.mstep import VARIANCE_FLOOR, expected_score, project_covariates, update_theta
 
 import dense_oracle
+import likelihood_oracle
 from conftest import random_instance, reference_dims
 
 RTOL = 1e-10
@@ -172,28 +177,49 @@ def test_a_single_variable_block_starts_at_the_variance_floor():
         assert start.sigma2[k] == VARIANCE_FLOOR
 
 
+def counting(monkeypatch, targets):
+    """Wrap each (module, name) of ``targets`` to record its calls: the list
+    of names called, with the covariate block in place of ``_gram_solve``."""
+    calls = []
+    for module, name in targets:
+        def wrapper(*args, _original=getattr(module, name), _name=name):
+            calls.append(_name if _name != "_gram_solve" else args[2])
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_one_pass_over_the_data_per_fit(monkeypatch):
     # a narrow fit of more than 20 map evaluations builds G once, solves
     # each covariate Gram once, and conditions every unit once, at the
     # returned theta
-    calls = []
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args):
-            calls.append(name if name != "_gram_solve" else args[2])
-            return original(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for module, name in ((em, "conditional_law"), (estep, "conditional_law"),
-                         (em, "project_covariates"), (mstep, "_gram_solve")):
-        counting(module, name)
+    calls = counting(monkeypatch, ((em, "conditional_law"), (estep, "conditional_law"),
+                                   (em, "project_covariates"), (mstep, "_gram_solve")))
     data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=400, q=5), seed=1))
     result = fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
     assert result.iterations > 20
     assert sorted(calls) == sorted(["project_covariates", "T", "T1", "T2", "conditional_law"])
+
+
+def test_write_fit_reads_the_certificate_and_correlations_off_one_gram(monkeypatch, tmp_path):
+    # one G, one Gram-form law at the reported theta and one score; no
+    # n-row law and no per-variable corrcoef
+    dims = reference_dims(n=400, q=5)
+    data, _, _ = simulate_dataset(SimConfig(dims=dims, seed=1))
+    result = canonicalize(fit(data, dims, EMConfig(epsilon=1e-3)))
+    calls = counting(monkeypatch, ((io, "project_covariates"), (io, "gram_summary"),
+                                   (io, "expected_score"), (estep, "conditional_law"),
+                                   (np, "corrcoef")))
+    io.write_fit(result, tmp_path, data=data)
+    assert sorted(calls) == ["expected_score", "gram_summary", "project_covariates"]
+    monkeypatch.undo()
+    rows = (tmp_path / "correlations.csv").read_text().splitlines()[1:]
+    written = np.array([float(row.split(",")[2]) for row in rows])
+    m = result.moments.m
+    expected = [np.corrcoef(z[:, j], m[:, k])[0, 1]
+                for k, z in enumerate(data.z) for j in range(z.shape[1])]
+    np.testing.assert_allclose(written, expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
@@ -304,3 +330,48 @@ def test_fit_follows_the_per_block_loop(monkeypatch):
         np.testing.assert_allclose(flatten_theta(fast.theta), flatten_theta(loop.theta),
                                    rtol=rtol, atol=0, err_msg=label)
     assert compared >= 15
+
+
+def test_gram_score_matches_the_nrow_oracle():
+    # at the parameters the law was computed at and at its M-step update,
+    # relative to max(1, |score|); the measured worst is 1.21e-12
+    worst = 0.0
+    for seed in range(200):
+        data, _, theta, dims = random_instance(seed)
+        projection = project_covariates(data)
+        law = conditional_law(theta, data)
+        summary = EStepSummary.from_law(law, data)
+        for x in (flatten_theta(theta), update_theta(projection, summary)):
+            exact = likelihood_oracle.expected_score(unflatten_theta(x, dims), law, data)
+            gram = expected_score(x, summary, projection)
+            worst = max(worst, np.abs(gram - exact).max() / max(1.0, np.abs(exact).max()))
+    assert worst < 1.5e-12
+
+
+def test_gram_score_is_the_central_difference_of_the_gram_loglik(monkeypatch):
+    # Fisher's identity on the Gram path alone: at every unfloored fit of
+    # seeds 0-39 the score under the law at x is the gradient of
+    # gram_summary's loglik; the measured worst is 1.5e-7 of max(1, |score|)
+    fits = []
+    for seed in range(40):
+        data, _, _, dims = random_instance(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)   # a floored variance
+            try:
+                fits.append((data, flatten_theta(fit(data, dims, EMConfig()).theta)))
+            except RuntimeWarning:
+                continue
+    assert len(fits) >= 10
+    gram_only(monkeypatch)
+    for data, x in fits:
+        projection = project_covariates(data)
+        score = expected_score(x, gram_summary(x, projection), projection)
+        numeric = np.empty_like(x)
+        for k in range(x.size):
+            step = 1e-6 * max(1.0, abs(x[k]))
+            plus, minus = x.copy(), x.copy()
+            plus[k] += step
+            minus[k] -= step
+            numeric[k] = (gram_summary(plus, projection).loglik
+                          - gram_summary(minus, projection).loglik) / (2 * step)
+        assert np.abs(score - numeric).max() <= 1e-6 * max(1.0, np.abs(score).max())

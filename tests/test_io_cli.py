@@ -503,6 +503,24 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["explained", "constant"])
+    def test_observed_column_without_residual_variance_exits_two(
+            self, tmp_path, capsys, column):
+        # a column its own covariates explain exactly, or a constant one,
+        # leaves the factor nothing to load on: named, not fitted
+        data, _, _, dims = small_dataset(n=60, q=4)
+        t1 = data.t[1]
+        x1 = data.z[1].copy()
+        x1[:, 2] = 2.5 * t1[:, 0] - t1[:, 1] if column == "explained" else 3.0
+        data = replace(data, z=(data.z[0], x1, *data.z[2:]))
+        message = "column 3 of X1 has zero variance"
+        with pytest.raises(DataError, match=message):
+            fit(data, dims, EMConfig())
+        write_dataset(data, tmp_path / "data")
+        assert main(["fit", "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "f")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_blank_covariate_header_exits_two(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         main(["simulate", "--n", "30", "--q", "3", "--seed", "0",

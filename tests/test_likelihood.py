@@ -5,7 +5,6 @@ import scipy.stats
 from factorem import Dataset, EMConfig, Theta, fit, flatten_theta, observed_loglik
 from factorem.estep import conditional_law
 from factorem.model import unflatten_theta
-from factorem.mstep import expected_score
 from factorem.errors import DataError
 
 from conftest import random_instance, random_theta

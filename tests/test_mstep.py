@@ -1,21 +1,29 @@
 import numpy as np
 import pytest
 
-from factorem import Dataset, Theta, flatten_theta
+from factorem import Dataset, Theta, flatten_theta, mstep
 from factorem.errors import DegeneratePosteriorError, SingularSystemError
 from factorem.estep import ConditionalLaw, EStepSummary, conditional_law
 from factorem.model import unflatten_theta
-from factorem.mstep import VARIANCE_FLOOR, expected_score, project_covariates, update_theta
+from factorem.mstep import VARIANCE_FLOOR, project_covariates, update_theta
 
 import dense_oracle
 from conftest import random_instance, random_theta
-from likelihood_oracle import complete_loglik, expected_complete_loglik
+from likelihood_oracle import complete_loglik, expected_complete_loglik, expected_score
 
 
 def updated_theta(data, law):
     """The M-step from ``law`` as a ``Theta``."""
     x = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
     return unflatten_theta(x, data.dimensions())
+
+
+def scores(theta, law, data):
+    """The n-row oracle score and the package's Gram score at ``theta``
+    under ``law``."""
+    gram = mstep.expected_score(flatten_theta(theta), EStepSummary.from_law(law, data),
+                                project_covariates(data))
+    return expected_score(theta, law, data), gram
 
 
 class TestCovariateProjection:
@@ -179,8 +187,8 @@ class TestExpectedScore:
             data, _, theta, dims = random_instance(seed)
             law = conditional_law(theta, data)
             updated = updated_theta(data, law)
-            residual = expected_score(updated, law, data)
-            worst = max(worst, float(np.abs(residual).max()))
+            for residual in scores(updated, law, data):
+                worst = max(worst, float(np.abs(residual).max()))
         assert worst < 1e-8
 
     def test_perturbation_breaks_stationarity(self):
@@ -191,9 +199,9 @@ class TestExpectedScore:
             coef=updated.coef, loading=(updated.loading[0] + 0.1, *updated.loading[1:]),
             c=updated.c, sigma2=updated.sigma2,
         )
-        residual = expected_score(bumped, law, data)
         lo = dims.r_t * dims.q_y + sum(r * q for q, r in zip(dims.q_m, dims.r_m))
-        assert np.abs(residual[lo:lo + dims.q_y]).max() > 1e-3
+        for residual in scores(bumped, law, data):
+            assert np.abs(residual[lo:lo + dims.q_y]).max() > 1e-3
 
     def test_matches_finite_differences_of_q(self):
         for seed in (0, 1):
@@ -201,7 +209,6 @@ class TestExpectedScore:
             rng = np.random.default_rng(100 + seed)
             theta = random_theta(dims, rng)
             law = conditional_law(theta_data, data)
-            analytic = expected_score(theta, law, data)
             vec = flatten_theta(theta)
             step = 1e-5
             numeric = np.empty_like(vec)
@@ -213,7 +220,8 @@ class TestExpectedScore:
                     expected_complete_loglik(unflatten_theta(plus, dims), data, law)
                     - expected_complete_loglik(unflatten_theta(minus, dims), data, law)
                 ) / (2 * step)
-            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-5)
+            for analytic in scores(theta, law, data):
+                np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-5)
 
 
 class TestSurrogateObjective:
