@@ -150,9 +150,11 @@ def project_covariates(data: Dataset) -> Projection:
         stacked_coef[own, z], stacked_tt_inv[own, own] = coef, solved[:, :r[j]]
         cross = coef.T @ g[t, z]
         resid_gram.append(g[z, z] - cross - cross.T + coef.T @ g[t, t] @ coef)
-        spread = np.minimum(np.diagonal(g[z, z]), np.diagonal(resid_gram[j]))  # alone, given T_k
-        if spread.min() <= 1e-12 * np.trace(g[z, z]):
-            raise DataError(f"column {np.argmin(spread) + 1} of {block_label('Z', j)} has zero "
+        # each column on its own scale: constant (||z_c|| <= 1e-12 ||z||), or explained by T_k
+        spread, resid = np.diagonal(g[z, z]), np.diagonal(resid_gram[j])
+        zero = (spread <= 1e-24 * (spread + n * mean[z]**2)) | (resid <= 1e-12 * spread)
+        if zero.any():
+            raise DataError(f"column {np.argmax(zero) + 1} of {block_label('Z', j)} has zero "
                             "variance, alone or given its covariates")
         means[z] -= mean[t] @ coef     # mean(Z~_k) = mean(Z_k) - B_k' mean(T_k)
         resid_sq[j] = np.trace(resid_gram[j]) + n * means[z] @ means[z]

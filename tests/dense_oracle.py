@@ -565,6 +565,15 @@ def npass_initialize(projection) -> Theta:
     return Theta(coef=coef, loading=loading, c=c, sigma2=sigma2)
 
 
+def eigh_first_component(resid_gram, n, name):
+    """``em._first_component`` from the full spectrum (``np.linalg.eigh``),
+    as the start read before it asked for the top eigenpair only: the
+    start variance is the sum of the other eigenvalues over n q."""
+    eigval, eigvec = np.linalg.eigh(resid_gram)
+    e = eigvec[:, -1] if eigvec[0, -1] >= 0 else -eigvec[:, -1]
+    return e, np.sqrt(eigval[-1] / n), eigval[:-1].sum() / (n * e.size)
+
+
 def npass_update(projection, law) -> Theta:
     """``update_theta`` from the n-row scores of ``law``."""
     s = law.second_moment_sum()

@@ -503,15 +503,17 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column", ["explained", "constant"])
+    @pytest.mark.parametrize("column", ["explained", "constant", "constant 0.1"])
     def test_observed_column_without_residual_variance_exits_two(
             self, tmp_path, capsys, column):
         # a column its own covariates explain exactly, or a constant one,
-        # leaves the factor nothing to load on: named, not fitted
+        # leaves the factor nothing to load on: named, not fitted (0.1 is
+        # not a binary fraction, so its centered column is rounding, not 0)
         data, _, _, dims = small_dataset(n=60, q=4)
         t1 = data.t[1]
         x1 = data.z[1].copy()
-        x1[:, 2] = 2.5 * t1[:, 0] - t1[:, 1] if column == "explained" else 3.0
+        x1[:, 2] = {"explained": 2.5 * t1[:, 0] - t1[:, 1], "constant": 3.0,
+                    "constant 0.1": 0.1}[column]
         data = replace(data, z=(data.z[0], x1, *data.z[2:]))
         message = "column 3 of X1 has zero variance"
         with pytest.raises(DataError, match=message):
@@ -520,6 +522,15 @@ class TestCli:
         assert main(["fit", "--data", str(tmp_path / "data"),
                      "--out", str(tmp_path / "f")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-9])
+    def test_a_column_in_small_units_fits(self, scale):
+        # each column is judged against its own size, so a change of units
+        # does not decide whether it has variance
+        data, _, _, dims = small_dataset(n=60, q=4)
+        x1 = data.z[1].copy()
+        x1[:, 2] *= scale
+        assert fit(replace(data, z=(data.z[0], x1, *data.z[2:])), dims, EMConfig()).converged
 
     def test_blank_covariate_header_exits_two(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
