@@ -1,23 +1,24 @@
 """EM fitting: initialization, the accelerated E->M loop, stopping rule,
 reporting.
 
-A fit passes over the data twice: ``project_covariates`` builds the
-stacked Gram G of the centered data and partials each block's covariates
-out of it (``mstep.Projection``, the fit's one per-fit object), and
-``conditional_law`` gives the reported law (factor scores, per-unit
-log-likelihood) at the estimate. In between everything is algebra on
-blocks of G.
+A fit passes over the data twice: ``project_covariates`` partials each
+block's covariates out of the centered data and builds the stacked Gram
+G of the residuals and the covariates (``mstep.Projection``, the fit's
+one per-fit object), and ``conditional_law`` gives the reported law
+(factor scores, per-unit log-likelihood) at the estimate. In between
+everything is algebra on blocks of G.
 
 Initialization takes the first principal component of each block's
 centered covariate residuals as a starting factor (its first variable
 loading nonnegatively): LAPACK ``dsyevr`` computes only the top eigenpair
-(lambda, e) of their q x q Gram, and the start variance is (trace - lambda)
-/ (n q), with rounding at most 9e-13 relative at n 400, q 40. Loadings
-and, by least squares on the scores, structural coefficients follow; each
-centered score is W_c v_k, so the scores' Grams are v'Gv. Two corrections
-the likelihood cannot make later follow: the dependent score moves to the
-scale of the unit-variance structural disturbance, and each block's
-in-sample factor/covariate overlap is reclaimed from the other blocks.
+(lambda, e) of their q x q Gram, a diagonal block of G, and the start
+variance is (trace - lambda) / (n q), with rounding at most 9e-13
+relative at n 400, q 40. Loadings and, by least squares on the scores,
+structural coefficients follow; each centered score is W~_c v_k, so the
+scores' Grams are v'Gv. Two corrections the likelihood cannot make later
+follow: the dependent score moves to the scale of the unit-variance
+structural disturbance, and each block's in-sample factor/covariate
+overlap is reclaimed from the other blocks.
 
 The start and the loop are the canonical parameter vector x
 (``flatten_theta`` order) and the summed law (``estep.EStepSummary``),
@@ -125,33 +126,32 @@ class FitResult:
     rejected: int = 0
 
 
-def _first_component(resid_gram: np.ndarray, n: int, name: str) -> tuple[np.ndarray, float, float]:
+def _first_component(gram: np.ndarray, n: int, name: str) -> tuple[np.ndarray, float, float]:
     """Top eigenpair (lambda, e) as e (e[0] >= 0), sqrt(lambda / n) and the start variance."""
-    q = len(resid_gram)
-    top, vec, _, _, info = lapack.dsyevr(resid_gram, range="I", lower=1, il=q, iu=q)
+    q = len(gram)
+    top, vec, _, _, info = lapack.dsyevr(gram, range="I", lower=1, il=q, iu=q)
     if info:
         raise FactorEMError(f"the top eigenpair of {name}'s residual Gram failed (info {info})")
     e = vec[:, 0] if vec[0, 0] >= 0 else -vec[:, 0]
     # the residual left by the PC: the other eigenvalues' sum, exactly 0 for q = 1
-    return e, np.sqrt(top[0] / n), (np.trace(resid_gram) - top[0]) / (n * q)
+    return e, np.sqrt(top[0] / n), (np.trace(gram) - top[0]) / (n * q)
 
 
 def initialize(projection: Projection) -> np.ndarray:
     """Least-squares / principal-component starting point, as the
-    canonical vector, read off the stacked Gram and the covariate
-    projection of each block."""
+    canonical vector, read off the stacked Gram of the covariate residuals
+    and the covariates."""
     g, n, blocks = projection.g, projection.data.n, len(projection.z)
     nz = projection.z_own[0].size
-    # column k: block k's centered first-PC score as a combination of W_c's columns
+    # column k: block k's centered first-PC score as a combination of W~_c's columns
     v = np.zeros((g.shape[0], blocks))
     loading, std, sigma2 = np.zeros(nz), np.zeros(blocks), np.zeros(blocks)
-    for k, (z, resid_gram) in enumerate(zip(projection.z, projection.resid_gram)):
+    for k, z in enumerate(projection.z):
         # the PC of the centered residuals, so the loading regression carries
         # an implicit intercept (residual means are not the factor's job)
-        e, std[k], sigma2[k] = _first_component(resid_gram, n, block_label("Z", k))
+        e, std[k], sigma2[k] = _first_component(g[z, z], n, block_label("Z", k))
         v[z, k] = e
         loading[z] = e * std[k]
-    v[nz:-1] = -projection.stacked_coef @ v[:nz]  # the score of Z~_k = Z_k - T_k B_k
     v /= std
     cross = g @ v                                 # rows T_j: T_j' (centered score k)
     scores = v.T @ cross                          # centered score Gram, g first

@@ -22,20 +22,22 @@ terms, ||r_i - Lambda M_i||^2_{Psi^{-1}} + M_i' S1^{-1} M_i, which does
 not cancel when a noise variance sits at its 1e-12 floor.
 
 An M-step needs only S = sum_i E[h_i h_i' | r_i] = n Sigma + M'M and the
-data against M. ``mstep.project_covariates`` centers the stacked data
-[Z_0..Z_p, T_0..T_p] and appends the constant: W = W_c + 1 mean' with
-W_c'1 = n on the constant and 0 elsewhere, so large column means do not
-cancel in G = W_c'W_c. As U = W_c A, with lambda_k / sigma2_k on the Z_k
-rows of column k of A, -D_k lambda_k / sigma2_k on its T_k rows and
-mean'A on the constant row, ``gram_summary`` takes S = n Sigma + Sigma
-A'GA Sigma, W_c'M = G A Sigma and the summed log-density from G alone.
-Its summed quadratic form sum_k ||r_k||^2 / sigma2_k - tr(Sigma A'GA)
-cancels when a noise variance is small against its block's data
-(``GRAM_LIMIT``).
+data against M. ``mstep.project_covariates`` stacks the covariate
+residuals Z~_k = Z_k - T_k B_k and the covariates, centers them and
+appends the constant: W~ = W~_c + 1 mean' with W~_c'1 = n on the constant
+and 0 elsewhere, so large column means do not cancel in G = W~_c'W~_c.
+With E_k = D_k - B_k, r_k = Z~_k - T_k E_k and T_k'Z~_k = 0 give
+||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2 (``residual_sq``). As U = W~_c A,
+with lambda_k / sigma2_k on the Z~_k rows of column k of A,
+-E_k lambda_k / sigma2_k on its T_k rows and mean'A on the constant row,
+``gram_summary`` takes S = n Sigma + Sigma A'GA Sigma, W~_c'M = G A Sigma
+and the summed log-density from G alone. Its summed quadratic form
+sum_k ||r_k||^2 / sigma2_k - tr(Sigma A'GA) cancels when a noise
+variance is small against its block's residual (``GRAM_LIMIT``).
 
 ``gram_summary`` reads the parameters as the canonical vector x
 (``model.flatten_theta`` order) with no loop over blocks: x scatters into
-the stacked D and into A by the index maps ``mstep.project_covariates``
+the stacked E and into A by the index maps ``mstep.project_covariates``
 builds once per fit, and the per-block sums are ``reduceat`` over the Z
 rows.
 """
@@ -56,14 +58,15 @@ __all__ = [
     "block_residuals",
     "conditional_law",
     "gram_summary",
+    "residual_sq",
     "observed_loglik",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 _identity = functools.cache(np.eye)     # one array per size, never written: dgesv copies b
 
-# Block k's Gram-form quadratic is a difference of terms of size ``size``
-# / sigma2_k (see ``gram_summary``) against an exact value of about n q_k;
+# Block k's Gram-form quadratic is a difference of terms of size
+# ||r_k||^2 / sigma2_k (see ``gram_summary``) against an exact value of about n q_k;
 # past a ratio of 1e-10 / eps (4.5e5) its rounding can pass 1e-10 of the
 # value. Benchmark designs sit below 1e5, a variance at its floor near 1e12.
 GRAM_LIMIT = 1e-10 / np.finfo(float).eps
@@ -92,7 +95,7 @@ class ConditionalLaw:
 @dataclass
 class EStepSummary:
     """The law at one theta summed over units: s = n Sigma + M'M, wm =
-    W_c'M (rows as in ``mstep.Projection.g``, 1'M last) and the summed observed
+    W~_c'M (rows as in ``mstep.Projection.g``, 1'M last) and the summed observed
     loglik."""
 
     s: np.ndarray
@@ -100,10 +103,12 @@ class EStepSummary:
     loglik: float
 
     @classmethod
-    def from_law(cls, law: ConditionalLaw, data: Dataset) -> "EStepSummary":
-        """The summary of an n-row law, by one pass over the data."""
-        centered = law.m - law.m.mean(axis=0)      # W_c'M = W'(M - 1 mean(M)')
-        wm = np.vstack([*(b.T @ centered for b in (*data.z, *data.t)), law.m.sum(axis=0)])
+    def from_law(cls, law: ConditionalLaw, projection) -> "EStepSummary":
+        """The summary of an n-row law, by one pass over ``projection.data``."""
+        t = np.hstack(projection.data.t)
+        resid = np.hstack(projection.data.z) - t @ projection.stacked_coef   # [Z~_0..Z~_p]
+        centered = law.m - law.m.mean(axis=0)      # W~_c'M = W~'(M - 1 mean(M)')
+        wm = np.vstack([resid.T @ centered, t.T @ centered, law.m.sum(axis=0)])
         return cls(s=law.second_moment_sum(), wm=wm, loglik=float(law.loglik.sum()))
 
 
@@ -187,6 +192,16 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     return ConditionalLaw(m=m, sigma=sigma, loglik=loglik)
 
 
+def residual_sq(x: np.ndarray, projection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At the canonical vector ``x``, from the fit's ``mstep.Projection``:
+    E = D - B stacked as B, T'T E and ||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2."""
+    g, mean, nz = projection.g, projection.mean, projection.z_own[0].size
+    e = np.zeros_like(projection.stacked_coef)
+    e[projection.d_at] = x[:projection.coef_at_d.size] - projection.coef_at_d
+    tte = g[nz:-1, nz:-1] @ e + projection.data.n * np.outer(mean[nz:-1], mean[nz:-1] @ e)
+    return e, tte, projection.resid_sq + np.add.reduceat((e * tte).sum(0), projection.starts[0])
+
+
 def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     """The law at the canonical vector ``x`` summed over units, from the
     Gram of ``projection`` (the fit's ``mstep.Projection``) alone, or from
@@ -199,27 +214,20 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     if variances.min() <= 0:
         positive_variances(variances, "conditional law")
     inv_var = 1.0 / variances
-    d = np.zeros((g.shape[0] - nz - 1, nz))      # D_k on the T_k rows, Z_k columns
-    d[projection.d_at] = x[:nd]
-    rbar = mean[:nz] - mean[nz:-1] @ d           # column means of r = Z - T D
-    # ||r_k||^2 = ||Z_k,c - T_k,c D_k||^2 + n ||rbar_k||^2 = size - 2 cross
-    # (,c: centered)
-    size = projection.z_sq + np.add.reduceat((d * (g[nz:-1, nz:-1] @ d)).sum(0) + n * rbar**2,
-                                             starts)
-    if not (size <= projection.gram_bound * variances).all():
+    e, _, r_sq = residual_sq(x, projection)
+    if not (r_sq <= projection.gram_bound * variances).all():
         law = conditional_law(unflatten_theta(x, projection.data.dimensions()), projection.data)
-        return EStepSummary.from_law(law, projection.data)
-    cross = np.add.reduceat((d * g[nz:-1, :nz]).sum(0), starts)
+        return EStepSummary.from_law(law, projection)
     loading = x[nd:nd + nz]
-    a = np.zeros((g.shape[0], k))               # U = W_c A
-    a[projection.z_own] = loading * inv_var[z_block]  # lambda_k / sigma2_k on Z_k, column k
-    a[nz:-1] = -d @ a[:nz]                      # -D_k lambda_k / sigma2_k on T_k
-    a[-1] = rbar @ a[:nz]                       # rbar' lambda_k / sigma2_k on the constant
+    a = np.zeros((g.shape[0], k))               # U = W~_c A
+    a[projection.z_own] = loading * inv_var[z_block]  # lambda_k / sigma2_k on Z~_k, column k
+    a[nz:-1] = -e @ a[:nz]                      # -E_k lambda_k / sigma2_k on T_k
+    a[-1] = (mean[:nz] - mean[nz:-1] @ e) @ a[:nz]    # mean(r_k)' lambda_k / sigma2_k
     fisher = np.add.reduceat(loading * loading, starts) * inv_var
     _, chol, sigma = _posterior(x[nd + nz:-k], fisher, variances)
     ga = g @ a
     uu = a.T @ ga                                # U'U
-    quad = float((size - 2.0 * cross) @ inv_var - (sigma * uu).sum())
+    quad = float(r_sq @ inv_var - (sigma * uu).sum())
     logdet = float(np.log(variances) @ projection.widths + 2.0 * np.log(chol.diagonal()).sum())
     return EStepSummary(
         s=n * sigma + sigma @ uu @ sigma,

@@ -354,10 +354,11 @@ def write_fit(
         score = np.abs(expected_score(x, summary, projection))
         k = int(np.argmax(score))
         report.update(max_abs_score=float(score[k]), max_abs_score_parameter=names[k])
-        # corr(Z_j, f_k) = (W_c'M)_jk / sqrt(G_jj ||f_k,c||^2), f_k block k's score
+        # corr(Z_j, f_k) = (Z_c'M)_jk / sqrt(||Z_j,c||^2 ||f_k,c||^2), Z_c'M = Z~_c'M + B'T_c'M
         rows, block = projection.z_own
+        zm = summary.wm[rows] + projection.stacked_coef.T @ summary.wm[rows.size:-1]
         f_sq = ((result.moments.m - result.moments.m.mean(axis=0))**2).sum(axis=0)
-        corr = summary.wm[rows, block] / np.sqrt(np.diagonal(projection.g)[rows] * f_sq[block])
+        corr = zm[rows, block] / np.sqrt(projection.spread * f_sq[block])
         variables = zip(block, (name for header in cols["z"] for name in header), corr)
         _write_csv(out / "correlations.csv", ["block", "variable", "correlation"],
                    ([block_label("Z", k), name, _fmt(r)] for k, name, r in variables))

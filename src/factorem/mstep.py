@@ -4,24 +4,24 @@ Each measurement block k (Y with covariates T, then X^m with T^m) is a
 regression of Z_k on its fixed covariates T_k and on its factor f, whose
 law is fixed by the E-step. The covariates and the observed blocks never
 change within a fit, so ``project_covariates`` partials T_k out once
-(Frisch-Waugh-Lovell), from blocks of the stacked Gram G = W_c'W_c of the
-centered data W_c (the fit's one pass over the data, see ``estep``), with
-W'W = G + n mean mean' off the constant:
+(Frisch-Waugh-Lovell), in the fit's one pass over the data: from
+T_k,c'[T_k,c, Z_k,c] of the centered data and the column means it solves
 
     B_k = (T_k'T_k)^-1 T_k'Z_k,   Z~_k = Z_k - T_k B_k,
 
-and keeps B_k, (T_k'T_k)^-1, the centered Gram of Z~_k, its column means
-and ||Z~_k||^2; no n x q array is kept. The expected complete log-likelihood
-depends on the law only through the scores f (a column of M) and the
-second-moment sum
+forms the residuals in place and keeps the Gram G = W~_c'W~_c of the
+centered W~ = [Z~_0..Z~_p, T_0..T_p] (see ``estep``), with W~'W~ = G +
+n mean mean' off the constant, B_k and (T_k'T_k)^-1; no n x q array is
+kept. The expected complete log-likelihood depends on the law only
+through the scores f (a column of M) and the second-moment sum
 
     S = sum_i E[h_i h_i' | z_i] = n Sigma + M'M,
 
 with index 0 for g and m for f^m, and the scores enter only through
-W_c'M and 1'f (``estep.EStepSummary``): T_k'f = T_k,c'f + mean_T (1'f),
-Z~_k'f = Z_k,c'f - B_k'T_k,c'f + mean(Z~_k) (1'f) and P_k f =
-(T_k'T_k)^-1 T_k'f. With s = S_kk, each iteration then updates the
-block with no pass over the data:
+W~_c'M and 1'f (``estep.EStepSummary``): T_k'f = T_k,c'f + mean_T (1'f),
+Z~_k'f = Z~_k,c'f + mean(Z~_k) (1'f) and P_k f = (T_k'T_k)^-1 T_k'f.
+With s = S_kk, each iteration then updates the block with no pass over
+the data:
 
     denom   = s - (T_k'f) . (P_k f)
     lambda  = Z~_k'f / denom                     (loading[k]: b, or a^m)
@@ -35,20 +35,20 @@ explicit ratios, kept as a test oracle only.
 
 ``update_theta`` makes this update for every block at once and returns
 the canonical vector (``model.flatten_theta`` order): T_k'f, P_k f and
-Z~_k'f come from W_c'M by the index maps of ``Projection`` and one
-product each with the block-diagonal (T'T)^-1 and B, and the per-block
-sums by ``reduceat``. ``expected_score``, ``io.write_fit``'s certificate,
-reads the gradient off the same maps; it vanishes at the update.
+Z~_k'f come from W~_c'M by the index maps of ``Projection`` and one
+product with the block-diagonal (T'T)^-1, the per-block sums by
+``reduceat``. ``expected_score``, ``io.write_fit``'s certificate, reads
+the gradient off the same maps and ``estep.residual_sq``.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
-from .estep import GRAM_LIMIT, EStepSummary
+from .estep import GRAM_LIMIT, EStepSummary, residual_sq
 from .model import Dataset, block_label
 
 __all__ = [
@@ -64,21 +64,20 @@ VARIANCE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Projection:
-    """A fit's one pass over ``data``: G = W_c'W_c and the column means
-    ``mean`` of W = W_c + 1 mean' (W the stacked [Z_0..Z_p, T_0..T_p], the
-    constant last with mean 0), and the rows ``z``/``t`` of G that belong
-    to each Z_k and T_k. For the canonical vector, maps onto G's rows:
-    ``z_own``/``t_own`` pair each Z row/T row of G with its block (the
-    column of A or of W_c'M it fills); ``starts`` hold the first Z row and
-    the first T row of each block; coordinate i of the stacked D sits at T
-    row ``d_at[0][i]`` and Z column ``d_at[1][i]`` (T rows counted from the
-    first, here and in ``starts``); ``widths`` are the q_k, ``gram_bound``
-    ``estep.GRAM_LIMIT`` n q_k; and ``z_sq`` is ||Z_k,c||^2 per block. Per
-    block as in ``Theta``, Z~_k's centered Gram and ||Z~_k||^2; the column
-    means ``projected_mean`` of [Z~_0..Z~_p, T_0..T_p] (rows as in G); and
-    the block-diagonal B (T rows x Z columns, B_k on block k's), its
-    entries ``coef_at_d`` at the coordinates of D, and (T'T)^-1 (T rows x
-    T rows)."""
+    """A fit's one pass over ``data``: G = W~_c'W~_c and the column means
+    ``mean`` of W~ = W~_c + 1 mean' (W~ the stacked [Z~_0..Z~_p, T_0..T_p],
+    Z~_k = Z_k - T_k B_k, the constant last with mean 0), and the rows
+    ``z``/``t`` of G that belong to each Z~_k and T_k. For the canonical
+    vector, maps onto G's rows: ``z_own``/``t_own`` pair each Z row/T row
+    of G with its block (the column of A or of W~_c'M it fills);
+    ``starts`` hold the first Z row and the first T row of each block;
+    coordinate i of the stacked D sits at T row ``d_at[0][i]`` and Z
+    column ``d_at[1][i]`` (T rows counted from the first, here and in
+    ``starts``); ``widths`` are the q_k, ``gram_bound`` ``estep.GRAM_LIMIT``
+    n q_k; ``spread`` is ||Z_j,c||^2 per observed column and ``resid_sq``
+    ||Z~_k||^2 per block; and the block-diagonal B (T rows x Z columns,
+    B_k on block k's), its entries ``coef_at_d`` at the coordinates of D,
+    and (T'T)^-1 (T rows x T rows)."""
 
     data: Dataset
     g: np.ndarray
@@ -91,10 +90,8 @@ class Projection:
     d_at: tuple[np.ndarray, np.ndarray]
     widths: np.ndarray
     gram_bound: np.ndarray
-    z_sq: np.ndarray
-    resid_gram: tuple[np.ndarray, ...]
+    spread: np.ndarray
     resid_sq: np.ndarray
-    projected_mean: np.ndarray
     stacked_coef: np.ndarray
     coef_at_d: np.ndarray
     stacked_tt_inv: np.ndarray
@@ -116,8 +113,8 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
 
 
 def project_covariates(data: Dataset) -> Projection:
-    """Build G, then partial each block's covariates out of it, once per
-    fit: Y on T, then X^m on T^m.
+    """Partial each block's covariates out of the centered data, then
+    build G, once per fit: Y on T, then X^m on T^m.
 
     Raises DataError when a covariate block has at least as many columns
     as there are units or an observed column is constant or explained by
@@ -133,50 +130,47 @@ def project_covariates(data: Dataset) -> Projection:
     k, nz = q.size, int(q.sum())
     edges = np.cumsum([0, *q, *r]).tolist()
     rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    w = np.hstack([*data.z, *data.t])
-    means = w.mean(axis=0)      # to become those of [Z~_0..Z~_p, T_0..T_p]
-    w -= means
-    g = np.zeros((w.shape[1] + 1,) * 2)
-    g[:-1, :-1] = w.T @ w
-    g[-1, -1] = n
-    mean = np.append(means, 0.0)
+    w = np.empty((n, edges[-1]), order="F")     # each block's columns contiguous, for dgemm
+    for cols, b in zip(rows, (*data.z, *data.t)):
+        w[:, cols] = b
+    mean = np.append(w.mean(axis=0), 0.0)       # to become those of [Z~_0..Z~_p, T_0..T_p]
+    w -= mean[:-1]
+    spread = np.einsum("ij,ij->j", w[:, :nz], w[:, :nz])
+    # each column on its own scale: constant when ||z_c|| <= 1e-12 ||z||
+    zero = spread <= 1e-24 * (spread + n * mean[:nz]**2)
     stacked_coef, stacked_tt_inv = np.zeros((r.sum(), nz)), np.zeros((r.sum(),) * 2)  # B, (T'T)^-1
-    resid_gram, resid_sq = [], np.empty(k)
     for j, (z, t) in enumerate(zip(rows[:k], rows[k:])):
-        tt, tz = (g[t, b] + n * (mean[t, None] * mean[b]) for b in (t, z))
+        own = slice(t.start - nz, t.stop - nz)
+        tt, tz = (w[:, t].T @ w[:, b] + n * (mean[t, None] * mean[b]) for b in (t, z))
         solved = _gram_solve(tt, np.hstack([np.eye(r[j]), tz]), block_label("T", j))
         coef = solved[:, r[j]:]
-        own = slice(t.start - nz, t.stop - nz)
         stacked_coef[own, z], stacked_tt_inv[own, own] = coef, solved[:, :r[j]]
-        cross = coef.T @ g[t, z]
-        resid_gram.append(g[z, z] - cross - cross.T + coef.T @ g[t, t] @ coef)
-        # each column on its own scale: constant (||z_c|| <= 1e-12 ||z||), or explained by T_k
-        spread, resid = np.diagonal(g[z, z]), np.diagonal(resid_gram[j])
-        zero = (spread <= 1e-24 * (spread + n * mean[z]**2)) | (resid <= 1e-12 * spread)
-        if zero.any():
-            raise DataError(f"column {np.argmax(zero) + 1} of {block_label('Z', j)} has zero "
-                            "variance, alone or given its covariates")
-        means[z] -= mean[t] @ coef     # mean(Z~_k) = mean(Z_k) - B_k' mean(T_k)
-        resid_sq[j] = np.trace(resid_gram[j]) + n * means[z] @ means[z]
+        blas.dgemm(-1.0, w[:, t], coef, beta=1.0, c=w[:, z], overwrite_c=True)  # Z~_k,c in place
+        mean[z] -= mean[t] @ coef       # mean(Z~_k) = mean(Z_k) - B_k' mean(T_k)
+    g = np.zeros((edges[-1] + 1,) * 2)
+    g[:-1, :-1] = w.T @ w
+    g[-1, -1] = n
+    resid = np.diagonal(g)[:nz]
+    zero |= resid <= 1e-12 * spread     # explained by T_k
     z_block, t_block = np.repeat(np.arange(k), q), np.repeat(np.arange(k), r)
     starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
+    if zero.any():
+        j = int(np.argmax(zero))
+        raise DataError(f"column {j - starts[0][z_block[j]] + 1} of {block_label('Z', z_block[j])}"
+                        " has zero variance, alone or given its covariates")
     d_at = np.nonzero(t_block[:, None] == z_block)  # row-major over the block-diagonal
     return Projection(
         data=data, g=g, mean=mean, z=tuple(rows[:k]), t=tuple(rows[k:]),
         z_own=(np.arange(nz), z_block), t_own=(np.arange(nz, nz + r.sum()), t_block),
-        starts=starts, d_at=d_at, widths=q, gram_bound=GRAM_LIMIT * n * q,
-        z_sq=np.add.reduceat(np.diagonal(g)[:nz], starts[0]),
-        resid_gram=tuple(resid_gram), resid_sq=resid_sq, projected_mean=means,
+        starts=starts, d_at=d_at, widths=q, gram_bound=GRAM_LIMIT * n * q, spread=spread,
+        resid_sq=np.add.reduceat(resid + n * mean[:nz]**2, starts[0]),
         stacked_coef=stacked_coef, coef_at_d=stacked_coef[d_at], stacked_tt_inv=stacked_tt_inv)
 
 
 def _factor_cross(projection: Projection, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T_k'f on the T rows, Z~_k'f on the Z rows) from W_c'M."""
-    (z_rows, z_block), (t_rows, t_block) = projection.z_own, projection.t_own
-    ones, mean, own_t = wm[-1], projection.projected_mean, wm[t_rows, t_block]  # 1'f, T_k,c'f
-    nz, coef = z_rows.size, projection.stacked_coef
-    return (own_t + mean[nz:] * ones[t_block],
-            wm[z_rows, z_block] + mean[:nz] * ones[z_block] - coef.T @ own_t)
+    """(T_k'f on the T rows, Z~_k'f on the Z rows) from W~'M = W~_c'M + mean 1'M."""
+    raw = wm[:-1] + np.outer(projection.mean[:-1], wm[-1])
+    return raw[projection.t_own], raw[projection.z_own]
 
 
 def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
@@ -232,24 +226,20 @@ def expected_score(x: np.ndarray, summary: EStepSummary, projection: Projection)
     """Gradient of the expected complete log-likelihood at the canonical
     vector ``x`` under the law ``summary`` sums, read off ``projection``:
     with E_k = D_k - B_k, r_k = Z_k - T_k D_k = Z~_k - T_k E_k has
-    T_k'r_k = -T_k'T_k E_k and ||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2.
+    T_k'r_k = -T_k'T_k E_k and ||r_k||^2 from ``estep.residual_sq``.
     Vanishes (to rounding) at the ``update_theta`` output; at the ``x``
     the law was computed at it is the observed-loglik gradient (Fisher).
     """
-    g, mean, n = projection.g, projection.mean[:-1], projection.data.n
     z_block, starts, (rows, cols) = projection.z_own[1], projection.starts[0], projection.d_at
     nz, nd, k = z_block.size, rows.size, starts.size
     loading, inv_var, sq = x[nd:nd + nz], 1.0 / x[-k:], summary.s.diagonal()[z_block]
     tf, zf = _factor_cross(projection, summary.wm)
-    e = np.zeros_like(projection.stacked_coef)
-    e[rows, cols] = x[:nd] - projection.coef_at_d
-    tte = g[nz:-1, nz:-1] @ e + n * np.outer(mean[nz:], mean[nz:] @ e)   # T_k'T_k E_k
+    e, tte, r_sq = residual_sq(x, projection)
     rf = zf - e.T @ tf                                                  # r_k'f
     # sum over units of E||r_k,i - f_i lambda_k||^2
-    sq_resid = projection.resid_sq + np.add.reduceat(
-        (e * tte).sum(0) - 2.0 * loading * rf + loading**2 * sq, starts)
+    sq_resid = r_sq + np.add.reduceat(-2.0 * loading * rf + loading**2 * sq, starts)
     return np.concatenate([
         -(tte[rows, cols] + tf[rows] * loading[cols]) * inv_var[z_block[cols]],
         (rf - sq * loading) * inv_var[z_block],
         summary.s[1:, 0] - summary.s[1:, 1:] @ x[nd + nz:-k],
-        0.5 * inv_var * (sq_resid * inv_var - n * projection.widths)])
+        0.5 * inv_var * (sq_resid * inv_var - projection.data.n * projection.widths)])

@@ -25,7 +25,8 @@ z_i ~ N(covariate mean, s3).
 carried the canonical vector: a ``Theta`` per evaluation, and Gram-form
 E- and M-steps (``loop_gram_estep``, ``loop_update_theta``) that loop
 over the blocks in Python, reading each block's B_k and (T_k'T_k)^-1 off
-the projection's block-diagonal copies (``block_projection``).
+the projection's block-diagonal copies (``block_projection``) and each
+block's residual as r_k = Z~_k - T_k E_k, E_k = D_k - B_k.
 ``plain_fit`` is the unaccelerated EM loop, one map step after another
 from the package's start, on those per-block steps by default. The
 package's ``fit`` and its block-vectorized steps are tested against
@@ -308,28 +309,22 @@ def loop_gram_estep(theta, gram, data):
         raise DataError("conditional law needs strictly positive noise variances")
     g, mean, n = gram.g, gram.mean, data.n
     zs, ts = slice(0, gram.t[0].start), slice(gram.t[0].start, -1)
-    starts = [z.start for z in gram.z]
-    widths = np.diff([*starts, zs.stop])
+    widths = np.array([z.stop - z.start for z in gram.z])
     inv_var = 1.0 / variances
-    size = np.add.reduceat(np.diagonal(g)[zs], starts)
-    if not np.max(size * inv_var / (n * widths)) <= GRAM_LIMIT:
-        return EStepSummary.from_law(conditional_law(theta, data), data)
-    d = np.zeros((g.shape[0], zs.stop))
+    e = np.zeros((g.shape[0], zs.stop))
     lam = np.zeros((zs.stop, widths.size))
-    blocks = zip(gram.z, gram.t, theta.coef, theta.loading)
-    for k, (z, t, coef, loading) in enumerate(blocks):
-        d[t, z] = coef
+    resid_sq = np.empty(widths.size)
+    blocks = zip(gram.z, gram.t, theta.coef, theta.loading, block_projection(gram), gram.resid_sq)
+    for k, (z, t, coef, loading, (b, _), tilde_sq) in enumerate(blocks):
+        e_k = coef - b                      # r_k = Z~_k - T_k E_k
+        e[t, z] = e_k
         lam[z, k] = loading * inv_var[k]
-    d = d[ts]
-    rbar = mean[zs] - mean[ts] @ d
-    dd, cross = np.add.reduceat(np.stack([
-        np.sum(d * (g[ts, ts] @ d), axis=0) + n * rbar**2,
-        np.sum(d * g[ts, zs], axis=0)]), starts, axis=1)
-    size += dd
-    if not np.max(size * inv_var / (n * widths)) <= GRAM_LIMIT:
-        return EStepSummary.from_law(conditional_law(theta, data), data)
-    resid_sq = size - 2.0 * cross
-    a = np.vstack([lam, -d @ lam, rbar @ lam])
+        mean_te = mean[t] @ e_k
+        resid_sq[k] = tilde_sq + np.sum(e_k * (g[t, t] @ e_k)) + n * mean_te @ mean_te
+    if not np.max(resid_sq * inv_var / (n * widths)) <= GRAM_LIMIT:
+        return EStepSummary.from_law(conditional_law(theta, data), gram)
+    e = e[ts]
+    a = np.vstack([lam, -e @ lam, (mean[zs] - mean[ts] @ e) @ lam])
     _, chol, sigma = loop_posterior(theta, inv_var)
     ga = g @ a
     uu = a.T @ ga
@@ -351,12 +346,12 @@ def loop_update_theta(projection, summary) -> Theta:
         raise SingularSystemError("structural moment system is singular") from exc
     loadings, coefs, variances = [], [], []
     wm = summary.wm
-    shifted = wm[:-1] + np.outer(projection.projected_mean, wm[-1])
+    shifted = wm[:-1] + np.outer(projection.mean[:-1], wm[-1])
     blocks = zip(projection.z, projection.t, block_projection(projection), projection.resid_sq)
     for k, (z, t, (coef, tt_inv), resid_sq) in enumerate(blocks):
         tf = shifted[t, k]
         pf = tt_inv @ tf
-        zf = shifted[z, k] - coef.T @ wm[t, k]
+        zf = shifted[z, k]
         denom = s[k, k] - tf @ pf
         if denom <= 1e-12 * s[k, k]:
             raise DegeneratePosteriorError(f"loading denominator for block {k} is {denom}")

@@ -4,6 +4,7 @@ of the centered data) against the n-pass routes it replaced
 block-vectorized steps on the canonical vector against the per-block
 loops they replaced (``dense_oracle.loop_*``)."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -53,19 +54,19 @@ def assert_summaries_close(gram, exact, label, rtol=RTOL):
 
 
 def test_gram_estep_matches_conditional_law(monkeypatch):
-    cases = [(label, data, theta, project_covariates(data),
-              EStepSummary.from_law(conditional_law(theta, data), data))
+    cases = [(label, theta, gram := project_covariates(data),
+              EStepSummary.from_law(conditional_law(theta, data), gram))
              for label, data, theta in instances()]
     gram_only(monkeypatch)
-    for label, data, theta, gram, exact in cases:
+    for label, theta, gram, exact in cases:
         assert_summaries_close(gram_summary(flatten_theta(theta), gram), exact, label)
 
 
 def test_gram_update_matches_the_npass_update():
     worst = 0.0
     for label, data, theta in instances():
-        law = conditional_law(theta, data)
-        updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+        law, projection = conditional_law(theta, data), project_covariates(data)
+        updated = update_theta(projection, EStepSummary.from_law(law, projection))
         expected = flatten_theta(dense_oracle.npass_update(
             dense_oracle.npass_projection(data), law))
         worst = max(worst, float(np.max(np.abs(updated - expected) / np.abs(expected))))
@@ -106,7 +107,8 @@ def test_gram_map_steps_match_the_npass_map_steps(monkeypatch):
 def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
     data, _, theta, _ = random_instance(0)
     floored = replace(theta, sigma2=(theta.sigma2[0], VARIANCE_FLOOR, *theta.sigma2[2:]))
-    exact = EStepSummary.from_law(conditional_law(floored, data), data)
+    projection = project_covariates(data)
+    exact = EStepSummary.from_law(conditional_law(floored, data), projection)
     calls = []
 
     def counting(theta, data):
@@ -115,7 +117,7 @@ def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
 
     law = estep.conditional_law
     monkeypatch.setattr(estep, "conditional_law", counting)
-    summary = gram_summary(flatten_theta(floored), project_covariates(data))
+    summary = gram_summary(flatten_theta(floored), projection)
     assert len(calls) == 1
     np.testing.assert_array_equal(flatten_theta(calls[0]), flatten_theta(floored))
     for name in ("s", "wm", "loglik"):
@@ -127,14 +129,13 @@ def test_the_gram_limit_splits_the_two_routes(monkeypatch):
     # the limit: just inside it the Gram form still holds 1e-10
     data, _, theta, _ = random_instance(3)
     gram = project_covariates(data)
-    z, t, coef = gram.z[0], gram.t[0], theta.coef[0]
-    rbar = gram.mean[z] - gram.mean[t] @ coef
-    size = np.trace(gram.g[z, z]) + np.sum(coef * (gram.g[t, t] @ coef)) + data.n * rbar @ rbar
+    t, e = data.t[0], theta.coef[0] - dense_oracle.block_projection(gram)[0][0]   # E = D - B
+    size = gram.resid_sq[0] + np.sum((t @ e)**2)       # ||r||^2 = ||Z~||^2 + ||T E||^2
     at_limit = size / (GRAM_LIMIT * data.n * data.z[0].shape[1])
     inside, outside = (replace(theta, sigma2=(s, *theta.sigma2[1:]))
                        for s in (2.0 * at_limit, 0.5 * at_limit))
-    exact_inside = EStepSummary.from_law(conditional_law(inside, data), data)
-    exact_outside = EStepSummary.from_law(conditional_law(outside, data), data)
+    exact_inside = EStepSummary.from_law(conditional_law(inside, data), gram)
+    exact_outside = EStepSummary.from_law(conditional_law(outside, data), gram)
     assert gram_summary(flatten_theta(outside), gram).loglik == exact_outside.loglik
     gram_only(monkeypatch)
     assert_summaries_close(gram_summary(flatten_theta(inside), gram), exact_inside, "inside")
@@ -189,8 +190,8 @@ def test_the_top_eigenpair_start_matches_the_full_spectrum_start(monkeypatch):
     single = 0
     for label, data in [(label, data) for label, data, _ in instances()] + [("large", large)]:
         projection = project_covariates(data)
-        for k, resid_gram in enumerate(projection.resid_gram):
-            n, q = data.n, len(resid_gram)
+        for k, z in enumerate(projection.z):
+            resid_gram, n, q = projection.g[z, z], data.n, z.stop - z.start
             e, std, sigma2 = em._first_component(resid_gram, n, "Z")
             e_full, std_full, sigma2_full = dense_oracle.eigh_first_component(resid_gram, n, "Z")
             np.testing.assert_allclose(e, e_full, rtol=0, atol=1e-12, err_msg=label)
@@ -236,6 +237,44 @@ def test_one_pass_over_the_data_per_fit(monkeypatch):
     assert sorted(calls) == sorted(["project_covariates", "T", "T1", "T2", "conditional_law"])
 
 
+def test_a_wide_design_stays_on_the_gram_path(monkeypatch):
+    # ||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2 leaves the covariate-explained
+    # part T_k B_k out of the size GRAM_LIMIT bounds: a (200, 300) fit
+    # conditions every unit once, at the estimate, and the Gram form at the
+    # true theta holds RTOL against the exact pass
+    dims = reference_dims(n=200, q=300)
+    data, _, theta = simulate_dataset(SimConfig(dims=dims, seed=1))
+    law, seen = estep.conditional_law, []
+
+    def recording(theta, data):
+        seen.append(flatten_theta(theta))
+        return law(theta, data)
+
+    monkeypatch.setattr(estep, "conditional_law", recording)
+    monkeypatch.setattr(em, "conditional_law", recording)
+    result = fit(data, dims, EMConfig(epsilon=1e-2))
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], flatten_theta(result.theta))
+    monkeypatch.undo()
+    projection = project_covariates(data)
+    exact = EStepSummary.from_law(conditional_law(theta, data), projection)
+    gram_only(monkeypatch)
+    assert_summaries_close(gram_summary(flatten_theta(theta), projection), exact, "wide")
+
+
+def test_the_projection_holds_no_array_with_n_rows():
+    # the pass's column-major copy of the data is its own temporary: no
+    # field but ``data`` keeps it, or a view of it, alive for the fit
+    data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(), seed=1))   # n 400, G 127 rows
+    projection = project_covariates(data)
+    for field in dataclasses.fields(projection):
+        value = getattr(projection, field.name)
+        for array in (value if isinstance(value, tuple) else (value,)):
+            for a in (array, getattr(array, "base", None)):
+                n_rows = isinstance(a, np.ndarray) and a.ndim > 0 and a.shape[0] == data.n
+                assert field.name == "data" or not n_rows, field.name
+
+
 def test_write_fit_reads_the_certificate_and_correlations_off_one_gram(monkeypatch, tmp_path):
     # one G, one Gram-form law at the reported theta and one score; no
     # n-row law and no per-variable corrcoef
@@ -278,8 +317,10 @@ def test_a_fit_builds_a_theta_only_at_the_estimate_and_on_exact_passes(monkeypat
     fit(narrow, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
     assert (len(built), len(exact)) == (1, 0)
     built.clear()
-    result = fit(floored, dims, EMConfig(epsilon=1e-3))
-    assert min(result.theta.sigma2) == VARIANCE_FLOOR and len(exact) > 0
+    # the fit floors a variance (its warning fires) and so takes the exact pass
+    with pytest.warns(RuntimeWarning, match=r"sigma2_\w+ .* floored at 1e-12"):
+        fit(floored, dims, EMConfig(epsilon=1e-3))
+    assert len(exact) > 0
     assert len(built) == 1 + len(exact)
 
 
@@ -372,13 +413,13 @@ def test_fit_follows_the_per_block_loop(monkeypatch):
 
 def test_gram_score_matches_the_nrow_oracle():
     # at the parameters the law was computed at and at its M-step update,
-    # relative to max(1, |score|); the measured worst is 1.21e-12
+    # relative to max(1, |score|); the measured worst is 5.3e-13
     worst = 0.0
     for seed in range(200):
         data, _, theta, dims = random_instance(seed)
         projection = project_covariates(data)
         law = conditional_law(theta, data)
-        summary = EStepSummary.from_law(law, data)
+        summary = EStepSummary.from_law(law, projection)
         for x in (flatten_theta(theta), update_theta(projection, summary)):
             exact = likelihood_oracle.expected_score(unflatten_theta(x, dims), law, data)
             gram = expected_score(x, summary, projection)

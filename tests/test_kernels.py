@@ -43,11 +43,15 @@ def test_stacked_blocks_are_the_block_diagonal_of_the_per_block_solves():
     for seed in range(30):
         data, _, _, _ = random_instance(seed)
         projection = project_covariates(data)
-        g, mean, n = projection.g, projection.mean, data.n
+        n = data.n
+        # T'T and T'Z from the centered data and its column means, formed as the pass forms them
+        w = np.asfortranarray(np.hstack([*data.z, *data.t]))
+        mean = w.mean(axis=0)
+        w -= mean
         coef, tt_inv = [], []
         for z, t in zip(projection.z, projection.t):
-            tt, tz = (g[t, b] + n * np.outer(mean[t], mean[b]) for b in (t, z))
             r = t.stop - t.start
+            tt, tz = (w[:, t].T @ w[:, b] + n * np.outer(mean[t], mean[b]) for b in (t, z))
             solved = _gram_solve(tt, np.hstack([np.eye(r), tz]), "T")
             coef.append(solved[:, r:])
             tt_inv.append(solved[:, :r])

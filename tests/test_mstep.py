@@ -14,15 +14,17 @@ from likelihood_oracle import complete_loglik, expected_complete_loglik, expecte
 
 def updated_theta(data, law):
     """The M-step from ``law`` as a ``Theta``."""
-    x = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+    projection = project_covariates(data)
+    x = update_theta(projection, EStepSummary.from_law(law, projection))
     return unflatten_theta(x, data.dimensions())
 
 
 def scores(theta, law, data):
     """The n-row oracle score and the package's Gram score at ``theta``
     under ``law``."""
-    gram = mstep.expected_score(flatten_theta(theta), EStepSummary.from_law(law, data),
-                                project_covariates(data))
+    projection = project_covariates(data)
+    gram = mstep.expected_score(flatten_theta(theta), EStepSummary.from_law(law, projection),
+                                projection)
     return expected_score(theta, law, data), gram
 
 
@@ -39,9 +41,10 @@ class TestCovariateProjection:
         for seed in range(20):
             data, _, _, _ = random_instance(seed)
             projection = project_covariates(data)
-            blocks = zip(dense_oracle.block_projection(projection), projection.resid_gram,
-                         projection.resid_sq, projection.z, data.t, data.z)
-            for (coef, tt_inv), resid_gram, resid_sq, rows, t, z in blocks:
+            blocks = zip(dense_oracle.block_projection(projection), projection.resid_sq,
+                         projection.z, data.t, data.z)
+            for (coef, tt_inv), resid_sq, rows, t, z in blocks:
+                resid_gram = projection.g[rows, rows]
                 expected, rss, _, _ = np.linalg.lstsq(t, z, rcond=None)
                 np.testing.assert_allclose(coef, expected, rtol=1e-10, atol=1e-12)
                 np.testing.assert_allclose(tt_inv @ (t.T @ t), np.eye(t.shape[1]), atol=1e-12)
@@ -49,7 +52,7 @@ class TestCovariateProjection:
                 centered = resid - resid.mean(axis=0)
                 scale = np.abs(centered.T @ centered).max()
                 assert np.abs(resid_gram - centered.T @ centered).max() <= 1e-10 * scale
-                np.testing.assert_allclose(projection.projected_mean[rows], resid.mean(axis=0),
+                np.testing.assert_allclose(projection.mean[rows], resid.mean(axis=0),
                                            rtol=1e-10, atol=1e-12 * np.abs(z).max())
                 assert resid_sq == pytest.approx(float(np.sum(rss)), rel=1e-10)
 
@@ -129,8 +132,8 @@ class TestUpdateTheta:
         worst = 0.0
         for seed in range(100):
             data, _, theta, dims = random_instance(seed)
-            law = conditional_law(theta, data)
-            updated = update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+            law, projection = conditional_law(theta, data), project_covariates(data)
+            updated = update_theta(projection, EStepSummary.from_law(law, projection))
             stats = dense_oracle.sufficient_stats(data, law)
             expected = flatten_theta(dense_oracle.update_theta(stats, law, data))
             worst = max(worst, float(np.max(np.abs(updated - expected) / np.abs(expected))))
@@ -161,8 +164,10 @@ class TestUpdateTheta:
         shared = rng.normal(size=n)
         m = np.column_stack([rng.normal(size=n), shared, shared])
         law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)), loglik=np.zeros(n))
+        projection = project_covariates(data)
+        summary = EStepSummary.from_law(law, projection)
         with pytest.raises(SingularSystemError, match="structural"):
-            update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+            update_theta(projection, summary)
 
     def test_degenerate_posterior_rejected(self):
         # factor score collinear with the covariate and no posterior
@@ -176,8 +181,10 @@ class TestUpdateTheta:
         )
         m = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)), loglik=np.zeros(n))
+        projection = project_covariates(data)
+        summary = EStepSummary.from_law(law, projection)
         with pytest.raises(DegeneratePosteriorError):
-            update_theta(project_covariates(data), EStepSummary.from_law(law, data))
+            update_theta(projection, summary)
 
 
 class TestExpectedScore:
