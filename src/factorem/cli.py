@@ -54,9 +54,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data, columns = load_dataset(args.data)
-    config = _em_config(args)
-    result = canonicalize(fit(data, data.dimensions(), config))
-    write_fit(result, args.out, data=data, config=config, columns=columns)
+    result = canonicalize(fit(data, data.dimensions(), _em_config(args)))
+    write_fit(result, args.out, columns=columns)
     status = "converged" if result.converged else "did not converge"
     print(f"{status} after {result.iterations} iterations; wrote {args.out}")
     return 0

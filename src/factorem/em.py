@@ -51,7 +51,7 @@ plain EM finishes within two map steps is the plain EM fit.
 """
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -112,8 +112,10 @@ class FitResult:
     are in the order of the accepted iterates, so the log-likelihood
     column never decreases. accepted and rejected count the SqS3
     extrapolations kept and discarded by the log-likelihood test (a
-    cycle whose steplength is -1 attempts none). dims are the dimensions
-    of the fitted data.
+    cycle whose steplength is -1 attempts none). data and config are the
+    ``Dataset`` (held by reference, never copied, left out of the repr)
+    and the ``EMConfig`` the fit ran on, so ``io.write_fit`` needs nothing
+    else; dims are the data's dimensions.
     """
 
     theta: Theta
@@ -121,9 +123,14 @@ class FitResult:
     iterations: int
     converged: bool
     trace: np.ndarray
-    dims: Dimensions
+    data: Dataset = field(repr=False)
+    config: EMConfig
     accepted: int = 0
     rejected: int = 0
+
+    @property
+    def dims(self) -> Dimensions:
+        return self.data.dimensions()
 
 
 def _first_component(gram: np.ndarray, n: int, name: str) -> tuple[np.ndarray, float, float]:
@@ -288,7 +295,8 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         iterations=len(trace),
         converged=converged,
         trace=np.array(trace),
-        dims=actual,
+        data=data,
+        config=config,
         accepted=accepted,
         rejected=rejected,
     )

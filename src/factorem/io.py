@@ -12,7 +12,8 @@ or the directory holding it as manifest.json:
     {"y": "Y.csv", "x": ["X1.csv", "X2.csv"],
      "t": "T.csv", "t_m": ["T1.csv", "T2.csv"], "intercept": false}
 
-One file may not fill two roles. Every block is parsed by numpy's C
+One file may not fill two roles, and a UTF-8 byte-order mark opening
+the manifest or a block is skipped. Every block is parsed by numpy's C
 reader, with the strict csv reader as fallback. In that fallback a
 covariate block may contain non-numeric (categorical) columns; these are
 expanded into a leading intercept column plus one indicator per level
@@ -29,13 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .em import EMConfig, FitResult
+from .em import FitResult
 from .errors import DataError
 from .estep import gram_summary
 from .evaluate import ResampleSummary, StudySummary
 from .model import (
-    Dataset, Dimensions, Theta, block_label, check_dimensions, check_theta_shapes,
-    flatten_theta, theta_names,
+    Dataset, Dimensions, Theta, block_label, check_theta_shapes, flatten_theta, theta_names,
 )
 from .mstep import expected_score, project_covariates
 
@@ -92,7 +92,7 @@ def _reject_duplicate_keys(pairs):
 def _read_manifest(path: Path) -> dict:
     """The manifest's JSON object, once every role has the right type."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"),
+        raw = json.loads(path.read_text(encoding="utf-8-sig"),
                          object_pairs_hook=_reject_duplicate_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
@@ -126,7 +126,7 @@ def _read_manifest(path: Path) -> dict:
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read block file {path}: {exc}") from exc
@@ -165,7 +165,7 @@ def _read_block(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
     blank cell in a non-numeric column and a one-level column, which would vanish.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             lines = sum(1 for _ in handle) - 1  # split as the csv module splits
             handle.seek(0)
             header = next(csv.reader(handle), [])
@@ -297,26 +297,20 @@ def write_dataset(
         _write_parameters(out / "theta_true.csv", theta_names(dims), theta)
 
 
-def write_fit(
-    result: FitResult,
-    out_dir,
-    data: Dataset | None = None,
-    config: EMConfig | None = None,
-    columns: dict | None = None,
-) -> None:
-    """Serialize a fit: parameter table, factor scores, trace, report.
+def write_fit(result: FitResult, out_dir, columns: dict | None = None) -> None:
+    """Serialize a fit: parameter table, factor scores, trace, report and
+    correlations.csv (each observed variable against its block's factor
+    score).
 
-    ``data`` enables correlations.csv (each observed variable against
-    its block's factor score) and the convergence certificate in
-    report.json, the largest absolute observed-loglik gradient at the
-    returned theta and the parameter it belongs to, both read off one
-    ``project_covariates`` and ``gram_summary``; ``config`` and
-    ``columns`` enrich report.json and the variable names. A DataError
-    says where ``data`` or ``columns["z"]`` disagrees with the fit.
+    report.json holds the fit's ``EMConfig`` and its convergence
+    certificate, the largest absolute observed-loglik gradient at the
+    returned theta and the parameter it belongs to; the certificate and
+    the correlations are read off one ``project_covariates`` of the
+    fitted ``result.data`` and one ``gram_summary``. ``columns`` names
+    the variables; a DataError says where ``columns["z"]`` disagrees
+    with the fit.
     """
     dims = result.dims
-    if data is not None:
-        check_dimensions(dims, data)
     cols = columns or _default_columns(dims)
     widths = [len(names) for names in cols["z"]]
     if widths != list(dims.q):
@@ -339,32 +333,30 @@ def write_fit(
         ),
     )
 
-    report = {
+    # Fisher's identity: the observed-loglik gradient at theta-hat
+    projection = project_covariates(result.data)
+    x = flatten_theta(result.theta)
+    summary = gram_summary(x, projection)
+    score = np.abs(expected_score(x, summary, projection))
+    k = int(np.argmax(score))
+    # corr(Z_j, f_k) = (Z_c'M)_jk / sqrt(||Z_j,c||^2 ||f_k,c||^2), Z_c'M = Z~_c'M + B'T_c'M
+    rows, block = projection.z_own
+    zm = summary.wm[rows] + projection.stacked_coef.T @ summary.wm[rows.size:-1]
+    f_sq = ((result.moments.m - result.moments.m.mean(axis=0))**2).sum(axis=0)
+    corr = zm[rows, block] / np.sqrt(projection.spread * f_sq[block])
+    variables = zip(block, (name for header in cols["z"] for name in header), corr)
+    _write_csv(out / "correlations.csv", ["block", "variable", "correlation"],
+               ([block_label("Z", k), name, _fmt(r)] for k, name, r in variables))
+    _write_json(out / "report.json", {
         "dims": asdict(dims),
+        "config": asdict(result.config),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "extrapolations": {"accepted": result.accepted, "rejected": result.rejected},
         "parameter_names": names,
-    }
-    if data is not None:
-        # Fisher's identity: the observed-loglik gradient at theta-hat
-        projection = project_covariates(data)
-        x = flatten_theta(result.theta)
-        summary = gram_summary(x, projection)
-        score = np.abs(expected_score(x, summary, projection))
-        k = int(np.argmax(score))
-        report.update(max_abs_score=float(score[k]), max_abs_score_parameter=names[k])
-        # corr(Z_j, f_k) = (Z_c'M)_jk / sqrt(||Z_j,c||^2 ||f_k,c||^2), Z_c'M = Z~_c'M + B'T_c'M
-        rows, block = projection.z_own
-        zm = summary.wm[rows] + projection.stacked_coef.T @ summary.wm[rows.size:-1]
-        f_sq = ((result.moments.m - result.moments.m.mean(axis=0))**2).sum(axis=0)
-        corr = zm[rows, block] / np.sqrt(projection.spread * f_sq[block])
-        variables = zip(block, (name for header in cols["z"] for name in header), corr)
-        _write_csv(out / "correlations.csv", ["block", "variable", "correlation"],
-                   ([block_label("Z", k), name, _fmt(r)] for k, name, r in variables))
-    if config is not None:
-        report["config"] = asdict(config)
-    _write_json(out / "report.json", report)
+        "max_abs_score": float(score[k]),
+        "max_abs_score_parameter": names[k],
+    })
 
 
 def _summary_payload(summary: StudySummary) -> dict:

@@ -440,7 +440,7 @@ def loop_fit(data, dims, config) -> FitResult:
             rejected += 1
     return FitResult(
         theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
-        converged=converged, trace=np.array(trace), dims=actual,
+        converged=converged, trace=np.array(trace), data=data, config=config,
         accepted=accepted, rejected=rejected,
     )
 
@@ -479,7 +479,7 @@ def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
             break
     return FitResult(
         theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
-        converged=converged, trace=np.array(trace), dims=dims,
+        converged=converged, trace=np.array(trace), data=data, config=config,
     )
 
 

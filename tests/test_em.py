@@ -1,3 +1,6 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -16,7 +19,7 @@ from factorem import (
     simulate_dataset,
 )
 from factorem.em import em_step, initialize, relative_change
-from factorem.errors import DataError, NonFiniteParameterError
+from factorem.errors import DataError, FactorEMError, NonFiniteParameterError
 from factorem.estep import conditional_law, gram_summary
 from factorem.model import theta_names, unflatten_theta
 from factorem.mstep import VARIANCE_FLOOR, project_covariates
@@ -73,6 +76,7 @@ class TestInitialize:
             assert abs(np.corrcoef(scores, reference)[0, 1]) >= 1 - 1e-10
             np.testing.assert_allclose(scores.std(), 1.0, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     def test_first_loading_nonnegative(self):
         for seed in range(5):
             data, _, _, dims = random_instance(seed)
@@ -103,6 +107,19 @@ class TestInitialize:
         )
         with pytest.raises(DataError, match="zero variance"):
             initialize(project_covariates(data))
+
+    def test_a_failed_eigenpair_is_an_error(self, monkeypatch):
+        import factorem.em
+
+        def failing(*args, **kwargs):
+            return (*lapack.dsyevr(*args, **kwargs)[:4], 1)
+
+        lapack = factorem.em.lapack
+        monkeypatch.setattr(factorem.em, "lapack", SimpleNamespace(dsyevr=failing))
+        data, _, _, dims = random_instance(10)
+        with pytest.raises(FactorEMError, match=re.escape(
+                "the top eigenpair of Y's residual Gram failed (info 1)")):
+            fit(data, dims, EMConfig())
 
 
 class TestEmStep:
@@ -167,6 +184,7 @@ class TestFit:
         assert result.trace[-1, 0] < 1e-2
         assert factor_sq_correlation(h, result.moments).min() > 0.98
 
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     def test_huge_epsilon_stops_after_one_iteration(self):
         data, _, _, dims = random_instance(15)
         result = fit(data, dims, EMConfig(epsilon=1e12))
@@ -179,6 +197,7 @@ class TestFit:
         assert not result.converged
         assert result.iterations == 1
 
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     def test_deterministic(self):
         data, _, _, dims = random_instance(17)
         config = EMConfig(epsilon=1e-4, max_iter=100)
@@ -441,6 +460,7 @@ class TestCanonicalize:
         )
         return replace(result, theta=theta2, moments=law2)
 
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     def test_sign_flip_preserves_observed_loglik(self):
         data, _, _, dims = random_instance(18)
         result = fit(data, dims, EMConfig(epsilon=1e-4))
@@ -448,6 +468,17 @@ class TestCanonicalize:
         assert observed_loglik(flipped.theta, data).value == pytest.approx(
             observed_loglik(result.theta, data).value, rel=1e-12
         )
+
+    def test_the_result_references_the_fitted_data_and_config(self):
+        data, _, _, dims = random_instance(19)
+        config = EMConfig(epsilon=1e-4)
+        result = fit(data, dims, config)
+        assert result.data is data and result.config is config
+        assert result.dims == data.dimensions()
+        flipped = self.flipped(result, -1.0, [-1.0] * dims.p)
+        canon = canonicalize(flipped)
+        assert canon is not flipped and canon.data is data and canon.config is config
+        assert "data=" not in repr(result) and "Dataset" not in repr(result)
 
     def test_canonical_signs_and_idempotence(self):
         data, _, _, dims = random_instance(19)
@@ -480,6 +511,7 @@ class TestCanonicalize:
             )
         np.testing.assert_array_equal(canon.moments.m, base.moments.m)
 
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     def test_canonical_matches_original_basin(self):
         data, _, _, dims = random_instance(20)
         result = canonicalize(fit(data, dims, EMConfig(epsilon=1e-4)))

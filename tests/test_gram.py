@@ -284,7 +284,7 @@ def test_write_fit_reads_the_certificate_and_correlations_off_one_gram(monkeypat
     calls = counting(monkeypatch, ((io, "project_covariates"), (io, "gram_summary"),
                                    (io, "expected_score"), (estep, "conditional_law"),
                                    (np, "corrcoef")))
-    io.write_fit(result, tmp_path, data=data)
+    io.write_fit(result, tmp_path)
     assert sorted(calls) == ["expected_score", "gram_summary", "project_covariates"]
     monkeypatch.undo()
     rows = (tmp_path / "correlations.csv").read_text().splitlines()[1:]
