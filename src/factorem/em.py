@@ -4,9 +4,9 @@ reporting.
 A fit passes over the data twice: ``project_covariates`` partials each
 block's covariates out of the centered data and builds the stacked Gram
 G of the residuals and the covariates (``mstep.Projection``, the fit's
-one per-fit object), and ``conditional_law`` gives the reported law
-(factor scores, per-unit log-likelihood) at the estimate. In between
-everything is algebra on blocks of G.
+one per-fit object, which the result keeps), and ``conditional_law``
+gives the reported law at the estimate. Everything else, the result's
+``account`` included, is algebra on blocks of G.
 
 Initialization takes the first principal component of each block's
 centered covariate residuals as a starting factor (its first variable
@@ -59,10 +59,12 @@ from scipy.linalg import lapack
 from .errors import DataError, FactorEMError, NonFiniteParameterError
 from .estep import ConditionalLaw, EStepSummary, conditional_law, gram_summary
 from .model import (
-    Dataset, Dimensions, Theta, as_count, block_label, check_dimensions, theta_names,
-    unflatten_theta,
+    Dataset, Dimensions, Theta, as_count, block_label, check_dimensions, flatten_theta,
+    theta_names, unflatten_theta,
 )
-from .mstep import VARIANCE_FLOOR, Projection, floored, project_covariates, update_theta
+from .mstep import (
+    VARIANCE_FLOOR, Projection, expected_score, floored, project_covariates, update_theta,
+)
 
 __all__ = [
     "EMConfig",
@@ -112,10 +114,11 @@ class FitResult:
     are in the order of the accepted iterates, so the log-likelihood
     column never decreases. accepted and rejected count the SqS3
     extrapolations kept and discarded by the log-likelihood test (a
-    cycle whose steplength is -1 attempts none). data and config are the
-    ``Dataset`` (held by reference, never copied, left out of the repr)
-    and the ``EMConfig`` the fit ran on, so ``io.write_fit`` needs nothing
-    else; dims are the data's dimensions.
+    cycle whose steplength is -1 attempts none). projection is the fit's
+    ``mstep.Projection`` (left out of the repr), whose ``data`` is the
+    fitted ``Dataset`` (held by reference, never copied), and config the
+    ``EMConfig`` the fit ran on, so ``io.write_fit`` needs nothing else;
+    dims are the data's dimensions.
     """
 
     theta: Theta
@@ -123,14 +126,27 @@ class FitResult:
     iterations: int
     converged: bool
     trace: np.ndarray
-    data: Dataset = field(repr=False)
+    projection: Projection = field(repr=False)
     config: EMConfig
     accepted: int = 0
     rejected: int = 0
 
     @property
     def dims(self) -> Dimensions:
-        return self.data.dimensions()
+        return self.projection.data.dimensions()
+
+    def account(self) -> tuple[np.ndarray, np.ndarray]:
+        """The observed-loglik gradient at theta (``mstep.expected_score``, by
+        Fisher's identity) and each observed variable's correlation with its
+        block's factor score, read off the projection with no pass over the data."""
+        projection, x = self.projection, flatten_theta(self.theta)
+        summary = gram_summary(x, projection)
+        score = expected_score(x, summary, projection)
+        # corr(Z_j, f_k) = (Z_c'M)_jk / sqrt(||Z_j,c||^2 ||f_k,c||^2), Z_c'M = Z~_c'M + B'T_c'M
+        rows, block = projection.z_own
+        zm = summary.wm[rows] + projection.stacked_coef.T @ summary.wm[rows.size:-1]
+        f_sq = ((self.moments.m - self.moments.m.mean(axis=0))**2).sum(axis=0)
+        return score, zm[rows, block] / np.sqrt(projection.spread * f_sq[block])
 
 
 def _first_component(gram: np.ndarray, n: int, name: str) -> tuple[np.ndarray, float, float]:
@@ -295,7 +311,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         iterations=len(trace),
         converged=converged,
         trace=np.array(trace),
-        data=data,
+        projection=projection,
         config=config,
         accepted=accepted,
         rejected=rejected,
@@ -310,8 +326,8 @@ def canonicalize(result: FitResult) -> FitResult:
     the reported solution fixes the first coordinate of every loading
     vector (b and each a^m) to be nonnegative. With s = (s_g, s_f) the
     signs applied, one per block, the law becomes (m s, Sigma o s s');
-    its per-unit log-likelihood and the iteration trace are left
-    untouched.
+    its per-unit log-likelihood, the iteration trace and the projection
+    are left untouched, and ``account`` follows the flipped theta.
     """
     theta = result.theta
     s = np.array([-1.0 if lam[0] < 0 else 1.0 for lam in theta.loading])

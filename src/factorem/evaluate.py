@@ -78,6 +78,13 @@ def factor_sq_correlation(h_true: np.ndarray, moments: ConditionalLaw) -> np.nda
     ])
 
 
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """(Q1, median, Q3) of the values that are not NaN; NaN when none is."""
+    if np.isnan(values).all():
+        return np.full(3, np.nan)
+    return np.nanpercentile(values, [25, 50, 75])
+
+
 @dataclass
 class StudySummary:
     """Per-replicate metrics of one design cell plus summary helpers.
@@ -99,18 +106,18 @@ class StudySummary:
 
     def deviation_quartiles(self) -> np.ndarray:
         """(Q1, median, Q3) of the per-replicate average deviations."""
-        return np.nanpercentile(self.deviation_avg, [25, 50, 75])
+        return _quartiles(self.deviation_avg)
 
     def sq_corr_quartiles(self) -> np.ndarray:
         """(Q1, median, Q3) of the squared correlations pooled over
         replicates and factors."""
-        return np.nanpercentile(self.sq_corr, [25, 50, 75])
+        return _quartiles(self.sq_corr)
 
     @staticmethod
     def mean_and_band(values: np.ndarray) -> tuple[float, float, float]:
-        """Mean with a 95% normal-approximation band."""
+        """Mean with a 95% normal-approximation band; NaN when every value is."""
         values = values[~np.isnan(values)]
-        mean = float(values.mean())
+        mean = float(values.mean()) if values.size else np.nan
         if values.size < 2:
             return mean, mean, mean
         half = 1.96 * float(values.std(ddof=1)) / np.sqrt(values.size)

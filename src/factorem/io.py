@@ -32,12 +32,10 @@ import numpy as np
 
 from .em import FitResult
 from .errors import DataError
-from .estep import gram_summary
 from .evaluate import ResampleSummary, StudySummary
 from .model import (
     Dataset, Dimensions, Theta, block_label, check_theta_shapes, flatten_theta, theta_names,
 )
-from .mstep import expected_score, project_covariates
 
 __all__ = [
     "load_dataset",
@@ -305,10 +303,9 @@ def write_fit(result: FitResult, out_dir, columns: dict | None = None) -> None:
     report.json holds the fit's ``EMConfig`` and its convergence
     certificate, the largest absolute observed-loglik gradient at the
     returned theta and the parameter it belongs to; the certificate and
-    the correlations are read off one ``project_covariates`` of the
-    fitted ``result.data`` and one ``gram_summary``. ``columns`` names
-    the variables; a DataError says where ``columns["z"]`` disagrees
-    with the fit.
+    the correlations are ``result.account()``, so writing makes no pass
+    over the data. ``columns`` names the variables; a DataError says
+    where ``columns["z"]`` disagrees with the fit.
     """
     dims = result.dims
     cols = columns or _default_columns(dims)
@@ -333,20 +330,11 @@ def write_fit(result: FitResult, out_dir, columns: dict | None = None) -> None:
         ),
     )
 
-    # Fisher's identity: the observed-loglik gradient at theta-hat
-    projection = project_covariates(result.data)
-    x = flatten_theta(result.theta)
-    summary = gram_summary(x, projection)
-    score = np.abs(expected_score(x, summary, projection))
-    k = int(np.argmax(score))
-    # corr(Z_j, f_k) = (Z_c'M)_jk / sqrt(||Z_j,c||^2 ||f_k,c||^2), Z_c'M = Z~_c'M + B'T_c'M
-    rows, block = projection.z_own
-    zm = summary.wm[rows] + projection.stacked_coef.T @ summary.wm[rows.size:-1]
-    f_sq = ((result.moments.m - result.moments.m.mean(axis=0))**2).sum(axis=0)
-    corr = zm[rows, block] / np.sqrt(projection.spread * f_sq[block])
-    variables = zip(block, (name for header in cols["z"] for name in header), corr)
+    score, corr = result.account()
+    k = int(np.argmax(np.abs(score)))
+    rows = ([block_label("Z", j), name] for j, header in enumerate(cols["z"]) for name in header)
     _write_csv(out / "correlations.csv", ["block", "variable", "correlation"],
-               ([block_label("Z", k), name, _fmt(r)] for k, name, r in variables))
+               (row + [_fmt(r)] for row, r in zip(rows, corr)))
     _write_json(out / "report.json", {
         "dims": asdict(dims),
         "config": asdict(result.config),
@@ -354,7 +342,7 @@ def write_fit(result: FitResult, out_dir, columns: dict | None = None) -> None:
         "iterations": int(result.iterations),
         "extrapolations": {"accepted": result.accepted, "rejected": result.rejected},
         "parameter_names": names,
-        "max_abs_score": float(score[k]),
+        "max_abs_score": float(abs(score[k])),
         "max_abs_score_parameter": names[k],
     })
 

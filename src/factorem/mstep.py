@@ -37,8 +37,8 @@ explicit ratios, kept as a test oracle only.
 the canonical vector (``model.flatten_theta`` order): T_k'f, P_k f and
 Z~_k'f come from W~_c'M by the index maps of ``Projection`` and one
 product with the block-diagonal (T'T)^-1, the per-block sums by
-``reduceat``. ``expected_score``, ``io.write_fit``'s certificate, reads
-the gradient off the same maps and ``estep.residual_sq``.
+``reduceat``. ``expected_score``, the certificate of ``FitResult.account``,
+reads the gradient off the same maps and ``estep.residual_sq``.
 """
 
 import warnings

@@ -30,7 +30,9 @@ block's residual as r_k = Z~_k - T_k E_k, E_k = D_k - B_k.
 ``plain_fit`` is the unaccelerated EM loop, one map step after another
 from the package's start, on those per-block steps by default. The
 package's ``fit`` and its block-vectorized steps are tested against
-both.
+both. ``fresh_account`` is ``FitResult.account`` as ``io.write_fit``
+computed it before the result kept its projection: from a second
+``project_covariates`` of the data.
 
 The ``npass_*`` functions are the fit as it read before it ran on the
 stacked Gram of the centered data: a covariate projection that keeps
@@ -59,7 +61,7 @@ from factorem.model import (
     unflatten_theta,
 )
 from factorem import mstep
-from factorem.mstep import VARIANCE_FLOOR, _gram_solve, project_covariates
+from factorem.mstep import VARIANCE_FLOOR, _gram_solve, expected_score, project_covariates
 from likelihood_oracle import expected_sq_residual
 
 
@@ -440,7 +442,7 @@ def loop_fit(data, dims, config) -> FitResult:
             rejected += 1
     return FitResult(
         theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
-        converged=converged, trace=np.array(trace), data=data, config=config,
+        converged=converged, trace=np.array(trace), projection=projection, config=config,
         accepted=accepted, rejected=rejected,
     )
 
@@ -479,8 +481,23 @@ def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
             break
     return FitResult(
         theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
-        converged=converged, trace=np.array(trace), data=data, config=config,
+        converged=converged, trace=np.array(trace), projection=projection, config=config,
     )
+
+
+def fresh_account(theta, moments, data):
+    """The score and the correlations at ``theta`` from a new pass over
+    ``data``: ``project_covariates``, ``gram_summary`` and
+    ``expected_score``, then corr(Z_j, f_k) = (Z_c'M)_jk /
+    sqrt(||Z_j,c||^2 ||f_k,c||^2) with Z_c'M = Z~_c'M + B'T_c'M."""
+    projection = project_covariates(data)
+    x = flatten_theta(theta)
+    summary = gram_summary(x, projection)
+    score = expected_score(x, summary, projection)
+    rows, block = projection.z_own
+    zm = summary.wm[rows] + projection.stacked_coef.T @ summary.wm[rows.size:-1]
+    f_sq = ((moments.m - moments.m.mean(axis=0))**2).sum(axis=0)
+    return score, zm[rows, block] / np.sqrt(projection.spread * f_sq[block])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import re
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ from factorem.model import theta_names, unflatten_theta
 from factorem.mstep import VARIANCE_FLOOR, project_covariates
 
 from conftest import reference_dims, random_instance
-from dense_oracle import package_gram_estep, package_update_theta, plain_fit
+from dense_oracle import fresh_account, package_gram_estep, package_update_theta, plain_fit
 
 
 def reference_instance(seed=0, n=400, q=40):
@@ -473,12 +474,44 @@ class TestCanonicalize:
         data, _, _, dims = random_instance(19)
         config = EMConfig(epsilon=1e-4)
         result = fit(data, dims, config)
-        assert result.data is data and result.config is config
+        assert result.projection.data is data and result.config is config
         assert result.dims == data.dimensions()
         flipped = self.flipped(result, -1.0, [-1.0] * dims.p)
         canon = canonicalize(flipped)
-        assert canon is not flipped and canon.data is data and canon.config is config
-        assert "data=" not in repr(result) and "Dataset" not in repr(result)
+        assert canon is not flipped and canon.config is config
+        assert canon.projection is result.projection
+        text = repr(result)
+        assert "projection=" not in text and "Dataset" not in text and "Projection" not in text
+
+    # seeds 7, 9, 40, 43 and 45 stop with a negative first loading at epsilon 1e-3;
+    # 0 and 2 floor a noise variance on the way
+    ACCOUNT_SEEDS = (7, 9, 40, 43, 45, 0, 2)
+
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+    def test_the_account_follows_every_sign_flip(self):
+        for seed in self.ACCOUNT_SEEDS:
+            data, _, _, dims = random_instance(seed)
+            result = fit(data, dims, EMConfig(epsilon=1e-3, max_iter=300))
+            score, corr = result.account()
+            block = np.repeat(np.arange(dims.p + 1), dims.q)
+            for signs in itertools.product((1.0, -1.0), repeat=dims.p + 1):
+                flipped_score, flipped_corr = self.flipped(
+                    result, signs[0], signs[1:]).account()
+                np.testing.assert_array_equal(np.abs(flipped_score), np.abs(score))
+                np.testing.assert_array_equal(flipped_corr, np.array(signs)[block] * corr)
+
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+    def test_the_account_is_the_fresh_pass_at_the_canonical_theta(self):
+        flipped = 0
+        for seed in self.ACCOUNT_SEEDS:
+            data, _, _, dims = random_instance(seed)
+            result = fit(data, dims, EMConfig(epsilon=1e-3, max_iter=300))
+            canon = canonicalize(result)
+            flipped += canon is not result
+            expected = fresh_account(canon.theta, canon.moments, data)
+            for got, want in zip(canon.account(), expected):
+                np.testing.assert_array_equal(got, want)
+        assert flipped >= 5
 
     def test_canonical_signs_and_idempotence(self):
         data, _, _, dims = random_instance(19)

@@ -5,6 +5,8 @@ block-vectorized steps on the canonical vector against the per-block
 loops they replaced (``dense_oracle.loop_*``)."""
 
 import dataclasses
+import importlib
+import pkgutil
 import warnings
 
 import numpy as np
@@ -14,7 +16,8 @@ from dataclasses import replace
 from factorem import (
     Dataset, EMConfig, SimConfig, Theta, canonicalize, fit, flatten_theta, simulate_dataset,
 )
-from factorem import em, estep, io, mstep
+import factorem
+from factorem import cli, em, estep, io, mstep
 from factorem.model import unflatten_theta
 from factorem.em import em_step, initialize
 from factorem.estep import GRAM_LIMIT, EStepSummary, conditional_law, gram_summary
@@ -275,19 +278,35 @@ def test_the_projection_holds_no_array_with_n_rows():
                 assert field.name == "data" or not n_rows, field.name
 
 
-def test_write_fit_reads_the_certificate_and_correlations_off_one_gram(monkeypatch, tmp_path):
-    # one G, one Gram-form law at the reported theta and one score; no
-    # n-row law and no per-variable corrcoef
+def everywhere(names):
+    """(module, name) for each of ``names`` in every ``factorem`` module that
+    holds it, so ``counting`` sees a call whatever module it goes through."""
+    modules = [importlib.import_module(f"factorem.{info.name}")
+               for info in pkgutil.iter_modules(factorem.__path__)]
+    return [(module, name) for module in modules for name in names if hasattr(module, name)]
+
+
+def test_a_cli_fit_makes_one_pass_over_the_data(monkeypatch, tmp_path):
+    # the fit builds G once and conditions every unit once, at the reported
+    # theta; write_fit reads the certificate and the correlations off the
+    # result's G (one Gram-form law), with no n-row law and no corrcoef
     dims = reference_dims(n=400, q=5)
     data, _, _ = simulate_dataset(SimConfig(dims=dims, seed=1))
-    result = canonicalize(fit(data, dims, EMConfig(epsilon=1e-3)))
-    calls = counting(monkeypatch, ((io, "project_covariates"), (io, "gram_summary"),
-                                   (io, "expected_score"), (estep, "conditional_law"),
-                                   (np, "corrcoef")))
-    io.write_fit(result, tmp_path)
-    assert sorted(calls) == ["expected_score", "gram_summary", "project_covariates"]
+    io.write_dataset(data, tmp_path / "data")
+    passes = ("project_covariates", "conditional_law")
+    calls = counting(monkeypatch, everywhere(passes))
+    assert cli.main(["fit", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "cli"),
+                     "--epsilon", "1e-3"]) == 0
+    assert sorted(calls) == sorted(passes)
     monkeypatch.undo()
-    rows = (tmp_path / "correlations.csv").read_text().splitlines()[1:]
+    result = canonicalize(fit(data, dims, EMConfig(epsilon=1e-3)))
+    calls = counting(monkeypatch, [*everywhere((*passes, "gram_summary")), (np, "corrcoef")])
+    io.write_fit(result, tmp_path / "lib")
+    assert calls == ["gram_summary"]
+    monkeypatch.undo()
+    for name in ("correlations.csv", "report.json", "parameters.csv", "factors.csv"):
+        assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+    rows = (tmp_path / "lib" / "correlations.csv").read_text().splitlines()[1:]
     written = np.array([float(row.split(",")[2]) for row in rows])
     m = result.moments.m
     expected = [np.corrcoef(z[:, j], m[:, k])[0, 1]

@@ -679,6 +679,25 @@ class TestCli:
         assert "null" in text and (summary["failures"] if command == "resample"
                                    else summary[0]["failures"])
 
+    @pytest.mark.parametrize("argv, code", [
+        (["sensitivity", "--n", "40", "--q", "3", "--r", "5", "--n-values", "5,40",
+          "--q-values", "", "--replicates", "2"], 0),
+        (["replicate", "--n", "4", "--q", "3", "--r", "5", "--replicates", "2"], 2),
+    ], ids=["sensitivity", "replicate"])
+    def test_a_cell_whose_every_fit_failed_summarizes_without_warnings(
+        self, tmp_path, argv, code
+    ):
+        # n = 4 or 5 units cannot carry r = 5 covariates: that cell has no fit
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == code
+        failed = json.loads((out / "summary.json").read_text())[0]
+        assert failed["failures"] and failed["converged"] == 0
+        assert failed["deviation_quartiles"] == failed["sq_corr_quartiles"] == [None] * 3
+        bands = [*failed["c_estimates"], failed["sigma2_y_estimate"]]
+        assert all(band == dict.fromkeys(("mean", "lo95", "hi95")) for band in bands)
+
     def test_resample_sample_size_zero_exits_two(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         main(["simulate", "--n", "30", "--q", "3", "--seed", "0",

@@ -64,3 +64,15 @@ def test_every_submodule_all_resolves():
         if not hasattr(module, attr)
     ]
     assert not missing, missing
+
+
+def test_io_only_writes():
+    # the account at theta-hat is the fit's (FitResult.account): io reaches
+    # no E- or M-step code, so writing a fit cannot pass over the data again
+    tree = ast.parse((ROOT / "src" / "factorem" / "io.py").read_text(encoding="utf-8"))
+    reached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            reached.update((getattr(node, "module", None) or "").split("."))
+            reached.update(part for alias in node.names for part in alias.name.split("."))
+    assert not reached & {"estep", "mstep"}, sorted(reached & {"estep", "mstep"})
