@@ -7,8 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 import argparse
 import sys
 
-import numpy as np
-
 from .em import EMConfig, canonicalize, fit
 from .errors import FactorEMError
 from .evaluate import kfold_resample, replicate_study, sensitivity_sweep
@@ -95,10 +93,7 @@ def _cmd_resample(args) -> int:
     )
     write_resample(summary, args.out)
     _some_fit_succeeded(summary.failures, summary.k)
-    print(
-        f"parameter estimate correlation median: "
-        f"{float(np.nanmedian(summary.param_corr)):.4f}"
-    )
+    print(f"parameter estimate correlation median: {summary.medians()['param_corr']:.4f}")
     return 0
 
 

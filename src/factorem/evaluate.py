@@ -207,6 +207,14 @@ class ResampleSummary:
     factor_corr: np.ndarray
     failures: list[str] = field(default_factory=list)
 
+    def medians(self) -> dict[str, float]:
+        """Median of each metric over the subsamples whose fit did not fail;
+        NaN when every fit failed."""
+        columns = {name: getattr(self, name)
+                   for name in ("param_mse", "param_corr", "factor_mse", "factor_corr")}
+        return {name: np.nan if np.isnan(values).all() else float(np.nanmedian(values))
+                for name, values in columns.items()}
+
 
 def kfold_resample(
     data: Dataset,

@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -143,6 +146,12 @@ def strict_numeric(path):
     return header, np.array([[float(cell) for cell in row] for row in body])
 
 
+def read_block(path, categorical):
+    """Header and values of one block as ``load_dataset`` reads it."""
+    [(header, values)] = io_module._read_blocks([(path, categorical)])
+    return header, values
+
+
 @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
 def test_every_latent_array_is_n_by_p_plus_1_with_g_first(tmp_path):
     # h, the fitted scores and both factor files share one layout:
@@ -177,8 +186,8 @@ def test_every_latent_array_is_n_by_p_plus_1_with_g_first(tmp_path):
 
 
 class TestFastCsvPaths:
-    """The row-streaming writer and the C-parsed reader against the
-    csv-module code they replace."""
+    """The chunked writer and the C-parsed reader against the csv-module
+    code they replace."""
 
     def reference_bytes(self, tmp_path, header, matrix):
         path = tmp_path / "reference.csv"
@@ -191,7 +200,7 @@ class TestFastCsvPaths:
                   np.inf, -np.inf, np.nan, 0.1, -2.5, 123456789.0]
         matrix = np.array([values, values[::-1]])
         header = [f"c{j}" for j in range(len(values))]
-        io_module._write_matrix(tmp_path / "fast.csv", header, matrix)
+        io_module._write_matrices([(tmp_path / "fast.csv", header, matrix)])
         written = (tmp_path / "fast.csv").read_bytes()
         assert written == self.reference_bytes(tmp_path, header, matrix)
         assert written.splitlines()[1].split(b",")[:8] == [
@@ -218,6 +227,7 @@ class TestFastCsvPaths:
         '"a","b"\n1.5,-2\n3e-3,4\n',
         "a,b\n 1.5 ,\t-2\n3e-3 , 4\n",
         "a,b\r\n1.5,-2\r\n3e-3,4\r\n",
+        "a,b\r1.5,-2\r3e-3,4\r",
         "a,b\n1.5,-2\n3e-3,4",
         "a\n1.5\n-2\n",
         "a,b,c\n1.5,-2,nan\n",
@@ -234,7 +244,7 @@ class TestFastCsvPaths:
 
         monkeypatch.setattr(io_module, "_read_table", no_fallback)
         for categorical in (False, True):   # observation and covariate blocks
-            got_header, values = io_module._read_block(path, categorical)
+            got_header, values = read_block(path, categorical)
             assert got_header == header
             assert values.shape == expected.shape
             assert values.tobytes() == expected.tobytes()
@@ -252,7 +262,7 @@ class TestFastCsvPaths:
         path.write_bytes(text.encode())
         strict_header, strict_values = strict_numeric(path)
         for categorical in (False, True):   # observation and covariate blocks
-            header, values = io_module._read_block(path, categorical)
+            header, values = read_block(path, categorical)
             assert header == strict_header
             np.testing.assert_array_equal(values, expected)
             assert values.tobytes() == strict_values.tobytes()
@@ -275,13 +285,13 @@ class TestFastCsvPaths:
         path = tmp_path / "block.csv"
         path.write_bytes(text.encode())
         if match is None:     # a trailing bare carriage return is one more line
-            header, values = io_module._read_block(path, categorical=False)
+            header, values = read_block(path, categorical=False)
             np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
             return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=match):
-                io_module._read_block(path, categorical=False)
+                read_block(path, categorical=False)
 
     @pytest.mark.parametrize("name", ["Y.csv", "T1.csv"])
     def test_undecodable_block_is_a_data_error(self, tmp_path, name):
@@ -303,6 +313,121 @@ class TestFastCsvPaths:
         with pytest.raises(DataError, match=(
                 r"X1\.csv: row 2, column 'x1_1': cell 'oops' is non-numeric")):
             load_dataset(tmp_path / "manifest.json")
+
+
+def force_pool(monkeypatch, chunk_cells, cpus=2):
+    """Send every chunked call of ``io`` to forked workers, in chunks of about
+    ``chunk_cells`` cells, as if the host had ``cpus`` CPUs. Returns the list
+    of the worker processes started."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the chunk workers need the fork start method")
+    context, started = type(multiprocessing.get_context("fork")), []
+
+    class Recorded(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(context, "Process", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(io_module, "_POOL_CELLS", 0)
+    monkeypatch.setattr(io_module, "_CHUNK_CELLS", chunk_cells)
+    return started
+
+
+class TestChunkedCsvPaths:
+    """Blocks cut into row chunks and byte ranges, formatted and parsed by
+    forked workers, against the same calls in this process."""
+
+    def test_written_bytes_do_not_depend_on_the_workers(self, tmp_path, monkeypatch):
+        data, h, theta, dims = small_dataset(seed=2, n=23, q=5)
+        data.z[0][:4, 0] = [-0.0, 1e-05, 1e16, 5e-324]
+        digests = []
+        # one worker never starts: with one CPU, or one task, the call runs here
+        for workers in (None, 2, 3):     # None: in this process
+            out = tmp_path / str(workers)
+            with monkeypatch.context() as patch:
+                started = force_pool(patch, 16, workers) if workers else []
+                write_dataset(data, out, latents=h, theta=theta)
+            # 16 cells: 3 rows of 5 or 8 of 2 per chunk, and 23 is neither's multiple
+            assert len(started) == (workers or 0)
+            digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in sorted(out.iterdir())})
+        assert len(digests[0]) == 9
+        assert digests[1] == digests[0] and digests[2] == digests[0]
+        y = (tmp_path / "2" / "Y.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in y[1:5]] == ["-0.0", "1e-05", "1e+16", "5e-324"]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a,b\r\n1.5,-2\r\n3e-3,4\r\n5,6\r\n", [[1.5, -2.0], [3e-3, 4.0], [5.0, 6.0]]),
+        ("\ufeffa,b\n1,2\n3,4\n5,6\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        ("a,b\n1,2\n3,4\n5,6", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        ("a,b\n1,2\n\n3,4\n", "ragged row 3 has 0 cells"),
+        ('a,b\n1,2\n"3\n",4\n5,6\n', [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        ("a,b\n1_5,2\n3,4\n5,6\n", [[15.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        ('a,b\n1,"2\n"3",4\n', "ragged row 2 has 3 cells"),  # each line alone parses
+        ('"a\n1\n2\n', "need a header row"),      # so does the body of a one-line header
+        ("a,b\n1,2\n3,4\n5,oops\n", r"row 4, column 'b': cell 'oops' is no"),
+    ], ids=["crlf", "bom", "no-final-newline", "blank-line", "quoted-break-over-a-cut",
+            "underscore", "quote-closed-over-a-cut", "header-over-a-line",
+            "non-numeric-in-last-chunk"])
+    @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pool"])
+    def test_reader_agrees_with_one_range_in_this_process(
+            self, tmp_path, monkeypatch, text, expected, pool):
+        path = tmp_path / "block.csv"
+        path.write_bytes(text.encode())
+        for categorical in (False, True):
+            if isinstance(expected, str):
+                with pytest.raises(DataError) as reference:
+                    read_block(path, categorical)
+                assert re.search(expected, str(reference.value))
+            else:
+                reference = read_block(path, categorical)
+                np.testing.assert_array_equal(reference[1], expected)
+            with monkeypatch.context() as patch:
+                # 1 cell: every line of the body is a range of its own
+                started = force_pool(patch, 1) if pool else []
+                if not pool:
+                    patch.setattr(io_module, "_CHUNK_CELLS", 1)
+                if isinstance(expected, str):
+                    with pytest.raises(DataError) as chunked:
+                        read_block(path, categorical)
+                    assert str(chunked.value) == str(reference.value)
+                else:
+                    header, values = read_block(path, categorical)
+                    assert header == reference[0] == ["a", "b"]
+                    assert values.tobytes() == reference[1].tobytes()
+            # a header record over two lines sends the block to the csv reader at once
+            assert len(started) == (2 if pool and not text.startswith('"') else 0)
+
+    def test_no_worker_outlives_a_call(self, tmp_path, monkeypatch):
+        started = force_pool(monkeypatch, 16)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        data, h, theta, _ = small_dataset(n=30)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "busy" / "X1.csv").mkdir(parents=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_dataset(data, tmp_path / "data", latents=h, theta=theta)
+            assert not multiprocessing.active_children()
+            load_dataset(tmp_path / "data")
+            assert not multiprocessing.active_children()
+            path = tmp_path / "data" / "X1.csv"
+            path.write_text(path.read_text().replace("\n", "\noops,", 1))
+            with pytest.raises(DataError, match="ragged row 2"):
+                load_dataset(tmp_path / "data")
+            assert not multiprocessing.active_children()
+            for out in (tmp_path / "file", tmp_path / "busy"):   # the latter mid-write
+                with pytest.raises(OSError):
+                    write_dataset(data, out, latents=h)
+                assert not multiprocessing.active_children()
+            monkeypatch.setattr(io_module, "_format_rows", lambda rows: os._exit(1))
+            with pytest.raises(EOFError, match="a chunk worker died"):
+                write_dataset(data, tmp_path / "died")
+            assert not multiprocessing.active_children()
+            gc.collect()
+        assert len(started) == 10 and not unraisable
 
 
 class TestCategoricalCovariates:
@@ -671,7 +796,7 @@ class TestCli:
         }[command]
         out = tmp_path / "out"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)     # all-NaN medians
+            warnings.simplefilter("error")
             assert main(argv + ["--out", str(out)]) == 2
         assert "error: all 2 fits failed; the first: " in capsys.readouterr().err
         text = (out / "summary.json").read_text()
