@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 import argparse
+import functools
 import sys
 
 from .em import EMConfig, canonicalize, fit
@@ -121,6 +122,7 @@ def _add_design_flags(parser):
                         help="first covariate column is the constant 1")
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorem",

@@ -3,10 +3,11 @@
 All tabular output is CSV with a header row, UTF-8, '.' decimal
 separator. Floats are written as ``repr`` (shortest round trip), one line
 per matrix row, so write -> load reproduces arrays exactly and identical
-runs produce byte-identical files. Float blocks are formatted and parsed
-in row chunks, by one process per available CPU when a call has at least
-``_POOL_CELLS`` cells and in this process otherwise; the chunks are
-written in order, so the bytes do not depend on the CPU count.
+runs produce byte-identical files. Float blocks are formatted in row
+chunks in this process: a row whose every cell has 1e-4 <= |x| < 1e16 or
+is zero takes orjson's digits, which are ``repr``'s in that band (both
+write the shortest round-trip digits); any other row (NaN, +-inf, a cell
+``repr`` writes with an exponent) is written by ``repr``.
 
 A dataset on disk is a set of block CSVs tied together by a manifest
 (JSON) naming the role of each file; ``load_dataset`` takes the manifest
@@ -16,27 +17,28 @@ or the directory holding it as manifest.json:
      "t": "T.csv", "t_m": ["T1.csv", "T2.csv"], "intercept": false}
 
 One file may not fill two roles, and a UTF-8 byte-order mark opening
-the manifest or a block is skipped. Every block is parsed by numpy's C
-reader, with the strict csv reader as fallback. In that fallback a
-covariate block may contain non-numeric (categorical) columns; these are
-expanded into a leading intercept column plus one indicator per level
-beyond the first, in order of first appearance. A column must be wholly
-numeric or wholly non-numeric, and a non-numeric column may hold no blank
-cell.
+the manifest or a block is skipped. Every block body is parsed in row
+chunks by orjson's correctly rounded JSON number reader, one row per
+line. A block with any other byte after its header than digits, '.',
+'e', 'E', '+', '-', ',', blanks and line breaks (a quote, ``nan``, a
+letter), or with a blank, ragged or non-JSON row (``.5``, ``01``, ``1_5``),
+goes to the strict csv reader, which loads the same array or names the
+first bad cell. In that reader a covariate block may contain non-numeric
+(categorical) columns; these are expanded into a leading intercept column
+plus one indicator per level beyond the first, in order of first
+appearance. A column must be wholly numeric or wholly non-numeric, and a
+non-numeric column may hold no blank cell.
 """
 
-import contextlib
 import csv
-import io
 import itertools
 import json
-import multiprocessing.connection
-import os
-import warnings
+import re
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .em import FitResult
 from .errors import DataError
@@ -44,6 +46,12 @@ from .evaluate import ResampleSummary, StudySummary
 from .model import (
     Dataset, Dimensions, Theta, block_label, check_theta_shapes, flatten_theta, theta_names,
 )
+
+# orjson takes an 8 MB read buffer at its first loads() and keeps it. Taken
+# here, at import, the C allocator maps it apart and its untouched pages stay
+# out of RSS; taken after large frees it can land on resident heap pages
+# (8 MB more peak RSS on the large-csv benchmark).
+orjson.loads(b"0")
 
 __all__ = [
     "load_dataset",
@@ -65,85 +73,37 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-# Starting and joining 2 fork workers takes ~8 ms; repr takes ~0.65-0.86 us
-# and np.loadtxt ~0.4 us per cell, so halving 2**18 cells saves 50-110 ms.
-_POOL_CELLS = 1 << 18
-_CHUNK_CELLS = 1 << 16
-
-
-def _serve(function, tasks: list, claimed, pipe) -> None:
-    """Claim the next task until none is left, sending (index, result)."""
-    while True:
-        with claimed.get_lock():
-            i = claimed.value
-            claimed.value += 1
-        if i >= len(tasks):
-            return
-        pipe.send((i, function(tasks[i])))
-
-
-def _in_order(pipes: list, count: int):
-    """The results of tasks 0..count-1, read from the workers' ``pipes`` as
-    they arrive and yielded in task order."""
-    pipes, early = list(pipes), {}
-    for i in range(count):
-        while i not in early:
-            if not pipes:
-                raise EOFError("a chunk worker died")
-            for pipe in multiprocessing.connection.wait(pipes):
-                try:
-                    j, result = pipe.recv()
-                    early[j] = result
-                except EOFError:  # the worker has no task left, or died
-                    pipes.remove(pipe)
-        yield early.pop(i)
-
-
-@contextlib.contextmanager
-def _chunk_map(function, tasks: list, cells: int):
-    """``function`` over ``tasks`` (chunks of ``cells`` cells in all), results
-    in task order: in this process, or for a large call in min(CPUs, tasks)
-    forked workers, each sending through its own pipe to this thread (a
-    helper thread receiving them kept ~10 MB more RSS in its malloc arena).
-    No worker outlives the block; one that dies raises EOFError."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if (cells < _POOL_CELLS or min(cpus, len(tasks)) < 2
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        yield map(function, tasks)
-        return
-    context, workers = multiprocessing.get_context("fork"), []
-    claimed = context.Value("q", 0)
-    try:
-        for _ in range(min(cpus, len(tasks))):
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_serve, args=(function, tasks, claimed, send))
-            worker.start()
-            send.close()
-            workers.append((worker, receive))
-        yield _in_order([receive for _, receive in workers], len(tasks))
-    finally:
-        for worker, receive in workers:
-            worker.terminate()
-            worker.join()
-            receive.close()
+# ~80 kB of text a chunk at 20 bytes a cell, under the C allocator's 128 kB
+# mmap threshold: freed chunk buffers are reused, and formatting and parsing
+# run no slower than in 2**16-cell chunks, which cost the large-csv benchmark
+# ~3% more peak RSS
+_CHUNK_CELLS = 1 << 12
 
 
 def _format_rows(rows: np.ndarray) -> str:
-    # repr(float) is _fmt and never needs quoting
-    return "".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()])
+    """CSV lines of a float matrix, each cell as ``repr`` writes it: orjson
+    writes the same digits for a cell with 1e-4 <= |x| < 1e16 or x == 0, and
+    ``repr`` writes each row that holds any other cell (NaN fails both)."""
+    if not len(rows):
+        return ""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    size = np.abs(rows)
+    plain = (((size >= 1e-4) & (size < 1e16)) | (rows == 0)).all(axis=1)
+    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    for i in np.flatnonzero(~plain):
+        lines[i] = ",".join(map(repr, rows[i].tolist()))  # repr(float) is _fmt
+    return "\n".join(lines) + "\n"
 
 
 def _write_matrices(files: list[tuple[Path, list[str], np.ndarray]]) -> None:
-    """Write each (path, header, matrix) as CSV, a line of floats per row;
-    the rows of all matrices are formatted in chunks by one ``_chunk_map``."""
-    matrices = [np.asarray(matrix, dtype=float) for _, _, matrix in files]
-    chunks = [np.array_split(m, max(1, -(-m.size // _CHUNK_CELLS))) for m in matrices]
-    tasks = list(itertools.chain.from_iterable(chunks))
-    with _chunk_map(_format_rows, tasks, sum(m.size for m in matrices)) as texts:
-        for (path, header, _), count in zip(files, map(len, chunks)):
-            with open(path, "w", newline="", encoding="utf-8") as handle:
-                csv.writer(handle, lineterminator="\n").writerow(header)
-                handle.writelines(itertools.islice(texts, count))
+    """Write each (path, header, matrix) as CSV, a line of floats per row,
+    formatting the rows in chunks of about ``_CHUNK_CELLS`` cells."""
+    for path, header, matrix in files:
+        matrix = np.asarray(matrix, dtype=float)
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerow(header)
+            for chunk in np.array_split(matrix, max(1, -(-matrix.size // _CHUNK_CELLS))):
+                handle.write(_format_rows(chunk))
 
 
 def _write_parameters(path: Path, names: list[str], theta: Theta) -> None:
@@ -231,70 +191,68 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _parse_range(task: tuple[Path, int, int | None]) -> np.ndarray | None:
-    """numpy's C reader on bytes [start, stop) of a block file, or to its end
-    when stop is None; None when reading fails, or when a range that is not
-    the last holds an odd number of quotes and so ends inside a quoted cell."""
-    path, start, stop = task
+_NUMERIC_BYTES = b"0123456789.eE+-, \t\n"
+_INTEGER_MINUS_ZERO = re.compile(rb"(?<![eE])-0(?![\d.eE])")
+
+
+def _chunk_cells(chunk: bytes, width: int) -> np.ndarray | None:
+    """The cells of the body lines ``chunk``, row after row, each line read by
+    orjson as a JSON row of ``width`` numbers; None when a byte is not in
+    ``_NUMERIC_BYTES`` or a line is no such row."""
+    if chunk.translate(None, _NUMERIC_BYTES):
+        return None
+    try:
+        rows = orjson.loads(b"[[" + chunk.replace(b"\n", b"],[") + b"]]")
+        if any(len(row) != width for row in rows):
+            return None
+        # float() refuses a null or a string, and the byte check keeps both out
+        cells = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+    except (ValueError, TypeError):
+        return None
+    if cells.all() or not _INTEGER_MINUS_ZERO.search(chunk):
+        return cells
+    return _chunk_cells(_INTEGER_MINUS_ZERO.sub(b"-0.0", chunk), width)  # orjson: -0 is 0
+
+
+def _line_feeds(piece: bytes) -> bytes:
+    """``piece`` with each line ending a line feed: a lone carriage return ends
+    a line as in the csv module, so 1\\r,2 is two rows."""
+    return piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in piece else piece
+
+
+def _read_fast(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """Header and values of a numeric block read by orjson in row chunks of
+    about ``_CHUNK_CELLS`` cells, one JSON row per line; None, for
+    ``_read_strict`` to load or reject, when a body byte is not in
+    ``_NUMERIC_BYTES`` or a line is blank, ragged or no list of JSON numbers.
+    The file is read a chunk at a time, so no copy of it is held whole."""
     try:
         with open(path, "rb") as handle:
-            handle.seek(start)
-            text = handle.read(-1 if stop is None else stop - start).decode("utf-8")
-        if stop is not None and text.count('"') % 2:
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # "Empty input file"
-            return np.loadtxt(io.StringIO(text, newline=""), delimiter=",", comments=None,
-                              quotechar='"', ndmin=2)
-    except (OSError, ValueError):
+            # the header and the first row, or more lines if carriage returns end them
+            first, _, rest = _line_feeds(handle.readline() + handle.readline()).partition(b"\n")
+            # strict: a header whose record goes on past its first line is an error
+            header = next(csv.reader([first.decode().removeprefix("\ufeff")], strict=True), [])
+            if not header or not rest:
+                return None
+            # cut by the first row's bytes per cell; each chunk ends with a line
+            step, arrays = max(1, _CHUNK_CELLS * len(rest) // len(header)), []
+            chunk = rest + handle.read(step) + handle.readline()
+            while chunk:
+                cells = _chunk_cells(_line_feeds(chunk).removesuffix(b"\n"), len(header))
+                if cells is None:
+                    return None
+                arrays.append(cells)
+                chunk = handle.read(step) + handle.readline()
+    except (OSError, ValueError, csv.Error):
         return None
-
-
-def _body_ranges(path: Path) -> tuple[list[str], int, list[tuple]]:
-    """Header, body line count and body byte ranges of a block file, the
-    body cut after line feeds into ranges of about ``_CHUNK_CELLS`` cells."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        lines = sum(1 for _ in handle) - 1  # split as the csv module splits
-        handle.seek(0)
-        first = handle.readline()
-        # strict: a header whose record goes on past its first line is an error
-        header = next(csv.reader([first.removeprefix("\ufeff")], strict=True), [])
-        start, raw = len(first.encode()), handle.buffer
-        size, pieces = raw.seek(0, os.SEEK_END), -(-lines * len(header) // _CHUNK_CELLS)
-        # each cut follows the first line feed at or after its target
-        cuts = sorted({raw.seek(start + (size - start) * i // pieces) + len(raw.readline())
-                       for i in range(1, pieces)} - {size})
-    return header, lines, [(path, a, b) for a, b in zip([start, *cuts], [*cuts, None])]
+    return header, np.concatenate(arrays).reshape(-1, len(header))
 
 
 def _read_blocks(blocks: list[tuple[Path, bool]]) -> list[tuple[list[str], np.ndarray]]:
-    """Header and values of each (path, categorical) block. numpy's C reader
-    parses the body ranges of every block in one ``_chunk_map``, and a
-    block's array is kept only with one row per line (the reader skips blank
-    lines and joins quoted line breaks) and one column per header cell; else
-    ``_read_strict`` loads the same array or names the first bad cell."""
-    headers, arrays, owners, tasks = [], [], [], []
-    for i, (path, _) in enumerate(blocks):
-        try:
-            header, lines, ranges = _body_ranges(path)
-        except (OSError, ValueError, csv.Error):
-            header, lines, ranges = [], 0, []
-        headers.append(header)
-        arrays.append(np.empty((max(lines, 0), len(header))))
-        owners += [i] * len(ranges)
-        tasks += ranges
-    filled = [0] * len(blocks)
-    with _chunk_map(_parse_range, tasks, sum(array.size for array in arrays)) as results:
-        for i, values in zip(owners, results):
-            array, row = arrays[i], filled[i]
-            if (values is None or row < 0 or values.shape[1] != array.shape[1]
-                    or row + len(values) > len(array)):
-                filled[i] = -1  # a chunk that fails fails its block
-                continue
-            array[row:row + len(values)] = values
-            filled[i] += len(values)
-    return [(header, array) if 0 < len(array) == row else _read_strict(path, categorical)
-            for (path, categorical), header, array, row in zip(blocks, headers, arrays, filled)]
+    """Header and values of each (path, categorical) block: ``_read_fast``'s,
+    or else ``_read_strict``'s, which are the same array or name the first
+    bad cell."""
+    return [_read_fast(path) or _read_strict(path, categorical) for path, categorical in blocks]
 
 
 def _read_strict(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:

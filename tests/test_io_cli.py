@@ -1,7 +1,5 @@
-import gc
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -20,6 +18,7 @@ from factorem import (
     simulate_dataset,
 )
 from factorem.model import theta_names, unflatten_theta
+from factorem import cli
 from factorem.cli import main
 from factorem import io as io_module
 from factorem.errors import DataError
@@ -45,8 +44,8 @@ class TestDatasetRoundTrip:
         assert columns["z"][0] == [f"y{j+1}" for j in range(4)]
 
     def test_a_byte_order_mark_is_skipped(self, tmp_path):
-        # the mark opens the manifest, the numeric blocks (read by numpy's C
-        # reader) and a categorical covariate block (read by the csv module)
+        # the mark opens the manifest, the numeric blocks (read by orjson)
+        # and a categorical covariate block (read by the csv module)
         data, *_ = small_dataset(n=6)
         plain, marked = tmp_path / "plain", tmp_path / "marked"
         write_dataset(data, plain)
@@ -141,7 +140,7 @@ class TestDatasetRoundTrip:
 
 
 def strict_numeric(path):
-    """The csv-module reader the C-parsed numeric block must agree with."""
+    """The csv-module reader the orjson-parsed numeric block must agree with."""
     header, body = io_module._read_table(path)
     return header, np.array([[float(cell) for cell in row] for row in body])
 
@@ -185,15 +184,16 @@ def test_every_latent_array_is_n_by_p_plus_1_with_g_first(tmp_path):
             np.testing.assert_array_equal(values, expected)
 
 
-class TestFastCsvPaths:
-    """The chunked writer and the C-parsed reader against the csv-module
-    code they replace."""
+def reference_bytes(tmp_path, header, matrix):
+    """The bytes of ``matrix`` as the csv writer writes ``_fmt`` of each cell."""
+    path = tmp_path / "reference.csv"
+    io_module._write_csv(path, header, ([io_module._fmt(v) for v in row] for row in matrix))
+    return path.read_bytes()
 
-    def reference_bytes(self, tmp_path, header, matrix):
-        path = tmp_path / "reference.csv"
-        io_module._write_csv(path, header, ([io_module._fmt(v) for v in row]
-                                            for row in matrix))
-        return path.read_bytes()
+
+class TestFastCsvPaths:
+    """The orjson writer and reader against the csv-module code they
+    replace."""
 
     def test_writer_bytes_match_the_csv_writer(self, tmp_path):
         values = [-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308,
@@ -202,7 +202,7 @@ class TestFastCsvPaths:
         header = [f"c{j}" for j in range(len(values))]
         io_module._write_matrices([(tmp_path / "fast.csv", header, matrix)])
         written = (tmp_path / "fast.csv").read_bytes()
-        assert written == self.reference_bytes(tmp_path, header, matrix)
+        assert written == reference_bytes(tmp_path, header, matrix)
         assert written.splitlines()[1].split(b",")[:8] == [
             b"-0.0", b"1e-05", b"1e+16", b"5e-324", b"1.7976931348623157e+308",
             b"inf", b"-inf", b"nan",
@@ -219,22 +219,22 @@ class TestFastCsvPaths:
         blocks.append(("factors_true.csv", ["g", "f1", "f2"], h))
         for name, header, matrix in blocks:
             assert (tmp_path / "data" / name).read_bytes() == \
-                self.reference_bytes(tmp_path, header, matrix), name
+                reference_bytes(tmp_path, header, matrix), name
 
-    @pytest.mark.parametrize("text", [
-        "a,b\n1.5,-2\n3e-3,4\n",
-        'a,b\n"1.5","-2"\n3e-3,"4"\n',
-        '"a","b"\n1.5,-2\n3e-3,4\n',
-        "a,b\n 1.5 ,\t-2\n3e-3 , 4\n",
-        "a,b\r\n1.5,-2\r\n3e-3,4\r\n",
-        "a,b\r1.5,-2\r3e-3,4\r",
-        "a,b\n1.5,-2\n3e-3,4",
-        "a\n1.5\n-2\n",
-        "a,b,c\n1.5,-2,nan\n",
-        "a,b\ninf,-inf\n1e400,5e-324\n",
+    @pytest.mark.parametrize("text, fast", [
+        ("a,b\n1.5,-2\n3e-3,4\n", True),
+        ('a,b\n"1.5","-2"\n3e-3,"4"\n', False),     # a quote is no JSON number
+        ('"a","b"\n1.5,-2\n3e-3,4\n', True),
+        ("a,b\n 1.5 ,\t-2\n3e-3 , 4\n", True),
+        ("a,b\r\n1.5,-2\r\n3e-3,4\r\n", True),
+        ("a,b\r1.5,-2\r3e-3,4\r", True),
+        ("a,b\n1.5,-2\n3e-3,4", True),
+        ("a\n1.5\n-2\n", True),
+        ("a,b,c\n1.5,-2,nan\n", False),          # nor are nan, inf and 1e400
+        ("a,b\ninf,-inf\n1e400,5e-324\n", False),
     ])
     def test_reader_fast_path_agrees_with_the_csv_reader(
-            self, tmp_path, monkeypatch, text):
+            self, tmp_path, monkeypatch, text, fast):
         path = tmp_path / "block.csv"
         path.write_bytes(text.encode())
         header, expected = strict_numeric(path)
@@ -242,7 +242,8 @@ class TestFastCsvPaths:
         def no_fallback(path):
             raise AssertionError("fell back to the csv reader")
 
-        monkeypatch.setattr(io_module, "_read_table", no_fallback)
+        if fast:
+            monkeypatch.setattr(io_module, "_read_table", no_fallback)
         for categorical in (False, True):   # observation and covariate blocks
             got_header, values = read_block(path, categorical)
             assert got_header == header
@@ -250,7 +251,7 @@ class TestFastCsvPaths:
             assert values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("text, expected", [
-        ("a,b\n1_5,2\n", [[15.0, 2.0]]),       # np.loadtxt rejects underscores
+        ("a,b\n1_5,2\n", [[15.0, 2.0]]),       # JSON has no underscores
         ("a,b\n1,2\r3,4\n", [[1.0, 2.0], [3.0, 4.0]]),   # bare carriage return
         ('a,b\n"1\n",2\n', [[1.0, 2.0]]),      # quoted line break in a cell
         ('a,b\n"1\r",2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
@@ -315,47 +316,25 @@ class TestFastCsvPaths:
             load_dataset(tmp_path / "manifest.json")
 
 
-def force_pool(monkeypatch, chunk_cells, cpus=2):
-    """Send every chunked call of ``io`` to forked workers, in chunks of about
-    ``chunk_cells`` cells, as if the host had ``cpus`` CPUs. Returns the list
-    of the worker processes started."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the chunk workers need the fork start method")
-    context, started = type(multiprocessing.get_context("fork")), []
-
-    class Recorded(context.Process):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(context, "Process", Recorded)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(io_module, "_POOL_CELLS", 0)
-    monkeypatch.setattr(io_module, "_CHUNK_CELLS", chunk_cells)
-    return started
-
-
 class TestChunkedCsvPaths:
-    """Blocks cut into row chunks and byte ranges, formatted and parsed by
-    forked workers, against the same calls in this process."""
+    """Blocks cut into row chunks, written and read in small chunks against
+    the same calls in one chunk."""
 
-    def test_written_bytes_do_not_depend_on_the_workers(self, tmp_path, monkeypatch):
+    def test_written_bytes_do_not_depend_on_the_chunks(self, tmp_path, monkeypatch):
         data, h, theta, dims = small_dataset(seed=2, n=23, q=5)
         data.z[0][:4, 0] = [-0.0, 1e-05, 1e16, 5e-324]
         digests = []
-        # one worker never starts: with one CPU, or one task, the call runs here
-        for workers in (None, 2, 3):     # None: in this process
-            out = tmp_path / str(workers)
+        # 16 cells: 3 rows of 5 or 8 of 2 per chunk, and 23 is neither's multiple
+        for chunk_cells in (io_module._CHUNK_CELLS, 16):
+            out = tmp_path / str(chunk_cells)
             with monkeypatch.context() as patch:
-                started = force_pool(patch, 16, workers) if workers else []
+                patch.setattr(io_module, "_CHUNK_CELLS", chunk_cells)
                 write_dataset(data, out, latents=h, theta=theta)
-            # 16 cells: 3 rows of 5 or 8 of 2 per chunk, and 23 is neither's multiple
-            assert len(started) == (workers or 0)
             digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                             for path in sorted(out.iterdir())})
         assert len(digests[0]) == 9
-        assert digests[1] == digests[0] and digests[2] == digests[0]
-        y = (tmp_path / "2" / "Y.csv").read_text().splitlines()
+        assert digests[1] == digests[0]
+        y = (tmp_path / "16" / "Y.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in y[1:5]] == ["-0.0", "1e-05", "1e+16", "5e-324"]
 
     @pytest.mark.parametrize("text, expected", [
@@ -371,9 +350,7 @@ class TestChunkedCsvPaths:
     ], ids=["crlf", "bom", "no-final-newline", "blank-line", "quoted-break-over-a-cut",
             "underscore", "quote-closed-over-a-cut", "header-over-a-line",
             "non-numeric-in-last-chunk"])
-    @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pool"])
-    def test_reader_agrees_with_one_range_in_this_process(
-            self, tmp_path, monkeypatch, text, expected, pool):
+    def test_reader_agrees_with_one_chunk(self, tmp_path, monkeypatch, text, expected):
         path = tmp_path / "block.csv"
         path.write_bytes(text.encode())
         for categorical in (False, True):
@@ -385,10 +362,8 @@ class TestChunkedCsvPaths:
                 reference = read_block(path, categorical)
                 np.testing.assert_array_equal(reference[1], expected)
             with monkeypatch.context() as patch:
-                # 1 cell: every line of the body is a range of its own
-                started = force_pool(patch, 1) if pool else []
-                if not pool:
-                    patch.setattr(io_module, "_CHUNK_CELLS", 1)
+                # 1 cell: every line of the body is a chunk of its own
+                patch.setattr(io_module, "_CHUNK_CELLS", 1)
                 if isinstance(expected, str):
                     with pytest.raises(DataError) as chunked:
                         read_block(path, categorical)
@@ -397,37 +372,83 @@ class TestChunkedCsvPaths:
                     header, values = read_block(path, categorical)
                     assert header == reference[0] == ["a", "b"]
                     assert values.tobytes() == reference[1].tobytes()
-            # a header record over two lines sends the block to the csv reader at once
-            assert len(started) == (2 if pool and not text.startswith('"') else 0)
 
-    def test_no_worker_outlives_a_call(self, tmp_path, monkeypatch):
-        started = force_pool(monkeypatch, 16)
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        data, h, theta, _ = small_dataset(n=30)
-        (tmp_path / "file").write_text("")
-        (tmp_path / "busy" / "X1.csv").mkdir(parents=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            write_dataset(data, tmp_path / "data", latents=h, theta=theta)
-            assert not multiprocessing.active_children()
-            load_dataset(tmp_path / "data")
-            assert not multiprocessing.active_children()
-            path = tmp_path / "data" / "X1.csv"
-            path.write_text(path.read_text().replace("\n", "\noops,", 1))
-            with pytest.raises(DataError, match="ragged row 2"):
-                load_dataset(tmp_path / "data")
-            assert not multiprocessing.active_children()
-            for out in (tmp_path / "file", tmp_path / "busy"):   # the latter mid-write
-                with pytest.raises(OSError):
-                    write_dataset(data, out, latents=h)
-                assert not multiprocessing.active_children()
-            monkeypatch.setattr(io_module, "_format_rows", lambda rows: os._exit(1))
-            with pytest.raises(EOFError, match="a chunk worker died"):
-                write_dataset(data, tmp_path / "died")
-            assert not multiprocessing.active_children()
-            gc.collect()
-        assert len(started) == 10 and not unraisable
+
+def band_edges():
+    """Each edge of the band where orjson writes the cells, and its neighbor."""
+    return [1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0), 9999999999999998.0,
+            0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf]
+
+
+class TestOrjsonKernels:
+    """orjson's formatter and parser against ``repr``, the csv writer and the
+    csv reader, on random bit patterns and on the edge cases of each."""
+
+    def test_writer_bytes_equal_repr_on_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(23)
+        bits = rng.integers(0, 1 << 64, size=(2, 60_000), dtype=np.uint64, endpoint=False)
+        # half the patterns over every exponent, half inside orjson's band
+        exponent = rng.integers(1023 - 14, 1023 + 54, size=60_000).astype(np.uint64)
+        bits[1] = bits[1] & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+        edges = np.array(band_edges())
+        values = np.concatenate([bits.view(np.float64).ravel(), edges, -edges])
+        matrix = values[:len(values) // 10 * 10].reshape(-1, 10)
+        # rows of edges alone, and edges mixed into rows inside the band
+        inside = np.abs(matrix[len(matrix) // 2:len(matrix) // 2 + len(edges)])
+        inside[:, 3] = edges
+        matrix = np.vstack([matrix, inside, np.tile(edges[:10], (3, 1)), -edges[:10]])
+        header = [f"c{j}" for j in range(10)]
+        io_module._write_matrices([(tmp_path / "fast.csv", header, matrix)])
+        written = (tmp_path / "fast.csv").read_bytes()
+        assert written == reference_bytes(tmp_path, header, matrix)
+        assert written.splitlines()[-2] == (b"0.0001,9.999999999999999e-05,1e+16,"
+                                            b"9999999999999998.0,9999999999999998.0,"
+                                            b"0.0,-0.0,5e-324,nan,inf")
+
+    def test_written_cells_round_trip_through_the_reader(self, tmp_path):
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-6, 18, size=(300, 7))
+        matrix[::7, 2] = -0.0
+        io_module._write_matrices([(tmp_path / "m.csv", list("abcdefg"), matrix)])
+        assert io_module._read_fast(tmp_path / "m.csv") is not None
+        header, values = read_block(tmp_path / "m.csv", False)
+        assert values.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("cells, expected, fast", [
+        ("-0,1", [[-0.0, 1.0]], True),          # orjson reads the integer -0 as 0
+        ("-0,-0\n0,1e-0", [[-0.0, -0.0], [0.0, 1.0]], True),
+        ("1e400,1", [[np.inf, 1.0]], False),   # orjson refuses an infinite number
+        ("true,1", "row 2, column 'a': cell 'true' is non-numeric", False),
+        ("null,1", "row 2, column 'a': cell 'null' is non-numeric", False),
+        ("01.5,1", [[1.5, 1.0]], False),
+        (".5,1", [[0.5, 1.0]], False),
+        ("nan,1", [[np.nan, 1.0]], False),
+        ('"2.5",1', [[2.5, 1.0]], False),
+        ("1 , 2", [[1.0, 2.0]], True),
+        ("1\r,2", "ragged row 2 has 1 cells, expected 2", False),   # not the JSON [1, 2]
+        ("9223372036854775809,1", [[9.223372036854776e18, 1.0]], True),
+        # halfway between two doubles: ties to the even one, up and down
+        ("18446744073709557760,1", [[18446744073709559808.0, 1.0]], True),
+        ("1844674407370955366.4e1,1", [[18446744073709551616.0, 1.0]], True),
+    ], ids=["minus-zero", "minus-zero-rows", "1e400", "true", "null", "01.5", ".5", "nan",
+            "quoted", "blanks", "lone-carriage-return", "above-2**63", "halfway-up",
+            "halfway-down"])
+    def test_reader_gives_the_csv_readers_array_or_error(
+            self, tmp_path, monkeypatch, cells, expected, fast):
+        path = tmp_path / "block.csv"
+        path.write_bytes(f"a,b\n{cells}\n".encode())
+        assert (io_module._read_fast(path) is not None) == fast
+        for chunk_cells in (1, io_module._CHUNK_CELLS):
+            with monkeypatch.context() as patch:
+                patch.setattr(io_module, "_CHUNK_CELLS", chunk_cells)
+                if isinstance(expected, str):
+                    with pytest.raises(DataError, match=re.escape(expected)):
+                        read_block(path, False)
+                    continue
+                header, values = read_block(path, False)
+            assert header == ["a", "b"]
+            assert values.tobytes() == np.array(expected).tobytes()
+            assert values.tobytes() == strict_numeric(path)[1].tobytes()
 
 
 class TestCategoricalCovariates:
@@ -833,6 +854,23 @@ class TestCli:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the cached parser gives each call the exit code and output of a fresh one
+        data, fitted = str(tmp_path / "data"), str(tmp_path / "fit")
+        calls = [["simulate", "--n", "40", "--q", "3", "--seed", "1", "--out", data],
+                 ["fit", "--data", data, "--out", fitted, "--epsilon", "1e-2"],
+                 ["fit", "--data", data], ["--help"]]
+        outputs = []
+        for _ in range(2):
+            outputs.append([(main(args), capsys.readouterr()) for args in calls])
+        assert [code for code, _ in outputs[0]] == [0, 0, 1, 0]
+        assert outputs[1] == outputs[0]
+        out, err = outputs[0][2][1]
+        assert not out and "the following arguments are required: --out" in err
+        assert outputs[0][3][1].out == cli.build_parser.__wrapped__().format_help()
+        assert outputs[0][0][1].out == f"wrote 40x9 dataset to {data}\n"
+        assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize("args, code", [
         (["--help"], 0), ([], 1), (["fit", "--data", "missing", "--out", "out"], 2),
