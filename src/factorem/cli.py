@@ -8,7 +8,7 @@ import argparse
 import functools
 import sys
 
-from .em import EMConfig, canonicalize, fit
+from .em import EMConfig, fit
 from .errors import FactorEMError
 from .evaluate import kfold_resample, replicate_study, sensitivity_sweep
 from .io import (
@@ -53,7 +53,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data, columns = load_dataset(args.data)
-    result = canonicalize(fit(data, data.dimensions(), _em_config(args)))
+    result = fit(data, data.dimensions(), _em_config(args))
     write_fit(result, args.out, columns=columns)
     status = "converged" if result.converged else "did not converge"
     print(f"{status} after {result.iterations} iterations; wrote {args.out}")

@@ -23,7 +23,7 @@ overlap is reclaimed from the other blocks.
 The start and the loop are the canonical parameter vector x
 (``flatten_theta`` order) and the summed law (``estep.EStepSummary``),
 the loop's only E-step state; a ``Theta`` is built only at the estimate
-and for an E-step that takes the exact pass (``estep.GRAM_LIMIT``). One
+and for the exact loglik of an E-step past ``estep.GRAM_LIMIT``. One
 EM-map evaluation (``em_step``) is the M-step from the summed law
 (``mstep.update_theta``) followed by the Gram-form E-step at the updated
 x (``estep.gram_summary``), whose summed observed log-likelihood fills
@@ -35,7 +35,7 @@ algorithm"). With the p+1 noise variances, the last coordinates of x, on
 the log scale, each cycle takes two map steps x0 -> x1 -> x2, sets
 r = x1 - x0, v = x2 - 2 x1 + x0 and alpha = min(-||r|| / ||v||, -1), and
 extrapolates to x' = x0 - 2 alpha r + alpha^2 v, with every variance
-clamped at the M-step's floor. x' is kept only when the E-step at x'
+floored as the M-step's are (silently). x' is kept only when the E-step at x'
 succeeds and its observed log-likelihood is at least that of x2; one
 more map step from x' then starts the next cycle. Otherwise (and when
 alpha = -1, where x' is x2) the next cycle starts from x2. Every
@@ -62,9 +62,7 @@ from .model import (
     Dataset, Dimensions, Theta, as_count, block_label, check_dimensions, flatten_theta,
     theta_names, unflatten_theta,
 )
-from .mstep import (
-    VARIANCE_FLOOR, Projection, expected_score, floored, project_covariates, update_theta,
-)
+from .mstep import Projection, expected_score, floored, project_covariates, update_theta
 
 __all__ = [
     "EMConfig",
@@ -211,7 +209,7 @@ def initialize(projection: Projection) -> np.ndarray:
     kappa = projection.stacked_tt_inv @ backed_out
     rows, cols = projection.d_at
     coef = projection.coef_at_d - weight[rows] * (kappa[rows] * loading[cols])
-    return np.concatenate([coef, loading, c, floored(sigma2, "start")])
+    return np.concatenate([coef, loading, c, floored(sigma2, projection.floor, "start")])
 
 
 def em_step(summary: EStepSummary, projection: Projection) -> tuple[np.ndarray, EStepSummary]:
@@ -236,11 +234,12 @@ def relative_change(old: np.ndarray, new: np.ndarray) -> float:
     return float((np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)).sum())
 
 
-def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, blocks: int):
+def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, floor: np.ndarray):
     """SqS3 point from two map steps x0 -> x1 -> x2 of the canonical
-    vector, with its last ``blocks`` coordinates (the noise variances) on
-    the log scale, or None when the steplength is -1 (the point is x2) or
-    the point is not finite."""
+    vector, with its last ``floor.size`` coordinates (the noise variances)
+    on the log scale and raised to ``floor``, or None when the steplength
+    is -1 (the point is x2) or the point is not finite."""
+    blocks = floor.size
     y = np.array([x0, x1, x2])
     y[:, -blocks:] = np.log(y[:, -blocks:])
     r = y[1] - y[0]
@@ -252,14 +251,14 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, blocks: int):
     with np.errstate(over="ignore", invalid="ignore"):
         x = y[0] - 2.0 * alpha * r + alpha**2 * v
         finite = np.isfinite(x).all()
-        x[-blocks:] = np.maximum(np.exp(x[-blocks:]), VARIANCE_FLOOR)
+        x[-blocks:] = floored(np.exp(x[-blocks:]), floor, None)
     return x if finite and np.isfinite(x[-blocks:]).all() else None
 
 
 def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     """Run SqS3-accelerated EM from the deterministic initialization
     until the stopping rule fires on a map step or max_iter map
-    evaluations are spent.
+    evaluations are spent, and return the ``canonicalize``d result.
 
     ``dims`` must equal ``data.dimensions()``; a DataError names the
     first field that differs.
@@ -289,7 +288,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         cycle.append(x)
         if len(cycle) < 3 or len(trace) == config.max_iter:
             continue
-        extrapolated = _extrapolate(*cycle, actual.p + 1)
+        extrapolated = _extrapolate(*cycle, projection.floor)
         cycle = [x]
         if extrapolated is None:
             continue
@@ -305,7 +304,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         else:
             rejected += 1
     theta = unflatten_theta(x, actual)
-    return FitResult(
+    return canonicalize(FitResult(
         theta=theta,
         moments=conditional_law(theta, data),
         iterations=len(trace),
@@ -315,7 +314,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         config=config,
         accepted=accepted,
         rejected=rejected,
-    )
+    ))
 
 
 def canonicalize(result: FitResult) -> FitResult:
@@ -327,7 +326,8 @@ def canonicalize(result: FitResult) -> FitResult:
     vector (b and each a^m) to be nonnegative. With s = (s_g, s_f) the
     signs applied, one per block, the law becomes (m s, Sigma o s s');
     its per-unit log-likelihood, the iteration trace and the projection
-    are left untouched, and ``account`` follows the flipped theta.
+    are left untouched, and ``account`` follows the flipped theta. A
+    canonical result, as ``fit`` returns, comes back as is.
     """
     theta = result.theta
     s = np.array([-1.0 if lam[0] < 0 else 1.0 for lam in theta.loading])

@@ -19,7 +19,7 @@ log-density of unit i from the same pass:
 
 The quadratic form is evaluated as the equal sum of two nonnegative
 terms, ||r_i - Lambda M_i||^2_{Psi^{-1}} + M_i' S1^{-1} M_i, which does
-not cancel when a noise variance sits at its 1e-12 floor.
+not cancel when a noise variance sits at its floor.
 
 An M-step needs only S = sum_i E[h_i h_i' | r_i] = n Sigma + M'M and the
 data against M. ``mstep.project_covariates`` stacks the covariate
@@ -33,7 +33,9 @@ with lambda_k / sigma2_k on the Z~_k rows of column k of A,
 ``gram_summary`` takes S = n Sigma + Sigma A'GA Sigma, W~_c'M = G A Sigma
 and the summed log-density from G alone. Its summed quadratic form
 sum_k ||r_k||^2 / sigma2_k - tr(Sigma A'GA) cancels when a noise
-variance is small against its block's residual (``GRAM_LIMIT``).
+variance is small against its block's residual (``GRAM_LIMIT``): past it
+only the loglik takes the exact pass (``observed_loglik``), as S and W~_c'M
+round there like Sigma = P^{-1}, on either route.
 
 ``gram_summary`` reads the parameters as the canonical vector x
 (``model.flatten_theta`` order) with no loop over blocks: x scatters into
@@ -101,15 +103,6 @@ class EStepSummary:
     s: np.ndarray
     wm: np.ndarray
     loglik: float
-
-    @classmethod
-    def from_law(cls, law: ConditionalLaw, projection) -> "EStepSummary":
-        """The summary of an n-row law, by one pass over ``projection.data``."""
-        t = np.hstack(projection.data.t)
-        resid = np.hstack(projection.data.z) - t @ projection.stacked_coef   # [Z~_0..Z~_p]
-        centered = law.m - law.m.mean(axis=0)      # W~_c'M = W~'(M - 1 mean(M)')
-        wm = np.vstack([resid.T @ centered, t.T @ centered, law.m.sum(axis=0)])
-        return cls(s=law.second_moment_sum(), wm=wm, loglik=float(law.loglik.sum()))
 
 
 @dataclass
@@ -204,9 +197,9 @@ def residual_sq(x: np.ndarray, projection) -> tuple[np.ndarray, np.ndarray, np.n
 
 def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     """The law at the canonical vector ``x`` summed over units, from the
-    Gram of ``projection`` (the fit's ``mstep.Projection``) alone, or from
-    ``conditional_law`` on ``projection.data`` when a block is past
-    ``GRAM_LIMIT``. Raises as ``conditional_law`` does."""
+    Gram of ``projection`` (the fit's ``mstep.Projection``) alone, but for
+    the loglik of a block past ``GRAM_LIMIT``, which is ``observed_loglik``'s
+    exact pass over ``projection.data``. Raises as ``conditional_law`` does."""
     g, mean, n, starts = projection.g, projection.mean, projection.data.n, projection.starts[0]
     z_block = projection.z_own[1]
     nz, nd, k = z_block.size, projection.d_at[0].size, starts.size
@@ -215,9 +208,6 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
         positive_variances(variances, "conditional law")
     inv_var = 1.0 / variances
     e, _, r_sq = residual_sq(x, projection)
-    if not (r_sq <= projection.gram_bound * variances).all():
-        law = conditional_law(unflatten_theta(x, projection.data.dimensions()), projection.data)
-        return EStepSummary.from_law(law, projection)
     loading = x[nd:nd + nz]
     a = np.zeros((g.shape[0], k))               # U = W~_c A
     a[projection.z_own] = loading * inv_var[z_block]  # lambda_k / sigma2_k on Z~_k, column k
@@ -227,20 +217,21 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     _, chol, sigma = _posterior(x[nd + nz:-k], fisher, variances)
     ga = g @ a
     uu = a.T @ ga                                # U'U
-    quad = float(r_sq @ inv_var - (sigma * uu).sum())
-    logdet = float(np.log(variances) @ projection.widths + 2.0 * np.log(chol.diagonal()).sum())
-    return EStepSummary(
-        s=n * sigma + sigma @ uu @ sigma,
-        wm=ga @ sigma,
-        loglik=-0.5 * (quad + n * (logdet + nz * LOG_2PI)),
-    )
+    if (r_sq <= projection.gram_bound * variances).all():
+        quad = float(r_sq @ inv_var - (sigma * uu).sum())
+        logdet = float(np.log(variances) @ projection.widths + 2.0 * np.log(chol.diagonal()).sum())
+        loglik = -0.5 * (quad + n * (logdet + nz * LOG_2PI))
+    else:
+        loglik = observed_loglik(unflatten_theta(x, projection.data.dimensions()),
+                                 projection.data).value
+    return EStepSummary(s=n * sigma + sigma @ uu @ sigma, wm=ga @ sigma, loglik=loglik)
 
 
 def observed_loglik(theta: Theta, data: Dataset) -> LogLik:
     """Log-density of the observations with the latents marginalized
     out, by the exact pass: ``per_unit`` is ``conditional_law``'s (which
     checks ``theta`` against the data) and ``value`` its sum. A fit's trace
-    records ``gram_summary``'s sum, equal to ``value`` within the Gram
-    form's rounding (``GRAM_LIMIT``)."""
+    records ``gram_summary``'s sum: ``value`` past ``GRAM_LIMIT``, and equal
+    to it within the Gram form's rounding below."""
     per_unit = conditional_law(theta, data).loglik
     return LogLik(value=float(per_unit.sum()), per_unit=per_unit)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em import EMConfig, canonicalize, fit
+from .em import EMConfig, fit
 from .errors import DataError, FactorEMError
 from .estep import ConditionalLaw
 from .model import Dataset, Dimensions, Theta, flatten_theta, subset_units
@@ -148,7 +148,7 @@ def replicate_study(sim: SimConfig, em: EMConfig, replicates: int) -> StudySumma
     for rep, seed in enumerate(_derived_seeds(sim.seed, replicates)):
         data, h, theta_true = simulate_dataset(replace(sim, seed=seed))
         try:
-            result = canonicalize(fit(data, dims, em))
+            result = fit(data, dims, em)
         except FactorEMError as exc:
             summary.failures.append(f"replicate {rep}: {exc}")
             continue
@@ -239,7 +239,7 @@ def kfold_resample(
         raise DataError(
             f"sample_size must be in [2, {dims.n}], got {sample_size}"
         )
-    full = canonicalize(fit(data, dims, em))
+    full = fit(data, dims, em)
     full_params = flatten_theta(full.theta)
     full_scores = full.moments.m
 
@@ -256,7 +256,7 @@ def kfold_resample(
     for s in range(k):
         idx = np.sort(rng.choice(dims.n, size=sample_size, replace=False))
         try:
-            sub = canonicalize(fit(subset_units(data, idx), sub_dims, em))
+            sub = fit(subset_units(data, idx), sub_dims, em)
         except FactorEMError as exc:
             summary.failures.append(f"sample {s}: {exc}")
             continue

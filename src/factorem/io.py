@@ -30,6 +30,7 @@ appearance. A column must be wholly numeric or wholly non-numeric, and a
 non-numeric column may hold no blank cell.
 """
 
+import contextlib
 import csv
 import itertools
 import json
@@ -265,6 +266,8 @@ def _read_strict(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
     blank cell in a non-numeric column and a one-level column, which would vanish.
     """
     header, body = _read_table(path)
+    with contextlib.suppress(ValueError):   # float() on every cell, in one call
+        return header, np.array(body, dtype=float)
     is_number = np.array([[_is_number(cell) for cell in row] for row in body])
     blank = np.array([[not cell.strip() for cell in row] for row in body])
     bad = ~is_number & (is_number.any(axis=0) | blank) if categorical else ~is_number
@@ -274,8 +277,6 @@ def _read_strict(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
                 else "is not numeric but other cells of the column are")
         raise DataError(f"{path}: row {i + 2}, column {header[j]!r}: cell "
                         f"{body[i][j]!r} {what}")
-    if is_number.all():
-        return header, np.array([[float(cell) for cell in row] for row in body])
 
     names, columns = ["intercept"], [np.ones(len(body))]
     for name, col, numeric in zip(header, zip(*body), is_number.all(axis=0)):

@@ -39,6 +39,10 @@ Z~_k'f come from W~_c'M by the index maps of ``Projection`` and one
 product with the block-diagonal (T'T)^-1, the per-block sums by
 ``reduceat``. ``expected_score``, the certificate of ``FitResult.account``,
 reads the gradient off the same maps and ``estep.residual_sq``.
+
+``floored`` keeps each noise variance on the data's own scale: it raises
+sigma2_k to ``Projection.floor``, VARIANCE_FLOOR sum_j ||Z~_j,c||^2 / (n q_k),
+at the start, at every M-step and at every SqS3 point.
 """
 
 import warnings
@@ -59,6 +63,7 @@ __all__ = [
     "VARIANCE_FLOOR",
 ]
 
+# a noise variance's floor relative to its block's residual variance per cell
 VARIANCE_FLOOR = 1e-12
 
 
@@ -74,10 +79,11 @@ class Projection:
     coordinate i of the stacked D sits at T row ``d_at[0][i]`` and Z
     column ``d_at[1][i]`` (T rows counted from the first, here and in
     ``starts``); ``widths`` are the q_k, ``gram_bound`` ``estep.GRAM_LIMIT``
-    n q_k; ``spread`` is ||Z_j,c||^2 per observed column and ``resid_sq``
-    ||Z~_k||^2 per block; and the block-diagonal B (T rows x Z columns,
-    B_k on block k's), its entries ``coef_at_d`` at the coordinates of D,
-    and (T'T)^-1 (T rows x T rows)."""
+    n q_k; ``floor`` is each block's noise-variance floor, VARIANCE_FLOOR
+    sum_j ||Z~_j,c||^2 / (n q_k); ``spread`` is ||Z_j,c||^2 per observed
+    column and ``resid_sq`` ||Z~_k||^2 per block; and the block-diagonal
+    B (T rows x Z columns, B_k on block k's), its entries ``coef_at_d`` at
+    the coordinates of D, and (T'T)^-1 (T rows x T rows)."""
 
     data: Dataset
     g: np.ndarray
@@ -90,6 +96,7 @@ class Projection:
     d_at: tuple[np.ndarray, np.ndarray]
     widths: np.ndarray
     gram_bound: np.ndarray
+    floor: np.ndarray
     spread: np.ndarray
     resid_sq: np.ndarray
     stacked_coef: np.ndarray
@@ -162,7 +169,8 @@ def project_covariates(data: Dataset) -> Projection:
     return Projection(
         data=data, g=g, mean=mean, z=tuple(rows[:k]), t=tuple(rows[k:]),
         z_own=(np.arange(nz), z_block), t_own=(np.arange(nz, nz + r.sum()), t_block),
-        starts=starts, d_at=d_at, widths=q, gram_bound=GRAM_LIMIT * n * q, spread=spread,
+        starts=starts, d_at=d_at, widths=q, gram_bound=GRAM_LIMIT * n * q,
+        floor=VARIANCE_FLOOR * np.add.reduceat(resid, starts[0]) / (n * q), spread=spread,
         resid_sq=np.add.reduceat(resid + n * mean[:nz]**2, starts[0]),
         stacked_coef=stacked_coef, coef_at_d=stacked_coef[d_at], stacked_tt_inv=stacked_tt_inv)
 
@@ -177,8 +185,8 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
     """Exact maximizer of the expected complete log-likelihood, as the
     canonical vector.
 
-    Noise variances are floored at VARIANCE_FLOOR (with a warning) so a
-    perfect fit cannot hand the next E-step a singular covariance.
+    Noise variances are floored at ``projection.floor`` (with a warning)
+    so a perfect fit cannot hand the next E-step a singular covariance.
     """
     s = summary.s
     c, info = lapack.dgesv(s[1:, 1:], s[1:, 0])[2:]
@@ -206,20 +214,19 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
               / (projection.data.n * projection.widths))
     rows, cols = projection.d_at
     coef = projection.coef_at_d - pf[rows] * loading[cols]
-    return np.concatenate([coef, loading, c, floored(sigma2, "update")])
+    return np.concatenate([coef, loading, c, floored(sigma2, projection.floor, "update")])
 
 
-def floored(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` (one noise variance per block, Y first) raised to
-    VARIANCE_FLOOR where below it, each with a RuntimeWarning naming it."""
-    low = values < VARIANCE_FLOOR
-    if not low.any():
-        return values
-    for k in np.flatnonzero(low):
-        warnings.warn(f"{block_label('sigma2', k)} {what} {values[k]:.3e} floored at "
-                      f"{VARIANCE_FLOOR:.0e}",
-                      RuntimeWarning, stacklevel=3)
-    return np.maximum(values, VARIANCE_FLOOR)
+def floored(values: np.ndarray, floor: np.ndarray, what: str | None) -> np.ndarray:
+    """``values`` (one noise variance per block, Y first) raised to ``floor``
+    (``Projection.floor``) where below it, each with a RuntimeWarning naming
+    it as ``what``, or silently when ``what`` is None."""
+    low = values < floor
+    if what is not None and low.any():
+        for k in np.flatnonzero(low):
+            warnings.warn(f"{block_label('sigma2', k)} {what} {values[k]:.3e} floored at "
+                          f"{floor[k]:.3e}", RuntimeWarning, stacklevel=3)
+    return np.maximum(values, floor)
 
 
 def expected_score(x: np.ndarray, summary: EStepSummary, projection: Projection) -> np.ndarray:

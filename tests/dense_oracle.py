@@ -21,6 +21,10 @@ covariance splits into three blocks:
 so that h_i | z_i ~ N(s2 s3^{-1} mu_i, s1 - s2 s3^{-1} s2') and
 z_i ~ N(covariate mean, s3).
 
+``variance_floor`` is each block's noise-variance floor from its n rows,
+and ``summary_from_law`` the summed law of an n-row ``ConditionalLaw``, the
+E-step's exact pass before it took only the loglik from it.
+
 ``loop_fit`` is the SqS3-accelerated fit as it read before the EM loop
 carried the canonical vector: a ``Theta`` per evaluation, and Gram-form
 E- and M-steps (``loop_gram_estep``, ``loop_update_theta``) that loop
@@ -48,13 +52,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from factorem.em import DENOMINATOR_FLOOR, FitResult, initialize
+from factorem.em import DENOMINATOR_FLOOR, FitResult, canonicalize, initialize
 from factorem.errors import (
     DataError, DegeneratePosteriorError, FactorEMError, NonFiniteParameterError,
     NotPositiveDefiniteError, SingularSystemError,
 )
 from factorem.estep import (
     LOG_2PI, GRAM_LIMIT, EStepSummary, block_residuals, conditional_law, gram_summary,
+    observed_loglik,
 )
 from factorem.model import (
     Theta, block_label, check_dimensions, flatten_parts, flatten_theta, theta_names,
@@ -63,6 +68,26 @@ from factorem.model import (
 from factorem import mstep
 from factorem.mstep import VARIANCE_FLOOR, _gram_solve, expected_score, project_covariates
 from likelihood_oracle import expected_sq_residual
+
+
+def variance_floor(data) -> np.ndarray:
+    """Each block's noise-variance floor from its rows: VARIANCE_FLOOR times
+    the variance per cell of its centered covariate residual, the least-squares
+    residual Z_k - T_k B_k less its column means."""
+    floors = []
+    for z, t in zip(data.z, data.t):
+        resid = z - t @ np.linalg.lstsq(t, z, rcond=None)[0]
+        floors.append(VARIANCE_FLOOR * np.sum((resid - resid.mean(axis=0))**2) / resid.size)
+    return np.array(floors)
+
+
+def summary_from_law(law, projection) -> EStepSummary:
+    """The summed law of an n-row ``law``, by one pass over ``projection.data``."""
+    t = np.hstack(projection.data.t)
+    resid = np.hstack(projection.data.z) - t @ projection.stacked_coef   # [Z~_0..Z~_p]
+    centered = law.m - law.m.mean(axis=0)      # W~_c'M = W~'(M - 1 mean(M)')
+    wm = np.vstack([resid.T @ centered, t.T @ centered, law.m.sum(axis=0)])
+    return EStepSummary(s=law.second_moment_sum(), wm=wm, loglik=float(law.loglik.sum()))
 
 
 def stacked_residuals(theta, data):
@@ -221,7 +246,7 @@ def update_theta(stats: SufficientStats, law, data) -> Theta:
     """Exact maximizer of the expected complete log-likelihood, from the
     unit-averaged cross products.
 
-    Noise variances are floored at VARIANCE_FLOOR (with a warning) so a
+    Noise variances are floored at ``variance_floor`` (with a warning) so a
     perfect fit cannot hand the next E-step a singular covariance.
     """
     dims = data.dimensions()
@@ -247,40 +272,45 @@ def update_theta(stats: SufficientStats, law, data) -> Theta:
 
     variances = []
     names = ["sigma2_Y"] + [f"sigma2_{m + 1}" for m in range(dims.p)]
-    blocks = zip(updates, data.z, data.t, names)
-    for k, ((loading, coef), obs, cov, name) in enumerate(blocks):
+    blocks = zip(updates, data.z, data.t, names, variance_floor(data))
+    for k, ((loading, coef), obs, cov, name, floor) in enumerate(blocks):
         resid = obs - cov @ coef
         value = expected_sq_residual(
             resid, loading, law.m[:, k], data.n * hh[k, k]
         ) / resid.size
-        if value < VARIANCE_FLOOR:
+        if value < floor:
             warnings.warn(
-                f"{name} update {value:.3e} floored at {VARIANCE_FLOOR:.0e}",
+                f"{name} update {value:.3e} floored at {floor:.3e}",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            value = VARIANCE_FLOOR
+            value = floor
         variances.append(value)
 
     loadings, coefs = zip(*updates)
     return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
 
 
-def loop_floored(value, k, what):
-    if value < VARIANCE_FLOOR:
+def loop_floored(value, floor, k, what):
+    if value < floor:
         warnings.warn(f"{block_label('sigma2', k)} {what} {value:.3e} floored at "
-                      f"{VARIANCE_FLOOR:.0e}", RuntimeWarning, stacklevel=3)
-        return VARIANCE_FLOOR
+                      f"{floor:.3e}", RuntimeWarning, stacklevel=3)
+        return floor
     return value
 
 
 def loop_posterior(theta, inv_var):
-    """(S1^{-1}, Cholesky factor of P, Sigma = P^{-1}) at ``theta``."""
+    """(S1^{-1}, Cholesky factor of P, Sigma = P^{-1}) at ``theta``.
+
+    lambda_k'lambda_k is summed as the package sums it (``np.add.reduceat``):
+    at a floored variance the small entries of Sigma carry rounding of about
+    eps |Sigma|, and a last-bit change in P moves S and W~_c'M by up to 3e-4
+    relative past ``GRAM_LIMIT``; with the same sums they agree to 3e-15."""
     c = theta.c
     prior_prec = np.eye(c.shape[0] + 1)
     prior_prec[0, 1:] = prior_prec[1:, 0] = -c
     prior_prec[1:, 1:] += np.outer(c, c)
-    prec = prior_prec + np.diag([lam @ lam for lam in theta.loading] * inv_var)
+    prec = prior_prec + np.diag([np.sum(lam * lam) for lam in theta.loading] * inv_var)
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:
@@ -305,7 +335,8 @@ def block_projection(projection):
 
 
 def loop_gram_estep(theta, gram, data):
-    """The Gram-form E-step at ``theta``, one block at a time."""
+    """The Gram-form E-step at ``theta``, one block at a time, with the
+    loglik of the exact pass when a block is past ``GRAM_LIMIT``."""
     variances = np.array(theta.sigma2)
     if variances.min() <= 0:
         raise DataError("conditional law needs strictly positive noise variances")
@@ -323,20 +354,18 @@ def loop_gram_estep(theta, gram, data):
         lam[z, k] = loading * inv_var[k]
         mean_te = mean[t] @ e_k
         resid_sq[k] = tilde_sq + np.sum(e_k * (g[t, t] @ e_k)) + n * mean_te @ mean_te
-    if not np.max(resid_sq * inv_var / (n * widths)) <= GRAM_LIMIT:
-        return EStepSummary.from_law(conditional_law(theta, data), gram)
     e = e[ts]
     a = np.vstack([lam, -e @ lam, (mean[zs] - mean[ts] @ e) @ lam])
     _, chol, sigma = loop_posterior(theta, inv_var)
     ga = g @ a
     uu = a.T @ ga
-    quad = float(resid_sq @ inv_var - np.sum(sigma * uu))
-    logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return EStepSummary(
-        s=n * sigma + sigma @ uu @ sigma,
-        wm=ga @ sigma,
-        loglik=-0.5 * (quad + n * (logdet + widths.sum() * LOG_2PI)),
-    )
+    if np.max(resid_sq * inv_var / (n * widths)) <= GRAM_LIMIT:
+        quad = float(resid_sq @ inv_var - np.sum(sigma * uu))
+        logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+        loglik = -0.5 * (quad + n * (logdet + widths.sum() * LOG_2PI))
+    else:
+        loglik = observed_loglik(theta, data).value
+    return EStepSummary(s=n * sigma + sigma @ uu @ sigma, wm=ga @ sigma, loglik=loglik)
 
 
 def loop_update_theta(projection, summary) -> Theta:
@@ -349,8 +378,9 @@ def loop_update_theta(projection, summary) -> Theta:
     loadings, coefs, variances = [], [], []
     wm = summary.wm
     shifted = wm[:-1] + np.outer(projection.mean[:-1], wm[-1])
-    blocks = zip(projection.z, projection.t, block_projection(projection), projection.resid_sq)
-    for k, (z, t, (coef, tt_inv), resid_sq) in enumerate(blocks):
+    blocks = zip(projection.z, projection.t, block_projection(projection), projection.resid_sq,
+                 variance_floor(projection.data))
+    for k, (z, t, (coef, tt_inv), resid_sq, floor) in enumerate(blocks):
         tf = shifted[t, k]
         pf = tt_inv @ tf
         zf = shifted[z, k]
@@ -361,7 +391,7 @@ def loop_update_theta(projection, summary) -> Theta:
         value = (resid_sq - loading @ zf) / (projection.data.n * zf.size)
         loadings.append(loading)
         coefs.append(coef - np.outer(pf, loading))
-        variances.append(loop_floored(value, k, "update"))
+        variances.append(loop_floored(value, floor, k, "update"))
     return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
 
 
@@ -381,7 +411,7 @@ def loop_relative_change(theta_old, theta_new):
     return float(np.sum(np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
 
 
-def loop_extrapolate(theta0, theta1, theta2, dims):
+def loop_extrapolate(theta0, theta1, theta2, dims, floor):
     x0, x1, x2 = (flatten_parts(t.coef, t.loading, t.c, np.log(t.sigma2))
                   for t in (theta0, theta1, theta2))
     r = x1 - x0
@@ -393,15 +423,17 @@ def loop_extrapolate(theta0, theta1, theta2, dims):
     with np.errstate(over="ignore", invalid="ignore"):
         x = x0 - 2.0 * alpha * r + alpha**2 * v
         k = dims.p + 1
-        sigma2 = np.maximum(np.exp(x[-k:]), VARIANCE_FLOOR)
+        sigma2 = np.maximum(np.exp(x[-k:]), floor)
     if not (np.isfinite(x).all() and np.isfinite(sigma2).all()):
         return None
     return unflatten_theta(np.concatenate([x[:-k], sigma2]), dims)
 
 
 def loop_fit(data, dims, config) -> FitResult:
-    """The SqS3-accelerated fit on ``Theta``s and the per-block steps."""
+    """The SqS3-accelerated fit on ``Theta``s and the per-block steps,
+    returned canonical as ``fit``'s."""
     actual = check_dimensions(dims, data)
+    floor = variance_floor(data)
     projection = project_covariates(data)
     theta = unflatten_theta(initialize(projection), actual)
     try:
@@ -426,7 +458,7 @@ def loop_fit(data, dims, config) -> FitResult:
         cycle.append(theta)
         if len(cycle) < 3 or len(trace) == config.max_iter:
             continue
-        extrapolated = loop_extrapolate(*cycle, actual)
+        extrapolated = loop_extrapolate(*cycle, actual, floor)
         cycle = [theta]
         if extrapolated is None:
             continue
@@ -440,11 +472,11 @@ def loop_fit(data, dims, config) -> FitResult:
             accepted += 1
         else:
             rejected += 1
-    return FitResult(
+    return canonicalize(FitResult(
         theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
         converged=converged, trace=np.array(trace), projection=projection, config=config,
         accepted=accepted, rejected=rejected,
-    )
+    ))
 
 
 def package_gram_estep(theta, gram, data):
@@ -464,7 +496,7 @@ def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
     or max_iter steps are spent. The default steps are the per-block
     loops, which share no arithmetic with the package's kernels; passing
     ``package_gram_estep`` and ``package_update_theta`` makes it the
-    package's own map, step for step."""
+    package's own map, step for step. The result is returned canonical."""
     projection = project_covariates(data)
     theta = unflatten_theta(initialize(projection), dims)
     summary = gram_estep(theta, projection, data)
@@ -479,10 +511,10 @@ def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
         if change < config.epsilon:
             converged = True
             break
-    return FitResult(
+    return canonicalize(FitResult(
         theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
         converged=converged, trace=np.array(trace), projection=projection, config=config,
-    )
+    ))
 
 
 def fresh_account(theta, moments, data):
@@ -602,7 +634,8 @@ def npass_update(projection, law) -> Theta:
         value = (block.resid_sq - loading @ zf) / block.resid.size
         loadings.append(loading)
         coefs.append(block.coef - np.outer(pf, loading))
-        variances.append(max(value, VARIANCE_FLOOR))
+        centered = block.resid - block.resid.mean(axis=0)
+        variances.append(max(value, VARIANCE_FLOOR * np.sum(centered**2) / block.resid.size))
     return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
 
 

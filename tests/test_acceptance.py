@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from factorem import Dimensions, EMConfig, SimConfig, fit, flatten_theta, simulate_dataset
-from factorem.estep import EStepSummary, conditional_law
+from factorem.estep import conditional_law
 from factorem.evaluate import kfold_resample, replicate_study
 from factorem.model import count_parameters, unflatten_theta
 from factorem.mstep import project_covariates, update_theta
 from factorem.cli import main
 
 from conftest import reference_dims, random_instance, random_theta, scalar_toy_theta
-from dense_oracle import posterior_moments
+from dense_oracle import posterior_moments, summary_from_law
 from likelihood_oracle import complete_loglik, complete_score, expected_score
 
 
@@ -187,7 +187,7 @@ def test_criterion_07_mstep_stationarity():
         law = conditional_law(theta, data)
         projection = project_covariates(data)
         updated = unflatten_theta(
-            update_theta(projection, EStepSummary.from_law(law, projection)), dims)
+            update_theta(projection, summary_from_law(law, projection)), dims)
         residual = expected_score(updated, law, data)
         worst = max(worst, float(np.abs(residual).max()))
 
@@ -201,7 +201,7 @@ def test_criterion_07_mstep_stationarity():
         law = conditional_law(theta, data)
         projection = project_covariates(data)
         updated = unflatten_theta(
-            update_theta(projection, EStepSummary.from_law(law, projection)), dims)
+            update_theta(projection, summary_from_law(law, projection)), dims)
         s = law.second_moment_sum()
         v1, v2 = s[1:, 0]
         phi1, phi2 = s[1, 1], s[2, 2]

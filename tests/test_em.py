@@ -23,10 +23,12 @@ from factorem.em import em_step, initialize, relative_change
 from factorem.errors import DataError, FactorEMError, NonFiniteParameterError
 from factorem.estep import conditional_law, gram_summary
 from factorem.model import theta_names, unflatten_theta
-from factorem.mstep import VARIANCE_FLOOR, project_covariates
+from factorem.mstep import project_covariates
 
 from conftest import reference_dims, random_instance
-from dense_oracle import fresh_account, package_gram_estep, package_update_theta, plain_fit
+from dense_oracle import (
+    fresh_account, package_gram_estep, package_update_theta, plain_fit, variance_floor,
+)
 
 
 def reference_instance(seed=0, n=400, q=40):
@@ -221,6 +223,22 @@ class TestFit:
                                                    project_covariates(data)).loglik
         assert observed_loglik(result.theta, data).value == result.moments.loglik.sum()
 
+    @pytest.mark.parametrize("scale", [1e-7, 1e7])
+    def test_the_fit_does_not_depend_on_the_units_of_the_data(self, scale):
+        # every noise variance is floored on its block's own scale, so data in
+        # small units fit as at unit scale (a floor of 1e-12 pinned all three
+        # variances of the x1e-7 fit, 100 times their size, for 3,000
+        # evaluations); the loadings scale with the data, c does not
+        data, _, _ = reference_instance(seed=1, n=400, q=5)
+        config = EMConfig(epsilon=1e-6, max_iter=3000)
+        base = fit(data, data.dimensions(), config)
+        scaled = fit(replace(data, z=tuple(z * scale for z in data.z)), data.dimensions(),
+                     config)
+        assert base.converged and scaled.converged
+        np.testing.assert_allclose(np.array(scaled.theta.sigma2) / scale**2,
+                                   base.theta.sigma2, rtol=1e-5, atol=0)
+        np.testing.assert_allclose(scaled.theta.c, base.theta.c, rtol=1e-5, atol=0)
+
     def test_dims_disagreeing_with_the_data_rejected(self):
         data, _, _ = reference_instance(seed=3, n=60, q=5)
         dims = reference_dims(n=60, q=5)
@@ -353,23 +371,24 @@ class TestAcceleration:
     def test_extrapolation_clamps_variances_and_skips_unit_steplength(self):
         from factorem.em import _extrapolate
 
-        _, _, theta, dims = random_instance(0)
-        blocks = dims.p + 1
+        data, _, theta, dims = random_instance(0)
+        floor = variance_floor(data)
         # log sigma2_y moves by -6.9, -4.6: alpha = -3 lands at about 1e-15
         def with_sigma2_y(s):
             return flatten_theta(replace(theta, sigma2=(s, *theta.sigma2[1:])))
 
         falling = [with_sigma2_y(s) for s in (1e-6, 1e-9, 1e-11)]
-        point = unflatten_theta(_extrapolate(*falling, blocks), dims)
-        assert point.sigma2[0] == VARIANCE_FLOOR
+        assert floor[0] > 1e-14
+        point = unflatten_theta(_extrapolate(*falling, floor), dims)
+        assert point.sigma2[0] == floor[0]
         np.testing.assert_allclose(point.sigma2[1:], theta.sigma2[1:], rtol=1e-14)
         np.testing.assert_allclose(point.loading[0], theta.loading[0], rtol=0, atol=0)
         # |r| <= |v| gives alpha = -1, whose point is the second step
         turning = [with_sigma2_y(s) for s in (1.0, 2.0, 1.0)]
-        assert _extrapolate(*turning, blocks) is None
+        assert _extrapolate(*turning, floor) is None
         # log sigma2_y at 100, 200, 290: alpha = -10 lands at exp(1100) = inf
         overflowing = [with_sigma2_y(np.exp(s)) for s in (100.0, 200.0, 290.0)]
-        assert _extrapolate(*overflowing, blocks) is None
+        assert _extrapolate(*overflowing, floor) is None
 
     def test_extrapolation_whose_estep_fails_is_rejected(self, monkeypatch):
         # with every extrapolation rejected, each cycle goes on from its
@@ -405,7 +424,7 @@ class TestAcceleration:
 
     @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     def test_trace_monotone_and_stopping_rule_on_every_map_step(self):
-        # floored fits (a variance at VARIANCE_FLOOR) included; max_iter as
+        # floored fits (a variance at its block's floor) included; max_iter as
         # in criterion 04 keeps the crawling ones short
         worst, floored, extrapolated = np.inf, 0, 0
         for seed in range(200):
@@ -420,7 +439,7 @@ class TestAcceleration:
                 assert result.converged == (change[-1] < epsilon)
                 traces[epsilon] = result.trace
                 extrapolated += result.accepted
-            floored += min(result.theta.sigma2) <= VARIANCE_FLOOR
+            floored += np.any(np.asarray(result.theta.sigma2) <= variance_floor(data) * (1 + 1e-9))
             # a looser epsilon stops the same trajectory earlier
             loose = traces[1e-3]
             np.testing.assert_array_equal(loose, traces[1e-8][:loose.shape[0]])
@@ -501,17 +520,26 @@ class TestCanonicalize:
                 np.testing.assert_array_equal(flipped_corr, np.array(signs)[block] * corr)
 
     @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
-    def test_the_account_is_the_fresh_pass_at_the_canonical_theta(self):
-        flipped = 0
+    def test_the_account_is_the_fresh_pass_at_the_canonical_theta(self, monkeypatch):
+        # fit returns the canonical result; count the fits it had to flip
+        import factorem.em
+
+        flips = []
+
+        def recording(result):
+            canon = canonicalize(result)
+            flips.append(canon is not result)
+            return canon
+
+        monkeypatch.setattr(factorem.em, "canonicalize", recording)
         for seed in self.ACCOUNT_SEEDS:
             data, _, _, dims = random_instance(seed)
-            result = fit(data, dims, EMConfig(epsilon=1e-3, max_iter=300))
-            canon = canonicalize(result)
-            flipped += canon is not result
+            canon = fit(data, dims, EMConfig(epsilon=1e-3, max_iter=300))
+            assert canonicalize(canon) is canon
             expected = fresh_account(canon.theta, canon.moments, data)
             for got, want in zip(canon.account(), expected):
                 np.testing.assert_array_equal(got, want)
-        assert flipped >= 5
+        assert sum(flips) >= 5
 
     def test_canonical_signs_and_idempotence(self):
         data, _, _, dims = random_instance(19)

@@ -20,8 +20,8 @@ import factorem
 from factorem import cli, em, estep, io, mstep
 from factorem.model import unflatten_theta
 from factorem.em import em_step, initialize
-from factorem.estep import GRAM_LIMIT, EStepSummary, conditional_law, gram_summary
-from factorem.mstep import VARIANCE_FLOOR, expected_score, project_covariates, update_theta
+from factorem.estep import GRAM_LIMIT, conditional_law, gram_summary, observed_loglik
+from factorem.mstep import expected_score, project_covariates, update_theta
 
 import dense_oracle
 import likelihood_oracle
@@ -58,7 +58,7 @@ def assert_summaries_close(gram, exact, label, rtol=RTOL):
 
 def test_gram_estep_matches_conditional_law(monkeypatch):
     cases = [(label, theta, gram := project_covariates(data),
-              EStepSummary.from_law(conditional_law(theta, data), gram))
+              dense_oracle.summary_from_law(conditional_law(theta, data), gram))
              for label, data, theta in instances()]
     gram_only(monkeypatch)
     for label, theta, gram, exact in cases:
@@ -69,7 +69,7 @@ def test_gram_update_matches_the_npass_update():
     worst = 0.0
     for label, data, theta in instances():
         law, projection = conditional_law(theta, data), project_covariates(data)
-        updated = update_theta(projection, EStepSummary.from_law(law, projection))
+        updated = update_theta(projection, dense_oracle.summary_from_law(law, projection))
         expected = flatten_theta(dense_oracle.npass_update(
             dense_oracle.npass_projection(data), law))
         worst = max(worst, float(np.max(np.abs(updated - expected) / np.abs(expected))))
@@ -84,7 +84,8 @@ def test_gram_initialize_matches_the_npass_initializer():
         oracle = dense_oracle.npass_initialize(dense_oracle.npass_projection(data))
         # the n-pass start leaves a PC that reproduces its column at rounding
         # residue; the package floors it
-        oracle = replace(oracle, sigma2=np.maximum(oracle.sigma2, VARIANCE_FLOOR))
+        oracle = replace(oracle, sigma2=np.maximum(oracle.sigma2,
+                                                   dense_oracle.variance_floor(data)))
         expected = flatten_theta(oracle)
         worst = max(worst, float(np.max(np.abs(start - expected) / np.abs(expected))))
     assert worst <= RTOL
@@ -108,10 +109,14 @@ def test_gram_map_steps_match_the_npass_map_steps(monkeypatch):
 
 
 def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
+    # past GRAM_LIMIT one exact pass gives the loglik; S and W~_c'M stay
+    # those of the Gram form, as with the limit check switched off
     data, _, theta, _ = random_instance(0)
-    floored = replace(theta, sigma2=(theta.sigma2[0], VARIANCE_FLOOR, *theta.sigma2[2:]))
+    floor = dense_oracle.variance_floor(data)
+    floored = replace(theta, sigma2=(theta.sigma2[0], floor[1], *theta.sigma2[2:]))
     projection = project_covariates(data)
-    exact = EStepSummary.from_law(conditional_law(floored, data), projection)
+    exact = observed_loglik(floored, data).value
+    unlimited = replace(projection, gram_bound=np.full(floor.size, np.inf))
     calls = []
 
     def counting(theta, data):
@@ -123,8 +128,11 @@ def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
     summary = gram_summary(flatten_theta(floored), projection)
     assert len(calls) == 1
     np.testing.assert_array_equal(flatten_theta(calls[0]), flatten_theta(floored))
-    for name in ("s", "wm", "loglik"):
-        np.testing.assert_array_equal(getattr(summary, name), getattr(exact, name))
+    assert summary.loglik == exact
+    gram_form = gram_summary(flatten_theta(floored), unlimited)
+    assert len(calls) == 1
+    for name in ("s", "wm"):
+        np.testing.assert_array_equal(getattr(summary, name), getattr(gram_form, name))
 
 
 def test_the_gram_limit_splits_the_two_routes(monkeypatch):
@@ -137,8 +145,8 @@ def test_the_gram_limit_splits_the_two_routes(monkeypatch):
     at_limit = size / (GRAM_LIMIT * data.n * data.z[0].shape[1])
     inside, outside = (replace(theta, sigma2=(s, *theta.sigma2[1:]))
                        for s in (2.0 * at_limit, 0.5 * at_limit))
-    exact_inside = EStepSummary.from_law(conditional_law(inside, data), gram)
-    exact_outside = EStepSummary.from_law(conditional_law(outside, data), gram)
+    exact_inside = dense_oracle.summary_from_law(conditional_law(inside, data), gram)
+    exact_outside = dense_oracle.summary_from_law(conditional_law(outside, data), gram)
     assert gram_summary(flatten_theta(outside), gram).loglik == exact_outside.loglik
     gram_only(monkeypatch)
     assert_summaries_close(gram_summary(flatten_theta(inside), gram), exact_inside, "inside")
@@ -175,10 +183,11 @@ def test_a_single_variable_block_starts_at_the_variance_floor():
     data, _, _, dims = random_instance(0)
     single = [k for k, q in enumerate(dims.q) if q == 1]
     assert single
-    with pytest.warns(RuntimeWarning, match=r"sigma2_\w+ start .* floored at 1e-12"):
+    with pytest.warns(RuntimeWarning, match=r"sigma2_\w+ start 0\.000e\+00 floored at "):
         start = unflatten_theta(initialize(project_covariates(data)), dims)
+    floor = dense_oracle.variance_floor(data)
     for k in single:
-        assert start.sigma2[k] == VARIANCE_FLOOR
+        assert start.sigma2[k] == pytest.approx(floor[k], rel=1e-12, abs=0)
 
 
 @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
@@ -260,7 +269,7 @@ def test_a_wide_design_stays_on_the_gram_path(monkeypatch):
     np.testing.assert_array_equal(seen[0], flatten_theta(result.theta))
     monkeypatch.undo()
     projection = project_covariates(data)
-    exact = EStepSummary.from_law(conditional_law(theta, data), projection)
+    exact = dense_oracle.summary_from_law(conditional_law(theta, data), projection)
     gram_only(monkeypatch)
     assert_summaries_close(gram_summary(flatten_theta(theta), projection), exact, "wide")
 
@@ -337,7 +346,7 @@ def test_a_fit_builds_a_theta_only_at_the_estimate_and_on_exact_passes(monkeypat
     assert (len(built), len(exact)) == (1, 0)
     built.clear()
     # the fit floors a variance (its warning fires) and so takes the exact pass
-    with pytest.warns(RuntimeWarning, match=r"sigma2_\w+ .* floored at 1e-12"):
+    with pytest.warns(RuntimeWarning, match=r"sigma2_\w+ .* floored at "):
         fit(floored, dims, EMConfig(epsilon=1e-3))
     assert len(exact) > 0
     assert len(built) == 1 + len(exact)
@@ -438,7 +447,7 @@ def test_gram_score_matches_the_nrow_oracle():
         data, _, theta, dims = random_instance(seed)
         projection = project_covariates(data)
         law = conditional_law(theta, data)
-        summary = EStepSummary.from_law(law, projection)
+        summary = dense_oracle.summary_from_law(law, projection)
         for x in (flatten_theta(theta), update_theta(projection, summary)):
             exact = likelihood_oracle.expected_score(unflatten_theta(x, dims), law, data)
             gram = expected_score(x, summary, projection)

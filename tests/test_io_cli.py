@@ -450,6 +450,49 @@ class TestOrjsonKernels:
             assert values.tobytes() == np.array(expected).tobytes()
             assert values.tobytes() == strict_numeric(path)[1].tobytes()
 
+    @pytest.mark.parametrize("text, expected", [
+        ("quoted", None),
+        ("a,b\ninf,1_5\n-Infinity, 2.5 \nnan,1e400\n+.5,\u0661\u0662\n",
+         [[np.inf, 15.0], [-np.inf, 2.5], [np.nan, np.inf], [0.5, 12.0]]),
+        ("a,b\n1,2\n3,x\n", "row 3, column 'b': cell 'x' is non-numeric"),
+        ("a,b\n1,2\n3, \n", "row 3, column 'b': cell ' ' is non-numeric"),
+        ("kind,depth\nb,1.5\na,2.5\nb,1_5\n",
+         (["intercept", "kind=a", "depth"], [[1, 0, 1.5], [1, 1, 2.5], [1, 0, 15.0]])),
+    ], ids=["quoted", "inf-and-underscores", "non-numeric", "blank", "categorical"])
+    def test_the_strict_reader_parses_a_block_of_numbers_in_one_call(
+            self, tmp_path, monkeypatch, text, expected):
+        # a block orjson refuses is read by the csv module; numpy's one call
+        # applies float() to every cell, as the per-cell parse did, and the
+        # per-cell checks run only for a block with a cell that is no number
+        path = tmp_path / "block.csv"
+        if text == "quoted":
+            values = np.random.default_rng(0).normal(size=(30, 4)) * 1e-7
+            text = "a,b,c,d\n" + "".join(",".join(f'"{v!r}"' for v in row) + "\n"
+                                         for row in values.tolist())
+            expected = values.tolist()
+        path.write_text(text, encoding="utf-8")
+        checked = []
+
+        def is_number(cell):
+            checked.append(cell)
+            return strict_is_number(cell)
+
+        strict_is_number = io_module._is_number
+        monkeypatch.setattr(io_module, "_is_number", is_number)
+        categorical = isinstance(expected, tuple)
+        if isinstance(expected, str):
+            with pytest.raises(DataError, match=re.escape(f"{path}: {expected}")):
+                read_block(path, False)
+            return
+        header, values = read_block(path, categorical)
+        if categorical:
+            assert checked and header == expected[0]
+            assert values.tobytes() == np.array(expected[1], dtype=float).tobytes()
+            return
+        assert not checked and header == strict_numeric(path)[0]
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert values.tobytes() == strict_numeric(path)[1].tobytes()
+
 
 class TestCategoricalCovariates:
     def make_blocks(self, tmp_path, t_rows, t_header="geo"):

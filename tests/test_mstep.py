@@ -3,9 +3,9 @@ import pytest
 
 from factorem import Dataset, Theta, flatten_theta, mstep
 from factorem.errors import DegeneratePosteriorError, SingularSystemError
-from factorem.estep import ConditionalLaw, EStepSummary, conditional_law
+from factorem.estep import ConditionalLaw, conditional_law
 from factorem.model import unflatten_theta
-from factorem.mstep import VARIANCE_FLOOR, project_covariates, update_theta
+from factorem.mstep import project_covariates, update_theta
 
 import dense_oracle
 from conftest import random_instance, random_theta
@@ -15,7 +15,7 @@ from likelihood_oracle import complete_loglik, expected_complete_loglik, expecte
 def updated_theta(data, law):
     """The M-step from ``law`` as a ``Theta``."""
     projection = project_covariates(data)
-    x = update_theta(projection, EStepSummary.from_law(law, projection))
+    x = update_theta(projection, dense_oracle.summary_from_law(law, projection))
     return unflatten_theta(x, data.dimensions())
 
 
@@ -23,8 +23,8 @@ def scores(theta, law, data):
     """The n-row oracle score and the package's Gram score at ``theta``
     under ``law``."""
     projection = project_covariates(data)
-    gram = mstep.expected_score(flatten_theta(theta), EStepSummary.from_law(law, projection),
-                                projection)
+    summary = dense_oracle.summary_from_law(law, projection)
+    gram = mstep.expected_score(flatten_theta(theta), summary, projection)
     return expected_score(theta, law, data), gram
 
 
@@ -123,7 +123,8 @@ class TestUpdateTheta:
         )
         with pytest.warns(RuntimeWarning, match="floored"):
             updated = updated_theta(data, law)
-        assert updated.sigma2[0] == VARIANCE_FLOOR
+        floor = dense_oracle.variance_floor(data)[0]
+        assert updated.sigma2[0] == pytest.approx(floor, rel=1e-12, abs=0)
         np.testing.assert_allclose(updated.loading[0], b, atol=1e-10)
         np.testing.assert_allclose(updated.coef[0], d, atol=1e-10)
         np.testing.assert_allclose(updated.loading[1], a_m[0], atol=1e-10)
@@ -133,7 +134,7 @@ class TestUpdateTheta:
         for seed in range(100):
             data, _, theta, dims = random_instance(seed)
             law, projection = conditional_law(theta, data), project_covariates(data)
-            updated = update_theta(projection, EStepSummary.from_law(law, projection))
+            updated = update_theta(projection, dense_oracle.summary_from_law(law, projection))
             stats = dense_oracle.sufficient_stats(data, law)
             expected = flatten_theta(dense_oracle.update_theta(stats, law, data))
             worst = max(worst, float(np.max(np.abs(updated - expected) / np.abs(expected))))
@@ -165,7 +166,7 @@ class TestUpdateTheta:
         m = np.column_stack([rng.normal(size=n), shared, shared])
         law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)), loglik=np.zeros(n))
         projection = project_covariates(data)
-        summary = EStepSummary.from_law(law, projection)
+        summary = dense_oracle.summary_from_law(law, projection)
         with pytest.raises(SingularSystemError, match="structural"):
             update_theta(projection, summary)
 
@@ -182,7 +183,7 @@ class TestUpdateTheta:
         m = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)), loglik=np.zeros(n))
         projection = project_covariates(data)
-        summary = EStepSummary.from_law(law, projection)
+        summary = dense_oracle.summary_from_law(law, projection)
         with pytest.raises(DegeneratePosteriorError):
             update_theta(projection, summary)
 
