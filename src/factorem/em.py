@@ -1,12 +1,12 @@
 """EM fitting: initialization, the accelerated E->M loop, stopping rule,
 reporting.
 
-A fit passes over the data twice: ``project_covariates`` partials each
-block's covariates out of the centered data and builds the stacked Gram
-G of the residuals and the covariates (``mstep.Projection``, the fit's
-one per-fit object, which the result keeps), and ``conditional_law``
-gives the reported law at the estimate. Everything else, the result's
-``account`` included, is algebra on blocks of G.
+A fit reads the data twice: ``project_covariates`` partials each block's
+covariates out of the centered data and builds the stacked Gram G of the
+residuals and the covariates (``mstep.Projection``, the fit's one per-fit
+object, which the result keeps), and ``conditional_law`` gives the reported
+law at the estimate from one product per block. Everything else, the
+result's ``account`` included, is algebra on blocks of G.
 
 Initialization takes the first principal component of each block's
 centered covariate residuals as a starting factor (its first variable
@@ -105,10 +105,11 @@ class FitResult:
     moments is the conditional law of the latents at the returned theta;
     its (n, p+1) mean m holds the reported factor scores, g in column 0
     and f^m in column m, the layout of ``simulate_dataset``'s true
-    latents. iterations counts EM-map evaluations (``em_step`` calls),
-    and trace is an (iterations, 2) array with one row per evaluation:
-    the relative change from its input to its output, which the stopping
-    rule reads, and the observed log-likelihood at its output. The rows
+    latents (each unit's loglik is ``observed_loglik(theta, data).per_unit``,
+    a pass the fit does not make). iterations counts EM-map evaluations
+    (``em_step`` calls), and trace is an (iterations, 2) array with one
+    row per evaluation: the relative change from its input to its output,
+    which the stopping rule reads, and the loglik at its output. The rows
     are in the order of the accepted iterates, so the log-likelihood
     column never decreases. accepted and rejected count the SqS3
     extrapolations kept and discarded by the log-likelihood test (a
@@ -325,9 +326,9 @@ def canonicalize(result: FitResult) -> FitResult:
     the reported solution fixes the first coordinate of every loading
     vector (b and each a^m) to be nonnegative. With s = (s_g, s_f) the
     signs applied, one per block, the law becomes (m s, Sigma o s s');
-    its per-unit log-likelihood, the iteration trace and the projection
-    are left untouched, and ``account`` follows the flipped theta. A
-    canonical result, as ``fit`` returns, comes back as is.
+    the iteration trace and the projection are left untouched, and
+    ``account`` follows the flipped theta. A canonical result, as ``fit``
+    returns, comes back as is.
     """
     theta = result.theta
     s = np.array([-1.0 if lam[0] < 0 else 1.0 for lam in theta.loading])

@@ -9,10 +9,12 @@ the noise covariance Psi is block-isotropic, two facts keep every computation
 and S1 = Cov(h) has S1^{-1} = [[1, -c'], [-c, I + c c']] and det S1 = 1.
 With u_i = Lambda' Psi^{-1} r_i and P = S1^{-1} + Lambda' Psi^{-1} Lambda,
 
-    h_i | r_i ~ N(M_i, Sigma),   Sigma = P^{-1},   M_i = Sigma u_i,
+    h_i | r_i ~ N(M_i, Sigma),   Sigma = P^{-1},   M_i = Sigma u_i.
 
-and the Woodbury identity and the determinant lemma give the observed
-log-density of unit i from the same pass:
+``conditional_law`` forms u from one product per block, with no n x q
+temporary (r_k = Z_k - T_k D_k). The Woodbury identity and the determinant
+lemma give the observed log-density of unit i, which ``observed_loglik``
+evaluates by a pass over the residuals r_k:
 
     -1/2 [ r_i' Psi^{-1} r_i - u_i' Sigma u_i
            + sum_k q_k log sigma2_k + log det P + q_total log 2 pi ].
@@ -57,7 +59,6 @@ __all__ = [
     "ConditionalLaw",
     "LogLik",
     "EStepSummary",
-    "block_residuals",
     "conditional_law",
     "gram_summary",
     "residual_sq",
@@ -81,13 +82,11 @@ class ConditionalLaw:
     m : (n, p+1) conditional means, one row per unit, E[g_i | z_i] in
         column 0 and E[f_i^m | z_i] in column m (the factor scores)
     sigma : (p+1, p+1) conditional covariance, identical for every unit
-    loglik : (n,) observed log-likelihood of each unit at the parameters
-        the law was computed at; None for a law assembled by hand
+    (each unit's observed loglik is ``observed_loglik(theta, data).per_unit``)
     """
 
     m: np.ndarray
     sigma: np.ndarray
-    loglik: np.ndarray | None = None
 
     def second_moment_sum(self) -> np.ndarray:
         """(p+1, p+1) sum over units of E[h_i h_i' | z_i] = n Sigma + M'M."""
@@ -125,18 +124,6 @@ def positive_variances(sigma2, needed_for: str) -> np.ndarray:
     return variances
 
 
-def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
-    """Each observed block minus its covariate mean: Y, then X^1..X^p.
-
-    Raises DataError naming the block count, or the block and shape,
-    where ``theta`` disagrees with the data.
-    """
-    check_theta_shapes(
-        theta, [(t.shape[1], z.shape[1]) for z, t in zip(data.z, data.t)], "the data"
-    )
-    return [z - t @ coef for z, t, coef in zip(data.z, data.t, theta.coef)]
-
-
 def _posterior(c: np.ndarray, fisher: np.ndarray, variances: np.ndarray):
     """(S1^{-1}, Cholesky factor of P, Sigma = P^{-1}) for structural
     coefficients c and Lambda' Psi^{-1} Lambda = diag(``fisher``), by LAPACK
@@ -159,30 +146,30 @@ def _posterior(c: np.ndarray, fisher: np.ndarray, variances: np.ndarray):
     return prior_prec, chol, chol_inv.T @ chol_inv   # dsyrk: exactly symmetric
 
 
-def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
-    """Exact conditional law of the latents for every unit, with each
-    unit's observed log-likelihood at the same parameters.
-
-    Raises DataError for a nonpositive noise variance and
-    NotPositiveDefiniteError (annotated with the parameter state) if the
-    (p+1, p+1) posterior precision cannot be factorized.
-    """
+def _checked_posterior(theta: Theta, data: Dataset):
+    """(sigma2, 1 / sigma2, ``_posterior``'s three) at ``theta``, once it is
+    checked against ``data``; raises as ``conditional_law`` does."""
     variances = positive_variances(theta.sigma2, "conditional law")
-    resid = block_residuals(theta, data)
+    check_theta_shapes(theta, [(t.shape[1], z.shape[1]) for z, t in zip(data.z, data.t)],
+                       "the data")
     inv_var = 1.0 / variances
-    u = np.column_stack([r @ lam for r, lam in zip(resid, theta.loading)]) * inv_var
     fisher = np.array([lam @ lam for lam in theta.loading]) * inv_var
-    prior_prec, chol, sigma = _posterior(theta.c, fisher, variances)
-    m = u @ sigma                                # (n, p+1)
+    return variances, inv_var, *_posterior(theta.c, fisher, variances)
 
-    quad = np.sum((m @ prior_prec) * m, axis=1)
-    for k, (r, lam) in enumerate(zip(resid, theta.loading)):
-        r -= np.outer(m[:, k], lam)              # r is this call's own copy
-        quad += np.einsum("ij,ij->i", r, r) * inv_var[k]
-    widths = np.array([r.shape[1] for r in resid])
-    logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    loglik = -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
-    return ConditionalLaw(m=m, sigma=sigma, loglik=loglik)
+
+def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
+    """Exact conditional law of the latents for every unit, from one product
+    per block: u's column k is Z_k (lambda_k / sigma2_k) - T_k (D_k lambda_k / sigma2_k).
+
+    Raises DataError for a nonpositive noise variance or a block of ``theta``
+    that disagrees with the data (named), and NotPositiveDefiniteError (annotated
+    with the parameter state) if the posterior precision cannot be factorized.
+    """
+    _, inv_var, _, _, sigma = _checked_posterior(theta, data)
+    weights = [lam * w for lam, w in zip(theta.loading, inv_var)]
+    u = np.column_stack([z @ w - t @ (coef @ w)
+                         for z, t, coef, w in zip(data.z, data.t, theta.coef, weights)])
+    return ConditionalLaw(m=u @ sigma, sigma=sigma)
 
 
 def residual_sq(x: np.ndarray, projection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,9 +216,20 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
 
 def observed_loglik(theta: Theta, data: Dataset) -> LogLik:
     """Log-density of the observations with the latents marginalized
-    out, by the exact pass: ``per_unit`` is ``conditional_law``'s (which
-    checks ``theta`` against the data) and ``value`` its sum. A fit's trace
-    records ``gram_summary``'s sum: ``value`` past ``GRAM_LIMIT``, and equal
-    to it within the Gram form's rounding below."""
-    per_unit = conditional_law(theta, data).loglik
+    out, by the exact pass over the residuals: ``per_unit`` holds each
+    unit's and ``value`` their sum. A fit's trace records
+    ``gram_summary``'s sum: ``value`` past ``GRAM_LIMIT``, and equal to it
+    within the Gram form's rounding below. Raises as ``conditional_law`` does."""
+    variances, inv_var, prior_prec, chol, sigma = _checked_posterior(theta, data)
+    resid = [z - t @ coef for z, t, coef in zip(data.z, data.t, theta.coef)]
+    u = np.column_stack([r @ lam for r, lam in zip(resid, theta.loading)]) * inv_var
+    m = u @ sigma                                # (n, p+1)
+
+    quad = np.sum((m @ prior_prec) * m, axis=1)
+    for k, (r, lam) in enumerate(zip(resid, theta.loading)):
+        r -= np.outer(m[:, k], lam)              # r is this call's own copy
+        quad += np.einsum("ij,ij->i", r, r) * inv_var[k]
+    widths = np.array([r.shape[1] for r in resid])
+    logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    per_unit = -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
     return LogLik(value=float(per_unit.sum()), per_unit=per_unit)

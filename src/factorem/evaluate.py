@@ -53,14 +53,6 @@ def abs_rel_deviation(theta_true: Theta, theta_hat: Theta) -> tuple[np.ndarray, 
     return deviations, float(np.nanmean(deviations))
 
 
-def _squared_corr(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape[0] < 3:
-        raise DataError("correlation needs at least 3 units")
-    if np.std(a) == 0.0 or np.std(b) == 0.0:
-        raise DataError("zero-variance input to factor correlation")
-    return float(np.corrcoef(a, b)[0, 1] ** 2)
-
-
 def factor_sq_correlation(h_true: np.ndarray, moments: ConditionalLaw) -> np.ndarray:
     """Squared Pearson correlation of each true factor with its score.
 
@@ -73,9 +65,14 @@ def factor_sq_correlation(h_true: np.ndarray, moments: ConditionalLaw) -> np.nda
     if h_true.shape != moments.m.shape:
         raise DataError(f"true latents have shape {h_true.shape} but the factor "
                         f"scores have shape {moments.m.shape}")
-    return np.array([
-        _squared_corr(factor, score) for factor, score in zip(h_true.T, moments.m.T)
-    ])
+    if h_true.shape[0] < 3:
+        raise DataError("correlation needs at least 3 units")
+    factor, score = h_true - h_true.mean(axis=0), moments.m - moments.m.mean(axis=0)
+    factor_sq, score_sq = (factor * factor).sum(axis=0), (score * score).sum(axis=0)
+    if (factor_sq == 0).any() or (score_sq == 0).any():
+        raise DataError("zero-variance input to factor correlation")
+    corr = np.clip((factor * score).sum(axis=0) / np.sqrt(factor_sq * score_sq), -1.0, 1.0)
+    return corr * corr
 
 
 def _quartiles(values: np.ndarray) -> np.ndarray:

@@ -193,7 +193,8 @@ def _is_number(cell: str) -> bool:
 
 
 _NUMERIC_BYTES = b"0123456789.eE+-, \t\n"
-_INTEGER_MINUS_ZERO = re.compile(rb"(?<![eE])-0(?![\d.eE])")
+# a -0 cell or an exponent's e-0: the search starts from the literal -0
+_MINUS_ZERO = re.compile(rb"-0(?![\d.eE])")
 
 
 def _chunk_cells(chunk: bytes, width: int) -> np.ndarray | None:
@@ -210,9 +211,12 @@ def _chunk_cells(chunk: bytes, width: int) -> np.ndarray | None:
         cells = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
     except (ValueError, TypeError):
         return None
-    if cells.all() or not _INTEGER_MINUS_ZERO.search(chunk):
+    # orjson reads the integer -0 as 0: rewrite each such cell as -0.0
+    ends = [] if cells.all() else [m.end() for m in _MINUS_ZERO.finditer(chunk)
+                                   if chunk[m.start() - 1:m.start()] not in (b"e", b"E")]
+    if not ends:
         return cells
-    return _chunk_cells(_INTEGER_MINUS_ZERO.sub(b"-0.0", chunk), width)  # orjson: -0 is 0
+    return _chunk_cells(b".0".join(chunk[i:j] for i, j in zip([0, *ends], [*ends, None])), width)
 
 
 def _line_feeds(piece: bytes) -> bytes:

@@ -24,6 +24,9 @@ z_i ~ N(covariate mean, s3).
 ``variance_floor`` is each block's noise-variance floor from its n rows,
 and ``summary_from_law`` the summed law of an n-row ``ConditionalLaw``, the
 E-step's exact pass before it took only the loglik from it.
+``residual_law`` is ``conditional_law`` as it read when it also returned
+each unit's loglik: the law from the n x q residuals, the form
+``observed_loglik`` still evaluates.
 
 ``loop_fit`` is the SqS3-accelerated fit as it read before the EM loop
 carried the canonical vector: a ``Theta`` per evaluation, and Gram-form
@@ -58,8 +61,8 @@ from factorem.errors import (
     NotPositiveDefiniteError, SingularSystemError,
 )
 from factorem.estep import (
-    LOG_2PI, GRAM_LIMIT, EStepSummary, block_residuals, conditional_law, gram_summary,
-    observed_loglik,
+    LOG_2PI, GRAM_LIMIT, ConditionalLaw, EStepSummary, _posterior, conditional_law,
+    gram_summary, observed_loglik, positive_variances,
 )
 from factorem.model import (
     Theta, block_label, check_dimensions, flatten_parts, flatten_theta, theta_names,
@@ -67,7 +70,7 @@ from factorem.model import (
 )
 from factorem import mstep
 from factorem.mstep import VARIANCE_FLOOR, _gram_solve, expected_score, project_covariates
-from likelihood_oracle import expected_sq_residual
+from likelihood_oracle import block_residuals, expected_sq_residual
 
 
 def variance_floor(data) -> np.ndarray:
@@ -81,13 +84,45 @@ def variance_floor(data) -> np.ndarray:
     return np.array(floors)
 
 
-def summary_from_law(law, projection) -> EStepSummary:
-    """The summed law of an n-row ``law``, by one pass over ``projection.data``."""
+def summary_from_law(law, projection, theta=None) -> EStepSummary:
+    """The summed law of an n-row ``law``, by one pass over ``projection.data``,
+    with the loglik ``observed_loglik`` gives at ``theta``, the parameters the
+    law was computed at (NaN for a law assembled by hand)."""
     t = np.hstack(projection.data.t)
     resid = np.hstack(projection.data.z) - t @ projection.stacked_coef   # [Z~_0..Z~_p]
     centered = law.m - law.m.mean(axis=0)      # W~_c'M = W~'(M - 1 mean(M)')
     wm = np.vstack([resid.T @ centered, t.T @ centered, law.m.sum(axis=0)])
-    return EStepSummary(s=law.second_moment_sum(), wm=wm, loglik=float(law.loglik.sum()))
+    loglik = np.nan if theta is None else observed_loglik(theta, projection.data).value
+    return EStepSummary(s=law.second_moment_sum(), wm=wm, loglik=loglik)
+
+
+@dataclass
+class ResidualLaw(ConditionalLaw):
+    """A ``ConditionalLaw`` with each unit's observed loglik at its parameters."""
+
+    loglik: np.ndarray
+
+
+def residual_law(theta, data) -> ResidualLaw:
+    """``conditional_law`` as it read before it formed U from one product per
+    block: u from the n x q residuals r_k = Z_k - T_k D_k, and in the same
+    pass each unit's loglik, by the arithmetic ``observed_loglik`` keeps."""
+    variances = positive_variances(theta.sigma2, "conditional law")
+    resid = block_residuals(theta, data)
+    inv_var = 1.0 / variances
+    u = np.column_stack([r @ lam for r, lam in zip(resid, theta.loading)]) * inv_var
+    fisher = np.array([lam @ lam for lam in theta.loading]) * inv_var
+    prior_prec, chol, sigma = _posterior(theta.c, fisher, variances)
+    m = u @ sigma                                # (n, p+1)
+
+    quad = np.sum((m @ prior_prec) * m, axis=1)
+    for k, (r, lam) in enumerate(zip(resid, theta.loading)):
+        r -= np.outer(m[:, k], lam)              # r is this call's own copy
+        quad += np.einsum("ij,ij->i", r, r) * inv_var[k]
+    widths = np.array([r.shape[1] for r in resid])
+    logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    loglik = -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
+    return ResidualLaw(m=m, sigma=sigma, loglik=loglik)
 
 
 def stacked_residuals(theta, data):

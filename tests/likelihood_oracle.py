@@ -19,8 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from factorem.errors import DataError
-from factorem.estep import LOG_2PI, LogLik, block_residuals, positive_variances
-from factorem.model import Dataset, Theta, flatten_parts
+from factorem.estep import LOG_2PI, LogLik, positive_variances
+from factorem.model import Dataset, Theta, check_theta_shapes, flatten_parts
+
+
+def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
+    """Each observed block minus its covariate mean: Y, then X^1..X^p.
+
+    Raises DataError naming the block count, or the block and shape,
+    where ``theta`` disagrees with the data.
+    """
+    check_theta_shapes(
+        theta, [(t.shape[1], z.shape[1]) for z, t in zip(data.z, data.t)], "the data"
+    )
+    return [z - t @ coef for z, t, coef in zip(data.z, data.t, theta.coef)]
 
 
 @dataclass

@@ -27,7 +27,8 @@ from factorem.mstep import project_covariates
 
 from conftest import reference_dims, random_instance
 from dense_oracle import (
-    fresh_account, package_gram_estep, package_update_theta, plain_fit, variance_floor,
+    fresh_account, package_gram_estep, package_update_theta, plain_fit, residual_law,
+    variance_floor,
 )
 
 
@@ -214,14 +215,17 @@ class TestFit:
         data, _, _ = reference_instance(seed=3, n=60, q=5)
         result = fit(data, reference_dims(n=60, q=5), EMConfig(epsilon=1e-3))
         at_theta = conditional_law(result.theta, data)
-        for name in ("m", "sigma", "loglik"):
+        for name in ("m", "sigma"):
             np.testing.assert_allclose(
                 getattr(result.moments, name), getattr(at_theta, name),
                 rtol=0, atol=1e-12,
             )
+        exact = observed_loglik(result.theta, data)
+        np.testing.assert_allclose(exact.per_unit, residual_law(result.theta, data).loglik,
+                                   rtol=0, atol=1e-12)
         assert result.trace[-1, 1] == gram_summary(flatten_theta(result.theta),
                                                    project_covariates(data)).loglik
-        assert observed_loglik(result.theta, data).value == result.moments.loglik.sum()
+        assert exact.value == exact.per_unit.sum()
 
     @pytest.mark.parametrize("scale", [1e-7, 1e7])
     def test_the_fit_does_not_depend_on_the_units_of_the_data(self, scale):
@@ -363,10 +367,12 @@ class TestAcceleration:
         assert (fast.accepted, fast.rejected) == (0, 0)
         np.testing.assert_array_equal(flatten_theta(fast.theta), flatten_theta(plain.theta))
         np.testing.assert_array_equal(fast.trace, plain.trace)
-        for name in ("m", "sigma", "loglik"):
+        for name in ("m", "sigma"):
             np.testing.assert_array_equal(
                 getattr(fast.moments, name), getattr(plain.moments, name)
             )
+        np.testing.assert_array_equal(observed_loglik(fast.theta, data).per_unit,
+                                      observed_loglik(plain.theta, data).per_unit)
 
     def test_extrapolation_clamps_variances_and_skips_unit_steplength(self):
         from factorem.em import _extrapolate
@@ -566,10 +572,12 @@ class TestCanonicalize:
         scrambled = self.flipped(base, -1.0, signs)
         canon = canonicalize(scrambled)
         explicit = self.flipped(scrambled, -1.0, signs)
-        for name in ("m", "sigma", "loglik"):
+        for name in ("m", "sigma"):
             np.testing.assert_array_equal(
                 getattr(canon.moments, name), getattr(explicit.moments, name)
             )
+        np.testing.assert_array_equal(observed_loglik(canon.theta, data).per_unit,
+                                      observed_loglik(explicit.theta, data).per_unit)
         np.testing.assert_array_equal(canon.moments.m, base.moments.m)
 
     @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,14 +8,16 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorem import Dataset, Theta
+from factorem import Dataset, EMConfig, SimConfig, Theta, estep, fit, simulate_dataset
 from factorem.errors import DataError, NotPositiveDefiniteError
 from factorem.estep import LOG_2PI, conditional_law, observed_loglik
 from factorem.mstep import VARIANCE_FLOOR
+from factorem.simulate import reference_theta
 
 from conftest import reference_dims, random_instance, scalar_toy_theta
 from dense_oracle import (
-    build_joint_blocks, dense_conditioning, posterior_moments, stacked_residuals,
+    build_joint_blocks, dense_conditioning, posterior_moments, residual_law,
+    stacked_residuals, variance_floor,
 )
 
 # frozen by the direct 3x3 inverse oracle below (det(S3) = 12)
@@ -155,15 +158,16 @@ class TestLowRankAgainstDense:
     def test_matches_dense_conditioning_and_mvn(self, seed):
         data, _, theta, dims = random_instance(seed)
         law = conditional_law(theta, data)
+        per_unit = observed_loglik(theta, data).per_unit
         m, sigma, loglik = dense_conditioning(theta, data)
         np.testing.assert_allclose(law.m, m, rtol=0, atol=1e-10 * np.abs(m).max())
         np.testing.assert_allclose(law.sigma, sigma, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(law.loglik, loglik, rtol=1e-12)
+        np.testing.assert_allclose(per_unit, loglik, rtol=1e-12)
         mvn = scipy.stats.multivariate_normal.logpdf(
             stacked_residuals(theta, data), np.zeros(dims.q_total),
             build_joint_blocks(theta, dims).s3,
         )
-        np.testing.assert_allclose(law.loglik, mvn, rtol=1e-12)
+        np.testing.assert_allclose(per_unit, mvn, rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -177,6 +181,7 @@ class TestLowRankAgainstDense:
         clean = noise_free_copy(data, h, theta)
         floor = replace(theta, sigma2=(VARIANCE_FLOOR,) * (dims.p + 1))
         law = conditional_law(floor, clean)
+        per_unit = observed_loglik(floor, clean).per_unit
         m, sigma, loglik = dense_conditioning(floor, clean)
         blocks = build_joint_blocks(floor, dims)
         eps = np.finfo(float).eps
@@ -190,7 +195,7 @@ class TestLowRankAgainstDense:
         # the quadratic forms agree unit by unit; the log det shared by all
         # units is exact in the dense oracle only up to the rounding of the
         # s3 entries relative to the floor variance
-        gap = law.loglik - loglik
+        gap = per_unit - loglik
         assert np.ptp(gap) <= 1e-12 * np.abs(loglik).max()
         assert np.abs(gap).max() <= (
             dims.q_total**2 * eps * np.abs(blocks.s3).max() / VARIANCE_FLOOR
@@ -224,7 +229,7 @@ class TestLowRankAgainstDense:
         e = np.array([VARIANCE_FLOOR / (lam @ lam) for lam in loadings])
         s1_inv = np.linalg.inv(blocks.s1)
         slack = 1e-12
-        gap = law.loglik - limit
+        gap = per_unit - limit
         assert np.all(gap >= -0.5 * e @ np.diag(s1_inv) - slack * np.abs(limit))
         assert np.all(
             gap <= 0.5 * e @ (s1_inv @ h.T) ** 2 + slack * np.abs(limit)
@@ -344,8 +349,9 @@ def test_theta_and_data_block_mismatch_named():
 
 
 def allocating_law(theta, data):
-    """``conditional_law`` with the n x q temporaries it used to allocate:
-    a fresh residual, its square and its row sums per block."""
+    """The residual-form law (``dense_oracle.residual_law``, the pass
+    ``observed_loglik`` makes) with the n x q temporaries it used to
+    allocate: a fresh residual, its square and its row sums per block."""
     variances = np.array(theta.sigma2)
     resid = [z - t @ d for z, t, d in zip(data.z, data.t, theta.coef)]
     inv_var = 1.0 / variances
@@ -370,8 +376,91 @@ def allocating_law(theta, data):
 def test_residual_sums_in_place_match_the_allocating_expressions():
     for seed in range(100):
         data, _, theta, _ = random_instance(seed)
-        law = conditional_law(theta, data)
         m, loglik = allocating_law(theta, data)
-        np.testing.assert_array_equal(law.m, m, err_msg=f"seed {seed}")
-        np.testing.assert_allclose(law.loglik, loglik, rtol=1e-15, atol=0,
-                                   err_msg=f"seed {seed}")
+        np.testing.assert_array_equal(residual_law(theta, data).m, m, err_msg=f"seed {seed}")
+        np.testing.assert_allclose(observed_loglik(theta, data).per_unit, loglik,
+                                   rtol=1e-15, atol=0, err_msg=f"seed {seed}")
+
+
+def column_error(m, reference):
+    """Largest |m - reference| relative to each column's largest |reference|."""
+    return float((np.abs(m - reference) / np.abs(reference).max(axis=0)).max())
+
+
+class TestProductLaw:
+    """``conditional_law``'s one product per block against the residual form
+    it replaced (``dense_oracle.residual_law``)."""
+
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+    def test_scores_at_the_fitted_theta_match_the_residual_form(self):
+        for seed in range(200):
+            data, _, _, dims = random_instance(seed)
+            theta = fit(data, dims, EMConfig(epsilon=1e-3)).theta
+            law, reference = conditional_law(theta, data), residual_law(theta, data)
+            np.testing.assert_array_equal(law.sigma, reference.sigma)
+            assert column_error(law.m, reference.m) <= 1e-14, f"seed {seed}"
+
+    def test_covariate_dominated_design_against_long_double(self):
+        # D x 1e4 makes Z_k lambda_k and T_k D_k lambda_k cancel in the
+        # product form, and Z_k - T_k D_k cancel in the residual form; the
+        # measured errors are 4.5e-12 and 1.7e-12
+        dims = reference_dims(q=5)
+        truth = reference_theta(dims)
+        truth = replace(truth, coef=tuple(1e4 * d for d in truth.coef))
+        data, _, _ = simulate_dataset(SimConfig(dims=dims, seed=3, theta=truth))
+        theta = fit(data, dims, EMConfig(epsilon=1e-6)).theta
+        law = conditional_law(theta, data)
+        ld = np.longdouble
+        u = np.column_stack([
+            (z.astype(ld) - t.astype(ld) @ d.astype(ld)) @ (lam.astype(ld) / ld(s2))
+            for z, t, d, lam, s2 in zip(data.z, data.t, theta.coef, theta.loading,
+                                        theta.sigma2)])
+        reference = u @ law.sigma.astype(ld)
+        for m in (law.m, residual_law(theta, data).m):
+            assert column_error(m, reference) <= 1e-11
+
+    def test_no_temporary_with_a_row_per_unit_and_a_column_per_variable(self):
+        # the traced peak stays below 8 n (p+1) doubles; one n x q block
+        # copy alone is 50 / 24 of that at (2000, 3 x 50)
+        dims = reference_dims(n=2000, q=50)
+        data, _, theta = simulate_dataset(SimConfig(dims=dims, seed=1))
+        conditional_law(theta, data)
+        tracemalloc.start()
+        try:
+            conditional_law(theta, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dims.n * (dims.p + 1) * np.dtype(float).itemsize
+
+
+class TestObservedLoglikUnchanged:
+    """``observed_loglik`` is the residual-form pass ``conditional_law`` made
+    before: bit for bit, also on the E-steps past ``GRAM_LIMIT``."""
+
+    def test_per_unit_equals_the_residual_form(self):
+        for seed in range(200):
+            data, _, theta, _ = random_instance(seed)
+            floor = replace(theta, sigma2=tuple(variance_floor(data)))
+            for at in (theta, floor):
+                result = observed_loglik(at, data)
+                expected = residual_law(at, data).loglik
+                np.testing.assert_array_equal(result.per_unit, expected, err_msg=f"seed {seed}")
+                assert result.value == float(expected.sum())
+
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+    def test_every_exact_pass_of_a_floored_fit_equals_the_residual_form(self, monkeypatch):
+        data, _, _, dims = random_instance(3)
+        passes = []
+
+        def checked(theta, data):
+            result = exact(theta, data)
+            np.testing.assert_array_equal(result.per_unit, residual_law(theta, data).loglik)
+            passes.append(result.value)
+            return result
+
+        exact = estep.observed_loglik
+        monkeypatch.setattr(estep, "observed_loglik", checked)
+        result = fit(data, dims, EMConfig(epsilon=1e-3))
+        assert passes
+        assert result.trace[-1, 1] in passes

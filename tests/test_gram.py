@@ -46,7 +46,7 @@ def gram_only(monkeypatch):
     def forbidden(theta, data):
         raise AssertionError("gram_summary took the exact pass")
 
-    monkeypatch.setattr(estep, "conditional_law", forbidden)
+    monkeypatch.setattr(estep, "observed_loglik", forbidden)
 
 
 def assert_summaries_close(gram, exact, label, rtol=RTOL):
@@ -58,7 +58,7 @@ def assert_summaries_close(gram, exact, label, rtol=RTOL):
 
 def test_gram_estep_matches_conditional_law(monkeypatch):
     cases = [(label, theta, gram := project_covariates(data),
-              dense_oracle.summary_from_law(conditional_law(theta, data), gram))
+              dense_oracle.summary_from_law(conditional_law(theta, data), gram, theta))
              for label, data, theta in instances()]
     gram_only(monkeypatch)
     for label, theta, gram, exact in cases:
@@ -105,7 +105,8 @@ def test_gram_map_steps_match_the_npass_map_steps(monkeypatch):
         theta_oracle, law = dense_oracle.npass_em_step(law, data, npass)
         np.testing.assert_allclose(x, flatten_theta(theta_oracle),
                                    rtol=RTOL, atol=0, err_msg=f"step {step + 1}")
-        assert summary.loglik == pytest.approx(float(law.loglik.sum()), rel=RTOL, abs=0)
+        assert summary.loglik == pytest.approx(observed_loglik(theta_oracle, data).value,
+                                               rel=RTOL, abs=0)
 
 
 def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
@@ -121,10 +122,10 @@ def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
 
     def counting(theta, data):
         calls.append(theta)
-        return law(theta, data)
+        return loglik(theta, data)
 
-    law = estep.conditional_law
-    monkeypatch.setattr(estep, "conditional_law", counting)
+    loglik = estep.observed_loglik
+    monkeypatch.setattr(estep, "observed_loglik", counting)
     summary = gram_summary(flatten_theta(floored), projection)
     assert len(calls) == 1
     np.testing.assert_array_equal(flatten_theta(calls[0]), flatten_theta(floored))
@@ -145,8 +146,8 @@ def test_the_gram_limit_splits_the_two_routes(monkeypatch):
     at_limit = size / (GRAM_LIMIT * data.n * data.z[0].shape[1])
     inside, outside = (replace(theta, sigma2=(s, *theta.sigma2[1:]))
                        for s in (2.0 * at_limit, 0.5 * at_limit))
-    exact_inside = dense_oracle.summary_from_law(conditional_law(inside, data), gram)
-    exact_outside = dense_oracle.summary_from_law(conditional_law(outside, data), gram)
+    exact_inside = dense_oracle.summary_from_law(conditional_law(inside, data), gram, inside)
+    exact_outside = dense_oracle.summary_from_law(conditional_law(outside, data), gram, outside)
     assert gram_summary(flatten_theta(outside), gram).loglik == exact_outside.loglik
     gram_only(monkeypatch)
     assert_summaries_close(gram_summary(flatten_theta(inside), gram), exact_inside, "inside")
@@ -241,7 +242,7 @@ def test_one_pass_over_the_data_per_fit(monkeypatch):
     # a narrow fit of more than 20 map evaluations builds G once, solves
     # each covariate Gram once, and conditions every unit once, at the
     # returned theta
-    calls = counting(monkeypatch, ((em, "conditional_law"), (estep, "conditional_law"),
+    calls = counting(monkeypatch, ((em, "conditional_law"), (estep, "observed_loglik"),
                                    (em, "project_covariates"), (mstep, "_gram_solve")))
     data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=400, q=5), seed=1))
     result = fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
@@ -256,20 +257,22 @@ def test_a_wide_design_stays_on_the_gram_path(monkeypatch):
     # true theta holds RTOL against the exact pass
     dims = reference_dims(n=200, q=300)
     data, _, theta = simulate_dataset(SimConfig(dims=dims, seed=1))
-    law, seen = estep.conditional_law, []
+    seen = []
 
-    def recording(theta, data):
-        seen.append(flatten_theta(theta))
-        return law(theta, data)
+    def recording(original):
+        def wrapper(theta, data):
+            seen.append(flatten_theta(theta))
+            return original(theta, data)
+        return wrapper
 
-    monkeypatch.setattr(estep, "conditional_law", recording)
-    monkeypatch.setattr(em, "conditional_law", recording)
+    monkeypatch.setattr(estep, "observed_loglik", recording(estep.observed_loglik))
+    monkeypatch.setattr(em, "conditional_law", recording(em.conditional_law))
     result = fit(data, dims, EMConfig(epsilon=1e-2))
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], flatten_theta(result.theta))
     monkeypatch.undo()
     projection = project_covariates(data)
-    exact = dense_oracle.summary_from_law(conditional_law(theta, data), projection)
+    exact = dense_oracle.summary_from_law(conditional_law(theta, data), projection, theta)
     gram_only(monkeypatch)
     assert_summaries_close(gram_summary(flatten_theta(theta), projection), exact, "wide")
 
@@ -303,13 +306,14 @@ def test_a_cli_fit_makes_one_pass_over_the_data(monkeypatch, tmp_path):
     data, _, _ = simulate_dataset(SimConfig(dims=dims, seed=1))
     io.write_dataset(data, tmp_path / "data")
     passes = ("project_covariates", "conditional_law")
-    calls = counting(monkeypatch, everywhere(passes))
+    calls = counting(monkeypatch, everywhere((*passes, "observed_loglik")))
     assert cli.main(["fit", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "cli"),
                      "--epsilon", "1e-3"]) == 0
     assert sorted(calls) == sorted(passes)
     monkeypatch.undo()
     result = canonicalize(fit(data, dims, EMConfig(epsilon=1e-3)))
-    calls = counting(monkeypatch, [*everywhere((*passes, "gram_summary")), (np, "corrcoef")])
+    calls = counting(monkeypatch, [*everywhere((*passes, "observed_loglik", "gram_summary")),
+                                   (np, "corrcoef")])
     io.write_fit(result, tmp_path / "lib")
     assert calls == ["gram_summary"]
     monkeypatch.undo()
@@ -337,11 +341,11 @@ def test_a_fit_builds_a_theta_only_at_the_estimate_and_on_exact_passes(monkeypat
 
     def exact_pass(theta, data):
         exact.append(None)
-        return law(theta, data)
+        return loglik(theta, data)
 
-    post_init, law = Theta.__post_init__, estep.conditional_law
+    post_init, loglik = Theta.__post_init__, estep.observed_loglik
     monkeypatch.setattr(Theta, "__post_init__", counting)
-    monkeypatch.setattr(estep, "conditional_law", exact_pass)
+    monkeypatch.setattr(estep, "observed_loglik", exact_pass)
     fit(narrow, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
     assert (len(built), len(exact)) == (1, 0)
     built.clear()

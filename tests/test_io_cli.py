@@ -417,6 +417,10 @@ class TestOrjsonKernels:
     @pytest.mark.parametrize("cells, expected, fast", [
         ("-0,1", [[-0.0, 1.0]], True),          # orjson reads the integer -0 as 0
         ("-0,-0\n0,1e-0", [[-0.0, -0.0], [0.0, 1.0]], True),
+        # zero cells beside every token that holds -0 but one: the integer -0
+        ("-0,1e-0\n-0.5,0\n1e-05,-0\n0,1E-0\n-0e5,-0.0\n-0, -0 ",
+         [[-0.0, 1.0], [-0.5, 0.0], [1e-05, -0.0], [0.0, 1.0], [-0.0, -0.0], [-0.0, -0.0]],
+         True),
         ("1e400,1", [[np.inf, 1.0]], False),   # orjson refuses an infinite number
         ("true,1", "row 2, column 'a': cell 'true' is non-numeric", False),
         ("null,1", "row 2, column 'a': cell 'null' is non-numeric", False),
@@ -430,9 +434,9 @@ class TestOrjsonKernels:
         # halfway between two doubles: ties to the even one, up and down
         ("18446744073709557760,1", [[18446744073709559808.0, 1.0]], True),
         ("1844674407370955366.4e1,1", [[18446744073709551616.0, 1.0]], True),
-    ], ids=["minus-zero", "minus-zero-rows", "1e400", "true", "null", "01.5", ".5", "nan",
-            "quoted", "blanks", "lone-carriage-return", "above-2**63", "halfway-up",
-            "halfway-down"])
+    ], ids=["minus-zero", "minus-zero-rows", "minus-zero-mixed", "1e400", "true", "null",
+            "01.5", ".5", "nan", "quoted", "blanks", "lone-carriage-return", "above-2**63",
+            "halfway-up", "halfway-down"])
     def test_reader_gives_the_csv_readers_array_or_error(
             self, tmp_path, monkeypatch, cells, expected, fast):
         path = tmp_path / "block.csv"

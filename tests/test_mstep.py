@@ -97,7 +97,7 @@ class TestUpdateTheta:
             intercept=True,
         )
         m = np.column_stack([np.zeros(n), rng.normal(size=(n, 2))])
-        law = ConditionalLaw(m=m, sigma=np.eye(3), loglik=np.zeros(n))
+        law = ConditionalLaw(m=m, sigma=np.eye(3))
         updated = updated_theta(data, law)
         np.testing.assert_allclose(updated.loading[0], np.zeros(q_y), atol=1e-12)
         np.testing.assert_allclose(updated.coef[0][0], y.mean(axis=0), atol=1e-12)
@@ -119,7 +119,7 @@ class TestUpdateTheta:
             t=(t, *t_m),
         )
         law = ConditionalLaw(
-            m=np.column_stack([g, f.T]), sigma=np.zeros((p + 1, p + 1)), loglik=np.zeros(n)
+            m=np.column_stack([g, f.T]), sigma=np.zeros((p + 1, p + 1))
         )
         with pytest.warns(RuntimeWarning, match="floored"):
             updated = updated_theta(data, law)
@@ -164,7 +164,7 @@ class TestUpdateTheta:
         )
         shared = rng.normal(size=n)
         m = np.column_stack([rng.normal(size=n), shared, shared])
-        law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)), loglik=np.zeros(n))
+        law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)))
         projection = project_covariates(data)
         summary = dense_oracle.summary_from_law(law, projection)
         with pytest.raises(SingularSystemError, match="structural"):
@@ -181,7 +181,7 @@ class TestUpdateTheta:
             t=(t, t.copy(), t.copy()),
         )
         m = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
-        law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)), loglik=np.zeros(n))
+        law = ConditionalLaw(m=m, sigma=np.zeros((3, 3)))
         projection = project_covariates(data)
         summary = dense_oracle.summary_from_law(law, projection)
         with pytest.raises(DegeneratePosteriorError):
