@@ -222,7 +222,7 @@ def em_step(summary: EStepSummary, projection: Projection) -> tuple[np.ndarray, 
     of the update, before the E-step can turn it into another error.
     """
     x = update_theta(projection, summary)
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) < x.size:
         k = int(np.flatnonzero(~np.isfinite(x))[0])
         raise NonFiniteParameterError(
             f"M-step produced {theta_names(projection.data.dimensions())[k]} = {x[k]}")
@@ -232,7 +232,7 @@ def em_step(summary: EStepSummary, projection: Projection) -> tuple[np.ndarray, 
 def relative_change(old: np.ndarray, new: np.ndarray) -> float:
     """Sum over the coordinates of two canonical vectors of
     |new - old| / max(|new|, DENOMINATOR_FLOOR)."""
-    return float((np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)).sum())
+    return float(np.add.reduce(np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
 
 
 def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, floor: np.ndarray):
@@ -241,19 +241,19 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, floor: np.ndarr
     on the log scale and raised to ``floor``, or None when the steplength
     is -1 (the point is x2) or the point is not finite."""
     blocks = floor.size
-    y = np.array([x0, x1, x2])
+    y0, y1, y2 = y = np.array([x0, x1, x2])
     y[:, -blocks:] = np.log(y[:, -blocks:])
-    r = y[1] - y[0]
-    v = y[2] - 2.0 * y[1] + y[0]
-    norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+    r = y1 - y0
+    v = y2 - 2.0 * y1 + y0
+    norm_r, norm_v = np.sqrt(r @ r), np.sqrt(v @ v)     # np.linalg.norm's arithmetic
     if not norm_r > norm_v > 0:
         return None
     alpha = -norm_r / norm_v
     with np.errstate(over="ignore", invalid="ignore"):
-        x = y[0] - 2.0 * alpha * r + alpha**2 * v
-        finite = np.isfinite(x).all()
-        x[-blocks:] = floored(np.exp(x[-blocks:]), floor, None)
-    return x if finite and np.isfinite(x[-blocks:]).all() else None
+        x = y0 - 2.0 * alpha * r + alpha**2 * v
+        finite = np.count_nonzero(np.isfinite(x)) == x.size
+        x[-blocks:] = np.maximum(np.exp(x[-blocks:]), floor)
+    return x if finite and np.count_nonzero(np.isfinite(x[-blocks:])) == blocks else None
 
 
 def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:

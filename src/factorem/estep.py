@@ -41,9 +41,9 @@ round there like Sigma = P^{-1}, on either route.
 
 ``gram_summary`` reads the parameters as the canonical vector x
 (``model.flatten_theta`` order) with no loop over blocks: x scatters into
-the stacked E and into A by the index maps ``mstep.project_covariates``
-builds once per fit, and the per-block sums are ``reduceat`` over the Z
-rows.
+the stacked E and into A by one ``put`` at the flat maps of ``mstep.Projection``,
+and the per-block sums are ``reduceat`` over the Z rows. Small designs cost
+calls, not arithmetic: each step makes few, in the per-block loops' arithmetic.
 """
 
 import functools
@@ -172,14 +172,17 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
     return ConditionalLaw(m=u @ sigma, sigma=sigma)
 
 
-def residual_sq(x: np.ndarray, projection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """At the canonical vector ``x``, from the fit's ``mstep.Projection``:
-    E = D - B stacked as B, T'T E and ||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2."""
-    g, mean, nz = projection.g, projection.mean, projection.z_own[0].size
-    e = np.zeros_like(projection.stacked_coef)
-    e[projection.d_at] = x[:projection.coef_at_d.size] - projection.coef_at_d
-    tte = g[nz:-1, nz:-1] @ e + projection.data.n * np.outer(mean[nz:-1], mean[nz:-1] @ e)
-    return e, tte, projection.resid_sq + np.add.reduceat((e * tte).sum(0), projection.starts[0])
+def residual_sq(x: np.ndarray, projection) -> tuple[np.ndarray, ...]:
+    """At the canonical vector ``x``, from the fit's ``mstep.Projection``: E = D - B stacked
+    as B, mean(r_k), T'T E and ||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2."""
+    nz, mean = projection.z_own[0].size, projection.mean
+    e = np.zeros(projection.stacked_coef.shape)
+    e.put(projection.d_flat, x[:projection.coef_at_d.size] - projection.coef_at_d)
+    mean_te = mean[nz:-1] @ e
+    tte = projection.g[nz:-1, nz:-1] @ e
+    tte += projection.data.n * np.multiply.outer(mean[nz:-1], mean_te)
+    r_sq = projection.resid_sq + np.add.reduceat(np.add.reduce(e * tte), projection.starts[0])
+    return e, mean[:nz] - mean_te, tte, r_sq
 
 
 def gram_summary(x: np.ndarray, projection) -> EStepSummary:
@@ -187,25 +190,26 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     Gram of ``projection`` (the fit's ``mstep.Projection``) alone, but for
     the loglik of a block past ``GRAM_LIMIT``, which is ``observed_loglik``'s
     exact pass over ``projection.data``. Raises as ``conditional_law`` does."""
-    g, mean, n, starts = projection.g, projection.mean, projection.data.n, projection.starts[0]
+    g, n, starts = projection.g, projection.data.n, projection.starts[0]
     z_block = projection.z_own[1]
-    nz, nd, k = z_block.size, projection.d_at[0].size, starts.size
+    nz, nd, k = z_block.size, projection.coef_at_d.size, starts.size
     variances = x[-k:]
-    if variances.min() <= 0:
+    if np.minimum.reduce(variances) <= 0:
         positive_variances(variances, "conditional law")
     inv_var = 1.0 / variances
-    e, _, r_sq = residual_sq(x, projection)
+    e, mean_r, _, r_sq = residual_sq(x, projection)
     loading = x[nd:nd + nz]
     a = np.zeros((g.shape[0], k))               # U = W~_c A
-    a[projection.z_own] = loading * inv_var[z_block]  # lambda_k / sigma2_k on Z~_k, column k
-    a[nz:-1] = -e @ a[:nz]                      # -E_k lambda_k / sigma2_k on T_k
-    a[-1] = (mean[:nz] - mean[nz:-1] @ e) @ a[:nz]    # mean(r_k)' lambda_k / sigma2_k
+    a_z = a[:nz]
+    a.put(projection.own[:nz], loading * inv_var[z_block])  # lambda_k / sigma2_k on Z~_k
+    a[nz:-1] = -(e @ a_z)                       # -E_k lambda_k / sigma2_k on T_k
+    a[-1] = mean_r @ a_z                        # mean(r_k)' lambda_k / sigma2_k
     fisher = np.add.reduceat(loading * loading, starts) * inv_var
     _, chol, sigma = _posterior(x[nd + nz:-k], fisher, variances)
     ga = g @ a
     uu = a.T @ ga                                # U'U
-    if (r_sq <= projection.gram_bound * variances).all():
-        quad = float(r_sq @ inv_var - (sigma * uu).sum())
+    if np.count_nonzero(r_sq <= projection.gram_bound * variances) == k:
+        quad = float(r_sq @ inv_var) - float(np.add.reduce(sigma * uu, None))
         logdet = float(np.log(variances) @ projection.widths + 2.0 * np.log(chol.diagonal()).sum())
         loglik = -0.5 * (quad + n * (logdet + nz * LOG_2PI))
     else:

@@ -205,18 +205,19 @@ def _chunk_cells(chunk: bytes, width: int) -> np.ndarray | None:
         return None
     try:
         rows = orjson.loads(b"[[" + chunk.replace(b"\n", b"],[") + b"]]")
-        if any(len(row) != width for row in rows):
+        if set(map(len, rows)) != {width}:
             return None
         # float() refuses a null or a string, and the byte check keeps both out
         cells = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
     except (ValueError, TypeError):
         return None
-    # orjson reads the integer -0 as 0: rewrite each such cell as -0.0
-    ends = [] if cells.all() else [m.end() for m in _MINUS_ZERO.finditer(chunk)
-                                   if chunk[m.start() - 1:m.start()] not in (b"e", b"E")]
-    if not ends:
-        return cells
-    return _chunk_cells(b".0".join(chunk[i:j] for i, j in zip([0, *ends], [*ends, None])), width)
+    # orjson reads the integer -0 as 0: cell i is the one after i commas (44) and line feeds (10)
+    found = [] if cells.all() else [m.start() for m in _MINUS_ZERO.finditer(chunk)
+                                    if chunk[m.start() - 1:m.start()] not in (b"e", b"E")]
+    if found:
+        text = np.frombuffer(chunk, np.uint8)
+        cells[np.searchsorted(np.flatnonzero((text == 44) | (text == 10)), found)] = -0.0
+    return cells
 
 
 def _line_feeds(piece: bytes) -> bytes:

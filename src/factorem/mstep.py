@@ -34,15 +34,15 @@ covariate update). For p = 2 the linear solve for c reduces to two
 explicit ratios, kept as a test oracle only.
 
 ``update_theta`` makes this update for every block at once and returns
-the canonical vector (``model.flatten_theta`` order): T_k'f, P_k f and
-Z~_k'f come from W~_c'M by the index maps of ``Projection`` and one
-product with the block-diagonal (T'T)^-1, the per-block sums by
-``reduceat``. ``expected_score``, the certificate of ``FitResult.account``,
-reads the gradient off the same maps and ``estep.residual_sq``.
+the canonical vector (``model.flatten_theta`` order): T_k'f and Z~_k'f are
+one ``take`` of W~'M at ``Projection.own``, P_k f one product with the
+block-diagonal (T'T)^-1, the per-block sums ``reduceat``. ``expected_score``,
+the certificate of ``FitResult.account``, reads the gradient off the same
+maps and ``estep.residual_sq``.
 
 ``floored`` keeps each noise variance on the data's own scale: it raises
 sigma2_k to ``Projection.floor``, VARIANCE_FLOOR sum_j ||Z~_j,c||^2 / (n q_k),
-at the start, at every M-step and at every SqS3 point.
+with a warning at the start and at every M-step (silently at SqS3 points).
 """
 
 import warnings
@@ -78,7 +78,9 @@ class Projection:
     ``starts`` hold the first Z row and the first T row of each block;
     coordinate i of the stacked D sits at T row ``d_at[0][i]`` and Z
     column ``d_at[1][i]`` (T rows counted from the first, here and in
-    ``starts``); ``widths`` are the q_k, ``gram_bound`` ``estep.GRAM_LIMIT``
+    ``starts``) and at ``d_flat`` of a flat T rows x Z columns array; ``own``
+    is each Z row's and T row's entry of its own block in a flat array with a
+    column per block; ``widths`` are the q_k, ``gram_bound`` ``estep.GRAM_LIMIT``
     n q_k; ``floor`` is each block's noise-variance floor, VARIANCE_FLOOR
     sum_j ||Z~_j,c||^2 / (n q_k); ``spread`` is ||Z_j,c||^2 per observed
     column and ``resid_sq`` ||Z~_k||^2 per block; and the block-diagonal
@@ -94,6 +96,8 @@ class Projection:
     t_own: tuple[np.ndarray, np.ndarray]
     starts: tuple[np.ndarray, np.ndarray]
     d_at: tuple[np.ndarray, np.ndarray]
+    d_flat: np.ndarray
+    own: np.ndarray
     widths: np.ndarray
     gram_bound: np.ndarray
     floor: np.ndarray
@@ -165,20 +169,23 @@ def project_covariates(data: Dataset) -> Projection:
         j = int(np.argmax(zero))
         raise DataError(f"column {j - starts[0][z_block[j]] + 1} of {block_label('Z', z_block[j])}"
                         " has zero variance, alone or given its covariates")
-    d_at = np.nonzero(t_block[:, None] == z_block)  # row-major over the block-diagonal
+    d_mask = t_block[:, None] == z_block
+    d_at = np.nonzero(d_mask)                   # row-major over the block-diagonal
     return Projection(
         data=data, g=g, mean=mean, z=tuple(rows[:k]), t=tuple(rows[k:]),
         z_own=(np.arange(nz), z_block), t_own=(np.arange(nz, nz + r.sum()), t_block),
-        starts=starts, d_at=d_at, widths=q, gram_bound=GRAM_LIMIT * n * q,
-        floor=VARIANCE_FLOOR * np.add.reduceat(resid, starts[0]) / (n * q), spread=spread,
+        starts=starts, d_at=d_at, d_flat=np.flatnonzero(d_mask),
+        own=np.arange(edges[-1]) * k + np.append(z_block, t_block), widths=q,
+        gram_bound=GRAM_LIMIT * n * q, spread=spread,
+        floor=VARIANCE_FLOOR * np.add.reduceat(resid, starts[0]) / (n * q),
         resid_sq=np.add.reduceat(resid + n * mean[:nz]**2, starts[0]),
         stacked_coef=stacked_coef, coef_at_d=stacked_coef[d_at], stacked_tt_inv=stacked_tt_inv)
 
 
 def _factor_cross(projection: Projection, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T_k'f on the T rows, Z~_k'f on the Z rows) from W~'M = W~_c'M + mean 1'M."""
-    raw = wm[:-1] + np.outer(projection.mean[:-1], wm[-1])
-    return raw[projection.t_own], raw[projection.z_own]
+    own = (wm + projection.mean[:, None] * wm[-1]).take(projection.own)
+    return own[projection.z_own[0].size:], own[:projection.z_own[0].size]
 
 
 def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
@@ -203,7 +210,7 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
     # a factor inside the covariate span with no posterior spread
     # leaves only rounding in denom, which can land on either side of 0
     degenerate = denom <= 1e-12 * sq
-    if degenerate.any():
+    if np.count_nonzero(degenerate):
         k = int(np.argmax(degenerate))
         raise DegeneratePosteriorError(
             f"loading denominator for block {block_label('T', k)} is {denom[k]:.3e}; "
@@ -217,15 +224,13 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
     return np.concatenate([coef, loading, c, floored(sigma2, projection.floor, "update")])
 
 
-def floored(values: np.ndarray, floor: np.ndarray, what: str | None) -> np.ndarray:
+def floored(values: np.ndarray, floor: np.ndarray, what: str) -> np.ndarray:
     """``values`` (one noise variance per block, Y first) raised to ``floor``
     (``Projection.floor``) where below it, each with a RuntimeWarning naming
-    it as ``what``, or silently when ``what`` is None."""
-    low = values < floor
-    if what is not None and low.any():
-        for k in np.flatnonzero(low):
-            warnings.warn(f"{block_label('sigma2', k)} {what} {values[k]:.3e} floored at "
-                          f"{floor[k]:.3e}", RuntimeWarning, stacklevel=3)
+    it as ``what``."""
+    for k in (values < floor).nonzero()[0]:
+        warnings.warn(f"{block_label('sigma2', k)} {what} {values[k]:.3e} floored at "
+                      f"{floor[k]:.3e}", RuntimeWarning, stacklevel=3)
     return np.maximum(values, floor)
 
 
@@ -241,7 +246,7 @@ def expected_score(x: np.ndarray, summary: EStepSummary, projection: Projection)
     nz, nd, k = z_block.size, rows.size, starts.size
     loading, inv_var, sq = x[nd:nd + nz], 1.0 / x[-k:], summary.s.diagonal()[z_block]
     tf, zf = _factor_cross(projection, summary.wm)
-    e, tte, r_sq = residual_sq(x, projection)
+    e, _, tte, r_sq = residual_sq(x, projection)
     rf = zf - e.T @ tf                                                  # r_k'f
     # sum over units of E||r_k,i - f_i lambda_k||^2
     sq_resid = r_sq + np.add.reduceat(-2.0 * loading * rf + loading**2 * sq, starts)

@@ -14,7 +14,8 @@ import pytest
 from dataclasses import replace
 
 from factorem import (
-    Dataset, EMConfig, SimConfig, Theta, canonicalize, fit, flatten_theta, simulate_dataset,
+    Dataset, Dimensions, EMConfig, SimConfig, Theta, canonicalize, fit, flatten_theta,
+    simulate_dataset,
 )
 import factorem
 from factorem import cli, em, estep, io, mstep
@@ -288,6 +289,50 @@ def test_the_projection_holds_no_array_with_n_rows():
             for a in (array, getattr(array, "base", None)):
                 n_rows = isinstance(a, np.ndarray) and a.ndim > 0 and a.shape[0] == data.n
                 assert field.name == "data" or not n_rows, field.name
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e7])
+def test_the_flat_maps_are_the_block_scatters_and_read_the_data(offset):
+    # ``d_flat`` and ``own`` address in flat arrays what ``d_at`` and
+    # ``z_own``/``t_own`` address by (row, column); read through them, the
+    # factor cross products and the residual means are those of the data's
+    # n rows, also with 1e7 added to every observed column of an intercept design
+    dims = Dimensions(n=60, p=2, q_y=3, q_m=(4, 2), r_t=2, r_m=(3, 1))
+    base, _, theta = simulate_dataset(SimConfig(dims=dims, seed=4, intercept=True))
+    data = Dataset(z=tuple(z + offset for z in base.z), t=base.t, intercept=True)
+    theta = replace(theta, coef=tuple(np.vstack([d[:1] + offset, d[1:]]) for d in theta.coef))
+    projection = project_covariates(data)
+    blocks, nz = len(data.z), projection.z_own[0].size
+    block_diagonal = np.zeros(projection.stacked_coef.shape, dtype=bool)
+    own = np.zeros((projection.g.shape[0] - 1, blocks), dtype=bool)
+    for k, (z, t) in enumerate(zip(projection.z, projection.t)):
+        block_diagonal[t.start - nz:t.stop - nz, z] = True
+        own[z, k] = own[t, k] = True
+    assert np.array_equal(projection.d_flat, np.flatnonzero(block_diagonal))
+    assert np.array_equal(projection.own, np.flatnonzero(own))
+    values = np.arange(1.0, own.size + 1)
+    for flat, pairs, shape in ((projection.d_flat, [projection.d_at], block_diagonal.shape),
+                               (projection.own, [projection.z_own, projection.t_own], own.shape)):
+        by_pairs, by_flat = np.zeros(shape), np.zeros(shape)
+        for rows, cols in pairs:
+            by_pairs[rows, cols] = values[:rows.size]
+            values = values[rows.size:]
+        by_flat.put(flat, np.concatenate([by_pairs[rows, cols] for rows, cols in pairs]))
+        assert np.array_equal(by_flat, by_pairs)
+
+    law = conditional_law(theta, data)
+    tf, zf = mstep._factor_cross(projection, dense_oracle.summary_from_law(law, projection).wm)
+    _, mean_r, _, _ = estep.residual_sq(flatten_theta(theta), projection)
+    # the n-row products carry the rounding of the shifted cells, 1e7 eps each
+    cell = 64 * np.finfo(float).eps * (1.0 + offset)
+    for k, (z, t) in enumerate(zip(projection.z, projection.t)):
+        f = law.m[:, k]
+        np.testing.assert_allclose(tf[t.start - nz:t.stop - nz], data.t[k].T @ f,
+                                   rtol=1e-12, atol=1e-12 * np.abs(f).sum())
+        tilde = data.z[k] - data.t[k] @ np.linalg.lstsq(data.t[k], data.z[k], rcond=None)[0]
+        np.testing.assert_allclose(zf[z], tilde.T @ f, rtol=1e-12, atol=cell * np.abs(f).sum())
+        r = data.z[k] - data.t[k] @ theta.coef[k]
+        np.testing.assert_allclose(mean_r[z], r.mean(axis=0), rtol=1e-12, atol=cell)
 
 
 def everywhere(names):

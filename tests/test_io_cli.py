@@ -454,6 +454,31 @@ class TestOrjsonKernels:
             assert values.tobytes() == np.array(expected).tobytes()
             assert values.tobytes() == strict_numeric(path)[1].tobytes()
 
+    def test_minus_zero_cells_are_patched_after_one_parse(self, tmp_path, monkeypatch):
+        # integer -0 cells at the first and last cell, down a column, beside
+        # spaces and beside the decoys 1e-0, -0.5 and 0, in a one-chunk block
+        rows = [[repr(float(v)) for v in row]
+                for row in np.random.default_rng(3).normal(size=(60, 5)).round(2)]
+        for i, j in [(0, 0), (59, 4), *((i, 2) for i in range(0, 60, 3))]:
+            rows[i][j] = "-0"
+        rows[7][1], rows[7][3], rows[8][0], rows[8][4] = " -0 ", "1e-0", "-0.5", "0"
+        path = tmp_path / "block.csv"
+        path.write_text("a,b,c,d,e\n" + "\n".join(",".join(row) for row in rows) + "\n")
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return loads(text)
+
+        loads = io_module.orjson.loads
+        monkeypatch.setattr(io_module.orjson, "loads", counting)
+        _, values = io_module._read_fast(path)
+        assert len(calls) == 1
+        expected = strict_numeric(path)[1]
+        assert values.tobytes() == expected.tobytes()
+        negative_zeros = sum(cell.strip() in ("-0", "-0.0") for row in rows for cell in row)
+        assert np.signbit(values[values == 0]).sum() == negative_zeros >= 23
+
     @pytest.mark.parametrize("text, expected", [
         ("quoted", None),
         ("a,b\ninf,1_5\n-Infinity, 2.5 \nnan,1e400\n+.5,\u0661\u0662\n",
