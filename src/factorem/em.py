@@ -15,15 +15,15 @@ loading nonnegatively): LAPACK ``dsyevr`` computes only the top eigenpair
 variance is (trace - lambda) / (n q), with rounding at most 9e-13
 relative at n 400, q 40. Loadings and, by least squares on the scores,
 structural coefficients follow; each centered score is W~_c v_k, so the
-scores' Grams are v'Gv. Two corrections the likelihood cannot make later
-follow: the dependent score moves to the scale of the unit-variance
-structural disturbance, and each block's in-sample factor/covariate
-overlap is reclaimed from the other blocks.
+scores' Grams are v'Gv. Two corrections follow, along directions in which
+EM moves slowly: the dependent score moves to the scale of the
+unit-variance structural disturbance, and each block's in-sample
+factor/covariate overlap is reclaimed from the other blocks.
 
 The start and the loop are the canonical parameter vector x
 (``flatten_theta`` order) and the summed law (``estep.EStepSummary``),
 the loop's only E-step state; a ``Theta`` is built only at the estimate
-and for the exact loglik of an E-step past ``estep.GRAM_LIMIT``. One
+and for the exact loglik of an E-step past the Gram form's limit. One
 EM-map evaluation (``em_step``) is the M-step from the summed law
 (``mstep.update_theta``) followed by the Gram-form E-step at the updated
 x (``estep.gram_summary``), whose summed observed log-likelihood fills
@@ -96,6 +96,9 @@ class EMConfig:
             raise DataError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if as_count(self.max_iter, "max_iter") < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
+        # numpy scalars pass both checks; JSON takes only Python numbers
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 @dataclass
@@ -106,29 +109,31 @@ class FitResult:
     its (n, p+1) mean m holds the reported factor scores, g in column 0
     and f^m in column m, the layout of ``simulate_dataset``'s true
     latents (each unit's loglik is ``observed_loglik(theta, data).per_unit``,
-    a pass the fit does not make). iterations counts EM-map evaluations
-    (``em_step`` calls), and trace is an (iterations, 2) array with one
-    row per evaluation: the relative change from its input to its output,
-    which the stopping rule reads, and the loglik at its output. The rows
-    are in the order of the accepted iterates, so the log-likelihood
-    column never decreases. accepted and rejected count the SqS3
-    extrapolations kept and discarded by the log-likelihood test (a
-    cycle whose steplength is -1 attempts none). projection is the fit's
-    ``mstep.Projection`` (left out of the repr), whose ``data`` is the
-    fitted ``Dataset`` (held by reference, never copied), and config the
-    ``EMConfig`` the fit ran on, so ``io.write_fit`` needs nothing else;
-    dims are the data's dimensions.
+    a pass the fit does not make). trace has one row per EM-map evaluation
+    (``em_step`` call), which iterations counts: the relative change from
+    its input to its output, which the stopping rule reads, and the loglik
+    at its output. The rows are in the order of the accepted iterates, so
+    the log-likelihood column never decreases. accepted and rejected count
+    the SqS3 extrapolations kept and discarded by the log-likelihood test
+    (a cycle whose steplength is -1 attempts none). projection is the
+    fit's ``mstep.Projection`` (left out of the repr), whose ``data`` is
+    the fitted ``Dataset`` (held by reference, never copied), and config
+    the ``EMConfig`` the fit ran on, so ``io.write_fit`` needs nothing
+    else; dims are the data's dimensions.
     """
 
     theta: Theta
     moments: ConditionalLaw
-    iterations: int
     converged: bool
     trace: np.ndarray
     projection: Projection = field(repr=False)
     config: EMConfig
     accepted: int = 0
     rejected: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @property
     def dims(self) -> Dimensions:
@@ -142,10 +147,10 @@ class FitResult:
         summary = gram_summary(x, projection)
         score = expected_score(x, summary, projection)
         # corr(Z_j, f_k) = (Z_c'M)_jk / sqrt(||Z_j,c||^2 ||f_k,c||^2), Z_c'M = Z~_c'M + B'T_c'M
-        rows, block = projection.z_own
-        zm = summary.wm[rows] + projection.stacked_coef.T @ summary.wm[rows.size:-1]
+        nz, block = projection.spread.size, projection.block
+        zm = summary.wm[:nz] + projection.stacked_coef.T @ summary.wm[nz:-1]
         f_sq = ((self.moments.m - self.moments.m.mean(axis=0))**2).sum(axis=0)
-        return score, zm[rows, block] / np.sqrt(projection.spread * f_sq[block])
+        return score, zm.take(projection.own[:nz]) / np.sqrt(projection.spread * f_sq[block[:nz]])
 
 
 def _first_component(gram: np.ndarray, n: int, name: str) -> tuple[np.ndarray, float, float]:
@@ -163,12 +168,13 @@ def initialize(projection: Projection) -> np.ndarray:
     """Least-squares / principal-component starting point, as the
     canonical vector, read off the stacked Gram of the covariate residuals
     and the covariates."""
-    g, n, blocks = projection.g, projection.data.n, len(projection.z)
-    nz = projection.z_own[0].size
+    g, n, nz = projection.g, projection.data.n, projection.spread.size
+    blocks = projection.widths.size
     # column k: block k's centered first-PC score as a combination of W~_c's columns
     v = np.zeros((g.shape[0], blocks))
     loading, std, sigma2 = np.zeros(nz), np.zeros(blocks), np.zeros(blocks)
-    for k, z in enumerate(projection.z):
+    for k, (lo, q) in enumerate(zip(projection.starts[0].tolist(), projection.widths.tolist())):
+        z = slice(lo, lo + q)
         # the PC of the centered residuals, so the loading regression carries
         # an implicit intercept (residual means are not the factor's job)
         e, std[k], sigma2[k] = _first_component(g[z, z], n, block_label("Z", k))
@@ -186,24 +192,25 @@ def initialize(projection: Projection) -> np.ndarray:
     # valley that takes thousands of iterations to cross.
     resid_var = float(scores[0, 0] - c @ scores[1:, 0]) / n
     scale = 1.0 / np.sqrt(max(resid_var, 1e-12))
-    loading[projection.z[0]] /= scale
+    loading[:projection.widths[0]] /= scale      # block 0's rows come first
     c = c * scale
     cross[:, 0] *= scale
 
     # Plain least squares hands each covariate block the in-sample
-    # projection of its factor (the likelihood is exactly flat in that
-    # split, and EM preserves whatever the start chose). The projection
-    # is partly visible through the *other* blocks, whose scores are not
+    # projection of its factor. EM corrects that split only slowly: from
+    # D = B a tight fit reaches the same estimate in more evaluations, but a
+    # loose fit can stop nats away from the reclaimed start's. The projection is
+    # partly visible through the *other* blocks, whose scores are not
     # orthogonal to this block's covariates, so reclaim it here: for the
     # dependent block through the structural prediction, for each
     # explanatory block through the structural residual, shrunk by its
     # signal fraction c^2/(c^2+1).
-    t_rows, t_block = projection.t_own
-    g_cross = cross[t_rows, 1:] @ c               # rows T_j: T_j' (c . f-scores)
+    t_block = projection.block[nz:]
+    g_cross = cross[nz:-1, 1:] @ c                # rows T_j: T_j' (c . f-scores)
     c_t = np.append(1.0, c)[t_block]              # c_m on the rows of T_m
     skip = np.abs(c_t) < 1e-8                     # such a block reclaims nothing
     c_t[skip] = 1.0
-    backed_out = (cross[t_rows, 0] - g_cross + c_t * cross[projection.t_own]) / c_t
+    backed_out = (cross[nz:-1, 0] - g_cross + c_t * cross.take(projection.own[nz:])) / c_t
     weight = np.where(skip, 0.0, c_t**2 / (c_t**2 + 1.0))
     dependent = t_block == 0
     backed_out[dependent], weight[dependent] = g_cross[dependent], 1.0
@@ -306,16 +313,9 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
             rejected += 1
     theta = unflatten_theta(x, actual)
     return canonicalize(FitResult(
-        theta=theta,
-        moments=conditional_law(theta, data),
-        iterations=len(trace),
-        converged=converged,
-        trace=np.array(trace),
-        projection=projection,
-        config=config,
-        accepted=accepted,
-        rejected=rejected,
-    ))
+        theta=theta, moments=conditional_law(theta, data), converged=converged,
+        trace=np.array(trace), projection=projection, config=config,
+        accepted=accepted, rejected=rejected))
 
 
 def canonicalize(result: FitResult) -> FitResult:

@@ -175,7 +175,7 @@ def conditional_law(theta: Theta, data: Dataset) -> ConditionalLaw:
 def residual_sq(x: np.ndarray, projection) -> tuple[np.ndarray, ...]:
     """At the canonical vector ``x``, from the fit's ``mstep.Projection``: E = D - B stacked
     as B, mean(r_k), T'T E and ||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2."""
-    nz, mean = projection.z_own[0].size, projection.mean
+    nz, mean = projection.spread.size, projection.mean
     e = np.zeros(projection.stacked_coef.shape)
     e.put(projection.d_flat, x[:projection.coef_at_d.size] - projection.coef_at_d)
     mean_te = mean[nz:-1] @ e
@@ -191,8 +191,8 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     the loglik of a block past ``GRAM_LIMIT``, which is ``observed_loglik``'s
     exact pass over ``projection.data``. Raises as ``conditional_law`` does."""
     g, n, starts = projection.g, projection.data.n, projection.starts[0]
-    z_block = projection.z_own[1]
-    nz, nd, k = z_block.size, projection.coef_at_d.size, starts.size
+    nz, nd, k = projection.spread.size, projection.coef_at_d.size, starts.size
+    z_block = projection.block[:nz]
     variances = x[-k:]
     if np.minimum.reduce(variances) <= 0:
         positive_variances(variances, "conditional law")
@@ -208,7 +208,7 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     _, chol, sigma = _posterior(x[nd + nz:-k], fisher, variances)
     ga = g @ a
     uu = a.T @ ga                                # U'U
-    if np.count_nonzero(r_sq <= projection.gram_bound * variances) == k:
+    if np.count_nonzero(r_sq <= GRAM_LIMIT * projection.cells * variances) == k:
         quad = float(r_sq @ inv_var) - float(np.add.reduce(sigma * uu, None))
         logdet = float(np.log(variances) @ projection.widths + 2.0 * np.log(chol.diagonal()).sum())
         loglik = -0.5 * (quad + n * (logdet + nz * LOG_2PI))

@@ -14,7 +14,7 @@ import numpy as np
 from .em import EMConfig, fit
 from .errors import DataError, FactorEMError
 from .estep import ConditionalLaw
-from .model import Dataset, Dimensions, Theta, flatten_theta, subset_units
+from .model import Dataset, Dimensions, Theta, as_count, flatten_theta, subset_units
 from .simulate import SimConfig, simulate_dataset
 
 __all__ = [
@@ -91,15 +91,18 @@ class StudySummary:
     """
 
     dims: Dimensions
-    replicates: int
+    deviation_avg: np.ndarray
+    sq_corr: np.ndarray
+    c_hat: np.ndarray
+    sigma2_y_hat: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
     cell: str = ""
-    deviation_avg: np.ndarray = field(default_factory=lambda: np.empty(0))
-    sq_corr: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    c_hat: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    sigma2_y_hat: np.ndarray = field(default_factory=lambda: np.empty(0))
-    iterations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    converged: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     failures: list[str] = field(default_factory=list)
+
+    @property
+    def replicates(self) -> int:
+        return len(self.deviation_avg)
 
     def deviation_quartiles(self) -> np.ndarray:
         """(Q1, median, Q3) of the per-replicate average deviations."""
@@ -134,7 +137,6 @@ def replicate_study(sim: SimConfig, em: EMConfig, replicates: int) -> StudySumma
     p = dims.p
     summary = StudySummary(
         dims=dims,
-        replicates=replicates,
         deviation_avg=np.full(replicates, np.nan),
         sq_corr=np.full((replicates, p + 1), np.nan),
         c_hat=np.full((replicates, p), np.nan),
@@ -196,13 +198,16 @@ def sensitivity_sweep(
 class ResampleSummary:
     """Subsample-versus-full-fit agreement, one row per subsample."""
 
-    k: int
     sample_size: int
     param_mse: np.ndarray
     param_corr: np.ndarray
     factor_mse: np.ndarray
     factor_corr: np.ndarray
     failures: list[str] = field(default_factory=list)
+
+    @property
+    def k(self) -> int:
+        return len(self.param_mse)
 
     def medians(self) -> dict[str, float]:
         """Median of each metric over the subsamples whose fit did not fail;
@@ -227,7 +232,7 @@ def kfold_resample(
     compared only on the units present in the subsample. ``seed`` draws
     the subsamples and must be >= 0.
     """
-    dims = data.dimensions()
+    dims, sample_size = data.dimensions(), as_count(sample_size, "sample_size")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     if k < 2:
@@ -241,7 +246,6 @@ def kfold_resample(
     full_scores = full.moments.m
 
     summary = ResampleSummary(
-        k=k,
         sample_size=sample_size,
         param_mse=np.full(k, np.nan),
         param_corr=np.full(k, np.nan),

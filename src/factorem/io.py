@@ -432,7 +432,7 @@ def write_fit(result: FitResult, out_dir, columns: dict | None = None) -> None:
         "dims": asdict(dims),
         "config": asdict(result.config),
         "converged": bool(result.converged),
-        "iterations": int(result.iterations),
+        "iterations": result.iterations,
         "extrapolations": {"accepted": result.accepted, "rejected": result.rejected},
         "parameter_names": names,
         "max_abs_score": float(abs(score[k])),

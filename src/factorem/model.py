@@ -133,7 +133,7 @@ class Dataset:
     intercept : when True, column 0 of every covariate block must be the
         constant 1 (validated at construction)
 
-    Treated as immutable after construction; safe to share across workers.
+    Treated as immutable after construction.
     """
 
     z: tuple[np.ndarray, ...]

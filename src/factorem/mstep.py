@@ -45,6 +45,7 @@ sigma2_k to ``Projection.floor``, VARIANCE_FLOOR sum_j ||Z~_j,c||^2 / (n q_k),
 with a warning at the start and at every M-step (silently at SqS3 points).
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
-from .estep import GRAM_LIMIT, EStepSummary, residual_sq
+from .estep import EStepSummary, residual_sq
 from .model import Dataset, block_label
 
 __all__ = [
@@ -71,17 +72,15 @@ VARIANCE_FLOOR = 1e-12
 class Projection:
     """A fit's one pass over ``data``: G = W~_c'W~_c and the column means
     ``mean`` of W~ = W~_c + 1 mean' (W~ the stacked [Z~_0..Z~_p, T_0..T_p],
-    Z~_k = Z_k - T_k B_k, the constant last with mean 0), and the rows
-    ``z``/``t`` of G that belong to each Z~_k and T_k. For the canonical
-    vector, maps onto G's rows: ``z_own``/``t_own`` pair each Z row/T row
-    of G with its block (the column of A or of W~_c'M it fills);
-    ``starts`` hold the first Z row and the first T row of each block;
-    coordinate i of the stacked D sits at T row ``d_at[0][i]`` and Z
-    column ``d_at[1][i]`` (T rows counted from the first, here and in
-    ``starts``) and at ``d_flat`` of a flat T rows x Z columns array; ``own``
-    is each Z row's and T row's entry of its own block in a flat array with a
-    column per block; ``widths`` are the q_k, ``gram_bound`` ``estep.GRAM_LIMIT``
-    n q_k; ``floor`` is each block's noise-variance floor, VARIANCE_FLOOR
+    Z~_k = Z_k - T_k B_k, the constant last with mean 0), read by block:
+    ``block`` is the block of each Z row, then of each T row, of G (the
+    column of A or of W~_c'M it fills), and ``own`` that entry's position
+    in a flat array with a column per block; ``starts`` hold the first Z
+    row and the first T row of each block, ``widths`` the q_k and ``cells``
+    n q_k. Coordinate i of the stacked D sits at T row ``d_at[0][i]`` and
+    Z column ``d_at[1][i]`` (T rows counted from the first, here and in
+    ``starts``) and at ``d_flat`` of a flat T rows x Z columns array.
+    ``floor`` is each block's noise-variance floor, VARIANCE_FLOOR
     sum_j ||Z~_j,c||^2 / (n q_k); ``spread`` is ||Z_j,c||^2 per observed
     column and ``resid_sq`` ||Z~_k||^2 per block; and the block-diagonal
     B (T rows x Z columns, B_k on block k's), its entries ``coef_at_d`` at
@@ -90,16 +89,13 @@ class Projection:
     data: Dataset
     g: np.ndarray
     mean: np.ndarray
-    z: tuple[slice, ...]
-    t: tuple[slice, ...]
-    z_own: tuple[np.ndarray, np.ndarray]
-    t_own: tuple[np.ndarray, np.ndarray]
+    block: np.ndarray
+    own: np.ndarray
     starts: tuple[np.ndarray, np.ndarray]
+    widths: np.ndarray
+    cells: np.ndarray
     d_at: tuple[np.ndarray, np.ndarray]
     d_flat: np.ndarray
-    own: np.ndarray
-    widths: np.ndarray
-    gram_bound: np.ndarray
     floor: np.ndarray
     spread: np.ndarray
     resid_sq: np.ndarray
@@ -132,14 +128,14 @@ def project_covariates(data: Dataset) -> Projection:
     its covariates, and SingularSystemError for collinear covariates.
     """
     n = data.n
-    q = np.array([z.shape[1] for z in data.z])
-    r = np.array([t.shape[1] for t in data.t])
-    if n <= r.max():
+    q = [z.shape[1] for z in data.z]
+    r = [t.shape[1] for t in data.t]
+    if n <= max(r):
         raise DataError(
             f"covariate projection needs more units than covariates, got n={n}"
         )
-    k, nz = q.size, int(q.sum())
-    edges = np.cumsum([0, *q, *r]).tolist()
+    k, nz, nt = len(q), sum(q), sum(r)
+    edges = list(itertools.accumulate(q + r, initial=0))
     rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
     w = np.empty((n, edges[-1]), order="F")     # each block's columns contiguous, for dgemm
     for cols, b in zip(rows, (*data.z, *data.t)):
@@ -149,7 +145,7 @@ def project_covariates(data: Dataset) -> Projection:
     spread = np.einsum("ij,ij->j", w[:, :nz], w[:, :nz])
     # each column on its own scale: constant when ||z_c|| <= 1e-12 ||z||
     zero = spread <= 1e-24 * (spread + n * mean[:nz]**2)
-    stacked_coef, stacked_tt_inv = np.zeros((r.sum(), nz)), np.zeros((r.sum(),) * 2)  # B, (T'T)^-1
+    stacked_coef, stacked_tt_inv = np.zeros((nt, nz)), np.zeros((nt, nt))  # B, (T'T)^-1
     for j, (z, t) in enumerate(zip(rows[:k], rows[k:])):
         own = slice(t.start - nz, t.stop - nz)
         tt, tz = (w[:, t].T @ w[:, b] + n * (mean[t, None] * mean[b]) for b in (t, z))
@@ -163,29 +159,28 @@ def project_covariates(data: Dataset) -> Projection:
     g[-1, -1] = n
     resid = np.diagonal(g)[:nz]
     zero |= resid <= 1e-12 * spread     # explained by T_k
-    z_block, t_block = np.repeat(np.arange(k), q), np.repeat(np.arange(k), r)
-    starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
+    block = np.repeat([*range(k), *range(k)], q + r)
     if zero.any():
         j = int(np.argmax(zero))
-        raise DataError(f"column {j - starts[0][z_block[j]] + 1} of {block_label('Z', z_block[j])}"
+        raise DataError(f"column {j - edges[block[j]] + 1} of {block_label('Z', block[j])}"
                         " has zero variance, alone or given its covariates")
-    d_mask = t_block[:, None] == z_block
+    starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
+    widths, cells = np.array(q), n * np.array(q, dtype=float)
+    d_mask = block[nz:, None] == block[:nz]
     d_at = np.nonzero(d_mask)                   # row-major over the block-diagonal
     return Projection(
-        data=data, g=g, mean=mean, z=tuple(rows[:k]), t=tuple(rows[k:]),
-        z_own=(np.arange(nz), z_block), t_own=(np.arange(nz, nz + r.sum()), t_block),
-        starts=starts, d_at=d_at, d_flat=np.flatnonzero(d_mask),
-        own=np.arange(edges[-1]) * k + np.append(z_block, t_block), widths=q,
-        gram_bound=GRAM_LIMIT * n * q, spread=spread,
-        floor=VARIANCE_FLOOR * np.add.reduceat(resid, starts[0]) / (n * q),
+        data=data, g=g, mean=mean, block=block, own=np.arange(edges[-1]) * k + block,
+        starts=starts, widths=widths, cells=cells, d_at=d_at, d_flat=np.flatnonzero(d_mask),
+        floor=VARIANCE_FLOOR * np.add.reduceat(resid, starts[0]) / cells, spread=spread,
         resid_sq=np.add.reduceat(resid + n * mean[:nz]**2, starts[0]),
         stacked_coef=stacked_coef, coef_at_d=stacked_coef[d_at], stacked_tt_inv=stacked_tt_inv)
 
 
 def _factor_cross(projection: Projection, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T_k'f on the T rows, Z~_k'f on the Z rows) from W~'M = W~_c'M + mean 1'M."""
+    nz = projection.spread.size
     own = (wm + projection.mean[:, None] * wm[-1]).take(projection.own)
-    return own[projection.z_own[0].size:], own[:projection.z_own[0].size]
+    return own[nz:], own[:nz]
 
 
 def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
@@ -216,9 +211,8 @@ def update_theta(projection: Projection, summary: EStepSummary) -> np.ndarray:
             f"loading denominator for block {block_label('T', k)} is {denom[k]:.3e}; "
             "posterior second moment is degenerate given the covariates"
         )
-    loading = zf / denom[projection.z_own[1]]
-    sigma2 = ((projection.resid_sq - np.add.reduceat(loading * zf, z_starts))
-              / (projection.data.n * projection.widths))
+    loading = zf / denom[projection.block[:zf.size]]
+    sigma2 = (projection.resid_sq - np.add.reduceat(loading * zf, z_starts)) / projection.cells
     rows, cols = projection.d_at
     coef = projection.coef_at_d - pf[rows] * loading[cols]
     return np.concatenate([coef, loading, c, floored(sigma2, projection.floor, "update")])
@@ -242,8 +236,8 @@ def expected_score(x: np.ndarray, summary: EStepSummary, projection: Projection)
     Vanishes (to rounding) at the ``update_theta`` output; at the ``x``
     the law was computed at it is the observed-loglik gradient (Fisher).
     """
-    z_block, starts, (rows, cols) = projection.z_own[1], projection.starts[0], projection.d_at
-    nz, nd, k = z_block.size, rows.size, starts.size
+    nz, starts, (rows, cols) = projection.spread.size, projection.starts[0], projection.d_at
+    z_block, nd, k = projection.block[:nz], rows.size, starts.size
     loading, inv_var, sq = x[nd:nd + nz], 1.0 / x[-k:], summary.s.diagonal()[z_block]
     tf, zf = _factor_cross(projection, summary.wm)
     e, _, tte, r_sq = residual_sq(x, projection)
@@ -254,4 +248,4 @@ def expected_score(x: np.ndarray, summary: EStepSummary, projection: Projection)
         -(tte[rows, cols] + tf[rows] * loading[cols]) * inv_var[z_block[cols]],
         (rf - sq * loading) * inv_var[z_block],
         summary.s[1:, 0] - summary.s[1:, 1:] @ x[nd + nz:-k],
-        0.5 * inv_var * (sq_resid * inv_var - projection.data.n * projection.widths)])
+        0.5 * inv_var * (sq_resid * inv_var - projection.cells)])

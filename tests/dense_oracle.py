@@ -355,14 +355,24 @@ def loop_posterior(theta, inv_var):
     return prior_prec, chol, 0.5 * (sigma + sigma.T)
 
 
+def block_rows(projection):
+    """(Z~_k rows, T_k rows) of the projection's G per block, as slices laid
+    out from the data's block widths: Z~_0..Z~_p, then T_0..T_p."""
+    dims = projection.data.dimensions()
+    edges = np.cumsum([0, *dims.q, *dims.r]).tolist()
+    rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return rows[:dims.p + 1], rows[dims.p + 1:]
+
+
 def block_projection(projection):
     """Per block, B_k and (T_k'T_k)^-1: the diagonal blocks of the
     projection's block-diagonal B and (T'T)^-1, copied in the column-major
     order of the per-block solves they came from, so that the loops'
     products round as they did on those arrays."""
-    first = projection.t[0].start          # the block-diagonal rows count T rows only
+    z_rows, t_rows = block_rows(projection)
+    first = t_rows[0].start                # the block-diagonal rows count T rows only
     blocks = []
-    for z, t in zip(projection.z, projection.t):
+    for z, t in zip(z_rows, t_rows):
         rows = slice(t.start - first, t.stop - first)
         blocks.append((np.asfortranarray(projection.stacked_coef[rows, z]),
                        np.asfortranarray(projection.stacked_tt_inv[rows, rows])))
@@ -376,13 +386,15 @@ def loop_gram_estep(theta, gram, data):
     if variances.min() <= 0:
         raise DataError("conditional law needs strictly positive noise variances")
     g, mean, n = gram.g, gram.mean, data.n
-    zs, ts = slice(0, gram.t[0].start), slice(gram.t[0].start, -1)
-    widths = np.array([z.stop - z.start for z in gram.z])
+    z_rows, t_rows = block_rows(gram)
+    zs, ts = slice(0, t_rows[0].start), slice(t_rows[0].start, -1)
+    widths = np.array([z.stop - z.start for z in z_rows])
     inv_var = 1.0 / variances
     e = np.zeros((g.shape[0], zs.stop))
     lam = np.zeros((zs.stop, widths.size))
     resid_sq = np.empty(widths.size)
-    blocks = zip(gram.z, gram.t, theta.coef, theta.loading, block_projection(gram), gram.resid_sq)
+    blocks = zip(*block_rows(gram), theta.coef, theta.loading, block_projection(gram),
+                 gram.resid_sq)
     for k, (z, t, coef, loading, (b, _), tilde_sq) in enumerate(blocks):
         e_k = coef - b                      # r_k = Z~_k - T_k E_k
         e[t, z] = e_k
@@ -413,7 +425,7 @@ def loop_update_theta(projection, summary) -> Theta:
     loadings, coefs, variances = [], [], []
     wm = summary.wm
     shifted = wm[:-1] + np.outer(projection.mean[:-1], wm[-1])
-    blocks = zip(projection.z, projection.t, block_projection(projection), projection.resid_sq,
+    blocks = zip(*block_rows(projection), block_projection(projection), projection.resid_sq,
                  variance_floor(projection.data))
     for k, (z, t, (coef, tt_inv), resid_sq, floor) in enumerate(blocks):
         tf = shifted[t, k]
@@ -508,8 +520,8 @@ def loop_fit(data, dims, config) -> FitResult:
         else:
             rejected += 1
     return canonicalize(FitResult(
-        theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
-        converged=converged, trace=np.array(trace), projection=projection, config=config,
+        theta=theta, moments=conditional_law(theta, data), converged=converged,
+        trace=np.array(trace), projection=projection, config=config,
         accepted=accepted, rejected=rejected,
     ))
 
@@ -547,8 +559,8 @@ def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
             converged = True
             break
     return canonicalize(FitResult(
-        theta=theta, moments=conditional_law(theta, data), iterations=len(trace),
-        converged=converged, trace=np.array(trace), projection=projection, config=config,
+        theta=theta, moments=conditional_law(theta, data), converged=converged,
+        trace=np.array(trace), projection=projection, config=config,
     ))
 
 
@@ -561,7 +573,8 @@ def fresh_account(theta, moments, data):
     x = flatten_theta(theta)
     summary = gram_summary(x, projection)
     score = expected_score(x, summary, projection)
-    rows, block = projection.z_own
+    q = data.dimensions().q
+    rows, block = np.arange(sum(q)), np.repeat(np.arange(len(q)), q)
     zm = summary.wm[rows] + projection.stacked_coef.T @ summary.wm[rows.size:-1]
     f_sq = ((moments.m - moments.m.mean(axis=0))**2).sum(axis=0)
     return score, zm[rows, block] / np.sqrt(projection.spread * f_sq[block])

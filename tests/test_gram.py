@@ -118,7 +118,6 @@ def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
     floored = replace(theta, sigma2=(theta.sigma2[0], floor[1], *theta.sigma2[2:]))
     projection = project_covariates(data)
     exact = observed_loglik(floored, data).value
-    unlimited = replace(projection, gram_bound=np.full(floor.size, np.inf))
     calls = []
 
     def counting(theta, data):
@@ -131,7 +130,8 @@ def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
     assert len(calls) == 1
     np.testing.assert_array_equal(flatten_theta(calls[0]), flatten_theta(floored))
     assert summary.loglik == exact
-    gram_form = gram_summary(flatten_theta(floored), unlimited)
+    monkeypatch.setattr(estep, "GRAM_LIMIT", np.inf)
+    gram_form = gram_summary(flatten_theta(floored), projection)
     assert len(calls) == 1
     for name in ("s", "wm"):
         np.testing.assert_array_equal(getattr(summary, name), getattr(gram_form, name))
@@ -204,7 +204,8 @@ def test_the_top_eigenpair_start_matches_the_full_spectrum_start(monkeypatch):
     single = 0
     for label, data in [(label, data) for label, data, _ in instances()] + [("large", large)]:
         projection = project_covariates(data)
-        for k, z in enumerate(projection.z):
+        z_rows, _ = dense_oracle.block_rows(projection)
+        for k, z in enumerate(z_rows):
             resid_gram, n, q = projection.g[z, z], data.n, z.stop - z.start
             e, std, sigma2 = em._first_component(resid_gram, n, "Z")
             e_full, std_full, sigma2_full = dense_oracle.eigh_first_component(resid_gram, n, "Z")
@@ -219,8 +220,8 @@ def test_the_top_eigenpair_start_matches_the_full_spectrum_start(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(em, "_first_component", dense_oracle.eigh_first_component)
             x_full = initialize(projection)
-        nd, nz = projection.coef_at_d.size, projection.z_own[0].size
-        for part in (slice(0, nd), slice(nd, nd + nz), slice(nd + nz, -len(projection.z))):
+        nd, nz = projection.coef_at_d.size, z_rows[-1].stop
+        for part in (slice(0, nd), slice(nd, nd + nz), slice(nd + nz, -len(z_rows))):
             scale = np.abs(x_full[part]).max()
             assert np.abs(x[part] - x_full[part]).max() <= 1e-12 * scale, (label, part)
     assert single
@@ -293,8 +294,8 @@ def test_the_projection_holds_no_array_with_n_rows():
 
 @pytest.mark.parametrize("offset", [0.0, 1e7])
 def test_the_flat_maps_are_the_block_scatters_and_read_the_data(offset):
-    # ``d_flat`` and ``own`` address in flat arrays what ``d_at`` and
-    # ``z_own``/``t_own`` address by (row, column); read through them, the
+    # ``block`` holds the block of each row of G; ``d_flat`` and ``own`` address
+    # in flat arrays what ``d_at`` and (row, ``block``) address; read through them, the
     # factor cross products and the residual means are those of the data's
     # n rows, also with 1e7 added to every observed column of an intercept design
     dims = Dimensions(n=60, p=2, q_y=3, q_m=(4, 2), r_t=2, r_m=(3, 1))
@@ -302,17 +303,21 @@ def test_the_flat_maps_are_the_block_scatters_and_read_the_data(offset):
     data = Dataset(z=tuple(z + offset for z in base.z), t=base.t, intercept=True)
     theta = replace(theta, coef=tuple(np.vstack([d[:1] + offset, d[1:]]) for d in theta.coef))
     projection = project_covariates(data)
-    blocks, nz = len(data.z), projection.z_own[0].size
+    blocks, (z_rows, t_rows) = len(data.z), dense_oracle.block_rows(projection)
+    nz = z_rows[-1].stop
     block_diagonal = np.zeros(projection.stacked_coef.shape, dtype=bool)
     own = np.zeros((projection.g.shape[0] - 1, blocks), dtype=bool)
-    for k, (z, t) in enumerate(zip(projection.z, projection.t)):
+    for k, (z, t) in enumerate(zip(z_rows, t_rows)):
         block_diagonal[t.start - nz:t.stop - nz, z] = True
         own[z, k] = own[t, k] = True
+    assert np.array_equal(projection.block, own.nonzero()[1])
+    assert np.array_equal(projection.cells, data.n * np.array(dims.q))
     assert np.array_equal(projection.d_flat, np.flatnonzero(block_diagonal))
     assert np.array_equal(projection.own, np.flatnonzero(own))
     values = np.arange(1.0, own.size + 1)
     for flat, pairs, shape in ((projection.d_flat, [projection.d_at], block_diagonal.shape),
-                               (projection.own, [projection.z_own, projection.t_own], own.shape)):
+                               (projection.own, [(np.arange(len(own)), projection.block)],
+                                own.shape)):
         by_pairs, by_flat = np.zeros(shape), np.zeros(shape)
         for rows, cols in pairs:
             by_pairs[rows, cols] = values[:rows.size]
@@ -325,7 +330,7 @@ def test_the_flat_maps_are_the_block_scatters_and_read_the_data(offset):
     _, mean_r, _, _ = estep.residual_sq(flatten_theta(theta), projection)
     # the n-row products carry the rounding of the shifted cells, 1e7 eps each
     cell = 64 * np.finfo(float).eps * (1.0 + offset)
-    for k, (z, t) in enumerate(zip(projection.z, projection.t)):
+    for k, (z, t) in enumerate(zip(z_rows, t_rows)):
         f = law.m[:, k]
         np.testing.assert_allclose(tf[t.start - nz:t.stop - nz], data.t[k].T @ f,
                                    rtol=1e-12, atol=1e-12 * np.abs(f).sum())

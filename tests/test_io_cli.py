@@ -14,7 +14,7 @@ import pytest
 
 import factorem
 from factorem import (
-    EMConfig, SimConfig, canonicalize, fit, flatten_theta, observed_loglik,
+    Dataset, EMConfig, SimConfig, canonicalize, fit, flatten_theta, observed_loglik,
     simulate_dataset,
 )
 from factorem.model import theta_names, unflatten_theta
@@ -22,7 +22,8 @@ from factorem import cli
 from factorem.cli import main
 from factorem import io as io_module
 from factorem.errors import DataError
-from factorem.io import load_dataset, write_dataset, write_fit
+from factorem.evaluate import kfold_resample, replicate_study
+from factorem.io import load_dataset, write_dataset, write_fit, write_resample, write_study
 
 from conftest import random_dims, random_theta, reference_dims
 
@@ -336,6 +337,20 @@ class TestChunkedCsvPaths:
         assert digests[1] == digests[0]
         y = (tmp_path / "16" / "Y.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in y[1:5]] == ["-0.0", "1e-05", "1e+16", "5e-324"]
+
+    def test_a_block_with_more_chunks_than_rows(self, tmp_path):
+        # 20,000 cells make 5 chunks of a 2-row block, 3 of them empty; row 0
+        # takes orjson's digits, row 1 (cells with exponents) repr's
+        rng = np.random.default_rng(5)
+        wide = rng.normal(size=(2, 10_000))
+        wide[1] *= 10.0 ** rng.integers(-6, 18, size=10_000)
+        assert len(np.array_split(wide, -(-wide.size // io_module._CHUNK_CELLS))[-1]) == 0
+        data = Dataset(z=(wide, np.ones((2, 1))), t=(np.ones((2, 1)),) * 2)
+        write_dataset(data, tmp_path / "data")
+        header = io_module._default_columns(data.dimensions())["z"][0]
+        assert (tmp_path / "data" / "Y.csv").read_bytes() == \
+            reference_bytes(tmp_path, header, wide)
+        assert np.array_equal(load_dataset(tmp_path / "data")[0].z[0], wide)
 
     @pytest.mark.parametrize("text, expected", [
         ("a,b\r\n1.5,-2\r\n3e-3,4\r\n5,6\r\n", [[1.5, -2.0], [3e-3, 4.0], [5.0, 6.0]]),
@@ -698,6 +713,25 @@ def test_writers_check_their_inputs_against_the_data(tmp_path, case, message):
         with pytest.raises(DataError, match=re.escape(message)):
             write_fit(result, out, columns=columns)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("writer", ["fit", "study", "resample"])
+def test_numpy_scalar_inputs_write_the_bytes_of_python_scalars(tmp_path, writer):
+    # the validators accept numpy scalars, which the JSON writers cannot
+    # serialize; 0.5 is exact in float32
+    data, _, _, dims = small_dataset(seed=1, n=60)
+    written = []
+    for number, count in ((float, int), (np.float32, np.int64)):
+        out = tmp_path / number.__name__
+        config = EMConfig(epsilon=number(0.5), max_iter=count(50))
+        if writer == "fit":
+            write_fit(fit(data, dims, config), out)
+        elif writer == "study":
+            write_study([replicate_study(SimConfig(dims=dims, seed=1), config, count(2))], out)
+        else:
+            write_resample(kfold_resample(data, config, k=count(2), sample_size=count(40)), out)
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert written[1] == written[0]
 
 
 class TestCli:

@@ -13,6 +13,7 @@ from factorem.errors import DataError
 from factorem.estep import _posterior, gram_summary
 from factorem.mstep import _gram_solve, project_covariates
 
+import dense_oracle
 from conftest import random_instance
 
 
@@ -49,7 +50,7 @@ def test_stacked_blocks_are_the_block_diagonal_of_the_per_block_solves():
         mean = w.mean(axis=0)
         w -= mean
         coef, tt_inv = [], []
-        for z, t in zip(projection.z, projection.t):
+        for z, t in zip(*dense_oracle.block_rows(projection)):
             r = t.stop - t.start
             tt, tz = (w[:, t].T @ w[:, b] + n * np.outer(mean[t], mean[b]) for b in (t, z))
             solved = _gram_solve(tt, np.hstack([np.eye(r), tz]), "T")

@@ -42,7 +42,7 @@ class TestCovariateProjection:
             data, _, _, _ = random_instance(seed)
             projection = project_covariates(data)
             blocks = zip(dense_oracle.block_projection(projection), projection.resid_sq,
-                         projection.z, data.t, data.z)
+                         dense_oracle.block_rows(projection)[0], data.t, data.z)
             for (coef, tt_inv), resid_sq, rows, t, z in blocks:
                 resid_gram = projection.g[rows, rows]
                 expected, rss, _, _ = np.linalg.lstsq(t, z, rcond=None)
