@@ -94,11 +94,9 @@ class EMConfig:
         real = isinstance(self.epsilon, numbers.Real) and not isinstance(self.epsilon, bool)
         if not (real and 0 < self.epsilon < np.inf):
             raise DataError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if as_count(self.max_iter, "max_iter") < 1:
-            raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
         # numpy scalars pass both checks; JSON takes only Python numbers
         object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "max_iter", as_count(self.max_iter, "max_iter", 1))
 
 
 @dataclass

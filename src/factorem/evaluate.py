@@ -53,13 +53,23 @@ def abs_rel_deviation(theta_true: Theta, theta_hat: Theta) -> tuple[np.ndarray, 
     return deviations, float(np.nanmean(deviations))
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each column of ``x`` with the same column of
+    ``y``, from centered sums; NaN where either column is constant."""
+    x, y = x - x.mean(axis=0), y - y.mean(axis=0)
+    x_sq, y_sq = (x * x).sum(axis=0), (y * y).sum(axis=0)
+    scale = np.where((x_sq == 0) | (y_sq == 0), np.nan, np.sqrt(x_sq * y_sq))
+    return np.clip((x * y).sum(axis=0) / scale, -1.0, 1.0)
+
+
 def factor_sq_correlation(h_true: np.ndarray, moments: ConditionalLaw) -> np.ndarray:
     """Squared Pearson correlation of each true factor with its score.
 
     ``h_true`` is laid out like ``moments.m``, (n, p+1) with g in column
-    0; a DataError names both shapes when they differ. Squaring makes
-    the metric invariant to the factor sign symmetry. Returns p+1
-    values: the dependent factor first, then each explanatory factor.
+    0; a DataError names both shapes when they differ, and names the
+    input holding a NaN or an infinity. Squaring makes the metric
+    invariant to the factor sign symmetry. Returns p+1 values: the
+    dependent factor first, then each explanatory factor.
     """
     h_true = np.asarray(h_true, dtype=float)
     if h_true.shape != moments.m.shape:
@@ -67,11 +77,12 @@ def factor_sq_correlation(h_true: np.ndarray, moments: ConditionalLaw) -> np.nda
                         f"scores have shape {moments.m.shape}")
     if h_true.shape[0] < 3:
         raise DataError("correlation needs at least 3 units")
-    factor, score = h_true - h_true.mean(axis=0), moments.m - moments.m.mean(axis=0)
-    factor_sq, score_sq = (factor * factor).sum(axis=0), (score * score).sum(axis=0)
-    if (factor_sq == 0).any() or (score_sq == 0).any():
+    for name, values in (("true latents", h_true), ("factor scores", moments.m)):
+        if not np.isfinite(values).all():
+            raise DataError(f"the {name} hold a non-finite value")
+    corr = _pearson(h_true, moments.m)
+    if np.isnan(corr).any():
         raise DataError("zero-variance input to factor correlation")
-    corr = np.clip((factor * score).sum(axis=0) / np.sqrt(factor_sq * score_sq), -1.0, 1.0)
     return corr * corr
 
 
@@ -131,8 +142,7 @@ def _derived_seeds(seed: int, count: int) -> list[int]:
 
 def replicate_study(sim: SimConfig, em: EMConfig, replicates: int) -> StudySummary:
     """Simulate, fit and score ``replicates`` independent datasets."""
-    if replicates < 1:
-        raise DataError(f"replicates must be >= 1, got {replicates}")
+    replicates = as_count(replicates, "replicates", 1)
     dims = sim.dims
     p = dims.p
     summary = StudySummary(
@@ -232,26 +242,15 @@ def kfold_resample(
     compared only on the units present in the subsample. ``seed`` draws
     the subsamples and must be >= 0.
     """
-    dims, sample_size = data.dimensions(), as_count(sample_size, "sample_size")
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-    if k < 2:
-        raise DataError(f"k must be >= 2, got {k}")
-    if sample_size > dims.n or sample_size < 2:
-        raise DataError(
-            f"sample_size must be in [2, {dims.n}], got {sample_size}"
-        )
+    dims, k, seed = data.dimensions(), as_count(k, "k", 2), as_count(seed, "seed", 0)
+    sample_size = as_count(sample_size, "sample_size")
+    if not 2 <= sample_size <= dims.n:
+        raise DataError(f"sample_size must be in [2, {dims.n}], got {sample_size}")
     full = fit(data, dims, em)
     full_params = flatten_theta(full.theta)
     full_scores = full.moments.m
 
-    summary = ResampleSummary(
-        sample_size=sample_size,
-        param_mse=np.full(k, np.nan),
-        param_corr=np.full(k, np.nan),
-        factor_mse=np.full(k, np.nan),
-        factor_corr=np.full(k, np.nan),
-    )
+    rows, failures = [], []
     rng = np.random.default_rng(seed)
     sub_dims = replace(dims, n=sample_size)
     for s in range(k):
@@ -259,21 +258,13 @@ def kfold_resample(
         try:
             sub = fit(subset_units(data, idx), sub_dims, em)
         except FactorEMError as exc:
-            summary.failures.append(f"sample {s}: {exc}")
+            failures.append(f"sample {s}: {exc}")
+            rows.append((np.nan,) * 4)
             continue
         sub_params = flatten_theta(sub.theta)
-        summary.param_mse[s] = float(np.mean((sub_params - full_params) ** 2))
-        summary.param_corr[s] = float(np.corrcoef(sub_params, full_params)[0, 1])
-
-        sub_scores = sub.moments.m
-        ref_scores = full_scores[idx]
-        summary.factor_mse[s] = float(np.mean((sub_scores - ref_scores) ** 2))
-        summary.factor_corr[s] = float(
-            np.mean(
-                [
-                    np.corrcoef(sub_scores[:, j], ref_scores[:, j])[0, 1]
-                    for j in range(sub_scores.shape[1])
-                ]
-            )
-        )
-    return summary
+        sub_scores, ref_scores = sub.moments.m, full_scores[idx]
+        rows.append((np.mean((sub_params - full_params) ** 2),
+                     _pearson(sub_params[:, None], full_params[:, None])[0],
+                     np.mean((sub_scores - ref_scores) ** 2),
+                     np.mean(_pearson(sub_scores, ref_scores))))
+    return ResampleSummary(sample_size, *np.array(rows).T, failures=failures)

@@ -24,10 +24,11 @@ line. A block with any other byte after its header than digits, '.',
 letter), or with a blank, ragged or non-JSON row (``.5``, ``01``, ``1_5``),
 goes to the strict csv reader, which loads the same array or names the
 first bad cell. In that reader a covariate block may contain non-numeric
-(categorical) columns; these are expanded into a leading intercept column
-plus one indicator per level beyond the first, in order of first
-appearance. A column must be wholly numeric or wholly non-numeric, and a
-non-numeric column may hold no blank cell.
+(categorical) columns; these are expanded into one indicator per level
+beyond the first, in order of first appearance, after a leading intercept
+column unless a numeric column of the block is all ones. A column must be
+wholly numeric or wholly non-numeric, and a non-numeric column may hold
+no blank cell.
 """
 
 import contextlib
@@ -265,10 +266,11 @@ def _read_strict(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
     """Header and values of one block by the strict csv reader.
 
     With ``categorical`` (covariate blocks) a wholly non-numeric column
-    expands to an intercept plus level indicators (reference level = first
-    seen). A column mixing numeric and non-numeric (or blank) cells is an
-    error, not a categorical with one level per distinct value, and so are a
-    blank cell in a non-numeric column and a one-level column, which would vanish.
+    expands to level indicators (reference level = first seen), and the
+    block gains a leading intercept unless a numeric column is all ones. A
+    column mixing numeric and non-numeric (or blank) cells is an error, not
+    a categorical with one level per distinct value, and so are a blank cell
+    in a non-numeric column and a one-level column, which would vanish.
     """
     header, body = _read_table(path)
     with contextlib.suppress(ValueError):   # float() on every cell, in one call
@@ -283,7 +285,7 @@ def _read_strict(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
         raise DataError(f"{path}: row {i + 2}, column {header[j]!r}: cell "
                         f"{body[i][j]!r} {what}")
 
-    names, columns = ["intercept"], [np.ones(len(body))]
+    names, columns = [], []
     for name, col, numeric in zip(header, zip(*body), is_number.all(axis=0)):
         if numeric:
             names.append(name)
@@ -296,6 +298,9 @@ def _read_strict(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
             for level in levels[1:]:
                 names.append(f"{name}={level}")
                 columns.append(np.array([1.0 if cell == level else 0.0 for cell in col]))
+    # an indicator is never all ones: the first level has none
+    if not any((column == 1.0).all() for column in columns):
+        names, columns = ["intercept", *names], [np.ones(len(body)), *columns]
     return names, np.column_stack(columns)
 
 

@@ -104,11 +104,13 @@ class Dimensions:
         return sum(self.q)
 
 
-def as_count(value, name: str) -> int:
+def as_count(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int; DataError naming ``name`` unless it is an
-    integer (a bool is not)."""
+    integer (a bool is not) and at least ``minimum``, when one is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DataError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DataError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .model import Dataset, Dimensions, Theta, check_theta_shapes
+from .model import Dataset, Dimensions, Theta, as_count, check_theta_shapes
 
 __all__ = ["SimConfig", "reference_theta", "simulate_dataset"]
 
@@ -21,7 +20,7 @@ __all__ = ["SimConfig", "reference_theta", "simulate_dataset"]
 class SimConfig:
     """Design of one synthetic dataset.
 
-    seed : root of the three random sub-streams; DataError if negative
+    seed : root of the three random sub-streams; DataError unless >= 0
     theta : generating parameters; None selects the integer-sequence
         scheme of ``reference_theta``. Raises DataError naming the block
         where a given theta does not fit ``dims``.
@@ -36,8 +35,7 @@ class SimConfig:
     intercept: bool = False
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
         if self.theta is not None:
             check_theta_shapes(self.theta, list(zip(self.dims.r, self.dims.q)), "dims")
 

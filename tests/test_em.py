@@ -340,8 +340,9 @@ class TestFit:
         for epsilon in (0.0, np.nan, np.inf):
             with pytest.raises(DataError, match="epsilon must be positive and finite"):
                 EMConfig(epsilon=epsilon)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="max_iter must be >= 1, got 0"):
             EMConfig(max_iter=0)
+        assert type(EMConfig(max_iter=np.int64(5)).max_iter) is int
 
     def test_fractional_max_iter_rejected(self):
         # it used to run two map evaluations

@@ -13,12 +13,21 @@ from factorem import (
     flatten_theta,
     simulate_dataset,
 )
+from factorem import evaluate
 from factorem.evaluate import kfold_resample, replicate_study, sensitivity_sweep
 from factorem.model import subset_units, unflatten_theta
 from factorem.errors import DataError
 from factorem.estep import ConditionalLaw
 
 from conftest import reference_dims, random_instance, random_theta, scalar_toy_theta
+
+
+def refuse_to_run_studies(monkeypatch):
+    """Fail the test if a study harness simulates or fits."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study ran before its counts were checked")
+    monkeypatch.setattr(evaluate, "fit", refuse)
+    monkeypatch.setattr(evaluate, "simulate_dataset", refuse)
 
 
 def moments_from_latents(h):
@@ -115,6 +124,18 @@ class TestFactorSqCorrelation:
         with pytest.raises(DataError, match="at least 3 units"):
             factor_sq_correlation(h[:2], moments_from_latents(h[:2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where, name", [("truth", "true latents"),
+                                             ("scores", "factor scores")])
+    def test_non_finite_input_named(self, bad, where, name):
+        # it used to return NaN for the column, with a RuntimeWarning for inf
+        _, h, _, _ = random_instance(8)
+        broken = h.copy()
+        broken[4, 1] = bad
+        truth, scores = (broken, h) if where == "truth" else (h, broken)
+        with pytest.raises(DataError, match=f"the {name} hold a non-finite value"):
+            factor_sq_correlation(truth, moments_from_latents(scores))
+
     def test_zero_variance_rejected(self):
         _, h, _, dims = random_instance(8)
         frozen = h.copy()
@@ -155,9 +176,14 @@ class TestReplicateStudy:
         assert np.isnan(summary.deviation_avg).all() and np.isnan(summary.sq_corr).all()
         assert not summary.converged.any()
 
-    def test_replicate_count_validated(self):
-        with pytest.raises(DataError):
-            replicate_study(SimConfig(dims=reference_dims(), seed=0), EMConfig(), 0)
+    def test_replicate_count_validated(self, monkeypatch):
+        refuse_to_run_studies(monkeypatch)
+        sim = SimConfig(dims=reference_dims(), seed=0)
+        for replicates, message in ((0, "replicates must be >= 1, got 0"),
+                                    (1.5, "replicates must be an integer, got 1.5"),
+                                    (True, "replicates must be an integer, got True")):
+            with pytest.raises(DataError, match=message):
+                replicate_study(sim, EMConfig(), replicates)
 
 
 class TestSensitivitySweep:
@@ -235,7 +261,7 @@ class TestKfoldResample:
                        summary.factor_corr):
             assert np.isnan(metric).all()
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         dims = reference_dims(n=20, q=3)
         data, _, _ = simulate_dataset(SimConfig(dims=dims, seed=7))
         with pytest.raises(DataError):
@@ -246,3 +272,10 @@ class TestKfoldResample:
         with pytest.raises(DataError, match="seed must be >= 0, got -1"):
             kfold_resample(subset_units(data, [0, 1]), EMConfig(), k=3, sample_size=2,
                            seed=-1)
+        # each used to run the full fit before it failed, or to run seed 1
+        refuse_to_run_studies(monkeypatch)
+        for kwargs, message in (({"k": 2.5}, "k must be an integer, got 2.5"),
+                                ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+                                ({"seed": True}, "seed must be an integer, got True")):
+            with pytest.raises(DataError, match=message):
+                kfold_resample(data, EMConfig(), **{"k": 2, "sample_size": 10, **kwargs})

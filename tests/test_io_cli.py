@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -610,6 +611,21 @@ class TestCategoricalCovariates:
         assert main(["fit", "--data", str(tmp_path), "--out", str(tmp_path / "fit")]) == 2
         assert "column 'soil' has the one level 'sand'" in capsys.readouterr().err
 
+    def test_a_column_of_ones_stands_for_the_intercept(self, tmp_path):
+        # a second intercept beside the block's own column of ones made the
+        # block singular, so the fit exited 2
+        assert main(["simulate", "--n", "60", "--q", "4", "--seed", "1", "--intercept",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "T1.csv"
+        header, *lines = path.read_text().splitlines()
+        soil = itertools.cycle(["sand", "clay", "loam"])
+        path.write_text("\n".join([header + ",soil", *(f"{line},{next(soil)}" for line in lines)])
+                        + "\n")
+        data, columns = load_dataset(tmp_path)
+        assert columns["t"][1] == ["t1_1", "t1_2", "soil=clay", "soil=loam"]
+        assert data.intercept and data.t[1].shape == (60, 4)
+        assert main(["fit", "--data", str(tmp_path), "--out", str(tmp_path / "fit")]) == 0
+
     def test_mixed_numeric_and_categorical(self, tmp_path):
         rows = ["a,1.5", "b,2.5", "a,3.5", "c,4.5"]
         manifest = self.make_blocks(tmp_path, rows, t_header="kind,depth")
@@ -745,13 +761,23 @@ class TestCli:
         report = json.loads((fit_dir / "report.json").read_text())
         assert report["converged"] is True
 
-    def test_replicate_outputs_are_byte_identical(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        args = ["replicate", "--n", "60", "--q", "5", "--replicates", "3",
-                "--seed", "7", "--epsilon", "1e-2"]
+    @pytest.mark.parametrize("command", ["replicate", "sensitivity", "resample"])
+    def test_study_outputs_are_byte_identical(self, tmp_path, command):
+        # sensitivity runs two cells, vary_n:n=40 and vary_q:q=4
+        data_dir, out_a, out_b = tmp_path / "data", tmp_path / "a", tmp_path / "b"
+        design = {"replicate": ["--n", "60", "--q", "5", "--replicates", "3"],
+                  "sensitivity": ["--n", "60", "--q", "5", "--n-values", "40",
+                                  "--q-values", "4", "--replicates", "2"],
+                  "resample": ["--data", str(data_dir), "--k", "3"]}[command]
+        if command == "resample":
+            assert main(["simulate", "--n", "60", "--q", "5", "--seed", "7",
+                         "--out", str(data_dir)]) == 0
+        args = [command, *design, "--seed", "7", "--epsilon", "1e-2"]
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
-        for name in ("metrics.csv", "summary.json"):
+        names = sorted(path.name for path in out_a.iterdir())
+        assert len(names) == 2 and names == sorted(path.name for path in out_b.iterdir())
+        for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_usage_errors_exit_one(self):

@@ -51,6 +51,16 @@ class TestSimulateDataset:
         assert all(np.array_equal(x1, x2) for x1, x2 in zip(a.z + a.t, b.z + b.t))
         assert np.array_equal(ha, hb)
 
+    def test_seed_must_be_a_nonnegative_integer(self):
+        # 1.5 used to fail inside SeedSequence and True to run seed 1
+        dims = reference_dims(n=5, q=2)
+        for seed, message in ((-1, "seed must be >= 0, got -1"),
+                              (1.5, "seed must be an integer, got 1.5"),
+                              (True, "seed must be an integer, got True")):
+            with pytest.raises(DataError, match=message):
+                SimConfig(dims=dims, seed=seed)
+        assert type(SimConfig(dims=dims, seed=np.int64(3)).seed) is int
+
     def test_reference_design_size(self):
         data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(), seed=0))
         total = sum(z.size for z in data.z)
