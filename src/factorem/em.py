@@ -4,9 +4,10 @@ reporting.
 A fit reads the data twice: ``project_covariates`` partials each block's
 covariates out of the centered data and builds the stacked Gram G of the
 residuals and the covariates (``mstep.Projection``, the fit's one per-fit
-object, which the result keeps), and ``conditional_law`` gives the reported
-law at the estimate from one product per block. Everything else, the
-result's ``account`` included, is algebra on blocks of G.
+object, which the result keeps; its index maps are built once per layout),
+and ``conditional_law`` gives the reported law at the estimate from one
+product per block. Everything else, the result's ``account`` included, is
+algebra on blocks of G.
 
 Initialization takes the first principal component of each block's
 centered covariate residuals as a starting factor (its first variable
@@ -159,7 +160,7 @@ def _first_component(gram: np.ndarray, n: int, name: str) -> tuple[np.ndarray, f
         raise FactorEMError(f"the top eigenpair of {name}'s residual Gram failed (info {info})")
     e = vec[:, 0] if vec[0, 0] >= 0 else -vec[:, 0]
     # the residual left by the PC: the other eigenvalues' sum, exactly 0 for q = 1
-    return e, np.sqrt(top[0] / n), (np.trace(gram) - top[0]) / (n * q)
+    return e, np.sqrt(top[0] / n), (gram.trace() - top[0]) / (n * q)
 
 
 def initialize(projection: Projection) -> np.ndarray:
@@ -181,7 +182,11 @@ def initialize(projection: Projection) -> np.ndarray:
     v /= std
     cross = g @ v                                 # rows T_j: T_j' (centered score k)
     scores = v.T @ cross                          # centered score Gram, g first
-    c = np.linalg.lstsq(scores[1:, 1:], scores[1:, 0], rcond=None)[0]
+    work, iwork, _ = lapack.dgelsd_lwork(blocks - 1, blocks - 1, 1)   # np.linalg.lstsq's call
+    c, _, _, info = lapack.dgelsd(scores[1:, 1:], scores[1:, 0], int(work), iwork,
+                                  np.finfo(float).eps * (blocks - 1))
+    if info:
+        raise FactorEMError(f"the least-squares structural start failed (info {info})")
 
     # The structural disturbance has unit variance by identification, so
     # the dependent score is not free to have unit variance itself.
@@ -202,16 +207,16 @@ def initialize(projection: Projection) -> np.ndarray:
     # orthogonal to this block's covariates, so reclaim it here: for the
     # dependent block through the structural prediction, for each
     # explanatory block through the structural residual, shrunk by its
-    # signal fraction c^2/(c^2+1).
-    t_block = projection.block[nz:]
+    # signal fraction c^2/(c^2+1). A block with |c_m| < 1e-8 reclaims nothing.
+    c_block, weight = [1.0], [1.0]                # per block, the dependent one first
+    for c_m in c.tolist():
+        c_block.append(1.0 if abs(c_m) < 1e-8 else c_m)
+        weight.append(0.0 if abs(c_m) < 1e-8 else c_m * c_m / (c_m * c_m + 1.0))
+    t_block, dependent = projection.block[nz:], projection.starts[1][1]
+    c_t, weight = np.array(c_block)[t_block], np.array(weight)[t_block]
     g_cross = cross[nz:-1, 1:] @ c                # rows T_j: T_j' (c . f-scores)
-    c_t = np.append(1.0, c)[t_block]              # c_m on the rows of T_m
-    skip = np.abs(c_t) < 1e-8                     # such a block reclaims nothing
-    c_t[skip] = 1.0
     backed_out = (cross[nz:-1, 0] - g_cross + c_t * cross.take(projection.own[nz:])) / c_t
-    weight = np.where(skip, 0.0, c_t**2 / (c_t**2 + 1.0))
-    dependent = t_block == 0
-    backed_out[dependent], weight[dependent] = g_cross[dependent], 1.0
+    backed_out[:dependent] = g_cross[:dependent]
     kappa = projection.stacked_tt_inv @ backed_out
     rows, cols = projection.d_at
     coef = projection.coef_at_d - weight[rows] * (kappa[rows] * loading[cols])
@@ -329,9 +334,9 @@ def canonicalize(result: FitResult) -> FitResult:
     returns, comes back as is.
     """
     theta = result.theta
-    s = np.array([-1.0 if lam[0] < 0 else 1.0 for lam in theta.loading])
-    if np.all(s == 1.0):
+    if not any(lam[0] < 0 for lam in theta.loading):
         return result
+    s = np.array([-1.0 if lam[0] < 0 else 1.0 for lam in theta.loading])
 
     new_theta = replace(
         theta, loading=[sk * lam for sk, lam in zip(s, theta.loading)],

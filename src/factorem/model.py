@@ -28,9 +28,11 @@ Per-unit latents, simulated or estimated, are one (n, p+1) array h with
 g in column 0 and f^m in column m, named by ``block_label("h", k)``.
 """
 
+import functools
+import itertools
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,14 +179,14 @@ class Dataset:
 
 
 def check_dimensions(dims: Dimensions, data: Dataset) -> Dimensions:
-    """``data.dimensions()``, or a DataError naming the first field of
-    ``dims`` that differs from it."""
-    actual = data.dimensions()
-    for field in fields(Dimensions):
-        given, found = getattr(dims, field.name), getattr(actual, field.name)
-        if given != found:
-            raise DataError(f"dims.{field.name}={given} disagrees with the data ({found})")
-    return actual
+    """``dims``, or a DataError naming its first field that differs from
+    ``data.dimensions()`` (read off the blocks, with no second ``Dimensions``)."""
+    q, r = ([b.shape[1] for b in blocks] for blocks in (data.z, data.t))
+    found = dict(n=data.n, p=data.p, q_y=q[0], q_m=tuple(q[1:]), r_t=r[0], r_m=tuple(r[1:]))
+    for name, value in found.items():
+        if getattr(dims, name) != value:
+            raise DataError(f"dims.{name}={getattr(dims, name)} disagrees with the data ({value})")
+    return dims
 
 
 def subset_units(data: Dataset, indices: np.ndarray) -> Dataset:
@@ -270,22 +272,23 @@ def block_label(family: str, k: int) -> str:
     return f"{stem}{k}" if k else first
 
 
-def _layout(dims: Dimensions) -> list[tuple[str, tuple[int, ...]]]:
-    """The canonical vector as (name, shape) parts, in order: the fields
-    of ``Theta``, each block by block (Y first)."""
-    shapes = list(zip(dims.r, dims.q))
-    return (
-        [(block_label("D", k), shape) for k, shape in enumerate(shapes)]
-        + [(block_label("loading", k), (q,)) for k, (_, q) in enumerate(shapes)]
-        + [(f"c{k}", ()) for k in range(1, len(shapes))]
-        + [(block_label("sigma2", k), ()) for k in range(len(shapes))]
-    )
+@functools.cache
+def _layout(q: tuple[int, ...], r: tuple[int, ...]) -> tuple[tuple[str, tuple, slice], ...]:
+    """The canonical vector for block widths q and r as (name, shape, slice)
+    parts, in order: the fields of ``Theta``, each block by block (Y first)."""
+    shapes = list(zip(r, q))
+    parts = ([(block_label("D", k), shape) for k, shape in enumerate(shapes)]
+             + [(block_label("loading", k), (q,)) for k, (_, q) in enumerate(shapes)]
+             + [(f"c{k}", ()) for k in range(1, len(shapes))]
+             + [(block_label("sigma2", k), ()) for k in range(len(shapes))])
+    edges = list(itertools.accumulate((math.prod(shape) for _, shape in parts), initial=0))
+    return tuple((*part, slice(lo, hi)) for part, lo, hi in zip(parts, edges, edges[1:]))
 
 
 def count_parameters(dims: Dimensions) -> int:
     """Number of scalar parameters K: covariate coefficients, loadings,
     structural coefficients and one noise variance per block."""
-    return sum(math.prod(shape) for _, shape in _layout(dims))
+    return _layout(dims.q, dims.r)[-1][2].stop
 
 
 def flatten_parts(coef, loading, c, sigma2) -> np.ndarray:
@@ -306,17 +309,14 @@ def flatten_theta(theta: Theta) -> np.ndarray:
 def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:
     """Inverse of ``flatten_theta`` for the given dimensions."""
     v = np.asarray(vector, dtype=float)
-    layout = _layout(dims)
-    sizes = [math.prod(shape) for _, shape in layout]
-    if v.ndim != 1 or v.shape[0] != sum(sizes):
+    layout = _layout(dims.q, dims.r)
+    size = layout[-1][2].stop
+    if v.ndim != 1 or v.shape[0] != size:
         raise DataError(
             f"parameter vector has length {v.shape[0] if v.ndim == 1 else v.shape}, "
-            f"expected {sum(sizes)} for these dimensions"
+            f"expected {size} for these dimensions"
         )
-    parts, pos = [], 0
-    for (_, shape), size in zip(layout, sizes):
-        parts.append(v[pos:pos + size].reshape(shape))
-        pos += size
+    parts = [v[cut].reshape(shape) for _, shape, cut in layout]
     k = dims.p + 1
     return Theta(parts[:k], parts[k:2 * k], np.array(parts[2 * k:-k]), parts[-k:])
 
@@ -328,6 +328,6 @@ def theta_names(dims: Dimensions) -> list[str]:
     """
     return [
         name + (f"[{','.join(str(i + 1) for i in index)}]" if index else "")
-        for name, shape in _layout(dims)
+        for name, shape, _ in _layout(dims.q, dims.r)
         for index in np.ndindex(*shape)
     ]

@@ -45,6 +45,7 @@ sigma2_k to ``Projection.floor``, VARIANCE_FLOOR sum_j ||Z~_j,c||^2 / (n q_k),
 with a warning at the start and at every M-step (silently at SqS3 points).
 """
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -110,7 +111,7 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
     chol, info = lapack.dpotrf(gram, lower=1, clean=1)
     if info:
         raise SingularSystemError(f"{singular}: the factorization fails at column {info}")
-    pivots = np.diag(chol)
+    pivots = chol.diagonal()
     # an exactly collinear column can slip past the factorization with a
     # pivot at sqrt(eps) relative scale; treat that as rank-deficient
     if pivots.min() <= 1e-7 * pivots.max():
@@ -119,61 +120,75 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
     return lapack.dpotrs(chol, rhs, lower=1)[0]
 
 
+@functools.cache
+def _layout_maps(q: tuple[int, ...], r: tuple[int, ...]) -> tuple[list, dict]:
+    """Each block's columns of W~_c and the index maps of ``Projection`` for block
+    widths q and r: built once per layout and shared, read-only, by its fits."""
+    k, nz = len(q), sum(q)
+    edges = list(itertools.accumulate(q + r, initial=0))
+    block = np.repeat([*range(k), *range(k)], q + r)
+    d_mask = block[nz:, None] == block[:nz]
+    maps = dict(block=block, own=np.arange(edges[-1]) * k + block, widths=np.array(q),
+                starts=(np.array(edges[:k]), np.array(edges[k:2 * k]) - nz),
+                d_at=np.nonzero(d_mask), d_flat=np.flatnonzero(d_mask))  # d row-major
+    for array in (block, maps["own"], maps["widths"], *maps["starts"], *maps["d_at"],
+                  maps["d_flat"]):
+        array.flags.writeable = False
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])], maps
+
+
 def project_covariates(data: Dataset) -> Projection:
     """Partial each block's covariates out of the centered data, then
-    build G, once per fit: Y on T, then X^m on T^m.
+    build G, once per fit: Y on T, then X^m on T^m. The index maps, which
+    the block widths fix, are built once per layout (``_layout_maps``).
 
     Raises DataError when a covariate block has at least as many columns
     as there are units or an observed column is constant or explained by
     its covariates, and SingularSystemError for collinear covariates.
     """
     n = data.n
-    q = [z.shape[1] for z in data.z]
-    r = [t.shape[1] for t in data.t]
+    q, r = (tuple(b.shape[1] for b in blocks) for blocks in (data.z, data.t))
     if n <= max(r):
         raise DataError(
             f"covariate projection needs more units than covariates, got n={n}"
         )
+    rows, maps = _layout_maps(q, r)
     k, nz, nt = len(q), sum(q), sum(r)
-    edges = list(itertools.accumulate(q + r, initial=0))
-    rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    w = np.empty((n, edges[-1]), order="F")     # each block's columns contiguous, for dgemm
+    w = np.empty((n, nz + nt), order="F")      # each block's columns contiguous, for dgemm
     for cols, b in zip(rows, (*data.z, *data.t)):
         w[:, cols] = b
-    mean = np.append(w.mean(axis=0), 0.0)       # to become those of [Z~_0..Z~_p, T_0..T_p]
+    mean = np.append(w.mean(axis=0), 0.0)   # to become those of [Z~_0..Z~_p, T_0..T_p]
     w -= mean[:-1]
     spread = np.einsum("ij,ij->j", w[:, :nz], w[:, :nz])
     # each column on its own scale: constant when ||z_c|| <= 1e-12 ||z||
     zero = spread <= 1e-24 * (spread + n * mean[:nz]**2)
     stacked_coef, stacked_tt_inv = np.zeros((nt, nz)), np.zeros((nt, nt))  # B, (T'T)^-1
     for j, (z, t) in enumerate(zip(rows[:k], rows[k:])):
-        own = slice(t.start - nz, t.stop - nz)
-        tt, tz = (w[:, t].T @ w[:, b] + n * (mean[t, None] * mean[b]) for b in (t, z))
-        solved = _gram_solve(tt, np.hstack([np.eye(r[j]), tz]), block_label("T", j))
-        coef = solved[:, r[j]:]
-        stacked_coef[own, z], stacked_tt_inv[own, own] = coef, solved[:, :r[j]]
+        own, r_j = slice(t.start - nz, t.stop - nz), t.stop - t.start
+        tt = w[:, t].T @ w[:, t] + n * (mean[t, None] * mean[t])
+        rhs = np.eye(r_j, r_j + z.stop - z.start)   # [I, T_k'Z_k]
+        np.add(w[:, t].T @ w[:, z], n * (mean[t, None] * mean[z]), out=rhs[:, r_j:])
+        solved = _gram_solve(tt, rhs, block_label("T", j))
+        coef = solved[:, r_j:]
+        stacked_coef[own, z], stacked_tt_inv[own, own] = coef, solved[:, :r_j]
         blas.dgemm(-1.0, w[:, t], coef, beta=1.0, c=w[:, z], overwrite_c=True)  # Z~_k,c in place
         mean[z] -= mean[t] @ coef       # mean(Z~_k) = mean(Z_k) - B_k' mean(T_k)
-    g = np.zeros((edges[-1] + 1,) * 2)
-    g[:-1, :-1] = w.T @ w
+    g = np.zeros((nz + nt + 1,) * 2)
+    np.matmul(w.T, w, out=g[:-1, :-1])
     g[-1, -1] = n
-    resid = np.diagonal(g)[:nz]
+    resid = g.diagonal()[:nz]
     zero |= resid <= 1e-12 * spread     # explained by T_k
-    block = np.repeat([*range(k), *range(k)], q + r)
+    z_starts, block = maps["starts"][0], maps["block"]
     if zero.any():
         j = int(np.argmax(zero))
-        raise DataError(f"column {j - edges[block[j]] + 1} of {block_label('Z', block[j])}"
+        raise DataError(f"column {j - z_starts[block[j]] + 1} of {block_label('Z', block[j])}"
                         " has zero variance, alone or given its covariates")
-    starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
-    widths, cells = np.array(q), n * np.array(q, dtype=float)
-    d_mask = block[nz:, None] == block[:nz]
-    d_at = np.nonzero(d_mask)                   # row-major over the block-diagonal
+    cells = maps["widths"] * float(n)
     return Projection(
-        data=data, g=g, mean=mean, block=block, own=np.arange(edges[-1]) * k + block,
-        starts=starts, widths=widths, cells=cells, d_at=d_at, d_flat=np.flatnonzero(d_mask),
-        floor=VARIANCE_FLOOR * np.add.reduceat(resid, starts[0]) / cells, spread=spread,
-        resid_sq=np.add.reduceat(resid + n * mean[:nz]**2, starts[0]),
-        stacked_coef=stacked_coef, coef_at_d=stacked_coef[d_at], stacked_tt_inv=stacked_tt_inv)
+        data=data, g=g, mean=mean, cells=cells, spread=spread, stacked_coef=stacked_coef,
+        stacked_tt_inv=stacked_tt_inv, coef_at_d=stacked_coef[maps["d_at"]], **maps,
+        floor=VARIANCE_FLOOR * np.add.reduceat(resid, z_starts) / cells,
+        resid_sq=np.add.reduceat(resid + n * mean[:nz]**2, z_starts))
 
 
 def _factor_cross(projection: Projection, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,15 +47,26 @@ each block's n x q residual, a start from the per-unit
 principal-component scores, and a map evaluation that conditions every
 unit afresh (``conditional_law``) and updates from the n-row scores. The
 package's Gram path is tested against them.
+
+``uncached_projection`` is ``project_covariates`` as it read when every
+fit rebuilt the maps its block widths fix (its edges, ``block``, ``own``,
+``starts``, ``widths``, ``d_at``, ``d_flat``) and each block's
+right-hand side by ``np.hstack``/``np.eye``; ``lstsq_initialize`` is
+``initialize`` as it read when it solved the structural start with
+``np.linalg.lstsq`` (and reclaimed on T-row masks). The package's
+layout cache and its direct ``dgelsd`` start are tested against them.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from factorem.em import DENOMINATOR_FLOOR, FitResult, canonicalize, initialize
+from factorem.em import (
+    DENOMINATOR_FLOOR, FitResult, _first_component, canonicalize, initialize,
+)
 from factorem.errors import (
     DataError, DegeneratePosteriorError, FactorEMError, NonFiniteParameterError,
     NotPositiveDefiniteError, SingularSystemError,
@@ -69,7 +80,9 @@ from factorem.model import (
     unflatten_theta,
 )
 from factorem import mstep
-from factorem.mstep import VARIANCE_FLOOR, _gram_solve, expected_score, project_covariates
+from factorem.mstep import (
+    VARIANCE_FLOOR, Projection, _gram_solve, expected_score, floored, project_covariates,
+)
 from likelihood_oracle import block_residuals, expected_sq_residual
 
 
@@ -692,3 +705,89 @@ def npass_em_step(law, data, projection):
     n-row law, then the exact law at the update."""
     theta = npass_update(projection, law)
     return theta, conditional_law(theta, data)
+
+
+def uncached_projection(data) -> Projection:
+    """``project_covariates`` with every map built afresh from the data's
+    block widths and each right-hand side stacked by ``np.hstack``."""
+    n = data.n
+    q = [z.shape[1] for z in data.z]
+    r = [t.shape[1] for t in data.t]
+    if n <= max(r):
+        raise DataError(
+            f"covariate projection needs more units than covariates, got n={n}"
+        )
+    k, nz, nt = len(q), sum(q), sum(r)
+    edges = list(itertools.accumulate(q + r, initial=0))
+    rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    w = np.empty((n, edges[-1]), order="F")
+    for cols, b in zip(rows, (*data.z, *data.t)):
+        w[:, cols] = b
+    mean = np.append(w.mean(axis=0), 0.0)
+    w -= mean[:-1]
+    spread = np.einsum("ij,ij->j", w[:, :nz], w[:, :nz])
+    zero = spread <= 1e-24 * (spread + n * mean[:nz]**2)
+    stacked_coef, stacked_tt_inv = np.zeros((nt, nz)), np.zeros((nt, nt))
+    for j, (z, t) in enumerate(zip(rows[:k], rows[k:])):
+        own = slice(t.start - nz, t.stop - nz)
+        tt, tz = (w[:, t].T @ w[:, b] + n * (mean[t, None] * mean[b]) for b in (t, z))
+        solved = _gram_solve(tt, np.hstack([np.eye(r[j]), tz]), block_label("T", j))
+        coef = solved[:, r[j]:]
+        stacked_coef[own, z], stacked_tt_inv[own, own] = coef, solved[:, :r[j]]
+        scipy.linalg.blas.dgemm(-1.0, w[:, t], coef, beta=1.0, c=w[:, z], overwrite_c=True)
+        mean[z] -= mean[t] @ coef
+    g = np.zeros((edges[-1] + 1,) * 2)
+    g[:-1, :-1] = w.T @ w
+    g[-1, -1] = n
+    resid = np.diagonal(g)[:nz]
+    zero |= resid <= 1e-12 * spread
+    block = np.repeat([*range(k), *range(k)], q + r)
+    if zero.any():
+        j = int(np.argmax(zero))
+        raise DataError(f"column {j - edges[block[j]] + 1} of {block_label('Z', block[j])}"
+                        " has zero variance, alone or given its covariates")
+    starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
+    widths, cells = np.array(q), n * np.array(q, dtype=float)
+    d_mask = block[nz:, None] == block[:nz]
+    d_at = np.nonzero(d_mask)
+    return Projection(
+        data=data, g=g, mean=mean, block=block, own=np.arange(edges[-1]) * k + block,
+        starts=starts, widths=widths, cells=cells, d_at=d_at, d_flat=np.flatnonzero(d_mask),
+        floor=VARIANCE_FLOOR * np.add.reduceat(resid, starts[0]) / cells, spread=spread,
+        resid_sq=np.add.reduceat(resid + n * mean[:nz]**2, starts[0]),
+        stacked_coef=stacked_coef, coef_at_d=stacked_coef[d_at], stacked_tt_inv=stacked_tt_inv)
+
+
+def lstsq_initialize(projection) -> np.ndarray:
+    """``initialize`` with the structural start by ``np.linalg.lstsq``."""
+    g, n, nz = projection.g, projection.data.n, projection.spread.size
+    blocks = projection.widths.size
+    v = np.zeros((g.shape[0], blocks))
+    loading, std, sigma2 = np.zeros(nz), np.zeros(blocks), np.zeros(blocks)
+    for k, (lo, q) in enumerate(zip(projection.starts[0].tolist(), projection.widths.tolist())):
+        z = slice(lo, lo + q)
+        e, std[k], sigma2[k] = _first_component(g[z, z], n, block_label("Z", k))
+        v[z, k] = e
+        loading[z] = e * std[k]
+    v /= std
+    cross = g @ v
+    scores = v.T @ cross
+    c = np.linalg.lstsq(scores[1:, 1:], scores[1:, 0], rcond=None)[0]
+    resid_var = float(scores[0, 0] - c @ scores[1:, 0]) / n
+    scale = 1.0 / np.sqrt(max(resid_var, 1e-12))
+    loading[:projection.widths[0]] /= scale
+    c = c * scale
+    cross[:, 0] *= scale
+    t_block = projection.block[nz:]
+    g_cross = cross[nz:-1, 1:] @ c
+    c_t = np.append(1.0, c)[t_block]
+    skip = np.abs(c_t) < 1e-8
+    c_t[skip] = 1.0
+    backed_out = (cross[nz:-1, 0] - g_cross + c_t * cross.take(projection.own[nz:])) / c_t
+    weight = np.where(skip, 0.0, c_t**2 / (c_t**2 + 1.0))
+    dependent = t_block == 0
+    backed_out[dependent], weight[dependent] = g_cross[dependent], 1.0
+    kappa = projection.stacked_tt_inv @ backed_out
+    rows, cols = projection.d_at
+    coef = projection.coef_at_d - weight[rows] * (kappa[rows] * loading[cols])
+    return np.concatenate([coef, loading, c, floored(sigma2, projection.floor, "start")])

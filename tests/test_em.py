@@ -27,8 +27,8 @@ from factorem.mstep import project_covariates
 
 from conftest import reference_dims, random_instance
 from dense_oracle import (
-    fresh_account, package_gram_estep, package_update_theta, plain_fit, residual_law,
-    variance_floor,
+    fresh_account, lstsq_initialize, package_gram_estep, package_update_theta, plain_fit,
+    residual_law, variance_floor,
 )
 
 
@@ -146,6 +146,51 @@ class TestInitialize:
         with pytest.raises(FactorEMError, match=re.escape(
                 "the top eigenpair of Y's residual Gram failed (info 1)")):
             fit(data, dims, EMConfig())
+
+
+    def test_a_failed_least_squares_start_is_an_error(self, monkeypatch):
+        import factorem.em
+        from factorem.evaluate import replicate_study
+
+        def failing(*args, **kwargs):
+            return (*lapack.dgelsd(*args, **kwargs)[:3], 2)
+
+        lapack = factorem.em.lapack
+        monkeypatch.setattr(factorem.em, "lapack", SimpleNamespace(
+            dsyevr=lapack.dsyevr, dgelsd_lwork=lapack.dgelsd_lwork, dgelsd=failing))
+        data, _, _, dims = random_instance(10)
+        message = "the least-squares structural start failed (info 2)"
+        with pytest.raises(FactorEMError, match=re.escape(message)):
+            fit(data, dims, EMConfig())
+        # a study records the failure and goes on
+        study = replicate_study(SimConfig(dims=dims, seed=1), EMConfig(), 2)
+        assert len(study.failures) == 2 and message in study.failures[0]
+
+    @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+    def test_the_start_is_the_lstsq_start(self, monkeypatch):
+        # dgelsd with lstsq's workspace and cutoff: the same bits on every
+        # instance, and the same minimum-norm c where the scores system is
+        # rank-deficient (two identical explanatory blocks: c_1 = c_2)
+        import factorem.em
+
+        def recording(a, b, lwork, iwork, cutoff):
+            cutoffs.append(cutoff / max(a.shape))
+            return lapack.dgelsd(a, b, lwork, iwork, cutoff)
+
+        cutoffs, lapack = [], factorem.em.lapack
+        monkeypatch.setattr(factorem.em, "lapack", SimpleNamespace(
+            dsyevr=lapack.dsyevr, dgelsd_lwork=lapack.dgelsd_lwork, dgelsd=recording))
+        for seed in range(200):
+            projection = project_covariates(random_instance(seed)[0])
+            np.testing.assert_array_equal(initialize(projection), lstsq_initialize(projection))
+        data, _, _ = reference_instance(seed=2, n=60, q=3)
+        twin = Dataset(z=(data.z[0], data.z[1], data.z[1]), t=(data.t[0], data.t[1], data.t[1]))
+        projection = project_covariates(twin)
+        x = initialize(projection)
+        np.testing.assert_array_equal(x, lstsq_initialize(projection))
+        c = unflatten_theta(x, twin.dimensions()).c
+        assert c[0] == c[1] and np.isfinite(c).all()
+        assert set(cutoffs) == {np.finfo(float).eps}       # lstsq's rcond=None: eps max(M, N)
 
 
 class TestEmStep:
