@@ -3,7 +3,11 @@
 Three studies are provided: a replication study (simulate, fit, score
 against the known truth), a sensitivity sweep over the unit count and
 block width, and a re-sampling stability check comparing subsample fits
-against the full-data fit.
+against the full-data fit. Each study checks its inputs, every cell's
+design included, before its first simulation or fit, and holds one row
+per fit: a fit or a scoring that raises a FactorEMError leaves a row of
+NaN metrics and its message in ``failures``, and the study goes on. Only
+the resampling's full-data fit, the reference of every row, stops it.
 """
 
 import warnings
@@ -141,34 +145,29 @@ def _derived_seeds(seed: int, count: int) -> list[int]:
 
 
 def replicate_study(sim: SimConfig, em: EMConfig, replicates: int) -> StudySummary:
-    """Simulate, fit and score ``replicates`` independent datasets."""
+    """Simulate, fit and score ``replicates`` independent datasets.
+
+    Each replicate is one row. A replicate whose fit or scoring raises a
+    FactorEMError is a failure, named in ``failures``: its row holds NaN
+    metrics, 0 iterations and converged False.
+    """
     replicates = as_count(replicates, "replicates", 1)
-    dims = sim.dims
-    p = dims.p
-    summary = StudySummary(
-        dims=dims,
-        deviation_avg=np.full(replicates, np.nan),
-        sq_corr=np.full((replicates, p + 1), np.nan),
-        c_hat=np.full((replicates, p), np.nan),
-        sigma2_y_hat=np.full(replicates, np.nan),
-        iterations=np.zeros(replicates, dtype=int),
-        converged=np.zeros(replicates, dtype=bool),
-    )
+    p = sim.dims.p
+    rows, failures = [], []
     for rep, seed in enumerate(_derived_seeds(sim.seed, replicates)):
         data, h, theta_true = simulate_dataset(replace(sim, seed=seed))
         try:
-            result = fit(data, dims, em)
+            result = fit(data, sim.dims, em)
+            rows.append([abs_rel_deviation(theta_true, result.theta)[1],
+                         *factor_sq_correlation(h, result.moments), *result.theta.c,
+                         result.theta.sigma2[0], result.iterations, result.converged])
         except FactorEMError as exc:
-            summary.failures.append(f"replicate {rep}: {exc}")
-            continue
-        _, avg_dev = abs_rel_deviation(theta_true, result.theta)
-        summary.deviation_avg[rep] = avg_dev
-        summary.sq_corr[rep] = factor_sq_correlation(h, result.moments)
-        summary.c_hat[rep] = result.theta.c
-        summary.sigma2_y_hat[rep] = result.theta.sigma2[0]
-        summary.iterations[rep] = result.iterations
-        summary.converged[rep] = result.converged
-    return summary
+            failures.append(f"replicate {rep}: {exc}")
+            rows.append([np.nan] * (2 * p + 3) + [0, False])
+    table = np.array(rows)
+    return StudySummary(sim.dims, table[:, 0], table[:, 1:p + 2], table[:, p + 2:-3],
+                        table[:, -3], table[:, -2].astype(int), table[:, -1].astype(bool),
+                        failures=failures)
 
 
 def sensitivity_sweep(
@@ -183,25 +182,20 @@ def sensitivity_sweep(
     Cells vary the unit count at the base block widths, then the common
     block width at the base unit count; a cell appearing in both sweeps
     is run in both (the design counts it twice). A vary_n cell is
-    labelled with the width of Y.
+    labelled with the width of Y. Every cell's design, ``base.theta``
+    included, is checked before the first simulation.
     """
-    n_values = list(n_values)
-    q_values = list(q_values)
+    replicates = as_count(replicates, "replicates", 1)
+    n_values, q_values = list(n_values), list(q_values)
     if not n_values and not q_values:
         raise DataError("at least one of n_values, q_values must be nonempty")
-    base_dims = base.dims
-    cells = [("vary_n", n, base_dims.q_y, replace(base_dims, n=n)) for n in n_values]
-    cells += [("vary_q", base_dims.n, q,
-               replace(base_dims, q_y=q, q_m=(q,) * base_dims.p)) for q in q_values]
-
-    summaries = []
-    seeds = _derived_seeds(base.seed, len(cells))
-    for seed, (kind, n, q, cell_dims) in zip(seeds, cells):
-        cell_sim = replace(base, dims=cell_dims, seed=seed)
-        summary = replicate_study(cell_sim, em, replicates)
-        summary.cell = f"{kind}:n={n},q={q}"
-        summaries.append(summary)
-    return summaries
+    dims = base.dims
+    cells = [(f"vary_n:n={n},q={dims.q_y}", replace(dims, n=n)) for n in n_values]
+    cells += [(f"vary_q:n={dims.n},q={q}", replace(dims, q_y=q, q_m=(q,) * dims.p))
+              for q in q_values]
+    sims = [(label, replace(base, dims=cell_dims, seed=seed))
+            for seed, (label, cell_dims) in zip(_derived_seeds(base.seed, len(cells)), cells)]
+    return [replace(replicate_study(sim, em, replicates), cell=label) for label, sim in sims]
 
 
 @dataclass

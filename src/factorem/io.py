@@ -446,8 +446,6 @@ def write_fit(result: FitResult, out_dir, columns: dict | None = None) -> None:
 
 
 def _summary_payload(summary: StudySummary) -> dict:
-    dev_q = summary.deviation_quartiles()
-    corr_q = summary.sq_corr_quartiles()
     return {
         "cell": summary.cell,
         "n": summary.dims.n,
@@ -456,8 +454,8 @@ def _summary_payload(summary: StudySummary) -> dict:
         "replicates": summary.replicates,
         "converged": int(np.sum(summary.converged)),
         "failures": summary.failures,
-        "deviation_quartiles": [float(v) for v in dev_q],
-        "sq_corr_quartiles": [float(v) for v in corr_q],
+        "deviation_quartiles": summary.deviation_quartiles().tolist(),
+        "sq_corr_quartiles": summary.sq_corr_quartiles().tolist(),
         "c_estimates": [
             dict(zip(("mean", "lo95", "hi95"), summary.mean_and_band(c_m)))
             for c_m in summary.c_hat.T
@@ -474,25 +472,13 @@ def write_study(summaries: list[StudySummary], out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for summary in summaries:
-        p = summary.sq_corr.shape[1] - 1
-        for rep in range(summary.replicates):
-            metrics = {
-                "avg_abs_rel_deviation": summary.deviation_avg[rep],
-                **{
-                    f"sq_corr_{name}": summary.sq_corr[rep, k]
-                    for k, name in enumerate(_factor_header(p))
-                },
-                **{
-                    f"c{m + 1}_hat": summary.c_hat[rep, m] for m in range(p)
-                },
-                "sigma2_Y_hat": summary.sigma2_y_hat[rep],
-                "iterations": float(summary.iterations[rep]),
-                "converged": float(summary.converged[rep]),
-            }
-            rows += [
-                [summary.cell, str(rep), name, _fmt(value)]
-                for name, value in metrics.items()
-            ]
+        p = summary.dims.p
+        names = ["avg_abs_rel_deviation", *(f"sq_corr_{h}" for h in _factor_header(p)),
+                 *(f"c{m + 1}_hat" for m in range(p)), "sigma2_Y_hat", "iterations", "converged"]
+        table = np.column_stack([summary.deviation_avg, summary.sq_corr, summary.c_hat,
+                                 summary.sigma2_y_hat, summary.iterations, summary.converged])
+        rows += ([summary.cell, str(rep), name, _fmt(value)]
+                 for rep, row in enumerate(table) for name, value in zip(names, row))
     _write_csv(out / "metrics.csv", ["cell", "replicate", "metric", "value"], rows)
     _write_json(out / "summary.json", [_summary_payload(s) for s in summaries])
 
@@ -500,15 +486,10 @@ def write_study(summaries: list[StudySummary], out_dir) -> None:
 def write_resample(summary: ResampleSummary, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "resample.csv",
-        ["sample", "param_mse", "param_corr", "factor_mse", "factor_corr"],
-        (
-            [str(s), _fmt(summary.param_mse[s]), _fmt(summary.param_corr[s]),
-             _fmt(summary.factor_mse[s]), _fmt(summary.factor_corr[s])]
-            for s in range(summary.k)
-        ),
-    )
+    names = ["param_mse", "param_corr", "factor_mse", "factor_corr"]
+    table = np.column_stack([getattr(summary, name) for name in names])
+    _write_csv(out / "resample.csv", ["sample", *names],
+               ([str(s), *map(_fmt, row)] for s, row in enumerate(table)))
     _write_json(out / "summary.json", {
         "k": summary.k,
         "sample_size": summary.sample_size,

@@ -121,7 +121,9 @@ def _as_matrix(arr, name: str) -> np.ndarray:
     if a.ndim != 2:
         raise DataError(f"block {name} must be a 2-D matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
-        raise DataError(f"block {name} contains non-finite entries")
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise DataError(f"block {name} contains non-finite entries; the first is "
+                        f"{float(a[i, j])!r} at unit row {i + 1}, column {j + 1}")
     return a
 
 

@@ -6,9 +6,7 @@ import ast
 import re
 from pathlib import Path
 
-import pytest
-
-yaml = pytest.importorskip("yaml")
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 

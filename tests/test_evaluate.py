@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from factorem import (
 from factorem import evaluate
 from factorem.evaluate import kfold_resample, replicate_study, sensitivity_sweep
 from factorem.model import subset_units, unflatten_theta
+from factorem.simulate import reference_theta
 from factorem.errors import DataError
 from factorem.estep import ConditionalLaw
 
@@ -175,6 +177,18 @@ class TestReplicateStudy:
         assert "more units than covariates" in summary.failures[0]
         assert np.isnan(summary.deviation_avg).all() and np.isnan(summary.sq_corr).all()
         assert not summary.converged.any()
+        # with one covariate the fits succeed, and scoring two units fails in each row
+        sim = SimConfig(dims=Dimensions(n=2, p=1, q_y=2, q_m=(2,), r_t=1, r_m=(1,)), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # two units floor variances
+            summary = replicate_study(sim, EMConfig(), 3)
+        assert summary.failures == [f"replicate {rep}: correlation needs at least 3 units"
+                                    for rep in range(3)]
+        for metric in (summary.deviation_avg, summary.sq_corr, summary.c_hat,
+                       summary.sigma2_y_hat):
+            assert np.isnan(metric).all()
+        np.testing.assert_array_equal(summary.iterations, np.zeros(3, dtype=int))
+        np.testing.assert_array_equal(summary.converged, np.zeros(3, dtype=bool))
 
     def test_replicate_count_validated(self, monkeypatch):
         refuse_to_run_studies(monkeypatch)
@@ -229,6 +243,17 @@ class TestSensitivitySweep:
         with pytest.raises(DataError):
             sensitivity_sweep((), (), SimConfig(dims=reference_dims(), seed=0),
                               EMConfig(), 2)
+
+    def test_every_cell_is_checked_before_the_first_study(self, monkeypatch):
+        # the base theta fits the vary_n cells but not the last, vary_q cell
+        refuse_to_run_studies(monkeypatch)
+        dims = reference_dims(n=60, q=4)
+        base = SimConfig(dims=dims, seed=0, theta=reference_theta(dims))
+        with pytest.raises(DataError, match=re.escape(
+                "theta block D has shape (2, 4) but dims needs (2, 5)")):
+            sensitivity_sweep((40, 60), (5,), base, EMConfig(), 3)
+        with pytest.raises(DataError, match="replicates must be >= 1, got 0"):
+            sensitivity_sweep((40, 60), (5,), SimConfig(dims=dims), EMConfig(), 0)
 
 
 class TestKfoldResample:

@@ -317,6 +317,21 @@ class TestFastCsvPaths:
                 r"X1\.csv: row 2, column 'x1_1': cell 'oops' is non-numeric")):
             load_dataset(tmp_path / "manifest.json")
 
+    @pytest.mark.parametrize("cell, value", [("nan", "nan"), ("1e400", "inf")])
+    def test_non_finite_cell_named_through_load_dataset(self, tmp_path, cell, value):
+        # the strict reader parses both as floats; the block check names the cell
+        data, *_ = small_dataset()
+        write_dataset(data, tmp_path)
+        path = tmp_path / "X1.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        lines[3] = ",".join(cells[:1] + [cell] + cells[2:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=(
+                rf"block X1 contains non-finite entries; the first is {value} "
+                r"at unit row 3, column 2$")):
+            load_dataset(tmp_path / "manifest.json")
+
 
 class TestChunkedCsvPaths:
     """Blocks cut into row chunks, written and read in small chunks against
@@ -930,11 +945,13 @@ class TestCli:
         assert main(["fit", "--data", str(data_dir), "--out", str(tmp_path / "f")]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["replicate", "sensitivity", "resample"])
+    @pytest.mark.parametrize("command", ["replicate", "sensitivity", "resample",
+                                         "replicate-scoring"])
     def test_study_whose_every_fit_fails_writes_strict_json_and_exits_two(
         self, tmp_path, capsys, command
     ):
-        # n = 2 units cannot carry r = 2 covariates: every fit fails
+        # n = 2 units cannot carry r = 2 covariates: every fit fails; with r = 1
+        # the fits succeed and their scoring fails (a correlation needs 3 units)
         def reject(token):
             raise ValueError(f"summary.json holds the non-JSON token {token}")
 
@@ -946,12 +963,17 @@ class TestCli:
                             "--q-values", "", "--replicates", "2"],
             "resample": ["resample", "--data", str(data_dir), "--k", "2",
                          "--sample-size", "2"],
+            "replicate-scoring": ["replicate", "--n", "2", "--q", "2", "--r", "1", "--p", "1",
+                                  "--replicates", "2"],
         }[command]
         out = tmp_path / "out"
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error" if command != "replicate-scoring" else "ignore")
             assert main(argv + ["--out", str(out)]) == 2
-        assert "error: all 2 fits failed; the first: " in capsys.readouterr().err
+        first = ("replicate 0: correlation needs at least 3 units"
+                 if command == "replicate-scoring" else "")
+        assert f"error: all 2 fits failed; the first: {first}" in capsys.readouterr().err
+        assert len(list(out.iterdir())) == 2
         text = (out / "summary.json").read_text()
         summary = json.loads(text, parse_constant=reject)
         assert "null" in text and (summary["failures"] if command == "resample"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,13 @@ class TestValidation:
         y[0, 0] = np.nan
         with pytest.raises(DataError, match="non-finite"):
             Dataset(z=(y, np.zeros((3, 2))), t=(np.zeros((3, 1)), np.zeros((3, 1))))
+        # the first non-finite cell in reading order is named, 1-based
+        t1 = np.zeros((3, 2))
+        t1[2, 0], t1[1, 1] = np.inf, -np.inf
+        with pytest.raises(DataError, match=re.escape(
+                "block T1 contains non-finite entries; the first is -inf at unit row 2, "
+                "column 2")):
+            Dataset(z=(np.zeros((3, 2)),) * 2, t=(np.zeros((3, 1)), t1))
 
     def test_intercept_flag_enforced(self):
         z = (np.ones((3, 2)), np.ones((3, 2)))
