@@ -52,8 +52,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    config = _em_config(args)
     data, columns = load_dataset(args.data)
-    result = fit(data, data.dimensions(), _em_config(args))
+    result = fit(data, data.dimensions(), config)
     write_fit(result, args.out, columns=columns)
     status = "converged" if result.converged else "did not converge"
     print(f"{status} after {result.iterations} iterations; wrote {args.out}")
@@ -87,11 +88,10 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_resample(args) -> int:
+    config = _em_config(args)
     data, _ = load_dataset(args.data)
     sample_size = data.n // 2 if args.sample_size is None else args.sample_size
-    summary = kfold_resample(
-        data, _em_config(args), k=args.k, sample_size=sample_size, seed=args.seed,
-    )
+    summary = kfold_resample(data, config, k=args.k, sample_size=sample_size, seed=args.seed)
     write_resample(summary, args.out)
     _some_fit_succeeded(summary.failures, summary.k)
     print(f"parameter estimate correlation median: {summary.medians()['param_corr']:.4f}")

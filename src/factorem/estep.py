@@ -88,10 +88,6 @@ class ConditionalLaw:
     m: np.ndarray
     sigma: np.ndarray
 
-    def second_moment_sum(self) -> np.ndarray:
-        """(p+1, p+1) sum over units of E[h_i h_i' | z_i] = n Sigma + M'M."""
-        return self.m.shape[0] * self.sigma + self.m.T @ self.m
-
 
 @dataclass
 class EStepSummary:
@@ -112,13 +108,13 @@ class LogLik:
     per_unit: np.ndarray
 
 
-def positive_variances(sigma2, needed_for: str) -> np.ndarray:
+def positive_variances(sigma2) -> np.ndarray:
     """The noise variances ``sigma2`` (Y first) as an array; DataError
     naming them all if one is not strictly positive."""
     variances = np.array(sigma2, dtype=float)
     if variances.min() <= 0:
         raise DataError(
-            f"{needed_for} needs strictly positive noise variances, got "
+            "conditional law needs strictly positive noise variances, got "
             f"sigma2_y={variances[0]}, sigma2_m={tuple(variances[1:].tolist())}"
         )
     return variances
@@ -149,7 +145,7 @@ def _posterior(c: np.ndarray, fisher: np.ndarray, variances: np.ndarray):
 def _checked_posterior(theta: Theta, data: Dataset):
     """(sigma2, 1 / sigma2, ``_posterior``'s three) at ``theta``, once it is
     checked against ``data``; raises as ``conditional_law`` does."""
-    variances = positive_variances(theta.sigma2, "conditional law")
+    variances = positive_variances(theta.sigma2)
     check_theta_shapes(theta, [(t.shape[1], z.shape[1]) for z, t in zip(data.z, data.t)],
                        "the data")
     inv_var = 1.0 / variances
@@ -195,7 +191,7 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     z_block = projection.block[:nz]
     variances = x[-k:]
     if np.minimum.reduce(variances) <= 0:
-        positive_variances(variances, "conditional law")
+        positive_variances(variances)
     inv_var = 1.0 / variances
     e, mean_r, _, r_sq = residual_sq(x, projection)
     loading = x[nd:nd + nz]

@@ -6,8 +6,7 @@ block width, and a re-sampling stability check comparing subsample fits
 against the full-data fit. Each study checks its inputs, every cell's
 design included, before its first simulation or fit, and holds one row
 per fit: a fit or a scoring that raises a FactorEMError leaves a row of
-NaN metrics and its message in ``failures``, and the study goes on. Only
-the resampling's full-data fit, the reference of every row, stops it.
+NaN metrics and its message in ``failures``, and the study goes on.
 """
 
 import warnings
@@ -234,13 +233,18 @@ def kfold_resample(
     Parameters are compared coordinate-wise on the canonical vector
     (after sign canonicalization on both sides); factor scores are
     compared only on the units present in the subsample. ``seed`` draws
-    the subsamples and must be >= 0.
+    the subsamples and must be >= 0. A failed full-data fit leaves every
+    row NaN, with its message in ``failures``, and no subsample is fitted.
     """
     dims, k, seed = data.dimensions(), as_count(k, "k", 2), as_count(seed, "seed", 0)
     sample_size = as_count(sample_size, "sample_size")
     if not 2 <= sample_size <= dims.n:
         raise DataError(f"sample_size must be in [2, {dims.n}], got {sample_size}")
-    full = fit(data, dims, em)
+    try:
+        full = fit(data, dims, em)
+    except FactorEMError as exc:
+        failures = [f"sample {s}: full-data fit failed: {exc}" for s in range(k)]
+        return ResampleSummary(sample_size, *np.full((4, k), np.nan), failures=failures)
     full_params = flatten_theta(full.theta)
     full_scores = full.moments.m
 

@@ -255,13 +255,6 @@ def _read_fast(path: Path) -> tuple[list[str], np.ndarray] | None:
     return header, np.concatenate(arrays).reshape(-1, len(header))
 
 
-def _read_blocks(blocks: list[tuple[Path, bool]]) -> list[tuple[list[str], np.ndarray]]:
-    """Header and values of each (path, categorical) block: ``_read_fast``'s,
-    or else ``_read_strict``'s, which are the same array or name the first
-    bad cell."""
-    return [_read_fast(path) or _read_strict(path, categorical) for path, categorical in blocks]
-
-
 def _read_strict(path: Path, categorical: bool) -> tuple[list[str], np.ndarray]:
     """Header and values of one block by the strict csv reader.
 
@@ -327,8 +320,9 @@ def load_dataset(path) -> tuple[Dataset, dict]:
         if not block.is_file():
             raise DataError(f"declared block file {block} does not exist")
 
-    columns, blocks = zip(*_read_blocks([(path.parent / name, i >= len(z_names))
-                                         for i, name in enumerate(z_names + t_names)]))
+    files = [(path.parent / name, i >= len(z_names)) for i, name in enumerate(z_names + t_names)]
+    columns, blocks = zip(*[_read_fast(block) or _read_strict(block, categorical)
+                            for block, categorical in files])
     z, t = blocks[:len(z_names)], blocks[len(z_names):]
     rows = {name: block.shape[0] for name, block in zip(z_names + t_names, blocks)}
     if len(set(rows.values())) > 1:

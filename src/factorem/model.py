@@ -18,7 +18,7 @@ vector (``flatten_theta``) is the fields of ``Theta`` in order:
     D (row-major), D^1..D^p (row-major), b, a^1..a^p, c, sigma2_y,
     sigma2_m[0..p-1]
 
-``_layout`` declares it once, ``flatten_parts``/``unflatten_theta`` pack
+``_layout`` declares it once, ``flatten_theta``/``unflatten_theta`` pack
 and split it, and the fit's E- and M-steps read it in place through the
 maps of ``mstep.Projection``; it is the ordering used by the EM loop
 and its stopping rule, serialized parameter tables, and every cross-fit
@@ -43,7 +43,6 @@ __all__ = [
     "Dataset",
     "Theta",
     "block_label",
-    "count_parameters",
     "flatten_theta",
     "unflatten_theta",
     "theta_names",
@@ -287,25 +286,10 @@ def _layout(q: tuple[int, ...], r: tuple[int, ...]) -> tuple[tuple[str, tuple, s
     return tuple((*part, slice(lo, hi)) for part, lo, hi in zip(parts, edges, edges[1:]))
 
 
-def count_parameters(dims: Dimensions) -> int:
-    """Number of scalar parameters K: covariate coefficients, loadings,
-    structural coefficients and one noise variance per block."""
-    return _layout(dims.q, dims.r)[-1][2].stop
-
-
-def flatten_parts(coef, loading, c, sigma2) -> np.ndarray:
-    """Concatenate parameter-shaped components in the canonical order.
-
-    Shared by ``flatten_theta`` and the tests' per-block gradients; the
-    fit's K-vectors are concatenated in this order from stacked blocks.
-    """
-    parts = [*coef, *loading, c, sigma2]
-    return np.concatenate([np.asarray(part, dtype=float).ravel() for part in parts])
-
-
 def flatten_theta(theta: Theta) -> np.ndarray:
     """Canonical K-vector of all scalar parameters (ordering in module doc)."""
-    return flatten_parts(theta.coef, theta.loading, theta.c, theta.sigma2)
+    parts = [*theta.coef, *theta.loading, theta.c, theta.sigma2]
+    return np.concatenate([np.asarray(part, dtype=float).ravel() for part in parts])
 
 
 def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:

@@ -73,17 +73,18 @@ from factorem.errors import (
 )
 from factorem.estep import (
     LOG_2PI, GRAM_LIMIT, ConditionalLaw, EStepSummary, _posterior, conditional_law,
-    gram_summary, observed_loglik, positive_variances,
+    gram_summary, observed_loglik,
 )
 from factorem.model import (
-    Theta, block_label, check_dimensions, flatten_parts, flatten_theta, theta_names,
-    unflatten_theta,
+    Theta, block_label, check_dimensions, flatten_theta, theta_names, unflatten_theta,
 )
 from factorem import mstep
 from factorem.mstep import (
     VARIANCE_FLOOR, Projection, _gram_solve, expected_score, floored, project_covariates,
 )
-from likelihood_oracle import block_residuals, expected_sq_residual
+from likelihood_oracle import (
+    block_residuals, expected_sq_residual, flatten_parts, positive_variances, second_moment_sum,
+)
 
 
 def variance_floor(data) -> np.ndarray:
@@ -106,7 +107,7 @@ def summary_from_law(law, projection, theta=None) -> EStepSummary:
     centered = law.m - law.m.mean(axis=0)      # W~_c'M = W~'(M - 1 mean(M)')
     wm = np.vstack([resid.T @ centered, t.T @ centered, law.m.sum(axis=0)])
     loglik = np.nan if theta is None else observed_loglik(theta, projection.data).value
-    return EStepSummary(s=law.second_moment_sum(), wm=wm, loglik=loglik)
+    return EStepSummary(s=second_moment_sum(law), wm=wm, loglik=loglik)
 
 
 @dataclass
@@ -271,7 +272,7 @@ def sufficient_stats(data, law) -> SufficientStats:
         mean_xmtm=tuple(xm.T @ tm / n for xm, tm in zip(data.z[1:], data.t[1:])),
         mean_fmtm=tuple(tm.T @ h[:, m] / n for m, tm in enumerate(data.t[1:], start=1)),
         mean_fmxm=tuple(xm.T @ h[:, m] / n for m, xm in enumerate(data.z[1:], start=1)),
-        mean_hh=law.second_moment_sum() / n,
+        mean_hh=second_moment_sum(law) / n,
     )
 
 
@@ -681,7 +682,7 @@ def eigh_first_component(resid_gram, n, name):
 
 def npass_update(projection, law) -> Theta:
     """``update_theta`` from the n-row scores of ``law``."""
-    s = law.second_moment_sum()
+    s = second_moment_sum(law)
     c = np.linalg.solve(s[1:, 1:], s[1:, 0])
     loadings, coefs, variances = [], [], []
     for k, block in enumerate(projection):

@@ -19,8 +19,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from factorem.errors import DataError
-from factorem.estep import LOG_2PI, LogLik, positive_variances
-from factorem.model import Dataset, Theta, check_theta_shapes, flatten_parts
+from factorem.estep import LOG_2PI, LogLik
+from factorem.model import Dataset, Dimensions, Theta, check_theta_shapes, theta_names
+
+
+def count_parameters(dims: Dimensions) -> int:
+    """Number of scalar parameters K: covariate coefficients, loadings,
+    structural coefficients and one noise variance per block."""
+    return len(theta_names(dims))
+
+
+def second_moment_sum(law) -> np.ndarray:
+    """(p+1, p+1) sum over units of E[h_i h_i' | z_i] = n Sigma + M'M."""
+    return law.m.shape[0] * law.sigma + law.m.T @ law.m
+
+
+def flatten_parts(coef, loading, c, sigma2) -> np.ndarray:
+    """Concatenate parameter-shaped components in the canonical order,
+    the order of ``flatten_theta``."""
+    parts = [*coef, *loading, c, sigma2]
+    return np.concatenate([np.asarray(part, dtype=float).ravel() for part in parts])
+
+
+def positive_variances(sigma2, needed_for: str) -> np.ndarray:
+    """The noise variances ``sigma2`` (Y first) as an array; DataError
+    naming ``needed_for`` and every variance if one is not strictly positive."""
+    variances = np.array(sigma2, dtype=float)
+    if variances.min() <= 0:
+        raise DataError(
+            f"{needed_for} needs strictly positive noise variances, got "
+            f"sigma2_y={variances[0]}, sigma2_m={tuple(variances[1:].tolist())}"
+        )
+    return variances
 
 
 def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
@@ -126,7 +156,7 @@ def expected_score(theta: Theta, law, data: Dataset) -> np.ndarray:
     every block: the n-row reference for ``mstep.expected_score``, which
     reads the same gradient off the fit's Gram. Raises as
     ``block_residuals`` does where ``theta`` disagrees with the data."""
-    s = law.second_moment_sum()
+    s = second_moment_sum(law)
     grads = []
     blocks = zip(data.t, block_residuals(theta, data), theta.loading, law.m.T, np.diag(s),
                  theta.sigma2)
@@ -150,7 +180,7 @@ def expected_complete_loglik(theta: Theta, data: Dataset, law) -> float:
     """
     positive_variances(theta.sigma2, "expected log-likelihood")
     dims = data.dimensions()
-    s = law.second_moment_sum()
+    s = second_moment_sum(law)
     total = 0.0
     blocks = zip(block_residuals(theta, data), theta.loading, law.m.T, np.diag(s),
                  theta.sigma2)

@@ -19,6 +19,7 @@ from dense_oracle import (
     build_joint_blocks, dense_conditioning, posterior_moments, residual_law,
     stacked_residuals, variance_floor,
 )
+from likelihood_oracle import second_moment_sum
 
 # frozen by the direct 3x3 inverse oracle below (det(S3) = 12)
 TOY_S3 = np.array([[4.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 2.0]])
@@ -304,10 +305,10 @@ class TestLawState:
         summed[0, 1:] = summed[1:, 0] = moments.cross_fg.sum(axis=1)
         summed[1:, 1:] = moments.cross_ff.sum(axis=2)
         np.testing.assert_allclose(
-            law.second_moment_sum(), summed, rtol=1e-12, atol=1e-12 * dims.n
+            second_moment_sum(law), summed, rtol=1e-12, atol=1e-12 * dims.n
         )
         np.testing.assert_allclose(
-            np.diag(law.second_moment_sum())[1:], moments.phi_tilde.sum(axis=1),
+            np.diag(second_moment_sum(law))[1:], moments.phi_tilde.sum(axis=1),
             rtol=1e-12,
         )
 

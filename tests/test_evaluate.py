@@ -286,6 +286,26 @@ class TestKfoldResample:
                        summary.factor_corr):
             assert np.isnan(metric).all()
 
+    def test_a_failed_full_data_fit_fills_every_row(self, monkeypatch):
+        # two units cannot carry two covariates: with no reference fit there is
+        # nothing to compare a subsample with, so none is fitted
+        data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=2, q=3), seed=7))
+        fits, real_fit = [], evaluate.fit
+
+        def counted_fit(*args):
+            fits.append(args)
+            return real_fit(*args)
+        monkeypatch.setattr(evaluate, "fit", counted_fit)
+        summary = kfold_resample(data, EMConfig(), k=3, sample_size=2)
+        assert len(fits) == 1
+        assert summary.k == 3 and summary.sample_size == 2
+        assert summary.failures == [
+            f"sample {s}: full-data fit failed: covariate projection needs more units "
+            "than covariates, got n=2" for s in range(3)]
+        for metric in (summary.param_mse, summary.param_corr, summary.factor_mse,
+                       summary.factor_corr):
+            assert metric.shape == (3,) and np.isnan(metric).all()
+
     def test_validation(self, monkeypatch):
         dims = reference_dims(n=20, q=3)
         data, _, _ = simulate_dataset(SimConfig(dims=dims, seed=7))

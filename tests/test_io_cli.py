@@ -149,8 +149,7 @@ def strict_numeric(path):
 
 def read_block(path, categorical):
     """Header and values of one block as ``load_dataset`` reads it."""
-    [(header, values)] = io_module._read_blocks([(path, categorical)])
-    return header, values
+    return io_module._read_fast(path) or io_module._read_strict(path, categorical)
 
 
 @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
@@ -660,9 +659,7 @@ class TestWriteFit:
         result = canonicalize(fit(data, dims, config))
         write_fit(result, tmp_path)
 
-        from factorem.model import count_parameters
-
-        k = count_parameters(dims)
+        k = len(theta_names(dims))
         parameters = (tmp_path / "parameters.csv").read_text().splitlines()
         assert len(parameters) == 1 + k
         factors = (tmp_path / "factors.csv").read_text().splitlines()
@@ -946,17 +943,20 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["replicate", "sensitivity", "resample",
-                                         "replicate-scoring"])
+                                         "replicate-scoring", "resample-full"])
     def test_study_whose_every_fit_fails_writes_strict_json_and_exits_two(
         self, tmp_path, capsys, command
     ):
         # n = 2 units cannot carry r = 2 covariates: every fit fails; with r = 1
-        # the fits succeed and their scoring fails (a correlation needs 3 units)
+        # the fits succeed and their scoring fails (a correlation needs 3 units);
+        # a two-unit dataset fails resample's full-data fit, every row's reference
         def reject(token):
             raise ValueError(f"summary.json holds the non-JSON token {token}")
 
         data_dir = tmp_path / "data"
+        tiny_dir = tmp_path / "tiny"
         main(["simulate", "--n", "20", "--q", "3", "--seed", "0", "--out", str(data_dir)])
+        main(["simulate", "--n", "2", "--q", "3", "--r", "2", "--out", str(tiny_dir)])
         argv = {
             "replicate": ["replicate", "--n", "2", "--q", "3", "--replicates", "2"],
             "sensitivity": ["sensitivity", "--n", "2", "--q", "3", "--n-values", "2",
@@ -965,18 +965,21 @@ class TestCli:
                          "--sample-size", "2"],
             "replicate-scoring": ["replicate", "--n", "2", "--q", "2", "--r", "1", "--p", "1",
                                   "--replicates", "2"],
+            "resample-full": ["resample", "--data", str(tiny_dir), "--k", "2",
+                              "--sample-size", "2"],
         }[command]
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error" if command != "replicate-scoring" else "ignore")
             assert main(argv + ["--out", str(out)]) == 2
-        first = ("replicate 0: correlation needs at least 3 units"
-                 if command == "replicate-scoring" else "")
+        first = {"replicate-scoring": "replicate 0: correlation needs at least 3 units",
+                 "resample-full": "sample 0: full-data fit failed: covariate projection "
+                                  "needs more units than covariates"}.get(command, "")
         assert f"error: all 2 fits failed; the first: {first}" in capsys.readouterr().err
         assert len(list(out.iterdir())) == 2
         text = (out / "summary.json").read_text()
         summary = json.loads(text, parse_constant=reject)
-        assert "null" in text and (summary["failures"] if command == "resample"
+        assert "null" in text and (summary["failures"] if command.startswith("resample")
                                    else summary[0]["failures"])
 
     @pytest.mark.parametrize("argv, code", [
@@ -997,6 +1000,18 @@ class TestCli:
         assert failed["deviation_quartiles"] == failed["sq_corr_quartiles"] == [None] * 3
         bands = [*failed["c_estimates"], failed["sigma2_y_estimate"]]
         assert all(band == dict.fromkeys(("mean", "lo95", "hi95")) for band in bands)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        (["resample", "--epsilon", "0"], "epsilon must be positive and finite, got 0.0"),
+    ], ids=["fit", "resample"])
+    def test_the_config_is_checked_before_the_data_is_read(
+        self, tmp_path, capsys, argv, message
+    ):
+        missing = tmp_path / "missing"
+        assert main([*argv, "--data", str(missing), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_resample_sample_size_zero_exits_two(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -1,4 +1,5 @@
-"""The top-level API is what the README and the benchmark use.
+"""The top-level API is what the README and the benchmark use, and the
+package holds only what they or the package itself call.
 
 perfbench/run.py and the README's code blocks reach the package as
 ``fm.<name>``. Each such name must be in ``factorem.__all__``, so a trim
@@ -37,11 +38,18 @@ def fm_names(source: str) -> set[str]:
     }
 
 
-def test_readme_and_benchmark_use_only_top_level_names():
+def readme_blocks() -> list[str]:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    used = set().union(*(fm_names(block) for block in
-                         re.findall(r"```python\n(.*?)```", readme, re.S)))
-    used |= fm_names((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
+def benchmark_source() -> str:
+    return (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+
+
+def test_readme_and_benchmark_use_only_top_level_names():
+    used = set().union(*(fm_names(block) for block in readme_blocks()))
+    used |= fm_names(benchmark_source())
     assert {"fit", "observed_loglik", "simulate_dataset", "Dataset"} <= used
     assert used <= set(factorem.__all__), sorted(used - set(factorem.__all__))
 
@@ -76,3 +84,24 @@ def test_io_only_writes():
             reached.update((getattr(node, "module", None) or "").split("."))
             reached.update(part for alias in node.names for part in alias.name.split("."))
     assert not reached & {"estep", "mstep"}, sorted(reached & {"estep", "mstep"})
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    # a function, class or method is referenced by a Name or an Attribute node
+    # of the package, the benchmark or a README snippet; a string in
+    # ``__all__`` is no reference, and a name only the tests use belongs in them
+    package = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "factorem").glob("*.py"))]
+    defined = {
+        node.name for source in package for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for source in [*package, benchmark_source(), *readme_blocks()]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert {"fit", "flatten_theta", "Projection"} <= defined
+    assert not defined - referenced, sorted(defined - referenced)
