@@ -26,9 +26,13 @@ The start and the loop are the canonical parameter vector x
 the loop's only E-step state; a ``Theta`` is built only at the estimate
 and for the exact loglik of an E-step past the Gram form's limit. One
 EM-map evaluation (``em_step``) is the M-step from the summed law
-(``mstep.update_theta``) followed by the Gram-form E-step at the updated
-x (``estep.gram_summary``), whose summed observed log-likelihood fills
-that evaluation's trace row; both are vectorized over the blocks.
+(``mstep.update_theta``), its PX-EM reduction (Liu, Rubin & Wu, 1998),
+then the Gram-form E-step at the reduced x (``estep.gram_summary``),
+whose summed observed log-likelihood fills that evaluation's trace row.
+With var(zeta) free, the M-step also gives var(zeta) = v =
+(s00 - c's[1:,0]) / n, as S11 c = s[1:,0]; b <- b sqrt(v), c <- c / sqrt(v)
+map back to v = 1, one step along the joint scale of (b, c), which EM
+crawls along. v is not a setting, and it is 1 at EM's fixed points.
 
 The map is accelerated by SqS3 (Varadhan & Roland, 2008, "Simple and
 globally convergent methods for accelerating the convergence of any EM
@@ -47,8 +51,8 @@ The stopping statistic is read on every map step, as the sum over the
 canonical parameter vector of |F(x) - x| / max(|F(x)|, floor); iteration
 ends at the first step where it drops below epsilon, or when max_iter
 map evaluations are spent (non-convergence is flagged, not raised).
-Epsilon therefore means what it means for plain EM, and a fit that
-plain EM finishes within two map steps is the plain EM fit.
+Epsilon therefore means what it means for unaccelerated PX-EM, and a fit
+that it finishes within two map steps is the plain PX-EM fit.
 """
 
 import numbers
@@ -225,17 +229,25 @@ def initialize(projection: Projection) -> np.ndarray:
 
 def em_step(summary: EStepSummary, projection: Projection) -> tuple[np.ndarray, EStepSummary]:
     """One closed-form M-step from the summed law at the current
-    parameters, then the Gram-form E-step at the updated canonical
-    vector, which is returned with it.
+    parameters, its PX reduction, then the Gram-form E-step at the
+    reduced canonical vector, which is returned with it.
 
     Raises NonFiniteParameterError naming the first non-finite coordinate
-    of the update, before the E-step can turn it into another error.
+    of the update, or var(zeta) when its update is not positive, before
+    the E-step can turn it into another error.
     """
     x = update_theta(projection, summary)
     if np.count_nonzero(np.isfinite(x)) < x.size:
         k = int(np.flatnonzero(~np.isfinite(x))[0])
         raise NonFiniteParameterError(
             f"M-step produced {theta_names(projection.data.dimensions())[k]} = {x[k]}")
+    nd, nz, k = projection.coef_at_d.size, projection.spread.size, projection.widths.size
+    b, c = x[nd:nd + projection.widths[0]], x[nd + nz:-k]      # views into x
+    v = float(summary.s[0, 0] - c @ summary.s[1:, 0]) / projection.data.n
+    if not v > 0:       # c / sqrt(v) would not be finite
+        raise NonFiniteParameterError(f"M-step produced var(zeta) = {v}")
+    b *= np.sqrt(v)
+    c /= np.sqrt(v)
     return x, gram_summary(x, projection)
 
 

@@ -34,6 +34,9 @@ E- and M-steps (``loop_gram_estep``, ``loop_update_theta``) that loop
 over the blocks in Python, reading each block's B_k and (T_k'T_k)^-1 off
 the projection's block-diagonal copies (``block_projection``) and each
 block's residual as r_k = Z~_k - T_k E_k, E_k = D_k - B_k.
+``px_reduced`` is the map's PX-EM reduction on a ``Theta``, which
+``loop_em_step``, ``plain_fit`` and ``npass_em_step`` make after their
+M-step.
 ``plain_fit`` is the unaccelerated EM loop, one map step after another
 from the package's start, on those per-block steps by default. The
 package's ``fit`` and its block-vectorized steps are tested against
@@ -59,7 +62,7 @@ layout cache and its direct ``dgelsd`` start are tested against them.
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -456,6 +459,19 @@ def loop_update_theta(projection, summary) -> Theta:
     return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
 
 
+def px_reduced(theta, s, n) -> Theta:
+    """The M-step's ``theta``, from the second-moment sum ``s`` of n units,
+    mapped back from the model expanded by a free var(zeta) = v: the
+    expanded M-step's v is the structural residual's mean square,
+    (s00 - c's[1:,0]) / n since S11 c = s[1:,0], and v = 1 again takes
+    b sqrt(v) and c / sqrt(v)."""
+    v = float(s[0, 0] - theta.c @ s[1:, 0]) / n
+    if not v > 0:
+        raise NonFiniteParameterError(f"M-step produced var(zeta) = {v}")
+    return replace(theta, loading=(theta.loading[0] * np.sqrt(v), *theta.loading[1:]),
+                   c=theta.c / np.sqrt(v))
+
+
 def loop_em_step(summary, data, projection):
     theta_new = loop_update_theta(projection, summary)
     values = flatten_theta(theta_new)
@@ -463,6 +479,7 @@ def loop_em_step(summary, data, projection):
         k = int(np.flatnonzero(~np.isfinite(values))[0])
         name = theta_names(data.dimensions())[k]
         raise NonFiniteParameterError(f"M-step produced {name} = {values[k]}")
+    theta_new = px_reduced(theta_new, summary.s, data.n)
     return theta_new, loop_gram_estep(theta_new, projection, data)
 
 
@@ -552,19 +569,20 @@ def package_update_theta(projection, summary) -> Theta:
 
 def plain_fit(data, dims, config, gram_estep=loop_gram_estep,
               update_theta=loop_update_theta) -> FitResult:
-    """EM without extrapolation: map steps (``update_theta``, then
-    ``gram_estep``) until the relative change of one drops below epsilon
-    or max_iter steps are spent. The default steps are the per-block
-    loops, which share no arithmetic with the package's kernels; passing
-    ``package_gram_estep`` and ``package_update_theta`` makes it the
-    package's own map, step for step. The result is returned canonical."""
+    """EM without extrapolation: map steps (``update_theta``, its
+    ``px_reduced`` reduction, then ``gram_estep``) until the relative
+    change of one drops below epsilon or max_iter steps are spent. The
+    default steps are the per-block loops, which share no arithmetic with
+    the package's kernels; passing ``package_gram_estep`` and
+    ``package_update_theta`` makes it the package's own map, step for
+    step. The result is returned canonical."""
     projection = project_covariates(data)
     theta = unflatten_theta(initialize(projection), dims)
     summary = gram_estep(theta, projection, data)
     trace = []
     converged = False
     for _ in range(config.max_iter):
-        theta_new = update_theta(projection, summary)
+        theta_new = px_reduced(update_theta(projection, summary), summary.s, data.n)
         summary = gram_estep(theta_new, projection, data)
         change = loop_relative_change(theta, theta_new)
         trace.append((change, summary.loglik))
@@ -703,8 +721,8 @@ def npass_update(projection, law) -> Theta:
 
 def npass_em_step(law, data, projection):
     """One map evaluation by passes over the data: the update from the
-    n-row law, then the exact law at the update."""
-    theta = npass_update(projection, law)
+    n-row law, its ``px_reduced`` reduction, then the exact law there."""
+    theta = px_reduced(npass_update(projection, law), second_moment_sum(law), data.n)
     return theta, conditional_law(theta, data)
 
 

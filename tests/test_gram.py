@@ -4,6 +4,7 @@ of the centered data) against the n-pass routes it replaced
 block-vectorized steps on the canonical vector against the per-block
 loops they replaced (``dense_oracle.loop_*``)."""
 
+import copy
 import dataclasses
 import importlib
 import pkgutil
@@ -241,13 +242,13 @@ def counting(monkeypatch, targets):
 
 
 def test_one_pass_over_the_data_per_fit(monkeypatch):
-    # a narrow fit of more than 20 map evaluations builds G once, solves
-    # each covariate Gram once, and conditions every unit once, at the
-    # returned theta
+    # a narrow fit of more than 20 map evaluations (68; the PX-EM map ends
+    # (400, 5) at eps 1e-3 in 10) builds G once, solves each covariate Gram
+    # once, and conditions every unit once, at the returned theta
     calls = counting(monkeypatch, ((em, "conditional_law"), (estep, "observed_loglik"),
                                    (em, "project_covariates"), (mstep, "_gram_solve")))
-    data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=400, q=5), seed=1))
-    result = fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
+    data, _, _ = simulate_dataset(SimConfig(dims=reference_dims(n=100, q=5), seed=1))
+    result = fit(data, reference_dims(n=100, q=5), EMConfig(epsilon=1e-10))
     assert result.iterations > 20
     assert sorted(calls) == sorted(["project_covariates", "T", "T1", "T2", "conditional_law"])
 
@@ -428,8 +429,10 @@ def test_every_step_of_a_fit_matches_the_per_block_loops(monkeypatch):
 
     def recording(name):
         def wrapper(*args):
-            steps.append((name, args, original(*args)))
-            return steps[-1][2]
+            out = original(*args)
+            # em_step reduces update_theta's output in place: keep it as returned
+            steps.append((name, args, copy.copy(out)))
+            return out
 
         original = getattr(em, name)
         monkeypatch.setattr(em, name, wrapper)
