@@ -13,7 +13,7 @@ Initialization takes the first principal component of each block's
 centered covariate residuals as a starting factor (its first variable
 loading nonnegatively): LAPACK ``dsyevr`` computes only the top eigenpair
 (lambda, e) of their q x q Gram, a diagonal block of G, and the start
-variance is (trace - lambda) / (n q), with rounding at most 9e-13
+variance is (trace - lambda) / (n (q - 1)), with rounding at most 9e-13
 relative at n 400, q 40. Loadings and, by least squares on the scores,
 structural coefficients follow; each centered score is W~_c v_k, so the
 scores' Grams are v'Gv. Two corrections follow, along directions in which
@@ -163,8 +163,8 @@ def _first_component(gram: np.ndarray, n: int, name: str) -> tuple[np.ndarray, f
     if info:
         raise FactorEMError(f"the top eigenpair of {name}'s residual Gram failed (info {info})")
     e = vec[:, 0] if vec[0, 0] >= 0 else -vec[:, 0]
-    # the residual left by the PC: the other eigenvalues' sum, exactly 0 for q = 1
-    return e, np.sqrt(top[0] / n), (gram.trace() - top[0]) / (n * q)
+    # the mean of the other eigenvalues, the one-factor ML noise variance; 0 for q = 1
+    return e, np.sqrt(top[0] / n), (gram.trace() - top[0]) / (n * max(q - 1, 1))
 
 
 def initialize(projection: Projection) -> np.ndarray:

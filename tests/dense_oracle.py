@@ -662,7 +662,9 @@ def npass_initialize(projection) -> Theta:
         loading = resid.T @ scores / (scores @ scores)
         if loading[0] < 0:
             loading, scores = -loading, -scores
-        sigma2 = float(np.mean((resid - np.outer(scores, loading)) ** 2))
+        # the residual sum of squares over n (q - 1): the other eigenvalues' mean
+        n, q = resid.shape
+        sigma2 = float(np.sum((resid - np.outer(scores, loading)) ** 2)) / (n * max(q - 1, 1))
         return block.coef, loading, scores, sigma2
 
     starts = [block_start(b, block_label("Z", k)) for k, b in enumerate(projection)]
@@ -692,10 +694,10 @@ def npass_initialize(projection) -> Theta:
 def eigh_first_component(resid_gram, n, name):
     """``em._first_component`` from the full spectrum (``np.linalg.eigh``),
     as the start read before it asked for the top eigenpair only: the
-    start variance is the sum of the other eigenvalues over n q."""
+    start variance is the sum of the other eigenvalues over n (q - 1)."""
     eigval, eigvec = np.linalg.eigh(resid_gram)
     e = eigvec[:, -1] if eigvec[0, -1] >= 0 else -eigvec[:, -1]
-    return e, np.sqrt(eigval[-1] / n), eigval[:-1].sum() / (n * e.size)
+    return e, np.sqrt(eigval[-1] / n), eigval[:-1].sum() / (n * max(e.size - 1, 1))
 
 
 def npass_update(projection, law) -> Theta:

@@ -81,6 +81,17 @@ class TestInitialize:
             assert abs(np.corrcoef(scores, reference)[0, 1]) >= 1 - 1e-10
             np.testing.assert_allclose(scores.std(), 1.0, rtol=1e-12)
 
+    def test_start_variance_is_the_one_factor_ml_variance(self):
+        # With one factor and isotropic noise, the ML noise variance is the
+        # mean of the other q - 1 eigenvalues of the Gram over n (probabilistic
+        # PCA, Tipping & Bishop 1999); over n q it reads (q - 1) / q too low.
+        # Every reference block has true variance 1: measured 0.973-1.026,
+        # against 0.778-0.821 over n q.
+        for seed in (1, 2, 3):
+            data, _, _ = reference_instance(seed=seed, n=5000, q=5)
+            sigma2 = initialize(project_covariates(data))[-3:]
+            np.testing.assert_allclose(sigma2, 1.0, rtol=0.05, err_msg=f"seed {seed}")
+
     @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
     def test_first_loading_nonnegative(self):
         for seed in range(5):
@@ -97,8 +108,8 @@ class TestInitialize:
 
     def test_the_covariate_reclaim_is_a_slow_direction_not_a_flat_one(self, monkeypatch):
         # a start with D = B, the reclaim skipped, reaches the same estimate
-        # at a tight epsilon (measured within 4.0e-9 per coordinate); at
-        # epsilon 1e-2 the two starts stop 0.01-0.04 nats apart here, and
+        # at a tight epsilon (measured within 8.4e-10 per coordinate); at
+        # epsilon 1e-2 the two starts stop 0.03 nats apart here, and
         # 3.4-5.4 nats apart at (400, 40) (seeds 1 and 2)
         import factorem.em
 
@@ -114,7 +125,7 @@ class TestInitialize:
         monkeypatch.setattr(factorem.em, "initialize", unreclaimed)
         result = fit(data, data.dimensions(), config)
         assert reclaimed.converged and result.converged
-        assert result.iterations > reclaimed.iterations     # 69 against 34
+        assert result.iterations > reclaimed.iterations     # 41 against 36
         np.testing.assert_allclose(flatten_theta(result.theta), flatten_theta(reclaimed.theta),
                                    rtol=1e-7, atol=0)
 
@@ -399,10 +410,10 @@ class TestFit:
 
         solve = mstep._gram_solve
         monkeypatch.setattr(mstep, "_gram_solve", counting)
-        data, _, _ = reference_instance(seed=1, n=100, q=5)
+        data, _, _ = reference_instance(seed=2, n=60, q=5)
         # the accelerated PX-EM fit needs a tight epsilon and a small n to make
-        # 50 M-steps here (68; 40 at n 400)
-        result = fit(data, reference_dims(n=100, q=5), EMConfig(epsilon=1e-10))
+        # 50 M-steps here (64; 46 at the seed-1 (100, 5) design)
+        result = fit(data, reference_dims(n=60, q=5), EMConfig(epsilon=1e-10))
         assert result.iterations > 50
         assert calls == ["T", "T1", "T2"]
 
@@ -599,8 +610,9 @@ class TestEvaluationCounts:
         # (400, 40) at eps 1e-8, seeds 1-20: plain EM crawls along the joint
         # scale of (b, c) at a rate of about 0.99996, and without the PX-EM
         # reduction every fit spends the cap (20,000 evaluations); with it 18
-        # converge, in 4,656 evaluations in all. Seeds 9 and 19 still spend the
-        # cap: the fits of ROADMAP.md item 3, whose SqS3 points rounding breaks
+        # converge, in 4,422 evaluations in all (4,656 from the start variance
+        # over n q). Seeds 9 and 19 still spend the cap: the fits of
+        # ROADMAP.md item 3, whose SqS3 points rounding breaks
         converged = evaluations = 0
         for seed in range(1, 21):
             data, _, _ = reference_instance(seed=seed)
@@ -613,14 +625,15 @@ class TestEvaluationCounts:
     def test_the_narrow_tight_pass_stays_short(self):
         # the benchmark's narrow-tight design, (400, 5) at eps 1e-3, on the 40
         # dataset seeds its pass draws from seed 1: 645 evaluations without the
-        # reduction, 424 with it
+        # PX reduction, 424 with it from a start variance over n q, 355 over
+        # n (q - 1)
         dims, config = reference_dims(n=400, q=5), EMConfig(epsilon=1e-3, max_iter=5000)
         evaluations = 0
         for seed in np.random.SeedSequence(1).generate_state(40).tolist():
             result = fit(simulate_dataset(SimConfig(dims=dims, seed=seed))[0], dims, config)
             assert result.converged
             evaluations += result.iterations
-        assert evaluations <= 480
+        assert evaluations <= 380
 
 
 @pytest.mark.parametrize("p", [1, 3])

@@ -196,11 +196,14 @@ def test_a_single_variable_block_starts_at_the_variance_floor():
 @pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
 def test_the_top_eigenpair_start_matches_the_full_spectrum_start(monkeypatch):
     # The start asks for the top eigenpair (lambda, e) only and takes the
-    # start variance as (trace - lambda) / (n q); the full-spectrum start
-    # sums the other eigenvalues. Each of those and the trace carry about
-    # eps lambda of rounding, so the variances agree within
-    # 4 (q + 1) eps lambda / (n q) (measured worst 2.4 eps lambda / n, at
-    # q 4). A one-column block gives exactly 0 before the floor.
+    # start variance as (trace - lambda) / (n (q - 1)); the full-spectrum
+    # start sums the other eigenvalues. Each of those and the trace carry
+    # about eps lambda of rounding, so the two numerators differ by at most
+    # (q + 1) eps lambda, and over the same denominator the variances agree
+    # within 4 (q + 1) eps lambda / (n (q - 1)), the two divisions' own
+    # roundings (each at most eps lambda / 2n) inside the factor 4 (measured
+    # worst 5.7 eps lambda / (n (q - 1)), at q 3). A one-column block gives
+    # exactly 0 before the floor, over n.
     large = simulate_dataset(SimConfig(dims=reference_dims(n=5000, q=100), seed=1))[0]
     single = 0
     for label, data in [(label, data) for label, data, _ in instances()] + [("large", large)]:
@@ -212,7 +215,7 @@ def test_the_top_eigenpair_start_matches_the_full_spectrum_start(monkeypatch):
             e_full, std_full, sigma2_full = dense_oracle.eigh_first_component(resid_gram, n, "Z")
             np.testing.assert_allclose(e, e_full, rtol=0, atol=1e-12, err_msg=label)
             assert std == pytest.approx(std_full, rel=1e-12, abs=0), label
-            bound = 4 * (q + 1) * np.finfo(float).eps * std_full**2 / q
+            bound = 4 * (q + 1) * np.finfo(float).eps * std_full**2 / max(q - 1, 1)
             assert abs(sigma2 - sigma2_full) <= bound, (label, k)
             if q == 1:
                 single += 1
