@@ -22,20 +22,14 @@ from .model import Dimensions
 from .simulate import SimConfig, simulate_dataset
 
 
-def _square_dimensions(args) -> Dimensions:
-    return Dimensions(
-        n=args.n, p=args.p, q_y=args.q, q_m=(args.q,) * args.p,
-        r_t=args.r, r_m=(args.r,) * args.p,
-    )
-
-
 def _em_config(args) -> EMConfig:
     return EMConfig(epsilon=args.epsilon, max_iter=args.max_iter)
 
 
 def _sim_config(args) -> SimConfig:
-    return SimConfig(dims=_square_dimensions(args), seed=args.seed,
-                     intercept=args.intercept)
+    dims = Dimensions(n=args.n, p=args.p, q_y=args.q, q_m=(args.q,) * args.p,
+                      r_t=args.r, r_m=(args.r,) * args.p)
+    return SimConfig(dims=dims, seed=args.seed, intercept=args.intercept)
 
 
 def _some_fit_succeeded(failures: list[str], fits: int) -> None:

@@ -6,8 +6,9 @@ covariates out of the centered data and builds the stacked Gram G of the
 residuals and the covariates (``mstep.Projection``, the fit's one per-fit
 object, which the result keeps; its index maps are built once per layout),
 and ``conditional_law`` gives the reported law at the estimate from one
-product per block. Everything else, the result's ``account`` included, is
-algebra on blocks of G.
+product per block. Everything else is algebra on blocks of G, but the loglik
+of a block past ``estep.GRAM_LIMIT``: every E-step then takes it by
+``observed_loglik``'s n-row pass, the start's and ``account``'s discarding it.
 
 Initialization takes the first principal component of each block's
 centered covariate residuals as a starting factor (its first variable
@@ -112,7 +113,7 @@ class FitResult:
     its (n, p+1) mean m holds the reported factor scores, g in column 0
     and f^m in column m, the layout of ``simulate_dataset``'s true
     latents (each unit's loglik is ``observed_loglik(theta, data).per_unit``,
-    a pass the fit does not make). trace has one row per EM-map evaluation
+    a pass the fit makes only past ``estep.GRAM_LIMIT``). trace has one row per EM-map evaluation
     (``em_step`` call), which iterations counts: the relative change from
     its input to its output, which the stopping rule reads, and the loglik
     at its output. The rows are in the order of the accepted iterates, so
@@ -145,7 +146,8 @@ class FitResult:
     def account(self) -> tuple[np.ndarray, np.ndarray]:
         """The observed-loglik gradient at theta (``mstep.expected_score``, by
         Fisher's identity) and each observed variable's correlation with its
-        block's factor score, read off the projection with no pass over the data."""
+        block's factor score, read off the projection; past ``estep.GRAM_LIMIT``
+        its E-step takes ``observed_loglik``'s pass, for a loglik it discards."""
         projection, x = self.projection, flatten_theta(self.theta)
         summary = gram_summary(x, projection)
         score = expected_score(x, summary, projection)

@@ -41,7 +41,7 @@ round there like Sigma = P^{-1}, on either route.
 
 ``gram_summary`` reads the parameters as the canonical vector x
 (``model.flatten_theta`` order) with no loop over blocks: x scatters into
-the stacked E and into A by one ``put`` at the flat maps of ``mstep.Projection``,
+the stacked E at ``d_at`` and into A at ``own``, maps of ``mstep.Projection``,
 and the per-block sums are ``reduceat`` over the Z rows. Small designs cost
 calls, not arithmetic: each step makes few, in the per-block loops' arithmetic.
 """
@@ -109,10 +109,10 @@ class LogLik:
 
 
 def positive_variances(sigma2) -> np.ndarray:
-    """The noise variances ``sigma2`` (Y first) as an array; DataError
-    naming them all if one is not strictly positive."""
-    variances = np.array(sigma2, dtype=float)
-    if variances.min() <= 0:
+    """The noise variances ``sigma2`` (Y first) as an array, not copied if
+    it is one; DataError naming them all if one is not strictly positive."""
+    variances = np.asarray(sigma2, dtype=float)
+    if np.minimum.reduce(variances) <= 0:
         raise DataError(
             "conditional law needs strictly positive noise variances, got "
             f"sigma2_y={variances[0]}, sigma2_m={tuple(variances[1:].tolist())}"
@@ -173,7 +173,7 @@ def residual_sq(x: np.ndarray, projection) -> tuple[np.ndarray, ...]:
     as B, mean(r_k), T'T E and ||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2."""
     nz, mean = projection.spread.size, projection.mean
     e = np.zeros(projection.stacked_coef.shape)
-    e.put(projection.d_flat, x[:projection.coef_at_d.size] - projection.coef_at_d)
+    e[projection.d_at] = x[:projection.coef_at_d.size] - projection.coef_at_d
     mean_te = mean[nz:-1] @ e
     tte = projection.g[nz:-1, nz:-1] @ e
     tte += projection.data.n * np.multiply.outer(mean[nz:-1], mean_te)
@@ -189,9 +189,7 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     g, n, starts = projection.g, projection.data.n, projection.starts[0]
     nz, nd, k = projection.spread.size, projection.coef_at_d.size, starts.size
     z_block = projection.block[:nz]
-    variances = x[-k:]
-    if np.minimum.reduce(variances) <= 0:
-        positive_variances(variances)
+    variances = positive_variances(x[-k:])
     inv_var = 1.0 / variances
     e, mean_r, _, r_sq = residual_sq(x, projection)
     loading = x[nd:nd + nz]

@@ -73,21 +73,15 @@ class Dimensions:
 
     def __post_init__(self):
         for name in ("n", "p", "q_y", "r_t"):
-            object.__setattr__(self, name, as_count(getattr(self, name), name))
+            object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
         for name in ("q_m", "r_m"):
-            object.__setattr__(self, name, tuple(as_count(w, name) for w in getattr(self, name)))
-        if self.n < 1:
-            raise DataError(f"need at least one unit, got n={self.n}")
-        if self.p < 1:
-            raise DataError(f"need at least one explanatory block, got p={self.p}")
+            counts = tuple(as_count(w, name, 1) for w in getattr(self, name))
+            object.__setattr__(self, name, counts)
         if len(self.q_m) != self.p or len(self.r_m) != self.p:
             raise DataError(
                 f"q_m and r_m must list {self.p} widths, got "
                 f"{len(self.q_m)} and {len(self.r_m)}"
             )
-        widths = (self.q_y, self.r_t, *self.q_m, *self.r_m)
-        if any(w < 1 for w in widths):
-            raise DataError(f"all block widths must be >= 1, got {widths}")
 
     @property
     def q(self) -> tuple[int, ...]:

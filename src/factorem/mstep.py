@@ -80,8 +80,7 @@ class Projection:
     row and the first T row of each block, ``widths`` the q_k and ``cells``
     n q_k. Coordinate i of the stacked D sits at T row ``d_at[0][i]`` and
     Z column ``d_at[1][i]`` (T rows counted from the first, here and in
-    ``starts``) and at ``d_flat`` of a flat T rows x Z columns array.
-    ``floor`` is each block's noise-variance floor, VARIANCE_FLOOR
+    ``starts``). ``floor`` is each block's noise-variance floor, VARIANCE_FLOOR
     sum_j ||Z~_j,c||^2 / (n q_k); ``spread`` is ||Z_j,c||^2 per observed
     column and ``resid_sq`` ||Z~_k||^2 per block; and the block-diagonal
     B (T rows x Z columns, B_k on block k's), its entries ``coef_at_d`` at
@@ -96,7 +95,6 @@ class Projection:
     widths: np.ndarray
     cells: np.ndarray
     d_at: tuple[np.ndarray, np.ndarray]
-    d_flat: np.ndarray
     floor: np.ndarray
     spread: np.ndarray
     resid_sq: np.ndarray
@@ -127,12 +125,10 @@ def _layout_maps(q: tuple[int, ...], r: tuple[int, ...]) -> tuple[list, dict]:
     k, nz = len(q), sum(q)
     edges = list(itertools.accumulate(q + r, initial=0))
     block = np.repeat([*range(k), *range(k)], q + r)
-    d_mask = block[nz:, None] == block[:nz]
     maps = dict(block=block, own=np.arange(edges[-1]) * k + block, widths=np.array(q),
                 starts=(np.array(edges[:k]), np.array(edges[k:2 * k]) - nz),
-                d_at=np.nonzero(d_mask), d_flat=np.flatnonzero(d_mask))  # d row-major
-    for array in (block, maps["own"], maps["widths"], *maps["starts"], *maps["d_at"],
-                  maps["d_flat"]):
+                d_at=np.nonzero(block[nz:, None] == block[:nz]))  # d row-major
+    for array in (block, maps["own"], maps["widths"], *maps["starts"], *maps["d_at"]):
         array.flags.writeable = False
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])], maps
 

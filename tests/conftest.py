@@ -1,7 +1,6 @@
 """Shared builders for randomized model instances and the scalar toy."""
 
 import numpy as np
-import pytest
 
 from factorem import Dimensions, SimConfig, Theta, simulate_dataset
 
@@ -49,11 +48,6 @@ def scalar_toy_theta() -> Theta:
         c=np.array([1.0, 1.0]),
         sigma2=(1.0, 1.0, 1.0),
     )
-
-
-@pytest.fixture
-def scalar_toy():
-    return scalar_toy_theta(), Dimensions(n=1, p=2, q_y=1, q_m=(1, 1), r_t=1, r_m=(1, 1))
 
 
 def reference_dims(n=400, q=40) -> Dimensions:

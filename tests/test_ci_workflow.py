@@ -1,8 +1,9 @@
 """The CI workflow runs what the repository documents: ROADMAP's tier-1
 command, on one BLAS thread as ``perfbench`` pins it, under a time limit,
-on every Python the package declares. A typo in the workflow, or syntax
-newer than the oldest declared Python, then fails here, not on the first
-push."""
+on every Python the package declares, and once on the oldest Python with
+exactly the lower bounds of its dependencies. A typo in the workflow, or
+syntax newer than the oldest declared Python, then fails here, not on the
+first push."""
 
 import ast
 import re
@@ -26,10 +27,15 @@ def perfbench_thread_vars() -> dict:
     raise AssertionError("perfbench/run.py defines no THREAD_VARS")
 
 
-def test_the_workflow_runs_the_tier1_command_on_one_blas_thread():
+def tier1_job() -> dict:
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text(
         encoding="utf-8"))
     (job,) = workflow["jobs"].values()
+    return job
+
+
+def test_the_workflow_runs_the_tier1_command_on_one_blas_thread():
+    job = tier1_job()
     assert [step["run"] for step in job["steps"] if "pytest" in step.get("run", "")] == [
         tier1_command()]
     threads = perfbench_thread_vars()
@@ -46,12 +52,28 @@ def oldest_python() -> tuple[int, int]:
 
 def test_every_source_file_parses_on_the_oldest_declared_python():
     oldest = oldest_python()
-    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text(
-        encoding="utf-8"))
-    (job,) = workflow["jobs"].values()
-    assert "%d.%d" % oldest in job["strategy"]["matrix"]["python-version"]
+    assert "%d.%d" % oldest in tier1_job()["strategy"]["matrix"]["python-version"]
     paths = [path for folder in ("src", "tests", "perfbench")
              for path in sorted((ROOT / folder).rglob("*.py"))]
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest)
+
+
+def declared_floors() -> dict:
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    deps = re.search(r"^dependencies = \[(.*?)\]", text, re.S | re.M).group(1)
+    return dict(re.findall(r'"([\w.-]+)>=([\w.]+)"', deps))
+
+
+def test_one_job_installs_exactly_the_declared_floors_on_the_oldest_python():
+    job = tier1_job()
+    matrix = job["strategy"]["matrix"]
+    (floors,) = [entry for entry in matrix["include"] if "pins" in entry]
+    assert floors["python-version"] == "%d.%d" % oldest_python()
+    # a value the matrix does not list makes it a job of its own, not the 3.10 one
+    assert floors["deps"] not in matrix["deps"]
+    pins = dict(pin.split("==") for pin in floors["pins"].split())
+    assert pins == declared_floors() == {"numpy": "1.24", "orjson": "3.8", "scipy": "1.10"}
+    assert [step["run"] for step in job["steps"] if step.get("name") == "Install"] == [
+        "python -m pip install -e '.[test]' ${{ matrix.pins }}"]

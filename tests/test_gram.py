@@ -298,10 +298,11 @@ def test_the_projection_holds_no_array_with_n_rows():
 
 @pytest.mark.parametrize("offset", [0.0, 1e7])
 def test_the_flat_maps_are_the_block_scatters_and_read_the_data(offset):
-    # ``block`` holds the block of each row of G; ``d_flat`` and ``own`` address
-    # in flat arrays what ``d_at`` and (row, ``block``) address; read through them, the
-    # factor cross products and the residual means are those of the data's
-    # n rows, also with 1e7 added to every observed column of an intercept design
+    # ``block`` holds the block of each row of G, ``d_at`` the coordinates of the
+    # block-diagonal D, and ``own`` addresses in a flat array what (row, ``block``)
+    # addresses; read through them, the factor cross products and the residual
+    # means are those of the data's n rows, also with 1e7 added to every observed
+    # column of an intercept design
     dims = Dimensions(n=60, p=2, q_y=3, q_m=(4, 2), r_t=2, r_m=(3, 1))
     base, _, theta = simulate_dataset(SimConfig(dims=dims, seed=4, intercept=True))
     data = Dataset(z=tuple(z + offset for z in base.z), t=base.t, intercept=True)
@@ -316,18 +317,13 @@ def test_the_flat_maps_are_the_block_scatters_and_read_the_data(offset):
         own[z, k] = own[t, k] = True
     assert np.array_equal(projection.block, own.nonzero()[1])
     assert np.array_equal(projection.cells, data.n * np.array(dims.q))
-    assert np.array_equal(projection.d_flat, np.flatnonzero(block_diagonal))
+    assert np.array_equal(projection.d_at, np.nonzero(block_diagonal))
     assert np.array_equal(projection.own, np.flatnonzero(own))
-    values = np.arange(1.0, own.size + 1)
-    for flat, pairs, shape in ((projection.d_flat, [projection.d_at], block_diagonal.shape),
-                               (projection.own, [(np.arange(len(own)), projection.block)],
-                                own.shape)):
-        by_pairs, by_flat = np.zeros(shape), np.zeros(shape)
-        for rows, cols in pairs:
-            by_pairs[rows, cols] = values[:rows.size]
-            values = values[rows.size:]
-        by_flat.put(flat, np.concatenate([by_pairs[rows, cols] for rows, cols in pairs]))
-        assert np.array_equal(by_flat, by_pairs)
+    rows = np.arange(len(own))
+    by_pairs, by_flat = np.zeros(own.shape), np.zeros(own.shape)
+    by_pairs[rows, projection.block] = np.arange(1.0, rows.size + 1)
+    by_flat.put(projection.own, by_pairs[rows, projection.block])
+    assert np.array_equal(by_flat, by_pairs)
 
     law = conditional_law(theta, data)
     tf, zf = mstep._factor_cross(projection, dense_oracle.summary_from_law(law, projection).wm)

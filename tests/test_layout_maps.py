@@ -53,8 +53,8 @@ def test_an_intercept_design_and_a_categorical_covariate(tmp_path):
 
 def test_the_cached_maps_are_read_only():
     projection = project_covariates(random_instance(1)[0])
-    maps = [projection.block, projection.own, projection.widths, projection.d_flat,
-            *projection.starts, *projection.d_at]
+    maps = [projection.block, projection.own, projection.widths, *projection.starts,
+            *projection.d_at]
     for array in maps:
         with pytest.raises(ValueError, match="read-only"):
             array[0] += 1

@@ -132,9 +132,16 @@ class TestValidation:
         with pytest.raises(DataError):
             Dimensions(n=1, p=2, q_y=1, q_m=(1,), r_t=1, r_m=(1, 1))
 
+    @pytest.mark.parametrize("name", ["n", "p", "q_y", "r_t", "q_m", "r_m"])
+    def test_every_count_is_bounded_like_any_other(self, name):
+        counts = dict(n=3, p=2, q_y=1, q_m=(1, 1), r_t=1, r_m=(1, 1))
+        counts[name] = (1, 0) if name in ("q_m", "r_m") else 0
+        with pytest.raises(DataError, match=rf"^{name} must be >= 1, got 0$"):
+            Dimensions(**counts)
+
     @pytest.mark.parametrize("build, message", [
         (lambda: Dimensions(n=3, p=1, q_y=0, q_m=(1,), r_t=1, r_m=(1,)),
-         "all block widths must be >= 1"),
+         "q_y must be >= 1, got 0"),
         (lambda: Dataset(z=(np.zeros(3), np.zeros((3, 1))), t=(np.zeros((3, 1)),) * 2),
          "block Y must be a 2-D matrix, got ndim=1"),
         (lambda: Dataset(z=(np.zeros((3, 1)),) * 3, t=(np.zeros((3, 1)),) * 2),
