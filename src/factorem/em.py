@@ -7,8 +7,8 @@ residuals and the covariates (``mstep.Projection``, the fit's one per-fit
 object, which the result keeps; its index maps are built once per layout),
 and ``conditional_law`` gives the reported law at the estimate from one
 product per block. Everything else is algebra on blocks of G, but the loglik
-of a block past ``estep.GRAM_LIMIT``: every E-step then takes it by
-``observed_loglik``'s n-row pass, the start's and ``account``'s discarding it.
+of a block past ``estep.GRAM_LIMIT``, ``observed_loglik``'s n-row pass, which an
+E-step takes only when its loglik is read (never the start's or ``account``'s).
 
 Initialization takes the first principal component of each block's
 centered covariate residuals as a starting factor (its first variable
@@ -38,22 +38,23 @@ crawls along. v is not a setting, and it is 1 at EM's fixed points.
 The map is accelerated by SqS3 (Varadhan & Roland, 2008, "Simple and
 globally convergent methods for accelerating the convergence of any EM
 algorithm"). With the p+1 noise variances, the last coordinates of x, on
-the log scale, each cycle takes two map steps x0 -> x1 -> x2, sets
-r = x1 - x0, v = x2 - 2 x1 + x0 and alpha = min(-||r|| / ||v||, -1), and
-extrapolates to x' = x0 - 2 alpha r + alpha^2 v, with every variance
-floored as the M-step's are (silently). x' is kept only when the E-step at x'
-succeeds and its observed log-likelihood is at least that of x2; one
-more map step from x' then starts the next cycle. Otherwise (and when
-alpha = -1, where x' is x2) the next cycle starts from x2. Every
-accepted iterate is thus a map output or a point at least as likely as
-the last one, so the trace never decreases.
+the log scale, each cycle takes three consecutive map outputs x0 -> x1 -> x2
+(on the map's path, as SqS3 assumes: the start, whose step is far the
+longest, is not one, so the first cycle is the first three), sets r = x1 - x0,
+v = x2 - 2 x1 + x0 and alpha = min(-||r|| / ||v||, -1), and extrapolates to
+x' = x0 - 2 alpha r + alpha^2 v, with every variance floored as the M-step's
+are (silently). x' is kept only when the E-step at x' succeeds and its
+observed log-likelihood is at least that of x2; the map step from x' then
+begins the next cycle. Otherwise (and when alpha = -1, where x' is x2) the
+next cycle begins at x2. Every accepted iterate is thus a map output or a
+point at least as likely as the last one, so the trace never decreases.
 
 The stopping statistic is read on every map step, as the sum over the
 canonical parameter vector of |F(x) - x| / max(|F(x)|, floor); iteration
 ends at the first step where it drops below epsilon, or when max_iter
 map evaluations are spent (non-convergence is flagged, not raised).
 Epsilon therefore means what it means for unaccelerated PX-EM, and a fit
-that it finishes within two map steps is the plain PX-EM fit.
+that it finishes within three map steps is the plain PX-EM fit.
 """
 
 import numbers
@@ -146,8 +147,7 @@ class FitResult:
     def account(self) -> tuple[np.ndarray, np.ndarray]:
         """The observed-loglik gradient at theta (``mstep.expected_score``, by
         Fisher's identity) and each observed variable's correlation with its
-        block's factor score, read off the projection; past ``estep.GRAM_LIMIT``
-        its E-step takes ``observed_loglik``'s pass, for a loglik it discards."""
+        block's factor score, read off the projection with no pass over the data."""
         projection, x = self.projection, flatten_theta(self.theta)
         summary = gram_summary(x, projection)
         score = expected_score(x, summary, projection)
@@ -281,9 +281,10 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, floor: np.ndarr
 
 
 def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
-    """Run SqS3-accelerated EM from the deterministic initialization
-    until the stopping rule fires on a map step or max_iter map
-    evaluations are spent, and return the ``canonicalize``d result.
+    """Run SqS3-accelerated EM from the deterministic initialization, each cycle
+    on three consecutive map outputs, the first three first (a fit that stops
+    within three map steps is the plain PX-EM fit), until the stopping rule fires
+    on a map step or max_iter map evaluations are spent; return it ``canonicalize``d.
 
     ``dims`` must equal ``data.dimensions()``; a DataError names the
     first field that differs.
@@ -298,7 +299,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     trace = []
     converged = False
     accepted = rejected = 0
-    cycle = [x]                     # map iterates since the cycle began
+    cycle = []                      # map outputs since the cycle began
     while len(trace) < config.max_iter:
         try:
             x_new, summary = em_step(summary, projection)

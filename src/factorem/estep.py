@@ -47,6 +47,7 @@ calls, not arithmetic: each step makes few, in the per-block loops' arithmetic.
 """
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +94,16 @@ class ConditionalLaw:
 class EStepSummary:
     """The law at one theta summed over units: s = n Sigma + M'M, wm =
     W~_c'M (rows as in ``mstep.Projection.g``, 1'M last) and the summed observed
-    loglik."""
+    loglik, given as a number or as the function that computes it when
+    ``loglik`` is first read (``observed_loglik``'s pass past ``GRAM_LIMIT``)."""
 
     s: np.ndarray
     wm: np.ndarray
-    loglik: float
+    _loglik: float | Callable[[], float]
+
+    @functools.cached_property
+    def loglik(self) -> float:
+        return self._loglik() if callable(self._loglik) else self._loglik
 
 
 @dataclass
@@ -206,10 +212,10 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
         quad = float(r_sq @ inv_var) - float(np.add.reduce(sigma * uu, None))
         logdet = float(np.log(variances) @ projection.widths + 2.0 * np.log(chol.diagonal()).sum())
         loglik = -0.5 * (quad + n * (logdet + nz * LOG_2PI))
-    else:
-        loglik = observed_loglik(unflatten_theta(x, projection.data.dimensions()),
-                                 projection.data).value
-    return EStepSummary(s=n * sigma + sigma @ uu @ sigma, wm=ga @ sigma, loglik=loglik)
+    else:                                        # from a copy: the caller may write to x
+        x, dims = x.copy(), projection.data.dimensions()
+        loglik = lambda: observed_loglik(unflatten_theta(x, dims), projection.data).value
+    return EStepSummary(n * sigma + sigma @ uu @ sigma, ga @ sigma, loglik)
 
 
 def observed_loglik(theta: Theta, data: Dataset) -> LogLik:

@@ -396,7 +396,7 @@ def write_fit(result: FitResult, out_dir, columns: dict | None = None) -> None:
     certificate, the largest absolute observed-loglik gradient at the
     returned theta and the parameter it belongs to; the certificate and
     the correlations are ``result.account()``, so writing makes no pass
-    over the data but ``account``'s past ``estep.GRAM_LIMIT``. ``columns``
+    over the data. ``columns``
     names the variables; a DataError says where ``columns["z"]`` disagrees
     with the fit.
     """

@@ -110,7 +110,7 @@ def summary_from_law(law, projection, theta=None) -> EStepSummary:
     centered = law.m - law.m.mean(axis=0)      # W~_c'M = W~'(M - 1 mean(M)')
     wm = np.vstack([resid.T @ centered, t.T @ centered, law.m.sum(axis=0)])
     loglik = np.nan if theta is None else observed_loglik(theta, projection.data).value
-    return EStepSummary(s=second_moment_sum(law), wm=wm, loglik=loglik)
+    return EStepSummary(second_moment_sum(law), wm, loglik)
 
 
 @dataclass
@@ -429,7 +429,7 @@ def loop_gram_estep(theta, gram, data):
         loglik = -0.5 * (quad + n * (logdet + widths.sum() * LOG_2PI))
     else:
         loglik = observed_loglik(theta, data).value
-    return EStepSummary(s=n * sigma + sigma @ uu @ sigma, wm=ga @ sigma, loglik=loglik)
+    return EStepSummary(n * sigma + sigma @ uu @ sigma, ga @ sigma, loglik)
 
 
 def loop_update_theta(projection, summary) -> Theta:
@@ -521,7 +521,7 @@ def loop_fit(data, dims, config) -> FitResult:
     trace = []
     converged = False
     accepted = rejected = 0
-    cycle = [theta]
+    cycle = []
     while len(trace) < config.max_iter:
         try:
             theta_new, summary = loop_em_step(summary, data, projection)

@@ -112,8 +112,9 @@ def test_gram_map_steps_match_the_npass_map_steps(monkeypatch):
 
 
 def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
-    # past GRAM_LIMIT one exact pass gives the loglik; S and W~_c'M stay
-    # those of the Gram form, as with the limit check switched off
+    # past GRAM_LIMIT one exact pass gives the loglik, taken when it is first
+    # read; S and W~_c'M stay those of the Gram form, as with the limit check
+    # switched off
     data, _, theta, _ = random_instance(0)
     floor = dense_oracle.variance_floor(data)
     floored = replace(theta, sigma2=(theta.sigma2[0], floor[1], *theta.sigma2[2:]))
@@ -127,15 +128,55 @@ def test_a_variance_at_the_floor_takes_the_exact_pass(monkeypatch):
 
     loglik = estep.observed_loglik
     monkeypatch.setattr(estep, "observed_loglik", counting)
-    summary = gram_summary(flatten_theta(floored), projection)
+    x = flatten_theta(floored)
+    summary = gram_summary(x, projection)
+    x[:] = np.nan                        # the pass reads x as it was given
+    assert len(calls) == 0
+    assert summary.loglik == summary.loglik == exact
     assert len(calls) == 1
     np.testing.assert_array_equal(flatten_theta(calls[0]), flatten_theta(floored))
-    assert summary.loglik == exact
     monkeypatch.setattr(estep, "GRAM_LIMIT", np.inf)
     gram_form = gram_summary(flatten_theta(floored), projection)
     assert len(calls) == 1
     for name in ("s", "wm"):
         np.testing.assert_array_equal(getattr(summary, name), getattr(gram_form, name))
+
+
+@pytest.mark.filterwarnings("ignore:sigma2_.* floored:RuntimeWarning")
+def test_a_fit_past_the_limit_passes_over_the_data_only_for_a_loglik_it_reads(
+        monkeypatch, tmp_path):
+    # random_instance 3 is past GRAM_LIMIT at every E-step. Neither the
+    # start's loglik nor account()'s is read, so neither takes the exact pass;
+    # a fit that reads every E-step's loglik at once takes one pass more and
+    # writes the same bytes
+    data, _, _, dims = random_instance(3)
+    passes = []
+
+    def counting(theta, data):
+        passes.append(None)
+        return loglik(theta, data)
+
+    def eager(x, projection):
+        summary = summarize(x, projection)
+        summary.loglik
+        return summary
+
+    loglik, summarize = estep.observed_loglik, em.gram_summary
+    monkeypatch.setattr(estep, "observed_loglik", counting)
+    config = EMConfig(epsilon=1e-3)
+    result = fit(data, dims, config)
+    lazy = len(passes)
+    assert lazy == result.iterations + result.accepted + result.rejected
+    passes.clear()
+    io.write_fit(result, tmp_path / "lazy")
+    assert passes == []
+    monkeypatch.setattr(em, "gram_summary", eager)
+    io.write_fit(fit(data, dims, config), tmp_path / "eager")
+    assert len(passes) == lazy + 1 + 1                  # the start's, account()'s
+    written = sorted(path.name for path in (tmp_path / "lazy").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "eager").iterdir())
+    for name in written:
+        assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "eager" / name).read_bytes()
 
 
 def test_the_gram_limit_splits_the_two_routes(monkeypatch):
