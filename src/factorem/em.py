@@ -35,26 +35,30 @@ With var(zeta) free, the M-step also gives var(zeta) = v =
 map back to v = 1, one step along the joint scale of (b, c), which EM
 crawls along. v is not a setting, and it is 1 at EM's fixed points.
 
-The map is accelerated by SqS3 (Varadhan & Roland, 2008, "Simple and
-globally convergent methods for accelerating the convergence of any EM
-algorithm"). With the p+1 noise variances, the last coordinates of x, on
-the log scale, each cycle takes three consecutive map outputs x0 -> x1 -> x2
-(on the map's path, as SqS3 assumes: the start, whose step is far the
-longest, is not one, so the first cycle is the first three), sets r = x1 - x0,
-v = x2 - 2 x1 + x0 and alpha = min(-||r|| / ||v||, -1), and extrapolates to
-x' = x0 - 2 alpha r + alpha^2 v, with every variance floored as the M-step's
-are (silently). x' is kept only when the E-step at x' succeeds and its
-observed log-likelihood is at least that of x2; the map step from x' then
-begins the next cycle. Otherwise (and when alpha = -1, where x' is x2) the
-next cycle begins at x2. Every accepted iterate is thus a map output or a
-point at least as likely as the last one, so the trace never decreases.
+The map is accelerated by restarted reduced-rank extrapolation (RRE) of
+order K = ``ORDER`` = 4 (Smith, Ford & Sidi, 1987; Sidi, 2017), which
+removes up to K geometric modes of the map per cycle where SqS3-type
+steplengths remove one. With the p+1 noise variances, the last coordinates
+of x, on the log scale, each cycle takes K + 2 consecutive map outputs
+y0 -> .. -> y5 (on the map's path: the start, whose step is far the longest,
+is not one, so the first cycle is the first six), sets u_j = y_{j+1} - y_j
+and picks the weights gamma, summing to 1, that minimize ||sum_j gamma_j u_j||:
+a least-squares problem on the second differences u_{j+1} - u_j, solved by
+pivoted QR (LAPACK ``dgelsy``). The point is x' = sum_j gamma_j y_{j+1}, with
+every variance floored as the M-step's are (silently); there is none when
+it is not finite or the second differences are rank-deficient. x' is kept
+only when the E-step at x' succeeds and its observed log-likelihood is at
+least that of y5; the map step from x' then begins the next cycle.
+Otherwise the next cycle begins at y5. Every accepted iterate is thus a map
+output or a point at least as likely as the last one, so the trace never
+decreases.
 
 The stopping statistic is read on every map step, as the sum over the
 canonical parameter vector of |F(x) - x| / max(|F(x)|, floor); iteration
 ends at the first step where it drops below epsilon, or when max_iter
 map evaluations are spent (non-convergence is flagged, not raised).
 Epsilon therefore means what it means for unaccelerated PX-EM, and a fit
-that it finishes within three map steps is the plain PX-EM fit.
+that it finishes within six map steps is the plain PX-EM fit.
 """
 
 import numbers
@@ -84,6 +88,10 @@ __all__ = [
 
 # floor on |theta| in the stopping statistic's denominator
 DENOMINATOR_FLOOR = 1e-8
+# the extrapolation's order K (modes removed per cycle) and the relative
+# condition below which its second differences count as rank-deficient
+ORDER = 4
+RANK_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,9 +127,9 @@ class FitResult:
     its input to its output, which the stopping rule reads, and the loglik
     at its output. The rows are in the order of the accepted iterates, so
     the log-likelihood column never decreases. accepted and rejected count
-    the SqS3 extrapolations kept and discarded by the log-likelihood test
-    (a cycle whose steplength is -1 attempts none). projection is the
-    fit's ``mstep.Projection`` (left out of the repr), whose ``data`` is
+    the RRE extrapolations kept and discarded by the log-likelihood test (a
+    cycle without a point attempts none). projection is the fit's
+    ``mstep.Projection`` (left out of the repr), whose ``data`` is
     the fitted ``Dataset`` (held by reference, never copied), and config
     the ``EMConfig`` the fit ran on, so ``io.write_fit`` needs nothing
     else; dims are the data's dimensions.
@@ -259,31 +267,33 @@ def relative_change(old: np.ndarray, new: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
 
 
-def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, floor: np.ndarray):
-    """SqS3 point from two map steps x0 -> x1 -> x2 of the canonical
-    vector, with its last ``floor.size`` coordinates (the noise variances)
-    on the log scale and raised to ``floor``, or None when the steplength
-    is -1 (the point is x2) or the point is not finite."""
+def _extrapolate(points: list, floor: np.ndarray):
+    """RRE point of order K = ORDER from K + 2 consecutive map outputs y0..y_{K+1}
+    of the canonical vector, with its last ``floor.size`` coordinates (the noise
+    variances) on the log scale and raised to ``floor``; None when the point
+    is not finite or the second differences are rank-deficient."""
     blocks = floor.size
-    y0, y1, y2 = y = np.array([x0, x1, x2])
+    y = np.array(points)
     y[:, -blocks:] = np.log(y[:, -blocks:])
-    r = y1 - y0
-    v = y2 - 2.0 * y1 + y0
-    norm_r, norm_v = np.sqrt(r @ r), np.sqrt(v @ v)     # np.linalg.norm's arithmetic
-    if not norm_r > norm_v > 0:
+    u = np.diff(y, axis=0)
+    # sum_j gamma_j u_j = u_K - sum_{j<K} xi_j (u_{j+1} - u_j), xi the partial sums of gamma
+    second = np.diff(u, axis=0).T
+    work, _ = lapack.dgelsy_lwork(*second.shape, 1, RANK_CUTOFF)
+    _, xi, _, rank, _ = lapack.dgelsy(second, u[-1:].T, np.zeros(ORDER, np.int32),
+                                      RANK_CUTOFF, int(work))
+    if rank < ORDER:
         return None
-    alpha = -norm_r / norm_v
     with np.errstate(over="ignore", invalid="ignore"):
-        x = y0 - 2.0 * alpha * r + alpha**2 * v
+        x = y[-1] - xi[:ORDER, 0] @ u[1:]   # sum_j gamma_j y_{j+1}
         finite = np.count_nonzero(np.isfinite(x)) == x.size
         x[-blocks:] = np.maximum(np.exp(x[-blocks:]), floor)
     return x if finite and np.count_nonzero(np.isfinite(x[-blocks:])) == blocks else None
 
 
 def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
-    """Run SqS3-accelerated EM from the deterministic initialization, each cycle
-    on three consecutive map outputs, the first three first (a fit that stops
-    within three map steps is the plain PX-EM fit), until the stopping rule fires
+    """Run RRE-accelerated EM from the deterministic initialization, each cycle
+    on ORDER + 2 consecutive map outputs, the first six first (a fit that stops
+    within six map steps is the plain PX-EM fit), until the stopping rule fires
     on a map step or max_iter map evaluations are spent; return it ``canonicalize``d.
 
     ``dims`` must equal ``data.dimensions()``; a DataError names the
@@ -312,9 +322,9 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
             converged = True
             break
         cycle.append(x)
-        if len(cycle) < 3 or len(trace) == config.max_iter:
+        if len(cycle) < ORDER + 2 or len(trace) == config.max_iter:
             continue
-        extrapolated = _extrapolate(*cycle, projection.floor)
+        extrapolated = _extrapolate(cycle, projection.floor)
         cycle = [x]
         if extrapolated is None:
             continue

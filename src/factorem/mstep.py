@@ -42,7 +42,7 @@ maps and ``estep.residual_sq``.
 
 ``floored`` keeps each noise variance on the data's own scale: it raises
 sigma2_k to ``Projection.floor``, VARIANCE_FLOOR sum_j ||Z~_j,c||^2 / (n q_k),
-with a warning at the start and at every M-step (silently at SqS3 points).
+with a warning at the start and at every M-step (silently at extrapolated points).
 """
 
 import functools

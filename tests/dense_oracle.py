@@ -28,7 +28,7 @@ E-step's exact pass before it took only the loglik from it.
 each unit's loglik: the law from the n x q residuals, the form
 ``observed_loglik`` still evaluates.
 
-``loop_fit`` is the SqS3-accelerated fit as it read before the EM loop
+``loop_fit`` is the RRE-accelerated fit as it read before the EM loop
 carried the canonical vector: a ``Theta`` per evaluation, and Gram-form
 E- and M-steps (``loop_gram_estep``, ``loop_update_theta``) that loop
 over the blocks in Python, reading each block's B_k and (T_k'T_k)^-1 off
@@ -68,7 +68,7 @@ import numpy as np
 import scipy.linalg
 
 from factorem.em import (
-    DENOMINATOR_FLOOR, FitResult, _first_component, canonicalize, initialize,
+    DENOMINATOR_FLOOR, ORDER, RANK_CUTOFF, FitResult, _first_component, canonicalize, initialize,
 )
 from factorem.errors import (
     DataError, DegeneratePosteriorError, FactorEMError, NonFiniteParameterError,
@@ -362,7 +362,9 @@ def loop_posterior(theta, inv_var):
     prior_prec = np.eye(c.shape[0] + 1)
     prior_prec[0, 1:] = prior_prec[1:, 0] = -c
     prior_prec[1:, 1:] += np.outer(c, c)
-    prec = prior_prec + np.diag([np.sum(lam * lam) for lam in theta.loading] * inv_var)
+    loading, widths = np.concatenate(theta.loading), [lam.size for lam in theta.loading]
+    sums = np.add.reduceat(loading * loading, np.cumsum([0] + widths[:-1]))
+    prec = prior_prec + np.diag(sums * inv_var)
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:
@@ -489,17 +491,19 @@ def loop_relative_change(theta_old, theta_new):
     return float(np.sum(np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
 
 
-def loop_extrapolate(theta0, theta1, theta2, dims, floor):
-    x0, x1, x2 = (flatten_parts(t.coef, t.loading, t.c, np.log(t.sigma2))
-                  for t in (theta0, theta1, theta2))
-    r = x1 - x0
-    v = x2 - 2.0 * x1 + x0
-    norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
-    if not norm_r > norm_v > 0:
+def loop_extrapolate(thetas, dims, floor):
+    """The RRE point of consecutive map outputs, the ``Theta``s y_0..y_K+1,
+    on their flattened parts with log variances: gamma_K = 1 - sum_{j<K}
+    gamma_j eliminates the constraint, ``np.linalg.lstsq`` (SVD) finds
+    the rest, and the point is sum_j gamma_j y_{j+1}."""
+    y = np.array([flatten_parts(t.coef, t.loading, t.c, np.log(t.sigma2)) for t in thetas])
+    u = y[1:] - y[:-1]
+    # sum_j gamma_j u_j = u_K + sum_{j<K} gamma_j (u_j - u_K)
+    gamma, _, rank, _ = np.linalg.lstsq((u[:-1] - u[-1]).T, -u[-1], rcond=RANK_CUTOFF)
+    if rank < len(u) - 1:
         return None
-    alpha = -norm_r / norm_v
     with np.errstate(over="ignore", invalid="ignore"):
-        x = x0 - 2.0 * alpha * r + alpha**2 * v
+        x = np.append(gamma, 1.0 - gamma.sum()) @ y[1:]
         k = dims.p + 1
         sigma2 = np.maximum(np.exp(x[-k:]), floor)
     if not (np.isfinite(x).all() and np.isfinite(sigma2).all()):
@@ -508,7 +512,7 @@ def loop_extrapolate(theta0, theta1, theta2, dims, floor):
 
 
 def loop_fit(data, dims, config) -> FitResult:
-    """The SqS3-accelerated fit on ``Theta``s and the per-block steps,
+    """The RRE-accelerated fit on ``Theta``s and the per-block steps,
     returned canonical as ``fit``'s."""
     actual = check_dimensions(dims, data)
     floor = variance_floor(data)
@@ -534,9 +538,9 @@ def loop_fit(data, dims, config) -> FitResult:
             converged = True
             break
         cycle.append(theta)
-        if len(cycle) < 3 or len(trace) == config.max_iter:
+        if len(cycle) < ORDER + 2 or len(trace) == config.max_iter:
             continue
-        extrapolated = loop_extrapolate(*cycle, actual, floor)
+        extrapolated = loop_extrapolate(cycle, actual, floor)
         cycle = [theta]
         if extrapolated is None:
             continue

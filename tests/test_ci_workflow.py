@@ -34,14 +34,30 @@ def tier1_job() -> dict:
     return job
 
 
+def pytest_steps() -> list:
+    return [step for step in tier1_job()["steps"] if "pytest" in step.get("run", "")]
+
+
 def test_the_workflow_runs_the_tier1_command_on_one_blas_thread():
     job = tier1_job()
-    assert [step["run"] for step in job["steps"] if "pytest" in step.get("run", "")] == [
-        tier1_command()]
+    tier1, *_ = pytest_steps()
+    assert tier1["run"] == tier1_command()
+    assert "env" not in tier1 and "if" not in tier1
     threads = perfbench_thread_vars()
     assert threads == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     assert {name: job["env"].get(name) for name in threads} == threads
     assert isinstance(job["timeout-minutes"], int) and job["timeout-minutes"] > 0
+
+
+def test_one_job_reruns_the_evaluation_counts_on_two_blas_threads():
+    # the tight fits' counts move with the thread count (tests/test_em.py)
+    _, rerun = pytest_steps()
+    matrix = tier1_job()["strategy"]["matrix"]
+    version = re.fullmatch(r"matrix\.python-version == '([\d.]+)'", rerun["if"]).group(1)
+    assert version in matrix["python-version"]
+    assert [entry for entry in matrix.get("include", ()) if entry["python-version"] == version] == []
+    assert rerun["env"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    assert rerun["run"].endswith(" python -m pytest -q tests/test_em.py -k TestEvaluationCounts")
 
 
 def oldest_python() -> tuple[int, int]:

@@ -108,7 +108,7 @@ class TestInitialize:
 
     def test_the_covariate_reclaim_is_a_slow_direction_not_a_flat_one(self, monkeypatch):
         # a start with D = B, the reclaim skipped, reaches the same estimate
-        # at a tight epsilon (measured within 8.4e-10 per coordinate); at
+        # at a tight epsilon (measured within 8.9e-10 per coordinate); at
         # epsilon 1e-2 the two starts stop 0.03 nats apart here, and
         # 3.4-5.4 nats apart at (400, 40) (seeds 1 and 2)
         import factorem.em
@@ -125,7 +125,7 @@ class TestInitialize:
         monkeypatch.setattr(factorem.em, "initialize", unreclaimed)
         result = fit(data, data.dimensions(), config)
         assert reclaimed.converged and result.converged
-        assert result.iterations > reclaimed.iterations     # 41 against 36
+        assert result.iterations > reclaimed.iterations     # 37 against 31
         np.testing.assert_allclose(flatten_theta(result.theta), flatten_theta(reclaimed.theta),
                                    rtol=1e-7, atol=0)
 
@@ -487,7 +487,7 @@ class TestFit:
 
 
 class TestAcceleration:
-    """The SqS3-accelerated fit against plain EM (``dense_oracle.plain_fit``)."""
+    """The RRE-accelerated fit against plain EM (``dense_oracle.plain_fit``)."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_same_fixed_point_as_plain_em(self, seed):
@@ -504,17 +504,20 @@ class TestAcceleration:
             flatten_theta(fast.theta), flatten_theta(plain.theta), rtol=1e-5, atol=0
         )
 
-    @pytest.mark.parametrize("seed, epsilon",
-                             [(1, 1e-2), (2, 1e-2), (3, 1e-2), (4, 1e12), (1, 1e-4)])
+    @pytest.mark.parametrize("seed, epsilon", [(1, 1e-2), (2, 1e-2), (3, 1e-2), (4, 1e12),
+                                               (1, 1e-4), (1, 4.9566e-5)])
     def test_fits_within_two_map_steps_are_plain_em(self, seed, epsilon):
-        # the first SqS3 cycle is the map outputs x1 -> x2 -> x3, so a fit
-        # that stops within three map steps, as (1, 1e-4) does, tries none
+        # the first RRE cycle is the map outputs x1 -> .. -> x6, so a fit that
+        # stops within six map steps tries none: (1, 1e-4) stops at step 3, and
+        # (1, 4.9566e-5) at step 6, between step 5's relative change (4.95703e-5)
+        # and step 6's (4.95628e-5)
         data, _, _ = reference_instance(seed=seed)
         config = EMConfig(epsilon=epsilon)
         fast = fit(data, reference_dims(), config)
         plain = plain_fit(data, reference_dims(), config, package_gram_estep,
                           package_update_theta)
-        assert plain.iterations == 3 if epsilon == 1e-4 else plain.iterations <= 2
+        steps = {1e-4: 3, 4.9566e-5: 6}.get(epsilon)
+        assert plain.iterations == steps if steps else plain.iterations <= 2
         assert fast.iterations == plain.iterations
         assert (fast.accepted, fast.rejected) == (0, 0)
         np.testing.assert_array_equal(flatten_theta(fast.theta), flatten_theta(plain.theta))
@@ -526,7 +529,7 @@ class TestAcceleration:
         np.testing.assert_array_equal(observed_loglik(fast.theta, data).per_unit,
                                       observed_loglik(plain.theta, data).per_unit)
 
-    def test_the_first_extrapolation_is_built_from_the_first_three_map_outputs(
+    def test_the_first_extrapolation_is_built_from_the_first_six_map_outputs(
             self, monkeypatch):
         # the start is not a map output: a point built from it would
         # extrapolate across the start's large first step
@@ -538,40 +541,77 @@ class TestAcceleration:
             outputs.append(step(*args))
             return outputs[-1]
 
-        def recording(*args):
-            cycles.append(args[:3])
-            return extrapolate(*args)
+        def recording(points, floor):
+            cycles.append(list(points))
+            return extrapolate(points, floor)
 
         step, extrapolate = factorem.em.em_step, factorem.em._extrapolate
         monkeypatch.setattr(factorem.em, "em_step", stepping)
         monkeypatch.setattr(factorem.em, "_extrapolate", recording)
         data, _, _ = reference_instance(seed=1, n=400, q=5)
         fit(data, reference_dims(n=400, q=5), EMConfig(epsilon=1e-3))
-        assert len(cycles) > 0 and len(outputs) > 3
-        for point, (x, _) in zip(cycles[0], outputs[:3]):
+        assert len(cycles) > 0 and len(cycles[0]) == 6 and len(outputs) > 6
+        for point, (x, _) in zip(cycles[0], outputs[:6], strict=True):
             np.testing.assert_array_equal(point, x)
 
-    def test_extrapolation_clamps_variances_and_skips_unit_steplength(self):
+    @staticmethod
+    def linear_sequence(theta, rates, log_sigma2_y=None, slow_sigma2_y=0.0):
+        """Six canonical vectors whose log-variance form is y_j = y* + sum_i
+        rates_i^j v_i, a linear map's iterates around y*, the log form of
+        ``theta`` (log sigma2_y replaced by ``log_sigma2_y`` if given): one
+        random direction v_i of norm 1e-2 per rate, v_0's log sigma2_y
+        entry set to ``slow_sigma2_y`` if nonzero."""
+        blocks = len(theta.sigma2)
+        y_star = flatten_theta(theta)
+        y_star[-blocks:] = np.log(y_star[-blocks:])
+        if log_sigma2_y is not None:
+            y_star[-blocks] = log_sigma2_y
+        modes = np.random.default_rng(0).standard_normal((len(rates), y_star.size))
+        modes *= 1e-2 / np.linalg.norm(modes, axis=1, keepdims=True)
+        if slow_sigma2_y:
+            modes[0, -blocks] = slow_sigma2_y
+        points = [y_star + np.asarray(rates)**j @ modes for j in range(6)]
+        for y in points:
+            y[-blocks:] = np.exp(y[-blocks:])
+        return points
+
+    def test_the_point_of_a_linear_sequence_of_four_rates_is_its_fixed_point(self):
+        from factorem.em import ORDER, _extrapolate
+
+        data, _, theta, _ = random_instance(0)
+        points = self.linear_sequence(theta, [0.9, 0.6, 0.3, -0.4])
+        assert ORDER == 4
+        point = _extrapolate(points, variance_floor(data))
+        np.testing.assert_allclose(point, flatten_theta(theta), rtol=1e-12, atol=1e-12)
+
+    def test_extrapolated_variances_are_floored(self):
         from factorem.em import _extrapolate
 
         data, _, theta, dims = random_instance(0)
         floor = variance_floor(data)
-        # log sigma2_y moves by -6.9, -4.6: alpha = -3 lands at about 1e-15
-        def with_sigma2_y(s):
-            return flatten_theta(replace(theta, sigma2=(s, *theta.sigma2[1:])))
+        points = self.linear_sequence(theta, [0.9, 0.6, 0.3, -0.4], np.log(1e-3 * floor[0]))
+        point = _extrapolate(points, floor)
+        assert point[-len(floor)] == floor[0]
+        expected = flatten_theta(replace(theta, sigma2=(floor[0], *theta.sigma2[1:])))
+        np.testing.assert_allclose(point, expected, rtol=1e-12, atol=1e-12)
 
-        falling = [with_sigma2_y(s) for s in (1e-6, 1e-9, 1e-11)]
-        assert floor[0] > 1e-14
-        point = unflatten_theta(_extrapolate(*falling, floor), dims)
-        assert point.sigma2[0] == floor[0]
-        np.testing.assert_allclose(point.sigma2[1:], theta.sigma2[1:], rtol=1e-14)
-        np.testing.assert_allclose(point.loading[0], theta.loading[0], rtol=0, atol=0)
-        # |r| <= |v| gives alpha = -1, whose point is the second step
-        turning = [with_sigma2_y(s) for s in (1.0, 2.0, 1.0)]
-        assert _extrapolate(*turning, floor) is None
-        # log sigma2_y at 100, 200, 290: alpha = -10 lands at exp(1100) = inf
-        overflowing = [with_sigma2_y(np.exp(s)) for s in (100.0, 200.0, 290.0)]
-        assert _extrapolate(*overflowing, floor) is None
+    def test_an_overflowing_point_gives_no_point(self):
+        from factorem.em import _extrapolate
+
+        data, _, theta, _ = random_instance(0)
+        # log sigma2_y's fixed point is 1100, past exp's range; the six
+        # inputs sit near 1100 - 421 * 0.99^j, from 679 to 700
+        points = self.linear_sequence(theta, [0.99, 0.7, 0.3, -0.5], 1100.0, -421.0)
+        assert all(np.isfinite(x).all() for x in points)
+        assert _extrapolate(points, variance_floor(data)) is None
+
+    def test_rank_deficient_differences_give_no_point(self):
+        from factorem.em import _extrapolate
+
+        data, _, theta, _ = random_instance(0)
+        # two rates: the four second differences span a plane
+        points = self.linear_sequence(theta, [0.9, 0.5])
+        assert _extrapolate(points, variance_floor(data)) is None
 
     def test_extrapolation_whose_estep_fails_is_rejected(self, monkeypatch):
         # with every extrapolation rejected, each cycle goes on from its
@@ -637,25 +677,39 @@ class TestEvaluationCounts:
     def test_tight_fits_on_the_reference_design_converge(self):
         # (400, 40) at eps 1e-8, seeds 1-20: plain EM crawls along the joint
         # scale of (b, c) at a rate of about 0.99996, and without the PX-EM
-        # reduction every fit spends the cap (20,000 evaluations). With it 19
-        # converge, in 4,280 evaluations in all (one BLAS thread; 18 in 4,422
-        # when the first SqS3 cycle began at the start). Seed 19 still spends
-        # the cap: a fit of ROADMAP.md item 3, whose SqS3 points rounding breaks
+        # reduction every fit spends the cap (20,000 evaluations). With it,
+        # PX-EM's slowest mode, each block's covariate/factor split, contracts
+        # at about 0.9999; SqS3 converged 19 in 4,280 evaluations, one seed
+        # spending the cap. RRE of order 4 converges all 20 in 898 evaluations
+        # at one BLAS thread and in 891 at two (OPENBLAS_NUM_THREADS), whose
+        # products round differently
         converged = evaluations = 0
         for seed in range(1, 21):
             data, _, _ = reference_instance(seed=seed)
             result = fit(data, reference_dims(), EMConfig(epsilon=1e-8, max_iter=1000))
             converged += result.converged
             evaluations += result.iterations
-        assert converged >= 19
-        assert evaluations <= 4500
+        assert converged == 20
+        assert evaluations <= 1000
+
+    def test_tight_fits_of_the_large_design_converge(self):
+        # (5000, 100) at eps 1e-8, seeds 1-2: SqS3 spent the 1,000-evaluation
+        # cap on both; RRE converges them in 51 evaluations at one BLAS thread
+        # and in 57 at two
+        evaluations = 0
+        for seed in (1, 2):
+            data, _, _ = reference_instance(seed=seed, n=5000, q=100)
+            result = fit(data, reference_dims(n=5000, q=100),
+                         EMConfig(epsilon=1e-8, max_iter=1000))
+            assert result.converged
+            evaluations += result.iterations
+        assert evaluations <= 80
 
     def test_the_narrow_tight_pass_stays_short(self):
         # the benchmark's narrow-tight design, (400, 5) at eps 1e-3, on the 40
         # dataset seeds its pass draws from seed 1: 645 evaluations without the
-        # PX reduction, 424 with it from a start variance over n q, 355 over
-        # n (q - 1), and 347 with every SqS3 cycle on map outputs, which
-        # rejects none of its points (25 when the first cycle began at the start)
+        # PX reduction, 347 with SqS3 on map outputs, and 288 with RRE of order
+        # 4 (at one or two BLAS threads), which rejects none of its points
         dims, config = reference_dims(n=400, q=5), EMConfig(epsilon=1e-3, max_iter=5000)
         evaluations = rejected = 0
         for seed in np.random.SeedSequence(1).generate_state(40).tolist():
@@ -663,7 +717,7 @@ class TestEvaluationCounts:
             assert result.converged
             evaluations += result.iterations
             rejected += result.rejected
-        assert evaluations <= 350
+        assert evaluations <= 300
         assert rejected == 0
 
 

@@ -496,11 +496,12 @@ def test_every_step_of_a_fit_matches_the_per_block_loops(monkeypatch):
 def test_fit_follows_the_per_block_loop(monkeypatch):
     # The vectorized steps round differently from the loops (reduceat sums
     # against BLAS dot products, one block-diagonal product against one per
-    # block), and SqS3 steps of up to alpha^2 ~ 1e4 amplify that: at eps
-    # 1e-3 theta agrees to about 1e-10 of its largest coordinate (worst
-    # 5.4e-11). Theta is compared on that scale, as the steps are above: a
+    # block), and RRE points, which solve a least-squares problem on small
+    # second differences, amplify that: at eps 1e-3 theta agrees to about
+    # 1e-10 of its largest coordinate (worst 3.1e-11; 7.8e-9 at eps 1e-8).
+    # Theta is compared on that scale, as the steps are above: a
     # coordinate of size 1e-3 carries the same absolute rounding, which
-    # element-wise reads up to 7e-10, or 2e-9 for other start bits. A
+    # element-wise reads up to 5e-10, or 2e-9 for other start bits. A
     # trajectory that comes near the variance floor follows its few-digit
     # variance instead, and at eps 1e-8 near-tied accept/reject tests can
     # go either way; both are compared step by step above. At eps 1e-8 the
