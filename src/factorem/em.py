@@ -251,8 +251,8 @@ def em_step(summary: EStepSummary, projection: Projection) -> tuple[np.ndarray, 
         k = int(np.flatnonzero(~np.isfinite(x))[0])
         raise NonFiniteParameterError(
             f"M-step produced {theta_names(projection.data.dimensions())[k]} = {x[k]}")
-    nd, nz, k = projection.coef_at_d.size, projection.spread.size, projection.widths.size
-    b, c = x[nd:nd + projection.widths[0]], x[nd + nz:-k]      # views into x
+    loading, c = (x[cut] for cut in projection.fields[1:3])       # views into x
+    b = loading[:projection.widths[0]]
     v = float(summary.s[0, 0] - c @ summary.s[1:, 0]) / projection.data.n
     if not v > 0:       # c / sqrt(v) would not be finite
         raise NonFiniteParameterError(f"M-step produced var(zeta) = {v}")

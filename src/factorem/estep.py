@@ -39,11 +39,11 @@ variance is small against its block's residual (``GRAM_LIMIT``): past it
 only the loglik takes the exact pass (``observed_loglik``), as S and W~_c'M
 round there like Sigma = P^{-1}, on either route.
 
-``gram_summary`` reads the parameters as the canonical vector x
-(``model.flatten_theta`` order) with no loop over blocks: x scatters into
-the stacked E at ``d_at`` and into A at ``own``, maps of ``mstep.Projection``,
+``gram_summary`` reads the canonical vector x (``model.flatten_theta``
+order) by field, ``mstep.Projection.fields``, with no loop over blocks: D
+scatters into the stacked E at ``d_at`` and the loadings into A at ``own``,
 and the per-block sums are ``reduceat`` over the Z rows. Small designs cost
-calls, not arithmetic: each step makes few, in the per-block loops' arithmetic.
+calls, not arithmetic, so each step makes few.
 """
 
 import functools
@@ -179,7 +179,7 @@ def residual_sq(x: np.ndarray, projection) -> tuple[np.ndarray, ...]:
     as B, mean(r_k), T'T E and ||r_k||^2 = ||Z~_k||^2 + ||T_k E_k||^2."""
     nz, mean = projection.spread.size, projection.mean
     e = np.zeros(projection.stacked_coef.shape)
-    e[projection.d_at] = x[:projection.coef_at_d.size] - projection.coef_at_d
+    e[projection.d_at] = x[projection.fields[0]] - projection.coef_at_d
     mean_te = mean[nz:-1] @ e
     tte = projection.g[nz:-1, nz:-1] @ e
     tte += projection.data.n * np.multiply.outer(mean[nz:-1], mean_te)
@@ -193,19 +193,19 @@ def gram_summary(x: np.ndarray, projection) -> EStepSummary:
     the loglik of a block past ``GRAM_LIMIT``, which is ``observed_loglik``'s
     exact pass over ``projection.data``. Raises as ``conditional_law`` does."""
     g, n, starts = projection.g, projection.data.n, projection.starts[0]
-    nz, nd, k = projection.spread.size, projection.coef_at_d.size, starts.size
+    nz, k = projection.spread.size, starts.size
     z_block = projection.block[:nz]
-    variances = positive_variances(x[-k:])
+    loading, c, sigma2 = (x[cut] for cut in projection.fields[1:])
+    variances = positive_variances(sigma2)
     inv_var = 1.0 / variances
     e, mean_r, _, r_sq = residual_sq(x, projection)
-    loading = x[nd:nd + nz]
     a = np.zeros((g.shape[0], k))               # U = W~_c A
     a_z = a[:nz]
     a.put(projection.own[:nz], loading * inv_var[z_block])  # lambda_k / sigma2_k on Z~_k
     a[nz:-1] = -(e @ a_z)                       # -E_k lambda_k / sigma2_k on T_k
     a[-1] = mean_r @ a_z                        # mean(r_k)' lambda_k / sigma2_k
     fisher = np.add.reduceat(loading * loading, starts) * inv_var
-    _, chol, sigma = _posterior(x[nd + nz:-k], fisher, variances)
+    _, chol, sigma = _posterior(c, fisher, variances)
     ga = g @ a
     uu = a.T @ ga                                # U'U
     if np.count_nonzero(r_sq <= GRAM_LIMIT * projection.cells * variances) == k:

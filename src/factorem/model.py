@@ -18,9 +18,9 @@ vector (``flatten_theta``) is the fields of ``Theta`` in order:
     D (row-major), D^1..D^p (row-major), b, a^1..a^p, c, sigma2_y,
     sigma2_m[0..p-1]
 
-``_layout`` declares it once, ``flatten_theta``/``unflatten_theta`` pack
-and split it, and the fit's E- and M-steps read it in place through the
-maps of ``mstep.Projection``; it is the ordering used by the EM loop
+``layout`` declares it once, ``flatten_theta``/``unflatten_theta`` pack
+and split it, and the fit's E- and M-steps read it in place by field,
+through ``mstep.Projection.fields``; it is the ordering used by the EM loop
 and its stopping rule, serialized parameter tables, and every cross-fit
 comparison.
 
@@ -268,16 +268,29 @@ def block_label(family: str, k: int) -> str:
 
 
 @functools.cache
-def _layout(q: tuple[int, ...], r: tuple[int, ...]) -> tuple[tuple[str, tuple, slice], ...]:
-    """The canonical vector for block widths q and r as (name, shape, slice)
-    parts, in order: the fields of ``Theta``, each block by block (Y first)."""
-    shapes = list(zip(r, q))
-    parts = ([(block_label("D", k), shape) for k, shape in enumerate(shapes)]
-             + [(block_label("loading", k), (q,)) for k, (_, q) in enumerate(shapes)]
-             + [(f"c{k}", ()) for k in range(1, len(shapes))]
-             + [(block_label("sigma2", k), ()) for k in range(len(shapes))])
+def layout(q: tuple[int, ...], r: tuple[int, ...]) -> tuple[tuple, list, dict]:
+    """The canonical vector's layout for block widths q and r, shared read-only
+    by their fits: its (name, shape, slice) parts, the fields of ``Theta`` in
+    order, each block by block (Y first); each block's columns of [Z_0..Z_p,
+    T_0..T_p]; and the maps of ``mstep.Projection``, ``fields`` cut as the parts."""
+    k, nz = len(q), sum(q)
+    groups = ([(block_label("D", j), shape) for j, shape in enumerate(zip(r, q))],
+              [(block_label("loading", j), (width,)) for j, width in enumerate(q)],
+              [(f"c{j}", ()) for j in range(1, k)],
+              [(block_label("sigma2", j), ()) for j in range(k)])
+    parts = [part for group in groups for part in group]
     edges = list(itertools.accumulate((math.prod(shape) for _, shape in parts), initial=0))
-    return tuple((*part, slice(lo, hi)) for part, lo, hi in zip(parts, edges, edges[1:]))
+    cuts = [edges[i] for i in itertools.accumulate(map(len, groups), initial=0)]
+    columns = list(itertools.accumulate(q + r, initial=0))
+    block = np.repeat([*range(k), *range(k)], q + r)
+    maps = dict(block=block, own=np.arange(columns[-1]) * k + block, widths=np.array(q),
+                starts=(np.array(columns[:k]), np.array(columns[k:2 * k]) - nz),
+                d_at=np.nonzero(block[nz:, None] == block[:nz]),  # each D row-major, as in parts
+                fields=tuple(slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])))
+    for array in (block, maps["own"], maps["widths"], *maps["starts"], *maps["d_at"]):
+        array.flags.writeable = False
+    return (tuple((*part, slice(lo, hi)) for part, lo, hi in zip(parts, edges, edges[1:])),
+            [slice(lo, hi) for lo, hi in zip(columns, columns[1:])], maps)
 
 
 def flatten_theta(theta: Theta) -> np.ndarray:
@@ -289,14 +302,14 @@ def flatten_theta(theta: Theta) -> np.ndarray:
 def unflatten_theta(vector: np.ndarray, dims: Dimensions) -> Theta:
     """Inverse of ``flatten_theta`` for the given dimensions."""
     v = np.asarray(vector, dtype=float)
-    layout = _layout(dims.q, dims.r)
-    size = layout[-1][2].stop
+    parts = layout(dims.q, dims.r)[0]
+    size = parts[-1][2].stop
     if v.ndim != 1 or v.shape[0] != size:
         raise DataError(
             f"parameter vector has length {v.shape[0] if v.ndim == 1 else v.shape}, "
             f"expected {size} for these dimensions"
         )
-    parts = [v[cut].reshape(shape) for _, shape, cut in layout]
+    parts = [v[cut].reshape(shape) for _, shape, cut in parts]
     k = dims.p + 1
     return Theta(parts[:k], parts[k:2 * k], np.array(parts[2 * k:-k]), parts[-k:])
 
@@ -308,6 +321,6 @@ def theta_names(dims: Dimensions) -> list[str]:
     """
     return [
         name + (f"[{','.join(str(i + 1) for i in index)}]" if index else "")
-        for name, shape, _ in _layout(dims.q, dims.r)
+        for name, shape, _ in layout(dims.q, dims.r)[0]
         for index in np.ndindex(*shape)
     ]

@@ -30,23 +30,20 @@ the data:
     c       : solution of the p x p system  S[1:,1:] c = S[1:,0]
 
 (the loading equation of the stationarity system after substituting the
-covariate update). For p = 2 the linear solve for c reduces to two
-explicit ratios, kept as a test oracle only.
+covariate update), by one LAPACK ``dgesv`` for every p.
 
 ``update_theta`` makes this update for every block at once and returns
 the canonical vector (``model.flatten_theta`` order): T_k'f and Z~_k'f are
 one ``take`` of W~'M at ``Projection.own``, P_k f one product with the
 block-diagonal (T'T)^-1, the per-block sums ``reduceat``. ``expected_score``,
 the certificate of ``FitResult.account``, reads the gradient off the same
-maps and ``estep.residual_sq``.
+maps and ``estep.residual_sq``, and x by field (``Projection.fields``).
 
 ``floored`` keeps each noise variance on the data's own scale: it raises
 sigma2_k to ``Projection.floor``, VARIANCE_FLOOR sum_j ||Z~_j,c||^2 / (n q_k),
 with a warning at the start and at every M-step (silently at extrapolated points).
 """
 
-import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -55,7 +52,7 @@ from scipy.linalg import blas, lapack
 
 from .errors import DataError, DegeneratePosteriorError, SingularSystemError
 from .estep import EStepSummary, residual_sq
-from .model import Dataset, block_label
+from .model import Dataset, block_label, layout
 
 __all__ = [
     "Projection",
@@ -78,10 +75,11 @@ class Projection:
     column of A or of W~_c'M it fills), and ``own`` that entry's position
     in a flat array with a column per block; ``starts`` hold the first Z
     row and the first T row of each block, ``widths`` the q_k and ``cells``
-    n q_k. Coordinate i of the stacked D sits at T row ``d_at[0][i]`` and
-    Z column ``d_at[1][i]`` (T rows counted from the first, here and in
-    ``starts``). ``floor`` is each block's noise-variance floor, VARIANCE_FLOOR
-    sum_j ||Z~_j,c||^2 / (n q_k); ``spread`` is ||Z_j,c||^2 per observed
+    n q_k. ``fields`` slice the canonical vector x into coef, loading, c and
+    sigma2, and x[fields[0]][i] sits at T row ``d_at[0][i]`` and Z column
+    ``d_at[1][i]`` (T rows counted from the first, here and in ``starts``);
+    these maps are ``model.layout``'s. ``floor`` is each block's noise-variance
+    floor, VARIANCE_FLOOR sum_j ||Z~_j,c||^2 / (n q_k); ``spread`` is ||Z_j,c||^2 per observed
     column and ``resid_sq`` ||Z~_k||^2 per block; and the block-diagonal
     B (T rows x Z columns, B_k on block k's), its entries ``coef_at_d`` at
     the coordinates of D, and (T'T)^-1 (T rows x T rows)."""
@@ -95,6 +93,7 @@ class Projection:
     widths: np.ndarray
     cells: np.ndarray
     d_at: tuple[np.ndarray, np.ndarray]
+    fields: tuple[slice, ...]
     floor: np.ndarray
     spread: np.ndarray
     resid_sq: np.ndarray
@@ -118,25 +117,10 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
     return lapack.dpotrs(chol, rhs, lower=1)[0]
 
 
-@functools.cache
-def _layout_maps(q: tuple[int, ...], r: tuple[int, ...]) -> tuple[list, dict]:
-    """Each block's columns of W~_c and the index maps of ``Projection`` for block
-    widths q and r: built once per layout and shared, read-only, by its fits."""
-    k, nz = len(q), sum(q)
-    edges = list(itertools.accumulate(q + r, initial=0))
-    block = np.repeat([*range(k), *range(k)], q + r)
-    maps = dict(block=block, own=np.arange(edges[-1]) * k + block, widths=np.array(q),
-                starts=(np.array(edges[:k]), np.array(edges[k:2 * k]) - nz),
-                d_at=np.nonzero(block[nz:, None] == block[:nz]))  # d row-major
-    for array in (block, maps["own"], maps["widths"], *maps["starts"], *maps["d_at"]):
-        array.flags.writeable = False
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])], maps
-
-
 def project_covariates(data: Dataset) -> Projection:
     """Partial each block's covariates out of the centered data, then
     build G, once per fit: Y on T, then X^m on T^m. The index maps, which
-    the block widths fix, are built once per layout (``_layout_maps``).
+    the block widths fix, are built once per layout (``model.layout``).
 
     Raises DataError when a covariate block has at least as many columns
     as there are units or an observed column is constant or explained by
@@ -148,7 +132,7 @@ def project_covariates(data: Dataset) -> Projection:
         raise DataError(
             f"covariate projection needs more units than covariates, got n={n}"
         )
-    rows, maps = _layout_maps(q, r)
+    _, rows, maps = layout(q, r)
     k, nz, nt = len(q), sum(q), sum(r)
     w = np.empty((n, nz + nt), order="F")      # each block's columns contiguous, for dgemm
     for cols, b in zip(rows, (*data.z, *data.t)):
@@ -248,8 +232,9 @@ def expected_score(x: np.ndarray, summary: EStepSummary, projection: Projection)
     the law was computed at it is the observed-loglik gradient (Fisher).
     """
     nz, starts, (rows, cols) = projection.spread.size, projection.starts[0], projection.d_at
-    z_block, nd, k = projection.block[:nz], rows.size, starts.size
-    loading, inv_var, sq = x[nd:nd + nz], 1.0 / x[-k:], summary.s.diagonal()[z_block]
+    loading, c, sigma2 = (x[cut] for cut in projection.fields[1:])
+    z_block = projection.block[:nz]
+    inv_var, sq = 1.0 / sigma2, summary.s.diagonal()[z_block]
     tf, zf = _factor_cross(projection, summary.wm)
     e, _, tte, r_sq = residual_sq(x, projection)
     rf = zf - e.T @ tf                                                  # r_k'f
@@ -258,5 +243,5 @@ def expected_score(x: np.ndarray, summary: EStepSummary, projection: Projection)
     return np.concatenate([
         -(tte[rows, cols] + tf[rows] * loading[cols]) * inv_var[z_block[cols]],
         (rf - sq * loading) * inv_var[z_block],
-        summary.s[1:, 0] - summary.s[1:, 1:] @ x[nd + nz:-k],
+        summary.s[1:, 0] - summary.s[1:, 1:] @ c,
         0.5 * inv_var * (sq_resid * inv_var - projection.cells)])

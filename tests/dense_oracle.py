@@ -53,7 +53,7 @@ package's Gram path is tested against them.
 
 ``uncached_projection`` is ``project_covariates`` as it read when every
 fit rebuilt the maps its block widths fix (its edges, ``block``, ``own``,
-``starts``, ``widths``, ``d_at``) and each block's
+``starts``, ``widths``, ``d_at``, ``fields``) and each block's
 right-hand side by ``np.hstack``/``np.eye``; ``lstsq_initialize`` is
 ``initialize`` as it read when it solved the structural start with
 ``np.linalg.lstsq`` (and reclaimed on T-row masks). The package's
@@ -774,9 +774,12 @@ def uncached_projection(data) -> Projection:
     starts = np.array(edges[:k]), np.array(edges[k:2 * k]) - nz
     widths, cells = np.array(q), n * np.array(q, dtype=float)
     d_at = np.nonzero(block[nz:, None] == block[:nz])
+    # coef, loading, c and sigma2 hold sum_k r_k q_k, nz, p and p + 1 coordinates
+    cuts = list(itertools.accumulate((int(np.dot(r, q)), nz, k - 1, k), initial=0))
     return Projection(
         data=data, g=g, mean=mean, block=block, own=np.arange(edges[-1]) * k + block,
         starts=starts, widths=widths, cells=cells, d_at=d_at,
+        fields=tuple(slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])),
         floor=VARIANCE_FLOOR * np.add.reduceat(resid, starts[0]) / cells, spread=spread,
         resid_sq=np.add.reduceat(resid + n * mean[:nz]**2, starts[0]),
         stacked_coef=stacked_coef, coef_at_d=stacked_coef[d_at], stacked_tt_inv=stacked_tt_inv)

@@ -1,11 +1,13 @@
 """The CI workflow runs what the repository documents: ROADMAP's tier-1
 command, on one BLAS thread as ``perfbench`` pins it, under a time limit,
 on every Python the package declares, and once on the oldest Python with
-exactly the lower bounds of its dependencies. A typo in the workflow, or
+exactly the lower bounds of its dependencies; and it runs the installed
+console script that pyproject declares. A typo in the workflow, or
 syntax newer than the oldest declared Python, then fails here, not on the
 first push."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -68,7 +70,11 @@ def oldest_python() -> tuple[int, int]:
 
 def test_every_source_file_parses_on_the_oldest_declared_python():
     oldest = oldest_python()
-    assert "%d.%d" % oldest in tier1_job()["strategy"]["matrix"]["python-version"]
+    versions = tier1_job()["strategy"]["matrix"]["python-version"]
+    # every minor version from the oldest declared one through 3.13
+    assert versions == ["%d.%d" % (oldest[0], minor)
+                        for minor in range(oldest[1], oldest[1] + len(versions))]
+    assert "3.13" in versions
     paths = [path for folder in ("src", "tests", "perfbench")
              for path in sorted((ROOT / folder).rglob("*.py"))]
     assert len(paths) > 20
@@ -93,3 +99,25 @@ def test_one_job_installs_exactly_the_declared_floors_on_the_oldest_python():
     assert pins == declared_floors() == {"numpy": "1.24", "orjson": "3.8", "scipy": "1.10"}
     assert [step["run"] for step in job["steps"] if step.get("name") == "Install"] == [
         "python -m pip install -e '.[test]' ${{ matrix.pins }}"]
+
+
+def console_script() -> tuple[str, str]:
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1]
+    return re.search(r'^([\w-]+) = "([\w.]+:\w+)"', scripts, re.M).groups()
+
+
+def test_one_step_runs_the_installed_console_script():
+    # the tests call cli.main or ``python -m factorem.cli``; only this step
+    # runs the entry point pip installs
+    name, target = console_script()
+    module, function = target.split(":")
+    assert callable(getattr(importlib.import_module(module), function))
+    steps = tier1_job()["steps"]
+    (script,) = [step for step in steps
+                 if re.search(rf"^{re.escape(name)} ", step.get("run", ""), re.M)]
+    names = [step.get("name") for step in steps]
+    assert names.index(script["name"]) > names.index("Install")
+    commands = [line.split()[:2] for line in script["run"].splitlines()]
+    assert commands == [[name, "--help"], [name, "simulate"], [name, "fit"]]
+    assert "$RUNNER_TEMP" in script["run"] and "pytest" not in script["run"]
