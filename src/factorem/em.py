@@ -38,8 +38,8 @@ crawls along. v is not a setting, and it is 1 at EM's fixed points.
 The map is accelerated by restarted reduced-rank extrapolation (RRE) of
 order K = ``ORDER`` = 4 (Smith, Ford & Sidi, 1987; Sidi, 2017), which
 removes up to K geometric modes of the map per cycle where SqS3-type
-steplengths remove one. With the p+1 noise variances, the last coordinates
-of x, on the log scale, each cycle takes K + 2 consecutive map outputs
+steplengths remove one. With the p+1 noise variances, x's sigma2 field,
+on the log scale, each cycle takes K + 2 consecutive map outputs
 y0 -> .. -> y5 (on the map's path: the start, whose step is far the longest,
 is not one, so the first cycle is the first six), sets u_j = y_{j+1} - y_j
 and picks the weights gamma, summing to 1, that minimize ||sum_j gamma_j u_j||:
@@ -70,8 +70,7 @@ from scipy.linalg import lapack
 from .errors import DataError, FactorEMError, NonFiniteParameterError
 from .estep import ConditionalLaw, EStepSummary, conditional_law, gram_summary
 from .model import (
-    Dataset, Dimensions, Theta, as_count, block_label, check_dimensions, flatten_theta,
-    theta_names, unflatten_theta,
+    Dataset, Dimensions, Theta, as_count, block_label, flatten_theta, theta_names, unflatten_theta,
 )
 from .mstep import Projection, expected_score, floored, project_covariates, update_theta
 
@@ -267,14 +266,13 @@ def relative_change(old: np.ndarray, new: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(new - old) / np.maximum(np.abs(new), DENOMINATOR_FLOOR)))
 
 
-def _extrapolate(points: list, floor: np.ndarray):
-    """RRE point of order K = ORDER from K + 2 consecutive map outputs y0..y_{K+1}
-    of the canonical vector, with its last ``floor.size`` coordinates (the noise
-    variances) on the log scale and raised to ``floor``; None when the point
-    is not finite or the second differences are rank-deficient."""
-    blocks = floor.size
+def _extrapolate(points: list, projection: Projection):
+    """RRE point (order K = ORDER) of K + 2 consecutive map outputs y0..y_{K+1}, with the
+    variances, read by field (``projection.fields[3]``), on the log scale and raised to
+    ``projection.floor``; None if it is not finite or the second differences are rank-deficient."""
+    variances = projection.fields[3]
     y = np.array(points)
-    y[:, -blocks:] = np.log(y[:, -blocks:])
+    y[:, variances] = np.log(y[:, variances])
     u = np.diff(y, axis=0)
     # sum_j gamma_j u_j = u_K - sum_{j<K} xi_j (u_{j+1} - u_j), xi the partial sums of gamma
     second = np.diff(u, axis=0).T
@@ -286,8 +284,8 @@ def _extrapolate(points: list, floor: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         x = y[-1] - xi[:ORDER, 0] @ u[1:]   # sum_j gamma_j y_{j+1}
         finite = np.count_nonzero(np.isfinite(x)) == x.size
-        x[-blocks:] = np.maximum(np.exp(x[-blocks:]), floor)
-    return x if finite and np.count_nonzero(np.isfinite(x[-blocks:])) == blocks else None
+        x[variances] = np.maximum(np.exp(x[variances]), projection.floor)
+    return x if finite and np.isfinite(x[variances]).all() else None
 
 
 def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
@@ -296,10 +294,13 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
     within six map steps is the plain PX-EM fit), until the stopping rule fires
     on a map step or max_iter map evaluations are spent; return it ``canonicalize``d.
 
-    ``dims`` must equal ``data.dimensions()``; a DataError names the
-    first field that differs.
+    ``dims`` is compared with ``data.dimensions()``, the shape the data
+    built at construction; a DataError names the first field that differs.
     """
-    actual = check_dimensions(dims, data)
+    actual = data.dimensions()
+    if dims != actual:
+        name, value = next((k, v) for k, v in vars(actual).items() if getattr(dims, k) != v)
+        raise DataError(f"dims.{name}={getattr(dims, name)} disagrees with the data ({value})")
     projection = project_covariates(data)
     x = initialize(projection)
     try:
@@ -324,7 +325,7 @@ def fit(data: Dataset, dims: Dimensions, config: EMConfig) -> FitResult:
         cycle.append(x)
         if len(cycle) < ORDER + 2 or len(trace) == config.max_iter:
             continue
-        extrapolated = _extrapolate(cycle, projection.floor)
+        extrapolated = _extrapolate(cycle, projection)
         cycle = [x]
         if extrapolated is None:
             continue

@@ -152,8 +152,7 @@ def _checked_posterior(theta: Theta, data: Dataset):
     """(sigma2, 1 / sigma2, ``_posterior``'s three) at ``theta``, once it is
     checked against ``data``; raises as ``conditional_law`` does."""
     variances = positive_variances(theta.sigma2)
-    check_theta_shapes(theta, [(t.shape[1], z.shape[1]) for z, t in zip(data.z, data.t)],
-                       "the data")
+    check_theta_shapes(theta, data.dimensions(), "the data")
     inv_var = 1.0 / variances
     fisher = np.array([lam @ lam for lam in theta.loading]) * inv_var
     return variances, inv_var, *_posterior(theta.c, fisher, variances)
@@ -233,7 +232,7 @@ def observed_loglik(theta: Theta, data: Dataset) -> LogLik:
     for k, (r, lam) in enumerate(zip(resid, theta.loading)):
         r -= np.outer(m[:, k], lam)              # r is this call's own copy
         quad += np.einsum("ij,ij->i", r, r) * inv_var[k]
-    widths = np.array([r.shape[1] for r in resid])
+    widths = np.array(data.dimensions().q)
     logdet = float(widths @ np.log(variances)) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     per_unit = -0.5 * (quad + logdet + widths.sum() * LOG_2PI)
     return LogLik(value=float(per_unit.sum()), per_unit=per_unit)

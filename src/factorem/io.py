@@ -97,15 +97,14 @@ def _format_rows(rows: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_matrices(files: list[tuple[Path, list[str], np.ndarray]]) -> None:
-    """Write each (path, header, matrix) as CSV, a line of floats per row,
+def _write_matrix(path: Path, header: list[str], matrix: np.ndarray) -> None:
+    """Write ``matrix`` as CSV under ``header``, a line of floats per row,
     formatting the rows in chunks of about ``_CHUNK_CELLS`` cells."""
-    for path, header, matrix in files:
-        matrix = np.asarray(matrix, dtype=float)
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle, lineterminator="\n").writerow(header)
-            for chunk in np.array_split(matrix, max(1, -(-matrix.size // _CHUNK_CELLS))):
-                handle.write(_format_rows(chunk))
+    matrix = np.asarray(matrix, dtype=float)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        for chunk in np.array_split(matrix, max(1, -(-matrix.size // _CHUNK_CELLS))):
+            handle.write(_format_rows(chunk))
 
 
 def _write_parameters(path: Path, names: list[str], theta: Theta) -> None:
@@ -362,7 +361,7 @@ def write_dataset(
     """
     dims = data.dimensions()
     if theta is not None:
-        check_theta_shapes(theta, list(zip(dims.r, dims.q)), "the data")
+        check_theta_shapes(theta, dims, "the data")
     if latents is not None:
         latents = np.asarray(latents, dtype=float)
         if latents.shape != (dims.n, dims.p + 1):
@@ -374,10 +373,10 @@ def write_dataset(
 
     z_files = [f"{block_label('Z', k)}.csv" for k in range(dims.p + 1)]
     t_files = [f"{block_label('T', k)}.csv" for k in range(dims.p + 1)]
-    _write_matrices([(out / z_files[k], cols["z"][k], data.z[k]) for k in range(dims.p + 1)]
-                    + [(out / t_files[k], cols["t"][k], data.t[k]) for k in range(dims.p + 1)]
-                    + ([] if latents is None else
-                       [(out / "factors_true.csv", _factor_header(dims.p), latents)]))
+    for name, header, block in zip(z_files + t_files, cols["z"] + cols["t"], data.z + data.t):
+        _write_matrix(out / name, header, block)
+    if latents is not None:
+        _write_matrix(out / "factors_true.csv", _factor_header(dims.p), latents)
     _write_json(out / "manifest.json", {
         "y": z_files[0], "x": z_files[1:], "t": t_files[0], "t_m": t_files[1:],
         "intercept": data.intercept,
@@ -412,7 +411,7 @@ def write_fit(result: FitResult, out_dir, columns: dict | None = None) -> None:
     names = theta_names(dims)
     _write_parameters(out / "parameters.csv", names, result.theta)
 
-    _write_matrices([(out / "factors.csv", _factor_header(dims.p), result.moments.m)])
+    _write_matrix(out / "factors.csv", _factor_header(dims.p), result.moments.m)
 
     _write_csv(
         out / "trace.csv",

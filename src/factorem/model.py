@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,12 +132,14 @@ class Dataset:
     intercept : when True, column 0 of every covariate block must be the
         constant 1 (validated at construction)
 
-    Treated as immutable after construction.
+    Its shape is built and checked at construction (``dimensions()``): no
+    units, or a block without columns, is a DataError. Treated as immutable.
     """
 
     z: tuple[np.ndarray, ...]
     t: tuple[np.ndarray, ...]
     intercept: bool = False
+    _dims: Dimensions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.z = tuple(_as_matrix(b, block_label("Z", k)) for k, b in enumerate(self.z))
@@ -155,6 +157,9 @@ class Dataset:
                 if block.shape[0] != n:
                     raise DataError(f"row count mismatch: Y has {n} rows but {name} "
                                     f"has {block.shape[0]}")
+        q, r = ([b.shape[1] for b in blocks] for blocks in (self.z, self.t))
+        self._dims = Dimensions(n=n, p=self.p, q_y=q[0], q_m=q[1:], r_t=r[0], r_m=r[1:])
+        for k, t in enumerate(self.t):
             if self.intercept and not np.array_equal(t[:, 0], np.ones(n)):
                 raise DataError(f"intercept flag set but column 1 of "
                                 f"{block_label('T', k)} is not constant 1")
@@ -168,20 +173,8 @@ class Dataset:
         return len(self.z) - 1
 
     def dimensions(self) -> Dimensions:
-        q = [z.shape[1] for z in self.z]
-        r = [t.shape[1] for t in self.t]
-        return Dimensions(n=self.n, p=self.p, q_y=q[0], q_m=q[1:], r_t=r[0], r_m=r[1:])
-
-
-def check_dimensions(dims: Dimensions, data: Dataset) -> Dimensions:
-    """``dims``, or a DataError naming its first field that differs from
-    ``data.dimensions()`` (read off the blocks, with no second ``Dimensions``)."""
-    q, r = ([b.shape[1] for b in blocks] for blocks in (data.z, data.t))
-    found = dict(n=data.n, p=data.p, q_y=q[0], q_m=tuple(q[1:]), r_t=r[0], r_m=tuple(r[1:]))
-    for name, value in found.items():
-        if getattr(dims, name) != value:
-            raise DataError(f"dims.{name}={getattr(dims, name)} disagrees with the data ({value})")
-    return dims
+        """The blocks' shape, as built at construction."""
+        return self._dims
 
 
 def subset_units(data: Dataset, indices: np.ndarray) -> Dataset:
@@ -206,7 +199,8 @@ class Theta:
     c : (p,) structural coefficients of g on f^1..f^p
     sigma2 : p+1 noise variances, sigma2_Y first, then sigma2_m
 
-    Variances must be nonnegative; operations that need a nonsingular
+    Entries must be finite (a DataError names the first part that is not)
+    and variances nonnegative; operations that need a nonsingular
     observation covariance reject zero variances themselves.
     """
 
@@ -220,6 +214,8 @@ class Theta:
         self.loading = tuple(np.asarray(lam, dtype=float) for lam in self.loading)
         self.c = np.asarray(self.c, dtype=float)
         self.sigma2 = tuple(float(s) for s in self.sigma2)
+        if self.c.ndim != 1:
+            raise DataError(f"c must be a vector, got shape {self.c.shape}")
         blocks = len(self.c) + 1
         if not (len(self.coef) == len(self.loading) == len(self.sigma2) == blocks):
             raise DataError(
@@ -233,6 +229,12 @@ class Theta:
                     f"coef[{k}] {d.shape} and loading[{k}] {lam.shape} "
                     "disagree on width"
                 )
+        if not np.isfinite(flatten_theta(self)).all():    # one check; then find the part
+            labels = [block_label(family, k) for family in ("D", "loading") for k in range(blocks)]
+            labels += ["c", *(block_label("sigma2", k) for k in range(blocks))]
+            for label, part in zip(labels, [*self.coef, *self.loading, self.c, *self.sigma2]):
+                if not np.isfinite(part).all():
+                    raise DataError(f"theta's {label} has a non-finite entry")
         if min(self.sigma2) < 0:
             raise DataError("noise variances must be nonnegative")
 
@@ -241,14 +243,12 @@ class Theta:
         return len(self.c)
 
 
-def check_theta_shapes(theta: Theta, shapes, against: str) -> None:
+def check_theta_shapes(theta: Theta, dims: Dimensions, against: str) -> None:
     """DataError naming the block count, or the first block and shape,
-    where ``theta`` disagrees with the per-block (r_k, q_k) ``shapes``
-    of ``against``."""
-    if theta.p != len(shapes) - 1:
-        raise DataError(f"theta has {theta.p} explanatory blocks but {against} has "
-                        f"{len(shapes) - 1}")
-    for k, (coef, shape) in enumerate(zip(theta.coef, shapes)):
+    where ``theta`` disagrees with ``dims``, the ``Dimensions`` of ``against``."""
+    if theta.p != dims.p:
+        raise DataError(f"theta has {theta.p} explanatory blocks but {against} has {dims.p}")
+    for k, (coef, shape) in enumerate(zip(theta.coef, zip(dims.r, dims.q))):
         if coef.shape != shape:
             raise DataError(f"theta block {block_label('D', k)} has shape {coef.shape} "
                             f"but {against} needs {shape}")

@@ -126,8 +126,8 @@ def project_covariates(data: Dataset) -> Projection:
     as there are units or an observed column is constant or explained by
     its covariates, and SingularSystemError for collinear covariates.
     """
-    n = data.n
-    q, r = (tuple(b.shape[1] for b in blocks) for blocks in (data.z, data.t))
+    dims = data.dimensions()
+    n, q, r = dims.n, dims.q, dims.r
     if n <= max(r):
         raise DataError(
             f"covariate projection needs more units than covariates, got n={n}"

@@ -37,7 +37,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
         if self.theta is not None:
-            check_theta_shapes(self.theta, list(zip(self.dims.r, self.dims.q)), "dims")
+            check_theta_shapes(self.theta, self.dims, "dims")
 
 
 def reference_theta(dims: Dimensions) -> Theta:

@@ -79,7 +79,7 @@ from factorem.estep import (
     gram_summary, observed_loglik,
 )
 from factorem.model import (
-    Theta, block_label, check_dimensions, flatten_theta, theta_names, unflatten_theta,
+    Theta, block_label, flatten_theta, theta_names, unflatten_theta,
 )
 from factorem import mstep
 from factorem.mstep import (
@@ -435,7 +435,8 @@ def loop_gram_estep(theta, gram, data):
 
 
 def loop_update_theta(projection, summary) -> Theta:
-    """The M-step from the summed law, one block at a time."""
+    """The M-step from the summed law, one block at a time; a
+    NonFiniteParameterError names its first non-finite coordinate."""
     s = summary.s
     try:
         c = np.linalg.solve(s[1:, 1:], s[1:, 0])
@@ -458,6 +459,12 @@ def loop_update_theta(projection, summary) -> Theta:
         loadings.append(loading)
         coefs.append(coef - np.outer(pf, loading))
         variances.append(loop_floored(value, floor, k, "update"))
+    # checked flat: a Theta with a non-finite part is a DataError
+    values = flatten_parts(coefs, loadings, c, variances)
+    if not np.isfinite(values).all():
+        k = int(np.flatnonzero(~np.isfinite(values))[0])
+        name = theta_names(projection.data.dimensions())[k]
+        raise NonFiniteParameterError(f"M-step produced {name} = {values[k]}")
     return Theta(coef=coefs, loading=loadings, c=c, sigma2=variances)
 
 
@@ -475,13 +482,7 @@ def px_reduced(theta, s, n) -> Theta:
 
 
 def loop_em_step(summary, data, projection):
-    theta_new = loop_update_theta(projection, summary)
-    values = flatten_theta(theta_new)
-    if not np.isfinite(values).all():
-        k = int(np.flatnonzero(~np.isfinite(values))[0])
-        name = theta_names(data.dimensions())[k]
-        raise NonFiniteParameterError(f"M-step produced {name} = {values[k]}")
-    theta_new = px_reduced(theta_new, summary.s, data.n)
+    theta_new = px_reduced(loop_update_theta(projection, summary), summary.s, data.n)
     return theta_new, loop_gram_estep(theta_new, projection, data)
 
 
@@ -514,7 +515,8 @@ def loop_extrapolate(thetas, dims, floor):
 def loop_fit(data, dims, config) -> FitResult:
     """The RRE-accelerated fit on ``Theta``s and the per-block steps,
     returned canonical as ``fit``'s."""
-    actual = check_dimensions(dims, data)
+    actual = data.dimensions()
+    assert actual == dims, (dims, actual)
     floor = variance_floor(data)
     projection = project_covariates(data)
     theta = unflatten_theta(initialize(projection), actual)

@@ -59,9 +59,7 @@ def block_residuals(theta: Theta, data: Dataset) -> list[np.ndarray]:
     Raises DataError naming the block count, or the block and shape,
     where ``theta`` disagrees with the data.
     """
-    check_theta_shapes(
-        theta, [(t.shape[1], z.shape[1]) for z, t in zip(data.z, data.t)], "the data"
-    )
+    check_theta_shapes(theta, data.dimensions(), "the data")
     return [z - t @ coef for z, t, coef in zip(data.z, data.t, theta.coef)]
 
 

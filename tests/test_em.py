@@ -19,7 +19,7 @@ from factorem import (
     observed_loglik,
     simulate_dataset,
 )
-from factorem.em import em_step, initialize, relative_change
+from factorem.em import ORDER, em_step, initialize, relative_change
 from factorem.errors import DataError, FactorEMError, NonFiniteParameterError
 from factorem.estep import conditional_law, gram_summary
 from factorem.model import theta_names, unflatten_theta
@@ -399,6 +399,17 @@ class TestFit:
             fit(data, replace(dims, q_m=(5, 6)), EMConfig())
         assert fit(data, dims, EMConfig()).dims == data.dimensions()
 
+    def test_a_fit_builds_no_dimensions(self, monkeypatch):
+        # the data built its shape at construction; fit only compares with it
+        data, _, _ = reference_instance(seed=3, n=60, q=5)
+        dims = reference_dims(n=60, q=5)
+        built, check = [], Dimensions.__post_init__
+        monkeypatch.setattr(Dimensions, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        result = fit(data, dims, EMConfig(epsilon=1e-6))
+        assert result.iterations > ORDER + 2 and result.accepted > 0
+        assert built == [] and result.dims is data.dimensions()
+
     def test_one_gram_solve_per_block_per_fit(self, monkeypatch):
         from factorem import mstep
 
@@ -541,9 +552,9 @@ class TestAcceleration:
             outputs.append(step(*args))
             return outputs[-1]
 
-        def recording(points, floor):
+        def recording(points, projection):
             cycles.append(list(points))
-            return extrapolate(points, floor)
+            return extrapolate(points, projection)
 
         step, extrapolate = factorem.em.em_step, factorem.em._extrapolate
         monkeypatch.setattr(factorem.em, "em_step", stepping)
@@ -576,21 +587,22 @@ class TestAcceleration:
         return points
 
     def test_the_point_of_a_linear_sequence_of_four_rates_is_its_fixed_point(self):
-        from factorem.em import ORDER, _extrapolate
+        from factorem.em import _extrapolate
 
         data, _, theta, _ = random_instance(0)
         points = self.linear_sequence(theta, [0.9, 0.6, 0.3, -0.4])
         assert ORDER == 4
-        point = _extrapolate(points, variance_floor(data))
+        point = _extrapolate(points, project_covariates(data))
         np.testing.assert_allclose(point, flatten_theta(theta), rtol=1e-12, atol=1e-12)
 
     def test_extrapolated_variances_are_floored(self):
         from factorem.em import _extrapolate
 
         data, _, theta, dims = random_instance(0)
-        floor = variance_floor(data)
+        projection = project_covariates(data)
+        floor = projection.floor
         points = self.linear_sequence(theta, [0.9, 0.6, 0.3, -0.4], np.log(1e-3 * floor[0]))
-        point = _extrapolate(points, floor)
+        point = _extrapolate(points, projection)
         assert point[-len(floor)] == floor[0]
         expected = flatten_theta(replace(theta, sigma2=(floor[0], *theta.sigma2[1:])))
         np.testing.assert_allclose(point, expected, rtol=1e-12, atol=1e-12)
@@ -603,7 +615,7 @@ class TestAcceleration:
         # inputs sit near 1100 - 421 * 0.99^j, from 679 to 700
         points = self.linear_sequence(theta, [0.99, 0.7, 0.3, -0.5], 1100.0, -421.0)
         assert all(np.isfinite(x).all() for x in points)
-        assert _extrapolate(points, variance_floor(data)) is None
+        assert _extrapolate(points, project_covariates(data)) is None
 
     def test_rank_deficient_differences_give_no_point(self):
         from factorem.em import _extrapolate
@@ -611,7 +623,7 @@ class TestAcceleration:
         data, _, theta, _ = random_instance(0)
         # two rates: the four second differences span a plane
         points = self.linear_sequence(theta, [0.9, 0.5])
-        assert _extrapolate(points, variance_floor(data)) is None
+        assert _extrapolate(points, project_covariates(data)) is None
 
     def test_extrapolation_whose_estep_fails_is_rejected(self, monkeypatch):
         # with every extrapolation rejected, each cycle goes on from its

@@ -201,7 +201,7 @@ class TestFastCsvPaths:
                   np.inf, -np.inf, np.nan, 0.1, -2.5, 123456789.0]
         matrix = np.array([values, values[::-1]])
         header = [f"c{j}" for j in range(len(values))]
-        io_module._write_matrices([(tmp_path / "fast.csv", header, matrix)])
+        io_module._write_matrix(tmp_path / "fast.csv", header, matrix)
         written = (tmp_path / "fast.csv").read_bytes()
         assert written == reference_bytes(tmp_path, header, matrix)
         assert written.splitlines()[1].split(b",")[:8] == [
@@ -428,7 +428,7 @@ class TestOrjsonKernels:
         inside[:, 3] = edges
         matrix = np.vstack([matrix, inside, np.tile(edges[:10], (3, 1)), -edges[:10]])
         header = [f"c{j}" for j in range(10)]
-        io_module._write_matrices([(tmp_path / "fast.csv", header, matrix)])
+        io_module._write_matrix(tmp_path / "fast.csv", header, matrix)
         written = (tmp_path / "fast.csv").read_bytes()
         assert written == reference_bytes(tmp_path, header, matrix)
         assert written.splitlines()[-2] == (b"0.0001,9.999999999999999e-05,1e+16,"
@@ -439,7 +439,7 @@ class TestOrjsonKernels:
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-6, 18, size=(300, 7))
         matrix[::7, 2] = -0.0
-        io_module._write_matrices([(tmp_path / "m.csv", list("abcdefg"), matrix)])
+        io_module._write_matrix(tmp_path / "m.csv", list("abcdefg"), matrix)
         assert io_module._read_fast(tmp_path / "m.csv") is not None
         header, values = read_block(tmp_path / "m.csv", False)
         assert values.tobytes() == matrix.tobytes()

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorem import Dataset, Dimensions, Theta, flatten_theta
+from dataclasses import replace
+
+from factorem import Dataset, Dimensions, SimConfig, Theta, flatten_theta, simulate_dataset
 from factorem.model import subset_units, theta_names, unflatten_theta
 from factorem.errors import DataError
 
@@ -190,6 +192,61 @@ class TestValidation:
         with pytest.raises(DataError):
             Theta(coef=(np.zeros((1, 1)),) * 2, loading=(np.zeros(1),) * 2,
                   c=np.zeros(1), sigma2=(-1.0, 1.0))
+
+    @pytest.mark.parametrize("z, t, intercept, message", [
+        ((np.zeros((3, 2)), np.zeros((3, 0))), (np.zeros((3, 1)),) * 2, False,
+         "q_m must be >= 1, got 0"),
+        ((np.zeros((3, 2)),) * 2, (np.zeros((3, 0)), np.zeros((3, 1))), False,
+         "r_t must be >= 1, got 0"),
+        ((np.zeros((3, 2)),) * 2, (np.zeros((3, 0)), np.ones((3, 1))), True,
+         "r_t must be >= 1, got 0"),
+        ((np.zeros((0, 2)),) * 2, (np.zeros((0, 1)),) * 2, False, "n must be >= 1, got 0"),
+    ], ids=["no-x1-columns", "no-t-columns", "no-t-columns-intercept", "no-units"])
+    def test_an_empty_block_or_no_units_is_rejected_at_construction(
+            self, z, t, intercept, message):
+        # each used to construct, then fail inside fit or write_dataset (or,
+        # with the intercept flag, raise IndexError reading column 1 of T)
+        with pytest.raises(DataError, match=rf"^{message}$"):
+            Dataset(z=z, t=t, intercept=intercept)
+
+    def test_the_shape_is_built_once_at_construction(self):
+        data = Dataset(z=(np.zeros((3, 2)), np.zeros((3, 1))), t=(np.ones((3, 1)),) * 2)
+        assert data.dimensions() is data.dimensions()
+        assert data.dimensions() == Dimensions(n=3, p=1, q_y=2, q_m=(1,), r_t=1, r_m=(1,))
+
+
+class TestThetaValues:
+    """A ``Theta`` no consumer can use is rejected when it is built, naming
+    the part, instead of giving a NaN loglik or a bare numpy error later."""
+
+    DIMS = Dimensions(n=50, p=2, q_y=3, q_m=(3, 3), r_t=1, r_m=(1, 1))
+
+    def generating_theta(self):
+        return simulate_dataset(SimConfig(self.DIMS, seed=1))[2]
+
+    def test_an_all_nan_coefficient_matrix_is_named(self):
+        theta = self.generating_theta()
+        with pytest.raises(DataError, match="^theta's D has a non-finite entry$"):
+            replace(theta, coef=(np.full((1, 3), np.nan), *theta.coef[1:]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_variance_is_named(self, value):
+        with pytest.raises(DataError, match="^theta's sigma2_Y has a non-finite entry$"):
+            replace(self.generating_theta(), sigma2=(value, 1.0, 1.0))
+
+    @pytest.mark.parametrize("name, label", [
+        ("D1[1,3]", "D1"), ("b[2]", "b"), ("a2[3]", "a2"), ("c2", "c")])
+    def test_the_first_non_finite_part_is_named(self, name, label):
+        x = flatten_theta(self.generating_theta())
+        x[theta_names(self.DIMS).index(name)] = np.nan
+        x[-1] = np.inf                                  # sigma2_2, a later part
+        with pytest.raises(DataError, match=f"^theta's {label} has a non-finite entry$"):
+            unflatten_theta(x, self.DIMS)
+
+    def test_a_c_that_is_not_a_vector_is_named_with_its_shape(self):
+        theta = self.generating_theta()
+        with pytest.raises(DataError, match=re.escape("c must be a vector, got shape (2, 1)")):
+            replace(theta, c=theta.c[:, None])
 
 
 def test_subset_units_keeps_order():

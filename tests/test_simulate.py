@@ -119,6 +119,14 @@ class TestSimConfigTheta:
         with pytest.raises(DataError, match=re.escape(message)):
             SimConfig(dims=dims, theta=theta)
 
+    def test_a_non_finite_theta_is_named_before_the_data_is_drawn(self):
+        # it used to draw the data, then blame block Y's non-finite entries
+        dims = Dimensions(n=50, p=2, q_y=3, q_m=(3, 3), r_t=1, r_m=(1, 1))
+        theta = reference_theta(dims)
+        with pytest.raises(DataError, match="^theta's D has a non-finite entry$"):
+            simulate_dataset(SimConfig(dims, seed=1, theta=replace(
+                theta, coef=(np.full((1, 3), np.nan), *theta.coef[1:]))))
+
     def test_replicate_study_runs_a_fitting_theta(self):
         dims = Dimensions(n=60, p=2, q_y=3, q_m=(4, 2), r_t=2, r_m=(1, 2))
         theta = reference_theta(dims)
